@@ -22,7 +22,6 @@ from fracradial.decay_analysis import (
     verify_riesz_tail,
 )
 from fracradial.radial_ops import (
-    KernelCache,
     RadialFunction,
     RadialGrid,
     angular_kernel,
@@ -68,7 +67,6 @@ __all__ = [
     "ChainRuleReport",
     "DecayFit",
     "DecayPrediction",
-    "KernelCache",
     "NonConvergenceError",
     "NonlinearitySpec",
     "ProblemParams",

@@ -121,9 +121,7 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-# section -> key -> (parser, default).  The seed is recorded but unused: the
-# whole pipeline is deterministic; the knob exists so configs stay valid once
-# stochastic components appear.
+# section -> key -> (parser, default).
 _CONFIG_SCHEMA = {
     "problem": {
         "n": (_parse_int, "3"),
@@ -143,7 +141,6 @@ _CONFIG_SCHEMA = {
         "max_iter": (_parse_int, "5000"),
         "damping": (_parse_float, "0.5"),
         "init_profile": (_parse_optional_float, ""),
-        "seed": (_parse_int, "0"),
     },
     "analysis": {
         "fit_window": (_parse_float_pair, "50,100"),

@@ -17,13 +17,24 @@ which has an elementary closed form for N = 3 and is tabulated once per
 (N, p) otherwise.  All quadrature decisions (panel grading around the
 kernel singularity, Taylor subtraction inside a local window, analytic
 far-tail remainders) live here and are shared by every operator.
+
+Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
+at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
+("ctx", grid token) for the per-grid row context, ("table", N, p) for the
+spline kernel table of a dimension N != 3, and (kind, grid token, exponent,
+tail exponent) for the assembled rows of an operator, kind being "fraclap"
+(exponent s) or "riesz" (exponent alpha).  A hit moves its entry to the
+end and an insertion beyond the bound evicts the least recently used one,
+so operators that are in use stay assembled.  Callers pass nothing: the
+grid and the exponents alone decide what is reused.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,7 +46,6 @@ from fracradial.specfun import frac_lap_h_exact, h_beta_eval, ProfileParams, rie
 __all__ = [
     "RadialGrid",
     "RadialFunction",
-    "KernelCache",
     "sphere_surface_area",
     "angular_kernel",
     "h_beta_function",
@@ -76,6 +86,23 @@ def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gauss(n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
+
+
+_MEMO: OrderedDict = OrderedDict()
+_MEMO_LIMIT = 16
+
+
+def _memo(key: tuple, build):
+    """The memoised value for key, built by build() on a miss (LRU, bounded)."""
+    value = _MEMO.get(key)
+    if value is None:
+        value = build()
+        _MEMO[key] = value
+        if len(_MEMO) > _MEMO_LIMIT:
+            _MEMO.popitem(last=False)
+    else:
+        _MEMO.move_to_end(key)
+    return value
 
 
 def sphere_surface_area(N: int) -> float:
@@ -201,16 +228,8 @@ class _KernelTable:
         return out
 
 
-_KERNEL_TABLES: dict[tuple[int, float], _KernelTable] = {}
-
-
 def _kernel_table(N: int, p: float) -> _KernelTable:
-    key = (N, round(p, 12))
-    table = _KERNEL_TABLES.get(key)
-    if table is None:
-        table = _KernelTable(N, p)
-        _KERNEL_TABLES[key] = table
-    return table
+    return _memo(("table", N, round(p, 12)), lambda: _KernelTable(N, p))
 
 
 def _kernel_eval(N: int, p: float, r: float, rho: np.ndarray) -> np.ndarray:
@@ -469,32 +488,37 @@ def h_beta_function(grid: RadialGrid, beta: float) -> RadialFunction:
 # Row assembly shared by the operators
 # ----------------------------------------------------------------------------
 
+# for each basis index m, the three other indices k of its Lagrange product
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
 def _lagrange4(tb: np.ndarray, tq: np.ndarray) -> np.ndarray:
     """Four-point Lagrange weights: tb is (..., 4) basis abscissae, tq is
-    (..., Q) evaluation points; returns (..., Q, 4)."""
-    W = np.ones(tq.shape + (4,))
-    for m in range(4):
-        for k in range(4):
-            if k == m:
-                continue
-            W[..., m] *= (tq - tb[..., k:k + 1]) / (tb[..., m:m + 1] - tb[..., k:k + 1])
-    return W
+    (..., Q) evaluation points; returns (..., Q, 4).  The three factors of
+    each weight are multiplied in increasing k."""
+    tk = tb[..., _OTHERS]                                  # (..., 4, 3)
+    f = (tq[..., :, None, None] - tk[..., None, :, :]) \
+        / (tb[..., :, None] - tk)[..., None, :, :]         # (..., Q, 4, 3)
+    return f[..., 0] * f[..., 1] * f[..., 2]
 
 
 def _cubic_basis(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cubic-in-log interpolation stencil for arbitrary points: returns the
     base node index (n,) and weights (n, 4) over nodes base .. base+3."""
-    M = tt.size
-    j = np.clip(np.searchsorted(tt, tq) - 1, 0, M - 2)
-    base = np.clip(j - 1, 0, M - 4)
+    # one below the bracketing cell, kept inside the grid (np.clip costs
+    # more than the rest of this hot function)
+    base = np.minimum(np.maximum(np.searchsorted(tt, tq) - 2, 0), tt.size - 4)
     tb = tt[base[:, None] + np.arange(4)[None, :]]
-    W = np.ones((tq.size, 4))
-    for m in range(4):
-        for k in range(4):
-            if k == m:
-                continue
-            W[:, m] *= (tq - tb[:, k]) / (tb[:, m] - tb[:, k])
-    return base, W
+    return base, _lagrange4(tb, tq[:, None])[:, 0, :]
+
+
+def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
+               weights: np.ndarray) -> None:
+    """Spread weights sitting at log radii tq onto the node slots of a row
+    through the cubic-in-log stencil."""
+    base, W = _cubic_basis(tt, tq)
+    np.add.at(coeffs, 1 + base[:, None] + np.arange(4)[None, :],
+              weights[:, None] * W)
 
 
 class _RowContext:
@@ -516,8 +540,7 @@ class _RowContext:
         half = 0.5 * (tt[1:] - tt[:-1])
         tq = mid[:, None] + half[:, None] * x4[None, :]
         rho = np.exp(tq)
-        self.cell_t = tq                                   # (M-1, 4)
-        self.cell_rho = rho
+        self.cell_rho = rho                                # (M-1, 4)
         self.cell_w = w4[None, :] * half[:, None] * rho ** (grid.N)
         base = np.clip(np.arange(M - 1) - 1, 0, M - 4)
         self.cell_base = base                              # (M-1,)
@@ -525,27 +548,8 @@ class _RowContext:
         self.cell_cubw = _lagrange4(tb, tq)                # (M-1, 4, 4)
 
 
-_CONTEXTS: dict[tuple, _RowContext] = {}
-_OP_CACHE: dict[tuple, object] = {}
-_OP_CACHE_LIMIT = 8
-
-
 def _context(grid: RadialGrid) -> _RowContext:
-    ctx = _CONTEXTS.get(grid._token)
-    if ctx is None:
-        ctx = _RowContext(grid)
-        _CONTEXTS[grid._token] = ctx
-    return ctx
-
-
-def _op_cache_get(key):
-    return _OP_CACHE.get(key)
-
-
-def _op_cache_put(key, value):
-    if len(_OP_CACHE) >= _OP_CACHE_LIMIT:
-        _OP_CACHE.pop(next(iter(_OP_CACHE)))
-    _OP_CACHE[key] = value
+    return _memo(("ctx", grid._token), lambda: _RowContext(grid))
 
 
 def _local_step(tt: np.ndarray, t0: float) -> float:
@@ -649,171 +653,42 @@ def _distance_edges(r: float, w: float, lo: float, hi: float) -> list[float]:
     return sorted(edges)
 
 
-def _single_row(ctx: _RowContext, kind: str, r: float, s_or_alpha: float,
-                tail_omega: float) -> tuple[np.ndarray, float]:
-    """Quadrature row of a nonlocal operator at radius r.
+class _Row:
+    """One operator row at radius r while it is being assembled.
 
-    kind 'fraclap': the PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho
-    with p = -(N+2s), Taylor-subtracted in a local window.
-    kind 'riesz': int g(rho) k_p(r,rho) rho^{N-1} drho with p = alpha - N,
-    graded around the integrable diagonal singularity.
-
-    Returns (coeffs, tail_c): coeffs has length M+1 with slot 0 multiplying
-    the origin value and slots 1..M the node values; tail_c multiplies the
-    tail model value at r_max.  The overall C_{N,s} / C_{N,alpha} factors are
-    NOT applied here.
+    coeffs has length M+1, slot 0 multiplying the origin value and slots
+    1..M the node values; tail multiplies the tail model value at r_max;
+    mass is the kernel mass seen so far, which the fractional Laplacian
+    puts on u(r) itself (the Riesz row does not use it).  The row builders
+    add their pieces with sign -1 (fractional Laplacian, the -u(rho) part)
+    or +1 (Riesz).
     """
-    grid = ctx.grid
-    N = grid.N
-    tt = ctx.tt
-    nodes = grid.nodes
-    M = nodes.size
-    r1, rM = nodes[0], nodes[-1]
-    fraclap = kind == "fraclap"
-    if fraclap:
-        s = s_or_alpha
-        p = -(N + 2.0 * s)
-    else:
-        alpha = s_or_alpha
-        p = alpha - N
 
-    coeffs = np.zeros(M + 1)
-    tail_c = 0.0
-    acc_r = 0.0  # coefficient on u(r) itself (fraclap only)
-    t0 = math.log(r)
-    dt_loc = _local_step(tt, t0)
-    if fraclap:
-        w = min(_WINDOW_CELLS * dt_loc, 0.5) * r
-        lo_w, hi_w = r - w, r + w
-    else:
-        # no Taylor window; grade inside the straddling cells instead
-        w = 0.0
-        lo_w = hi_w = r
+    def __init__(self, M: int):
+        self.coeffs = np.zeros(M + 1)
+        self.tail = 0.0
+        self.mass = 0.0
 
-    def add_origin_model(rho, quad_w, kern):
-        contrib = quad_w * kern
-        sign = 1.0 if not fraclap else -1.0
-        x2 = (rho / r1) ** 2
-        coeffs[0] += sign * float(np.sum(contrib * (1.0 - x2)))
-        coeffs[1] += sign * float(np.sum(contrib * x2))
-        return float(np.sum(contrib))
 
-    def add_tail_model(rho, quad_w, kern):
-        nonlocal tail_c
-        contrib = quad_w * kern
-        sign = 1.0 if not fraclap else -1.0
-        tail_c += sign * float(np.sum(contrib * (rho / rM) ** (-tail_omega)))
-        return float(np.sum(contrib))
-
-    # ---- Taylor window (fraclap only)
-    if fraclap:
-        m1, m2, m3, m4 = _pv_moments(N, p, r, w, s)
-        offsets, where = _stencil_offsets(grid, t0)
-        c = _derivative_stencils(offsets)
-        ut, utt, uttt, utttt = c[0], c[1], c[2], c[3]
-        # radial derivatives via log-derivatives: u_r = u_t / r,
-        # u_rr = (u_tt - u_t)/r^2, u_rrr = (u_ttt - 3u_tt + 2u_t)/r^3,
-        # u_rrrr = (u_tttt - 6u_ttt + 11u_tt - 6u_t)/r^4
-        lam = (-(m1 / r) * ut
-               - (0.5 * m2 / r ** 2) * (utt - ut)
-               - (m3 / (6.0 * r ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
-               - (m4 / (24.0 * r ** 4)) * (utttt - 6.0 * uttt
-                                           + 11.0 * utt - 6.0 * ut))
-        for lm, (tag, info) in zip(lam, where):
-            if tag == "node":
-                coeffs[1 + info] += lm
-            elif tag == "below":
-                x2 = (info / r1) ** 2
-                coeffs[0] += lm * (1.0 - x2)
-                coeffs[1] += lm * x2
-            else:
-                tail_c += lm * (info / rM) ** (-tail_omega)
-
-    # ---- grid cells outside the window / away from the diagonal
-    cr = ctx.cell_rho
-    if fraclap:
-        full = (nodes[1:] <= lo_w) | (nodes[:-1] >= hi_w)
-        graded_sides = []
-    else:
-        # exclude the cells touching r; they get graded panels instead
-        full = np.ones(M - 1, dtype=bool)
-        graded_sides = []
-        i_node = int(np.searchsorted(nodes, r))
-        if i_node < M and nodes[i_node] == r:
-            if i_node > 0:
-                full[i_node - 1] = False
-                graded_sides.append((nodes[i_node - 1], r, i_node - 1))
-            if i_node < M - 1:
-                full[i_node] = False
-                graded_sides.append((r, nodes[i_node + 1], i_node))
-        else:
-            j = int(np.clip(i_node - 1, 0, M - 2))
-            full[j] = False
-            graded_sides.append((nodes[j], r, j))
-            graded_sides.append((r, nodes[j + 1], j))
-    sel_rho = cr[full].ravel()
+def _full_cells(row: _Row, ctx: _RowContext, p: float, r: float,
+                full: np.ndarray, sign: float) -> None:
+    """The grid cells selected by `full`, with the shared cell rule."""
+    sel_rho = ctx.cell_rho[full].ravel()
     if sel_rho.size:
-        kern = _kernel_eval(N, p, r, sel_rho).reshape(-1, 4)
+        kern = _kernel_eval(ctx.grid.N, p, r, sel_rho).reshape(-1, 4)
         contrib = ctx.cell_w[full] * kern
-        sign = -1.0 if fraclap else 1.0
-        if fraclap:
-            acc_r += float(np.sum(contrib))
+        row.mass += float(np.sum(contrib))
         per_node = np.einsum("cq,cqm->cm", contrib, ctx.cell_cubw[full])
         idx = 1 + ctx.cell_base[full][:, None] + np.arange(4)[None, :]
-        np.add.at(coeffs, idx, sign * per_node)
+        np.add.at(row.coeffs, idx, sign * per_node)
 
-    if fraclap:
-        # partial cells cut by the window edges
-        j_lo = int(np.clip(np.searchsorted(nodes, lo_w) - 1, 0, M - 2))
-        j_hi = int(np.clip(np.searchsorted(nodes, hi_w), 0, M - 2))
-        for j in range(j_lo, j_hi + 1):
-            a_t, b_t = tt[j], tt[j + 1]
-            a_rho, b_rho = nodes[j], nodes[j + 1]
-            if b_rho <= lo_w or a_rho >= hi_w:
-                continue  # fully outside window: already done
-            pieces = []
-            if a_rho < lo_w:
-                pieces.append((a_t, math.log(lo_w)))
-            if b_rho > hi_w:
-                pieces.append((math.log(hi_w), b_t))
-            for ta, tb in pieces:
-                tq, twq = _gauss_on(ta, tb, 4)
-                rho = np.exp(tq)
-                kern = _kernel_eval(N, p, r, rho)
-                contrib = twq * rho ** N * kern
-                acc_r += float(np.sum(contrib))
-                base, W = _cubic_basis(tt, tq)
-                np.add.at(coeffs, 1 + base[:, None] + np.arange(4)[None, :],
-                          -contrib[:, None] * W)
-    else:
-        # geometric grading of the diagonal cells, with a power-law stub
-        for a_rho, b_rho, j in graded_sides:
-            span = b_rho - a_rho
-            if span <= 0.0:
-                continue
-            left_of_r = b_rho == r
-            xi = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
-            for xb, xa in zip(xi[:-1], xi[1:]):
-                pa, pb = (r - xb, r - xa) if left_of_r else (r + xa, r + xb)
-                rho, qw = _gauss_on(pa, pb, 4)
-                kern = _kernel_eval(N, p, r, rho)
-                contrib = qw * rho ** (N - 1) * kern
-                base, W = _cubic_basis(tt, np.log(rho))
-                np.add.at(coeffs, 1 + base[:, None] + np.arange(4)[None, :],
-                          contrib[:, None] * W)
-            x0 = xi[-1]
-            rho0 = r - x0 if left_of_r else r + x0
-            rho1 = r - 2.0 * x0 if left_of_r else r + 2.0 * x0
-            f0 = angular_kernel(r, rho0, p, N) * rho0 ** (N - 1)
-            f1 = angular_kernel(r, rho1, p, N) * rho1 ** (N - 1)
-            gam = math.log(f1 / f0) / math.log(2.0)
-            if gam <= -1.0:
-                raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
-            stub = f0 * x0 / (gam + 1.0)
-            base, W = _cubic_basis(tt, np.array([t0]))
-            np.add.at(coeffs, 1 + base[0] + np.arange(4), stub * W[0])
 
-    # ---- origin-model region [0, r1] outside the window
+def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float,
+                   lo_w: float, hi_w: float, w: float, sign: float) -> None:
+    """[0, r_1] outside the window (lo_w, hi_w), under the quadratic origin
+    model, with panels graded toward r when r lies beyond the region."""
+    N = grid.N
+    r1 = grid.nodes[0]
     pieces = []
     if lo_w > r1:
         pieces.append((0.0, r1))
@@ -829,69 +704,213 @@ def _single_row(ctx: _RowContext, kind: str, r: float, s_or_alpha: float,
             else [a_rho, b_rho]
         for pa, pb in zip(edges[:-1], edges[1:]):
             rho, qw = _gauss_on(pa, pb, 8)
-            kern = _kernel_eval(N, p, r, rho)
-            mass = add_origin_model(rho, qw * rho ** (N - 1), kern)
-            if fraclap:
-                acc_r += mass
+            contrib = qw * rho ** (N - 1) * _kernel_eval(N, p, r, rho)
+            x2 = (rho / r1) ** 2
+            row.coeffs[0] += sign * float(np.sum(contrib * (1.0 - x2)))
+            row.coeffs[1] += sign * float(np.sum(contrib * x2))
+            row.mass += float(np.sum(contrib))
 
-    # ---- far tail [max(hi_w, rM), TAIL_SPAN * rM] plus analytic remainder
-    start = max(hi_w, rM)
+
+def _far_tail(row: _Row, grid: RadialGrid, p: float, r: float,
+              edges: list, tail_omega: float, sign: float) -> None:
+    """Panels from edges[-1] out to _TAIL_SPAN r_max, widening geometrically,
+    under the power tail model (edges may already hold graded panels)."""
+    N = grid.N
+    rM = grid.r_max
     r_inf = _TAIL_SPAN * rM
-    if not fraclap and start <= r * (1.0 + 1e-12):
-        # row at the last node: the diagonal singularity sits at the start of
-        # the tail region, so grade toward it and add a power-law stub
-        ks = np.arange(_RIESZ_GRADE_LEVELS, -1, -1)
-        edges = list(r * (1.0 + 0.5 * _GRADE_RATIO ** ks))
-        x0 = 0.5 * r * _GRADE_RATIO ** _RIESZ_GRADE_LEVELS
-        f0 = angular_kernel(r, r + x0, p, N) * (r + x0) ** (N - 1) \
-            * ((r + x0) / rM) ** (-tail_omega)
-        f1 = angular_kernel(r, r + 2.0 * x0, p, N) * (r + 2.0 * x0) ** (N - 1) \
-            * ((r + 2.0 * x0) / rM) ** (-tail_omega)
-        gam = math.log(f1 / f0) / math.log(2.0)
-        if gam <= -1.0:
-            raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
-        tail_c += f0 * x0 / (gam + 1.0)
-    else:
-        edges = [start]
     d = max(edges[-1] - r, 0.5 * edges[-1])
     while edges[-1] < r_inf:
         nxt = min(max(edges[-1] + d, 1.5 * edges[-1]), r_inf)
         edges.append(nxt)
         d *= 2.0
     for pa, pb in zip(edges[:-1], edges[1:]):
-        ta, tb = math.log(pa), math.log(pb)
-        tq, twq = _gauss_on(ta, tb, 8)
+        tq, twq = _gauss_on(math.log(pa), math.log(pb), 8)
         rho = np.exp(tq)
-        kern = _kernel_eval(N, p, r, rho)
-        got = add_tail_model(rho, twq * rho ** N, kern)
-        if fraclap:
-            acc_r += got
-    omega_sph = sphere_surface_area(N)
-    if fraclap:
-        two_s = 2.0 * s
-        acc_r += omega_sph * r_inf ** (-two_s) / two_s
-        tail_c -= omega_sph * (r_inf / rM) ** (-tail_omega) \
-            * r_inf ** (-two_s) / (two_s + tail_omega)
-    else:
-        tail_c += omega_sph * rM ** tail_omega * r_inf ** (alpha - tail_omega) \
-            / (tail_omega - alpha)
+        contrib = twq * rho ** N * _kernel_eval(N, p, r, rho)
+        row.tail += sign * float(np.sum(contrib * (rho / rM) ** (-tail_omega)))
+        row.mass += float(np.sum(contrib))
 
-    # ---- spread the u(r) coefficient (fraclap)
-    if fraclap:
-        j = int(np.clip(np.searchsorted(nodes, r) - 1, 0, M - 2))
-        if abs(nodes[j] - r) <= 1e-12 * r:
-            coeffs[1 + j] += acc_r
-        elif abs(nodes[j + 1] - r) <= 1e-12 * r:
-            coeffs[2 + j] += acc_r
-        elif r < r1:
-            x2 = (r / r1) ** 2
-            coeffs[0] += acc_r * (1.0 - x2)
-            coeffs[1] += acc_r * x2
+
+def _fraclap_row(ctx: _RowContext, r: float, s: float,
+                 tail_omega: float) -> tuple[np.ndarray, float]:
+    """Unscaled fractional-Laplacian row at radius r.
+
+    The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
+    p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
+    around r.  Returns (coeffs, tail_c) as laid out in _Row; the factor
+    C_{N,s} is NOT applied here.
+    """
+    grid = ctx.grid
+    N = grid.N
+    tt = ctx.tt
+    nodes = grid.nodes
+    M = nodes.size
+    r1, rM = nodes[0], nodes[-1]
+    p = -(N + 2.0 * s)
+    row = _Row(M)
+    coeffs = row.coeffs
+    t0 = math.log(r)
+    w = min(_WINDOW_CELLS * _local_step(tt, t0), 0.5) * r
+    lo_w, hi_w = r - w, r + w
+
+    # ---- Taylor window
+    m1, m2, m3, m4 = _pv_moments(N, p, r, w, s)
+    offsets, where = _stencil_offsets(grid, t0)
+    c = _derivative_stencils(offsets)
+    ut, utt, uttt, utttt = c[0], c[1], c[2], c[3]
+    # radial derivatives via log-derivatives: u_r = u_t / r,
+    # u_rr = (u_tt - u_t)/r^2, u_rrr = (u_ttt - 3u_tt + 2u_t)/r^3,
+    # u_rrrr = (u_tttt - 6u_ttt + 11u_tt - 6u_t)/r^4
+    lam = (-(m1 / r) * ut
+           - (0.5 * m2 / r ** 2) * (utt - ut)
+           - (m3 / (6.0 * r ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
+           - (m4 / (24.0 * r ** 4)) * (utttt - 6.0 * uttt
+                                       + 11.0 * utt - 6.0 * ut))
+    for lm, (tag, info) in zip(lam, where):
+        if tag == "node":
+            coeffs[1 + info] += lm
+        elif tag == "below":
+            x2 = (info / r1) ** 2
+            coeffs[0] += lm * (1.0 - x2)
+            coeffs[1] += lm * x2
         else:
-            base, W = _cubic_basis(tt, np.array([t0]))
-            np.add.at(coeffs, 1 + base[0] + np.arange(4), acc_r * W[0])
+            row.tail += lm * (info / rM) ** (-tail_omega)
 
-    return coeffs, tail_c
+    # ---- grid cells outside the window
+    _full_cells(row, ctx, p, r, (nodes[1:] <= lo_w) | (nodes[:-1] >= hi_w), -1.0)
+
+    # ---- partial cells cut by the window edges
+    j_lo = int(np.clip(np.searchsorted(nodes, lo_w) - 1, 0, M - 2))
+    j_hi = int(np.clip(np.searchsorted(nodes, hi_w), 0, M - 2))
+    for j in range(j_lo, j_hi + 1):
+        a_rho, b_rho = nodes[j], nodes[j + 1]
+        if b_rho <= lo_w or a_rho >= hi_w:
+            continue  # fully outside window: already done
+        pieces = []
+        if a_rho < lo_w:
+            pieces.append((tt[j], math.log(lo_w)))
+        if b_rho > hi_w:
+            pieces.append((math.log(hi_w), tt[j + 1]))
+        for ta, tb in pieces:
+            tq, twq = _gauss_on(ta, tb, 4)
+            rho = np.exp(tq)
+            contrib = twq * rho ** N * _kernel_eval(N, p, r, rho)
+            row.mass += float(np.sum(contrib))
+            _add_cubic(coeffs, tt, tq, -contrib)
+
+    # ---- origin region, far tail and its analytic remainder
+    _origin_region(row, grid, p, r, lo_w, hi_w, w, -1.0)
+    _far_tail(row, grid, p, r, [max(hi_w, rM)], tail_omega, -1.0)
+    omega_sph = sphere_surface_area(N)
+    r_inf = _TAIL_SPAN * rM
+    two_s = 2.0 * s
+    row.mass += omega_sph * r_inf ** (-two_s) / two_s
+    row.tail -= omega_sph * (r_inf / rM) ** (-tail_omega) \
+        * r_inf ** (-two_s) / (two_s + tail_omega)
+
+    # ---- the kernel mass multiplies u(r)
+    j = int(np.clip(np.searchsorted(nodes, r) - 1, 0, M - 2))
+    if abs(nodes[j] - r) <= 1e-12 * r:
+        coeffs[1 + j] += row.mass
+    elif abs(nodes[j + 1] - r) <= 1e-12 * r:
+        coeffs[2 + j] += row.mass
+    elif r < r1:
+        x2 = (r / r1) ** 2
+        coeffs[0] += row.mass * (1.0 - x2)
+        coeffs[1] += row.mass * x2
+    else:
+        _add_cubic(coeffs, tt, np.array([t0]), np.array([row.mass]))
+    return coeffs, row.tail
+
+
+def _diagonal_stub(f0: float, f1: float, x0: float) -> float:
+    """Integral over the last x0 before the diagonal of an integrand taken
+    as a power law through its values f0 at distance x0 and f1 at 2 x0."""
+    gam = math.log(f1 / f0) / math.log(2.0)
+    if gam <= -1.0:
+        raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
+    return f0 * x0 / (gam + 1.0)
+
+
+def _riesz_row(ctx: _RowContext, r: float, alpha: float,
+               tail_omega: float) -> tuple[np.ndarray, float]:
+    """Unscaled Riesz row at radius r.
+
+    int g(rho) k_p(r,rho) rho^{N-1} drho with p = alpha - N, graded around
+    the integrable diagonal singularity inside the cells touching r.
+    Returns (coeffs, tail_c) as laid out in _Row; the factor C_{N,alpha} is
+    NOT applied here.
+    """
+    grid = ctx.grid
+    N = grid.N
+    tt = ctx.tt
+    nodes = grid.nodes
+    M = nodes.size
+    rM = nodes[-1]
+    p = alpha - N
+    row = _Row(M)
+    t0 = math.log(r)
+
+    # ---- grid cells, except the ones touching r
+    full = np.ones(M - 1, dtype=bool)
+    graded_sides = []
+    i_node = int(np.searchsorted(nodes, r))
+    if i_node < M and nodes[i_node] == r:
+        if i_node > 0:
+            full[i_node - 1] = False
+            graded_sides.append((nodes[i_node - 1], r))
+        if i_node < M - 1:
+            full[i_node] = False
+            graded_sides.append((r, nodes[i_node + 1]))
+    else:
+        j = int(np.clip(i_node - 1, 0, M - 2))
+        full[j] = False
+        graded_sides.append((nodes[j], r))
+        graded_sides.append((r, nodes[j + 1]))
+    _full_cells(row, ctx, p, r, full, 1.0)
+
+    # ---- geometric grading of the cells touching r, with a power-law stub
+    for a_rho, b_rho in graded_sides:
+        span = b_rho - a_rho
+        if span <= 0.0:
+            continue
+        left_of_r = b_rho == r
+        xi = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
+        for xb, xa in zip(xi[:-1], xi[1:]):
+            pa, pb = (r - xb, r - xa) if left_of_r else (r + xa, r + xb)
+            rho, qw = _gauss_on(pa, pb, 4)
+            contrib = qw * rho ** (N - 1) * _kernel_eval(N, p, r, rho)
+            _add_cubic(row.coeffs, tt, np.log(rho), contrib)
+        x0 = xi[-1]
+        rho0 = r - x0 if left_of_r else r + x0
+        rho1 = r - 2.0 * x0 if left_of_r else r + 2.0 * x0
+        stub = _diagonal_stub(angular_kernel(r, rho0, p, N) * rho0 ** (N - 1),
+                              angular_kernel(r, rho1, p, N) * rho1 ** (N - 1), x0)
+        _add_cubic(row.coeffs, tt, np.array([t0]), np.array([stub]))
+
+    # ---- origin region
+    _origin_region(row, grid, p, r, r, r, 0.0, 1.0)
+
+    # ---- far tail plus analytic remainder
+    start = max(r, rM)
+    if start <= r * (1.0 + 1e-12):
+        # row at the last node: the diagonal singularity sits at the start of
+        # the tail region, so grade toward it and add a power-law stub
+        ks = np.arange(_RIESZ_GRADE_LEVELS, -1, -1)
+        edges = list(r * (1.0 + 0.5 * _GRADE_RATIO ** ks))
+        x0 = 0.5 * r * _GRADE_RATIO ** _RIESZ_GRADE_LEVELS
+        row.tail += _diagonal_stub(
+            angular_kernel(r, r + x0, p, N) * (r + x0) ** (N - 1)
+            * ((r + x0) / rM) ** (-tail_omega),
+            angular_kernel(r, r + 2.0 * x0, p, N) * (r + 2.0 * x0) ** (N - 1)
+            * ((r + 2.0 * x0) / rM) ** (-tail_omega), x0)
+    else:
+        edges = [start]
+    _far_tail(row, grid, p, r, edges, tail_omega, 1.0)
+    r_inf = _TAIL_SPAN * rM
+    row.tail += sphere_surface_area(N) * rM ** tail_omega \
+        * r_inf ** (alpha - tail_omega) / (tail_omega - alpha)
+    return row.coeffs, row.tail
 
 
 def _fraclap_C(N: int, s: float) -> float:
@@ -901,54 +920,23 @@ def _fraclap_C(N: int, s: float) -> float:
         / (math.pi ** (N / 2.0) * abs(math.gamma(-s)))
 
 
-def _fraclap_raw(grid: RadialGrid, s: float, tail_omega: float,
-                 cache: "KernelCache | None" = None):
-    """Unscaled operator rows at every node: (M, M+1) coefficient matrix and
-    length-M tail coefficient vector."""
-    key = (grid._token, "fraclap", round(s, 15), round(tail_omega, 12))
-    store = cache._ops if cache is not None else None
-    if store is not None and key in store:
-        return store[key]
-    hit = _op_cache_get(key)
-    if hit is not None:
-        return hit
-    ctx = _context(grid)
-    M = grid.size
-    rows = np.empty((M, M + 1))
-    tails = np.empty(M)
-    for i, r in enumerate(grid.nodes):
-        coeffs, tail_c = _single_row(ctx, "fraclap", float(r), s, tail_omega)
-        rows[i] = coeffs
-        tails[i] = tail_c
-    result = (rows, tails)
-    _op_cache_put(key, result)
-    if store is not None:
-        store[key] = result
-    return result
+def _raw(grid: RadialGrid, kind: str, exponent: float, tail_omega: float):
+    """Unscaled rows of one operator at every node, memoised: the (M, M+1)
+    coefficient matrix and the length-M tail coefficient vector.  kind is
+    "fraclap" (exponent s) or "riesz" (exponent alpha)."""
 
+    def build():
+        row_at = _fraclap_row if kind == "fraclap" else _riesz_row
+        ctx = _context(grid)
+        M = grid.size
+        rows = np.empty((M, M + 1))
+        tails = np.empty(M)
+        for i, r in enumerate(grid.nodes):
+            rows[i], tails[i] = row_at(ctx, float(r), exponent, tail_omega)
+        return rows, tails
 
-def _riesz_raw(grid: RadialGrid, alpha: float, tail_omega: float,
-               cache: "KernelCache | None" = None):
-    key = (grid._token, "riesz", round(alpha, 15), round(tail_omega, 12))
-    store = cache._ops if cache is not None else None
-    if store is not None and key in store:
-        return store[key]
-    hit = _op_cache_get(key)
-    if hit is not None:
-        return hit
-    ctx = _context(grid)
-    M = grid.size
-    rows = np.empty((M, M + 1))
-    tails = np.empty(M)
-    for i, r in enumerate(grid.nodes):
-        coeffs, tail_c = _single_row(ctx, "riesz", float(r), alpha, tail_omega)
-        rows[i] = coeffs
-        tails[i] = tail_c
-    result = (rows, tails)
-    _op_cache_put(key, result)
-    if store is not None:
-        store[key] = result
-    return result
+    return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),
+                 build)
 
 
 def _apply_raw(raw, u: RadialFunction, scale: float) -> np.ndarray:
@@ -957,49 +945,21 @@ def _apply_raw(raw, u: RadialFunction, scale: float) -> np.ndarray:
     return scale * (rows @ vec + tails * u.tail_value_at_rmax)
 
 
-@dataclass
-class KernelCache:
-    """Node-pair angular kernel tables for one grid and operator pair.
+def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Backward error max|A x - b| / (max|A| max|x| + max|b|) of a solve.
 
-    Holds k_p(r_i, r_j) for the Riesz exponent p = alpha - N and the
-    fractional-Laplacian exponent p = -(N+2s).  Both kernels are singular at
-    coincident radii, so the diagonals are flagged with NaN; the quadrature
-    never reads them.  The tables are exactly symmetric and positive off the
-    diagonal.  Assembled operator rows are memoized on the instance, so a
-    cache shared across calls avoids re-assembly.
+    Raises:
+        RuntimeError: the error is above 1e-10 or not finite, which means
+            the matrix is numerically singular.
     """
-
-    grid: RadialGrid
-    s: float
-    alpha: float
-    fraclap_table: np.ndarray
-    riesz_table: np.ndarray
-    diagonal_is_singular: bool
-    _ops: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def build(cls, grid: RadialGrid, s: float, alpha: float) -> "KernelCache":
-        if not (0.0 < s < 1.0):
-            raise ValueError(f"KernelCache.build: s must lie in (0, 1), got {s!r}")
-        if not (0.0 < alpha < grid.N):
-            raise ValueError(
-                f"KernelCache.build: alpha must lie in (0, N), got {alpha!r}")
-        tables = []
-        for p in (-(grid.N + 2.0 * s), alpha - grid.N):
-            tab = np.empty((grid.size, grid.size))
-            for i, r in enumerate(grid.nodes):
-                mask = np.ones(grid.size, dtype=bool)
-                mask[i] = False
-                tab[i, mask] = _kernel_eval(grid.N, p, float(r), grid.nodes[mask])
-                tab[i, i] = np.nan
-            # enforce exact symmetry: average is a no-op up to round-off but
-            # canonicalizing on the upper triangle makes it bitwise
-            iu = np.triu_indices(grid.size, 1)
-            tab[(iu[1], iu[0])] = tab[iu]
-            tables.append(tab)
-        return cls(grid=grid, s=s, alpha=alpha,
-                   fraclap_table=tables[0], riesz_table=tables[1],
-                   diagonal_is_singular=True)
+    a_max = max(float(A.max()), -float(A.min()))  # max|A| without an M x M copy
+    denom = float(a_max * np.max(np.abs(x)) + np.max(np.abs(b)))
+    err = float(np.max(np.abs(A @ x - b))) / max(denom, 1e-300)
+    if not np.isfinite(err) or err > 1e-10:
+        raise RuntimeError(
+            f"linear solve backward error {err:.3e} exceeds 1e-10 (operator "
+            "matrix is numerically singular)")
+    return err
 
 
 def frac_laplacian_radial(u: RadialFunction, s: float, at: float) -> float:
@@ -1007,8 +967,9 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at: float) -> float:
 
     The radial integral is Taylor-subtracted in a window of a few grid cells
     around `at` (so the PV cancellation is explicit), integrated cell by
-    cell with the piecewise-linear model elsewhere, and closed with u's
-    origin and tail models on [0, r_1) and (r_max, inf).
+    cell elsewhere with u reconstructed by cubic-in-log Lagrange
+    interpolation of the node values, and closed with u's origin and tail
+    models on [0, r_1) and (r_max, inf).
 
     Args:
         u: the radial function, with a valid tail model.
@@ -1029,14 +990,12 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at: float) -> float:
         return 0.0
     if u.tail_exponent <= 0.0:
         raise ValueError("frac_laplacian_radial: tail exponent must be positive")
-    ctx = _context(u.grid)
-    coeffs, tail_c = _single_row(ctx, "fraclap", float(at), s, u.tail_exponent)
+    coeffs, tail_c = _fraclap_row(_context(u.grid), float(at), s, u.tail_exponent)
     vec = np.concatenate(([u.value_at_origin], u.values))
     return _fraclap_C(u.grid.N, s) * float(coeffs @ vec + tail_c * u.tail_value_at_rmax)
 
 
-def frac_laplacian_on_grid(u: RadialFunction, s: float,
-                           cache: KernelCache | None = None) -> np.ndarray:
+def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
     """(-Delta)^s u sampled at every grid node (one assembled-operator pass)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_on_grid: s must lie in (0, 1), got {s!r}")
@@ -1044,19 +1003,17 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float,
         return np.zeros(u.grid.size)
     if u.tail_exponent <= 0.0:
         raise ValueError("frac_laplacian_on_grid: tail exponent must be positive")
-    raw = _fraclap_raw(u.grid, s, u.tail_exponent, cache)
+    raw = _raw(u.grid, "fraclap", s, u.tail_exponent)
     return _apply_raw(raw, u, _fraclap_C(u.grid.N, s))
 
 
-def riesz_convolve_radial(g: RadialFunction, alpha: float,
-                          cache: KernelCache | None = None) -> RadialFunction:
+def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
     """Riesz potential I_alpha * g of a radial function, on g's grid.
 
     Args:
         g: the input function; its tail exponent must exceed alpha or the
             convolution integral diverges.
         alpha: order of the potential, in (0, N).
-        cache: optional KernelCache carrying memoized operator rows.
 
     Returns:
         The convolution sampled on the same grid, with a tail model fitted
@@ -1076,7 +1033,7 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float,
             "riesz_convolve_radial: constant functions are not I_alpha-integrable")
 
     C = riesz_constant(N, alpha)
-    raw = _riesz_raw(grid, alpha, om_g, cache)
+    raw = _raw(grid, "riesz", alpha, om_g)
     values = _apply_raw(raw, g, C)
 
     # value at the origin, where the kernel is w_{N-1} rho^(alpha-N):
@@ -1107,8 +1064,8 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float,
     return out
 
 
-def apply_inverse_operator(rhs: RadialFunction, s: float, mu: float,
-                           cache: KernelCache | None = None) -> RadialFunction:
+def apply_inverse_operator(rhs: RadialFunction, s: float,
+                           mu: float) -> RadialFunction:
     """Solve ((-Delta)^s + mu) w = rhs on the grid of rhs.
 
     The discrete fractional Laplacian is assembled with w's tail exponent
@@ -1125,18 +1082,11 @@ def apply_inverse_operator(rhs: RadialFunction, s: float, mu: float,
     if not (0.0 < s < 1.0):
         raise ValueError(f"apply_inverse_operator: s must lie in (0, 1), got {s!r}")
     grid = rhs.grid
-    N, M = grid.N, grid.size
-    om_w = min(rhs.tail_exponent, N + 2.0 * s) if rhs.tail_exponent > 0.0 else 0.0
+    M = grid.size
+    om_w = min(rhs.tail_exponent, grid.N + 2.0 * s) if rhs.tail_exponent > 0.0 else 0.0
 
-    rows, tails = _fraclap_raw(grid, s, om_w, cache)
-    C = _fraclap_C(N, s)
-    A = C * rows[:, 1:].copy()
-    A[:, M - 1] += C * tails
-    g1, g2 = _origin_closure(grid)
-    A[:, 0] += C * rows[:, 0] * g1
-    A[:, 1] += C * rows[:, 0] * g2
-    A[np.arange(M), np.arange(M)] += mu
-
+    A = fraclap_matrix(grid, s, om_w)
+    A[np.diag_indices_from(A)] += mu
     b = rhs.values
     try:
         lu = lu_factor(A)
@@ -1146,17 +1096,9 @@ def apply_inverse_operator(rhs: RadialFunction, s: float, mu: float,
             "bug: the resolvent is invertible for mu > 0)") from exc
     wv = lu_solve(lu, b)
     wv += lu_solve(lu, b - A @ wv)  # one step of iterative refinement
+    _backward_error(A, wv, b)
 
-    def backward_error(x):
-        denom = float(np.max(np.abs(A)) * np.max(np.abs(x)) + np.max(np.abs(b)))
-        return float(np.max(np.abs(A @ x - b))) / max(denom, 1e-300)
-
-    resid = backward_error(wv)
-    if not np.isfinite(resid) or resid > 1e-10:
-        raise RuntimeError(
-            f"apply_inverse_operator: linear solve backward error {resid:.3e} "
-            "exceeds 1e-10 (operator matrix is numerically singular)")
-
+    g1, g2 = _origin_closure(grid)
     if om_w > 0.0:
         tail = (wv[-1] * grid.r_max ** om_w, om_w)
         w0 = g1 * wv[0] + g2 * wv[1]
@@ -1168,18 +1110,17 @@ def apply_inverse_operator(rhs: RadialFunction, s: float, mu: float,
     return RadialFunction(grid=grid, values=wv, tail=tail, value_at_origin=w0)
 
 
-def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float,
-                   cache: KernelCache | None = None) -> np.ndarray:
+def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     """Assembled M x M matrix of (-Delta)^s under the standard closures.
 
     Column M-1 absorbs the tail model (continuity A r_max^(-omega) = u_M)
     and the origin value is eliminated through the quadratic two-node
     extrapolation.  Rows act on node values and return pointwise operator
-    values at the nodes.
+    values at the nodes.  The matrix is a fresh array the caller may modify.
     """
-    rows, tails = _fraclap_raw(grid, s, tail_omega, cache)
+    rows, tails = _raw(grid, "fraclap", s, tail_omega)
     C = _fraclap_C(grid.N, s)
-    A = C * rows[:, 1:].copy()
+    A = C * rows[:, 1:]
     A[:, grid.size - 1] += C * tails
     g1, g2 = _origin_closure(grid)
     A[:, 0] += C * rows[:, 0] * g1

@@ -26,12 +26,12 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from fracradial.radial_ops import (
-    KernelCache,
     RadialFunction,
     RadialGrid,
+    _backward_error,
     _origin_closure,
     frac_laplacian_on_grid,
     fraclap_matrix,
@@ -229,7 +229,6 @@ class SolverOpts:
     damping: float = 0.5
     tolerance: float = 1e-10
     tail_refit_rounds: int = 3
-    cache: KernelCache | None = None
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -288,11 +287,10 @@ def _fit_far_decade(grid: RadialGrid, values: np.ndarray) -> float:
     return float(-np.polyfit(grid.log_nodes[sel], np.log(values[sel]), 1)[0])
 
 
-def _rhs_values(u: RadialFunction, params: ProblemParams,
-                cache: KernelCache | None) -> np.ndarray:
+def _rhs_values(u: RadialFunction, params: ProblemParams) -> np.ndarray:
     """(I_alpha * F(u)) f(u) sampled at the nodes."""
     spec = params.nonlinearity
-    conv = riesz_convolve_radial(spec.F_of(u), params.alpha, cache)
+    conv = riesz_convolve_radial(spec.F_of(u), params.alpha)
     return conv.values * spec.f_values(u.values)
 
 
@@ -307,13 +305,16 @@ def solve_ground_state(params: ProblemParams,
     converges, the tail exponent assumed by the operator closure is checked
     against the achieved far field and the solve is repeated with the fitted
     exponent when they disagree by more than 5% (at most tail_refit_rounds
-    times).
+    times).  The first resolvent solve of each round is checked to 1e-10
+    backward error, as in apply_inverse_operator.
 
     Raises:
         NonConvergenceError: iteration limit reached, diverging amplitude,
             or final residual above 1e-6 relative to the sup norm.
         ZeroCollapseError: iterates' sup norm fell below 1e-12.
-        RuntimeError: an iterate lost positivity (discretization trouble).
+        RuntimeError: an iterate lost positivity, or the resolvent matrix is
+            singular or fails the backward-error check (discretization
+            trouble).
     """
     if opts is None:
         opts = SolverOpts()
@@ -341,17 +342,27 @@ def solve_ground_state(params: ProblemParams,
     converged = False
 
     for round_idx in range(opts.tail_refit_rounds + 1):
-        A = fraclap_matrix(grid, params.s, tail_omega=beta_asm, cache=opts.cache)
+        A = fraclap_matrix(grid, params.s, tail_omega=beta_asm)
         A[np.diag_indices_from(A)] += mu
-        lu = lu_factor(A)
+        try:
+            lu = lu_factor(A)
+        except LinAlgError as exc:
+            raise RuntimeError(
+                "solve_ground_state: singular resolvent matrix (discretization "
+                "bug: the resolvent is invertible for mu > 0)") from exc
         converged = False
+        checked = False
         while total_iter < opts.max_iterations:
             total_iter += 1
             u_k = _profile_function(grid, a * v, beta_asm)
-            w = lu_solve(lu, _rhs_values(u_k, params, opts.cache))
+            b = _rhs_values(u_k, params)
+            w = lu_solve(lu, b)
             if not np.all(np.isfinite(w)):
                 raise NonConvergenceError(
                     f"solve_ground_state: non-finite iterate at iteration {total_iter}")
+            if not checked:
+                _backward_error(A, w, b)
+                checked = True
             kappa_w = float(np.max(w))
             if kappa_w <= 1e-12:
                 raise ZeroCollapseError(
@@ -404,7 +415,7 @@ def solve_ground_state(params: ProblemParams,
     else:
         mass_F = volume_integral(spec.F_of(u_fn))
 
-    res_vals = _residual_values(u_fn, params, opts.cache)
+    res_vals = _residual_values(u_fn, params)
     res_sup = float(np.max(np.abs(res_vals)))
     sup_u = float(np.max(u_fn.values))
     if res_sup > 1e-6 * sup_u:
@@ -412,16 +423,15 @@ def solve_ground_state(params: ProblemParams,
             f"solve_ground_state: converged iteration left residual "
             f"{res_sup:.3e} > 1e-6 * sup u = {1e-6 * sup_u:.3e}")
 
-    _, p_val, defect = _energy_identities(u_fn, params, opts.cache)
+    _, p_val, defect = _energy_identities(u_fn, params)
     return Solution(u=u_fn, params=params, residual_sup=res_sup,
                     pohozaev_defect=defect, iterations=total_iter,
                     norm_r=norm_r, mass_F=mass_F, trace=tuple(trace))
 
 
-def _residual_values(u: RadialFunction, params: ProblemParams,
-                     cache: KernelCache | None = None) -> np.ndarray:
-    lap = frac_laplacian_on_grid(u, params.s, cache)
-    return lap + params.mu * u.values - _rhs_values(u, params, cache)
+def _residual_values(u: RadialFunction, params: ProblemParams) -> np.ndarray:
+    lap = frac_laplacian_on_grid(u, params.s)
+    return lap + params.mu * u.values - _rhs_values(u, params)
 
 
 def residual(sol: Solution) -> RadialFunction:
@@ -443,8 +453,8 @@ def residual(sol: Solution) -> RadialFunction:
                           value_at_origin=g1 * vals[0] + g2 * vals[1])
 
 
-def _energy_terms(u: RadialFunction, params: ProblemParams,
-                  cache: KernelCache | None) -> tuple[float, float, float]:
+def _energy_terms(u: RadialFunction,
+                  params: ProblemParams) -> tuple[float, float, float]:
     """The three integrals behind the energy and scaling functionals:
     int u (-Delta)^s u, int u^2, int (I_alpha*F(u)) F(u).
 
@@ -458,7 +468,7 @@ def _energy_terms(u: RadialFunction, params: ProblemParams,
     area = sphere_surface_area(N)
     g1, g2 = _origin_closure(grid)
 
-    lap = frac_laplacian_on_grid(u, params.s, cache)
+    lap = frac_laplacian_on_grid(u, params.s)
     quad_nodes = float(np.sum(grid.weights * u.values * lap))
     lap0 = g1 * lap[0] + g2 * lap[1]
     quad_origin = _origin_ball_integral(grid, u.value_at_origin, u.values[0],
@@ -469,7 +479,7 @@ def _energy_terms(u: RadialFunction, params: ProblemParams,
 
     spec = params.nonlinearity
     fu = spec.F_of(u)
-    conv = riesz_convolve_radial(fu, params.alpha, cache)
+    conv = riesz_convolve_radial(fu, params.alpha)
     prod = conv.values * fu.values
     choq_nodes = float(np.sum(grid.weights * prod))
     conv0 = conv.value_at_origin
@@ -496,11 +506,10 @@ def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
     return float(np.sum(wq * mv * mw * rho ** (N - 1)))
 
 
-def _energy_identities(u: RadialFunction, params: ProblemParams,
-                       cache: KernelCache | None = None
-                       ) -> tuple[float, float, float]:
+def _energy_identities(u: RadialFunction,
+                       params: ProblemParams) -> tuple[float, float, float]:
     """(I_val, P_val, relative_defect) from the three base integrals."""
-    a_quad, b_sq, c_choq = _energy_terms(u, params, cache)
+    a_quad, b_sq, c_choq = _energy_terms(u, params)
     N, s, mu = params.N, params.s, params.mu
     i_val = 0.5 * a_quad + 0.5 * mu * b_sq - 0.5 * c_choq
     t1 = 0.5 * (N - 2.0 * s) * a_quad

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from fracradial import (
-    KernelCache,
     NonlinearitySpec,
     ProblemParams,
     RadialGrid,
@@ -50,35 +49,30 @@ def grid():
     return RadialGrid.log_spaced()
 
 
-@pytest.fixture(scope="module")
-def cache(grid):
-    return KernelCache.build(grid, 0.5, 2.0)
-
-
-def _timed_solve(params, grid, cache):
+def _timed_solve(params, grid):
     t0 = time.monotonic()
-    sol = solve_ground_state(params, SolverOpts(grid=grid, cache=cache))
+    sol = solve_ground_state(params, SolverOpts(grid=grid))
     return sol, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
-def solve_slow(grid, cache):
+def solve_slow(grid):
     """r = 1.7: convolution-dominated decay."""
     params = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
                            nonlinearity=NonlinearitySpec.homogeneous(1.7))
-    return _timed_solve(params, grid, cache)
+    return _timed_solve(params, grid)
 
 
 @pytest.fixture(scope="module")
-def solve_fast(grid, cache):
+def solve_fast(grid):
     """r = 1.9: operator-dominated decay."""
     params = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
                            nonlinearity=NonlinearitySpec.homogeneous(1.9))
-    return _timed_solve(params, grid, cache)
+    return _timed_solve(params, grid)
 
 
 @pytest.fixture(scope="module")
-def solve_critical(grid, cache):
+def solve_critical(grid):
     """r = 5/3, the lower endpoint of the admissible window.
 
     A pure power nonlinearity admits no solution exactly at the endpoint
@@ -96,13 +90,13 @@ def solve_critical(grid, cache):
         C_under=sr,
         delta=0.01)
     params = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
-    return _timed_solve(params, grid, cache)
+    return _timed_solve(params, grid)
 
 
-def test_criterion_01_exact_identity(grid, cache):
+def test_criterion_01_exact_identity(grid):
     t0 = time.monotonic()
     h2 = h_beta_function(grid, 2.0)
-    lap = frac_laplacian_on_grid(h2, 0.5, cache)
+    lap = frac_laplacian_on_grid(h2, 0.5)
     want = 2.0 * h_beta_eval(grid.nodes, 4.0)
     sel = (grid.nodes >= 0.1) & (grid.nodes <= 50.0)
     err = float(np.max(np.abs(lap[sel] / want[sel] - 1.0)))
@@ -113,14 +107,13 @@ def test_criterion_01_exact_identity(grid, cache):
     # measured: 4.0e-6 in about a second
 
 
-def test_criterion_02_closed_form_oracle(cache):
+def test_criterion_02_closed_form_oracle():
     t0 = time.monotonic()
     worst = 0.0
     for (N, s, beta) in ((3, 0.5, 2.0), (3, 0.5, 3.5), (2, 0.5, 2.5),
                          (3, 0.25, 3.0)):
         g = RadialGrid.log_spaced(num=1200, N=N)
-        c = cache if (N, s) == (3, 0.5) else None
-        lap = frac_laplacian_on_grid(h_beta_function(g, beta), s, c)
+        lap = frac_laplacian_on_grid(h_beta_function(g, beta), s)
         sel = (g.nodes >= 0.1) & (g.nodes <= 50.0)
         p = ProfileParams(N, s, beta)
         want = np.array([frac_lap_h_exact(r, p) for r in g.nodes[sel]])
@@ -232,14 +225,14 @@ def test_criterion_08_chain_rule(grid, solve_slow, solve_fast, solve_critical):
     # measured: min margin 0.21 of scale, well away from the tolerance
 
 
-def test_criterion_09_riesz_tail(solve_slow, solve_fast, solve_critical, cache):
+def test_criterion_09_riesz_tail(solve_slow, solve_fast, solve_critical):
     details = []
     ok = True
     for name, (sol, _) in (("r=1.7", solve_slow), ("r=1.9", solve_fast),
                            ("r=5/3", solve_critical)):
         t0 = time.monotonic()
         fu = sol.params.nonlinearity.F_of(sol.u)
-        conv = riesz_convolve_radial(fu, 2.0, cache)
+        conv = riesz_convolve_radial(fu, 2.0)
         mass = volume_integral(fu)
         ratio = float(conv.evaluate(100.0)) * 100.0 / riesz_constant(3, 2.0) / mass
         elapsed = time.monotonic() - t0

@@ -126,6 +126,7 @@ def test_unknown_config_section_rejected(tmp_path):
     "problem.s=1.5",          # outside (0, 1)
     "output.formats=xml",     # unsupported format
     "analysis.fit_window=50", # needs two numbers
+    "solver.seed=0",          # removed key
 ])
 def test_invalid_overrides_exit_2(tmp_path, override):
     assert main(["solve", "--out", str(tmp_path), "--set", override]) == 2

@@ -7,13 +7,14 @@ have their own frozen-reference tests.
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracradial.radial_ops as radial_ops
 from fracradial.radial_ops import (
-    KernelCache,
     RadialFunction,
     RadialGrid,
     angular_kernel,
@@ -38,11 +39,6 @@ from fracradial.specfun import (
 @pytest.fixture(scope="module")
 def grid():
     return RadialGrid.log_spaced()
-
-
-@pytest.fixture(scope="module")
-def cache(grid):
-    return KernelCache.build(grid, s=0.5, alpha=2.0)
 
 
 def interior(grid, lo=0.1, hi=50.0):
@@ -223,18 +219,18 @@ def test_fraclap_constant_is_zero(grid):
     assert np.all(frac_laplacian_on_grid(c, 0.5) == 0.0)
 
 
-def test_fraclap_bump_identity_on_grid(grid, cache):
+def test_fraclap_bump_identity_on_grid(grid):
     """(-Delta)^{1/2} of (1+r^2)^{-1} is exactly 2 (1+r^2)^{-2} in R^3."""
     u = h_beta_function(grid, 2.0)
-    got = frac_laplacian_on_grid(u, 0.5, cache)
+    got = frac_laplacian_on_grid(u, 0.5)
     want = 2.0 * h_beta_eval(grid.nodes, 4.0)
     sel = interior(grid)
     assert np.max(np.abs(got[sel] / want[sel] - 1.0)) < 1e-3
 
 
-def test_fraclap_on_grid_matches_closed_form(grid, cache):
+def test_fraclap_on_grid_matches_closed_form(grid):
     u = h_beta_function(grid, 3.5)
-    got = frac_laplacian_on_grid(u, 0.5, cache)
+    got = frac_laplacian_on_grid(u, 0.5)
     p = ProfileParams(3, 0.5, 3.5)
     sel = interior(grid)
     want = np.array([frac_lap_h_exact(r, p) for r in grid.nodes[sel]])
@@ -275,11 +271,11 @@ def test_fraclap_rejects_bad_arguments(grid):
         frac_laplacian_radial(u, 0.5, at=2.0 * grid.r_max)
 
 
-def test_fraclap_matrix_consistent_with_row_apply(grid, cache):
+def test_fraclap_matrix_consistent_with_row_apply(grid):
     u = h_beta_function(grid, 2.0)
-    A = fraclap_matrix(grid, 0.5, tail_omega=2.0, cache=cache)
+    A = fraclap_matrix(grid, 0.5, tail_omega=2.0)
     via_matrix = A @ u.values
-    direct = frac_laplacian_on_grid(u, 0.5, cache)
+    direct = frac_laplacian_on_grid(u, 0.5)
     assert_allclose(via_matrix, direct, rtol=1e-8,
                     atol=1e-12 * np.max(np.abs(direct)))
 
@@ -288,34 +284,34 @@ def test_fraclap_matrix_consistent_with_row_apply(grid, cache):
 # Riesz potential
 # ----------------------------------------------------------------------------
 
-def test_riesz_reference_point(grid, cache):
+def test_riesz_reference_point(grid):
     # I_2 * h_5 at r = 1 in R^3: analytically 1/(3 sqrt(2)); the same value
     # came out of a 40-digit nested sphere quadrature
-    v = riesz_convolve_radial(h_beta_function(grid, 5.0), 2.0, cache)
+    v = riesz_convolve_radial(h_beta_function(grid, 5.0), 2.0)
     assert_allclose(v.evaluate(1.0), 0.23570226311321514, rtol=1e-4)
 
 
-def test_riesz_origin_value(grid, cache):
+def test_riesz_origin_value(grid):
     # I_2 * h_5 at the origin: C_{3,2} * 4 pi * int rho (1+rho^2)^{-5/2} = 1/3
-    v = riesz_convolve_radial(h_beta_function(grid, 5.0), 2.0, cache)
+    v = riesz_convolve_radial(h_beta_function(grid, 5.0), 2.0)
     assert_allclose(v.value_at_origin, 1.0 / 3.0, rtol=1e-6)
 
 
-def test_riesz_far_field_mass_law(grid, cache):
+def test_riesz_far_field_mass_law(grid):
     """r^{N-alpha} (I_alpha * g)(r) approaches C_{N,alpha} int g."""
     g5 = h_beta_function(grid, 5.0)
-    v = riesz_convolve_radial(g5, 2.0, cache)
+    v = riesz_convolve_radial(g5, 2.0)
     want = riesz_constant(3, 2.0) * volume_integral(g5)
     assert_allclose(v.evaluate(100.0) * 100.0, want, rtol=5e-2)
 
 
-def test_riesz_is_linear_and_decreasing(grid, cache):
+def test_riesz_is_linear_and_decreasing(grid):
     g1 = h_beta_function(grid, 5.0)
     g2 = RadialFunction(grid=grid, values=3.0 * g1.values,
                         tail=(3.0 * g1.tail_amplitude, 5.0),
                         value_at_origin=3.0)
-    v1 = riesz_convolve_radial(g1, 2.0, cache)
-    v2 = riesz_convolve_radial(g2, 2.0, cache)
+    v1 = riesz_convolve_radial(g1, 2.0)
+    v2 = riesz_convolve_radial(g2, 2.0)
     assert_allclose(v2.values, 3.0 * v1.values, rtol=1e-13)
     assert np.all(np.diff(v1.values) < 0.0)
     assert v1.value_at_origin > v1.values[0]
@@ -336,37 +332,37 @@ def test_riesz_rejects_divergent_input(grid):
 # resolvent
 # ----------------------------------------------------------------------------
 
-def test_inverse_round_trip(grid, cache):
+def test_inverse_round_trip(grid):
     u = h_beta_function(grid, 2.0)
     mu = 0.7
-    b_vals = frac_laplacian_on_grid(u, 0.5, cache) + mu * u.values
+    b_vals = frac_laplacian_on_grid(u, 0.5) + mu * u.values
     # with the exact tail model the round trip is tight on the whole grid
     rhs = RadialFunction.from_samples(
         grid, b_vals, tail=(b_vals[-1] * grid.r_max ** 2, 2.0))
-    w = apply_inverse_operator(rhs, 0.5, mu, cache)
+    w = apply_inverse_operator(rhs, 0.5, mu)
     assert np.max(np.abs(w.values / u.values - 1.0)) < 1e-8
     # a fitted tail perturbs only the outer boundary closure
     w2 = apply_inverse_operator(RadialFunction.from_samples(grid, b_vals),
-                                0.5, mu, cache)
+                                0.5, mu)
     sel = interior(grid)
     assert np.max(np.abs(w2.values[sel] / u.values[sel] - 1.0)) < 1e-8
 
 
-def test_inverse_recovers_closed_form_solution(grid, cache):
+def test_inverse_recovers_closed_form_solution(grid):
     """((-Delta)^{1/2} + mu)^{-1} applied to 2 h_4 + mu h_2 must return h_2,
     with the right-hand side built purely from closed forms."""
     mu = 1.0
     b_vals = 2.0 * h_beta_eval(grid.nodes, 4.0) + mu * h_beta_eval(grid.nodes, 2.0)
     rhs = RadialFunction.from_samples(grid, b_vals)
-    w = apply_inverse_operator(rhs, 0.5, mu, cache)
+    w = apply_inverse_operator(rhs, 0.5, mu)
     sel = interior(grid)
     want = h_beta_eval(grid.nodes[sel], 2.0)
     assert np.max(np.abs(w.values[sel] / want - 1.0)) < 1e-6
 
 
-def test_inverse_large_mu_limit(grid, cache):
+def test_inverse_large_mu_limit(grid):
     rhs = h_beta_function(grid, 4.0)
-    w = apply_inverse_operator(rhs, 0.5, 1e6, cache)
+    w = apply_inverse_operator(rhs, 0.5, 1e6)
     assert np.max(np.abs(1e6 * w.values / rhs.values - 1.0)) < 1e-3
 
 
@@ -387,26 +383,26 @@ def test_inverse_rejects_bad_arguments(grid):
 
 
 # ----------------------------------------------------------------------------
-# kernel cache
+# operator memo
 # ----------------------------------------------------------------------------
 
-def test_kernel_cache_tables():
-    g = RadialGrid.log_spaced(num=64)
-    kc = KernelCache.build(g, s=0.5, alpha=2.0)
-    for tab in (kc.fraclap_table, kc.riesz_table):
-        assert np.array_equal(tab, tab.T, equal_nan=True)
-        assert np.all(np.isnan(np.diag(tab)))
-        off = ~np.eye(64, dtype=bool)
-        assert np.all(tab[off] > 0.0)
-    assert kc.diagonal_is_singular
+def test_memo_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    limit = radial_ops._MEMO_LIMIT
+    built = []
 
+    def put(key):
+        return radial_ops._memo(key, lambda: built.append(key) or key)
 
-def test_kernel_cache_validation():
-    g = RadialGrid.log_spaced(num=64)
-    with pytest.raises(ValueError):
-        KernelCache.build(g, s=1.0, alpha=2.0)
-    with pytest.raises(ValueError):
-        KernelCache.build(g, s=0.5, alpha=3.0)
+    for i in range(limit):
+        put(("test", i))
+    put(("test", 0))                      # a hit refreshes the oldest entry
+    assert len(built) == limit
+    for i in range(limit, limit + 5):
+        put(("test", i))
+    assert len(radial_ops._MEMO) == limit
+    assert ("test", 0) in radial_ops._MEMO
+    assert ("test", 1) not in radial_ops._MEMO
 
 
 # ----------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracradial.radial_ops as radial_ops
+import fracradial.solver as solver_mod
 from fracradial import (
     NonConvergenceError,
     NonlinearitySpec,
@@ -394,3 +396,45 @@ def test_vanishing_nonlinearity_collapses():
     p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
     with pytest.raises(ZeroCollapseError):
         solve_ground_state(p)
+
+
+# ---------------------------------------------------------------------------
+# operator reuse and resolvent safety
+
+
+def test_second_solve_reuses_operators(params, monkeypatch):
+    calls = {"fraclap": 0, "riesz": 0}
+
+    def counted(kind, builder):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return builder(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(radial_ops, "_fraclap_row",
+                        counted("fraclap", radial_ops._fraclap_row))
+    monkeypatch.setattr(radial_ops, "_riesz_row",
+                        counted("riesz", radial_ops._riesz_row))
+    # a grid of its own, so the first solve is cold whatever ran before
+    grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
+    first = solve_ground_state(params, SolverOpts(grid=grid))
+    assert calls["fraclap"] >= grid.size and calls["riesz"] >= grid.size
+    calls.update(fraclap=0, riesz=0)
+    second = solve_ground_state(params, SolverOpts(grid=grid))
+    assert calls == {"fraclap": 0, "riesz": 0}
+    assert np.array_equal(first.u.values, second.u.values)
+
+
+def test_solver_checks_resolvent_backward_error(params, monkeypatch):
+    exact = solver_mod.lu_solve
+
+    def perturbed(lu, b):
+        x = exact(lu, b)
+        x[0] *= 1.001
+        return x
+
+    monkeypatch.setattr(solver_mod, "lu_solve", perturbed)
+    # the check fires on the first solve, so a coarse grid will do
+    grid = RadialGrid.log_spaced(num=64)
+    with pytest.raises(RuntimeError, match="backward error"):
+        solve_ground_state(params, SolverOpts(grid=grid))
