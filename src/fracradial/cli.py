@@ -9,7 +9,9 @@ decimal string that round-trips the double, so identical runs produce
 byte-identical files and a written solution reloads without loss.
 
 Exit codes: 0 success, 1 at least one verification check failed,
-2 configuration error, 3 the iteration failed to converge.
+2 configuration error, 3 a numerical failure (no convergence, a collapsed or
+non-positive iterate, a singular or inaccurate linear solve, a divergent
+quadrature).
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ from fracradial.solver import (
     ProblemParams,
     Solution,
     SolverOpts,
-    ZeroCollapseError,
     solve_ground_state,
 )
 from fracradial.specfun import (
-    NonConvergenceError,
     ProfileParams,
     frac_lap_h_asymptotic,
     frac_lap_h_exact,
@@ -679,8 +679,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, ZeroCollapseError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # NonConvergenceError, ZeroCollapseError too
+        print("numerical failure: " + " ".join(str(exc).split()), file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

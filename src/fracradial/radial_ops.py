@@ -18,6 +18,18 @@ which has an elementary closed form for N = 3 and is tabulated once per
 kernel singularity, Taylor subtraction inside a local window, analytic
 far-tail remainders) live here and are shared by every operator.
 
+The assembled operators take one of two paths, chosen by the grid alone.
+On a geometric grid (log radii in arithmetic progression to within 64 ulp,
+as `RadialGrid.log_spaced` builds them and `load_solution` rebuilds them)
+both kernels are homogeneous, so a row divided by r^(-2s) (fractional
+Laplacian) or r^alpha (Riesz) is the next row shifted by one node.  The
+interior is then one Toeplitz fill of a generating row (Mellin-convolution
+structure, as in FFTLog), and only the pieces that break the shift are
+computed per row, vectorised: the end columns, the origin and far-tail
+closures and the fractional Laplacian's diagonal mass; the first and last
+`_END_ROWS` rows come from the row builders.  Any other grid, and grids of
+fewer than 4 `_END_ROWS` nodes, are assembled row by row.
+
 Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
 at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
 ("ctx", grid token) for the per-grid row context, ("table", N, p) for the
@@ -193,11 +205,13 @@ def _kernel_ratio_quad(q: float, p: float, N: int) -> float:
 
 
 class _KernelTable:
-    """Tabulated angular kernel for one (N, p), evaluated by radius ratio.
+    """Tabulated angular kernel k_p(1, q) for one (N, p), evaluated by the
+    gap q - 1 of the radius ratio.
 
     The kernel is log-log smooth in q - 1, so a cubic spline over
     log(q - 1) covers ratios from the deepest PV grading (1 + 1e-13) up to
-    _Q_HI, and a two-term multipole expansion takes over beyond.
+    _Q_HI, and a two-term multipole expansion takes over beyond.  Callers
+    pass the gap itself: q = 1 + 1e-12 keeps only four digits of it.
     """
 
     _Q_HI = 50.0
@@ -215,14 +229,14 @@ class _KernelTable:
                     + 2.0 * a * (a - 1.0) * (a - 2.0) * (a - 3.0) / (N * (N + 2.0)))
         self._omega = sphere_surface_area(N)
 
-    def eval_ratio(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        out = np.empty_like(q)
-        near = q < self._Q_HI
+    def eval_gap(self, gap: np.ndarray) -> np.ndarray:
+        gap = np.asarray(gap, dtype=float)
+        out = np.empty_like(gap)
+        near = gap < self._Q_HI - 1.0
         if near.any():
-            out[near] = np.exp(self._spline(np.log(q[near] - 1.0)))
+            out[near] = np.exp(self._spline(np.log(gap[near])))
         if (~near).any():
-            qq = q[~near]
+            qq = 1.0 + gap[~near]
             out[~near] = self._omega * qq ** self.p \
                 * (1.0 + self._c2 / qq ** 2 + self._c4 / qq ** 4)
         return out
@@ -238,8 +252,8 @@ def _kernel_eval(N: int, p: float, r: float, rho: np.ndarray) -> np.ndarray:
     if N == 3:
         return _kernel3_arrays(r, rho, p)
     m = np.minimum(r, rho)
-    big = np.maximum(r, rho)
-    return m ** p * _kernel_table(N, p).eval_ratio(big / m)
+    # big - m is exact near the diagonal, big / m - 1 would not be
+    return m ** p * _kernel_table(N, p).eval_gap((np.maximum(r, rho) - m) / m)
 
 
 def angular_kernel(r: float, rho: float, p: float, N: int) -> float:
@@ -641,16 +655,76 @@ def _pv_moments(N: int, p: float, r: float, w: float, s: float):
     return m1, m2, m3, m4
 
 
-def _distance_edges(r: float, w: float, lo: float, hi: float) -> list[float]:
-    """Panel edges on [lo, hi] (a region strictly left of r), graded so panel
-    width grows with distance from r.  Assumes hi <= r - w."""
-    edges = {lo, hi}
-    d = w
-    while r - d > lo:
-        if lo < r - d < hi:
-            edges.add(r - d)
-        d *= 2.0
-    return sorted(edges)
+def _graded_edges(r: np.ndarray, d0: np.ndarray, hi: float) -> np.ndarray:
+    """Panel edges on [0, hi] for radii r > hi, graded so panel width grows
+    with distance from r: 0, hi and the points r - d0 2^k strictly between.
+
+    Vectorised over rows: returns (n, 6) sorted edges, a missing point
+    repeating hi (an empty panel).  Every caller has d0 >= 0.1 r, so only
+    k < 4 can land above 0.
+    """
+    cand = r[:, None] - d0[:, None] * 2.0 ** np.arange(4)
+    cand = np.where((cand > 0.0) & (cand < hi), cand, hi)
+    ends = np.broadcast_to([[0.0, hi]], (r.size, 2))
+    return np.sort(np.concatenate([ends, cand], axis=1), axis=1)
+
+
+def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
+                 edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel integrals over panels of [0, r_1] under the quadratic origin
+    model, 8 Gauss points a panel, vectorised over radii r (n,) with panel
+    edges (n, E): the slot-0 and slot-1 weights and the kernel mass."""
+    x, wq = _gauss(8)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    rho = 0.5 * (a + b) + 0.5 * (b - a) * x
+    contrib = 0.5 * (b - a) * wq * rho ** (N - 1) \
+        * _kernel_eval(N, p, r[:, None, None], rho)
+    x2 = (rho / r1) ** 2
+    return (np.sum(contrib * (1.0 - x2), axis=(1, 2)),
+            np.sum(contrib * x2, axis=(1, 2)), np.sum(contrib, axis=(1, 2)))
+
+
+def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
+                    r_max: float, tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel integrals over panels beyond r_max, 8 Gauss points a panel in
+    log radius, vectorised over radii r (n,) with panel edges (n, E): the
+    weight of the tail model value at r_max and the kernel mass."""
+    x, wq = _gauss(8)
+    la, lb = np.log(edges[:, :-1, None]), np.log(edges[:, 1:, None])
+    rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x)
+    contrib = 0.5 * (lb - la) * wq * rho ** N \
+        * _kernel_eval(N, p, r[:, None, None], rho)
+    return (np.sum(contrib * (rho / r_max) ** (-tail_omega), axis=(1, 2)),
+            np.sum(contrib, axis=(1, 2)))
+
+
+def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
+               r_max: float, tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """_log_panel_sums over panels from start (n,) out to _TAIL_SPAN r_max,
+    widening geometrically; a row that arrives early gets empty panels."""
+    r_inf = _TAIL_SPAN * r_max
+    edges = [start]
+    d = np.maximum(start - r, 0.5 * start)
+    while np.any(edges[-1] < r_inf):
+        edges.append(np.minimum(np.maximum(edges[-1] + d, 1.5 * edges[-1]), r_inf))
+        d = 2.0 * d
+    return _log_panel_sums(N, p, r, np.stack(edges, axis=1), r_max, tail_omega)
+
+
+def _remainders(N: int, kind: str, exponent: float, r_max: float,
+                tail_omega: float) -> tuple[float, float]:
+    """Analytic (mass, tail) remainders of a row beyond _TAIL_SPAN r_max,
+    where the kernel is taken as |S^{N-1}| rho^(exponent - N) ("riesz") or
+    |S^{N-1}| rho^(-N-2 exponent) ("fraclap", whose tail enters with -1)."""
+    omega_sph = sphere_surface_area(N)
+    r_inf = _TAIL_SPAN * r_max
+    if kind == "fraclap":
+        two_s = 2.0 * exponent
+        return (omega_sph * r_inf ** (-two_s) / two_s,
+                -omega_sph * (r_inf / r_max) ** (-tail_omega)
+                * r_inf ** (-two_s) / (two_s + tail_omega))
+    return 0.0, omega_sph * r_max ** tail_omega \
+        * r_inf ** (exponent - tail_omega) / (tail_omega - exponent)
 
 
 class _Row:
@@ -687,7 +761,6 @@ def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float,
                    lo_w: float, hi_w: float, w: float, sign: float) -> None:
     """[0, r_1] outside the window (lo_w, hi_w), under the quadratic origin
     model, with panels graded toward r when r lies beyond the region."""
-    N = grid.N
     r1 = grid.nodes[0]
     pieces = []
     if lo_w > r1:
@@ -697,49 +770,39 @@ def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float,
             pieces.append((0.0, min(lo_w, r1)))
         if hi_w < r1:
             pieces.append((hi_w, r1))
+    at = np.array([r])
     for a_rho, b_rho in pieces:
         if b_rho <= a_rho:
             continue
-        edges = _distance_edges(r, max(w, 0.1 * r), a_rho, b_rho) if r > b_rho \
-            else [a_rho, b_rho]
-        for pa, pb in zip(edges[:-1], edges[1:]):
-            rho, qw = _gauss_on(pa, pb, 8)
-            contrib = qw * rho ** (N - 1) * _kernel_eval(N, p, r, rho)
-            x2 = (rho / r1) ** 2
-            row.coeffs[0] += sign * float(np.sum(contrib * (1.0 - x2)))
-            row.coeffs[1] += sign * float(np.sum(contrib * x2))
-            row.mass += float(np.sum(contrib))
+        # a piece beyond which r lies always starts at the origin
+        edges = _graded_edges(at, np.array([max(w, 0.1 * r)]), b_rho) if r > b_rho \
+            else np.array([[a_rho, b_rho]])
+        c0, c1, mass = _origin_sums(grid.N, p, r1, at, edges)
+        row.coeffs[0] += sign * float(c0[0])
+        row.coeffs[1] += sign * float(c1[0])
+        row.mass += float(mass[0])
 
 
 def _far_tail(row: _Row, grid: RadialGrid, p: float, r: float,
               edges: list, tail_omega: float, sign: float) -> None:
     """Panels from edges[-1] out to _TAIL_SPAN r_max, widening geometrically,
     under the power tail model (edges may already hold graded panels)."""
-    N = grid.N
-    rM = grid.r_max
-    r_inf = _TAIL_SPAN * rM
-    d = max(edges[-1] - r, 0.5 * edges[-1])
-    while edges[-1] < r_inf:
-        nxt = min(max(edges[-1] + d, 1.5 * edges[-1]), r_inf)
-        edges.append(nxt)
-        d *= 2.0
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        tq, twq = _gauss_on(math.log(pa), math.log(pb), 8)
-        rho = np.exp(tq)
-        contrib = twq * rho ** N * _kernel_eval(N, p, r, rho)
-        row.tail += sign * float(np.sum(contrib * (rho / rM) ** (-tail_omega)))
-        row.mass += float(np.sum(contrib))
+    at = np.array([r])
+    tail, mass = _tail_sums(grid.N, p, at, np.array([edges[-1]]), grid.r_max,
+                            tail_omega)
+    if len(edges) > 1:
+        graded = _log_panel_sums(grid.N, p, at, np.array([edges]), grid.r_max,
+                                 tail_omega)
+        tail, mass = tail + graded[0], mass + graded[1]
+    row.tail += sign * float(tail[0])
+    row.mass += float(mass[0])
 
 
-def _fraclap_row(ctx: _RowContext, r: float, s: float,
-                 tail_omega: float) -> tuple[np.ndarray, float]:
-    """Unscaled fractional-Laplacian row at radius r.
-
-    The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
-    p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
-    around r.  Returns (coeffs, tail_c) as laid out in _Row; the factor
-    C_{N,s} is NOT applied here.
-    """
+def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float,
+                    tail_omega: float) -> float:
+    """The Taylor window of a fractional-Laplacian row at radius r, of
+    _WINDOW_CELLS local cells each side, and the parts of the cells its
+    edges cut; returns the window half-width w."""
     grid = ctx.grid
     N = grid.N
     tt = ctx.tt
@@ -747,13 +810,11 @@ def _fraclap_row(ctx: _RowContext, r: float, s: float,
     M = nodes.size
     r1, rM = nodes[0], nodes[-1]
     p = -(N + 2.0 * s)
-    row = _Row(M)
     coeffs = row.coeffs
     t0 = math.log(r)
     w = min(_WINDOW_CELLS * _local_step(tt, t0), 0.5) * r
     lo_w, hi_w = r - w, r + w
 
-    # ---- Taylor window
     m1, m2, m3, m4 = _pv_moments(N, p, r, w, s)
     offsets, where = _stencil_offsets(grid, t0)
     c = _derivative_stencils(offsets)
@@ -776,16 +837,13 @@ def _fraclap_row(ctx: _RowContext, r: float, s: float,
         else:
             row.tail += lm * (info / rM) ** (-tail_omega)
 
-    # ---- grid cells outside the window
-    _full_cells(row, ctx, p, r, (nodes[1:] <= lo_w) | (nodes[:-1] >= hi_w), -1.0)
-
-    # ---- partial cells cut by the window edges
+    # the parts of the cells cut by the window edges that lie outside it
     j_lo = int(np.clip(np.searchsorted(nodes, lo_w) - 1, 0, M - 2))
     j_hi = int(np.clip(np.searchsorted(nodes, hi_w), 0, M - 2))
     for j in range(j_lo, j_hi + 1):
         a_rho, b_rho = nodes[j], nodes[j + 1]
         if b_rho <= lo_w or a_rho >= hi_w:
-            continue  # fully outside window: already done
+            continue  # fully outside window: a full cell
         pieces = []
         if a_rho < lo_w:
             pieces.append((tt[j], math.log(lo_w)))
@@ -797,16 +855,32 @@ def _fraclap_row(ctx: _RowContext, r: float, s: float,
             contrib = twq * rho ** N * _kernel_eval(N, p, r, rho)
             row.mass += float(np.sum(contrib))
             _add_cubic(coeffs, tt, tq, -contrib)
+    return w
 
-    # ---- origin region, far tail and its analytic remainder
+
+def _fraclap_row(ctx: _RowContext, r: float, s: float,
+                 tail_omega: float) -> tuple[np.ndarray, float]:
+    """Unscaled fractional-Laplacian row at radius r.
+
+    The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
+    p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
+    around r.  Returns (coeffs, tail_c) as laid out in _Row; the factor
+    C_{N,s} is NOT applied here.
+    """
+    grid = ctx.grid
+    nodes = grid.nodes
+    M = nodes.size
+    p = -(grid.N + 2.0 * s)
+    row = _Row(M)
+    coeffs = row.coeffs
+    w = _fraclap_window(row, ctx, r, s, tail_omega)
+    lo_w, hi_w = r - w, r + w
+    _full_cells(row, ctx, p, r, (nodes[1:] <= lo_w) | (nodes[:-1] >= hi_w), -1.0)
     _origin_region(row, grid, p, r, lo_w, hi_w, w, -1.0)
-    _far_tail(row, grid, p, r, [max(hi_w, rM)], tail_omega, -1.0)
-    omega_sph = sphere_surface_area(N)
-    r_inf = _TAIL_SPAN * rM
-    two_s = 2.0 * s
-    row.mass += omega_sph * r_inf ** (-two_s) / two_s
-    row.tail -= omega_sph * (r_inf / rM) ** (-tail_omega) \
-        * r_inf ** (-two_s) / (two_s + tail_omega)
+    _far_tail(row, grid, p, r, [max(hi_w, grid.r_max)], tail_omega, -1.0)
+    mass_rem, tail_rem = _remainders(grid.N, "fraclap", s, grid.r_max, tail_omega)
+    row.mass += mass_rem
+    row.tail += tail_rem
 
     # ---- the kernel mass multiplies u(r)
     j = int(np.clip(np.searchsorted(nodes, r) - 1, 0, M - 2))
@@ -814,12 +888,12 @@ def _fraclap_row(ctx: _RowContext, r: float, s: float,
         coeffs[1 + j] += row.mass
     elif abs(nodes[j + 1] - r) <= 1e-12 * r:
         coeffs[2 + j] += row.mass
-    elif r < r1:
-        x2 = (r / r1) ** 2
+    elif r < nodes[0]:
+        x2 = (r / nodes[0]) ** 2
         coeffs[0] += row.mass * (1.0 - x2)
         coeffs[1] += row.mass * x2
     else:
-        _add_cubic(coeffs, tt, np.array([t0]), np.array([row.mass]))
+        _add_cubic(coeffs, ctx.tt, np.array([math.log(r)]), np.array([row.mass]))
     return coeffs, row.tail
 
 
@@ -830,6 +904,35 @@ def _diagonal_stub(f0: float, f1: float, x0: float) -> float:
     if gam <= -1.0:
         raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
     return f0 * x0 / (gam + 1.0)
+
+
+def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
+                    sides: list) -> None:
+    """The cells (a, b) of `sides` that touch radius r in a Riesz row, each
+    graded geometrically toward r in _RIESZ_GRADE_LEVELS levels of 4 Gauss
+    points, with a power-law stub for the last level."""
+    N = ctx.grid.N
+    tt = ctx.tt
+    x4, w4 = _gauss(4)
+    for a_rho, b_rho in sides:
+        span = b_rho - a_rho
+        if span <= 0.0:
+            continue
+        left_of_r = b_rho == r
+        xi = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
+        xb, xa = xi[:-1], xi[1:]
+        pa, pb = (r - xb, r - xa) if left_of_r else (r + xa, r + xb)
+        half = 0.5 * (pb - pa)
+        rho = (0.5 * (pa + pb)[:, None] + half[:, None] * x4).ravel()
+        contrib = (half[:, None] * w4).ravel() * rho ** (N - 1) \
+            * _kernel_eval(N, p, r, rho)
+        _add_cubic(row.coeffs, tt, np.log(rho), contrib)
+        x0 = xi[-1]
+        rho0 = r - x0 if left_of_r else r + x0
+        rho1 = r - 2.0 * x0 if left_of_r else r + 2.0 * x0
+        stub = _diagonal_stub(angular_kernel(r, rho0, p, N) * rho0 ** (N - 1),
+                              angular_kernel(r, rho1, p, N) * rho1 ** (N - 1), x0)
+        _add_cubic(row.coeffs, tt, np.array([math.log(r)]), np.array([stub]))
 
 
 def _riesz_row(ctx: _RowContext, r: float, alpha: float,
@@ -843,52 +946,30 @@ def _riesz_row(ctx: _RowContext, r: float, alpha: float,
     """
     grid = ctx.grid
     N = grid.N
-    tt = ctx.tt
     nodes = grid.nodes
     M = nodes.size
     rM = nodes[-1]
     p = alpha - N
     row = _Row(M)
-    t0 = math.log(r)
 
     # ---- grid cells, except the ones touching r
     full = np.ones(M - 1, dtype=bool)
-    graded_sides = []
+    sides = []
     i_node = int(np.searchsorted(nodes, r))
     if i_node < M and nodes[i_node] == r:
         if i_node > 0:
             full[i_node - 1] = False
-            graded_sides.append((nodes[i_node - 1], r))
+            sides.append((nodes[i_node - 1], r))
         if i_node < M - 1:
             full[i_node] = False
-            graded_sides.append((r, nodes[i_node + 1]))
+            sides.append((r, nodes[i_node + 1]))
     else:
         j = int(np.clip(i_node - 1, 0, M - 2))
         full[j] = False
-        graded_sides.append((nodes[j], r))
-        graded_sides.append((r, nodes[j + 1]))
+        sides.append((nodes[j], r))
+        sides.append((r, nodes[j + 1]))
     _full_cells(row, ctx, p, r, full, 1.0)
-
-    # ---- geometric grading of the cells touching r, with a power-law stub
-    for a_rho, b_rho in graded_sides:
-        span = b_rho - a_rho
-        if span <= 0.0:
-            continue
-        left_of_r = b_rho == r
-        xi = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
-        for xb, xa in zip(xi[:-1], xi[1:]):
-            pa, pb = (r - xb, r - xa) if left_of_r else (r + xa, r + xb)
-            rho, qw = _gauss_on(pa, pb, 4)
-            contrib = qw * rho ** (N - 1) * _kernel_eval(N, p, r, rho)
-            _add_cubic(row.coeffs, tt, np.log(rho), contrib)
-        x0 = xi[-1]
-        rho0 = r - x0 if left_of_r else r + x0
-        rho1 = r - 2.0 * x0 if left_of_r else r + 2.0 * x0
-        stub = _diagonal_stub(angular_kernel(r, rho0, p, N) * rho0 ** (N - 1),
-                              angular_kernel(r, rho1, p, N) * rho1 ** (N - 1), x0)
-        _add_cubic(row.coeffs, tt, np.array([t0]), np.array([stub]))
-
-    # ---- origin region
+    _riesz_diagonal(row, ctx, r, p, sides)
     _origin_region(row, grid, p, r, r, r, 0.0, 1.0)
 
     # ---- far tail plus analytic remainder
@@ -907,9 +988,7 @@ def _riesz_row(ctx: _RowContext, r: float, alpha: float,
     else:
         edges = [start]
     _far_tail(row, grid, p, r, edges, tail_omega, 1.0)
-    r_inf = _TAIL_SPAN * rM
-    row.tail += sphere_surface_area(N) * rM ** tail_omega \
-        * r_inf ** (alpha - tail_omega) / (tail_omega - alpha)
+    row.tail += _remainders(N, "riesz", alpha, rM, tail_omega)[1]
     return row.coeffs, row.tail
 
 
@@ -920,20 +999,156 @@ def _fraclap_C(N: int, s: float) -> float:
         / (math.pi ** (N / 2.0) * abs(math.gamma(-s)))
 
 
+# Rows assembled one by one at each end of a geometric grid, and node
+# columns at each end that the clipped stencils of the end cells reach.
+# Rows in between keep their Taylor window, partial cells and graded
+# diagonal cells (offsets -4..4) clear of those columns and of both ends.
+# The closures of those rows are integrated _ROW_BLOCK rows at a time, which
+# keeps their temporaries under a megabyte.
+_END_ROWS = 8
+_END_COLUMNS = 4
+_ROW_BLOCK = 64
+
+
+def _is_geometric(grid: RadialGrid) -> bool:
+    """True when the log radii form an arithmetic progression to within 64
+    ulp and the grid has room for rows away from both ends."""
+    tt = grid.log_nodes
+    M = tt.size
+    if M < 4 * _END_ROWS:
+        return False
+    h = (tt[-1] - tt[0]) / (M - 1)
+    dev = float(np.max(np.abs(tt - (tt[0] + h * np.arange(M)))))
+    return dev <= 64.0 * np.finfo(float).eps * max(abs(tt[0]), abs(tt[-1]), 1.0)
+
+
+def _fill_rows(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
+               rows: np.ndarray, tails: np.ndarray, which) -> None:
+    """Write the unscaled rows at the nodes `which` into rows and tails, one
+    row-builder call each."""
+    row_at = _fraclap_row if kind == "fraclap" else _riesz_row
+    ctx = _context(grid)
+    for i in which:
+        rows[i], tails[i] = row_at(ctx, float(grid.nodes[i]), exponent, tail_omega)
+
+
+def _rows_by_loop(grid: RadialGrid, kind: str, exponent: float,
+                  tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled rows at every node, one row-builder call each: the (M, M+1)
+    coefficient matrix and the length-M tail coefficient vector."""
+    M = grid.size
+    rows = np.empty((M, M + 1))
+    tails = np.empty(M)
+    _fill_rows(grid, kind, exponent, tail_omega, rows, tails, range(M))
+    return rows, tails
+
+
+def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
+                     tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of _rows_by_loop on a geometric grid, built from one
+    generating row.
+
+    With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
+    l^p k_p(r, rho), so away from the ends row i divided by its scale
+    r_i^(N+p) (r_i^(-2s) or r_i^alpha) is row i+1 divided by its scale and
+    shifted by one node.  Interior rows are therefore one Toeplitz fill of
+    a generating row: the near-diagonal pieces of the middle row plus the
+    full cells at every offset, integrated once at r = 1.  What is not
+    shift-invariant is computed per row, vectorised: the end columns (the
+    end cells' clipped stencils), the origin region (slots 0 and 1), the
+    far tail, and for the fractional Laplacian the kernel mass on the
+    diagonal.  The end rows come from the row builders themselves.
+    """
+    ctx = _context(grid)
+    N = grid.N
+    nodes = grid.nodes
+    M = nodes.size
+    r1, rM = nodes[0], nodes[-1]
+    tt = ctx.tt
+    h = (tt[-1] - tt[0]) / (M - 1)
+    fraclap = kind == "fraclap"
+    p = -(N + 2.0 * exponent) if fraclap else exponent - N
+    sign = -1.0 if fraclap else 1.0
+    scale = nodes ** (N + p)
+
+    # near-diagonal pieces of the middle row, and the cells they cover
+    g = M // 2
+    near = _Row(M)
+    if fraclap:
+        w = _fraclap_window(near, ctx, float(nodes[g]), exponent, tail_omega)
+        excluded = (nodes[1:] > nodes[g] - w) & (nodes[:-1] < nodes[g] + w)
+        d0 = max(w / nodes[g], 0.1)
+    else:
+        excluded = np.zeros(M - 1, dtype=bool)
+        excluded[g - 1:g + 1] = True
+        _riesz_diagonal(near, ctx, float(nodes[g]), p,
+                        [(nodes[g - 1], nodes[g]), (nodes[g], nodes[g + 1])])
+        d0 = 0.1
+
+    # full cells at offsets e = c - i in [-(M+1), M], integrated at r = 1
+    x4, w4 = _gauss(4)
+    rho = np.exp((np.arange(-(M + 1), M + 1)[:, None] + 0.5 + 0.5 * x4) * h)
+    cells = 0.5 * h * w4 * rho ** N * _kernel_eval(N, p, 1.0, rho)
+    cells[np.flatnonzero(excluded) - g + M + 1] = 0.0
+    per_node = sign * cells @ _lagrange4(np.arange(-1.0, 3.0), 0.5 + 0.5 * x4)
+
+    # generating row gen[d + M - 1], d = j - i: cell e puts node e - 1 + m
+    L = 2 * M - 1
+    gen = per_node[3:3 + L, 0] + per_node[2:2 + L, 1] \
+        + per_node[1:1 + L, 2] + per_node[:L, 3]
+    gen[M - 1 - g:2 * M - 1 - g] += near.coeffs[1:] / scale[g]
+
+    rows = np.empty((M, M + 1))
+    tails = np.empty(M)
+    lo, hi = _END_ROWS, M - _END_ROWS
+    inner = np.arange(lo, hi)
+    # rows[i, 1 + j] = scale[i] gen[j - i + M - 1]
+    toeplitz = np.lib.stride_tricks.sliding_window_view(gen, M)[::-1]
+    np.multiply(toeplitz[lo:hi], scale[lo:hi, None], out=rows[lo:hi, 1:])
+
+    # end columns: only the real cells whose stencils reach them
+    E = _END_COLUMNS
+    rows[lo:hi, 1:1 + E] = 0.0
+    rows[lo:hi, 1 + M - E:] = 0.0
+    for c in (*range(E + 1), *range(M - E - 2, M - 1)):
+        base = ctx.cell_base[c]
+        part = sign * scale[lo:hi, None] * (cells[c - inner + M + 1] @ ctx.cell_cubw[c])
+        for m in range(4):
+            if base + m < E or base + m >= M - E:
+                rows[lo:hi, 1 + base + m] += part[:, m]
+
+    # origin region and far tail, a block of rows at a time
+    mass = np.zeros(hi - lo)
+    for b in range(lo, hi, _ROW_BLOCK):
+        r = nodes[b:min(b + _ROW_BLOCK, hi)]
+        c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
+        tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
+        rows[b:b + r.size, 0] = sign * c0
+        rows[b:b + r.size, 1] += sign * c1
+        tails[b:b + r.size] = sign * tail
+        mass[b - lo:b - lo + r.size] = m0 + m1
+    mass_rem, tail_rem = _remainders(N, kind, exponent, rM, tail_omega)
+    tails[lo:hi] += tail_rem
+    if fraclap:
+        # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
+        cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
+        mass += scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
+                                + near.mass / scale[g]) + mass_rem
+        rows[inner, 1 + inner] += mass
+
+    _fill_rows(grid, kind, exponent, tail_omega, rows, tails,
+               (*range(lo), *range(hi, M)))
+    return rows, tails
+
+
 def _raw(grid: RadialGrid, kind: str, exponent: float, tail_omega: float):
     """Unscaled rows of one operator at every node, memoised: the (M, M+1)
     coefficient matrix and the length-M tail coefficient vector.  kind is
-    "fraclap" (exponent s) or "riesz" (exponent alpha)."""
-
+    "fraclap" (exponent s) or "riesz" (exponent alpha).  A geometric grid is
+    assembled from one generating row, any other grid row by row."""
     def build():
-        row_at = _fraclap_row if kind == "fraclap" else _riesz_row
-        ctx = _context(grid)
-        M = grid.size
-        rows = np.empty((M, M + 1))
-        tails = np.empty(M)
-        for i, r in enumerate(grid.nodes):
-            rows[i], tails[i] = row_at(ctx, float(r), exponent, tail_omega)
-        return rows, tails
+        rows_of = _structured_rows if _is_geometric(grid) else _rows_by_loop
+        return rows_of(grid, kind, exponent, tail_omega)
 
     return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),
                  build)

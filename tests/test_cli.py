@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from fracradial.cli import main
+import fracradial.radial_ops as radial_ops
+from fracradial.cli import load_solution, main
 
 
 def read_csv(path):
@@ -149,6 +150,15 @@ def test_nonconvergence_exits_3(tmp_path):
     assert code == 3
 
 
+def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
+    # 16 nodes are too coarse: the first iterate loses positivity
+    code = main(["solve", "--out", str(tmp_path), "--set", "grid.nodes=16"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "lost positivity" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # solve outputs and the two pipeline invariants
 
@@ -198,3 +208,10 @@ def test_verify_report_checks(workdir):
     assert any(n.startswith("chain_rule_theta_") for n in names)
     fit = rec["fit"]["fitted_exponent"]
     assert abs(fit - 10.0 / 3.0) <= 0.1 * 10.0 / 3.0   # measured 3.3975
+
+
+def test_reloaded_grid_is_assembled_by_structure(workdir):
+    """A grid rebuilt from solution.json is geometric to the bit, so its
+    operators take the structured assembly."""
+    sol = load_solution(str(workdir / "solve" / "solution.json"))
+    assert radial_ops._is_geometric(sol.u.grid)

@@ -406,6 +406,77 @@ def test_memo_is_bounded_lru(monkeypatch):
 
 
 # ----------------------------------------------------------------------------
+# structured assembly on geometric grids
+# ----------------------------------------------------------------------------
+
+def operator_args(kind, N):
+    """(exponent, tail exponent) of the test operators: s = 1/2, alpha = N-1."""
+    return (0.5, N + 1.0) if kind == "fraclap" else (N - 1.0, N + 0.7)
+
+
+# Measured at M = 150 against the row-by-row loop, relative to each row's
+# largest entry: the worst entry is 1.8e-11 (N = 3 Riesz, last column, where
+# the closed-form kernel (r+rho)^e - |r-rho|^e cancels), 2e-14 elsewhere, and
+# the tails agree to the bit.  The loop's own interior rows, divided by their
+# scale, are shift-invariant to 1.3e-13 of the row maximum for every N.  For
+# N = 2 and 4 that needs the spline kernel table to be read at the gap
+# (big - m) / m: reading it at big / m - 1 spread those rows by 7.2e-8
+# (3.5e-7 of the entry next to the diagonal for N = 2).
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["fraclap", "riesz"])
+def test_structured_assembly_matches_row_loop(kind, N):
+    M = 150
+    grid = RadialGrid.log_spaced(num=M, N=N)
+    exponent, omega = operator_args(kind, N)
+    rows, tails = radial_ops._structured_rows(grid, kind, exponent, omega)
+    ref, ref_tails = radial_ops._rows_by_loop(grid, kind, exponent, omega)
+    err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert err.max() <= 1e-10
+    assert np.max(np.abs(tails - ref_tails)) <= 1e-10 * np.max(np.abs(ref_tails))
+    # the loop's scaled rows over offsets -6..6, interior rows
+    scaled = ref[:, 1:] / grid.nodes[:, None] ** (
+        -2.0 * exponent if kind == "fraclap" else exponent)
+    inner = np.arange(12, M - 12)
+    band = scaled[inner[:, None], inner[:, None] + np.arange(-6, 7)]
+    assert np.max(np.ptp(band, axis=0)) <= 1e-12 * np.max(np.abs(band))
+
+
+def test_nudged_grid_is_assembled_row_by_row():
+    base = RadialGrid.log_spaced(num=150)
+    nodes = base.nodes.copy()
+    nodes[70] *= 1.0 + 1e-9
+    grid = RadialGrid(nodes=nodes, weights=base.weights, r_max=base.r_max, N=3)
+    assert radial_ops._is_geometric(base)
+    assert not radial_ops._is_geometric(grid)
+    for kind in ("fraclap", "riesz"):
+        exponent, omega = operator_args(kind, 3)
+        rows, tails = radial_ops._raw(grid, kind, exponent, omega)
+        ref, ref_tails = radial_ops._rows_by_loop(grid, kind, exponent, omega)
+        assert np.array_equal(rows, ref) and np.array_equal(tails, ref_tails)
+
+
+def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    calls = {"fraclap": 0, "riesz": 0}
+
+    def counted(kind, builder):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return builder(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(radial_ops, "_fraclap_row",
+                        counted("fraclap", radial_ops._fraclap_row))
+    monkeypatch.setattr(radial_ops, "_riesz_row",
+                        counted("riesz", radial_ops._riesz_row))
+    grid = RadialGrid.log_spaced(num=200)
+    for kind in ("fraclap", "riesz"):
+        radial_ops._raw(grid, kind, *operator_args(kind, 3))
+    ends = 2 * radial_ops._END_ROWS
+    assert calls == {"fraclap": ends, "riesz": ends}
+
+
+# ----------------------------------------------------------------------------
 # volume integrals
 # ----------------------------------------------------------------------------
 

@@ -418,7 +418,8 @@ def test_second_solve_reuses_operators(params, monkeypatch):
     # a grid of its own, so the first solve is cold whatever ran before
     grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
     first = solve_ground_state(params, SolverOpts(grid=grid))
-    assert calls["fraclap"] >= grid.size and calls["riesz"] >= grid.size
+    # cold: the row builders ran (on a geometric grid only for the end rows)
+    assert calls["fraclap"] > 0 and calls["riesz"] > 0
     calls.update(fraclap=0, riesz=0)
     second = solve_ground_state(params, SolverOpts(grid=grid))
     assert calls == {"fraclap": 0, "riesz": 0}
