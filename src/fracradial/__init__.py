@@ -15,6 +15,7 @@ from fracradial.decay_analysis import (
     DecayPrediction,
     RieszTailReport,
     bound_constants,
+    check_fit_window,
     fit_tail,
     predict_decay,
     sharp_constant,
@@ -82,6 +83,7 @@ __all__ = [
     "bound_constants",
     "comparison_residual",
     "dilation_derivative",
+    "check_fit_window",
     "fit_tail",
     "frac_lap_h_asymptotic",
     "frac_lap_h_exact",

@@ -27,6 +27,7 @@ import numpy as np
 
 from fracradial.decay_analysis import (
     bound_constants,
+    check_fit_window,
     fit_tail,
     predict_decay,
     sharp_constant,
@@ -579,10 +580,21 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[dict], dict]:
     return checks, numbers
 
 
+def _check_fit_window(cfg: dict, r_max: float) -> None:
+    """Reject an analysis.fit_window that fit_tail would refuse on a grid
+    ending at r_max, so that no solve runs for a window that cannot be used."""
+    try:
+        check_fit_window(cfg["analysis"]["fit_window"], r_max)
+    except ValueError as exc:
+        raise ConfigError(f"analysis.fit_window: {exc}") from exc
+
+
 def _cmd_verify_decay(cfg: dict, args) -> int:
     if args.solution is not None:
         sol = load_solution(args.solution)
+        _check_fit_window(cfg, sol.u.grid.r_max)
     else:
+        _check_fit_window(cfg, cfg["grid"]["r_max"])
         sol = _solve_from_config(cfg)
     checks, numbers = _verify_checks(sol, cfg)
 

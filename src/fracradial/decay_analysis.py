@@ -33,6 +33,7 @@ __all__ = [
     "ChainRuleReport",
     "RieszTailReport",
     "predict_decay",
+    "check_fit_window",
     "fit_tail",
     "sharp_constant",
     "bound_constants",
@@ -171,6 +172,25 @@ def predict_decay(params, sol=None) -> DecayPrediction:
                            sharp_constant=const)
 
 
+def check_fit_window(window: tuple[float, float],
+                     r_max: float) -> tuple[float, float]:
+    """The fit window (lo, hi) as floats, checked for a grid ending at r_max:
+    0 < lo < hi, and hi at most r_max/10, where the quadrature tail models
+    have no influence.
+
+    Raises:
+        ValueError: malformed window, or its top beyond r_max/10.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    if not (0.0 < lo < hi):
+        raise ValueError(f"malformed window ({lo!r}, {hi!r}), need 0 < lo < hi")
+    if hi > r_max / 10.0 * (1.0 + 1e-12):
+        raise ValueError(
+            f"window top {hi!r} beyond the trusted range r_max/10 "
+            f"= {r_max / 10.0!r}")
+    return lo, hi
+
+
 def fit_tail(u: RadialFunction, window: tuple[float, float],
              model: str = "auto") -> DecayFit:
     """Fit log u(r) = log A - omega log r over a radius window.
@@ -188,14 +208,8 @@ def fit_tail(u: RadialFunction, window: tuple[float, float],
     Raises:
         ValueError: malformed window, too few nodes, or non-positive values.
     """
-    lo, hi = float(window[0]), float(window[1])
     grid = u.grid
-    if not (0.0 < lo < hi):
-        raise ValueError(f"fit_tail: malformed window ({lo!r}, {hi!r})")
-    if hi > grid.r_max / 10.0 * (1.0 + 1e-12):
-        raise ValueError(
-            f"fit_tail: window top {hi!r} beyond the trusted range r_max/10 "
-            f"= {grid.r_max / 10.0!r}")
+    lo, hi = check_fit_window(window, grid.r_max)
     if model not in ("auto", "power", "log"):
         raise ValueError(f"fit_tail: unknown model {model!r}")
     sel = (grid.nodes >= lo) & (grid.nodes <= hi)

@@ -23,7 +23,7 @@ On a geometric grid (log radii in arithmetic progression to within 64 ulp,
 as `RadialGrid.log_spaced` builds them and `load_solution` rebuilds them)
 both kernels are homogeneous, so a row divided by r^(-2s) (fractional
 Laplacian) or r^alpha (Riesz) is the next row shifted by one node.  The
-interior is then one Toeplitz fill of a generating row (Mellin-convolution
+interior is then the shifts of one generating row (Mellin-convolution
 structure, as in FFTLog), and only the pieces that break the shift are
 computed per row, vectorised: the end columns, the origin and far-tail
 closures and the fractional Laplacian's diagonal mass; the first and last
@@ -32,10 +32,19 @@ fewer than 4 `_END_ROWS` nodes, are assembled row by row.
 
 Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
 at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
-("ctx", grid token) for the per-grid row context, ("table", N, p) for the
-spline kernel table of a dimension N != 3, and (kind, grid token, exponent,
-tail exponent) for the assembled rows of an operator, kind being "fraclap"
-(exponent s) or "riesz" (exponent alpha).  A hit moves its entry to the
+("ctx", grid token) for the per-grid row context (with the tail-fit slope
+weights of `RadialFunction.from_samples`), ("table", N, p) for the spline
+kernel table of a dimension N != 3, and (kind, grid token, exponent, tail
+exponent) for an assembled operator, kind being "fraclap" (exponent s) or
+"riesz" (exponent alpha).  An operator entry is an `_Operator`.  The Riesz
+one keeps the structure of a geometric grid in O(M) floats: the
+generating row, the row scales r_i^alpha, dense corrections for what
+breaks the shift (the end rows; slot 0 and the `_END_COLUMNS` node
+columns at each end of the other rows), the tail coefficients, and the
+weights of the value at the origin.  Applying it is one correlation of the
+generating row with the middle node values plus a few small products.
+The fractional Laplacian's entry holds its M x (M+1) rows densely, since
+the LU of the resolvent needs the matrix.  A hit moves its entry to the
 end and an insertion beyond the bound evicts the least recently used one,
 so operators that are in use stay assembled.  Callers pass nothing: the
 grid and the exponents alone decide what is reused.
@@ -451,13 +460,13 @@ class RadialFunction:
         """
         values = np.asarray(values, dtype=float)
         if tail is None:
-            sel = grid.nodes >= grid.r_max / 10.0
-            if sel.sum() < 2 or np.any(values[sel] <= 0.0):
+            slope_w = _context(grid).tail_slope
+            last = values[grid.size - slope_w.size:]
+            if slope_w.size < 2 or np.any(last <= 0.0):
                 raise ValueError(
                     "RadialFunction.from_samples: cannot fit a power tail from "
                     "non-positive trailing samples; pass tail=(A, omega) explicitly")
-            slope = np.polyfit(grid.log_nodes[sel], np.log(values[sel]), 1)[0]
-            om = -slope
+            om = -float(slope_w @ np.log(last))
             if om <= 0.0:
                 raise ValueError(
                     f"RadialFunction.from_samples: fitted tail exponent {om!r} "
@@ -541,7 +550,11 @@ class _RowContext:
     Function values at cell quadrature points are reconstructed by 4-point
     (cubic) Lagrange interpolation in log radius; piecewise-linear hats are
     not accurate enough next to the PV window, where the kernel weight
-    amplifies interpolation error.
+    amplifies interpolation error.  tail_slope holds the least-squares
+    slope weights of log u against log r over the last decade of radii
+    (the nodes at or above r_max/10, a suffix of the grid), so a tail fit
+    is one dot product; it holds fewer than two weights when that decade
+    has fewer than two nodes.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -560,6 +573,9 @@ class _RowContext:
         self.cell_base = base                              # (M-1,)
         tb = tt[base[:, None] + np.arange(4)[None, :]]
         self.cell_cubw = _lagrange4(tb, tq)                # (M-1, 4, 4)
+        dev = tt[np.searchsorted(grid.nodes, grid.r_max / 10.0):]
+        dev = dev - dev.mean()
+        self.tail_slope = dev / (dev @ dev) if dev.size >= 2 else dev
 
 
 def _context(grid: RadialGrid) -> _RowContext:
@@ -1022,37 +1038,103 @@ def _is_geometric(grid: RadialGrid) -> bool:
     return dev <= 64.0 * np.finfo(float).eps * max(abs(tt[0]), abs(tt[-1]), 1.0)
 
 
-def _fill_rows(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
-               rows: np.ndarray, tails: np.ndarray, which) -> None:
-    """Write the unscaled rows at the nodes `which` into rows and tails, one
-    row-builder call each."""
+def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
+             which) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled rows at the nodes `which`, one row-builder call each: their
+    (len(which), M+1) coefficients and their tail coefficients."""
     row_at = _fraclap_row if kind == "fraclap" else _riesz_row
     ctx = _context(grid)
-    for i in which:
-        rows[i], tails[i] = row_at(ctx, float(grid.nodes[i]), exponent, tail_omega)
+    rows = np.empty((len(which), grid.size + 1))
+    tails = np.empty(len(which))
+    for k, i in enumerate(which):
+        rows[k], tails[k] = row_at(ctx, float(grid.nodes[i]), exponent, tail_omega)
+    return rows, tails
 
 
 def _rows_by_loop(grid: RadialGrid, kind: str, exponent: float,
                   tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled rows at every node, one row-builder call each: the (M, M+1)
     coefficient matrix and the length-M tail coefficient vector."""
-    M = grid.size
-    rows = np.empty((M, M + 1))
-    tails = np.empty(M)
-    _fill_rows(grid, kind, exponent, tail_omega, rows, tails, range(M))
-    return rows, tails
+    return _rows_at(grid, kind, exponent, tail_omega, range(grid.size))
+
+
+@dataclass
+class _Operator:
+    """Unscaled rows of one operator at every node, stored by structure.
+
+    Row i maps x = (u(0), u_1, ..., u_M, A r_max^(-omega)) to the operator
+    value at node i before its constant factor: slot 0 takes the origin
+    value, slots 1..M the node values, and tails[i] the tail model value.
+    On a geometric grid the interior rows i = lo..hi-1 are, at the node
+    columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
+    row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
+    `edges` (K, 2E+1) holds their slot 0 and their first and last E node
+    columns, and `diag` (K,) what their diagonal carries beyond the shift
+    (the fractional Laplacian's kernel mass; zero for Riesz).  `ends` holds
+    every other row densely: rows 0..lo-1, then hi..M-1.  Any other grid
+    has no interior (lo = hi = 0) and all M rows in `ends`.  A Riesz
+    operator also holds `origin`, the weights of I_alpha * u(0) over x.
+    """
+
+    ends: np.ndarray
+    tails: np.ndarray
+    lo: int
+    hi: int
+    gen: np.ndarray
+    scale: np.ndarray
+    edges: np.ndarray
+    diag: np.ndarray
+    origin: np.ndarray | None = None
+
+    @classmethod
+    def dense(cls, rows: np.ndarray, tails: np.ndarray) -> "_Operator":
+        """An operator with every row held densely."""
+        empty = np.empty(0)
+        return cls(ends=rows, tails=tails, lo=0, hi=0, gen=empty, scale=empty,
+                   edges=np.empty((0, 2 * _END_COLUMNS + 1)), diag=empty)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Unscaled operator values at the nodes for x laid out as above;
+        the interior is one correlation of gen with the middle node values."""
+        lo, hi, E = self.lo, self.hi, _END_COLUMNS
+        vec, u = x[:-1], x[1:-1]
+        out = self.tails * x[-1]
+        out[:lo] += self.ends[:lo] @ vec
+        out[hi:] += self.ends[lo:] @ vec
+        if hi > lo:
+            corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
+            out[lo:hi] += self.scale * corr \
+                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:])) \
+                + self.diag * u[lo:hi]
+        return out
+
+    def rows(self) -> np.ndarray:
+        """The (M, M+1) coefficients of every row, as a fresh array."""
+        lo, hi, E = self.lo, self.hi, _END_COLUMNS
+        M = self.tails.size
+        rows = np.empty((M, M + 1))
+        rows[:lo] = self.ends[:lo]
+        rows[hi:] = self.ends[lo:]
+        if hi > lo:
+            shifts = np.lib.stride_tricks.sliding_window_view(self.gen, M - 2 * E)
+            np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
+            rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
+            rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
+            inner = np.arange(lo, hi)
+            rows[inner, 1 + inner] += self.diag
+        return rows
 
 
 def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
-                     tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+                     tail_omega: float) -> _Operator:
     """The rows of _rows_by_loop on a geometric grid, built from one
-    generating row.
+    generating row and stored as an _Operator with an interior.
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
     l^p k_p(r, rho), so away from the ends row i divided by its scale
     r_i^(N+p) (r_i^(-2s) or r_i^alpha) is row i+1 divided by its scale and
-    shifted by one node.  Interior rows are therefore one Toeplitz fill of
-    a generating row: the near-diagonal pieces of the middle row plus the
+    shifted by one node.  Interior rows are therefore shifts of a
+    generating row: the near-diagonal pieces of the middle row plus the
     full cells at every offset, integrated once at r = 1.  What is not
     shift-invariant is computed per row, vectorised: the end columns (the
     end cells' clipped stencils), the origin region (slots 0 and 1), the
@@ -1098,24 +1180,23 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         + per_node[1:1 + L, 2] + per_node[:L, 3]
     gen[M - 1 - g:2 * M - 1 - g] += near.coeffs[1:] / scale[g]
 
-    rows = np.empty((M, M + 1))
-    tails = np.empty(M)
     lo, hi = _END_ROWS, M - _END_ROWS
     inner = np.arange(lo, hi)
-    # rows[i, 1 + j] = scale[i] gen[j - i + M - 1]
-    toeplitz = np.lib.stride_tricks.sliding_window_view(gen, M)[::-1]
-    np.multiply(toeplitz[lo:hi], scale[lo:hi, None], out=rows[lo:hi, 1:])
+    tails = np.empty(M)
 
-    # end columns: only the real cells whose stencils reach them
+    # end columns: only the real cells whose stencils reach them; edge
+    # column 1 + j holds node j < E, column 1 + j - M + 2E node j >= M - E
     E = _END_COLUMNS
-    rows[lo:hi, 1:1 + E] = 0.0
-    rows[lo:hi, 1 + M - E:] = 0.0
+    edges = np.zeros((hi - lo, 2 * E + 1))
     for c in (*range(E + 1), *range(M - E - 2, M - 1)):
         base = ctx.cell_base[c]
         part = sign * scale[lo:hi, None] * (cells[c - inner + M + 1] @ ctx.cell_cubw[c])
         for m in range(4):
-            if base + m < E or base + m >= M - E:
-                rows[lo:hi, 1 + base + m] += part[:, m]
+            j = base + m
+            if j < E:
+                edges[:, 1 + j] += part[:, m]
+            elif j >= M - E:
+                edges[:, 1 + j - M + 2 * E] += part[:, m]
 
     # origin region and far tail, a block of rows at a time
     mass = np.zeros(hi - lo)
@@ -1123,8 +1204,8 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
         c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
         tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
-        rows[b:b + r.size, 0] = sign * c0
-        rows[b:b + r.size, 1] += sign * c1
+        edges[b - lo:b - lo + r.size, 0] = sign * c0
+        edges[b - lo:b - lo + r.size, 1] += sign * c1
         tails[b:b + r.size] = sign * tail
         mass[b - lo:b - lo + r.size] = m0 + m1
     mass_rem, tail_rem = _remainders(N, kind, exponent, rM, tail_omega)
@@ -1134,30 +1215,65 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
         mass += scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
                                 + near.mass / scale[g]) + mass_rem
-        rows[inner, 1 + inner] += mass
 
-    _fill_rows(grid, kind, exponent, tail_omega, rows, tails,
-               (*range(lo), *range(hi, M)))
-    return rows, tails
+    ends, end_tails = _rows_at(grid, kind, exponent, tail_omega,
+                               (*range(lo), *range(hi, M)))
+    tails[:lo] = end_tails[:lo]
+    tails[hi:] = end_tails[lo:]
+    # the generating row where the interior rows reach the middle columns
+    return _Operator(ends=ends, tails=tails, lo=lo, hi=hi,
+                     gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
+                     scale=scale[lo:hi], edges=edges,
+                     # the Riesz diagonal shifts like the rest of the row
+                     diag=mass if fraclap else np.zeros(hi - lo))
 
 
-def _raw(grid: RadialGrid, kind: str, exponent: float, tail_omega: float):
-    """Unscaled rows of one operator at every node, memoised: the (M, M+1)
-    coefficient matrix and the length-M tail coefficient vector.  kind is
-    "fraclap" (exponent s) or "riesz" (exponent alpha).  A geometric grid is
-    assembled from one generating row, any other grid row by row."""
+def _riesz_origin(grid: RadialGrid, alpha: float, tail_omega: float) -> np.ndarray:
+    """Weights of the unscaled Riesz potential at the origin over x (see
+    _Operator), where the kernel is |S^{N-1}| rho^(alpha-N): the [0, r_1]
+    piece of int g rho^(alpha-1) drho is exact for the quadratic origin
+    model, the grid part uses the shared cell rule, and the tail closes
+    analytically."""
+    ctx = _context(grid)
+    M = grid.size
+    r1a = grid.nodes[0] ** alpha
+    per_node = np.einsum("cq,cqm->cm", ctx.cell_w * ctx.cell_rho ** (alpha - grid.N),
+                         ctx.cell_cubw)
+    weights = np.zeros(M + 2)
+    np.add.at(weights, 1 + ctx.cell_base[:, None] + np.arange(4), per_node)
+    weights[0] += r1a * (1.0 / alpha - 1.0 / (alpha + 2.0))
+    weights[1] += r1a / (alpha + 2.0)
+    weights[M + 1] = grid.r_max ** alpha / (tail_omega - alpha)
+    return sphere_surface_area(grid.N) * weights
+
+
+def _raw(grid: RadialGrid, kind: str, exponent: float,
+         tail_omega: float) -> _Operator:
+    """Unscaled rows of one operator at every node, memoised as an
+    _Operator.  kind is "fraclap" (exponent s) or "riesz" (exponent alpha).
+    A geometric grid is assembled from one generating row, any other grid
+    row by row.  The Riesz operator keeps the structure; the fractional
+    Laplacian is held densely, as the LU of the resolvent needs it and its
+    PV rows cancel to far below their entries, so a different summation
+    order would move its values by 1e-11 of their maximum."""
     def build():
-        rows_of = _structured_rows if _is_geometric(grid) else _rows_by_loop
-        return rows_of(grid, kind, exponent, tail_omega)
+        if _is_geometric(grid):
+            op = _structured_rows(grid, kind, exponent, tail_omega)
+        else:
+            op = _Operator.dense(*_rows_by_loop(grid, kind, exponent, tail_omega))
+        if kind == "fraclap":
+            return _Operator.dense(op.rows(), op.tails)
+        op.origin = _riesz_origin(grid, exponent, tail_omega)
+        return op
 
     return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),
                  build)
 
 
-def _apply_raw(raw, u: RadialFunction, scale: float) -> np.ndarray:
-    rows, tails = raw
-    vec = np.concatenate(([u.value_at_origin], u.values))
-    return scale * (rows @ vec + tails * u.tail_value_at_rmax)
+def _samples(u: RadialFunction) -> np.ndarray:
+    """x = (u(0), u_1, ..., u_M, tail model value at r_max), the vector the
+    operator rows act on."""
+    return np.concatenate(([u.value_at_origin], u.values, [u.tail_value_at_rmax]))
 
 
 def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
@@ -1218,8 +1334,8 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
         return np.zeros(u.grid.size)
     if u.tail_exponent <= 0.0:
         raise ValueError("frac_laplacian_on_grid: tail exponent must be positive")
-    raw = _raw(u.grid, "fraclap", s, u.tail_exponent)
-    return _apply_raw(raw, u, _fraclap_C(u.grid.N, s))
+    op = _raw(u.grid, "fraclap", s, u.tail_exponent)
+    return _fraclap_C(u.grid.N, s) * op.apply(_samples(u))
 
 
 def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
@@ -1247,26 +1363,13 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
         raise ValueError(
             "riesz_convolve_radial: constant functions are not I_alpha-integrable")
 
+    # the value at the origin, exact as far as the three models go, is one
+    # more weight row of the operator
     C = riesz_constant(N, alpha)
-    raw = _raw(grid, "riesz", alpha, om_g)
-    values = _apply_raw(raw, g, C)
-
-    # value at the origin, where the kernel is w_{N-1} rho^(alpha-N):
-    # the [0, r1] piece of int g rho^(alpha-1) drho is exact for the
-    # quadratic origin model, the grid part uses the shared cell rule, and
-    # the tail closes analytically
-    omega_sph = sphere_surface_area(N)
-    r1, rM = grid.nodes[0], grid.r_max
-    a0 = g.value_at_origin
-    b0 = g.values[0] - a0
-    origin = r1 ** alpha * (a0 / alpha + b0 / (alpha + 2.0))
-    ctx = _context(grid)
-    cw = ctx.cell_w * ctx.cell_rho ** (alpha - N)
-    gq = np.einsum("cqm,cm->cq", ctx.cell_cubw,
-                   g.values[ctx.cell_base[:, None] + np.arange(4)[None, :]])
-    origin += float(np.sum(cw * gq))
-    origin += g.tail_value_at_rmax * rM ** alpha / (om_g - alpha)
-    origin *= C * omega_sph
+    op = _raw(grid, "riesz", alpha, om_g)
+    x = _samples(g)
+    values = C * op.apply(x)
+    origin = C * float(op.origin @ x)
 
     # tail model for the result: fit if possible, else the analytic exponent
     try:
@@ -1274,7 +1377,7 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
     except ValueError:
         om_out = min(om_g, float(N)) - alpha
         out = RadialFunction(grid=grid, values=values,
-                             tail=(values[-1] * rM ** om_out, om_out),
+                             tail=(values[-1] * grid.r_max ** om_out, om_out),
                              value_at_origin=origin)
     return out
 
@@ -1333,7 +1436,8 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     extrapolation.  Rows act on node values and return pointwise operator
     values at the nodes.  The matrix is a fresh array the caller may modify.
     """
-    rows, tails = _raw(grid, "fraclap", s, tail_omega)
+    op = _raw(grid, "fraclap", s, tail_omega)
+    rows, tails = op.ends, op.tails  # held densely, see _raw
     C = _fraclap_C(grid.N, s)
     A = C * rows[:, 1:]
     A[:, grid.size - 1] += C * tails

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import fracradial.cli as cli
 import fracradial.radial_ops as radial_ops
 from fracradial.cli import load_solution, main
 
@@ -157,6 +158,37 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
     assert code == 3
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "lost positivity" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["grid.r_max=20"],                   # default window top 100 > r_max/10
+    ["analysis.fit_window=100,50"],      # reversed
+    ["analysis.fit_window=0,50"],        # not positive
+])
+def test_unusable_fit_window_exits_2_before_solving(tmp_path, capsys,
+                                                    monkeypatch, overrides):
+    solves = []
+    monkeypatch.setattr(cli, "solve_ground_state",
+                        lambda *args: solves.append(args))
+    argv = ["verify-decay", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: analysis.fit_window: ")
+    assert err.count("\n") == 1
+    assert solves == []
+
+
+def test_unusable_fit_window_for_a_stored_record_exits_2(workdir, tmp_path,
+                                                         capsys):
+    # the record's grid ends at r_max = 1000, so a window top of 200 is out
+    code = main(["verify-decay", "--solution",
+                 str(workdir / "solve" / "solution.json"),
+                 "--set", "analysis.fit_window=50,200", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: analysis.fit_window: window top 200.0")
 
 
 # ---------------------------------------------------------------------------

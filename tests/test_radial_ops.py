@@ -414,6 +414,11 @@ def operator_args(kind, N):
     return (0.5, N + 1.0) if kind == "fraclap" else (N - 1.0, N + 0.7)
 
 
+def densify(op):
+    """The (M, M+1) rows and the tail coefficients of an operator."""
+    return op.rows(), op.tails
+
+
 # Measured at M = 150 against the row-by-row loop, relative to each row's
 # largest entry: the worst entry is 1.8e-11 (N = 3 Riesz, last column, where
 # the closed-form kernel (r+rho)^e - |r-rho|^e cancels), 2e-14 elsewhere, and
@@ -428,7 +433,7 @@ def test_structured_assembly_matches_row_loop(kind, N):
     M = 150
     grid = RadialGrid.log_spaced(num=M, N=N)
     exponent, omega = operator_args(kind, N)
-    rows, tails = radial_ops._structured_rows(grid, kind, exponent, omega)
+    rows, tails = densify(radial_ops._structured_rows(grid, kind, exponent, omega))
     ref, ref_tails = radial_ops._rows_by_loop(grid, kind, exponent, omega)
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert err.max() <= 1e-10
@@ -450,7 +455,7 @@ def test_nudged_grid_is_assembled_row_by_row():
     assert not radial_ops._is_geometric(grid)
     for kind in ("fraclap", "riesz"):
         exponent, omega = operator_args(kind, 3)
-        rows, tails = radial_ops._raw(grid, kind, exponent, omega)
+        rows, tails = densify(radial_ops._raw(grid, kind, exponent, omega))
         ref, ref_tails = radial_ops._rows_by_loop(grid, kind, exponent, omega)
         assert np.array_equal(rows, ref) and np.array_equal(tails, ref_tails)
 
@@ -474,6 +479,56 @@ def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
         radial_ops._raw(grid, kind, *operator_args(kind, 3))
     ends = 2 * radial_ops._END_ROWS
     assert calls == {"fraclap": ends, "riesz": ends}
+
+
+# The compact Riesz apply sums the products of the dense matvec in another
+# order.  Measured at M = 150 against the row loop, the values agree to
+# 2e-15 (N = 2), 1.5e-14 (N = 3, where the structured last column carries
+# the closed form's cancellation) and 4e-15 (N = 4) relative, and the origin
+# value agrees with the sum it replaced to 2.2e-16.
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_compact_riesz_apply_matches_dense_rows(N):
+    M = 150
+    grid = RadialGrid.log_spaced(num=M, N=N)
+    alpha, omega = operator_args("riesz", N)
+    g = h_beta_function(grid, omega)
+    op = radial_ops._raw(grid, "riesz", alpha, omega)
+    assert op.hi > op.lo                   # the interior is held compactly
+    ref, ref_tails = radial_ops._rows_by_loop(grid, "riesz", alpha, omega)
+    C = riesz_constant(N, alpha)
+    x = np.concatenate(([g.value_at_origin], g.values))
+    want = C * (ref @ x + ref_tails * g.tail_value_at_rmax)
+    v = riesz_convolve_radial(g, alpha)
+    assert np.max(np.abs(v.values / want - 1.0)) <= 1e-13
+    # the origin value as the dense sum it replaced: the quadratic origin
+    # model on [0, r_1], the cell rule on the grid, the analytic tail
+    ctx = radial_ops._context(grid)
+    r1 = grid.nodes[0]
+    origin = r1 ** alpha * (g.value_at_origin / alpha
+                            + (g.values[0] - g.value_at_origin) / (alpha + 2.0))
+    gq = np.einsum("cqm,cm->cq", ctx.cell_cubw,
+                   g.values[ctx.cell_base[:, None] + np.arange(4)])
+    origin += np.sum(ctx.cell_w * ctx.cell_rho ** (alpha - N) * gq)
+    origin += g.tail_value_at_rmax * grid.r_max ** alpha / (omega - alpha)
+    origin *= C * sphere_surface_area(N)
+    assert abs(v.value_at_origin / origin - 1.0) <= 1e-13
+
+
+def test_memoised_riesz_operator_holds_O_of_M_floats():
+    M = 600
+    grid = RadialGrid.log_spaced(num=M)
+    op = radial_ops._raw(grid, "riesz", *operator_args("riesz", 3))
+    floats = sum(a.size for a in vars(op).values() if isinstance(a, np.ndarray))
+    assert floats <= 40 * M
+
+
+def test_tail_fit_is_the_least_squares_slope(grid):
+    # the cached slope weights give polyfit's slope over the last decade
+    vals = h_beta_eval(grid.nodes, 2.5) * (1.0 + 0.1 * np.sin(grid.log_nodes))
+    sel = grid.nodes >= grid.r_max / 10.0
+    slope = np.polyfit(grid.log_nodes[sel], np.log(vals[sel]), 1)[0]
+    u = RadialFunction.from_samples(grid, vals)
+    assert_allclose(u.tail_exponent, -slope, rtol=1e-13)
 
 
 # ----------------------------------------------------------------------------

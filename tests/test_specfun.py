@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fracradial.specfun import (
@@ -304,3 +305,49 @@ def test_asymptotic_law_evaluate_vectorized():
                         has_log_factor=False)
     r = np.array([10.0, 100.0])
     assert_allclose(law.evaluate(r), -2.0 * r ** -4.0, rtol=1e-15)
+
+
+# ----------------------------------------------------------------------------
+# properties (hypothesis, derandomized so that every run draws the same cases)
+# ----------------------------------------------------------------------------
+
+@st.composite
+def profile_params(draw):
+    N = draw(st.integers(2, 6))
+    s = draw(st.floats(0.01, 0.99))
+    return ProfileParams(N, s, draw(st.floats(0.01, N + 2.0 * s)))
+
+
+# The parameters are those frac_lap_h_exact passes, 2F1(N/2 + s, beta/2 + s,
+# N/2; x).  Either side of a seam, 1e-12 of x away, the exact function moves
+# by up to |F'| |dx|, with F' = (ab/c) 2F1(a+1, b+1, c+1; x); near a zero of
+# F that alone is more than 1e-10 of |F|, so the property allows it on top.
+# Measured over 40000 random draws: at most 4.6e-11 of |F| beyond it.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=profile_params(), seam=st.sampled_from([-0.5, -100.0]))
+def test_hyp2f1_is_continuous_across_its_seams(p, seam):
+    a, b, c = p.N / 2.0 + p.s, p.beta / 2.0 + p.s, p.N / 2.0
+    x_in, x_out = seam * (1.0 - 1e-12), seam * (1.0 + 1e-12)
+    f_in, f_out = hyp2f1(a, b, c, x_in), hyp2f1(a, b, c, x_out)
+    slope = max(abs(a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x))
+                for x in (x_in, x_out))
+    jump = abs(f_out - f_in) - slope * (x_in - x_out)
+    assert jump <= 1e-10 * max(abs(f_in), abs(f_out))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(N=st.integers(2, 6), s=st.floats(0.01, 0.99),
+       at_N=st.booleans(), offset=st.floats(-0.99e-9, 0.99e-9),
+       away=st.floats(2e-9, 1e-3), above=st.booleans())
+def test_asymptotic_regime_snaps_onto_boundaries(N, s, at_N, offset, away, above):
+    boundary = float(N) if at_N else N - 2.0 * s
+    law = frac_lap_h_asymptotic(ProfileParams(N, s, boundary))
+    assert law.regime == ("equal_N" if at_N else "equal_N_minus_2s")
+    # within 1e-9 of the boundary: the same law, to the bit
+    assert frac_lap_h_asymptotic(ProfileParams(N, s, boundary + offset)) == law
+    # further out: the neighbouring regime
+    beta = boundary + away if above else boundary - away
+    neighbour = {(True, True): "above_N", (True, False): "between",
+                 (False, True): "between", (False, False): "below_N_minus_2s"}
+    assert frac_lap_h_asymptotic(ProfileParams(N, s, beta)).regime \
+        == neighbour[(at_N, above)]
