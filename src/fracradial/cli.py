@@ -436,9 +436,8 @@ def _cmd_oracle(cfg: dict, args) -> int:
     rows = []
     worst = 0.0
     for (N, s, beta) in cases:
+        grid = _build_grid(cfg, N)
         try:
-            grid = RadialGrid.log_spaced(r_min=g["r_min"], r_max=g["r_max"],
-                                         num=g["nodes"], N=N)
             profile = ProfileParams(N, s, beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -580,11 +579,11 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[dict], dict]:
     return checks, numbers
 
 
-def _check_fit_window(cfg: dict, r_max: float) -> None:
-    """Reject an analysis.fit_window that fit_tail would refuse on a grid
-    ending at r_max, so that no solve runs for a window that cannot be used."""
+def _check_fit_window(cfg: dict, grid: RadialGrid) -> None:
+    """Reject an analysis.fit_window that fit_tail would refuse on the grid,
+    so that no solve runs for a window that cannot be used."""
     try:
-        check_fit_window(cfg["analysis"]["fit_window"], r_max)
+        check_fit_window(cfg["analysis"]["fit_window"], grid.nodes)
     except ValueError as exc:
         raise ConfigError(f"analysis.fit_window: {exc}") from exc
 
@@ -592,9 +591,9 @@ def _check_fit_window(cfg: dict, r_max: float) -> None:
 def _cmd_verify_decay(cfg: dict, args) -> int:
     if args.solution is not None:
         sol = load_solution(args.solution)
-        _check_fit_window(cfg, sol.u.grid.r_max)
+        _check_fit_window(cfg, sol.u.grid)
     else:
-        _check_fit_window(cfg, cfg["grid"]["r_max"])
+        _check_fit_window(cfg, _build_grid(cfg, cfg["problem"]["n"]))
         sol = _solve_from_config(cfg)
     checks, numbers = _verify_checks(sol, cfg)
 

@@ -173,21 +173,26 @@ def predict_decay(params, sol=None) -> DecayPrediction:
 
 
 def check_fit_window(window: tuple[float, float],
-                     r_max: float) -> tuple[float, float]:
-    """The fit window (lo, hi) as floats, checked for a grid ending at r_max:
-    0 < lo < hi, and hi at most r_max/10, where the quadrature tail models
-    have no influence.
+                     nodes: np.ndarray) -> tuple[float, float]:
+    """The fit window (lo, hi) as floats, checked against the grid nodes:
+    0 < lo < hi, hi at most r_max/10 (where the quadrature tail models have
+    no influence), and at least 20 nodes inside the window.
 
     Raises:
-        ValueError: malformed window, or its top beyond r_max/10.
+        ValueError: malformed window, its top beyond r_max/10, or too few
+            nodes inside it.
     """
     lo, hi = float(window[0]), float(window[1])
+    r_max = float(nodes[-1])
     if not (0.0 < lo < hi):
         raise ValueError(f"malformed window ({lo!r}, {hi!r}), need 0 < lo < hi")
     if hi > r_max / 10.0 * (1.0 + 1e-12):
         raise ValueError(
             f"window top {hi!r} beyond the trusted range r_max/10 "
             f"= {r_max / 10.0!r}")
+    count = int(np.count_nonzero((nodes >= lo) & (nodes <= hi)))
+    if count < 20:
+        raise ValueError(f"window contains {count} nodes, need at least 20")
     return lo, hi
 
 
@@ -209,13 +214,10 @@ def fit_tail(u: RadialFunction, window: tuple[float, float],
         ValueError: malformed window, too few nodes, or non-positive values.
     """
     grid = u.grid
-    lo, hi = check_fit_window(window, grid.r_max)
+    lo, hi = check_fit_window(window, grid.nodes)
     if model not in ("auto", "power", "log"):
         raise ValueError(f"fit_tail: unknown model {model!r}")
     sel = (grid.nodes >= lo) & (grid.nodes <= hi)
-    if int(sel.sum()) < 20:
-        raise ValueError(
-            f"fit_tail: window contains {int(sel.sum())} nodes, need at least 20")
     vals = u.values[sel]
     if np.any(vals <= 0.0):
         raise ValueError("fit_tail: non-positive samples in the fit window")

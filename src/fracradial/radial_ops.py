@@ -450,32 +450,33 @@ class RadialFunction:
 
     @classmethod
     def from_samples(cls, grid: RadialGrid, values, value_at_origin: float | None = None,
-                     tail: tuple[float, float] | None = None) -> "RadialFunction":
-        """Build a RadialFunction from node samples.
+                     tail_exponent: float | None = None) -> "RadialFunction":
+        """Build a RadialFunction from node samples, with the standard closures.
 
-        When the tail is not given it is fitted: the exponent from a
-        least-squares slope of log u over the last decade of radii, the
-        amplitude from exact continuity at r_max.  The origin value defaults
-        to the quadratic extrapolation through the first two nodes.
+        The tail amplitude always comes from exact continuity at r_max.  When
+        the tail exponent is not given it is fitted, as a least-squares slope
+        of log u over the last decade of radii.  The origin value defaults to
+        the quadratic extrapolation through the first two nodes.
         """
         values = np.asarray(values, dtype=float)
-        if tail is None:
+        if tail_exponent is None:
             slope_w = _context(grid).tail_slope
             last = values[grid.size - slope_w.size:]
             if slope_w.size < 2 or np.any(last <= 0.0):
                 raise ValueError(
                     "RadialFunction.from_samples: cannot fit a power tail from "
-                    "non-positive trailing samples; pass tail=(A, omega) explicitly")
-            om = -float(slope_w @ np.log(last))
-            if om <= 0.0:
+                    "non-positive trailing samples; pass tail_exponent explicitly")
+            tail_exponent = -float(slope_w @ np.log(last))
+            if tail_exponent <= 0.0:
                 raise ValueError(
-                    f"RadialFunction.from_samples: fitted tail exponent {om!r} "
-                    "is not positive; pass an explicit tail model")
-            tail = (values[-1] * grid.r_max ** om, om)
+                    f"RadialFunction.from_samples: fitted tail exponent "
+                    f"{tail_exponent!r} is not positive; pass tail_exponent explicitly")
         if value_at_origin is None:
             g1, g2 = _origin_closure(grid)
             value_at_origin = g1 * values[0] + g2 * values[1]
-        return cls(grid=grid, values=values, tail=tail, value_at_origin=value_at_origin)
+        return cls(grid=grid, values=values,
+                   tail=(values[-1] * grid.r_max ** tail_exponent, tail_exponent),
+                   value_at_origin=value_at_origin)
 
     def evaluate(self, rho) -> np.ndarray | float:
         """Model value at any radius: origin model, log-linear interpolation
@@ -501,10 +502,8 @@ class RadialFunction:
 
 def h_beta_function(grid: RadialGrid, beta: float) -> RadialFunction:
     """The profile (1 + rho^2)^(-beta/2) as a RadialFunction on the grid."""
-    values = h_beta_eval(grid.nodes, beta)
-    return RadialFunction(grid=grid, values=values,
-                          tail=(values[-1] * grid.r_max ** beta, beta),
-                          value_at_origin=1.0)
+    return RadialFunction.from_samples(grid, h_beta_eval(grid.nodes, beta),
+                                       value_at_origin=1.0, tail_exponent=beta)
 
 
 # ----------------------------------------------------------------------------
@@ -1373,13 +1372,10 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
 
     # tail model for the result: fit if possible, else the analytic exponent
     try:
-        out = RadialFunction.from_samples(grid, values, value_at_origin=origin)
+        return RadialFunction.from_samples(grid, values, value_at_origin=origin)
     except ValueError:
-        om_out = min(om_g, float(N)) - alpha
-        out = RadialFunction(grid=grid, values=values,
-                             tail=(values[-1] * grid.r_max ** om_out, om_out),
-                             value_at_origin=origin)
-    return out
+        return RadialFunction.from_samples(grid, values, value_at_origin=origin,
+                                           tail_exponent=min(om_g, float(N)) - alpha)
 
 
 def apply_inverse_operator(rhs: RadialFunction, s: float,
@@ -1416,16 +1412,12 @@ def apply_inverse_operator(rhs: RadialFunction, s: float,
     wv += lu_solve(lu, b - A @ wv)  # one step of iterative refinement
     _backward_error(A, wv, b)
 
-    g1, g2 = _origin_closure(grid)
-    if om_w > 0.0:
-        tail = (wv[-1] * grid.r_max ** om_w, om_w)
-        w0 = g1 * wv[0] + g2 * wv[1]
-    else:
+    w0 = None
+    if om_w == 0.0:
         # constant rhs gives a constant solution; snap to the exact model
         wv = np.full(M, float(np.mean(wv)))
-        tail = (wv[-1], 0.0)
         w0 = wv[-1]
-    return RadialFunction(grid=grid, values=wv, tail=tail, value_at_origin=w0)
+    return RadialFunction.from_samples(grid, wv, value_at_origin=w0, tail_exponent=om_w)
 
 
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:

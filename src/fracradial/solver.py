@@ -170,11 +170,9 @@ class NonlinearitySpec:
 
     def F_of(self, u: RadialFunction) -> RadialFunction:
         """F(u) as a RadialFunction, with the envelope tail model r*omega."""
-        vals = self.F_values(u.values)
-        om = self.r * u.tail_exponent
-        return RadialFunction(grid=u.grid, values=vals,
-                              tail=(vals[-1] * u.grid.r_max ** om, om),
-                              value_at_origin=float(self.F(u.value_at_origin)))
+        return RadialFunction.from_samples(u.grid, self.F_values(u.values),
+                                           value_at_origin=float(self.F(u.value_at_origin)),
+                                           tail_exponent=self.r * u.tail_exponent)
 
 
 @dataclass(frozen=True)
@@ -268,17 +266,6 @@ class Solution:
                 raise ValueError("Solution: profile must be non-increasing in radius")
 
 
-def _profile_function(grid: RadialGrid, values: np.ndarray,
-                      tail_omega: float) -> RadialFunction:
-    """Node values wrapped with an exact-continuity power tail and the
-    quadratic origin extrapolation."""
-    g1, g2 = _origin_closure(grid)
-    return RadialFunction(
-        grid=grid, values=values,
-        tail=(values[-1] * grid.r_max ** tail_omega, tail_omega),
-        value_at_origin=g1 * values[0] + g2 * values[1])
-
-
 def _fit_far_decade(grid: RadialGrid, values: np.ndarray) -> float:
     """Decay slope over [r_max/20, r_max/4], away from both the core
     transition and the last half-decade (which echoes whatever closure the
@@ -354,7 +341,7 @@ def solve_ground_state(params: ProblemParams,
         checked = False
         while total_iter < opts.max_iterations:
             total_iter += 1
-            u_k = _profile_function(grid, a * v, beta_asm)
+            u_k = RadialFunction.from_samples(grid, a * v, tail_exponent=beta_asm)
             b = _rhs_values(u_k, params)
             w = lu_solve(lu, b)
             if not np.all(np.isfinite(w)):
@@ -408,7 +395,7 @@ def solve_ground_state(params: ProblemParams,
             break
         beta_asm = omega_fit
 
-    u_fn = _profile_function(grid, a * v, beta_asm)
+    u_fn = RadialFunction.from_samples(grid, a * v, tail_exponent=beta_asm)
     norm_r = volume_integral(u_fn, r) ** (1.0 / r)
     if spec.is_homogeneous:
         mass_F = spec.mass_scale * norm_r ** r
@@ -441,16 +428,11 @@ def residual(sol: Solution) -> RadialFunction:
     anything else all three terms are recomputed from the grid operators.
     """
     u = sol.u
-    grid = u.grid
     if float(np.max(np.abs(u.values))) == 0.0:
-        return RadialFunction(grid=grid, values=np.zeros(grid.size),
-                              tail=(0.0, 0.0), value_at_origin=0.0)
-    vals = _residual_values(u, sol.params)
-    om = u.tail_exponent
-    g1, g2 = _origin_closure(grid)
-    return RadialFunction(grid=grid, values=vals,
-                          tail=(vals[-1] * grid.r_max ** om, om),
-                          value_at_origin=g1 * vals[0] + g2 * vals[1])
+        return RadialFunction.from_samples(u.grid, np.zeros(u.grid.size),
+                                           tail_exponent=0.0)
+    return RadialFunction.from_samples(u.grid, _residual_values(u, sol.params),
+                                       tail_exponent=u.tail_exponent)
 
 
 def _energy_terms(u: RadialFunction,
@@ -458,10 +440,11 @@ def _energy_terms(u: RadialFunction,
     """The three integrals behind the energy and scaling functionals:
     int u (-Delta)^s u, int u^2, int (I_alpha*F(u)) F(u).
 
-    The quadratic-form and Choquard integrals use the node weights plus a
-    quadratic origin model; the omitted [0, r_1] and far-tail corrections of
-    the sign-indefinite u*(-Delta)^s u integrand sit at least six orders
-    below the node part for profiles decaying on this grid.
+    The quadratic form uses the node weights plus a quadratic origin model;
+    the omitted far-tail correction of the sign-indefinite u*(-Delta)^s u
+    integrand sits at least six orders below the node part for profiles
+    decaying on this grid.  The Choquard integrand is a RadialFunction with
+    tail exponent omega_F + N - alpha, integrated by volume_integral.
     """
     grid = u.grid
     N = params.N
@@ -477,24 +460,19 @@ def _energy_terms(u: RadialFunction,
 
     b_sq = volume_integral(u, 2.0)
 
-    spec = params.nonlinearity
-    fu = spec.F_of(u)
+    fu = params.nonlinearity.F_of(u)
     conv = riesz_convolve_radial(fu, params.alpha)
-    prod = conv.values * fu.values
-    choq_nodes = float(np.sum(grid.weights * prod))
-    conv0 = conv.value_at_origin
-    choq_origin = _origin_ball_integral(grid, conv0 * fu.value_at_origin,
-                                        prod[0], None, None)
-    om_prod = fu.tail_exponent + (N - params.alpha)
-    choq_tail = prod[-1] * grid.r_max ** N / (om_prod - N)
-    c_choq = area * (choq_nodes + choq_origin + choq_tail)
+    c_choq = volume_integral(RadialFunction.from_samples(
+        grid, conv.values * fu.values,
+        value_at_origin=conv.value_at_origin * fu.value_at_origin,
+        tail_exponent=fu.tail_exponent + N - params.alpha))
     return a_quad, b_sq, c_choq
 
 
 def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
-                          w0: float | None, w1: float | None) -> float:
+                          w0: float, w1: float) -> float:
     """int_0^{r_1} m_v(rho) m_w(rho) rho^{N-1} drho with quadratic models
-    m(rho) = m(0) + (m(r_1) - m(0)) (rho/r_1)^2; w omitted when None."""
+    m(rho) = m(0) + (m(r_1) - m(0)) (rho/r_1)^2."""
     r1 = grid.nodes[0]
     N = grid.N
     x, wts = np.polynomial.legendre.leggauss(8)
@@ -502,7 +480,7 @@ def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
     wq = 0.5 * r1 * wts
     q = (rho / r1) ** 2
     mv = v0 + (v1 - v0) * q
-    mw = 1.0 if w0 is None else w0 + (w1 - w0) * q
+    mw = w0 + (w1 - w0) * q
     return float(np.sum(wq * mv * mw * rho ** (N - 1)))
 
 

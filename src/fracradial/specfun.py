@@ -41,6 +41,11 @@ _INT_SNAP = 1e-12
 # Regime boundaries are snapped to the degenerate case inside this window.
 _REGIME_SNAP = 1e-9
 
+# Within this distance of an integer the connection coefficients Gamma(b-a)
+# and Gamma(a-b) of _hyp_connection cancel, so _hyp_large_x interpolates the
+# function in b through points this far apart instead.
+_NEAR_INT = 1e-3
+
 REGIMES = ("above_N", "equal_N", "between", "equal_N_minus_2s", "below_N_minus_2s")
 
 
@@ -96,6 +101,29 @@ def _hyp_series(a: float, b: float, c: float, z: float) -> float:
 
 
 def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
+    """2F1(a, b, c; x) for x < -100, by _hyp_connection.
+
+    When b - a lies within _NEAR_INT of an integer k <= 0 without equalling
+    it, the two connection terms are huge and of opposite sign (they lose
+    up to ~1e-3 relative for b - a = k + 5e-12), and inside the integer snap
+    the integer formula is off by the slope times the distance.  2F1 is
+    smooth in b there, so it is taken from the 5-point Lagrange polynomial
+    through b = a + k + j _NEAR_INT, j = -2..2; the j = 0 point uses the
+    integer formula and the others stay at least _NEAR_INT from it.
+    """
+    k = round(b - a)
+    t = (b - a - k) / _NEAR_INT
+    if k > 0 or t == 0.0 or abs(t) >= 1.0:
+        return _hyp_connection(a, b, c, x)
+    stencil = range(-2, 3)
+    total = 0.0
+    for j in stencil:
+        weight = math.prod((t - i) / (j - i) for i in stencil if i != j)
+        total += weight * _hyp_connection(a, a + k + j * _NEAR_INT, c, x)
+    return total
+
+
+def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
     """2F1(a, b, c; x) for large negative x via connection formulas.
 
     The Pfaff map w = x/(x-1) sends x -> -inf to w -> 1^-, where the
@@ -189,7 +217,8 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     {0, 1} families terminate after the Pfaff map and are evaluated in
     closed form for every x.
 
-    Relative accuracy target is 1e-10 across x in [-1e6, 0].
+    Relative accuracy target is 1e-10 across x in [-1e6, 0], also for
+    b - a just off an integer (see _hyp_large_x).
 
     Raises
     ------

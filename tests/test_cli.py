@@ -164,6 +164,7 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
     ["grid.r_max=20"],                   # default window top 100 > r_max/10
     ["analysis.fit_window=100,50"],      # reversed
     ["analysis.fit_window=0,50"],        # not positive
+    ["grid.nodes=300"],                  # 15 nodes in the default window
 ])
 def test_unusable_fit_window_exits_2_before_solving(tmp_path, capsys,
                                                     monkeypatch, overrides):

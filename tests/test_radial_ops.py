@@ -237,6 +237,26 @@ def test_fraclap_on_grid_matches_closed_form(grid):
     assert np.max(np.abs(got[sel] / want - 1.0)) < 1e-3
 
 
+@pytest.mark.parametrize("N,s,beta,min_order", [
+    (3, 0.5, 2.0, 2.7),    # measured mean order 2.99
+    (3, 0.5, 3.5, 2.7),    # 2.94
+    (3, 0.25, 3.0, 2.7),   # 2.95
+    (2, 0.5, 2.5, 1.8),    # 2.04; its order from 300 to 600 nodes is 0.88
+])
+def test_oracle_error_converges_under_refinement(N, s, beta, min_order):
+    """Mean observed order of the oracle error on [0.1, 50] from 150 to
+    1200 nodes, each refinement halving the log spacing."""
+    p = ProfileParams(N, s, beta)
+    errors = []
+    for M in (150, 300, 600, 1200):
+        g = RadialGrid.log_spaced(num=M, N=N)
+        got = frac_laplacian_on_grid(h_beta_function(g, beta), s)
+        sel = interior(g)
+        want = np.array([frac_lap_h_exact(r, p) for r in g.nodes[sel]])
+        errors.append(np.max(np.abs(got[sel] / want - 1.0)))
+    assert math.log2(errors[0] / errors[-1]) / 3.0 >= min_order
+
+
 @pytest.mark.parametrize("r_at", [0.137, 1.61803, 23.7])
 def test_fraclap_pointwise_off_node(grid, r_at):
     u = h_beta_function(grid, 3.5)
@@ -337,8 +357,7 @@ def test_inverse_round_trip(grid):
     mu = 0.7
     b_vals = frac_laplacian_on_grid(u, 0.5) + mu * u.values
     # with the exact tail model the round trip is tight on the whole grid
-    rhs = RadialFunction.from_samples(
-        grid, b_vals, tail=(b_vals[-1] * grid.r_max ** 2, 2.0))
+    rhs = RadialFunction.from_samples(grid, b_vals, tail_exponent=2.0)
     w = apply_inverse_operator(rhs, 0.5, mu)
     assert np.max(np.abs(w.values / u.values - 1.0)) < 1e-8
     # a fitted tail perturbs only the outer boundary closure

@@ -73,6 +73,16 @@ HYP2F1_CASES = [
     (1.6, 1.6, 1.6, -900000.0, 2.9731116098747454e-10),
     (2.0, 2.3, 1.3, -321.0, -5.147213722433079e-06),
     (1.75, 2.25, 1.75, -500000.0, 1.5042344681709892e-13),
+    # b - a just off an integer k <= 0 (mp.dps = 50), where the generic
+    # connection terms cancel: the parameters frac_lap_h_exact passes for
+    # beta = N -+ 1e-11, N + 1e-7 and N - 2 + 1e-9, and one inside the
+    # 1e-12 integer snap (beta = N + 1e-12)
+    (2.25, 2.249999999995, 2.0, -101.0, 2.551705860647374e-07),
+    (2.25, 2.250000000005, 2.0, -101.0, 2.551705855761483e-07),
+    (2.0, 1.999999999995, 1.5, -150.0, -3.6815963811507545e-05),
+    (1.25, 1.25000005, 1.0, -10000.0, -1.2082969153579373e-05),
+    (3.25, 2.2500000005, 2.5, -1000.0, 2.5947883658200386e-08),
+    (2.25, 2.2500000000005, 2.0, -101.0, 2.551705857960112e-07),
 ]
 
 
