@@ -13,10 +13,11 @@ representation this module provides
 
 The N-dimensional integrals are reduced to one dimension through the
 angular kernel k_p(r, rho) = int_{S^{N-1}} |r e1 - rho w|^p dsigma(w),
-which has an elementary closed form for N = 3 and is tabulated once per
-(N, p) otherwise.  All quadrature decisions (panel grading around the
-kernel singularity, Taylor subtraction inside a local window, analytic
-far-tail remainders) live here and are shared by every operator.
+which has an elementary closed form for N = 3; for other N it is the
+closed form via 2F1, tabulated once per (N, p).  All quadrature decisions
+(panel grading around the kernel singularity, Taylor subtraction inside a
+local window, analytic far-tail remainders) live here and are shared by
+every operator.
 
 The assembled operators take one of two paths, chosen by the grid alone.
 On a geometric grid (log radii in arithmetic progression to within 64 ulp,
@@ -62,7 +63,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
-from fracradial.specfun import frac_lap_h_exact, h_beta_eval, ProfileParams, riesz_constant
+from fracradial.specfun import frac_lap_h_exact, h_beta_eval, hyp2f1, ProfileParams, riesz_constant
 
 __all__ = [
     "RadialGrid",
@@ -158,69 +159,44 @@ def _kernel3_arrays(r, rho, p: float):
     return 2.0 * math.pi / (r * rho * e) * (ssum ** e - diff ** e)
 
 
-def _kernel_ratio_quad(q: float, p: float, N: int) -> float:
-    """Angular kernel k_p(1, q) for q >= 1 in general dimension.
+def _kernel_at_gap(gap: float, p: float, N: int) -> float:
+    """Angular kernel k_p(1, 1 + gap) for gap >= 0, in closed form.
 
-    Uses the chord substitution v = 2 sqrt(q) sin(phi/2), which turns the
-    polar integral into
+    By Pfaff's transformation of the polar integral,
 
-        w_{N-2} q^{-(N-1)/2} int_0^{2 sqrt(q)} (xi^2+v^2)^{p/2} v^{N-2}
-                                  (1 - v^2/(4q))^{(N-3)/2} dv,  xi = q - 1,
+        k_p(1, q) = |S^{N-1}| (q-1)^p 2F1(-p/2, (N-1)/2; N-1; -4q/(q-1)^2).
 
-    so the near-diagonal peak at v ~ xi is algebraic and explicit.  The
-    integral is split into a scaled inner piece over [0, xi], geometrically
-    graded panels up to 0.9 v_max, and a trigonometric substitution for the
-    endpoint factor (singular when N = 2).
+    The argument is formed from the gap itself, since 1 + gap keeps only
+    about eps/gap of it.  For p < 0 the larger of -p/2 and (N-1)/2 goes
+    first, so a - b >= 0 as hyp2f1 requires; for p >= 0 Euler's transform
+    2F1(a, b; c; x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) makes every
+    parameter positive, and (1 - x) = ((gap+2)/gap)^2.  Coincident radii
+    (gap 0, p >= 0 only) take Gauss's sum at x -> -inf.
     """
-    om = 2.0 * math.pi ** ((N - 1) / 2.0) / math.gamma((N - 1) / 2.0)
-    coef = om * q ** (-(N - 1) / 2.0)
-    xi = q - 1.0
-    vmax = 2.0 * math.sqrt(q)
-    cut = 0.9 * vmax
-    total = 0.0
-
-    lo = min(xi, 0.5 * vmax)
-    if xi > 0.0:
-        # [0, lo] with v = xi * tau
-        tmax = lo / xi
-        tau, tw = _gauss_on(0.0, tmax, 48)
-        f = (1.0 + tau * tau) ** (p / 2.0) * tau ** (N - 2) \
-            * (1.0 - (xi * tau) ** 2 / (4.0 * q)) ** ((N - 3) / 2.0)
-        total += xi ** (p + N - 1) * float(f @ tw)
-    else:
-        # q == 1: integrable only for p + N - 2 > -1
-        if p + N - 1 <= 0.0:
-            raise ValueError("angular kernel diverges at coincident radii")
-        lo = 1e-6 * vmax
-        total += lo ** (p + N - 1) / (p + N - 1)  # v^(p+N-2) stub
-
-    # graded panels [lo, cut]
-    edges = [lo]
-    while edges[-1] < cut:
-        edges.append(min(2.0 * edges[-1], cut))
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, vw = _gauss_on(a, b, 10)
-        f = (xi * xi + v * v) ** (p / 2.0) * v ** (N - 2) \
-            * (1.0 - v * v / (4.0 * q)) ** ((N - 3) / 2.0)
-        total += float(f @ vw)
-
-    # [cut, vmax] with v = vmax sin(chi): the endpoint factor becomes smooth
-    chi, cw = _gauss_on(math.asin(cut / vmax), 0.5 * math.pi, 24)
-    sc, cc = np.sin(chi), np.cos(chi)
-    f = (xi * xi + (vmax * sc) ** 2) ** (p / 2.0) * (sc * cc) ** (N - 2)
-    total += vmax ** (N - 1) * float(f @ cw)
-
-    return coef * total
+    omega = sphere_surface_area(N)
+    h = 0.5 * (N - 1)
+    if gap == 0.0:
+        return omega * 2.0 ** p * math.gamma(N - 1.0) * math.gamma(h + 0.5 * p) \
+            / (math.gamma(N - 1.0 + 0.5 * p) * math.gamma(h))
+    x = -4.0 * (1.0 + gap) / (gap * gap)
+    if p < 0.0:
+        a = -0.5 * p
+        return omega * gap ** p * hyp2f1(max(a, h), min(a, h), N - 1.0, x)
+    ratio = (gap + 2.0) / gap
+    return omega * (gap + 2.0) ** p * ratio ** (N - 1) \
+        * hyp2f1(N - 1.0 + 0.5 * p, h, N - 1.0, x)
 
 
 class _KernelTable:
-    """Tabulated angular kernel k_p(1, q) for one (N, p), evaluated by the
-    gap q - 1 of the radius ratio.
+    """Angular kernel k_p(1, q) for one (N, p), evaluated by the gap q - 1 of
+    the radius ratio: the closed form via 2F1 (`_kernel_at_gap`), tabulated
+    once per (N, p).
 
     The kernel is log-log smooth in q - 1, so a cubic spline over
     log(q - 1) covers ratios from the deepest PV grading (1 + 1e-13) up to
-    _Q_HI, and a two-term multipole expansion takes over beyond.  Callers
-    pass the gap itself: q = 1 + 1e-12 keeps only four digits of it.
+    _Q_HI, and a two-term multipole expansion takes over beyond.  Both the
+    nodes and the callers pass the gap itself: q = 1 + 1e-12 keeps only
+    four digits of it.
     """
 
     _Q_HI = 50.0
@@ -229,7 +205,7 @@ class _KernelTable:
         self.N = N
         self.p = p
         x = np.linspace(math.log(1e-13), math.log(self._Q_HI - 1.0), 2400)
-        y = np.array([_kernel_ratio_quad(1.0 + math.exp(v), p, N) for v in x])
+        y = np.array([_kernel_at_gap(math.exp(v), p, N) for v in x])
         self._spline = CubicSpline(x, np.log(y))
         a = p / 2.0
         self._c2 = a + 2.0 * a * (a - 1.0) / N
@@ -302,7 +278,7 @@ def angular_kernel(r: float, rho: float, p: float, N: int) -> float:
         return sphere_surface_area(N) * hi ** p
     if N == 3:
         return float(_kernel3_arrays(lo, hi, p))
-    return lo ** p * _kernel_ratio_quad(hi / lo, p, N)
+    return lo ** p * _kernel_at_gap((hi - lo) / lo, p, N)
 
 
 # ----------------------------------------------------------------------------

@@ -109,10 +109,14 @@ def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
     the integer formula is off by the slope times the distance.  2F1 is
     smooth in b there, so it is taken from the 5-point Lagrange polynomial
     through b = a + k + j _NEAR_INT, j = -2..2; the j = 0 point uses the
-    integer formula and the others stay at least _NEAR_INT from it.
+    integer formula and the others stay at least _NEAR_INT from it.  For
+    k > 0 (b - a never equals it: hyp2f1 rejects a - b a negative integer)
+    a and b are exchanged, since 2F1 is symmetric in them.
     """
     k = round(b - a)
     t = (b - a - k) / _NEAR_INT
+    if k > 0 and abs(t) < 1.0:
+        return _hyp_large_x(b, a, c, x)
     if k > 0 or t == 0.0 or abs(t) >= 1.0:
         return _hyp_connection(a, b, c, x)
     stencil = range(-2, 3)
@@ -217,8 +221,10 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     {0, 1} families terminate after the Pfaff map and are evaluated in
     closed form for every x.
 
-    Relative accuracy target is 1e-10 across x in [-1e6, 0], also for
-    b - a just off an integer (see _hyp_large_x).
+    Relative accuracy target is 1e-10 across x in [-4e26, 0], also for
+    b - a just off an integer on either side (see _hyp_large_x), as long as
+    the value stays a normal double.  The far end is the angular kernel's
+    argument -4 (1 + gap) / gap^2 at gap 1e-13 (radial_ops).
 
     Raises
     ------

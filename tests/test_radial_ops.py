@@ -106,6 +106,45 @@ def test_angular_kernel_rejects_bad_input():
         angular_kernel(1.0, 2.0, -3.0, 1)
 
 
+# p >= 0, coincident radii included (Gauss's sum); mpmath mp.dps = 30, the
+# same direct quadrature of the polar integral.
+ANGULAR_KERNEL_NONNEGATIVE_CASES = [
+    (1.0, 2.0, 0.5, 2, 9.029959566053718),
+    (0.7, 1.3, 3.0, 4, 67.79229593556829),
+    (1.0, 1.0, 0.5, 2, 6.777704678351832),
+    (1.0, 1.0, 2.0, 4, 39.47841760435743),
+    (2.0, 2.0, 1.5, 5, 122.5027261420061),
+]
+
+
+@pytest.mark.parametrize("r,rho,p,N,expected", ANGULAR_KERNEL_NONNEGATIVE_CASES)
+def test_angular_kernel_nonnegative_exponents(r, rho, p, N, expected):
+    assert_allclose(angular_kernel(r, rho, p, N), expected, rtol=1e-13)
+
+
+# k_p(1, 1 + gap) at gaps 1e-13, 1e-11 and 1e-9, the deepest PV grading:
+# mpmath mp.dps = 50 on the 2F1 closed form.  A table built at q = 1 + gap
+# was 1.6e-3 off at gap 1e-13.
+KERNEL_TABLE_CASES = [
+    (2, -3.0, [1.9999999999998998e+26, 1.9999999999900004e+22, 1.9999999989999997e+18]),
+    (4, -5.0, [4.1887902047857624e+26, 4.18879020472356e+22, 4.1887901985032054e+18]),
+    (2, -0.5, [7.416297951434883, 7.416291131482751, 7.41622293030949]),
+]
+
+
+@pytest.mark.parametrize("N,p,expected", KERNEL_TABLE_CASES)
+def test_kernel_table_at_deep_gaps(N, p, expected):
+    got = radial_ops._kernel_table(N, p).eval_gap(np.array([1e-13, 1e-11, 1e-9]))
+    assert_allclose(got, expected, rtol=1e-10)
+
+
+def test_closed_form_kernel_matches_dimension_three():
+    rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
+    for p in (-6.0, -4.5, -3.0, -2.0, -1.0, 1.5):
+        got = [radial_ops._kernel_at_gap(q - 1.0, p, 3) for q in rho]
+        assert_allclose(got, radial_ops._kernel3_arrays(1.0, rho, p), rtol=1e-13)
+
+
 # ----------------------------------------------------------------------------
 # grid and function representation
 # ----------------------------------------------------------------------------
@@ -438,20 +477,9 @@ def densify(op):
     return op.rows(), op.tails
 
 
-# Measured at M = 150 against the row-by-row loop, relative to each row's
-# largest entry: the worst entry is 1.8e-11 (N = 3 Riesz, last column, where
-# the closed-form kernel (r+rho)^e - |r-rho|^e cancels), 2e-14 elsewhere, and
-# the tails agree to the bit.  The loop's own interior rows, divided by their
-# scale, are shift-invariant to 1.3e-13 of the row maximum for every N.  For
-# N = 2 and 4 that needs the spline kernel table to be read at the gap
-# (big - m) / m: reading it at big / m - 1 spread those rows by 7.2e-8
-# (3.5e-7 of the entry next to the diagonal for N = 2).
-@pytest.mark.parametrize("N", [2, 3, 4])
-@pytest.mark.parametrize("kind", ["fraclap", "riesz"])
-def test_structured_assembly_matches_row_loop(kind, N):
+def assert_structured_matches_loop(kind, N, exponent, omega):
     M = 150
     grid = RadialGrid.log_spaced(num=M, N=N)
-    exponent, omega = operator_args(kind, N)
     rows, tails = densify(radial_ops._structured_rows(grid, kind, exponent, omega))
     ref, ref_tails = radial_ops._rows_by_loop(grid, kind, exponent, omega)
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
@@ -463,6 +491,32 @@ def test_structured_assembly_matches_row_loop(kind, N):
     inner = np.arange(12, M - 12)
     band = scaled[inner[:, None], inner[:, None] + np.arange(-6, 7)]
     assert np.max(np.ptp(band, axis=0)) <= 1e-12 * np.max(np.abs(band))
+
+
+# Measured at M = 150 against the row-by-row loop, relative to each row's
+# largest entry: the worst entry is 1.8e-11 (N = 3 Riesz, last column, where
+# the closed-form kernel (r+rho)^e - |r-rho|^e cancels), 2e-14 elsewhere, and
+# the tails agree to the bit.  The loop's own interior rows, divided by their
+# scale, are shift-invariant to 1.3e-13 of the row maximum for every N.  For
+# N = 2 and 4 that needs the spline kernel table to be read at the gap
+# (big - m) / m: reading it at big / m - 1 spread those rows by 7.2e-8
+# (3.5e-7 of the entry next to the diagonal for N = 2).  For N != 3 the
+# kernel's 2F1 has a - b = 1 in every case but the N = 2 Riesz one (a = b);
+# the N = 4 Riesz case is alpha = 3.
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["fraclap", "riesz"])
+def test_structured_assembly_matches_row_loop(kind, N):
+    assert_structured_matches_loop(kind, N, *operator_args(kind, N))
+
+
+# The same check where the kernel's 2F1 has a - b off the integers:
+# (N, p) = (2, -1/2) and (4, -9/2).
+@pytest.mark.parametrize("kind,N,exponent,omega", [
+    ("riesz", 2, 1.5, 2.7),
+    ("fraclap", 4, 0.25, 4.5),
+])
+def test_structured_assembly_matches_row_loop_generic_kernel(kind, N, exponent, omega):
+    assert_structured_matches_loop(kind, N, exponent, omega)
 
 
 def test_nudged_grid_is_assembled_row_by_row():

@@ -83,6 +83,19 @@ HYP2F1_CASES = [
     (1.25, 1.25000005, 1.0, -10000.0, -1.2082969153579373e-05),
     (3.25, 2.2500000005, 2.5, -1000.0, 2.5947883658200386e-08),
     (2.25, 2.2500000000005, 2.0, -101.0, 2.551705857960112e-07),
+    # b - a just above a positive integer (mp.dps = 50): a and b are
+    # exchanged so that the same interpolation covers it
+    (1.25, 2.25000000001, 1.0, -150.0, -0.00034497807911634457),
+    (0.7, 1.700000000005, 1.0, -101.0, 0.014983768582760524),
+    (0.5, 1.5000000001, 2.0, -10000.0, 0.012728899588828228),
+    # the far end of the range (mp.dps = 50): about the angular kernel's
+    # argument -4 (1 + gap) / gap^2 at gap 1e-13 and 1e-11, with its
+    # parameters for (N, p) = (2, -3), (4, -5), (2, -1/2), (2, 1/2), (4, -3)
+    (1.5, 0.5, 1.0, -4e26, 3.1830988618379065e-14),
+    (2.5, 1.5, 3.0, -4e26, 2.122065907891938e-40),
+    (0.5, 0.25, 1.0, -4e26, 3.732564326278482e-07),
+    (1.25, 0.5, 1.0, -4e26, 3.813798817509066e-14),
+    (1.5, 1.5, 3.0, -4e22, 1.6175157231528157e-32),
 ]
 
 
