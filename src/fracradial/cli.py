@@ -11,7 +11,9 @@ byte-identical files and a written solution reloads without loss.
 Exit codes: 0 success, 1 at least one verification check failed,
 2 configuration error, 3 a numerical failure (no convergence, a collapsed or
 non-positive iterate, a singular or inaccurate linear solve, a divergent
-quadrature).
+quadrature).  Every configuration error is raised as ConfigError while the
+configuration is parsed and checked, so any other ValueError escaping a
+command is a numerical failure too.
 """
 
 from __future__ import annotations
@@ -690,12 +692,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # NonConvergenceError, ZeroCollapseError too
+    # NonConvergenceError and ZeroCollapseError are RuntimeErrors; a bare
+    # ValueError after parsing comes from the numerics, not the config
+    except (RuntimeError, ValueError) as exc:
         print("numerical failure: " + " ".join(str(exc).split()), file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -61,7 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from fracradial.specfun import frac_lap_h_exact, h_beta_eval, hyp2f1, ProfileParams, riesz_constant
 
@@ -76,6 +77,7 @@ __all__ = [
     "fraclap_matrix",
     "riesz_convolve_radial",
     "apply_inverse_operator",
+    "lu_solve",
     "comparison_residual",
     "volume_integral",
 ]
@@ -194,12 +196,17 @@ class _KernelTable:
 
     The kernel is log-log smooth in q - 1, so a cubic spline over
     log(q - 1) covers ratios from the deepest PV grading (1 + 1e-13) up to
-    _Q_HI, and a two-term multipole expansion takes over beyond.  Both the
-    nodes and the callers pass the gap itself: q = 1 + 1e-12 keeps only
-    four digits of it.
+    _Q_HI.  Beyond, the multipole series
+
+        k_p(1, q) = |S^{N-1}| q^p 2F1(-p/2, (2-N-p)/2; N/2; q^(-2))
+
+    is summed to round-off (q^(-2) <= 4e-4 there, so about six terms).
+    Both the nodes and the callers pass the gap itself: q = 1 + 1e-12
+    keeps only four digits of it.
     """
 
     _Q_HI = 50.0
+    _FAR_TERMS = 40
 
     def __init__(self, N: int, p: float):
         self.N = N
@@ -207,11 +214,6 @@ class _KernelTable:
         x = np.linspace(math.log(1e-13), math.log(self._Q_HI - 1.0), 2400)
         y = np.array([_kernel_at_gap(math.exp(v), p, N) for v in x])
         self._spline = CubicSpline(x, np.log(y))
-        a = p / 2.0
-        self._c2 = a + 2.0 * a * (a - 1.0) / N
-        self._c4 = (a * (a - 1.0) / 2.0
-                    + 2.0 * a * (a - 1.0) * (a - 2.0) / N
-                    + 2.0 * a * (a - 1.0) * (a - 2.0) * (a - 3.0) / (N * (N + 2.0)))
         self._omega = sphere_surface_area(N)
 
     def eval_gap(self, gap: np.ndarray) -> np.ndarray:
@@ -222,9 +224,21 @@ class _KernelTable:
             out[near] = np.exp(self._spline(np.log(gap[near])))
         if (~near).any():
             qq = 1.0 + gap[~near]
-            out[~near] = self._omega * qq ** self.p \
-                * (1.0 + self._c2 / qq ** 2 + self._c4 / qq ** 4)
+            out[~near] = self._omega * qq ** self.p * self._far_series(qq ** -2.0)
         return out
+
+    def _far_series(self, z: np.ndarray) -> np.ndarray:
+        """2F1(-p/2, (2-N-p)/2; N/2; z) for 0 < z <= 1/_Q_HI^2, summed until
+        the terms fall below round-off of the sum."""
+        a, b, c = -0.5 * self.p, 0.5 * (2.0 - self.N - self.p), 0.5 * self.N
+        term = np.ones_like(z)
+        total = np.ones_like(z)
+        for k in range(self._FAR_TERMS):
+            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z
+            total += term
+            if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+                break
+        return total
 
 
 def _kernel_table(N: int, p: float) -> _KernelTable:
@@ -1313,6 +1327,29 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
     return _fraclap_C(u.grid.N, s) * op.apply(_samples(u))
 
 
+def _riesz_operator(grid: RadialGrid, alpha: float,
+                    tail_omega: float) -> tuple[float, _Operator]:
+    """The Riesz constant C_{N,alpha} and the memoised unscaled Riesz
+    operator (see _Operator) for inputs on grid closed with tail exponent
+    tail_omega; C * op.apply(x) is I_alpha * g at the nodes.
+
+    Raises:
+        ValueError: alpha outside (0, N), a constant input (tail_omega = 0),
+            or tail_omega <= alpha, where the convolution diverges.
+    """
+    N = grid.N
+    if not (0.0 < alpha < N):
+        raise ValueError(f"riesz_convolve_radial: alpha must lie in (0, N), got {alpha!r}")
+    if tail_omega == 0.0:
+        raise ValueError(
+            "riesz_convolve_radial: constant functions are not I_alpha-integrable")
+    if tail_omega <= alpha:
+        raise ValueError(
+            f"riesz_convolve_radial: tail exponent {tail_omega} of g must exceed "
+            f"alpha = {alpha}, otherwise the convolution diverges")
+    return riesz_constant(N, alpha), _raw(grid, "riesz", alpha, tail_omega)
+
+
 def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
     """Riesz potential I_alpha * g of a radial function, on g's grid.
 
@@ -1326,22 +1363,11 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
         from its own far-field samples and the exact value at the origin.
     """
     grid = g.grid
-    N = grid.N
-    if not (0.0 < alpha < N):
-        raise ValueError(f"riesz_convolve_radial: alpha must lie in (0, N), got {alpha!r}")
     om_g = g.tail_exponent
-    if not g.is_constant and om_g <= alpha:
-        raise ValueError(
-            f"riesz_convolve_radial: tail exponent {om_g} of g must exceed "
-            f"alpha = {alpha}, otherwise the convolution diverges")
-    if g.is_constant:
-        raise ValueError(
-            "riesz_convolve_radial: constant functions are not I_alpha-integrable")
+    C, op = _riesz_operator(grid, alpha, om_g)
 
     # the value at the origin, exact as far as the three models go, is one
     # more weight row of the operator
-    C = riesz_constant(N, alpha)
-    op = _raw(grid, "riesz", alpha, om_g)
     x = _samples(g)
     values = C * op.apply(x)
     origin = C * float(op.origin @ x)
@@ -1351,7 +1377,23 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
         return RadialFunction.from_samples(grid, values, value_at_origin=origin)
     except ValueError:
         return RadialFunction.from_samples(grid, values, value_at_origin=origin,
-                                           tail_exponent=min(om_g, float(N)) - alpha)
+                                           tail_exponent=min(om_g, float(grid.N)) - alpha)
+
+
+def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from (lu, piv) = scipy.linalg.lu_factor(A): one LAPACK
+    getrs call, without the finiteness scan of scipy's wrapper, so a
+    non-finite b gives a non-finite x for the caller to reject.  b is not
+    modified.
+
+    Raises:
+        ValueError: getrs rejected an argument (info != 0).
+    """
+    lu, piv = lu_and_piv
+    x, info = dgetrs(lu, piv, b)
+    if info != 0:
+        raise ValueError(f"lu_solve: getrs rejected argument {-info}")
+    return x
 
 
 def apply_inverse_operator(rhs: RadialFunction, s: float,

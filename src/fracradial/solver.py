@@ -26,15 +26,17 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, lu_factor
 
 from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
     _backward_error,
     _origin_closure,
+    _riesz_operator,
     frac_laplacian_on_grid,
     fraclap_matrix,
+    lu_solve,
     riesz_convolve_radial,
     sphere_surface_area,
     volume_integral,
@@ -274,11 +276,43 @@ def _fit_far_decade(grid: RadialGrid, values: np.ndarray) -> float:
     return float(-np.polyfit(grid.log_nodes[sel], np.log(values[sel]), 1)[0])
 
 
-def _rhs_values(u: RadialFunction, params: ProblemParams) -> np.ndarray:
-    """(I_alpha * F(u)) f(u) sampled at the nodes."""
-    spec = params.nonlinearity
-    conv = riesz_convolve_radial(spec.F_of(u), params.alpha)
-    return conv.values * spec.f_values(u.values)
+class _RhsMap:
+    """The right-hand side (I_alpha * F(u)) f(u) at the nodes, as a map of
+    node values, for profiles u closed with one tail exponent omega.
+
+    It binds what does not change with u: the Riesz operator for the tail
+    exponent r*omega of F(u) and its constant C, the origin closure
+    (g1, g2), and r_max^(r omega).  A call then runs the arithmetic of
+    riesz_convolve_radial(spec.F_of(u), alpha).values * spec.f_values(u)
+    in the same order, so it gives the same bits, without building the
+    three RadialFunctions or fitting the convolution's tail.  A non-finite
+    F(u) or f(u) gives a non-finite result instead of a ValueError.
+
+    Raises:
+        ValueError: r*omega <= alpha (see _riesz_operator).
+    """
+
+    def __init__(self, grid: RadialGrid, params: ProblemParams, omega: float):
+        self._spec = params.nonlinearity
+        om_F = self._spec.r * omega
+        self._C, self._op = _riesz_operator(grid, params.alpha, om_F)
+        self._g1, self._g2 = _origin_closure(grid)
+        # F(u)'s tail model value at r_max, A r_max^(-rw) with
+        # A = F(u_M) r_max^(rw), as RadialFunction computes it
+        self._up = grid.r_max ** om_F
+        self._down = grid.r_max ** (-om_F)
+
+    def __call__(self, values: np.ndarray,
+                 value_at_origin: float | None = None) -> np.ndarray:
+        """b at the nodes for u = values; u(0) defaults to the origin
+        closure g1 u_1 + g2 u_2."""
+        spec = self._spec
+        if value_at_origin is None:
+            value_at_origin = float(self._g1 * values[0] + self._g2 * values[1])
+        fu = spec.F_values(values)
+        x = np.concatenate(([float(spec.F(value_at_origin))], fu,
+                            [float(fu[-1] * self._up) * self._down]))
+        return self._C * self._op.apply(x) * spec.f_values(values)
 
 
 def solve_ground_state(params: ProblemParams,
@@ -288,6 +322,8 @@ def solve_ground_state(params: ProblemParams,
     Each step applies the resolvent ((-Delta)^s + mu)^{-1} to the current
     right-hand side, renormalizes the profile to unit sup norm with damping,
     and updates the amplitude from the multiplier of the normalized map.
+    A step runs on node arrays: one call of the round's _RhsMap, then one
+    getrs solve against the round's LU factors.
     Every iterate must stay strictly positive.  After the inner loop
     converges, the tail exponent assumed by the operator closure is checked
     against the achieved far field and the solve is repeated with the fitted
@@ -296,8 +332,10 @@ def solve_ground_state(params: ProblemParams,
     backward error, as in apply_inverse_operator.
 
     Raises:
-        NonConvergenceError: iteration limit reached, diverging amplitude,
-            or final residual above 1e-6 relative to the sup norm.
+        NonConvergenceError: a non-finite iterate (for instance from an f or
+            F that is not finite at the iterate's values), iteration limit
+            reached, diverging amplitude, or final residual above 1e-6
+            relative to the sup norm.
         ZeroCollapseError: iterates' sup norm fell below 1e-12.
         RuntimeError: an iterate lost positivity, or the resolvent matrix is
             singular or fails the backward-error check (discretization
@@ -337,12 +375,12 @@ def solve_ground_state(params: ProblemParams,
             raise RuntimeError(
                 "solve_ground_state: singular resolvent matrix (discretization "
                 "bug: the resolvent is invertible for mu > 0)") from exc
+        rhs = _RhsMap(grid, params, beta_asm)
         converged = False
         checked = False
         while total_iter < opts.max_iterations:
             total_iter += 1
-            u_k = RadialFunction.from_samples(grid, a * v, tail_exponent=beta_asm)
-            b = _rhs_values(u_k, params)
+            b = rhs(a * v)
             w = lu_solve(lu, b)
             if not np.all(np.isfinite(w)):
                 raise NonConvergenceError(
@@ -405,7 +443,7 @@ def solve_ground_state(params: ProblemParams,
     res_vals = _residual_values(u_fn, params)
     res_sup = float(np.max(np.abs(res_vals)))
     sup_u = float(np.max(u_fn.values))
-    if res_sup > 1e-6 * sup_u:
+    if not res_sup <= 1e-6 * sup_u:  # a NaN residual fails too
         raise NonConvergenceError(
             f"solve_ground_state: converged iteration left residual "
             f"{res_sup:.3e} > 1e-6 * sup u = {1e-6 * sup_u:.3e}")
@@ -418,7 +456,8 @@ def solve_ground_state(params: ProblemParams,
 
 def _residual_values(u: RadialFunction, params: ProblemParams) -> np.ndarray:
     lap = frac_laplacian_on_grid(u, params.s)
-    return lap + params.mu * u.values - _rhs_values(u, params)
+    rhs = _RhsMap(u.grid, params, u.tail_exponent)
+    return lap + params.mu * u.values - rhs(u.values, u.value_at_origin)
 
 
 def residual(sol: Solution) -> RadialFunction:

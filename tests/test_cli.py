@@ -160,6 +160,18 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
     assert "lost positivity" in err and "Traceback" not in err
 
 
+def test_value_error_after_parsing_exits_3_with_one_line(tmp_path, capsys,
+                                                        monkeypatch):
+    def failing(*args):
+        raise ValueError("f is not finite\n at the iterate")
+
+    monkeypatch.setattr(cli, "solve_ground_state", failing)
+    code = main(["solve", "--out", str(tmp_path), "--set", "grid.nodes=400"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numerical failure: f is not finite at the iterate\n"
+
+
 @pytest.mark.parametrize("overrides", [
     ["grid.r_max=20"],                   # default window top 100 > r_max/10
     ["analysis.fit_window=100,50"],      # reversed

