@@ -60,9 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from fracradial.specfun import frac_lap_h_exact, h_beta_eval, hyp2f1, ProfileParams, riesz_constant
 
@@ -77,6 +76,7 @@ __all__ = [
     "fraclap_matrix",
     "riesz_convolve_radial",
     "apply_inverse_operator",
+    "lu_factor",
     "lu_solve",
     "comparison_residual",
     "volume_integral",
@@ -189,6 +189,53 @@ def _kernel_at_gap(gap: float, p: float, N: int) -> float:
         * hyp2f1(N - 1.0 + 0.5 * p, h, N - 1.0, x)
 
 
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing with at
+    least four nodes (scipy's CubicSpline default).
+
+    The slopes at the nodes solve one tridiagonal system; each interval
+    keeps its cubic in powers of t - x_i, evaluated by Horner.  Points
+    beyond either end take the end interval's cubic.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        n = x.size
+        # banded (1, 1) storage: row 0 super-, row 1 main, row 2 subdiagonal
+        ab = np.zeros((3, n))
+        ab[0, 2:] = dx[:-1]
+        ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+        ab[2, :-2] = dx[1:]
+        b = np.empty(n)
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        d = x[2] - x[0]
+        ab[1, 0] = dx[1]
+        ab[0, 1] = d
+        b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1] = dx[-2]
+        ab[2, -2] = d
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        k = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (k[:-1] + k[1:] - 2.0 * slope) / dx
+        self._x = x
+        self._inner = x[1:-1]
+        self._c3 = t / dx
+        self._c2 = (slope - k[:-1]) / dx - t
+        self._c1 = k[:-1]
+        self._c0 = y[:-1]
+
+    def __call__(self, xq: np.ndarray) -> np.ndarray:
+        # counting the interior nodes <= xq gives the interval, clamped to
+        # the end intervals outside [x[0], x[-1]]
+        i = np.searchsorted(self._inner, xq, side="right")
+        s = xq - self._x[i]
+        return ((self._c3[i] * s + self._c2[i]) * s + self._c1[i]) * s + self._c0[i]
+
+
 class _KernelTable:
     """Angular kernel k_p(1, q) for one (N, p), evaluated by the gap q - 1 of
     the radius ratio: the closed form via 2F1 (`_kernel_at_gap`), tabulated
@@ -213,7 +260,7 @@ class _KernelTable:
         self.p = p
         x = np.linspace(math.log(1e-13), math.log(self._Q_HI - 1.0), 2400)
         y = np.array([_kernel_at_gap(math.exp(v), p, N) for v in x])
-        self._spline = CubicSpline(x, np.log(y))
+        self._spline = _CubicSpline(x, np.log(y))
         self._omega = sphere_surface_area(N)
 
     def eval_gap(self, gap: np.ndarray) -> np.ndarray:
@@ -1380,8 +1427,28 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
                                            tail_exponent=min(om_g, float(grid.N)) - alpha)
 
 
+def lu_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LU factorisation (lu, piv) of the square matrix A: one LAPACK
+    getrf call, the same factors as scipy.linalg.lu_factor.  A is not
+    modified.
+
+    Raises:
+        RuntimeError: A is not finite, or a pivot is exactly zero (the
+            resolvent matrix is singular).
+    """
+    if not (math.isfinite(A.max()) and math.isfinite(A.min())):  # no M x M mask
+        raise RuntimeError("lu_factor: resolvent matrix has non-finite entries")
+    lu, piv, info = dgetrf(A)
+    if info < 0:
+        raise ValueError(f"lu_factor: getrf rejected argument {-info}")
+    if info > 0:
+        raise RuntimeError(
+            f"lu_factor: singular resolvent matrix (pivot {info} is exactly zero)")
+    return lu, piv
+
+
 def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve A x = b from (lu, piv) = scipy.linalg.lu_factor(A): one LAPACK
+    """Solve A x = b from (lu, piv) = lu_factor(A): one LAPACK
     getrs call, without the finiteness scan of scipy's wrapper, so a
     non-finite b gives a non-finite x for the caller to reject.  b is not
     modified.
@@ -1420,12 +1487,7 @@ def apply_inverse_operator(rhs: RadialFunction, s: float,
     A = fraclap_matrix(grid, s, om_w)
     A[np.diag_indices_from(A)] += mu
     b = rhs.values
-    try:
-        lu = lu_factor(A)
-    except LinAlgError as exc:
-        raise RuntimeError(
-            "apply_inverse_operator: singular operator matrix (discretization "
-            "bug: the resolvent is invertible for mu > 0)") from exc
+    lu = lu_factor(A)
     wv = lu_solve(lu, b)
     wv += lu_solve(lu, b - A @ wv)  # one step of iterative refinement
     _backward_error(A, wv, b)

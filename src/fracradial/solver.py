@@ -25,17 +25,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, lu_factor
 
 from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
     _backward_error,
+    _CubicSpline,
     _origin_closure,
     _riesz_operator,
     frac_laplacian_on_grid,
     fraclap_matrix,
+    lu_factor,
     lu_solve,
     riesz_convolve_radial,
     sphere_surface_area,
@@ -369,12 +369,7 @@ def solve_ground_state(params: ProblemParams,
     for round_idx in range(opts.tail_refit_rounds + 1):
         A = fraclap_matrix(grid, params.s, tail_omega=beta_asm)
         A[np.diag_indices_from(A)] += mu
-        try:
-            lu = lu_factor(A)
-        except LinAlgError as exc:
-            raise RuntimeError(
-                "solve_ground_state: singular resolvent matrix (discretization "
-                "bug: the resolvent is invertible for mu > 0)") from exc
+        lu = lu_factor(A)
         rhs = _RhsMap(grid, params, beta_asm)
         converged = False
         checked = False
@@ -556,7 +551,7 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
     """u(x/t) resampled on u's own grid through a cubic spline in log-log."""
     grid = u.grid
-    spl = CubicSpline(grid.log_nodes, np.log(u.values))
+    spl = _CubicSpline(grid.log_nodes, np.log(u.values))
     shifted = grid.log_nodes - math.log(t)
     vals = np.empty(grid.size)
     inside = (shifted >= grid.log_nodes[0]) & (shifted <= grid.log_nodes[-1])

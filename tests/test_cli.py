@@ -8,11 +8,17 @@ magnitude inside the 1e-3 tolerance.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracradial.cli as cli
 import fracradial.radial_ops as radial_ops
+import fracradial.solver as solver_mod
 from fracradial.cli import load_solution, main
 
 
@@ -170,6 +176,30 @@ def test_value_error_after_parsing_exits_3_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 3
     assert err == "numerical failure: f is not finite at the iterate\n"
+
+
+def test_singular_resolvent_exits_3_with_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    # minus mu on the diagonal: the solver's "+ mu" leaves the zero matrix
+    monkeypatch.setattr(solver_mod, "fraclap_matrix",
+                        lambda grid, s, tail_omega: -np.eye(grid.size))
+    code = main(["solve", "--out", str(tmp_path), "--set", "grid.nodes=64",
+                 "--set", "problem.mu=1.0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("numerical failure: lu_factor: singular resolvent matrix "
+                   "(pivot 1 is exactly zero)\n")
+
+
+def test_import_loads_no_scipy_beyond_linalg():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, fracradial.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'interpolate'], "
+             "['scipy', 'special'], ['scipy', 'optimize'], ['scipy', 'sparse'])))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("overrides", [

@@ -161,6 +161,45 @@ def test_closed_form_kernel_matches_dimension_three():
         assert_allclose(got, radial_ops._kernel3_arrays(1.0, rho, p), rtol=1e-13)
 
 
+# The kernel table's nodes (uniform in log gap), a geometric grid's log
+# nodes, and scattered nodes; queries at the ends, beyond them and between.
+@pytest.mark.parametrize("x", [
+    np.linspace(math.log(1e-13), math.log(49.0), 2400),
+    np.log(np.geomspace(1e-3, 1e3, 600)),
+    np.sort(np.random.default_rng(7).uniform(-2.0, 3.0, 9)),
+    np.array([0.0, 0.1, 0.5, 2.0]),
+], ids=["table", "geometric", "scattered", "four-nodes"])
+def test_cubic_spline_matches_scipy_not_a_knot(x):
+    from scipy.interpolate import CubicSpline
+
+    y = np.cos(0.7 * x) + np.sin(2.0 * x)
+    inside = np.random.default_rng(3).uniform(x[0], x[-1], 2000)
+    xq = np.concatenate([x, inside, [x[0] - 0.2, x[-1] + 0.2]])
+    got = radial_ops._CubicSpline(x, y)(xq)
+    assert np.max(np.abs(got - CubicSpline(x, y)(xq))) <= 1e-13
+
+
+def test_lu_factor_matches_scipy_bitwise(grid):
+    from scipy.linalg import lu_factor
+
+    A = fraclap_matrix(grid, 0.5, 4.0)
+    A[np.diag_indices_from(A)] += 1.0
+    lu, piv = radial_ops.lu_factor(A)
+    want_lu, want_piv = lu_factor(A)
+    assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+
+
+@pytest.mark.parametrize("A,match", [
+    ([[1.0, 2.0], [2.0, 4.0]], "pivot 2 is exactly zero"),
+    ([[0.0, 0.0], [0.0, 1.0]], "pivot 1 is exactly zero"),
+    ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
+    ([[1.0, 0.0], [-np.inf, 1.0]], "non-finite"),
+])
+def test_lu_factor_rejects_singular_and_non_finite_matrices(A, match):
+    with pytest.raises(RuntimeError, match=match):
+        radial_ops.lu_factor(np.array(A))
+
+
 # ----------------------------------------------------------------------------
 # grid and function representation
 # ----------------------------------------------------------------------------
