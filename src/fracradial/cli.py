@@ -581,21 +581,42 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[dict], dict]:
     return checks, numbers
 
 
-def _check_fit_window(cfg: dict, grid: RadialGrid) -> None:
-    """Reject an analysis.fit_window that fit_tail would refuse on the grid,
-    so that no solve runs for a window that cannot be used."""
+def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
+    """Reject analysis settings that the decay checks would refuse for
+    params on grid, so that no solve runs for settings that cannot be used:
+    a fit window fit_tail refuses, theta outside (N, N+alpha], a chain-rule
+    theta outside (0, 1), a kappa that is not positive, or a grid that ends
+    before the largest chain-rule radius."""
+    ana = cfg["analysis"]
     try:
-        check_fit_window(cfg["analysis"]["fit_window"], grid.nodes)
+        check_fit_window(ana["fit_window"], grid.nodes)
     except ValueError as exc:
         raise ConfigError(f"analysis.fit_window: {exc}") from exc
+    N, alpha = params.N, params.alpha
+    theta = ana["theta"]
+    if theta is not None and not (N < theta <= N + alpha):
+        raise ConfigError(f"analysis.theta: {theta!r} lies outside (N, N+alpha] "
+                          f"= ({N}, {N + alpha!r}]")
+    for th in ana["chain_rule_theta"]:
+        if not (0.0 < th < 1.0):
+            raise ConfigError(
+                f"analysis.chain_rule_theta: {th!r} lies outside (0, 1)")
+    kappa = ana["kappa"]
+    if kappa is not None and not (kappa > 0.0):
+        raise ConfigError(f"analysis.kappa: must be positive, got {kappa!r}")
+    if max(_CHAIN_RADII) > grid.r_max:
+        raise ConfigError(
+            f"grid.r_max: the chain-rule radius {max(_CHAIN_RADII)!r} lies "
+            f"beyond the grid's r_max = {grid.r_max!r}")
 
 
 def _cmd_verify_decay(cfg: dict, args) -> int:
     if args.solution is not None:
         sol = load_solution(args.solution)
-        _check_fit_window(cfg, sol.u.grid)
+        _check_analysis(cfg, sol.params, sol.u.grid)
     else:
-        _check_fit_window(cfg, _build_grid(cfg, cfg["problem"]["n"]))
+        params = _build_problem(cfg)
+        _check_analysis(cfg, params, _build_grid(cfg, params.N))
         sol = _solve_from_config(cfg)
     checks, numbers = _verify_checks(sol, cfg)
 

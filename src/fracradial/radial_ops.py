@@ -737,21 +737,22 @@ def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
 
 
 def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
-                    r_max: float, tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+                    r_max: float, omegas) -> tuple[np.ndarray, np.ndarray]:
     """Kernel integrals over panels beyond r_max, 8 Gauss points a panel in
     log radius, vectorised over radii r (n,) with panel edges (n, E): the
-    weight of the tail model value at r_max and the kernel mass."""
+    weights (len(omegas), n) of the tail model value at r_max, one per tail
+    exponent in omegas, and the kernel mass (n,)."""
     x, wq = _gauss(8)
     la, lb = np.log(edges[:, :-1, None]), np.log(edges[:, 1:, None])
     rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x)
     contrib = 0.5 * (lb - la) * wq * rho ** N \
         * _kernel_eval(N, p, r[:, None, None], rho)
-    return (np.sum(contrib * (rho / r_max) ** (-tail_omega), axis=(1, 2)),
-            np.sum(contrib, axis=(1, 2)))
+    tails = [np.sum(contrib * (rho / r_max) ** (-om), axis=(1, 2)) for om in omegas]
+    return np.array(tails), np.sum(contrib, axis=(1, 2))
 
 
 def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
-               r_max: float, tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
+               r_max: float, omegas) -> tuple[np.ndarray, np.ndarray]:
     """_log_panel_sums over panels from start (n,) out to _TAIL_SPAN r_max,
     widening geometrically; a row that arrives early gets empty panels."""
     r_inf = _TAIL_SPAN * r_max
@@ -760,22 +761,28 @@ def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
     while np.any(edges[-1] < r_inf):
         edges.append(np.minimum(np.maximum(edges[-1] + d, 1.5 * edges[-1]), r_inf))
         d = 2.0 * d
-    return _log_panel_sums(N, p, r, np.stack(edges, axis=1), r_max, tail_omega)
+    return _log_panel_sums(N, p, r, np.stack(edges, axis=1), r_max, omegas)
 
 
-def _remainders(N: int, kind: str, exponent: float, r_max: float,
-                tail_omega: float) -> tuple[float, float]:
-    """Analytic (mass, tail) remainders of a row beyond _TAIL_SPAN r_max,
-    where the kernel is taken as |S^{N-1}| rho^(exponent - N) ("riesz") or
+def _mass_remainder(N: int, s: float, r_max: float) -> float:
+    """Analytic kernel mass of a fractional-Laplacian row beyond _TAIL_SPAN
+    r_max, where the kernel is taken as |S^{N-1}| rho^(-N-2s)."""
+    two_s = 2.0 * s
+    return sphere_surface_area(N) * (_TAIL_SPAN * r_max) ** (-two_s) / two_s
+
+
+def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
+                    tail_omega: float) -> float:
+    """Analytic tail weight of a row beyond _TAIL_SPAN r_max, where the
+    kernel is taken as |S^{N-1}| rho^(exponent - N) ("riesz") or
     |S^{N-1}| rho^(-N-2 exponent) ("fraclap", whose tail enters with -1)."""
     omega_sph = sphere_surface_area(N)
     r_inf = _TAIL_SPAN * r_max
     if kind == "fraclap":
         two_s = 2.0 * exponent
-        return (omega_sph * r_inf ** (-two_s) / two_s,
-                -omega_sph * (r_inf / r_max) ** (-tail_omega)
-                * r_inf ** (-two_s) / (two_s + tail_omega))
-    return 0.0, omega_sph * r_max ** tail_omega \
+        return -omega_sph * (r_inf / r_max) ** (-tail_omega) \
+            * r_inf ** (-two_s) / (two_s + tail_omega)
+    return omega_sph * r_max ** tail_omega \
         * r_inf ** (exponent - tail_omega) / (tail_omega - exponent)
 
 
@@ -783,16 +790,19 @@ class _Row:
     """One operator row at radius r while it is being assembled.
 
     coeffs has length M+1, slot 0 multiplying the origin value and slots
-    1..M the node values; tail multiplies the tail model value at r_max;
-    mass is the kernel mass seen so far, which the fractional Laplacian
-    puts on u(r) itself (the Riesz row does not use it).  The row builders
-    add their pieces with sign -1 (fractional Laplacian, the -u(rho) part)
-    or +1 (Riesz).
+    1..M the node values; tail[k] multiplies the value at r_max of a tail
+    model with exponent omegas[k]; mass is the kernel mass seen so far,
+    which the fractional Laplacian puts on u(r) itself (the Riesz row does
+    not use it).  Only the tail weights depend on the tail exponents, so
+    one row serves every function on the grid.  The row builders add their
+    pieces with sign -1 (fractional Laplacian, the -u(rho) part) or +1
+    (Riesz).
     """
 
-    def __init__(self, M: int):
+    def __init__(self, M: int, omegas):
         self.coeffs = np.zeros(M + 1)
-        self.tail = 0.0
+        self.omegas = tuple(omegas)
+        self.tail = np.zeros(len(self.omegas))
         self.mass = 0.0
 
 
@@ -836,22 +846,21 @@ def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float,
 
 
 def _far_tail(row: _Row, grid: RadialGrid, p: float, r: float,
-              edges: list, tail_omega: float, sign: float) -> None:
+              edges: list, sign: float) -> None:
     """Panels from edges[-1] out to _TAIL_SPAN r_max, widening geometrically,
     under the power tail model (edges may already hold graded panels)."""
     at = np.array([r])
     tail, mass = _tail_sums(grid.N, p, at, np.array([edges[-1]]), grid.r_max,
-                            tail_omega)
+                            row.omegas)
     if len(edges) > 1:
         graded = _log_panel_sums(grid.N, p, at, np.array([edges]), grid.r_max,
-                                 tail_omega)
+                                 row.omegas)
         tail, mass = tail + graded[0], mass + graded[1]
-    row.tail += sign * float(tail[0])
+    row.tail += sign * tail[:, 0]
     row.mass += float(mass[0])
 
 
-def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float,
-                    tail_omega: float) -> float:
+def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float) -> float:
     """The Taylor window of a fractional-Laplacian row at radius r, of
     _WINDOW_CELLS local cells each side, and the parts of the cells its
     edges cut; returns the window half-width w."""
@@ -887,7 +896,8 @@ def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float,
             coeffs[0] += lm * (1.0 - x2)
             coeffs[1] += lm * x2
         else:
-            row.tail += lm * (info / rM) ** (-tail_omega)
+            for k, om in enumerate(row.omegas):
+                row.tail[k] += lm * (info / rM) ** (-om)
 
     # the parts of the cells cut by the window edges that lie outside it
     j_lo = int(np.clip(np.searchsorted(nodes, lo_w) - 1, 0, M - 2))
@@ -911,28 +921,28 @@ def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float,
 
 
 def _fraclap_row(ctx: _RowContext, r: float, s: float,
-                 tail_omega: float) -> tuple[np.ndarray, float]:
+                 omegas) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled fractional-Laplacian row at radius r.
 
     The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
-    around r.  Returns (coeffs, tail_c) as laid out in _Row; the factor
-    C_{N,s} is NOT applied here.
+    around r.  Returns (coeffs, tails) as laid out in _Row, one tail weight
+    per tail exponent in omegas; the factor C_{N,s} is NOT applied here.
     """
     grid = ctx.grid
     nodes = grid.nodes
     M = nodes.size
     p = -(grid.N + 2.0 * s)
-    row = _Row(M)
+    row = _Row(M, omegas)
     coeffs = row.coeffs
-    w = _fraclap_window(row, ctx, r, s, tail_omega)
+    w = _fraclap_window(row, ctx, r, s)
     lo_w, hi_w = r - w, r + w
     _full_cells(row, ctx, p, r, (nodes[1:] <= lo_w) | (nodes[:-1] >= hi_w), -1.0)
     _origin_region(row, grid, p, r, lo_w, hi_w, w, -1.0)
-    _far_tail(row, grid, p, r, [max(hi_w, grid.r_max)], tail_omega, -1.0)
-    mass_rem, tail_rem = _remainders(grid.N, "fraclap", s, grid.r_max, tail_omega)
-    row.mass += mass_rem
-    row.tail += tail_rem
+    _far_tail(row, grid, p, r, [max(hi_w, grid.r_max)], -1.0)
+    row.mass += _mass_remainder(grid.N, s, grid.r_max)
+    for k, om in enumerate(row.omegas):
+        row.tail[k] += _tail_remainder(grid.N, "fraclap", s, grid.r_max, om)
 
     # ---- the kernel mass multiplies u(r)
     j = int(np.clip(np.searchsorted(nodes, r) - 1, 0, M - 2))
@@ -988,13 +998,13 @@ def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
 
 
 def _riesz_row(ctx: _RowContext, r: float, alpha: float,
-               tail_omega: float) -> tuple[np.ndarray, float]:
+               omegas) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled Riesz row at radius r.
 
     int g(rho) k_p(r,rho) rho^{N-1} drho with p = alpha - N, graded around
     the integrable diagonal singularity inside the cells touching r.
-    Returns (coeffs, tail_c) as laid out in _Row; the factor C_{N,alpha} is
-    NOT applied here.
+    Returns (coeffs, tails) as laid out in _Row, one tail weight per tail
+    exponent in omegas; the factor C_{N,alpha} is NOT applied here.
     """
     grid = ctx.grid
     N = grid.N
@@ -1002,7 +1012,7 @@ def _riesz_row(ctx: _RowContext, r: float, alpha: float,
     M = nodes.size
     rM = nodes[-1]
     p = alpha - N
-    row = _Row(M)
+    row = _Row(M, omegas)
 
     # ---- grid cells, except the ones touching r
     full = np.ones(M - 1, dtype=bool)
@@ -1032,15 +1042,17 @@ def _riesz_row(ctx: _RowContext, r: float, alpha: float,
         ks = np.arange(_RIESZ_GRADE_LEVELS, -1, -1)
         edges = list(r * (1.0 + 0.5 * _GRADE_RATIO ** ks))
         x0 = 0.5 * r * _GRADE_RATIO ** _RIESZ_GRADE_LEVELS
-        row.tail += _diagonal_stub(
-            angular_kernel(r, r + x0, p, N) * (r + x0) ** (N - 1)
-            * ((r + x0) / rM) ** (-tail_omega),
-            angular_kernel(r, r + 2.0 * x0, p, N) * (r + 2.0 * x0) ** (N - 1)
-            * ((r + 2.0 * x0) / rM) ** (-tail_omega), x0)
+        for k, om in enumerate(row.omegas):
+            row.tail[k] += _diagonal_stub(
+                angular_kernel(r, r + x0, p, N) * (r + x0) ** (N - 1)
+                * ((r + x0) / rM) ** (-om),
+                angular_kernel(r, r + 2.0 * x0, p, N) * (r + 2.0 * x0) ** (N - 1)
+                * ((r + 2.0 * x0) / rM) ** (-om), x0)
     else:
         edges = [start]
-    _far_tail(row, grid, p, r, edges, tail_omega, 1.0)
-    row.tail += _remainders(N, "riesz", alpha, rM, tail_omega)[1]
+    _far_tail(row, grid, p, r, edges, 1.0)
+    for k, om in enumerate(row.omegas):
+        row.tail[k] += _tail_remainder(N, "riesz", alpha, rM, om)
     return row.coeffs, row.tail
 
 
@@ -1083,7 +1095,8 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
     rows = np.empty((len(which), grid.size + 1))
     tails = np.empty(len(which))
     for k, i in enumerate(which):
-        rows[k], tails[k] = row_at(ctx, float(grid.nodes[i]), exponent, tail_omega)
+        rows[k], (tails[k],) = row_at(ctx, float(grid.nodes[i]), exponent,
+                                      (tail_omega,))
     return rows, tails
 
 
@@ -1191,9 +1204,9 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
 
     # near-diagonal pieces of the middle row, and the cells they cover
     g = M // 2
-    near = _Row(M)
+    near = _Row(M, ())
     if fraclap:
-        w = _fraclap_window(near, ctx, float(nodes[g]), exponent, tail_omega)
+        w = _fraclap_window(near, ctx, float(nodes[g]), exponent)
         excluded = (nodes[1:] > nodes[g] - w) & (nodes[:-1] < nodes[g] + w)
         d0 = max(w / nodes[g], 0.1)
     else:
@@ -1239,18 +1252,18 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     for b in range(lo, hi, _ROW_BLOCK):
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
         c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
-        tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
+        (tail,), m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, (tail_omega,))
         edges[b - lo:b - lo + r.size, 0] = sign * c0
         edges[b - lo:b - lo + r.size, 1] += sign * c1
         tails[b:b + r.size] = sign * tail
         mass[b - lo:b - lo + r.size] = m0 + m1
-    mass_rem, tail_rem = _remainders(N, kind, exponent, rM, tail_omega)
-    tails[lo:hi] += tail_rem
+    tails[lo:hi] += _tail_remainder(N, kind, exponent, rM, tail_omega)
     if fraclap:
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
         mass += scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
-                                + near.mass / scale[g]) + mass_rem
+                                + near.mass / scale[g]) \
+            + _mass_remainder(N, exponent, rM)
 
     ends, end_tails = _rows_at(grid, kind, exponent, tail_omega,
                                (*range(lo), *range(hi, M)))
@@ -1348,18 +1361,38 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at: float) -> float:
             not positive (the exactly-constant function is allowed and maps
             to zero).
     """
+    return float(_frac_laplacian_at([u], s, [at])[0, 0])
+
+
+def _frac_laplacian_at(fs: list[RadialFunction], s: float, radii) -> np.ndarray:
+    """frac_laplacian_radial of every function in fs, all on one grid, at
+    every radius: shape (len(fs), len(radii)).  A row's coefficients do not
+    depend on the tail model, so each radius's row is built once and closed
+    with one tail weight per function; each value equals the one-function
+    call bitwise."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_radial: s must lie in (0, 1), got {s!r}")
-    if not (0.0 < at <= u.grid.r_max):
-        raise ValueError(
-            f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
-    if u.is_constant:
-        return 0.0
-    if u.tail_exponent <= 0.0:
+    grid = fs[0].grid
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not (0.0 < r <= grid.r_max):
+            raise ValueError(
+                f"frac_laplacian_radial: radius must lie in (0, r_max], got {r!r}")
+    live = [k for k, f in enumerate(fs) if not f.is_constant]
+    if any(fs[k].tail_exponent <= 0.0 for k in live):
         raise ValueError("frac_laplacian_radial: tail exponent must be positive")
-    coeffs, tail_c = _fraclap_row(_context(u.grid), float(at), s, u.tail_exponent)
-    vec = np.concatenate(([u.value_at_origin], u.values))
-    return _fraclap_C(u.grid.N, s) * float(coeffs @ vec + tail_c * u.tail_value_at_rmax)
+    out = np.zeros((len(fs), len(radii)))
+    if not live:
+        return out
+    ctx = _context(grid)
+    C = _fraclap_C(grid.N, s)
+    omegas = [fs[k].tail_exponent for k in live]
+    vecs = [np.concatenate(([fs[k].value_at_origin], fs[k].values)) for k in live]
+    for j, r in enumerate(radii):
+        coeffs, tails = _fraclap_row(ctx, r, s, omegas)
+        for k, vec, tail_c in zip(live, vecs, tails):
+            out[k, j] = C * float(coeffs @ vec + tail_c * fs[k].tail_value_at_rmax)
+    return out
 
 
 def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:

@@ -44,6 +44,20 @@ _EULER_GAMMA = 0.5772156649015329
 # Regime boundaries are snapped to the degenerate case inside this window.
 _REGIME_SNAP = 1e-9
 
+# Left of this argument hyp2f1 leaves the Pfaff series for the connection
+# formulas of _hyp_large_x.  The Pfaff series runs in w = x/(x-1), which
+# tends to 1 as x falls: at x = -5 (w = 5/6) it needs about 200 terms, at
+# x = -100 (w = 0.99) 2600 to 3800.  The connection series run in
+# u = 1/(1-x) <= 1/6 here and need about 20 each.  Against mpmath (40 digits),
+# 6000 random points of the checked parameter box (see hyp2f1) in
+# (-100, -5] are at most 2.8e-12 off (median 4e-16, against 2e-15 for the
+# Pfaff series).  Next to a zero of F the two connection terms cancel, and
+# the worst point found there is 8.4e-11 off where the Pfaff series is
+# 1.6e-13 off; that is inside the 1e-10 target, as it was for x < -100.  A
+# seam at -10 cuts the random worst case to 6e-13 but costs about 25% more
+# 2F1 time on the oracle radii.
+_CONNECTION_SEAM = -5.0
+
 # Within this distance of an integer the connection coefficients Gamma(b-a)
 # and Gamma(a-b) of _hyp_connection cancel, so _hyp_large_x interpolates the
 # function in b through points this far apart instead.
@@ -139,7 +153,7 @@ def _hyp_series(a: float, b: float, c: float, z: float) -> float:
 
 
 def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
-    """2F1(a, b, c; x) for x < -100, by _hyp_connection.
+    """2F1(a, b, c; x) for x < _CONNECTION_SEAM = -5, by _hyp_connection.
 
     When b - a lies within _NEAR_INT of an integer k <= 0 without equalling
     it, the two connection terms are huge and of opposite sign (they lose
@@ -149,7 +163,10 @@ def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
     through b = a + k + j _NEAR_INT, j = -2..2; the j = 0 point uses the
     integer formula and the others stay at least _NEAR_INT from it.  For
     k > 0 (b - a never equals it: hyp2f1 rejects a - b a negative integer)
-    a and b are exchanged, since 2F1 is symmetric in them.
+    a and b are exchanged, since 2F1 is symmetric in them.  Just outside
+    the window the two terms are still about 1/(b - a - k) times F and
+    cancel: against mpmath, b - a - k = +-1.2e-3 is up to 1.7e-12 of |F|
+    off on x in (-100, -5], and more where F itself nears a zero.
     """
     k = round(b - a)
     t = (b - a - k) / _NEAR_INT
@@ -260,8 +277,10 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
 
     Evaluation: defining series on (-1/2, 0]; Pfaff transformation
     2F1(a,b,c;x) = (1-x)^(-a) 2F1(a, c-b, c; x/(x-1)) plus the series on
-    [-100, -1/2]; for x < -100 the w -> 1 connection formulas of the
-    transformed series (including the logarithmic cases).  The b - c in
+    [-5, -1/2]; for x < -5 the w -> 1 connection formulas of the
+    transformed series (including the logarithmic cases), whose series in
+    1/(1-x) converge in tens of terms there where the Pfaff series would
+    need thousands near x = -100 (see _CONNECTION_SEAM).  The b - c in
     {0, 1} families terminate after the Pfaff map and are evaluated in
     closed form for every x.
 
@@ -317,7 +336,7 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
         return 1.0
     if x > -0.5:
         return _hyp_series(a, b, c, x)
-    if x >= -100.0:
+    if x >= _CONNECTION_SEAM:
         return (1.0 - x) ** (-a) * _hyp_series(a, c - b, c, x / (x - 1.0))
     return _hyp_large_x(a, b, c, x)
 

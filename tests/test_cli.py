@@ -234,6 +234,46 @@ def test_unusable_fit_window_for_a_stored_record_exits_2(workdir, tmp_path,
         "config error: analysis.fit_window: window top 200.0")
 
 
+@pytest.mark.parametrize("override,key", [
+    ("analysis.chain_rule_theta=1.5", "analysis.chain_rule_theta"),
+    ("analysis.chain_rule_theta=0", "analysis.chain_rule_theta"),
+    ("analysis.theta=2.0", "analysis.theta"),        # outside (N, N+alpha]
+    ("analysis.kappa=-1", "analysis.kappa"),
+])
+def test_unusable_analysis_setting_for_a_stored_record_exits_2(
+        workdir, tmp_path, capsys, override, key):
+    code = main(["verify-decay", "--solution",
+                 str(workdir / "solve" / "solution.json"),
+                 "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides,key", [
+    (["analysis.chain_rule_theta=0.3,1.5"], "analysis.chain_rule_theta"),
+    (["analysis.chain_rule_theta=0"], "analysis.chain_rule_theta"),
+    (["analysis.theta=5.5"], "analysis.theta"),       # N + alpha = 5
+    (["analysis.kappa=-1"], "analysis.kappa"),
+    # a usable fit window, but the chain-rule radius 20 lies beyond r_max
+    (["grid.r_max=15", "analysis.fit_window=0.5,1.5"], "grid.r_max"),
+])
+def test_unusable_analysis_setting_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, overrides, key):
+    solves = []
+    monkeypatch.setattr(cli, "solve_ground_state",
+                        lambda *args: solves.append(args))
+    argv = ["verify-decay", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert err.count("\n") == 1
+    assert solves == []
+
+
 # ---------------------------------------------------------------------------
 # solve outputs and the two pipeline invariants
 
@@ -283,6 +323,24 @@ def test_verify_report_checks(workdir):
     assert any(n.startswith("chain_rule_theta_") for n in names)
     fit = rec["fit"]["fitted_exponent"]
     assert abs(fit - 10.0 / 3.0) <= 0.1 * 10.0 / 3.0   # measured 3.3975
+
+
+def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):
+    """The chain-rule figures of verify_report.json on a stored r = 1.9
+    record (400 nodes), frozen when each theta built its own row per
+    radius and function; building each row once must not move them."""
+    rec = tmp_path / "rec"
+    assert main(["solve", "--set", "grid.nodes=400", "--set", "problem.r=1.9",
+                 "--out", str(rec)]) == 0
+    assert main(["verify-decay", "--solution", str(rec / "solution.json"),
+                 "--out", str(tmp_path / "verify")]) == 0
+    chain = read_json(tmp_path / "verify" / "verify_report.json")["chain_rule"]
+    assert chain == [
+        {"theta": 0.3, "min_margin_over_scale": 0.24137691707881267,
+         "passed": True},
+        {"theta": 0.10000000000000009,
+         "min_margin_over_scale": 0.37581647645723193, "passed": True},
+    ]
 
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracradial.radial_ops as radial_ops
 from fracradial import (
     NonlinearitySpec,
     ProblemParams,
@@ -19,6 +20,7 @@ from fracradial import (
     RadialGrid,
     bound_constants,
     fit_tail,
+    frac_laplacian_radial,
     h_beta_function,
     predict_decay,
     riesz_constant,
@@ -277,6 +279,29 @@ def test_chain_rule_on_computed_solution(solution, theta):
     report = verify_chain_rule(solution.u, theta, [0.5, 1.0, 5.0, 20.0], 0.5)
     assert report.passed
     assert np.all(report.margin > 0.0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("theta", [0.3, 2.0 - 1.9])
+def test_chain_rule_shares_rows_bitwise(N, theta):
+    """Both sides come from one row per radius, closed once with u's tail
+    and once with u^theta's; each value equals the per-radius
+    frac_laplacian_radial of that function to the bit."""
+    g = RadialGrid.log_spaced(num=400, N=N)
+    u = h_beta_function(g, 3.0)
+    amp, om = u.tail
+    u_pow = RadialFunction(grid=g, values=u.values ** theta,
+                           tail=(amp ** theta, om * theta),
+                           value_at_origin=u.value_at_origin ** theta)
+    radii = [0.5, 1.0, 5.0, 20.0]
+    lhs = np.array([frac_laplacian_radial(u_pow, 0.5, at=r) for r in radii])
+    lap_u = np.array([frac_laplacian_radial(u, 0.5, at=r) for r in radii])
+    shared = radial_ops._frac_laplacian_at([u_pow, u], 0.5, radii)
+    assert np.array_equal(shared, np.stack([lhs, lap_u]))
+    report = verify_chain_rule(u, theta, radii, 0.5)
+    assert np.array_equal(report.lhs, lhs)
+    u_at = np.asarray(u.evaluate(np.array(radii)), dtype=float)
+    assert np.array_equal(report.rhs, theta * u_at ** (theta - 1.0) * lap_u)
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.0, 1.0, 1.2])

@@ -133,12 +133,46 @@ HYP2F1_CASES = [
     (0.5, 0.25, 1.0, -4e26, 3.732564326278482e-07),
     (1.25, 0.5, 1.0, -4e26, 3.813798817509066e-14),
     (1.5, 1.5, 3.0, -4e22, 1.6175157231528157e-32),
+    # between the Pfaff/connection seam at -5 and the old one at -100
+    # (mp.dps = 50), where the connection formulas now take over: generic
+    # (the oracle's (3, 1/2, 3.5) at r = 2.5, and the kernel's (2, -3)),
+    # a = b, a - b = 1, and b - a within 5e-12 of 0 and of -1 and +1
+    (2.0, 2.25, 1.5, -6.25, -0.0018313722971401716),
+    (1.5, 0.5, 1.0, -20.0, 0.14699942849260927),
+    (2.6, 1.3, 3.0, -99.5, 0.00340880058296088),
+    (1.75, 1.75, 1.5, -9.0, 0.007589391179335826),
+    (2.0, 2.0, 1.5, -5.5, 0.0020345176417160844),
+    (2.8, 1.8, 2.5, -12.0, 0.006788580671722655),
+    (2.5, 1.5, 3.0, -50.0, 0.0044439135907602),
+    (2.25, 2.249999999995, 2.0, -8.0, 0.0034009295617350743),
+    (2.25, 2.250000000005, 2.0, -60.0, 9.990862583232256e-06),
+    (3.25, 2.250000000005, 2.5, -15.0, 0.00045599783149800557),
+    (0.7, 1.700000000005, 1.0, -6.0, 0.1284524880898176),
+]
+
+# b - a about 1.2e-3 from an integer, just outside the interpolation window
+# of _hyp_large_x (1e-3), at x in (-100, -5] (mp.dps = 50).  There the two
+# generic connection terms grow like 1/(b - a - k) and cancel: the worst of
+# these rows is 1.7e-12 of |F| off (at (1.5, 1.5012, 1.0; -5.5)), so the
+# test allows 5e-12 instead of HYP2F1_CASES' 1e-12.
+HYP2F1_NEAR_WINDOW_CASES = [
+    (2.25, 2.2512, 2.0, -6.0, 0.006626735802905524),
+    (2.25, 2.2488, 2.0, -40.0, 4.2471837615027625e-05),
+    (3.25, 2.2512, 2.5, -9.0, 0.0015487181875669105),
+    (1.25, 2.2488, 1.0, -20.0, -0.003812094165130132),
+    (1.5, 1.5012, 1.0, -5.5, -0.003330626449196625),
+    (2.0012, 2.0, 4.0, -5.0, 0.12190007613515917),
 ]
 
 
 @pytest.mark.parametrize("a,b,c,x,expected", HYP2F1_CASES)
 def test_hyp2f1_reference_values(a, b, c, x, expected):
     assert_allclose(hyp2f1(a, b, c, x), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("a,b,c,x,expected", HYP2F1_NEAR_WINDOW_CASES)
+def test_hyp2f1_just_outside_the_near_integer_window(a, b, c, x, expected):
+    assert_allclose(hyp2f1(a, b, c, x), expected, rtol=5e-12)
 
 
 def test_hyp2f1_at_zero():
@@ -153,10 +187,11 @@ def test_hyp2f1_binomial_identity():
 
 
 def test_hyp2f1_seam_consistency():
-    # The evaluation strategy switches branches at x = -0.5 and x = -100;
-    # values on either side must agree to within the function's own variation.
+    # The evaluation strategy switches branches at x = -0.5 and x = -5 (and
+    # did at x = -100); values on either side must agree to within the
+    # function's own variation.
     for a, b, c in [(1.5, 1.2, 1.0), (2.3, 0.8, 1.9), (1.75, 1.75, 1.5)]:
-        for seam in (-0.5, -100.0):
+        for seam in (-0.5, -5.0, -100.0):
             lo = hyp2f1(a, b, c, seam * (1.0 + 1e-12))
             hi = hyp2f1(a, b, c, seam * (1.0 - 1e-12))
             assert_allclose(lo, hi, rtol=1e-10)
@@ -382,9 +417,10 @@ def profile_params(draw):
 # N/2; x).  Either side of a seam, 1e-12 of x away, the exact function moves
 # by up to |F'| |dx|, with F' = (ab/c) 2F1(a+1, b+1, c+1; x); near a zero of
 # F that alone is more than 1e-10 of |F|, so the property allows it on top.
-# Measured over 40000 random draws: at most 4.6e-11 of |F| beyond it.
+# Measured over 40000 random draws: at most 4.6e-11 of |F| beyond it; at
+# the seam x = -5, over 20000 draws, at most 4.2e-12.
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(p=profile_params(), seam=st.sampled_from([-0.5, -100.0]))
+@given(p=profile_params(), seam=st.sampled_from([-0.5, -5.0, -100.0]))
 def test_hyp2f1_is_continuous_across_its_seams(p, seam):
     assert_continuous_across_seam(p.N / 2.0 + p.s, p.beta / 2.0 + p.s,
                                   p.N / 2.0, seam)
@@ -393,10 +429,10 @@ def test_hyp2f1_is_continuous_across_its_seams(p, seam):
 # The parameters _kernel_at_gap passes for the operators' exponents p in
 # (-N - 2, 0) (p = alpha - N or -(N + 2s)): 2F1(max(-p/2, (N-1)/2),
 # min(-p/2, (N-1)/2), N - 1; x).  Measured over 20000 random draws: at most
-# 2.5e-13 of |F| beyond the slope.
+# 2.5e-13 of |F| beyond the slope, and 2.4e-12 at the seam x = -5.
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(N=st.integers(2, 6), t=st.floats(0.001, 0.999),
-       seam=st.sampled_from([-0.5, -100.0]))
+       seam=st.sampled_from([-0.5, -5.0, -100.0]))
 def test_hyp2f1_is_continuous_across_its_seams_for_the_kernel(N, t, seam):
     half_p, h = 0.5 * t * (N + 2.0), 0.5 * (N - 1.0)
     assert_continuous_across_seam(max(half_p, h), min(half_p, h), N - 1.0, seam)
