@@ -15,6 +15,7 @@ from fracradial.decay_analysis import (
     DecayPrediction,
     RieszTailReport,
     bound_constants,
+    check_analysis,
     check_fit_window,
     fit_tail,
     predict_decay,
@@ -83,6 +84,7 @@ __all__ = [
     "bound_constants",
     "comparison_residual",
     "dilation_derivative",
+    "check_analysis",
     "check_fit_window",
     "fit_tail",
     "frac_lap_h_asymptotic",

@@ -29,7 +29,7 @@ import numpy as np
 
 from fracradial.decay_analysis import (
     bound_constants,
-    check_fit_window,
+    check_analysis,
     fit_tail,
     predict_decay,
     sharp_constant,
@@ -468,15 +468,10 @@ def _cmd_oracle(cfg: dict, args) -> int:
     return 0 if worst <= _ORACLE_TOLERANCE else 1
 
 
-def _solve_from_config(cfg: dict) -> Solution:
+def _cmd_solve(cfg: dict, args) -> int:
     params = _build_problem(cfg)
     grid = _build_grid(cfg, params.N)
-    opts = _build_solver_opts(cfg, grid)
-    return solve_ground_state(params, opts)
-
-
-def _cmd_solve(cfg: dict, args) -> int:
-    sol = _solve_from_config(cfg)
+    sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
     record = _solution_record(sol, cfg)
     out = _out_dir(cfg)
     sol_path = out / "solution.json"
@@ -583,31 +578,20 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[dict], dict]:
 
 def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
     """Reject analysis settings that the decay checks would refuse for
-    params on grid, so that no solve runs for settings that cannot be used:
-    a fit window fit_tail refuses, theta outside (N, N+alpha], a chain-rule
-    theta outside (0, 1), a kappa that is not positive, or a grid that ends
-    before the largest chain-rule radius."""
+    params on grid (decay_analysis.check_analysis), so that no solve runs
+    for settings that cannot be used."""
     ana = cfg["analysis"]
-    try:
-        check_fit_window(ana["fit_window"], grid.nodes)
-    except ValueError as exc:
-        raise ConfigError(f"analysis.fit_window: {exc}") from exc
-    N, alpha = params.N, params.alpha
-    theta = ana["theta"]
-    if theta is not None and not (N < theta <= N + alpha):
-        raise ConfigError(f"analysis.theta: {theta!r} lies outside (N, N+alpha] "
-                          f"= ({N}, {N + alpha!r}]")
-    for th in ana["chain_rule_theta"]:
-        if not (0.0 < th < 1.0):
-            raise ConfigError(
-                f"analysis.chain_rule_theta: {th!r} lies outside (0, 1)")
-    kappa = ana["kappa"]
-    if kappa is not None and not (kappa > 0.0):
-        raise ConfigError(f"analysis.kappa: must be positive, got {kappa!r}")
-    if max(_CHAIN_RADII) > grid.r_max:
-        raise ConfigError(
-            f"grid.r_max: the chain-rule radius {max(_CHAIN_RADII)!r} lies "
-            f"beyond the grid's r_max = {grid.r_max!r}")
+    for key, setting in (
+            ("analysis.fit_window", {"fit_window": ana["fit_window"]}),
+            ("analysis.theta", {"theta": ana["theta"]}),
+            ("analysis.chain_rule_theta",
+             {"chain_rule_theta": ana["chain_rule_theta"]}),
+            ("analysis.kappa", {"kappa": ana["kappa"]}),
+            ("grid.r_max", {"radii": _CHAIN_RADII})):
+        try:
+            check_analysis(params, grid, **setting)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _cmd_verify_decay(cfg: dict, args) -> int:
@@ -616,8 +600,9 @@ def _cmd_verify_decay(cfg: dict, args) -> int:
         _check_analysis(cfg, sol.params, sol.u.grid)
     else:
         params = _build_problem(cfg)
-        _check_analysis(cfg, params, _build_grid(cfg, params.N))
-        sol = _solve_from_config(cfg)
+        grid = _build_grid(cfg, params.N)
+        _check_analysis(cfg, params, grid)
+        sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
     checks, numbers = _verify_checks(sol, cfg)
 
     params = sol.params

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# frac_laplacian_radial is the one-function case of _frac_laplacian_at; it
-# stays importable from here because perfbench's tracer wraps it by this name
-from fracradial.radial_ops import (  # noqa: F401
+from fracradial.radial_ops import (
     RadialFunction,
-    _frac_laplacian_at,
     frac_laplacian_radial,
     riesz_convolve_radial,
     volume_integral,
@@ -37,6 +34,7 @@ __all__ = [
     "RieszTailReport",
     "predict_decay",
     "check_fit_window",
+    "check_analysis",
     "fit_tail",
     "sharp_constant",
     "bound_constants",
@@ -199,6 +197,61 @@ def check_fit_window(window: tuple[float, float],
     return lo, hi
 
 
+def check_analysis(params=None, grid=None, *, fit_window=None, theta=None,
+                   chain_rule_theta=(), kappa=None, radii=()) -> None:
+    """Check settings of the decay checks before any of them runs, so that a
+    caller can reject them before solving.  A setting left at its default is
+    not checked; fit_window and radii need the grid, theta and kappa the
+    problem params.
+
+    Args:
+        params: the problem (ProblemParams).
+        grid: the grid the solution lives on.
+        fit_window: fit_tail's window, checked by check_fit_window.
+        theta: verify_riesz_tail's envelope exponent, in (N, N+alpha].
+        chain_rule_theta: verify_chain_rule's exponents, each in (0, 1).
+        kappa: bound_constants' rescaling: positive, and large enough that
+            mu > (r-1) (C_bar/kappa)^(1/(r-1)).
+        radii: evaluation radii of the pointwise operators, in (0, r_max].
+
+    Raises:
+        ValueError: the first setting out of range.
+    """
+    if fit_window is not None:
+        check_fit_window(fit_window, grid.nodes)
+    if theta is not None:
+        N, _, alpha = _dims(params)
+        if not (N < theta <= N + alpha):
+            raise ValueError(f"theta {theta!r} lies outside (N, N+alpha] "
+                             f"= ({N}, {N + alpha!r}]")
+    for th in chain_rule_theta:
+        if not (0.0 < th < 1.0):
+            raise ValueError(f"chain-rule theta {th!r} lies outside (0, 1)")
+    if kappa is not None:
+        _upper_denominator(params, kappa)
+    for r in radii:
+        if not (0.0 < r <= grid.r_max):
+            raise ValueError(f"radius {r!r} lies outside (0, r_max] "
+                             f"= (0, {grid.r_max!r}]")
+
+
+def _upper_denominator(params, kappa: float) -> float:
+    """mu - (r-1) (C_bar/kappa)^(1/(r-1)), the denominator of the upper
+    bound constant; ValueError unless kappa and the denominator are
+    positive."""
+    kappa = float(kappa)
+    if not (kappa > 0.0):
+        raise ValueError(f"kappa must be positive, got {kappa!r}")
+    mu, r = float(params.mu), _sublinear_exponent(params)
+    c_bar = float(params.nonlinearity.C_bar)
+    denom = mu - (r - 1.0) * (c_bar / kappa) ** (1.0 / (r - 1.0))
+    if denom <= 0.0:
+        raise ValueError(
+            f"hypothesis mu > (r-1) (C_bar/kappa)^(1/(r-1)) fails "
+            f"(mu = {mu!r}, kappa = {kappa!r}); a larger kappa is needed")
+    return denom
+
+
 def fit_tail(u: RadialFunction, window: tuple[float, float],
              model: str = "auto") -> DecayFit:
     """Fit log u(r) = log A - omega log r over a radius window.
@@ -320,7 +373,8 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     Raises:
         ValueError: no kappa given, distinct envelopes, and the raw
             denominator hypothesis mu > (r-1) C_bar^{1/(r-1)} fails; or a
-            supplied kappa makes the denominator nonpositive.
+            supplied kappa is not positive or makes the denominator
+            nonpositive (the kappa rule of check_analysis).
     """
     params = sol.params
     N, s, alpha = _dims(params)
@@ -335,14 +389,7 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     if kappa is None:
         kappa = k_star if k_star is not None else 1.0
     kappa = float(kappa)
-    if kappa <= 0.0:
-        raise ValueError(f"bound_constants: kappa must be positive, got {kappa!r}")
-
-    denom = mu - (r - 1.0) * (c_bar / kappa) ** (1.0 / (r - 1.0))
-    if denom <= 0.0:
-        raise ValueError(
-            f"bound_constants: hypothesis mu > (r-1) (C_bar/kappa)^(1/(r-1)) "
-            f"fails (mu = {mu!r}, kappa = {kappa!r}); supply a larger kappa")
+    denom = _upper_denominator(params, kappa)
     c_upper = (2.0 - r) * (C * kappa * mass) ** (1.0 / (2.0 - r)) / denom
     # (C_under/kappa) * (kappa * mass) written with kappa cancelled, so the
     # float result cannot pick up a kappa-dependent rounding error.
@@ -370,16 +417,15 @@ def verify_chain_rule(u: RadialFunction, theta: float, radii, s: float,
     For 0 < theta < 1 the power t -> t^theta is concave on (0, inf), so
     (-Delta)^s u^theta >= theta u^{theta-1} (-Delta)^s u holds wherever u is
     positive.  Both sides are computed by PV quadrature at each requested
-    radius, from one row per radius shared by u^theta and u (the values
-    equal frac_laplacian_radial's bitwise), and the margin lhs - rhs is
-    compared against -tolerance * scale with scale = |lhs| + |rhs| +
-    machine floor.
+    radius, from one row per radius shared by u^theta and u, and the
+    margin lhs - rhs is compared against -tolerance * scale with
+    scale = |lhs| + |rhs| + machine floor.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"verify_chain_rule: theta must lie in (0, 1), got {theta!r}")
+    check_analysis(chain_rule_theta=(theta,))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     u_pow = _power_of(u, theta)
-    lhs, lap_u = _frac_laplacian_at([u_pow, u], s, radii)
+    lhs, lap_u = np.array([frac_laplacian_radial((u_pow, u), s, at=r)
+                           for r in radii]).T
     u_at = np.asarray(u.evaluate(radii), dtype=float)
     rhs = theta * u_at ** (theta - 1.0) * lap_u
     scale = np.abs(lhs) + np.abs(rhs) + np.finfo(float).tiny
@@ -406,10 +452,8 @@ def verify_riesz_tail(sol, theta: float,
         window: radius interval; defaults to [r_max/50, r_max/10].
     """
     params = sol.params
+    check_analysis(params, theta=theta)
     N, _, alpha = _dims(params)
-    if not (N < theta <= N + alpha):
-        raise ValueError(
-            f"verify_riesz_tail: theta must lie in (N, N+alpha], got {theta!r}")
     u = sol.u
     grid = u.grid
     if window is None:

@@ -1342,7 +1342,7 @@ def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return err
 
 
-def frac_laplacian_radial(u: RadialFunction, s: float, at: float) -> float:
+def frac_laplacian_radial(u, s: float, at: float):
     """Pointwise principal-value fractional Laplacian of u at a radius.
 
     The radial integral is Taylor-subtracted in a window of a few grid cells
@@ -1351,48 +1351,45 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at: float) -> float:
     interpolation of the node values, and closed with u's origin and tail
     models on [0, r_1) and (r_max, inf).
 
+    u may also be a sequence of radial functions on one grid.  A row's
+    coefficients do not depend on the tail model, so the row at `at` is
+    built once and closed with one tail weight per function; each value
+    equals the one-function call bitwise.
+
     Args:
-        u: the radial function, with a valid tail model.
+        u: the radial function, with a valid tail model, or a sequence of
+            them on one grid.
         s: fractional order in (0, 1).
         at: evaluation radius in (0, r_max].
 
+    Returns:
+        The value as a float for one function; an array of one value per
+        function for a sequence.
+
     Raises:
-        ValueError: if s or `at` is out of range, or u's tail exponent is
+        ValueError: if s or `at` is out of range, or a tail exponent is
             not positive (the exactly-constant function is allowed and maps
             to zero).
     """
-    return float(_frac_laplacian_at([u], s, [at])[0, 0])
-
-
-def _frac_laplacian_at(fs: list[RadialFunction], s: float, radii) -> np.ndarray:
-    """frac_laplacian_radial of every function in fs, all on one grid, at
-    every radius: shape (len(fs), len(radii)).  A row's coefficients do not
-    depend on the tail model, so each radius's row is built once and closed
-    with one tail weight per function; each value equals the one-function
-    call bitwise."""
+    fs = [u] if isinstance(u, RadialFunction) else list(u)
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_radial: s must lie in (0, 1), got {s!r}")
     grid = fs[0].grid
-    radii = [float(r) for r in radii]
-    for r in radii:
-        if not (0.0 < r <= grid.r_max):
-            raise ValueError(
-                f"frac_laplacian_radial: radius must lie in (0, r_max], got {r!r}")
+    if not (0.0 < at <= grid.r_max):
+        raise ValueError(
+            f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
     live = [k for k, f in enumerate(fs) if not f.is_constant]
     if any(fs[k].tail_exponent <= 0.0 for k in live):
         raise ValueError("frac_laplacian_radial: tail exponent must be positive")
-    out = np.zeros((len(fs), len(radii)))
-    if not live:
-        return out
-    ctx = _context(grid)
-    C = _fraclap_C(grid.N, s)
-    omegas = [fs[k].tail_exponent for k in live]
-    vecs = [np.concatenate(([fs[k].value_at_origin], fs[k].values)) for k in live]
-    for j, r in enumerate(radii):
-        coeffs, tails = _fraclap_row(ctx, r, s, omegas)
-        for k, vec, tail_c in zip(live, vecs, tails):
-            out[k, j] = C * float(coeffs @ vec + tail_c * fs[k].tail_value_at_rmax)
-    return out
+    out = np.zeros(len(fs))
+    if live:
+        coeffs, tails = _fraclap_row(_context(grid), float(at), s,
+                                     [fs[k].tail_exponent for k in live])
+        C = _fraclap_C(grid.N, s)
+        for k, tail_c in zip(live, tails):
+            vec = np.concatenate(([fs[k].value_at_origin], fs[k].values))
+            out[k] = C * float(coeffs @ vec + tail_c * fs[k].tail_value_at_rmax)
+    return float(out[0]) if isinstance(u, RadialFunction) else out
 
 
 def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:

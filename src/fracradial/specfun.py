@@ -48,15 +48,24 @@ _REGIME_SNAP = 1e-9
 # formulas of _hyp_large_x.  The Pfaff series runs in w = x/(x-1), which
 # tends to 1 as x falls: at x = -5 (w = 5/6) it needs about 200 terms, at
 # x = -100 (w = 0.99) 2600 to 3800.  The connection series run in
-# u = 1/(1-x) <= 1/6 here and need about 20 each.  Against mpmath (40 digits),
-# 6000 random points of the checked parameter box (see hyp2f1) in
-# (-100, -5] are at most 2.8e-12 off (median 4e-16, against 2e-15 for the
-# Pfaff series).  Next to a zero of F the two connection terms cancel, and
-# the worst point found there is 8.4e-11 off where the Pfaff series is
-# 1.6e-13 off; that is inside the 1e-10 target, as it was for x < -100.  A
-# seam at -10 cuts the random worst case to 6e-13 but costs about 25% more
-# 2F1 time on the oracle radii.
+# u = 1/(1-x) <= 1/6 here and need about 20 each.  A seam at -10 costs
+# about 25% more 2F1 time on the oracle radii.
 _CONNECTION_SEAM = -5.0
+
+# The connection terms cancel next to a zero of F, or for b - a near an
+# integer, and their rounding then grows with size/|F| (size: the sum of
+# the terms' magnitudes); against mpmath (40 digits) the relative error
+# stayed below 1e-15 size/|F| + 3.5e-13.  So on [_PFAFF_FLOOR, _CONNECTION_SEAM)
+# hyp2f1 falls back to the Pfaff series, which the seam's old place at -100
+# trusted, when size exceeds _CANCEL_LIMIT |F|.  On (-100, -5] (2 x 4800
+# random points of the checked parameter box, 27712 with b - a at and near
+# integers) the result was at most 7.4e-12 off, and the connection branch
+# below the limit at most 8.0e-13.  The oracle's cases stay below
+# size/|F| = 22 and never fall back; of 1000 kernel triples (N = 2..6, p
+# across (-N - 2, 0)) 4 do somewhere, all with b - a within 0.012 of an
+# integer.
+_PFAFF_FLOOR = -100.0
+_CANCEL_LIMIT = 1e3
 
 # Within this distance of an integer the connection coefficients Gamma(b-a)
 # and Gamma(a-b) of _hyp_connection cancel, so _hyp_large_x interpolates the
@@ -152,8 +161,9 @@ def _hyp_series(a: float, b: float, c: float, z: float) -> float:
     )
 
 
-def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
-    """2F1(a, b, c; x) for x < _CONNECTION_SEAM = -5, by _hyp_connection.
+def _hyp_large_x(a: float, b: float, c: float, x: float) -> tuple[float, float]:
+    """2F1(a, b, c; x) for x < _CONNECTION_SEAM = -5, by _hyp_connection,
+    with the size of the terms it summed (see _CANCEL_LIMIT).
 
     When b - a lies within _NEAR_INT of an integer k <= 0 without equalling
     it, the two connection terms are huge and of opposite sign (they lose
@@ -163,10 +173,12 @@ def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
     through b = a + k + j _NEAR_INT, j = -2..2; the j = 0 point uses the
     integer formula and the others stay at least _NEAR_INT from it.  For
     k > 0 (b - a never equals it: hyp2f1 rejects a - b a negative integer)
-    a and b are exchanged, since 2F1 is symmetric in them.  Just outside
-    the window the two terms are still about 1/(b - a - k) times F and
-    cancel: against mpmath, b - a - k = +-1.2e-3 is up to 1.7e-12 of |F|
-    off on x in (-100, -5], and more where F itself nears a zero.
+    a and b are exchanged, since 2F1 is symmetric in them.  The size is
+    then sum_j |weight_j| size_j.  Just outside the window the two terms
+    are still about 1/(b - a - k) times F and cancel: against mpmath,
+    b - a - k = +-1.2e-3 is up to 1.7e-12 of |F| off on x in (-100, -5],
+    and more where F itself nears a zero, where hyp2f1 falls back to the
+    Pfaff series.
     """
     k = round(b - a)
     t = (b - a - k) / _NEAR_INT
@@ -175,15 +187,18 @@ def _hyp_large_x(a: float, b: float, c: float, x: float) -> float:
     if k > 0 or t == 0.0 or abs(t) >= 1.0:
         return _hyp_connection(a, b, c, x)
     stencil = range(-2, 3)
-    total = 0.0
+    total = size = 0.0
     for j in stencil:
         weight = math.prod((t - i) / (j - i) for i in stencil if i != j)
-        total += weight * _hyp_connection(a, a + k + j * _NEAR_INT, c, x)
-    return total
+        value, size_j = _hyp_connection(a, a + k + j * _NEAR_INT, c, x)
+        total += weight * value
+        size += abs(weight) * size_j
+    return total, size
 
 
-def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
-    """2F1(a, b, c; x) for large negative x via connection formulas.
+def _hyp_connection(a: float, b: float, c: float, x: float) -> tuple[float, float]:
+    """2F1(a, b, c; x) for large negative x via connection formulas, and
+    the sum of the magnitudes of the terms that make it up.
 
     The Pfaff map w = x/(x-1) sends x -> -inf to w -> 1^-, where the
     standard w -> 1 connection formulas apply to 2F1(a, c-b, c; w) with
@@ -208,7 +223,8 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
         coef2 = gamma_real(C) * math.gamma(-d) * _rgamma(A) * _rgamma(B)
         s1 = _hyp_series(A, B, 1.0 - d, u) if coef1 != 0.0 else 0.0
         s2 = _hyp_series(C - A, C - B, 1.0 + d, u) if coef2 != 0.0 else 0.0
-        return pref * (coef1 * s1 + u ** d * coef2 * s2)
+        t1, t2 = coef1 * s1, u ** d * coef2 * s2
+        return pref * (t1 + t2), pref * (abs(t1) + abs(t2))
 
     m = round(-d)
     log_u = math.log(u)
@@ -216,15 +232,16 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
         # b = a: logarithmic case, AS 15.3.10 for F(A, B, A+B; w).
         coef = gamma_real(C) * _rgamma(A) * _rgamma(B)
         poch = 1.0
-        total = 0.0
+        total = size = 0.0
         # psi(n + 1), psi(A + n), psi(B + n), advanced by psi(x + 1) = psi(x) + 1/x
         psi_n, psi_a, psi_b = -_EULER_GAMMA, digamma(A), digamma(B)
         for n in range(_SERIES_MAX_TERMS):
             bracket = 2.0 * psi_n - psi_a - psi_b - log_u
             term = poch * bracket
             total += term
+            size += abs(term)
             if n > 0 and abs(term) <= _SERIES_RTOL * abs(total):
-                return pref * coef * total
+                return pref * coef * total, abs(pref * coef) * size
             poch *= (A + n) * (B + n) / (n + 1.0) ** 2 * u
             psi_n += 1.0 / (n + 1.0)
             psi_a += 1.0 / (A + n)
@@ -235,17 +252,19 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
     # Finite part: Gamma(m) Gamma(C) / (Gamma(A) Gamma(B)) *
     #              sum_{n<m} (A-m)_n (B-m)_n / (n! (1-m)_n) u^{n-m}
     finite_coef = math.gamma(m) * gamma_real(C) * _rgamma(A) * _rgamma(B)
-    finite = 0.0
+    finite = finite_size = 0.0
     poch = 1.0
     for n in range(m):
-        finite += poch * u ** (n - m)
+        term = poch * u ** (n - m)
+        finite += term
+        finite_size += abs(term)
         if n + 1 < m:
             poch *= (A - m + n) * (B - m + n) / ((n + 1.0) * (n + 1.0 - m))
     # Logarithmic part: -(-1)^m Gamma(C) / (Gamma(A-m) Gamma(B-m)) *
     #   sum_n (A)_n (B)_n / (n! (n+m)!) u^n [log u - psi(n+1) - psi(n+m+1)
     #                                        + psi(A+n) + psi(B+n)]
     log_coef = -((-1.0) ** m) * gamma_real(C) * _rgamma(A - m) * _rgamma(B - m)
-    log_part = 0.0
+    log_part = log_size = 0.0
     if log_coef != 0.0:
         poch = 1.0 / math.gamma(m + 1.0)
         # psi(n + 1), psi(n + m + 1), psi(A + n), psi(B + n), advanced as above
@@ -255,6 +274,7 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
             bracket = log_u - psi_n - psi_nm + psi_a + psi_b
             term = poch * bracket
             log_part += term
+            log_size += abs(term)
             if n > 0 and abs(term) <= _SERIES_RTOL * max(abs(log_part), abs(finite)):
                 break
             poch *= (A + n) * (B + n) / ((n + 1.0) * (n + m + 1.0)) * u
@@ -264,7 +284,8 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> float:
             psi_b += 1.0 / (B + n)
         else:
             raise NonConvergenceError(f"degenerate 2F1 series stalled at x={x}")
-    return pref * (finite_coef * finite + log_coef * log_part)
+    return (pref * (finite_coef * finite + log_coef * log_part),
+            pref * (abs(finite_coef) * finite_size + abs(log_coef) * log_size))
 
 
 def hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -280,9 +301,11 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     [-5, -1/2]; for x < -5 the w -> 1 connection formulas of the
     transformed series (including the logarithmic cases), whose series in
     1/(1-x) converge in tens of terms there where the Pfaff series would
-    need thousands near x = -100 (see _CONNECTION_SEAM).  The b - c in
-    {0, 1} families terminate after the Pfaff map and are evaluated in
-    closed form for every x.
+    need thousands near x = -100 (see _CONNECTION_SEAM).  On [-100, -5)
+    the Pfaff series still takes over where the connection terms cancel
+    to less than 1/_CANCEL_LIMIT of their size.  The b - c in {0, 1}
+    families terminate after the Pfaff map and are evaluated in closed
+    form for every x.
 
     Relative accuracy target is 1e-10 across x in [-4e26, 0], also for
     b - a just off an integer on either side (see _hyp_large_x), as long as
@@ -336,9 +359,11 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
         return 1.0
     if x > -0.5:
         return _hyp_series(a, b, c, x)
-    if x >= _CONNECTION_SEAM:
-        return (1.0 - x) ** (-a) * _hyp_series(a, c - b, c, x / (x - 1.0))
-    return _hyp_large_x(a, b, c, x)
+    if x < _CONNECTION_SEAM:
+        value, size = _hyp_large_x(a, b, c, x)
+        if x < _PFAFF_FLOOR or size <= _CANCEL_LIMIT * abs(value):
+            return value
+    return (1.0 - x) ** (-a) * _hyp_series(a, c - b, c, x / (x - 1.0))
 
 
 # ----------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import fracradial.cli as cli
 import fracradial.radial_ops as radial_ops
@@ -239,6 +240,8 @@ def test_unusable_fit_window_for_a_stored_record_exits_2(workdir, tmp_path,
     ("analysis.chain_rule_theta=0", "analysis.chain_rule_theta"),
     ("analysis.theta=2.0", "analysis.theta"),        # outside (N, N+alpha]
     ("analysis.kappa=-1", "analysis.kappa"),
+    # mu <= (r-1) (C_bar/kappa)^(1/(r-1)) for the default mu and r
+    ("analysis.kappa=0.01", "analysis.kappa"),
 ])
 def test_unusable_analysis_setting_for_a_stored_record_exits_2(
         workdir, tmp_path, capsys, override, key):
@@ -256,6 +259,7 @@ def test_unusable_analysis_setting_for_a_stored_record_exits_2(
     (["analysis.chain_rule_theta=0"], "analysis.chain_rule_theta"),
     (["analysis.theta=5.5"], "analysis.theta"),       # N + alpha = 5
     (["analysis.kappa=-1"], "analysis.kappa"),
+    (["analysis.kappa=0.01"], "analysis.kappa"),
     # a usable fit window, but the chain-rule radius 20 lies beyond r_max
     (["grid.r_max=15", "analysis.fit_window=0.5,1.5"], "grid.r_max"),
 ])
@@ -335,12 +339,12 @@ def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):
     assert main(["verify-decay", "--solution", str(rec / "solution.json"),
                  "--out", str(tmp_path / "verify")]) == 0
     chain = read_json(tmp_path / "verify" / "verify_report.json")["chain_rule"]
-    assert chain == [
-        {"theta": 0.3, "min_margin_over_scale": 0.24137691707881267,
-         "passed": True},
-        {"theta": 0.10000000000000009,
-         "min_margin_over_scale": 0.37581647645723193, "passed": True},
-    ]
+    assert [(c["theta"], c["passed"]) for c in chain] == [
+        (0.3, True), (0.10000000000000009, True)]
+    # the margins come out of a full solve, so they are compared at the
+    # rtol of the other frozen-solve tests, not bitwise across platforms
+    assert_allclose([c["min_margin_over_scale"] for c in chain],
+                    [0.24137691707881267, 0.37581647645723193], rtol=1e-9)
 
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):
