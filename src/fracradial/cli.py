@@ -552,8 +552,8 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[dict], dict]:
         r = params.nonlinearity.r
         thetas = (0.3,) if abs(2.0 - r - 0.3) < 1e-12 else (0.3, 2.0 - r)
     chain_reports = []
-    for th in thetas:
-        rep = verify_chain_rule(sol.u, th, list(_CHAIN_RADII), params.s)
+    reps = verify_chain_rule(sol.u, tuple(thetas), list(_CHAIN_RADII), params.s)
+    for th, rep in zip(thetas, reps):
         worst = float(np.min(rep.margin / rep.scale))
         add(f"chain_rule_theta_{th:g}", rep.passed, worst, 0.0, rep.tolerance)
         chain_reports.append({"theta": th, "min_margin_over_scale": worst,

@@ -410,30 +410,39 @@ def _power_of(u: RadialFunction, theta: float) -> RadialFunction:
                           value_at_origin=u.value_at_origin ** theta)
 
 
-def verify_chain_rule(u: RadialFunction, theta: float, radii, s: float,
-                      tolerance: float = 1e-6) -> ChainRuleReport:
+def verify_chain_rule(u: RadialFunction, theta, radii, s: float,
+                      tolerance: float = 1e-6):
     """Check the concave chain rule for the fractional Laplacian pointwise.
 
     For 0 < theta < 1 the power t -> t^theta is concave on (0, inf), so
     (-Delta)^s u^theta >= theta u^{theta-1} (-Delta)^s u holds wherever u is
     positive.  Both sides are computed by PV quadrature at each requested
-    radius, from one row per radius shared by u^theta and u, and the
+    radius, from one row per radius shared by u and u^theta, and the
     margin lhs - rhs is compared against -tolerance * scale with
     scale = |lhs| + |rhs| + machine floor.
+
+    theta may also be a sequence of exponents; the rows are then shared by
+    u and every u^theta, and a list of reports comes back, one per theta,
+    each equal to the one-exponent call's.
     """
-    check_analysis(chain_rule_theta=(theta,))
+    thetas = [theta] if np.ndim(theta) == 0 else list(theta)
+    check_analysis(chain_rule_theta=thetas)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    u_pow = _power_of(u, theta)
-    lhs, lap_u = np.array([frac_laplacian_radial((u_pow, u), s, at=r)
-                           for r in radii]).T
+    pows = [_power_of(u, th) for th in thetas]
+    values = np.array([frac_laplacian_radial((u, *pows), s, at=r) for r in radii])
+    lap_u = values[:, 0]
     u_at = np.asarray(u.evaluate(radii), dtype=float)
-    rhs = theta * u_at ** (theta - 1.0) * lap_u
-    scale = np.abs(lhs) + np.abs(rhs) + np.finfo(float).tiny
-    margin = lhs - rhs
-    passed = bool(np.all(margin >= -tolerance * scale))
-    return ChainRuleReport(theta=theta, s=s, radii=radii, lhs=lhs, rhs=rhs,
-                           margin=margin, scale=scale, tolerance=tolerance,
-                           passed=passed)
+    reports = []
+    for k, th in enumerate(thetas, start=1):
+        lhs = values[:, k].copy()
+        rhs = th * u_at ** (th - 1.0) * lap_u
+        scale = np.abs(lhs) + np.abs(rhs) + np.finfo(float).tiny
+        margin = lhs - rhs
+        passed = bool(np.all(margin >= -tolerance * scale))
+        reports.append(ChainRuleReport(theta=th, s=s, radii=radii, lhs=lhs,
+                                       rhs=rhs, margin=margin, scale=scale,
+                                       tolerance=tolerance, passed=passed))
+    return reports[0] if np.ndim(theta) == 0 else reports
 
 
 def verify_riesz_tail(sol, theta: float,

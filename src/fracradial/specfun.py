@@ -56,8 +56,8 @@ _CONNECTION_SEAM = -5.0
 # integer, and their rounding then grows with size/|F| (size: the sum of
 # the terms' magnitudes); against mpmath (40 digits) the relative error
 # stayed below 1e-15 size/|F| + 3.5e-13.  So on [_PFAFF_FLOOR, _CONNECTION_SEAM)
-# hyp2f1 falls back to the Pfaff series, which the seam's old place at -100
-# trusted, when size exceeds _CANCEL_LIMIT |F|.  On (-100, -5] (2 x 4800
+# hyp2f1 falls back to the Pfaff series, which needs at most ~3800 terms
+# there, when size exceeds _CANCEL_LIMIT |F|.  On (-100, -5] (2 x 4800
 # random points of the checked parameter box, 27712 with b - a at and near
 # integers) the result was at most 7.4e-12 off, and the connection branch
 # below the limit at most 8.0e-13.  The oracle's cases stay below

@@ -302,6 +302,15 @@ def test_chain_rule_shares_rows_bitwise(N, theta):
     assert np.array_equal(report.lhs, lhs)
     u_at = np.asarray(u.evaluate(np.array(radii)), dtype=float)
     assert np.array_equal(report.rhs, theta * u_at ** (theta - 1.0) * lap_u)
+    # several exponents share the rows too, with the same reports
+    both = verify_chain_rule(u, (0.7, theta), radii, 0.5)
+    assert [rep.theta for rep in both] == [0.7, theta]
+    for field in ("lhs", "rhs", "margin", "scale"):
+        assert np.array_equal(getattr(both[1], field), getattr(report, field))
+    assert both[1].passed == report.passed
+    alone = verify_chain_rule(u, 0.7, radii, 0.5)
+    assert np.array_equal(both[0].lhs, alone.lhs)
+    assert np.array_equal(both[0].rhs, alone.rhs)
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.0, 1.0, 1.2])

@@ -428,8 +428,7 @@ def profile_params(draw):
 # by up to |F'| |dx|, with F' = (ab/c) 2F1(a+1, b+1, c+1; x); near a zero of
 # F that alone is more than 1e-10 of |F|, so the property allows it on top.
 # Measured over 40000 random draws: at most 4.6e-11 of |F| beyond it; at
-# the seam x = -5, over 20000 draws, at most 9.0e-13 (2.0e-11 on the same
-# draws without hyp2f1's fallback to the Pfaff series).
+# the seam x = -5, over 20000 draws, at most 9.0e-13.
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(p=profile_params(), seam=st.sampled_from([-0.5, -5.0, -100.0]))
 def test_hyp2f1_is_continuous_across_its_seams(p, seam):
