@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -636,7 +637,11 @@ def _cmd_verify_decay(cfg: dict, args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused.  A parse
+    leaves it unchanged: argparse appends each --set or --case to a copy of
+    the default, never to the default itself."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="INI configuration document")

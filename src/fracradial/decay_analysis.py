@@ -322,12 +322,12 @@ def sharp_constant(sol, route: str = "auto") -> float:
             threshold), or an unknown route.
     """
     params = sol.params
-    N, s, alpha = _dims(params)
-    r = _sublinear_exponent(params)
-    r_star = (N + alpha + 4.0 * s) / (N + 2.0 * s)
-    if r >= r_star - _SNAP * r_star:
+    N, _, alpha = _dims(params)
+    pred = predict_decay(params)
+    r = float(params.nonlinearity.r)
+    if pred.regime != "choquard_dominated":
         raise ValueError(
-            f"sharp_constant: r = {r!r} is not below the threshold r* = {r_star!r}; "
+            f"sharp_constant: r = {r!r} is not below the threshold r* = {pred.r_star!r}; "
             "the limit constant is not defined in the operator-dominated regime")
     C = riesz_constant(N, alpha)
     mu = float(params.mu)
@@ -377,7 +377,7 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
             nonpositive (the kappa rule of check_analysis).
     """
     params = sol.params
-    N, s, alpha = _dims(params)
+    N, _, alpha = _dims(params)
     r = _sublinear_exponent(params)
     spec = params.nonlinearity
     mu = float(params.mu)
@@ -395,8 +395,8 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     # float result cannot pick up a kappa-dependent rounding error.
     c_lower = (c_under * C * mass / mu) ** (1.0 / (2.0 - r))
 
-    r_star = (N + alpha + 4.0 * s) / (N + 2.0 * s)
-    c_sharp = sharp_constant(sol) if r < r_star - _SNAP * r_star else None
+    c_sharp = sharp_constant(sol) \
+        if predict_decay(params).regime == "choquard_dominated" else None
     return BoundConstants(C_upper=c_upper, C_lower=c_lower, C_sharp=c_sharp,
                           kappa=kappa, kappa_star=k_star)
 

@@ -1,9 +1,9 @@
 """Discrete operators for radial functions on R^N.
 
 A radial function is represented by samples on a logarithmic grid together
-with a power-law tail model and a quadratic origin model, so integrals over
-all of R^N can be closed analytically on both ends.  On top of that
-representation this module provides
+with a power-law tail model, of a given positive exponent, and a quadratic
+origin model, so integrals over all of R^N can be closed analytically on
+both ends.  On top of that representation this module provides
 
 * the principal-value fractional Laplacian (pointwise and as an assembled
   matrix),
@@ -33,8 +33,8 @@ fewer than 4 `_END_ROWS` nodes, are assembled row by row.
 
 Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
 at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
-("ctx", grid token) for the per-grid row context (with the tail-fit slope
-weights of `RadialFunction.from_samples`), ("table", N, p) for the spline
+("ctx", grid token) for the per-grid row context (the cell quadrature
+points and their cubic stencils), ("table", N, p) for the spline
 kernel table of a dimension N != 3, and (kind, grid token, exponent, tail
 exponent) for an assembled operator, kind being "fraclap" (exponent s) or
 "riesz" (exponent alpha).  An operator entry is an `_Operator`.  The Riesz
@@ -428,9 +428,8 @@ def _origin_closure(grid: RadialGrid) -> tuple[float, float]:
 class RadialFunction:
     """Radial function: node samples + power-law tail + quadratic origin model.
 
-    The tail (A, omega) models u(rho) = A rho^(-omega) for rho > r_max and
-    must match the last sample within 1% relative.  omega = 0 is admitted
-    only for exactly constant functions (where the operators short-circuit).
+    The tail (A, omega) models u(rho) = A rho^(-omega) for rho > r_max, with
+    omega > 0, and must match the last sample within 1% relative.
     """
 
     grid: RadialGrid
@@ -451,19 +450,13 @@ class RadialFunction:
         if not math.isfinite(u0):
             raise ValueError("RadialFunction: value_at_origin must be finite")
         if om <= 0.0:
-            constant = np.all(values == values[0]) and u0 == values[0] \
-                and om == 0.0 and amp == values[0]
-            if not constant:
-                raise ValueError(
-                    "RadialFunction: tail exponent must be positive (omega = 0 "
-                    "is reserved for exactly constant functions)")
-        else:
-            model = amp * self.grid.r_max ** (-om)
-            scale = max(abs(values[-1]), abs(model))
-            if scale > 0.0 and abs(model - values[-1]) > 0.01 * scale:
-                raise ValueError(
-                    f"RadialFunction: tail model value {model!r} at r_max differs "
-                    f"from the last sample {values[-1]!r} by more than 1%")
+            raise ValueError(f"RadialFunction: tail exponent must be positive, got {om!r}")
+        model = amp * self.grid.r_max ** (-om)
+        scale = max(abs(values[-1]), abs(model))
+        if abs(model - values[-1]) > 0.01 * scale:
+            raise ValueError(
+                f"RadialFunction: tail model value {model!r} at r_max differs "
+                f"from the last sample {values[-1]!r} by more than 1%")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail", (amp, om))
         object.__setattr__(self, "value_at_origin", u0)
@@ -481,33 +474,16 @@ class RadialFunction:
         amp, om = self.tail
         return amp * self.grid.r_max ** (-om)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.tail[1] == 0.0
-
     @classmethod
     def from_samples(cls, grid: RadialGrid, values, value_at_origin: float | None = None,
-                     tail_exponent: float | None = None) -> "RadialFunction":
+                     *, tail_exponent: float) -> "RadialFunction":
         """Build a RadialFunction from node samples, with the standard closures.
 
-        The tail amplitude always comes from exact continuity at r_max.  When
-        the tail exponent is not given it is fitted, as a least-squares slope
-        of log u over the last decade of radii.  The origin value defaults to
-        the quadratic extrapolation through the first two nodes.
+        The tail exponent is given (it must be positive) and the tail
+        amplitude comes from exact continuity at r_max.  The origin value
+        defaults to the quadratic extrapolation through the first two nodes.
         """
         values = np.asarray(values, dtype=float)
-        if tail_exponent is None:
-            slope_w = _context(grid).tail_slope
-            last = values[grid.size - slope_w.size:]
-            if slope_w.size < 2 or np.any(last <= 0.0):
-                raise ValueError(
-                    "RadialFunction.from_samples: cannot fit a power tail from "
-                    "non-positive trailing samples; pass tail_exponent explicitly")
-            tail_exponent = -float(slope_w @ np.log(last))
-            if tail_exponent <= 0.0:
-                raise ValueError(
-                    f"RadialFunction.from_samples: fitted tail exponent "
-                    f"{tail_exponent!r} is not positive; pass tail_exponent explicitly")
         if value_at_origin is None:
             g1, g2 = _origin_closure(grid)
             value_at_origin = g1 * values[0] + g2 * values[1]
@@ -586,11 +562,7 @@ class _RowContext:
     Function values at cell quadrature points are reconstructed by 4-point
     (cubic) Lagrange interpolation in log radius; piecewise-linear hats are
     not accurate enough next to the PV window, where the kernel weight
-    amplifies interpolation error.  tail_slope holds the least-squares
-    slope weights of log u against log r over the last decade of radii
-    (the nodes at or above r_max/10, a suffix of the grid), so a tail fit
-    is one dot product; it holds fewer than two weights when that decade
-    has fewer than two nodes.
+    amplifies interpolation error.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -609,9 +581,6 @@ class _RowContext:
         self.cell_base = base                              # (M-1,)
         tb = tt[base[:, None] + np.arange(4)[None, :]]
         self.cell_cubw = _lagrange4(tb, tq)                # (M-1, 4, 4)
-        dev = tt[np.searchsorted(grid.nodes, grid.r_max / 10.0):]
-        dev = dev - dev.mean()
-        self.tail_slope = dev / (dev @ dev) if dev.size >= 2 else dev
 
 
 def _context(grid: RadialGrid) -> _RowContext:
@@ -997,9 +966,9 @@ def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
         _add_cubic(row.coeffs, tt, np.array([math.log(r)]), np.array([stub]))
 
 
-def _riesz_row(ctx: _RowContext, r: float, alpha: float,
+def _riesz_row(ctx: _RowContext, i: int, alpha: float,
                omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled Riesz row at radius r.
+    """Unscaled Riesz row at node i, radius r = r_i.
 
     int g(rho) k_p(r,rho) rho^{N-1} drho with p = alpha - N, graded around
     the integrable diagonal singularity inside the cells touching r.
@@ -1012,24 +981,18 @@ def _riesz_row(ctx: _RowContext, r: float, alpha: float,
     M = nodes.size
     rM = nodes[-1]
     p = alpha - N
+    r = float(nodes[i])
     row = _Row(M, omegas)
 
     # ---- grid cells, except the ones touching r
     full = np.ones(M - 1, dtype=bool)
     sides = []
-    i_node = int(np.searchsorted(nodes, r))
-    if i_node < M and nodes[i_node] == r:
-        if i_node > 0:
-            full[i_node - 1] = False
-            sides.append((nodes[i_node - 1], r))
-        if i_node < M - 1:
-            full[i_node] = False
-            sides.append((r, nodes[i_node + 1]))
-    else:
-        j = int(np.clip(i_node - 1, 0, M - 2))
-        full[j] = False
-        sides.append((nodes[j], r))
-        sides.append((r, nodes[j + 1]))
+    if i > 0:
+        full[i - 1] = False
+        sides.append((nodes[i - 1], r))
+    if i < M - 1:
+        full[i] = False
+        sides.append((r, nodes[i + 1]))
     _full_cells(row, ctx, p, r, full, 1.0)
     _riesz_diagonal(row, ctx, r, p, sides)
     _origin_region(row, grid, p, r, r, r, 0.0, 1.0)
@@ -1090,13 +1053,15 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
              which) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled rows at the nodes `which`, one row-builder call each: their
     (len(which), M+1) coefficients and their tail coefficients."""
-    row_at = _fraclap_row if kind == "fraclap" else _riesz_row
     ctx = _context(grid)
     rows = np.empty((len(which), grid.size + 1))
     tails = np.empty(len(which))
     for k, i in enumerate(which):
-        rows[k], (tails[k],) = row_at(ctx, float(grid.nodes[i]), exponent,
-                                      (tail_omega,))
+        if kind == "fraclap":
+            row = _fraclap_row(ctx, float(grid.nodes[i]), exponent, (tail_omega,))
+        else:
+            row = _riesz_row(ctx, i, exponent, (tail_omega,))
+        rows[k], (tails[k],) = row
     return rows, tails
 
 
@@ -1367,9 +1332,7 @@ def frac_laplacian_radial(u, s: float, at: float):
         function for a sequence.
 
     Raises:
-        ValueError: if s or `at` is out of range, or a tail exponent is
-            not positive (the exactly-constant function is allowed and maps
-            to zero).
+        ValueError: if s or `at` is out of range.
     """
     fs = [u] if isinstance(u, RadialFunction) else list(u)
     if not (0.0 < s < 1.0):
@@ -1378,17 +1341,13 @@ def frac_laplacian_radial(u, s: float, at: float):
     if not (0.0 < at <= grid.r_max):
         raise ValueError(
             f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
-    live = [k for k, f in enumerate(fs) if not f.is_constant]
-    if any(fs[k].tail_exponent <= 0.0 for k in live):
-        raise ValueError("frac_laplacian_radial: tail exponent must be positive")
-    out = np.zeros(len(fs))
-    if live:
-        coeffs, tails = _fraclap_row(_context(grid), float(at), s,
-                                     [fs[k].tail_exponent for k in live])
-        C = _fraclap_C(grid.N, s)
-        for k, tail_c in zip(live, tails):
-            vec = np.concatenate(([fs[k].value_at_origin], fs[k].values))
-            out[k] = C * float(coeffs @ vec + tail_c * fs[k].tail_value_at_rmax)
+    coeffs, tails = _fraclap_row(_context(grid), float(at), s,
+                                 [f.tail_exponent for f in fs])
+    C = _fraclap_C(grid.N, s)
+    out = np.empty(len(fs))
+    for k, (f, tail_c) in enumerate(zip(fs, tails)):
+        vec = np.concatenate(([f.value_at_origin], f.values))
+        out[k] = C * float(coeffs @ vec + tail_c * f.tail_value_at_rmax)
     return float(out[0]) if isinstance(u, RadialFunction) else out
 
 
@@ -1396,10 +1355,6 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
     """(-Delta)^s u sampled at every grid node (one assembled-operator pass)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_on_grid: s must lie in (0, 1), got {s!r}")
-    if u.is_constant:
-        return np.zeros(u.grid.size)
-    if u.tail_exponent <= 0.0:
-        raise ValueError("frac_laplacian_on_grid: tail exponent must be positive")
     op = _raw(u.grid, "fraclap", s, u.tail_exponent)
     return _fraclap_C(u.grid.N, s) * op.apply(_samples(u))
 
@@ -1411,15 +1366,12 @@ def _riesz_operator(grid: RadialGrid, alpha: float,
     tail_omega; C * op.apply(x) is I_alpha * g at the nodes.
 
     Raises:
-        ValueError: alpha outside (0, N), a constant input (tail_omega = 0),
-            or tail_omega <= alpha, where the convolution diverges.
+        ValueError: alpha outside (0, N), or tail_omega <= alpha, where the
+            convolution diverges.
     """
     N = grid.N
     if not (0.0 < alpha < N):
         raise ValueError(f"riesz_convolve_radial: alpha must lie in (0, N), got {alpha!r}")
-    if tail_omega == 0.0:
-        raise ValueError(
-            "riesz_convolve_radial: constant functions are not I_alpha-integrable")
     if tail_omega <= alpha:
         raise ValueError(
             f"riesz_convolve_radial: tail exponent {tail_omega} of g must exceed "
@@ -1436,8 +1388,10 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
         alpha: order of the potential, in (0, N).
 
     Returns:
-        The convolution sampled on the same grid, with a tail model fitted
-        from its own far-field samples and the exact value at the origin.
+        The convolution sampled on the same grid, with the exact value at the
+        origin and the tail exponent min(omega_g, N) - alpha, omega_g being
+        g's: I_alpha * g decays like rho^(alpha-N) when g is integrable
+        (omega_g > N) and like rho^(alpha-omega_g) otherwise.
     """
     grid = g.grid
     om_g = g.tail_exponent
@@ -1449,12 +1403,8 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
     values = C * op.apply(x)
     origin = C * float(op.origin @ x)
 
-    # tail model for the result: fit if possible, else the analytic exponent
-    try:
-        return RadialFunction.from_samples(grid, values, value_at_origin=origin)
-    except ValueError:
-        return RadialFunction.from_samples(grid, values, value_at_origin=origin,
-                                           tail_exponent=min(om_g, float(grid.N)) - alpha)
+    return RadialFunction.from_samples(grid, values, value_at_origin=origin,
+                                       tail_exponent=min(om_g, float(grid.N)) - alpha)
 
 
 def lu_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1511,8 +1461,7 @@ def apply_inverse_operator(rhs: RadialFunction, s: float,
     if not (0.0 < s < 1.0):
         raise ValueError(f"apply_inverse_operator: s must lie in (0, 1), got {s!r}")
     grid = rhs.grid
-    M = grid.size
-    om_w = min(rhs.tail_exponent, grid.N + 2.0 * s) if rhs.tail_exponent > 0.0 else 0.0
+    om_w = min(rhs.tail_exponent, grid.N + 2.0 * s)
 
     A = fraclap_matrix(grid, s, om_w)
     A[np.diag_indices_from(A)] += mu
@@ -1521,13 +1470,7 @@ def apply_inverse_operator(rhs: RadialFunction, s: float,
     wv = lu_solve(lu, b)
     wv += lu_solve(lu, b - A @ wv)  # one step of iterative refinement
     _backward_error(A, wv, b)
-
-    w0 = None
-    if om_w == 0.0:
-        # constant rhs gives a constant solution; snap to the exact model
-        wv = np.full(M, float(np.mean(wv)))
-        w0 = wv[-1]
-    return RadialFunction.from_samples(grid, wv, value_at_origin=w0, tail_exponent=om_w)
+    return RadialFunction.from_samples(grid, wv, tail_exponent=om_w)
 
 
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
@@ -1571,8 +1514,6 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     if frac and (np.any(u.values < 0.0) or u.value_at_origin < 0.0):
         raise ValueError("volume_integral: fractional power of a sign-changing function")
     amp, om = u.tail
-    if u.is_constant:
-        raise ValueError("volume_integral: constant functions are not integrable on R^N")
     if q * om <= N:
         raise ValueError(
             f"volume_integral: tail decay power*omega = {q * om} must exceed N = {N}")

@@ -260,12 +260,10 @@ class Solution:
 
     def __post_init__(self):
         vals = self.u.values
-        sup = float(np.max(np.abs(vals)))
-        if sup > 0.0:
-            if np.any(vals <= 0.0):
-                raise ValueError("Solution: profile must be strictly positive")
-            if np.any(np.diff(vals) > 1e-9 * sup):
-                raise ValueError("Solution: profile must be non-increasing in radius")
+        if np.any(vals <= 0.0):
+            raise ValueError("Solution: profile must be strictly positive")
+        if np.any(np.diff(vals) > 1e-9 * float(np.max(vals))):
+            raise ValueError("Solution: profile must be non-increasing in radius")
 
 
 def _fit_far_decade(grid: RadialGrid, values: np.ndarray) -> float:
@@ -285,7 +283,7 @@ class _RhsMap:
     (g1, g2), and r_max^(r omega).  A call then runs the arithmetic of
     riesz_convolve_radial(spec.F_of(u), alpha).values * spec.f_values(u)
     in the same order, so it gives the same bits, without building the
-    three RadialFunctions or fitting the convolution's tail.  A non-finite
+    three RadialFunctions.  A non-finite
     F(u) or f(u) gives a non-finite result instead of a ValueError.
 
     Raises:
@@ -456,15 +454,9 @@ def _residual_values(u: RadialFunction, params: ProblemParams) -> np.ndarray:
 
 
 def residual(sol: Solution) -> RadialFunction:
-    """Pointwise equation residual (-Delta)^s u + mu u - (I_alpha*F(u)) f(u).
-
-    The identically-zero profile short-circuits to the zero function; for
-    anything else all three terms are recomputed from the grid operators.
-    """
+    """Pointwise equation residual (-Delta)^s u + mu u - (I_alpha*F(u)) f(u),
+    with all three terms recomputed from the grid operators."""
     u = sol.u
-    if float(np.max(np.abs(u.values))) == 0.0:
-        return RadialFunction.from_samples(u.grid, np.zeros(u.grid.size),
-                                           tail_exponent=0.0)
     return RadialFunction.from_samples(u.grid, _residual_values(u, sol.params),
                                        tail_exponent=u.tail_exponent)
 
@@ -529,7 +521,7 @@ def _energy_identities(u: RadialFunction,
     t3 = 0.5 * (N + params.alpha) * c_choq
     p_val = t1 + t2 - t3
     scale = abs(t1) + abs(t2) + abs(t3)
-    defect = abs(p_val) / scale if scale > 0.0 else 0.0
+    defect = abs(p_val) / scale
     return i_val, p_val, defect
 
 
@@ -539,13 +531,9 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
     I(u) = 1/2 int u(-Delta)^s u + mu/2 int u^2 - 1/2 int (I_alpha*F(u))F(u)
     and P(u) weights the same three integrals by (N-2s)/2, N/2, (N+alpha)/2;
     P vanishes on true solutions, so |P| over the sum of its three term
-    magnitudes measures discretization error.  The zero profile returns
-    (0, 0, 0).
+    magnitudes measures discretization error.
     """
-    u = sol.u
-    if float(np.max(np.abs(u.values))) == 0.0:
-        return 0.0, 0.0, 0.0
-    return _energy_identities(u, sol.params)
+    return _energy_identities(sol.u, sol.params)
 
 
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
@@ -581,8 +569,6 @@ def dilation_derivative(sol: Solution, step: float = 0.01) -> float:
     """
     if not (0.0 < step < 0.5):
         raise ValueError(f"dilation_derivative: step must lie in (0, 0.5), got {step!r}")
-    if float(np.max(np.abs(sol.u.values))) == 0.0:
-        return 0.0
     params = sol.params
     i_plus, _, _ = _energy_identities(_dilated_profile(sol.u, 1.0 + step), params)
     i_minus, _, _ = _energy_identities(_dilated_profile(sol.u, 1.0 - step), params)

@@ -152,6 +152,35 @@ def test_malformed_solution_record_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_zero_profile_record_is_an_invalid_record(workdir, tmp_path, capsys):
+    rec = read_json(workdir / "solve" / "solution.json")
+    prof = rec["profile"]
+    prof["values"] = [0.0] * len(prof["values"])
+    prof["value_at_origin"] = prof["tail_amplitude"] = 0.0
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert err.count("\n") == 1
+
+
+def test_reused_parser_keeps_no_override_of_an_earlier_call(tmp_path,
+                                                            monkeypatch):
+    nodes = []
+
+    def stop(params, opts):
+        nodes.append(opts.grid.size)
+        raise RuntimeError("stopped before solving")
+
+    monkeypatch.setattr(cli, "solve_ground_state", stop)
+    assert main(["solve", "--out", str(tmp_path), "--set", "grid.nodes=64"]) == 3
+    assert main(["solve", "--out", str(tmp_path)]) == 3
+    assert nodes == [64, 1200]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_nonconvergence_exits_3(tmp_path):
     code = main(["solve", "--out", str(tmp_path),
                  "--set", "grid.nodes=400", "--set", "solver.max_iter=3"])

@@ -102,7 +102,7 @@ def test_predict_fills_constant_from_solution(solution):
 
 
 def test_fit_recovers_exact_power(grid):
-    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5)
+    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
     fit = fit_tail(u, (10.0, 100.0))
     assert_allclose(fit.fitted_exponent, 3.5, atol=1e-10)
     assert_allclose(fit.fitted_amplitude, 2.0, rtol=1e-9)
@@ -131,7 +131,7 @@ def test_fit_log_corrected_model(grid):
 
 
 def test_fit_log_model_needs_window_above_one(grid):
-    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5)
+    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
     with pytest.raises(ValueError):
         fit_tail(u, (0.5, 50.0), model="log")
     # "auto" silently stays with the plain power fit there
@@ -141,7 +141,7 @@ def test_fit_log_model_needs_window_above_one(grid):
 
 
 def test_fit_window_validation(grid):
-    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5)
+    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
     with pytest.raises(ValueError):
         fit_tail(u, (100.0, 50.0))          # reversed
     with pytest.raises(ValueError):
@@ -321,8 +321,8 @@ def test_chain_rule_theta_validation(grid, theta):
 
 
 def test_chain_rule_needs_positive_function(grid):
-    minus_one = RadialFunction(grid=grid, values=-np.ones(grid.nodes.size),
-                               tail=(-1.0, 0.0), value_at_origin=-1.0)
+    minus_one = RadialFunction.from_samples(grid, -np.ones(grid.nodes.size),
+                                            value_at_origin=-1.0, tail_exponent=4.0)
     with pytest.raises(ValueError):
         verify_chain_rule(minus_one, 0.3, [1.0], 0.5)
 

@@ -299,7 +299,9 @@ def test_a_priori_radial_bound(solution, q):
 def test_interaction_term_is_positive(solution, params):
     fu = params.nonlinearity.F_of(solution.u)
     conv = riesz_convolve_radial(fu, 2.0)
-    prod = RadialFunction.from_samples(solution.u.grid, conv.values * fu.values)
+    # I_2 * F(u) decays like rho^(2-N), so the product like rho^(-(r omega + 1))
+    prod = RadialFunction.from_samples(solution.u.grid, conv.values * fu.values,
+                                       tail_exponent=fu.tail_exponent + 1.0)
     assert volume_integral(prod) > 0.0   # measured 13.7
 
 
@@ -333,17 +335,6 @@ def test_dilation_step_validation(solution):
         dilation_derivative(solution, step=0.5)
 
 
-def test_zero_profile_short_circuits(params):
-    grid = RadialGrid.log_spaced()
-    zero = RadialFunction(grid=grid, values=np.zeros(grid.nodes.size),
-                          tail=(0.0, 0.0), value_at_origin=0.0)
-    sol = Solution(u=zero, params=params, residual_sup=0.0,
-                   pohozaev_defect=0.0, iterations=0, norm_r=0.0, mass_F=0.0)
-    assert np.all(residual(sol).values == 0.0)
-    assert pohozaev_check(sol) == (0.0, 0.0, 0.0)
-    assert dilation_derivative(sol) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # solution record validation and failure modes
 
@@ -358,6 +349,15 @@ def test_solution_rejects_sign_changing_profile(solution, params):
     with pytest.raises(ValueError):
         Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
                  iterations=0, norm_r=1.0, mass_F=1.0)
+
+
+def test_solution_rejects_the_zero_profile(params):
+    grid = RadialGrid.log_spaced(num=64)
+    zero = RadialFunction(grid=grid, values=np.zeros(grid.size),
+                          tail=(0.0, 4.0), value_at_origin=0.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        Solution(u=zero, params=params, residual_sup=0.0, pohozaev_defect=0.0,
+                 iterations=0, norm_r=0.0, mass_F=0.0)
 
 
 def test_solution_rejects_increasing_profile(solution, params):
@@ -385,7 +385,7 @@ def test_grid_dimension_mismatch(params):
 def test_nonpositive_initial_profile_rejected(params):
     grid = RadialGrid.log_spaced()
     zero = RadialFunction(grid=grid, values=np.zeros(grid.nodes.size),
-                          tail=(0.0, 0.0), value_at_origin=0.0)
+                          tail=(0.0, 4.0), value_at_origin=0.0)
     with pytest.raises(ValueError):
         solve_ground_state(params, SolverOpts(grid=grid, initial_profile=zero))
 
@@ -488,6 +488,32 @@ def test_second_solve_reuses_operators(params, monkeypatch):
     second = solve_ground_state(params, SolverOpts(grid=grid))
     assert calls == {"fraclap": 0, "riesz": 0}
     assert np.array_equal(first.u.values, second.u.values)
+
+
+def test_misdeclared_envelope_refits_the_tail_closure(monkeypatch):
+    # f = sqrt(1.9) t^0.9 declared with r = 1.7: the closure starts at the
+    # r = 1.7 exponent 10/3, the converged tail decays like rho^(-(N+2s)),
+    # and one refit round closes with 4
+    slope = math.sqrt(1.9)
+    spec = NonlinearitySpec.general(
+        f=lambda t: slope * np.power(t, 0.9),
+        F=lambda t: slope / 1.9 * np.power(t, 1.9),
+        r=1.7, C_bar=slope, C_under=slope, delta=1.0)
+    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
+    closures = []
+    exact = solver_mod.fraclap_matrix
+
+    def counted(grid, s, tail_omega):
+        closures.append(tail_omega)
+        return exact(grid, s, tail_omega)
+
+    monkeypatch.setattr(solver_mod, "fraclap_matrix", counted)
+    sol = solve_ground_state(p, SolverOpts(grid=RadialGrid.log_spaced(num=400)))
+    assert len(closures) == 2
+    assert_allclose(closures[0], 10.0 / 3.0, rtol=1e-15)
+    assert sol.u.tail_exponent == 4.0
+    # measured: 325 iterations, residual 3.3e-10
+    assert sol.residual_sup <= 1e-6 * float(np.max(sol.u.values))
 
 
 def test_solver_checks_resolvent_backward_error(params, monkeypatch):
