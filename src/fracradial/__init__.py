@@ -28,7 +28,6 @@ from fracradial.radial_ops import (
     RadialGrid,
     angular_kernel,
     apply_inverse_operator,
-    comparison_residual,
     frac_laplacian_on_grid,
     frac_laplacian_radial,
     fraclap_matrix,
@@ -82,7 +81,6 @@ __all__ = [
     "angular_kernel",
     "apply_inverse_operator",
     "bound_constants",
-    "comparison_residual",
     "dilation_derivative",
     "check_analysis",
     "check_fit_window",

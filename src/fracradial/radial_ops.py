@@ -8,8 +8,7 @@ both ends.  On top of that representation this module provides
 * the principal-value fractional Laplacian (pointwise and as an assembled
   matrix),
 * the Riesz-potential convolution I_alpha * g,
-* the resolvent ((-Delta)^s + mu)^(-1),
-* residuals of comparison profiles built from the closed forms in specfun.
+* the resolvent ((-Delta)^s + mu)^(-1).
 
 The N-dimensional integrals are reduced to one dimension through the
 angular kernel k_p(r, rho) = int_{S^{N-1}} |r e1 - rho w|^p dsigma(w),
@@ -45,7 +44,7 @@ columns at each end of the other rows), the tail coefficients, and the
 weights of the value at the origin.  Applying it is one correlation of the
 generating row with the middle node values plus a few small products.
 The fractional Laplacian's entry holds its M x (M+1) rows densely, since
-the LU of the resolvent needs the matrix.  A hit moves its entry to the
+the resolvent's inverse needs the matrix.  A hit moves its entry to the
 end and an insertion beyond the bound evicts the least recently used one,
 so operators that are in use stay assembled.  Callers pass nothing: the
 grid and the exponents alone decide what is reused.
@@ -54,16 +53,13 @@ grid and the exponents alone decide what is reused.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgetrf, dgetrs
 
-from fracradial.specfun import frac_lap_h_exact, h_beta_eval, hyp2f1, ProfileParams, riesz_constant
+from fracradial.specfun import h_beta_eval, hyp2f1, riesz_constant
 
 __all__ = [
     "RadialGrid",
@@ -78,7 +74,6 @@ __all__ = [
     "apply_inverse_operator",
     "lu_factor",
     "lu_solve",
-    "comparison_residual",
     "volume_integral",
 ]
 
@@ -193,33 +188,37 @@ class _CubicSpline:
     """Not-a-knot cubic spline through (x, y), x strictly increasing with at
     least four nodes (scipy's CubicSpline default).
 
-    The slopes at the nodes solve one tridiagonal system; each interval
-    keeps its cubic in powers of t - x_i, evaluated by Horner.  Points
-    beyond either end take the end interval's cubic.
+    The slopes at the nodes solve one tridiagonal system, by elimination
+    without pivoting and back substitution in plain floats: LAPACK's gtsv
+    (scipy's solve_banded) takes the same steps when no row swap is needed,
+    and the rows are diagonally dominant but for the two not-a-knot ones,
+    whose elimination leaves positive pivots.  Each interval keeps its
+    cubic in powers of t - x_i, evaluated by Horner.  Points beyond either
+    end take the end interval's cubic.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         dx = np.diff(x)
         slope = np.diff(y) / dx
         n = x.size
-        # banded (1, 1) storage: row 0 super-, row 1 main, row 2 subdiagonal
-        ab = np.zeros((3, n))
-        ab[0, 2:] = dx[:-1]
-        ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
-        ab[2, :-2] = dx[1:]
-        b = np.empty(n)
-        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # row i of the system: lower[i-1] k[i-1] + diag[i] k[i] + upper[i] k[i+1]
+        d0 = x[2] - x[0]
+        dn = x[-1] - x[-3]
+        lower = [*dx[1:].tolist(), dn]
+        diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+        upper = [d0, *dx[:-1].tolist()]
         # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-        d = x[2] - x[0]
-        ab[1, 0] = dx[1]
-        ab[0, 1] = d
-        b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        ab[1, -1] = dx[-2]
-        ab[2, -2] = d
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        k = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        k = [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+             *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+             (dx[-1] ** 2 * slope[-2] + (2.0 * dn + dx[-1]) * dx[-2] * slope[-1]) / dn]
+        for i in range(n - 1):
+            f = lower[i] / diag[i]
+            diag[i + 1] -= f * upper[i]
+            k[i + 1] -= f * k[i]
+        k[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            k[i] = (k[i] - upper[i] * k[i + 1]) / diag[i]
+        k = np.array(k)
         t = (k[:-1] + k[1:] - 2.0 * slope) / dx
         self._x = x
         self._inner = x[1:-1]
@@ -1267,7 +1266,7 @@ def _raw(grid: RadialGrid, kind: str, exponent: float,
     _Operator.  kind is "fraclap" (exponent s) or "riesz" (exponent alpha).
     A geometric grid is assembled from one generating row, any other grid
     row by row.  The Riesz operator keeps the structure; the fractional
-    Laplacian is held densely, as the LU of the resolvent needs it and its
+    Laplacian is held densely, as the resolvent's inverse needs it and its
     PV rows cancel to far below their entries, so a different summation
     order would move its values by 1e-11 of their maximum."""
     def build():
@@ -1407,40 +1406,27 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
                                        tail_exponent=min(om_g, float(grid.N)) - alpha)
 
 
-def lu_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted LU factorisation (lu, piv) of the square matrix A: one LAPACK
-    getrf call, the same factors as scipy.linalg.lu_factor.  A is not
-    modified.
+def lu_factor(A: np.ndarray) -> np.ndarray:
+    """The inverse of the square resolvent matrix A, one np.linalg.inv
+    call, which lu_solve applies.  A is not modified.
 
     Raises:
-        RuntimeError: A is not finite, or a pivot is exactly zero (the
-            resolvent matrix is singular).
+        RuntimeError: A is not finite, or it is singular (LAPACK met an
+            exactly zero pivot).
     """
     if not (math.isfinite(A.max()) and math.isfinite(A.min())):  # no M x M mask
         raise RuntimeError("lu_factor: resolvent matrix has non-finite entries")
-    lu, piv, info = dgetrf(A)
-    if info < 0:
-        raise ValueError(f"lu_factor: getrf rejected argument {-info}")
-    if info > 0:
-        raise RuntimeError(
-            f"lu_factor: singular resolvent matrix (pivot {info} is exactly zero)")
-    return lu, piv
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("lu_factor: singular resolvent matrix") from exc
 
 
-def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve A x = b from (lu, piv) = lu_factor(A): one LAPACK
-    getrs call, without the finiteness scan of scipy's wrapper, so a
-    non-finite b gives a non-finite x for the caller to reject.  b is not
-    modified.
-
-    Raises:
-        ValueError: getrs rejected an argument (info != 0).
-    """
-    lu, piv = lu_and_piv
-    x, info = dgetrs(lu, piv, b)
-    if info != 0:
-        raise ValueError(f"lu_solve: getrs rejected argument {-info}")
-    return x
+def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution inv @ b of A x = b, from inv = lu_factor(A): one
+    matrix-vector product, so a non-finite b gives a non-finite x for the
+    caller to reject.  b is not modified."""
+    return inv @ b
 
 
 def apply_inverse_operator(rhs: RadialFunction, s: float,
@@ -1466,9 +1452,9 @@ def apply_inverse_operator(rhs: RadialFunction, s: float,
     A = fraclap_matrix(grid, s, om_w)
     A[np.diag_indices_from(A)] += mu
     b = rhs.values
-    lu = lu_factor(A)
-    wv = lu_solve(lu, b)
-    wv += lu_solve(lu, b - A @ wv)  # one step of iterative refinement
+    inv = lu_factor(A)
+    wv = lu_solve(inv, b)
+    wv += lu_solve(inv, b - A @ wv)  # one step of iterative refinement
     _backward_error(A, wv, b)
     return RadialFunction.from_samples(grid, wv, tail_exponent=om_w)
 
@@ -1524,86 +1510,3 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     origin_part = float(np.sum(xw * model ** q * x ** (N - 1)))
     tail_part = (amp ** q) * grid.r_max ** (N - q * om) / (q * om - N)
     return sphere_surface_area(N) * (node_part + origin_part + tail_part)
-
-
-# ----------------------------------------------------------------------------
-# Comparison-profile residual
-# ----------------------------------------------------------------------------
-
-def _problem_dims(p) -> tuple[int, float]:
-    if hasattr(p, "N") and hasattr(p, "s"):
-        return int(p.N), float(p.s)
-    N, s = p
-    return int(N), float(s)
-
-
-def comparison_residual(beta: float, theta: float, gamma: float, lam: float,
-                        sigma: float, p, radii) -> np.ndarray:
-    """Residual of the two-profile comparison function at the given radii.
-
-    Evaluates g(r) = (gamma/lam) (-Delta)^s h_beta + sigma (-Delta)^s h_theta
-    + lam sigma h_theta using the closed forms, for profile pairs (beta,
-    theta) admissible in the comparison argument: theta must decay strictly
-    slower than both (-Delta)^s terms so that lam sigma h_theta dominates far
-    out, which forces the case analysis below.
-
-    Args:
-        beta: exponent of the driving profile, in (N/2, N + 2s).
-        theta: exponent of the dominating profile, restricted per beta (see
-            the case checks).
-        gamma, lam: positive scaling constants.
-        sigma: signed amplitude of the h_theta block; sigma = 0 degenerates
-            (the residual no longer dominates h_theta) and is flagged with a
-            warning.
-        p: problem dimensions, a (N, s) pair or object with those attributes.
-        radii: evaluation radii.
-
-    Returns:
-        Array of residual values g(r).
-    """
-    N, s = _problem_dims(p)
-    if gamma <= 0.0 or lam <= 0.0:
-        raise ValueError("comparison_residual: gamma and lam must be positive")
-    two_s = 2.0 * s
-    top = N + two_s
-    snap = 1e-9
-
-    def near(x, y):
-        return abs(x - y) <= snap
-
-    if not (N / 2.0 < beta < top):
-        raise ValueError(
-            f"comparison_residual: beta must lie in (N/2, N+2s), got {beta!r}")
-
-    if beta > N and not near(beta, N):
-        ok = beta < theta < top and not near(theta, beta) and not near(theta, top)
-        allowed = "theta in (beta, N + 2s)"
-    elif near(beta, N) or near(beta, N - two_s):
-        ok = N < theta < top and not near(theta, N) and not near(theta, top)
-        allowed = "theta in (N, N + 2s)"
-    else:
-        hi = min(float(N), beta + two_s)
-        ok = beta < theta < hi and not near(theta, N - two_s) \
-            and not near(theta, hi) and not near(theta, beta)
-        allowed = "theta in (beta, min(N, beta + 2s)) avoiding N - 2s"
-    if not ok:
-        raise ValueError(
-            f"comparison_residual: theta = {theta!r} is not admissible for "
-            f"beta = {beta!r} (requires {allowed})")
-
-    if sigma == 0.0:
-        warnings.warn(
-            "comparison_residual: sigma = 0 leaves only the h_beta term; the "
-            "residual-to-h_theta ratio is degenerate", stacklevel=2)
-
-    radii = np.asarray(radii, dtype=float)
-    pb = ProfileParams(N, s, min(beta, top))
-    pt = ProfileParams(N, s, min(theta, top))
-    out = np.empty(radii.shape)
-    for idx, r in np.ndenumerate(radii):
-        out[idx] = (gamma / lam) * frac_lap_h_exact(float(r), pb) \
-            + sigma * frac_lap_h_exact(float(r), pt) \
-            + lam * sigma * h_beta_eval(float(r), theta)
-    if out.ndim == 0:
-        return float(out)
-    return out

@@ -31,6 +31,7 @@ from fracradial.radial_ops import (
     RadialGrid,
     _backward_error,
     _CubicSpline,
+    _gauss,
     _origin_closure,
     _riesz_operator,
     frac_laplacian_on_grid,
@@ -260,7 +261,7 @@ class Solution:
 
     def __post_init__(self):
         vals = self.u.values
-        if np.any(vals <= 0.0):
+        if np.any(vals <= 0.0) or not (self.u.value_at_origin > 0.0):
             raise ValueError("Solution: profile must be strictly positive")
         if np.any(np.diff(vals) > 1e-9 * float(np.max(vals))):
             raise ValueError("Solution: profile must be non-increasing in radius")
@@ -321,7 +322,7 @@ def solve_ground_state(params: ProblemParams,
     right-hand side, renormalizes the profile to unit sup norm with damping,
     and updates the amplitude from the multiplier of the normalized map.
     A step runs on node arrays: one call of the round's _RhsMap, then one
-    getrs solve against the round's LU factors.
+    product with the round's inverse resolvent matrix.
     Every iterate must stay strictly positive.  After the inner loop
     converges, the tail exponent assumed by the operator closure is checked
     against the achieved far field and the solve is repeated with the fitted
@@ -367,14 +368,14 @@ def solve_ground_state(params: ProblemParams,
     for round_idx in range(opts.tail_refit_rounds + 1):
         A = fraclap_matrix(grid, params.s, tail_omega=beta_asm)
         A[np.diag_indices_from(A)] += mu
-        lu = lu_factor(A)
+        inv = lu_factor(A)
         rhs = _RhsMap(grid, params, beta_asm)
         converged = False
         checked = False
         while total_iter < opts.max_iterations:
             total_iter += 1
             b = rhs(a * v)
-            w = lu_solve(lu, b)
+            w = lu_solve(inv, b)
             if not np.all(np.isfinite(w)):
                 raise NonConvergenceError(
                     f"solve_ground_state: non-finite iterate at iteration {total_iter}")
@@ -501,7 +502,7 @@ def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
     m(rho) = m(0) + (m(r_1) - m(0)) (rho/r_1)^2."""
     r1 = grid.nodes[0]
     N = grid.N
-    x, wts = np.polynomial.legendre.leggauss(8)
+    x, wts = _gauss(8)
     rho = 0.5 * r1 * (x + 1.0)
     wq = 0.5 * r1 * wts
     q = (rho / r1) ** 2

@@ -19,7 +19,6 @@ from fracradial.radial_ops import (
     RadialGrid,
     angular_kernel,
     apply_inverse_operator,
-    comparison_residual,
     frac_laplacian_on_grid,
     frac_laplacian_radial,
     fraclap_matrix,
@@ -179,19 +178,21 @@ def test_cubic_spline_matches_scipy_not_a_knot(x):
     assert np.max(np.abs(got - CubicSpline(x, y)(xq))) <= 1e-13
 
 
-def test_lu_factor_matches_scipy_bitwise(grid):
-    from scipy.linalg import lu_factor
+def test_lu_solve_matches_scipy_to_round_off(grid):
+    from scipy.linalg import lu_factor, lu_solve
 
     A = fraclap_matrix(grid, 0.5, 4.0)
     A[np.diag_indices_from(A)] += 1.0
-    lu, piv = radial_ops.lu_factor(A)
-    want_lu, want_piv = lu_factor(A)
-    assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+    b = h_beta_eval(grid.nodes, 4.0)
+    x = radial_ops.lu_solve(radial_ops.lu_factor(A), b)
+    want = lu_solve(lu_factor(A), b)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+    radial_ops._backward_error(A, x, b)  # raises above 1e-10
 
 
 @pytest.mark.parametrize("A,match", [
-    ([[1.0, 2.0], [2.0, 4.0]], "pivot 2 is exactly zero"),
-    ([[0.0, 0.0], [0.0, 1.0]], "pivot 1 is exactly zero"),
+    ([[1.0, 2.0], [2.0, 4.0]], "singular resolvent matrix"),  # pivot 2 is 0
+    ([[0.0, 0.0], [0.0, 1.0]], "singular resolvent matrix"),  # pivot 1 is 0
     ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
     ([[1.0, 0.0], [-np.inf, 1.0]], "non-finite"),
 ])
@@ -649,55 +650,3 @@ def test_volume_integral_rejects_divergent_or_invalid(grid):
                             value_at_origin=1.0)
     with pytest.raises(ValueError):
         volume_integral(signed, power=1.5)
-
-
-# ----------------------------------------------------------------------------
-# comparison residual
-# ----------------------------------------------------------------------------
-
-def test_comparison_residual_far_field_sign():
-    # with sigma > 0 the slow profile h_theta must dominate far out
-    val = comparison_residual(2.6, 2.9, 1.0, 1.0, 1.0, (3, 0.5), 500.0)
-    assert isinstance(val, float)
-    assert val > 0.0
-
-
-def test_comparison_residual_array_shape():
-    radii = np.array([5.0, 50.0, 500.0])
-    out = comparison_residual(3.2, 3.6, 2.0, 0.5, 1.0, (3, 0.5), radii)
-    assert out.shape == radii.shape
-    assert np.all(np.isfinite(out))
-
-
-def test_comparison_residual_sigma_zero_degenerates():
-    with pytest.warns(UserWarning):
-        val = comparison_residual(2.6, 2.9, 2.0, 4.0, 0.0, (3, 0.5), 10.0)
-    want = 0.5 * frac_lap_h_exact(10.0, ProfileParams(3, 0.5, 2.6))
-    assert_allclose(val, want, rtol=1e-13)
-
-
-@pytest.mark.parametrize("beta,theta", [
-    (1.4, 1.8),   # beta <= N/2
-    (4.0, 4.2),   # beta at N + 2s
-    (2.6, 2.6),   # theta not above beta
-    (2.6, 3.0),   # theta at min(N, beta+2s)
-    (1.8, 2.0),   # theta at N - 2s inside the low range
-    (3.0, 2.9),   # beta = N forces theta in (N, N+2s)
-    (3.2, 3.1),   # above N: theta must exceed beta
-])
-def test_comparison_residual_rejects_bad_pairings(beta, theta):
-    with pytest.raises(ValueError):
-        comparison_residual(beta, theta, 1.0, 1.0, 1.0, (3, 0.5), 10.0)
-
-
-def test_comparison_residual_rejects_bad_scalings():
-    with pytest.raises(ValueError):
-        comparison_residual(2.6, 2.9, 0.0, 1.0, 1.0, (3, 0.5), 10.0)
-    with pytest.raises(ValueError):
-        comparison_residual(2.6, 2.9, 1.0, -1.0, 1.0, (3, 0.5), 10.0)
-
-
-def test_comparison_residual_accepts_problem_object():
-    p = ProfileParams(3, 0.5, 2.0)  # any object with .N and .s works
-    out = comparison_residual(2.0, 3.5, 1.0, 1.0, 1.0, p, 20.0)
-    assert math.isfinite(out)
