@@ -396,6 +396,12 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
     beta = args.beta
     try:
         radii = _parse_float_list(args.radii)
+        for r in radii:
+            if r < 0.0:
+                raise ValueError(f"radii must be >= 0, got {r!r}")
+    except ValueError as exc:
+        raise ConfigError(f"--radii: {exc}") from exc
+    try:
         profile = ProfileParams(N, s, beta)
         law = frac_lap_h_asymptotic(profile)
     except ValueError as exc:
@@ -427,7 +433,10 @@ def _cmd_oracle(cfg: dict, args) -> int:
         try:
             cases = []
             for text in args.case:
-                n_str, s_str, b_str = (text.split(",") + ["", "", ""])[:3]
+                fields = text.split(",")
+                if len(fields) != 3:
+                    raise ValueError(f"{text!r} has {len(fields)} fields")
+                n_str, s_str, b_str = fields
                 cases.append((int(n_str), float(s_str), float(b_str)))
         except ValueError as exc:
             raise ConfigError(f"--case expects N,s,beta: {exc}") from exc

@@ -46,22 +46,22 @@ __all__ = [
 # different arithmetic (e.g. r placed exactly at the regime threshold).
 _SNAP = 1e-12
 
+# Relative slack of the chain-rule inequality: the margin lhs - rhs may fall
+# below zero by this fraction of |lhs| + |rhs| (quadrature round-off).
+_CHAIN_RULE_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class DecayPrediction:
     """Predicted tail behaviour for one parameter set.
 
     beta is min{(N-alpha)/(2-r), N+2s}; regime records which branch of the
-    min is active ("boundary" when both coincide).  sharp_constant is the
-    predicted limit of u(r) r^beta and is only available in the
-    convolution-dominated regime and only once a solution supplies its own
-    norm, so it may be None.
+    min is active ("boundary" when both coincide).
     """
 
     beta: float
     regime: str
     r_star: float
-    sharp_constant: float | None = None
 
     def __post_init__(self):
         if self.regime not in ("choquard_dominated", "laplacian_dominated", "boundary"):
@@ -83,11 +83,10 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Upper/lower/sharp tail constants for one solution.
+    """Upper/lower tail-bound constants for one solution.
 
     C_upper is the kappa-adjusted upper-bound constant, C_lower the
-    kappa-invariant lower-bound constant, C_sharp the limit constant (None
-    outside the convolution-dominated regime).  kappa is the rescaling the
+    kappa-invariant lower-bound constant.  kappa is the rescaling the
     upper bound was evaluated with; kappa_star is the equalizing value
     C_{u,kappa*} = C_lower, available only when the two envelope constants
     coincide.
@@ -95,7 +94,6 @@ class BoundConstants:
 
     C_upper: float
     C_lower: float
-    C_sharp: float | None
     kappa: float
     kappa_star: float | None
 
@@ -142,14 +140,11 @@ def _sublinear_exponent(params) -> float:
     return r
 
 
-def predict_decay(params, sol=None) -> DecayPrediction:
-    """Predicted decay exponent, regime, and (optionally) limit constant.
+def predict_decay(params) -> DecayPrediction:
+    """Predicted decay exponent and regime.
 
     Args:
         params: problem parameters (N, s, alpha, mu, nonlinearity).
-        sol: optional converged solution; when given and the regime is
-            convolution-dominated, the limit constant is filled in from the
-            solution's own norm via sharp_constant.
 
     Raises:
         ValueError: r outside the sublinear admissible range [(N+alpha)/N, 2).
@@ -166,11 +161,7 @@ def predict_decay(params, sol=None) -> DecayPrediction:
         regime = "choquard_dominated"
     else:
         regime = "laplacian_dominated"
-    const = None
-    if sol is not None and regime == "choquard_dominated":
-        const = sharp_constant(sol)
-    return DecayPrediction(beta=beta, regime=regime, r_star=r_star,
-                           sharp_constant=const)
+    return DecayPrediction(beta=beta, regime=regime, r_star=r_star)
 
 
 def check_fit_window(window: tuple[float, float],
@@ -252,27 +243,24 @@ def _upper_denominator(params, kappa: float) -> float:
     return denom
 
 
-def fit_tail(u: RadialFunction, window: tuple[float, float],
-             model: str = "auto") -> DecayFit:
+def fit_tail(u: RadialFunction, window: tuple[float, float]) -> DecayFit:
     """Fit log u(r) = log A - omega log r over a radius window.
 
-    The window must stay inside the trusted part of the grid (upper end at
-    most r_max/10, where the quadrature tail models have no influence) and
-    contain at least 20 nodes with positive samples.
+    The log-corrected model A log(r) r^{-omega} is fitted too when the window
+    lies inside (1, inf), and whichever of the two has the smaller rms
+    residual is returned.  The window must stay inside the trusted part of
+    the grid (upper end at most r_max/10, where the quadrature tail models
+    have no influence) and contain at least 20 nodes with positive samples.
 
     Args:
         u: the profile to fit.
         window: (lo, hi) radius interval.
-        model: "power" for the plain fit, "log" for the log-corrected model
-            A log(r) r^{-omega}, "auto" to pick the smaller rms residual.
 
     Raises:
         ValueError: malformed window, too few nodes, or non-positive values.
     """
     grid = u.grid
     lo, hi = check_fit_window(window, grid.nodes)
-    if model not in ("auto", "power", "log"):
-        raise ValueError(f"fit_tail: unknown model {model!r}")
     sel = (grid.nodes >= lo) & (grid.nodes <= hi)
     vals = u.values[sel]
     if np.any(vals <= 0.0):
@@ -286,40 +274,27 @@ def fit_tail(u: RadialFunction, window: tuple[float, float],
         return float(-coef[0]), float(math.exp(coef[1])), rms
 
     om_p, amp_p, rms_p = lsq(y)
-    if model == "power":
-        return DecayFit(window=(lo, hi), fitted_exponent=om_p,
-                        fitted_amplitude=amp_p, rms_log_residual=rms_p)
-    if t[0] <= 0.0:
-        # log(r) changes sign inside the window, so the log-corrected model
-        # A log(r) r^{-omega} is meaningless there.
-        if model == "log":
-            raise ValueError(
-                "fit_tail: the log-corrected model needs a window inside (1, inf)")
-        return DecayFit(window=(lo, hi), fitted_exponent=om_p,
-                        fitted_amplitude=amp_p, rms_log_residual=rms_p)
-    om_l, amp_l, rms_l = lsq(y - np.log(t))
-    if model == "log" or rms_l < rms_p:
-        return DecayFit(window=(lo, hi), fitted_exponent=om_l,
-                        fitted_amplitude=amp_l, rms_log_residual=rms_l,
-                        log_corrected=True)
+    # log(r) must stay positive on the window for A log(r) r^{-omega}
+    if t[0] > 0.0:
+        om_l, amp_l, rms_l = lsq(y - np.log(t))
+        if rms_l < rms_p:
+            return DecayFit(window=(lo, hi), fitted_exponent=om_l,
+                            fitted_amplitude=amp_l, rms_log_residual=rms_l,
+                            log_corrected=True)
     return DecayFit(window=(lo, hi), fitted_exponent=om_p,
                     fitted_amplitude=amp_p, rms_log_residual=rms_p)
 
 
-def sharp_constant(sol, route: str = "auto") -> float:
-    """Predicted limit of u(r) r^beta in the convolution-dominated regime.
+def sharp_constant(sol) -> float:
+    """Predicted limit of u(r) r^beta in the convolution-dominated regime,
 
-    Two equivalent evaluations exist and are kept as separate code paths:
-    "norm" uses the r-norm of the solution directly,
-    (C_{N,alpha} ||u||_r^r / mu)^{1/(2-r)}, valid whenever the nonlinearity
-    pair satisfies F'(t) f-slope algebra of the homogeneous case; "envelope"
-    uses the general form (C_{N,alpha} L int F(u) / mu)^{1/(2-r)} with
-    L = lim f(t)/t^{r-1}.  "auto" picks "norm" for homogeneous
-    nonlinearities and "envelope" otherwise.
+        (C_{N,alpha} L int F(u) / mu)^{1/(2-r)},  L = lim f(t)/t^{r-1}.
+
+    This formula gives the limit only below the threshold r*.  Above r* the
+    fractional Laplacian sets the decay, and at r* it adds to the constant.
 
     Raises:
-        ValueError: r >= r* (the limit constant is only asserted below the
-            threshold), or an unknown route.
+        ValueError: r >= r*.
     """
     params = sol.params
     N, _, alpha = _dims(params)
@@ -328,24 +303,11 @@ def sharp_constant(sol, route: str = "auto") -> float:
     if pred.regime != "choquard_dominated":
         raise ValueError(
             f"sharp_constant: r = {r!r} is not below the threshold r* = {pred.r_star!r}; "
-            "the limit constant is not defined in the operator-dominated regime")
+            "this formula gives the limit constant only below r*, above it the "
+            "fractional Laplacian sets the decay")
     C = riesz_constant(N, alpha)
-    mu = float(params.mu)
-    spec = params.nonlinearity
-    if route == "auto":
-        route = "norm" if spec.is_homogeneous else "envelope"
-    if route == "norm":
-        if not spec.is_homogeneous:
-            raise ValueError("sharp_constant: route 'norm' needs a homogeneous "
-                             "nonlinearity")
-        # ||u||_r^r times the slope-mass product of the convention collapses
-        # to f_slope * mass_F; for the default convention that is ||u||_r^r
-        return (C * spec.f_slope * spec.mass_scale * sol.norm_r ** r / mu) \
-            ** (1.0 / (2.0 - r))
-    if route == "envelope":
-        slope = spec.limit_slope()
-        return (C * slope * sol.mass_F / mu) ** (1.0 / (2.0 - r))
-    raise ValueError(f"sharp_constant: unknown route {route!r}")
+    slope = params.nonlinearity.limit_slope()
+    return (C * slope * sol.mass_F / float(params.mu)) ** (1.0 / (2.0 - r))
 
 
 def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
@@ -394,11 +356,8 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     # (C_under/kappa) * (kappa * mass) written with kappa cancelled, so the
     # float result cannot pick up a kappa-dependent rounding error.
     c_lower = (c_under * C * mass / mu) ** (1.0 / (2.0 - r))
-
-    c_sharp = sharp_constant(sol) \
-        if predict_decay(params).regime == "choquard_dominated" else None
-    return BoundConstants(C_upper=c_upper, C_lower=c_lower, C_sharp=c_sharp,
-                          kappa=kappa, kappa_star=k_star)
+    return BoundConstants(C_upper=c_upper, C_lower=c_lower, kappa=kappa,
+                          kappa_star=k_star)
 
 
 def _power_of(u: RadialFunction, theta: float) -> RadialFunction:
@@ -410,15 +369,14 @@ def _power_of(u: RadialFunction, theta: float) -> RadialFunction:
                           value_at_origin=u.value_at_origin ** theta)
 
 
-def verify_chain_rule(u: RadialFunction, theta, radii, s: float,
-                      tolerance: float = 1e-6):
+def verify_chain_rule(u: RadialFunction, theta, radii, s: float):
     """Check the concave chain rule for the fractional Laplacian pointwise.
 
     For 0 < theta < 1 the power t -> t^theta is concave on (0, inf), so
     (-Delta)^s u^theta >= theta u^{theta-1} (-Delta)^s u holds wherever u is
     positive.  Both sides are computed by PV quadrature at each requested
     radius, from one row per radius shared by u and u^theta, and the
-    margin lhs - rhs is compared against -tolerance * scale with
+    margin lhs - rhs is compared against -1e-6 * scale with
     scale = |lhs| + |rhs| + machine floor.
 
     theta may also be a sequence of exponents; the rows are then shared by
@@ -438,36 +396,33 @@ def verify_chain_rule(u: RadialFunction, theta, radii, s: float,
         rhs = th * u_at ** (th - 1.0) * lap_u
         scale = np.abs(lhs) + np.abs(rhs) + np.finfo(float).tiny
         margin = lhs - rhs
-        passed = bool(np.all(margin >= -tolerance * scale))
+        passed = bool(np.all(margin >= -_CHAIN_RULE_TOLERANCE * scale))
         reports.append(ChainRuleReport(theta=th, s=s, radii=radii, lhs=lhs,
                                        rhs=rhs, margin=margin, scale=scale,
-                                       tolerance=tolerance, passed=passed))
+                                       tolerance=_CHAIN_RULE_TOLERANCE,
+                                       passed=passed))
     return reports[0] if np.ndim(theta) == 0 else reports
 
 
-def verify_riesz_tail(sol, theta: float,
-                      window: tuple[float, float] | None = None) -> RieszTailReport:
+def verify_riesz_tail(sol, theta: float) -> RieszTailReport:
     """Compare I_alpha * F(u) against its point-mass limit on the tail.
 
     The convolution of a decaying density approaches (mass) * C_{N,alpha}
     r^{alpha-N}; the deviation, normalized by the theoretical envelope
     C_{N,alpha} r^{alpha-N} (1/(1+r) + 1/(1+r^{theta-N})), must stay bounded
-    on the tail window.  The mass int F(u) is integrated independently here
-    rather than read from the solution record.
+    on the tail window [r_max/50, r_max/10].  The mass int F(u) is
+    integrated independently here rather than read from the solution record.
 
     Args:
         sol: object with .u and .params (a converged Solution in practice).
         theta: envelope exponent in (N, N+alpha].
-        window: radius interval; defaults to [r_max/50, r_max/10].
     """
     params = sol.params
     check_analysis(params, theta=theta)
     N, _, alpha = _dims(params)
     u = sol.u
     grid = u.grid
-    if window is None:
-        window = (grid.r_max / 50.0, grid.r_max / 10.0)
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = grid.r_max / 50.0, grid.r_max / 10.0
     spec = params.nonlinearity
     fu = spec.F_of(u)
     conv = riesz_convolve_radial(fu, alpha)

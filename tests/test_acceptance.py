@@ -28,7 +28,6 @@ from fracradial import (
     predict_decay,
     riesz_constant,
     riesz_convolve_radial,
-    sharp_constant,
     solve_ground_state,
     verify_chain_rule,
     verify_riesz_tail,
@@ -250,8 +249,7 @@ def test_criterion_10_kappa_ledger(solve_slow):
     invariant = all(
         bound_constants(sol, kappa=m * bc.kappa_star).C_lower == bc.C_lower
         for m in (2.0, 3.0, 10.0))
-    consistent = bc.C_sharp == sharp_constant(sol)
-    ok = gap <= 1e-10 and invariant and consistent
+    ok = gap <= 1e-10 and invariant
     report(10, ok, f"kappa* = {bc.kappa_star:.6f} equalizes the bounds to "
                    f"{gap:.2e} (tol 1e-10); lower constant bitwise "
                    f"kappa-invariant: {invariant}")

@@ -83,6 +83,19 @@ def test_table_empty_radius_list(tmp_path):
     assert len(rows) == 1   # header only
 
 
+def test_table_negative_radius_exits_2(tmp_path, capsys):
+    code = main(["specfun-table", "--out", str(tmp_path), "--radii=1,-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: --radii: radii must be >= 0, got -1.0\n"
+    assert not (tmp_path / "specfun_table.csv").exists()
+
+
+def test_table_radius_zero_is_valid(tmp_path):
+    assert main(["specfun-table", "--out", str(tmp_path), "--radii", "0"]) == 0
+    assert len(read_csv(tmp_path / "specfun_table.csv")) == 2
+
+
 def test_format_flag_restricts_outputs(tmp_path):
     code = main(["specfun-table", "--out", str(tmp_path), "--format", "csv"])
     assert code == 0
@@ -111,6 +124,16 @@ def test_oracle_coarse_grid_fails(tmp_path):
     assert code == 1
     rec = read_json(tmp_path / "oracle_report.json")
     assert rec["rows"][0]["passed"] is False
+
+
+@pytest.mark.parametrize("case", ["3,0.5,2,9", "3,0.5"])
+def test_oracle_case_needs_three_fields(tmp_path, capsys, case):
+    code = main(["oracle", "--out", str(tmp_path), "--case", case])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: --case expects N,s,beta: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "oracle_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ def test_predict_slow_regime():
     assert pred.regime == "choquard_dominated"
     assert_allclose(pred.beta, 10.0 / 3.0, rtol=1e-15)
     assert pred.r_star == 1.75
-    assert pred.sharp_constant is None
 
 
 def test_predict_operator_regime():
@@ -92,11 +91,6 @@ def test_predict_rejects_exponent_outside_window(bad_r):
         predict_decay(params)
 
 
-def test_predict_fills_constant_from_solution(solution):
-    pred = predict_decay(solution.params, solution)
-    assert pred.sharp_constant == sharp_constant(solution)
-
-
 # ---------------------------------------------------------------------------
 # fit_tail
 
@@ -114,7 +108,7 @@ def test_fit_reference_profile(grid):
     # the bounded reference profile with tail exponent 10/3, fitted on
     # [50, 100], reads 3.3326410 (0.02 percent below the exact exponent)
     h = h_beta_function(grid, 10.0 / 3.0)
-    fit = fit_tail(h, (50.0, 100.0), model="power")
+    fit = fit_tail(h, (50.0, 100.0))
     assert_allclose(fit.fitted_exponent, 3.3326410263742363, rtol=1e-9)
     assert abs(fit.fitted_exponent - 10.0 / 3.0) <= 0.01 * (10.0 / 3.0)
 
@@ -132,9 +126,7 @@ def test_fit_log_corrected_model(grid):
 
 def test_fit_log_model_needs_window_above_one(grid):
     u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
-    with pytest.raises(ValueError):
-        fit_tail(u, (0.5, 50.0), model="log")
-    # "auto" silently stays with the plain power fit there
+    # log(r) changes sign inside the window: the plain power fit is used
     fit = fit_tail(u, (0.5, 50.0))
     assert not fit.log_corrected
     assert_allclose(fit.fitted_exponent, 3.5, atol=1e-10)
@@ -148,8 +140,6 @@ def test_fit_window_validation(grid):
         fit_tail(u, (50.0, 150.0))          # beyond the trusted r_max/10
     with pytest.raises(ValueError):
         fit_tail(u, (50.0, 55.0))           # only a handful of nodes
-    with pytest.raises(ValueError):
-        fit_tail(u, (10.0, 100.0), model="quadratic")
 
 
 def test_fit_rejects_nonpositive_samples(grid):
@@ -167,14 +157,9 @@ def test_fit_rejects_nonpositive_samples(grid):
 # sharp_constant
 
 
-def test_sharp_constant_routes_agree(solution):
-    """Both evaluation routes give the same limit constant."""
-    c_norm = sharp_constant(solution, route="norm")
-    c_env = sharp_constant(solution, route="envelope")
-    assert sharp_constant(solution) == c_norm   # auto == norm for homogeneous
-    assert_allclose(c_env, c_norm, rtol=1e-12)  # measured 5.1e-16
+def test_sharp_constant_pinned(solution):
     # frozen from a converged default-grid run
-    assert_allclose(c_norm, 663.2591006103447, rtol=1e-9)
+    assert_allclose(sharp_constant(solution), 663.2591006103447, rtol=1e-9)
 
 
 def test_sharp_constant_explicit_form(solution):
@@ -185,26 +170,24 @@ def test_sharp_constant_explicit_form(solution):
     assert_allclose(sharp_constant(solution), direct, rtol=1e-12)
 
 
-def test_sharp_constant_norm_route_needs_homogeneous():
+def test_sharp_constant_general_nonlinearity():
+    # for a general f the slope L = lim f(t)/t^{r-1} is measured numerically
     spec = NonlinearitySpec.general(
         f=lambda t: SQRT_17 * np.power(t, 0.7),
         F=lambda t: SQRT_17 / 1.7 * np.power(t, 1.7),
         r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
-    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
+    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=0.5, nonlinearity=spec)
     sol = SimpleNamespace(params=p, norm_r=10.0, mass_F=50.0)
-    with pytest.raises(ValueError):
-        sharp_constant(sol, route="norm")
+    slope = spec.limit_slope()
+    assert_allclose(slope, SQRT_17, rtol=1e-12)
+    want = (riesz_constant(3, 2.0) * slope * 50.0 / 0.5) ** (1.0 / 0.3)
+    assert_allclose(sharp_constant(sol), want, rtol=1e-12)
 
 
 def test_sharp_constant_undefined_in_operator_regime():
     sol = SimpleNamespace(params=make_params(1.9), norm_r=10.0, mass_F=50.0)
     with pytest.raises(ValueError):
         sharp_constant(sol)
-
-
-def test_sharp_constant_unknown_route(solution):
-    with pytest.raises(ValueError):
-        sharp_constant(solution, route="direct")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +199,6 @@ def test_bounds_equalize_at_kappa_star(solution):
     assert bc.kappa_star == SQRT_17      # C_bar mu^{1-r} at mu = 1
     assert bc.kappa == bc.kappa_star     # default rescaling
     assert abs(bc.C_upper - bc.C_lower) <= 1e-10 * bc.C_lower  # measured 0.0
-    assert bc.C_sharp == sharp_constant(solution)
 
 
 def test_lower_constant_is_kappa_invariant(solution):
@@ -334,6 +316,7 @@ def test_chain_rule_needs_positive_function(grid):
 def test_riesz_tail_approaches_point_mass(solution):
     report = verify_riesz_tail(solution, theta=4.0)
     assert report.window == (20.0, 100.0)
+    assert report.theta == 4.0
     # the normalized convolution settles on the total mass from above;
     # at the outer end of the window the gap is 0.5 percent (measured)
     assert abs(report.normalized_ratio[-1] - 1.0) <= 0.05
@@ -344,13 +327,6 @@ def test_riesz_tail_approaches_point_mass(solution):
 def test_riesz_tail_mass_matches_solution(solution):
     report = verify_riesz_tail(solution, theta=4.0)
     assert_allclose(report.mass, solution.mass_F, rtol=1e-10)  # measured exact
-
-
-def test_riesz_tail_custom_window(solution):
-    report = verify_riesz_tail(solution, theta=5.0, window=(10.0, 50.0))
-    assert report.window == (10.0, 50.0)
-    assert np.all((report.radii >= 10.0) & (report.radii <= 50.0))
-    assert report.theta == 5.0
 
 
 @pytest.mark.parametrize("theta", [3.0, 5.1, 0.0])

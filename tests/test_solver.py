@@ -328,13 +328,6 @@ def test_dilation_derivative_matches_identity(solution):
     assert abs(fd - p_val) <= 0.05 * term_scale   # measured 8.4e-5 of scale
 
 
-def test_dilation_step_validation(solution):
-    with pytest.raises(ValueError):
-        dilation_derivative(solution, step=0.0)
-    with pytest.raises(ValueError):
-        dilation_derivative(solution, step=0.5)
-
-
 # ---------------------------------------------------------------------------
 # solution record validation and failure modes
 
