@@ -268,6 +268,8 @@ def _jsonable(obj):
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -287,7 +289,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
+        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -407,12 +409,18 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    r = np.array(radii, dtype=float)
+    h = h_beta_eval(r, beta)
+    exact = frac_lap_h_exact(r, profile)
+    # outside the exact regime the far-field law diverges at r = 0; a law
+    # value or a ratio that is not a finite number is written as null
+    with np.errstate(divide="ignore", invalid="ignore"):
+        asym = law.evaluate(r)
     rows = []
-    for r in radii:
-        exact = frac_lap_h_exact(r, profile)
-        asym = float(law.evaluate(r))
-        ratio = exact / asym if asym != 0.0 else float("inf")
-        rows.append([r, h_beta_eval(r, beta), exact, asym, ratio])
+    for k, radius in enumerate(radii):
+        far = float(asym[k]) if np.isfinite(asym[k]) else None
+        ratio = float(exact[k]) / far if far else None
+        rows.append([radius, float(h[k]), float(exact[k]), far, ratio])
 
     header = ["radius", "h_beta", "fraclap_exact", "fraclap_asymptotic", "ratio"]
     payload = {
@@ -456,7 +464,7 @@ def _cmd_oracle(cfg: dict, args) -> int:
         h = h_beta_function(grid, beta)
         lap = frac_laplacian_on_grid(h, s)
         sel = (grid.nodes >= lo) & (grid.nodes <= hi)
-        want = np.array([frac_lap_h_exact(r, profile) for r in grid.nodes[sel]])
+        want = frac_lap_h_exact(grid.nodes[sel], profile)
         err = float(np.max(np.abs(lap[sel] / want - 1.0)))
         worst = max(worst, err)
         passed = err <= _ORACLE_TOLERANCE

@@ -156,7 +156,7 @@ def _kernel3_arrays(r, rho, p: float):
     return 2.0 * math.pi / (r * rho * e) * (ssum ** e - diff ** e)
 
 
-def _kernel_at_gap(gap: float, p: float, N: int) -> float:
+def _kernel_at_gap(gap, p: float, N: int):
     """Angular kernel k_p(1, 1 + gap) for gap >= 0, in closed form.
 
     By Pfaff's transformation of the polar integral,
@@ -169,19 +169,28 @@ def _kernel_at_gap(gap: float, p: float, N: int) -> float:
     2F1(a, b; c; x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) makes every
     parameter positive, and (1 - x) = ((gap+2)/gap)^2.  Coincident radii
     (gap 0, p >= 0 only) take Gauss's sum at x -> -inf.
+
+    gap is a scalar, which gives a float, or an ndarray, which gives an
+    array from one hyp2f1 call; each value equals the scalar call's.
     """
     omega = sphere_surface_area(N)
     h = 0.5 * (N - 1)
-    if gap == 0.0:
-        return omega * 2.0 ** p * math.gamma(N - 1.0) * math.gamma(h + 0.5 * p) \
+    gap = np.asarray(gap, dtype=float)
+    out = np.empty(gap.shape)
+    touch = gap == 0.0
+    if touch.any():
+        out[touch] = omega * 2.0 ** p * math.gamma(N - 1.0) * math.gamma(h + 0.5 * p) \
             / (math.gamma(N - 1.0 + 0.5 * p) * math.gamma(h))
-    x = -4.0 * (1.0 + gap) / (gap * gap)
+    g = gap[~touch]
+    x = -4.0 * (1.0 + g) / (g * g)
     if p < 0.0:
         a = -0.5 * p
-        return omega * gap ** p * hyp2f1(max(a, h), min(a, h), N - 1.0, x)
-    ratio = (gap + 2.0) / gap
-    return omega * (gap + 2.0) ** p * ratio ** (N - 1) \
-        * hyp2f1(N - 1.0 + 0.5 * p, h, N - 1.0, x)
+        out[~touch] = omega * g ** p * hyp2f1(max(a, h), min(a, h), N - 1.0, x)
+    else:
+        ratio = (g + 2.0) / g
+        out[~touch] = omega * (g + 2.0) ** p * ratio ** (N - 1) \
+            * hyp2f1(N - 1.0 + 0.5 * p, h, N - 1.0, x)
+    return float(out) if out.ndim == 0 else out
 
 
 class _CubicSpline:
@@ -258,7 +267,7 @@ class _KernelTable:
         self.N = N
         self.p = p
         x = np.linspace(math.log(1e-13), math.log(self._Q_HI - 1.0), 2400)
-        y = np.array([_kernel_at_gap(math.exp(v), p, N) for v in x])
+        y = _kernel_at_gap(np.exp(x), p, N)
         self._spline = _CubicSpline(x, np.log(y))
         self._omega = sphere_surface_area(N)
 
@@ -936,6 +945,20 @@ def _diagonal_stub(f0: float, f1: float, x0: float) -> float:
     return f0 * x0 / (gam + 1.0)
 
 
+def _stub_values(r: float, rhos: tuple, p: float, N: int) -> list:
+    """angular_kernel(r, rho, p, N) rho^(N-1) at the radii rhos off r, the
+    integrand values a diagonal stub is fitted through.  For N != 3 they
+    come from one hyp2f1 call, which costs about what one scalar call does;
+    N = 3 needs no 2F1 and keeps angular_kernel's scalar closed form."""
+    if N == 3:
+        kernels = [angular_kernel(r, rho, p, N) for rho in rhos]
+    else:
+        lo = np.minimum(r, rhos)
+        gaps = (np.maximum(r, rhos) - lo) / lo
+        kernels = (lo ** p * _kernel_at_gap(gaps, p, N)).tolist()
+    return [k * rho ** (N - 1) for k, rho in zip(kernels, rhos)]
+
+
 def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
                     sides: list) -> None:
     """The cells (a, b) of `sides` that touch radius r in a Riesz row, each
@@ -960,8 +983,7 @@ def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
         x0 = xi[-1]
         rho0 = r - x0 if left_of_r else r + x0
         rho1 = r - 2.0 * x0 if left_of_r else r + 2.0 * x0
-        stub = _diagonal_stub(angular_kernel(r, rho0, p, N) * rho0 ** (N - 1),
-                              angular_kernel(r, rho1, p, N) * rho1 ** (N - 1), x0)
+        stub = _diagonal_stub(*_stub_values(r, (rho0, rho1), p, N), x0)
         _add_cubic(row.coeffs, tt, np.array([math.log(r)]), np.array([stub]))
 
 
@@ -1004,12 +1026,10 @@ def _riesz_row(ctx: _RowContext, i: int, alpha: float,
         ks = np.arange(_RIESZ_GRADE_LEVELS, -1, -1)
         edges = list(r * (1.0 + 0.5 * _GRADE_RATIO ** ks))
         x0 = 0.5 * r * _GRADE_RATIO ** _RIESZ_GRADE_LEVELS
+        f0, f1 = _stub_values(r, (r + x0, r + 2.0 * x0), p, N)
         for k, om in enumerate(row.omegas):
-            row.tail[k] += _diagonal_stub(
-                angular_kernel(r, r + x0, p, N) * (r + x0) ** (N - 1)
-                * ((r + x0) / rM) ** (-om),
-                angular_kernel(r, r + 2.0 * x0, p, N) * (r + 2.0 * x0) ** (N - 1)
-                * ((r + 2.0 * x0) / rM) ** (-om), x0)
+            row.tail[k] += _diagonal_stub(f0 * ((r + x0) / rM) ** (-om),
+                                          f1 * ((r + 2.0 * x0) / rM) ** (-om), x0)
     else:
         edges = [start]
     _far_tail(row, grid, p, r, edges, 1.0)

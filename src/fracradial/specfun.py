@@ -5,8 +5,12 @@ line x <= 0, the bump profile h_beta(x) = (1+|x|^2)^(-beta/2), its exact
 fractional Laplacian, and the far-field asymptotic law of that fractional
 Laplacian in all five decay regimes (with signed constants).
 
-Everything here is a pure function of scalar inputs and safe to call from
-multiple threads.
+Everything here is a pure function of its inputs and safe to call from
+multiple threads.  hyp2f1, frac_lap_h_exact and h_beta_eval take a scalar
+argument, which gives a float, or an ndarray of arguments, which gives an
+array; the parameters (a, b, c, or the profile) are scalars.  An array is
+evaluated series by series over all its arguments at once, with the
+values a scalar call would give.
 """
 
 from __future__ import annotations
@@ -34,6 +38,16 @@ __all__ = [
 # Relative tolerance for terminating hypergeometric series.
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 200_000
+
+# Terms per block of the series sums (_sum_series): a block holds _BLOCK
+# terms of every argument still running, fewer while more than
+# _BLOCK_CELLS / _BLOCK arguments run, so that each of its arrays stays
+# within _BLOCK_CELLS doubles (32 kB).  For the 2400 arguments of a kernel
+# table, blocks of 32 terms took the peak traced memory of a table build
+# from 0.4 MB to 4.9 MB; with the cap it is 0.7 MB.
+_BLOCK = 32
+_BLOCK_CELLS = 4096
+_BLOCK_TERMS = np.arange(_BLOCK, dtype=float)
 
 # Tolerance for "is this float an integer" decisions in parameter validation.
 _INT_SNAP = 1e-12
@@ -142,26 +156,84 @@ def digamma(x: float) -> float:
 # Gauss hypergeometric function on x <= 0
 # ----------------------------------------------------------------------------
 
-def _hyp_series(a: float, b: float, c: float, z: float) -> float:
-    """Defining series sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| < 1.
+def _digamma_run(start: float, x0: float, n: np.ndarray) -> np.ndarray:
+    """psi(x0 + n) as a column, for the consecutive term indices n of a
+    block, from start = psi(x0) by psi(x + 1) = psi(x) + 1/x added in order
+    from n = 0."""
+    steps = 1.0 / (x0 + np.arange(n[-1]))
+    return np.cumsum(np.concatenate(([start], steps)))[int(n[0]):, None]
+
+
+def _sum_series(z: np.ndarray, ratio, bracket=None, first: float = 1.0,
+                floor=None, sized: bool = False, what: str = "2F1 series"):
+    """sum_n poch_n bracket_n at every argument of the 1-d array z, and with
+    `sized` the sum of the terms' magnitudes (else None).
+
+    poch_0 = first and poch_(n+1) = poch_n * (ratio(n) * z); bracket(n, cols)
+    gives the brackets of the terms n at the arguments z[cols] (1 without
+    it).  Both take the term indices of a block as a float array.  Each
+    argument adds its terms in order and stops at the first n >= 1 with
+    |term| <= _SERIES_RTOL max(|sum|, floor), the sum including that term:
+    the term, and the roundings, of a term-by-term loop.  The terms are
+    formed a block at a time (see _BLOCK) for the arguments still running,
+    by cumprod and cumsum down each column.
+    """
+    total = np.empty_like(z)
+    size = np.empty_like(z) if sized else None
+    cols = np.arange(z.size)
+    zc = z
+    poch = np.full(z.size, first)
+    acc = acc_size = np.zeros(z.size)
+    n0 = 0
+    while cols.size:
+        if n0 >= _SERIES_MAX_TERMS:
+            raise NonConvergenceError(
+                f"{what} did not converge at z={float(zc[0])!r}")
+        rows = max(1, min(_BLOCK, _BLOCK_CELLS // cols.size))
+        n = n0 + _BLOCK_TERMS[:rows]
+        step = ratio(n)[:, None] * zc
+        pochs = np.concatenate((poch[None], step[:-1])).cumprod(axis=0)
+        terms = pochs if bracket is None else pochs * bracket(n, cols)
+        mags = np.abs(terms)
+        sums = np.concatenate(((acc + terms[0])[None], terms[1:])).cumsum(axis=0)
+        scale = np.abs(sums)
+        if floor is not None:
+            np.maximum(scale, floor[cols], out=scale)
+        stop = mags <= _SERIES_RTOL * scale
+        stop[0] &= n0 > 0
+        poch, acc = pochs[-1] * step[-1], sums[-1]
+        if sized:
+            sizes = np.concatenate(
+                ((acc_size + mags[0])[None], mags[1:])).cumsum(axis=0)
+            acc_size = sizes[-1]
+        done = stop.any(axis=0)
+        if done.any():
+            at = stop.argmax(axis=0)[done]
+            total[cols[done]] = sums[at, done]
+            if sized:
+                size[cols[done]] = sizes[at, done]
+            run = ~done
+            cols, zc, poch, acc, acc_size = (
+                cols[run], zc[run], poch[run], acc[run], acc_size[run])
+        n0 += rows
+    return total, size
+
+
+def _defining_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Defining series sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| < 1, at
+    every argument of the 1-d array z.
 
     c must not be a non-positive integer; callers guarantee c > 0 here.
-    Terminates when a term drops below _SERIES_RTOL relative to the running
-    sum, or exactly, when a or b is a non-positive integer.
+    When a or b is a non-positive integer the series ends at its first zero
+    term, which meets the stopping rule of _sum_series.
     """
-    total = 1.0
-    term = 1.0
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        total += term
-        if term == 0.0 or abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    raise NonConvergenceError(
-        f"2F1 series did not converge for (a={a}, b={b}, c={c}, z={z})"
-    )
+    return _sum_series(
+        z, lambda n: (a + n) * (b + n) / ((c + n) * (1.0 + n)),
+        what=f"2F1 series for (a={a}, b={b}, c={c})")[0]
 
 
-def _hyp_large_x(a: float, b: float, c: float, x: float) -> tuple[float, float]:
+def _hyp_large_x(a: float, b: float, c: float,
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2F1(a, b, c; x) for x < _CONNECTION_SEAM = -5, by _hyp_connection,
     with the size of the terms it summed (see _CANCEL_LIMIT).
 
@@ -196,7 +268,8 @@ def _hyp_large_x(a: float, b: float, c: float, x: float) -> tuple[float, float]:
     return total, size
 
 
-def _hyp_connection(a: float, b: float, c: float, x: float) -> tuple[float, float]:
+def _hyp_connection(a: float, b: float, c: float,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2F1(a, b, c; x) for large negative x via connection formulas, and
     the sum of the magnitudes of the terms that make it up.
 
@@ -221,32 +294,28 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> tuple[float, floa
     if not _is_integer(d):
         coef1 = gamma_real(C) * math.gamma(d) * _rgamma(C - A) * _rgamma(C - B)
         coef2 = gamma_real(C) * math.gamma(-d) * _rgamma(A) * _rgamma(B)
-        s1 = _hyp_series(A, B, 1.0 - d, u) if coef1 != 0.0 else 0.0
-        s2 = _hyp_series(C - A, C - B, 1.0 + d, u) if coef2 != 0.0 else 0.0
+        s1 = _defining_series(A, B, 1.0 - d, u) if coef1 != 0.0 else 0.0
+        s2 = _defining_series(C - A, C - B, 1.0 + d, u) if coef2 != 0.0 else 0.0
         t1, t2 = coef1 * s1, u ** d * coef2 * s2
         return pref * (t1 + t2), pref * (abs(t1) + abs(t2))
 
     m = round(-d)
-    log_u = math.log(u)
+    log_u = np.log(u)
     if m == 0:
         # b = a: logarithmic case, AS 15.3.10 for F(A, B, A+B; w).
         coef = gamma_real(C) * _rgamma(A) * _rgamma(B)
-        poch = 1.0
-        total = size = 0.0
-        # psi(n + 1), psi(A + n), psi(B + n), advanced by psi(x + 1) = psi(x) + 1/x
-        psi_n, psi_a, psi_b = -_EULER_GAMMA, digamma(A), digamma(B)
-        for n in range(_SERIES_MAX_TERMS):
-            bracket = 2.0 * psi_n - psi_a - psi_b - log_u
-            term = poch * bracket
-            total += term
-            size += abs(term)
-            if n > 0 and abs(term) <= _SERIES_RTOL * abs(total):
-                return pref * coef * total, abs(pref * coef) * size
-            poch *= (A + n) * (B + n) / (n + 1.0) ** 2 * u
-            psi_n += 1.0 / (n + 1.0)
-            psi_a += 1.0 / (A + n)
-            psi_b += 1.0 / (B + n)
-        raise NonConvergenceError(f"logarithmic 2F1 series stalled at x={x}")
+        # psi(n + 1), psi(A + n) and psi(B + n) of the terms n
+        psi_a0, psi_b0 = digamma(A), digamma(B)
+
+        def bracket(n, cols):
+            return (2.0 * _digamma_run(-_EULER_GAMMA, 1.0, n)
+                    - _digamma_run(psi_a0, A, n) - _digamma_run(psi_b0, B, n)
+                    - log_u[cols])
+
+        total, size = _sum_series(
+            u, lambda n: (A + n) * (B + n) / (n + 1.0) ** 2, bracket,
+            sized=True, what="logarithmic 2F1 series")
+        return pref * coef * total, abs(pref * coef) * size
 
     # a - b = m >= 1: AS 15.3.12 for F(A, B, A+B-m; w).
     # Finite part: Gamma(m) Gamma(C) / (Gamma(A) Gamma(B)) *
@@ -266,30 +335,29 @@ def _hyp_connection(a: float, b: float, c: float, x: float) -> tuple[float, floa
     log_coef = -((-1.0) ** m) * gamma_real(C) * _rgamma(A - m) * _rgamma(B - m)
     log_part = log_size = 0.0
     if log_coef != 0.0:
-        poch = 1.0 / math.gamma(m + 1.0)
-        # psi(n + 1), psi(n + m + 1), psi(A + n), psi(B + n), advanced as above
-        psi_n, psi_nm = -_EULER_GAMMA, digamma(m + 1.0)
-        psi_a, psi_b = digamma(A), digamma(B)
-        for n in range(_SERIES_MAX_TERMS):
-            bracket = log_u - psi_n - psi_nm + psi_a + psi_b
-            term = poch * bracket
-            log_part += term
-            log_size += abs(term)
-            if n > 0 and abs(term) <= _SERIES_RTOL * max(abs(log_part), abs(finite)):
-                break
-            poch *= (A + n) * (B + n) / ((n + 1.0) * (n + m + 1.0)) * u
-            psi_n += 1.0 / (n + 1.0)
-            psi_nm += 1.0 / (n + m + 1.0)
-            psi_a += 1.0 / (A + n)
-            psi_b += 1.0 / (B + n)
-        else:
-            raise NonConvergenceError(f"degenerate 2F1 series stalled at x={x}")
+        psi_m0, psi_a0, psi_b0 = digamma(m + 1.0), digamma(A), digamma(B)
+
+        def bracket(n, cols):
+            return (log_u[cols] - _digamma_run(-_EULER_GAMMA, 1.0, n)
+                    - _digamma_run(psi_m0, m + 1.0, n)
+                    + _digamma_run(psi_a0, A, n) + _digamma_run(psi_b0, B, n))
+
+        log_part, log_size = _sum_series(
+            u, lambda n: (A + n) * (B + n) / ((n + 1.0) * (n + m + 1.0)), bracket,
+            first=1.0 / math.gamma(m + 1.0), floor=np.abs(finite), sized=True,
+            what="degenerate 2F1 series")
     return (pref * (finite_coef * finite + log_coef * log_part),
             pref * (abs(finite_coef) * finite_size + abs(log_coef) * log_size))
 
 
-def hyp2f1(a: float, b: float, c: float, x: float) -> float:
+def hyp2f1(a: float, b: float, c: float, x):
     """Gauss hypergeometric function 2F1(a, b, c; x) for x <= 0.
+
+    x is a scalar, which gives a float, or an ndarray, which gives an array
+    of its shape.  An array is evaluated in one pass per branch: each series
+    runs over all the arguments that take it, and every argument stops at
+    the term, and gets the value, a call with it alone would (see
+    _sum_series).
 
     Parameters are restricted to the domain the far-field lemmas need:
     a, b, c > 0, and the only integer degeneracies admitted are
@@ -325,15 +393,21 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     Raises
     ------
     ValueError
-        If parameters lie outside the validated domain.
+        If parameters lie outside the validated domain, or any x > 0.
     NonConvergenceError
         If an internal series fails its tolerance budget.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not (v > 0.0) or not math.isfinite(v):
             raise ValueError(f"hyp2f1: parameter {name} must be positive, got {v!r}")
-    if not (x <= 0.0) or not math.isfinite(x):
-        raise ValueError(f"hyp2f1: argument must satisfy x <= 0, got {x!r}")
+    shape = np.shape(x)
+    x = np.array(x, dtype=float).ravel()
+    bad = ~((x <= 0.0) & np.isfinite(x))
+    if bad.any():
+        raise ValueError(
+            f"hyp2f1: argument must satisfy x <= 0, got {float(x[bad][0])!r}")
+    out = np.ones_like(x)  # the value at x = 0
+    live = x != 0.0
 
     if _is_integer(b - c) and b - c >= -_INT_SNAP:
         k = round(b - c)
@@ -341,29 +415,34 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
             raise ValueError(
                 f"hyp2f1: b - c = {b - c} is a non-negative integer outside {{0, 1}}"
             )
-        if x == 0.0:
-            return 1.0
         # Terminating Pfaff series: F(a, c-b, c; w) is a polynomial in w.
-        if k == 0:
-            return (1.0 - x) ** (-a)
-        w = x / (x - 1.0)
-        return (1.0 - x) ** (-a) * (1.0 - a * w / c)
-
-    if _is_integer(a - b) and a - b < -_INT_SNAP:
+        xs = x[live]
+        out[live] = (1.0 - xs) ** (-a)
+        if k == 1:
+            w = xs / (xs - 1.0)
+            out[live] *= 1.0 - a * w / c
+    elif _is_integer(a - b) and a - b < -_INT_SNAP:
         raise ValueError(
             f"hyp2f1: a - b = {a - b} is a negative integer (outside the "
             "validated parameter domain)"
         )
-
-    if x == 0.0:
-        return 1.0
-    if x > -0.5:
-        return _hyp_series(a, b, c, x)
-    if x < _CONNECTION_SEAM:
-        value, size = _hyp_large_x(a, b, c, x)
-        if x < _PFAFF_FLOOR or size <= _CANCEL_LIMIT * abs(value):
-            return value
-    return (1.0 - x) ** (-a) * _hyp_series(a, c - b, c, x / (x - 1.0))
+    else:
+        near = live & (x > -0.5)
+        if near.any():
+            out[near] = _defining_series(a, b, c, x[near])
+        pfaff = live & ~near
+        far = x < _CONNECTION_SEAM
+        if far.any():
+            value, size = _hyp_large_x(a, b, c, x[far])
+            keep = ((x[far] < _PFAFF_FLOOR)
+                    | (size <= _CANCEL_LIMIT * np.abs(value)))
+            out[far] = value
+            pfaff[far] = ~keep
+        if pfaff.any():
+            xs = x[pfaff]
+            out[pfaff] = (1.0 - xs) ** (-a) * _defining_series(
+                a, c - b, c, xs / (xs - 1.0))
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # ----------------------------------------------------------------------------
@@ -442,16 +521,22 @@ def frac_lap_h_prefactor(p: ProfileParams) -> float:
     )
 
 
-def frac_lap_h_exact(r: float, p: ProfileParams) -> float:
+def frac_lap_h_exact(r, p: ProfileParams):
     """Pointwise (-Delta)^s h_beta at radius r, in closed form.
 
     The closed form is a positive prefactor (see frac_lap_h_prefactor) times
     2F1(N/2 + s, beta/2 + s, N/2; -r^2).  It is evaluated at r = 0 as well
     (the hypergeometric series is 1 there); the profile is smooth at the
     origin, so nothing special happens to the formula.
+
+    r is a scalar, which gives a float, or an ndarray of radii, which gives
+    an array from one hyp2f1 call; each value equals the scalar call's.
     """
-    if not (r >= 0.0):
-        raise ValueError(f"frac_lap_h_exact: radius must be >= 0, got {r!r}")
+    r = np.asarray(r, dtype=float)
+    bad = ~(r >= 0.0)
+    if bad.any():
+        raise ValueError(
+            f"frac_lap_h_exact: radius must be >= 0, got {float(r[bad][0])!r}")
     N, s, beta = p.N, p.s, p.beta
     value = hyp2f1(N / 2.0 + s, beta / 2.0 + s, N / 2.0, -(r * r))
     return frac_lap_h_prefactor(p) * value

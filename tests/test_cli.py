@@ -96,6 +96,37 @@ def test_table_radius_zero_is_valid(tmp_path):
     assert len(read_csv(tmp_path / "specfun_table.csv")) == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+def test_table_without_a_finite_law_writes_null(tmp_path):
+    # beta = N: the log-corrected law diverges at r = 0; its cell and the
+    # ratio are null in strict JSON and empty in the CSV, with no warning
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracradial.cli", "specfun-table", "--out",
+         str(tmp_path), "--radii", "0,1", "--beta", "3"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    with open(tmp_path / "specfun_table.json") as fh:
+        rec = json.load(fh, parse_constant=_reject_constant)
+    at_0, at_1 = rec["rows"]
+    assert at_0["radius"] == 0.0 and at_0["fraclap_exact"] > 0.0
+    assert at_0["fraclap_asymptotic"] is None and at_0["ratio"] is None
+    assert at_1["ratio"] == at_1["fraclap_exact"] / at_1["fraclap_asymptotic"]
+    rows = read_csv(tmp_path / "specfun_table.csv")
+    assert rows[1][3:] == ["", ""]
+    assert all(rows[2])
+
+
+def test_reports_reject_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "r.json", {"x": [1.0, float("inf")]})
+
+
 def test_format_flag_restricts_outputs(tmp_path):
     code = main(["specfun-table", "--out", str(tmp_path), "--format", "csv"])
     assert code == 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fracradial import specfun
 from fracradial.specfun import (
     AsymptoticLaw,
     NonConvergenceError,
@@ -218,6 +219,121 @@ def test_hyp2f1_rejects_bad_parameters():
         hyp2f1(1.2, 2.2, 1.0, -1.0)  # a - b = -1
     with pytest.raises(ValueError):
         hyp2f1(1.1, 3.5, 1.5, -1.0)  # b - c = 2
+
+
+# Arguments across every branch of hyp2f1: x = 0, the defining series on
+# (-1/2, 0), the Pfaff series on [-5, -1/2], the connection formulas below
+# -5 (with the Pfaff fallback on [-100, -5)) and beyond _PFAFF_FLOOR.
+ARRAY_XS = np.array([0.0, -1e-3, -0.3, -0.4999, -0.5, -1.0, -3.0, -4.9, -5.0,
+                     -5.5, -6.0, -12.4, -60.0, -99.5, -100.0, -150.0, -1e4,
+                     -1e6, -4e26])
+
+# Parameter triples for each shape of the connection formulas and each
+# integer degeneracy.
+ARRAY_TRIPLES = [
+    (2.0, 2.25, 1.5),              # generic, the oracle's (3, 1/2, 3.5)
+    (2.6065, 2.6101, 2.0),         # cancels at -6: the Pfaff fallback
+    (2.25, 2.249999999995, 2.0),   # b - a just below 0: the stencil in b
+    (2.25, 2.250000000005, 2.0),   # b - a just above 0
+    (3.25, 2.2500000005, 2.5),     # b - a just above -1
+    (0.7, 1.700000000005, 1.0),    # b - a just above +1: a and b exchanged
+    (1.75, 1.75, 1.5),             # b = a: logarithmic series
+    (1.5, 0.5, 1.0),               # a - b = 1: the (N, p) = (2, -3) kernel
+    (2.5, 1.5, 3.0),               # a - b = 1: the (4, -5) kernel
+    (0.7, 1.3, 1.3),               # b - c = 0: closed form
+    (1.1, 2.5, 1.5),               # b - c = 1: closed form
+]
+
+
+@pytest.mark.parametrize("a,b,c", ARRAY_TRIPLES)
+def test_hyp2f1_array_equals_scalar_calls_bitwise(a, b, c):
+    got = hyp2f1(a, b, c, ARRAY_XS)
+    want = np.array([hyp2f1(a, b, c, float(x)) for x in ARRAY_XS])
+    assert got.shape == ARRAY_XS.shape
+    assert np.array_equal(got, want)
+    # any shape, and an argument's value does not depend on its neighbours
+    grid = hyp2f1(a, b, c, ARRAY_XS[::-1].reshape(1, -1))
+    assert grid.shape == (1, ARRAY_XS.size)
+    assert np.array_equal(grid[0, ::-1], want)
+
+
+def _series_term_by_term(ratio, z, first=1.0, floor=0.0):
+    """sum_n poch_n with poch_0 = first and poch_(n+1) = poch_n (ratio(n) z),
+    one term at a time, to the first n >= 1 with |term| <= _SERIES_RTOL
+    max(|sum|, floor)."""
+    total, term = 0.0, first
+    for n in range(specfun._SERIES_MAX_TERMS):
+        total += term
+        if n > 0 and abs(term) <= specfun._SERIES_RTOL * max(abs(total), floor):
+            return total
+        term *= ratio(n) * z
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("a,b,c", [(2.0, 2.25, 1.5), (2.0, -0.75, 1.5),
+                                   (1.75, 0.25, 0.5), (1.5, 0.5, 1.0)])
+def test_blockwise_series_stops_where_a_loop_stops(a, b, c):
+    # arguments that need from a handful to a few hundred terms, so the
+    # columns finish in different blocks of _sum_series, and enough of them
+    # that the first blocks are narrower than _BLOCK
+    z = np.concatenate([-np.geomspace(1e-6, 0.5, 200),
+                        np.linspace(0.01, 5.0 / 6.0, 200) * np.array([-1.0, 1.0] * 100)])
+    assert z.size > specfun._BLOCK_CELLS // specfun._BLOCK
+    got = specfun._defining_series(a, b, c, z)
+
+    def ratio(n):
+        return (a + n) * (b + n) / ((c + n) * (1.0 + n))
+
+    want = [_series_term_by_term(ratio, float(v)) for v in z]
+    assert np.array_equal(got, want)
+
+
+def test_blockwise_series_with_a_floor_runs_past_the_first_term():
+    # a floor far above the sum (the finite part of the a - b = m series)
+    # would stop every column at its first term, which is never checked
+    def ratio(n):
+        return (1.5 + n) * (0.5 + n) / ((n + 1.0) * (n + 2.0))
+
+    z = np.geomspace(1e-3, 0.1, 12)
+    floor = np.where(np.arange(z.size) % 2 == 0, 1e30, 0.0)
+    got, _ = specfun._sum_series(z, ratio, first=0.5, floor=floor)
+    want = [_series_term_by_term(ratio, v, 0.5, f) for v, f in zip(z, floor)]
+    assert np.array_equal(got, want)
+    assert got[0] != 0.5
+
+
+def test_array_triples_reach_the_pfaff_fallback():
+    value, size = specfun._hyp_large_x(2.6065, 2.6101, 2.0, np.array([-6.0, -60.0]))
+    assert size[0] > specfun._CANCEL_LIMIT * abs(value[0])
+    assert size[1] <= specfun._CANCEL_LIMIT * abs(value[1])
+
+
+def test_hyp2f1_scalar_gives_a_float():
+    for x in (0.0, -0.3, -3.0, -60.0, np.float64(-60.0), np.array(-60.0)):
+        assert type(hyp2f1(2.0, 2.25, 1.5, x)) is float
+    assert type(hyp2f1(0.7, 1.3, 1.3, -2.0)) is float
+    assert hyp2f1(2.0, 2.25, 1.5, np.array([])).shape == (0,)
+
+
+def test_hyp2f1_rejects_an_array_with_one_positive_argument():
+    xs = ARRAY_XS.copy()
+    xs[7] = 0.25
+    with pytest.raises(ValueError, match="x <= 0, got 0.25"):
+        hyp2f1(2.0, 2.25, 1.5, xs)
+    xs[7] = np.nan
+    with pytest.raises(ValueError):
+        hyp2f1(2.0, 2.25, 1.5, xs)
+
+
+def test_frac_lap_h_exact_array():
+    p = ProfileParams(3, 0.25, 3.0)
+    r = np.array([0.0, 0.05, 0.7, 2.2, 2.5, 9.0, 40.0])
+    got = frac_lap_h_exact(r, p)
+    assert np.array_equal(got, [frac_lap_h_exact(float(v), p) for v in r])
+    assert type(frac_lap_h_exact(2.5, p)) is float
+    r[3] = -1e-3
+    with pytest.raises(ValueError, match="radius must be >= 0, got -0.001"):
+        frac_lap_h_exact(r, p)
 
 
 def test_non_convergence_error_is_runtime_error():
