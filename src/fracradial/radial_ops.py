@@ -135,25 +135,25 @@ def sphere_surface_area(N: int) -> float:
 # Angular kernel
 # ----------------------------------------------------------------------------
 
-def _kernel3_arrays(r, rho, p: float):
+def _kernel3_arrays(r, rho, p: float, dist):
     """Closed form of the angular kernel in dimension three (vectorized).
 
     For N = 3 the polar integral has the elementary antiderivative
     2 pi / (r rho (p+2)) * ((r+rho)^(p+2) - |r-rho|^(p+2)); the exponent
-    p = -2 is the logarithmic limit of that expression.
+    p = -2 is the logarithmic limit of that expression.  |r - rho| is the
+    caller's offset dist (see _kernel_eval).
     """
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     ssum = r + rho
-    diff = np.abs(r - rho)
     e = p + 2.0
     if abs(e) < 1e-8:
-        base = 2.0 * math.pi / (r * rho) * np.log(ssum / diff)
+        base = 2.0 * math.pi / (r * rho) * np.log(ssum / dist)
         if e == 0.0:
             return base
         # first-order correction of ((x^e - y^e)/e) around e = 0
-        return base * (1.0 + 0.5 * e * np.log(ssum * diff))
-    return 2.0 * math.pi / (r * rho * e) * (ssum ** e - diff ** e)
+        return base * (1.0 + 0.5 * e * np.log(ssum * dist))
+    return 2.0 * math.pi / (r * rho * e) * (ssum ** e - dist ** e)
 
 
 def _kernel_at_gap(gap, p: float, N: int):
@@ -300,14 +300,23 @@ def _kernel_table(N: int, p: float) -> _KernelTable:
     return _memo(("table", N, round(p, 12)), lambda: _KernelTable(N, p))
 
 
-def _kernel_eval(N: int, p: float, r: float, rho: np.ndarray) -> np.ndarray:
-    """Vectorized angular kernel k_p(r, rho); rho must avoid rho == r."""
+def _kernel_eval(N: int, p: float, r: float, rho: np.ndarray,
+                 dist: np.ndarray) -> np.ndarray:
+    """Vectorized angular kernel k_p(r, rho), given the offset dist = |rho - r|
+    as the caller formed it; dist must be positive.
+
+    Near the diagonal the kernel is a power of the offset, and rho = r + xi
+    keeps only about eps r / xi of xi: the PV window and the Riesz diagonal
+    cells, which start from xi, pass xi itself.  Every other caller passes
+    np.abs(r - rho), which equals max(r, rho) - min(r, rho) bitwise.  For
+    N != 3 the table is read at the gap dist / min(r, rho); big / m - 1
+    would keep fewer digits of it.
+    """
     rho = np.asarray(rho, dtype=float)
     if N == 3:
-        return _kernel3_arrays(r, rho, p)
+        return _kernel3_arrays(r, rho, p, dist)
     m = np.minimum(r, rho)
-    # big - m is exact near the diagonal, big / m - 1 would not be
-    return m ** p * _kernel_table(N, p).eval_gap((np.maximum(r, rho) - m) / m)
+    return m ** p * _kernel_table(N, p).eval_gap(dist / m)
 
 
 def angular_kernel(r: float, rho: float, p: float, N: int) -> float:
@@ -346,7 +355,7 @@ def angular_kernel(r: float, rho: float, p: float, N: int) -> float:
     if lo == 0.0:
         return sphere_surface_area(N) * hi ** p
     if N == 3:
-        return float(_kernel3_arrays(lo, hi, p))
+        return float(_kernel3_arrays(lo, hi, p, hi - lo))
     return lo ** p * _kernel_at_gap((hi - lo) / lo, p, N)
 
 
@@ -659,29 +668,29 @@ def _pv_moments(N: int, p: float, r: float, w: float, s: float):
     cells it flips the sign of the high-frequency symbol and makes the
     assembled resolvent nearly singular.  The window width must stay below
     that threshold (see _WINDOW_CELLS) for the expansion to be usable.
+
+    The kernel is evaluated at the offsets xi themselves, not at r +- xi
+    rounded: where r is a power of two, r - xi rounds on a finer spacing
+    than r + xi, and the odd moments kept that difference (a relative
+    error of 1.1e-4 in the pointwise value at r = 2 for s = 1/2, of 90 for
+    s = 3/4).
     """
     edges = w * _GRADE_RATIO ** np.arange(_PV_GRADE_LEVELS + 1)
     x4, w4 = _gauss(4)
-    a, b = edges[1:], edges[:-1]
-    xi = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x4[None, :]).ravel()
-    wq = (0.5 * (b - a)[:, None] * w4[None, :]).ravel()
-    gp = _kernel_eval(N, p, r, r + xi) * (r + xi) ** (N - 1)
-    gm = _kernel_eval(N, p, r, r - xi) * (r - xi) ** (N - 1)
+    a, b, x0 = edges[1:], edges[:-1], edges[-1]
+    # the graded points, then the power-law stub's point x0: the integrand
+    # xi^k g is taken as a power of xi below x0, of exponent 1-2s for the
+    # first two moments and 3-2s for the last two
+    xi = np.append(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x4, x0)
+    wq = (0.5 * (b - a)[:, None] * w4).ravel()
+    w_lo = np.append(wq, x0 / (2.0 - 2.0 * s))
+    w_hi = np.append(wq, x0 / (4.0 - 2.0 * s))
+    gp = _kernel_eval(N, p, r, r + xi, xi) * (r + xi) ** (N - 1)
+    gm = _kernel_eval(N, p, r, r - xi, xi) * (r - xi) ** (N - 1)
     odd = gp - gm
     even = gp + gm
-    m1 = float(wq @ (xi * odd))
-    m2 = float(wq @ (xi * xi * even))
-    m3 = float(wq @ (xi ** 3 * odd))
-    m4 = float(wq @ (xi ** 4 * even))
-    # power-law stub below the last grading level
-    x0 = edges[-1]
-    g0p = float(_kernel_eval(N, p, r, np.array([r + x0]))[0]) * (r + x0) ** (N - 1)
-    g0m = float(_kernel_eval(N, p, r, np.array([r - x0]))[0]) * (r - x0) ** (N - 1)
-    m1 += x0 * (g0p - g0m) * x0 / (2.0 - 2.0 * s)
-    m2 += x0 * x0 * (g0p + g0m) * x0 / (2.0 - 2.0 * s)
-    m3 += x0 ** 3 * (g0p - g0m) * x0 / (4.0 - 2.0 * s)
-    m4 += x0 ** 4 * (g0p + g0m) * x0 / (4.0 - 2.0 * s)
-    return m1, m2, m3, m4
+    return (float(w_lo @ (xi * odd)), float(w_lo @ (xi * xi * even)),
+            float(w_hi @ (xi ** 3 * odd)), float(w_hi @ (xi ** 4 * even)))
 
 
 def _graded_edges(r: np.ndarray, d0: np.ndarray, hi: float) -> np.ndarray:
@@ -706,8 +715,9 @@ def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
     x, wq = _gauss(8)
     a, b = edges[:, :-1, None], edges[:, 1:, None]
     rho = 0.5 * (a + b) + 0.5 * (b - a) * x
+    rr = r[:, None, None]
     contrib = 0.5 * (b - a) * wq * rho ** (N - 1) \
-        * _kernel_eval(N, p, r[:, None, None], rho)
+        * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
     x2 = (rho / r1) ** 2
     return (np.sum(contrib * (1.0 - x2), axis=(1, 2)),
             np.sum(contrib * x2, axis=(1, 2)), np.sum(contrib, axis=(1, 2)))
@@ -722,8 +732,9 @@ def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
     x, wq = _gauss(8)
     la, lb = np.log(edges[:, :-1, None]), np.log(edges[:, 1:, None])
     rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x)
+    rr = r[:, None, None]
     contrib = 0.5 * (lb - la) * wq * rho ** N \
-        * _kernel_eval(N, p, r[:, None, None], rho)
+        * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
     tails = [np.sum(contrib * (rho / r_max) ** (-om), axis=(1, 2)) for om in omegas]
     return np.array(tails), np.sum(contrib, axis=(1, 2))
 
@@ -788,7 +799,8 @@ def _full_cells(row: _Row, ctx: _RowContext, p: float, r: float,
     """The grid cells selected by `full`, with the shared cell rule."""
     sel_rho = ctx.cell_rho[full].ravel()
     if sel_rho.size:
-        kern = _kernel_eval(ctx.grid.N, p, r, sel_rho).reshape(-1, 4)
+        kern = _kernel_eval(ctx.grid.N, p, r, sel_rho,
+                            np.abs(r - sel_rho)).reshape(-1, 4)
         contrib = ctx.cell_w[full] * kern
         row.mass += float(np.sum(contrib))
         per_node = np.einsum("cq,cqm->cm", contrib, ctx.cell_cubw[full])
@@ -891,7 +903,7 @@ def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float) -> float:
         for ta, tb in pieces:
             tq, twq = _gauss_on(ta, tb, 4)
             rho = np.exp(tq)
-            contrib = twq * rho ** N * _kernel_eval(N, p, r, rho)
+            contrib = twq * rho ** N * _kernel_eval(N, p, r, rho, np.abs(r - rho))
             row.mass += float(np.sum(contrib))
             _add_cubic(coeffs, tt, tq, -contrib)
     return w
@@ -945,25 +957,16 @@ def _diagonal_stub(f0: float, f1: float, x0: float) -> float:
     return f0 * x0 / (gam + 1.0)
 
 
-def _stub_values(r: float, rhos: tuple, p: float, N: int) -> list:
-    """angular_kernel(r, rho, p, N) rho^(N-1) at the radii rhos off r, the
-    integrand values a diagonal stub is fitted through.  For N != 3 they
-    come from one hyp2f1 call, which costs about what one scalar call does;
-    N = 3 needs no 2F1 and keeps angular_kernel's scalar closed form."""
-    if N == 3:
-        kernels = [angular_kernel(r, rho, p, N) for rho in rhos]
-    else:
-        lo = np.minimum(r, rhos)
-        gaps = (np.maximum(r, rhos) - lo) / lo
-        kernels = (lo ** p * _kernel_at_gap(gaps, p, N)).tolist()
-    return [k * rho ** (N - 1) for k, rho in zip(kernels, rhos)]
-
-
 def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
                     sides: list) -> None:
     """The cells (a, b) of `sides` that touch radius r in a Riesz row, each
     graded geometrically toward r in _RIESZ_GRADE_LEVELS levels of 4 Gauss
-    points, with a power-law stub for the last level."""
+    points, with a power-law stub for the last level.
+
+    The points are offsets xi from r, and the kernel is evaluated at xi
+    itself (see _kernel_eval): the rounded radius r +- xi, which places
+    them on the cubic stencil, keeps only about eps r / xi of xi.
+    """
     N = ctx.grid.N
     tt = ctx.tt
     x4, w4 = _gauss(4)
@@ -971,19 +974,17 @@ def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
         span = b_rho - a_rho
         if span <= 0.0:
             continue
-        left_of_r = b_rho == r
-        xi = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
-        xb, xa = xi[:-1], xi[1:]
-        pa, pb = (r - xb, r - xa) if left_of_r else (r + xa, r + xb)
-        half = 0.5 * (pb - pa)
-        rho = (0.5 * (pa + pb)[:, None] + half[:, None] * x4).ravel()
-        contrib = (half[:, None] * w4).ravel() * rho ** (N - 1) \
-            * _kernel_eval(N, p, r, rho)
-        _add_cubic(row.coeffs, tt, np.log(rho), contrib)
-        x0 = xi[-1]
-        rho0 = r - x0 if left_of_r else r + x0
-        rho1 = r - 2.0 * x0 if left_of_r else r + 2.0 * x0
-        stub = _diagonal_stub(*_stub_values(r, (rho0, rho1), p, N), x0)
+        edges = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
+        xb, xa, x0 = edges[:-1], edges[1:], edges[-1]
+        half = 0.5 * (xb - xa)
+        # the graded points, then the stub's two points x0 and 2 x0
+        xi = np.append(0.5 * (xa + xb)[:, None] + half[:, None] * x4,
+                       (x0, 2.0 * x0))
+        rho = r - xi if b_rho == r else r + xi
+        g = rho ** (N - 1) * _kernel_eval(N, p, r, rho, xi)
+        _add_cubic(row.coeffs, tt, np.log(rho[:-2]),
+                   (half[:, None] * w4).ravel() * g[:-2])
+        stub = _diagonal_stub(g[-2], g[-1], x0)
         _add_cubic(row.coeffs, tt, np.array([math.log(r)]), np.array([stub]))
 
 
@@ -1026,10 +1027,12 @@ def _riesz_row(ctx: _RowContext, i: int, alpha: float,
         ks = np.arange(_RIESZ_GRADE_LEVELS, -1, -1)
         edges = list(r * (1.0 + 0.5 * _GRADE_RATIO ** ks))
         x0 = 0.5 * r * _GRADE_RATIO ** _RIESZ_GRADE_LEVELS
-        f0, f1 = _stub_values(r, (r + x0, r + 2.0 * x0), p, N)
+        xi = np.array([x0, 2.0 * x0])
+        rho = r + xi
+        g = rho ** (N - 1) * _kernel_eval(N, p, r, rho, xi)
         for k, om in enumerate(row.omegas):
-            row.tail[k] += _diagonal_stub(f0 * ((r + x0) / rM) ** (-om),
-                                          f1 * ((r + 2.0 * x0) / rM) ** (-om), x0)
+            f0, f1 = g * (rho / rM) ** (-om)
+            row.tail[k] += _diagonal_stub(f0, f1, x0)
     else:
         edges = [start]
     _far_tail(row, grid, p, r, edges, 1.0)
@@ -1203,7 +1206,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     # full cells at offsets e = c - i in [-(M+1), M], integrated at r = 1
     x4, w4 = _gauss(4)
     rho = np.exp((np.arange(-(M + 1), M + 1)[:, None] + 0.5 + 0.5 * x4) * h)
-    cells = 0.5 * h * w4 * rho ** N * _kernel_eval(N, p, 1.0, rho)
+    cells = 0.5 * h * w4 * rho ** N * _kernel_eval(N, p, 1.0, rho, np.abs(1.0 - rho))
     cells[np.flatnonzero(excluded) - g + M + 1] = 0.0
     per_node = sign * cells @ _lagrange4(np.arange(-1.0, 3.0), 0.5 + 0.5 * x4)
 

@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 
+# At most this many re-solves with a refitted tail exponent (solve_ground_state).
+_TAIL_REFIT_ROUNDS = 3
+
+
 class ZeroCollapseError(RuntimeError):
     """Iterates collapsed to zero (bad initialization or parameters)."""
 
@@ -229,7 +233,6 @@ class SolverOpts:
     max_iterations: int = 5000
     damping: float = 0.5
     tolerance: float = 1e-10
-    tail_refit_rounds: int = 3
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -238,8 +241,6 @@ class SolverOpts:
             raise ValueError(f"SolverOpts: tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError(f"SolverOpts: max_iterations must be >= 1")
-        if self.tail_refit_rounds < 0:
-            raise ValueError(f"SolverOpts: tail_refit_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ def solve_ground_state(params: ProblemParams,
     Every iterate must stay strictly positive.  After the inner loop
     converges, the tail exponent assumed by the operator closure is checked
     against the achieved far field and the solve is repeated with the fitted
-    exponent when they disagree by more than 5% (at most tail_refit_rounds
+    exponent when they disagree by more than 15% (at most _TAIL_REFIT_ROUNDS
     times).  The first resolvent solve of each round is checked to 1e-10
     backward error, as in apply_inverse_operator.
 
@@ -365,7 +366,7 @@ def solve_ground_state(params: ProblemParams,
     total_iter = 0
     converged = False
 
-    for round_idx in range(opts.tail_refit_rounds + 1):
+    for round_idx in range(_TAIL_REFIT_ROUNDS + 1):
         A = fraclap_matrix(grid, params.s, tail_omega=beta_asm)
         A[np.diag_indices_from(A)] += mu
         inv = lu_factor(A)
@@ -423,7 +424,7 @@ def solve_ground_state(params: ProblemParams,
         omega_fit = min(_fit_far_decade(grid, a * v), params.N + 2.0 * params.s)
         if omega_fit <= 1.05 * params.N / r \
                 or abs(omega_fit - beta_asm) <= 0.15 * beta_asm \
-                or round_idx == opts.tail_refit_rounds:
+                or round_idx == _TAIL_REFIT_ROUNDS:
             break
         beta_asm = omega_fit
 

@@ -275,10 +275,10 @@ def _hyp_connection(a: float, b: float, c: float,
 
     The Pfaff map w = x/(x-1) sends x -> -inf to w -> 1^-, where the
     standard w -> 1 connection formulas apply to 2F1(a, c-b, c; w) with
-    expansion variable u = 1 - w = 1/(1-x).  Three shapes occur on the
+    expansion variable u = 1 - w = 1/(1-x).  Two shapes occur on the
     validated parameter domain: b - a not an integer (two plain series),
-    b = a (logarithmic series), and a - b = m a positive integer
-    (finite part plus logarithmic series).
+    and a - b = m >= 0 an integer (a finite part of m terms plus a
+    logarithmic series; 15.3.10 is the m = 0 case of 15.3.12).
 
     References
     ----------
@@ -301,26 +301,10 @@ def _hyp_connection(a: float, b: float, c: float,
 
     m = round(-d)
     log_u = np.log(u)
-    if m == 0:
-        # b = a: logarithmic case, AS 15.3.10 for F(A, B, A+B; w).
-        coef = gamma_real(C) * _rgamma(A) * _rgamma(B)
-        # psi(n + 1), psi(A + n) and psi(B + n) of the terms n
-        psi_a0, psi_b0 = digamma(A), digamma(B)
-
-        def bracket(n, cols):
-            return (2.0 * _digamma_run(-_EULER_GAMMA, 1.0, n)
-                    - _digamma_run(psi_a0, A, n) - _digamma_run(psi_b0, B, n)
-                    - log_u[cols])
-
-        total, size = _sum_series(
-            u, lambda n: (A + n) * (B + n) / (n + 1.0) ** 2, bracket,
-            sized=True, what="logarithmic 2F1 series")
-        return pref * coef * total, abs(pref * coef) * size
-
-    # a - b = m >= 1: AS 15.3.12 for F(A, B, A+B-m; w).
-    # Finite part: Gamma(m) Gamma(C) / (Gamma(A) Gamma(B)) *
-    #              sum_{n<m} (A-m)_n (B-m)_n / (n! (1-m)_n) u^{n-m}
-    finite_coef = math.gamma(m) * gamma_real(C) * _rgamma(A) * _rgamma(B)
+    # a - b = m >= 0: AS 15.3.12 for F(A, B, A+B-m; w), 15.3.10 at m = 0.
+    # Finite part, empty for m = 0: Gamma(m) Gamma(C) / (Gamma(A) Gamma(B)) *
+    #   sum_{n<m} (A-m)_n (B-m)_n / (n! (1-m)_n) u^{n-m}
+    finite_coef = math.gamma(m) * gamma_real(C) * _rgamma(A) * _rgamma(B) if m else 0.0
     finite = finite_size = 0.0
     poch = 1.0
     for n in range(m):
@@ -344,8 +328,8 @@ def _hyp_connection(a: float, b: float, c: float,
 
         log_part, log_size = _sum_series(
             u, lambda n: (A + n) * (B + n) / ((n + 1.0) * (n + m + 1.0)), bracket,
-            first=1.0 / math.gamma(m + 1.0), floor=np.abs(finite), sized=True,
-            what="degenerate 2F1 series")
+            first=1.0 / math.gamma(m + 1.0), floor=np.abs(finite) if m else None,
+            sized=True, what="logarithmic 2F1 series")
     return (pref * (finite_coef * finite + log_coef * log_part),
             pref * (abs(finite_coef) * finite_size + abs(log_coef) * log_size))
 

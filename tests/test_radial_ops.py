@@ -157,7 +157,8 @@ def test_closed_form_kernel_matches_dimension_three():
     rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
     for p in (-6.0, -4.5, -3.0, -2.0, -1.0, 1.5):
         got = radial_ops._kernel_at_gap(rho - 1.0, p, 3)
-        assert_allclose(got, radial_ops._kernel3_arrays(1.0, rho, p), rtol=1e-13)
+        assert_allclose(got, radial_ops._kernel3_arrays(1.0, rho, p, rho - 1.0),
+                        rtol=1e-13)
 
 
 # The kernel table's nodes (uniform in log gap), a geometric grid's log
@@ -360,6 +361,21 @@ def test_fraclap_pointwise_dimension_two():
     assert_allclose(got, want, rtol=1e-3)
 
 
+# Just below a power of two the float spacing halves, so r + xi and r - xi
+# round differently and the PV window's odd moment kept the difference while
+# the kernel was read at the rounded radii: at s = 1/2 these radii were
+# 5.7e-6 to 1.4e-4 off, against <= 1.5e-7 elsewhere, and at s = 3/4 their
+# relative errors were 6.7 to 97.  Read at the offsets xi themselves, they are <= 1.6e-7
+# off at s = 1/2 and <= 5.4e-7 at s = 3/4 (default grid).
+@pytest.mark.parametrize("N,s,beta", [(3, 0.5, 3.0), (2, 0.5, 2.5), (3, 0.75, 3.0)])
+def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
+    g = RadialGrid.log_spaced(N=N)
+    radii = [0.25, 0.5, 1.0, 2.0, 4.0]
+    got = [frac_laplacian_radial(h_beta_function(g, beta), s, at=r) for r in radii]
+    want = frac_lap_h_exact(np.array(radii), ProfileParams(N, s, beta))
+    assert_allclose(got, want, rtol=1e-6)
+
+
 def test_fraclap_rejects_bad_arguments(grid):
     u = h_beta_function(grid, 2.0)
     for s in (0.0, 1.0, 1.2, -0.5):
@@ -544,10 +560,15 @@ def test_structured_assembly_matches_row_loop(kind, N):
 
 
 # The same check where the kernel's 2F1 has a - b off the integers:
-# (N, p) = (2, -1/2) and (4, -9/2).
+# (N, p) = (2, -1/2) and (4, -9/2); and at alpha = 1/2, where the diagonal
+# cells' rows were 1.2e-10 apart while their kernel was read at the rounded
+# radii r +- xi (now 8e-15, and 2.7e-11 at the N = 3 last column).
 @pytest.mark.parametrize("kind,N,exponent,omega", [
     ("riesz", 2, 1.5, 2.7),
     ("fraclap", 4, 0.25, 4.5),
+    ("riesz", 2, 0.5, 2.7),
+    ("riesz", 3, 0.5, 3.7),
+    ("riesz", 4, 0.5, 4.7),
 ])
 def test_structured_assembly_matches_row_loop_generic_kernel(kind, N, exponent, omega):
     assert_structured_matches_loop(kind, N, exponent, omega)

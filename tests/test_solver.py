@@ -173,7 +173,6 @@ def test_predicted_tail_exponent(r, expected):
     dict(damping=1.5),
     dict(tolerance=0.0),
     dict(max_iterations=0),
-    dict(tail_refit_rounds=-1),
 ])
 def test_solver_opts_validation(kwargs):
     with pytest.raises(ValueError):
