@@ -143,8 +143,6 @@ _CONFIG_SCHEMA = {
     "solver": {
         "tolerance": (_parse_float, "1e-10"),
         "max_iter": (_parse_int, "5000"),
-        "damping": (_parse_float, "0.5"),
-        "init_profile": (_parse_optional_float, ""),
     },
     "analysis": {
         "fit_window": (_parse_float_pair, "50,100"),
@@ -233,16 +231,9 @@ def _build_grid(cfg: dict, N: int) -> RadialGrid:
 
 def _build_solver_opts(cfg: dict, grid: RadialGrid) -> SolverOpts:
     s = cfg["solver"]
-    init = None
-    if s["init_profile"] is not None:
-        if s["init_profile"] <= 0.0:
-            raise ConfigError("solver.init_profile: the initial bump exponent "
-                              "must be positive")
-        init = h_beta_function(grid, s["init_profile"])
     try:
         return SolverOpts(grid=grid, tolerance=s["tolerance"],
-                          max_iterations=s["max_iter"], damping=s["damping"],
-                          initial_profile=init)
+                          max_iterations=s["max_iter"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from fracradial.specfun import h_beta_eval, hyp2f1, riesz_constant
+from fracradial.specfun import _defining_series, h_beta_eval, hyp2f1, riesz_constant
 
 __all__ = [
     "RadialGrid",
@@ -261,7 +261,6 @@ class _KernelTable:
     """
 
     _Q_HI = 50.0
-    _FAR_TERMS = 40
 
     def __init__(self, N: int, p: float):
         self.N = N
@@ -283,17 +282,10 @@ class _KernelTable:
         return out
 
     def _far_series(self, z: np.ndarray) -> np.ndarray:
-        """2F1(-p/2, (2-N-p)/2; N/2; z) for 0 < z <= 1/_Q_HI^2, summed until
-        the terms fall below round-off of the sum."""
-        a, b, c = -0.5 * self.p, 0.5 * (2.0 - self.N - self.p), 0.5 * self.N
-        term = np.ones_like(z)
-        total = np.ones_like(z)
-        for k in range(self._FAR_TERMS):
-            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z
-            total += term
-            if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-                break
-        return total
+        """2F1(-p/2, (2-N-p)/2; N/2; z) for 0 < z <= 1/_Q_HI^2, by its
+        defining series."""
+        return _defining_series(-0.5 * self.p, 0.5 * (2.0 - self.N - self.p),
+                                0.5 * self.N, z)
 
 
 def _kernel_table(N: int, p: float) -> _KernelTable:
@@ -1105,9 +1097,8 @@ class _Operator:
     columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E+1) holds their slot 0 and their first and last E node
-    columns, and `diag` (K,) what their diagonal carries beyond the shift
-    (the fractional Laplacian's kernel mass; zero for Riesz).  `ends` holds
-    every other row densely: rows 0..lo-1, then hi..M-1.  Any other grid
+    columns.  `ends` holds every other row densely: rows 0..lo-1, then
+    hi..M-1.  Any other grid, and the fractional Laplacian on every grid,
     has no interior (lo = hi = 0) and all M rows in `ends`.  A Riesz
     operator also holds `origin`, the weights of I_alpha * u(0) over x.
     """
@@ -1119,7 +1110,6 @@ class _Operator:
     gen: np.ndarray
     scale: np.ndarray
     edges: np.ndarray
-    diag: np.ndarray
     origin: np.ndarray | None = None
 
     @classmethod
@@ -1127,7 +1117,7 @@ class _Operator:
         """An operator with every row held densely."""
         empty = np.empty(0)
         return cls(ends=rows, tails=tails, lo=0, hi=0, gen=empty, scale=empty,
-                   edges=np.empty((0, 2 * _END_COLUMNS + 1)), diag=empty)
+                   edges=np.empty((0, 2 * _END_COLUMNS + 1)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Unscaled operator values at the nodes for x laid out as above;
@@ -1140,8 +1130,7 @@ class _Operator:
         if hi > lo:
             corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
             out[lo:hi] += self.scale * corr \
-                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:])) \
-                + self.diag * u[lo:hi]
+                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:]))
         return out
 
     def rows(self) -> np.ndarray:
@@ -1156,15 +1145,15 @@ class _Operator:
             np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
             rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
             rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
-            inner = np.arange(lo, hi)
-            rows[inner, 1 + inner] += self.diag
         return rows
 
 
 def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                      tail_omega: float) -> _Operator:
     """The rows of _rows_by_loop on a geometric grid, built from one
-    generating row and stored as an _Operator with an interior.
+    generating row.  The Riesz operator is stored as an _Operator with an
+    interior; the fractional Laplacian, whose diagonal also carries the
+    kernel mass, is returned dense.
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
     l^p k_p(r, rho), so away from the ends row i divided by its scale
@@ -1257,11 +1246,15 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     tails[:lo] = end_tails[:lo]
     tails[hi:] = end_tails[lo:]
     # the generating row where the interior rows reach the middle columns
-    return _Operator(ends=ends, tails=tails, lo=lo, hi=hi,
-                     gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
-                     scale=scale[lo:hi], edges=edges,
-                     # the Riesz diagonal shifts like the rest of the row
-                     diag=mass if fraclap else np.zeros(hi - lo))
+    op = _Operator(ends=ends, tails=tails, lo=lo, hi=hi,
+                   gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
+                   scale=scale[lo:hi], edges=edges)
+    if not fraclap:
+        # the Riesz diagonal shifts like the rest of the row
+        return op
+    rows = op.rows()
+    rows[inner, 1 + inner] += mass
+    return _Operator.dense(rows, tails)
 
 
 def _riesz_origin(grid: RadialGrid, alpha: float, tail_omega: float) -> np.ndarray:
@@ -1297,9 +1290,8 @@ def _raw(grid: RadialGrid, kind: str, exponent: float,
             op = _structured_rows(grid, kind, exponent, tail_omega)
         else:
             op = _Operator.dense(*_rows_by_loop(grid, kind, exponent, tail_omega))
-        if kind == "fraclap":
-            return _Operator.dense(op.rows(), op.tails)
-        op.origin = _riesz_origin(grid, exponent, tail_omega)
+        if kind == "riesz":
+            op.origin = _riesz_origin(grid, exponent, tail_omega)
         return op
 
     return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),

@@ -59,6 +59,8 @@ __all__ = [
 
 # At most this many re-solves with a refitted tail exponent (solve_ground_state).
 _TAIL_REFIT_ROUNDS = 3
+# Weight of the new normalized iterate in each damped step.
+_DAMPING = 0.5
 
 
 class ZeroCollapseError(RuntimeError):
@@ -133,7 +135,7 @@ class NonlinearitySpec:
         if convention not in ("sqrt_r", "power"):
             raise ValueError(
                 f"NonlinearitySpec.homogeneous: unknown convention {convention!r}")
-        slope = math.sqrt(r) if convention == "sqrt_r" else r
+        slope = math.sqrt(r) if convention == "sqrt_r" else float(r)
         f = lambda t: slope * np.power(t, r - 1.0)          # noqa: E731
         F = lambda t: (slope / r) * np.power(t, r)          # noqa: E731
         return cls(kind="homogeneous", r=r, f=f, F=F, C_bar=slope,
@@ -150,22 +152,11 @@ class NonlinearitySpec:
     def is_homogeneous(self) -> bool:
         return self.kind == "homogeneous"
 
-    @property
-    def f_slope(self) -> float:
-        """Exact limit of f(t)/t^{r-1} (homogeneous kinds only)."""
-        if not self.is_homogeneous:
-            raise ValueError("f_slope is exact only for homogeneous nonlinearities")
-        return math.sqrt(self.r) if self.convention == "sqrt_r" else float(self.r)
-
-    @property
-    def mass_scale(self) -> float:
-        """Factor with int F(u) = mass_scale * ||u||_r^r (homogeneous only)."""
-        return self.f_slope / self.r
-
     def limit_slope(self) -> float:
-        """lim f(t)/t^{r-1} as t -> 0+, numerically for general kinds."""
+        """lim f(t)/t^{r-1} as t -> 0+: C_bar for homogeneous kinds,
+        numerically for general kinds."""
         if self.is_homogeneous:
-            return self.f_slope
+            return self.C_bar
         t0 = 1e-6 * min(self.delta, 1.0)
         return float(self.f(t0)) / t0 ** (self.r - 1.0)
 
@@ -229,14 +220,10 @@ class SolverOpts:
     """Knobs of the fixed-point iteration."""
 
     grid: RadialGrid | None = None
-    initial_profile: RadialFunction | None = None
     max_iterations: int = 5000
-    damping: float = 0.5
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"SolverOpts: damping must lie in (0, 1], got {self.damping!r}")
         if not (self.tolerance > 0.0):
             raise ValueError(f"SolverOpts: tolerance must be positive")
         if self.max_iterations < 1:
@@ -319,9 +306,10 @@ def solve_ground_state(params: ProblemParams,
                        opts: SolverOpts | None = None) -> Solution:
     """Solve the doubly nonlocal equation by normalized resolvent iteration.
 
-    Each step applies the resolvent ((-Delta)^s + mu)^{-1} to the current
-    right-hand side, renormalizes the profile to unit sup norm with damping,
-    and updates the amplitude from the multiplier of the normalized map.
+    Starting from h_{N+2s}, each step applies the resolvent
+    ((-Delta)^s + mu)^{-1} to the current right-hand side, renormalizes the
+    profile to unit sup norm with damping _DAMPING, and updates the
+    amplitude from the multiplier of the normalized map.
     A step runs on node arrays: one call of the round's _RhsMap, then one
     product with the round's inverse resolvent matrix.
     Every iterate must stay strictly positive.  After the inner loop
@@ -352,12 +340,7 @@ def solve_ground_state(params: ProblemParams,
     mu = params.mu
     deg = 2.0 * r - 1.0  # homogeneity degree of the right-hand side map
 
-    if opts.initial_profile is not None:
-        v = np.array(opts.initial_profile.values, dtype=float)
-        if np.any(v <= 0.0):
-            raise ValueError("solve_ground_state: initial profile must be positive")
-    else:
-        v = h_beta_eval(grid.nodes, params.N + 2.0 * params.s)
+    v = h_beta_eval(grid.nodes, params.N + 2.0 * params.s)
     a = float(np.max(v))
     v = v / a
 
@@ -399,7 +382,7 @@ def solve_ground_state(params: ProblemParams,
                 raise NonConvergenceError(
                     f"solve_ground_state: amplitude diverged ({a_new!r}) at "
                     f"iteration {total_iter}")
-            v_raw = (1.0 - opts.damping) * v + opts.damping * (w / kappa_w)
+            v_raw = (1.0 - _DAMPING) * v + _DAMPING * (w / kappa_w)
             v_new = v_raw / np.max(v_raw)
             change = float(np.max(np.abs(v_new - v)))
             amp_change = abs(a_new - a) / a_new
@@ -430,10 +413,7 @@ def solve_ground_state(params: ProblemParams,
 
     u_fn = RadialFunction.from_samples(grid, a * v, tail_exponent=beta_asm)
     norm_r = volume_integral(u_fn, r) ** (1.0 / r)
-    if spec.is_homogeneous:
-        mass_F = spec.mass_scale * norm_r ** r
-    else:
-        mass_F = volume_integral(spec.F_of(u_fn))
+    mass_F = volume_integral(spec.F_of(u_fn))
 
     res_vals = _residual_values(u_fn, params)
     res_sup = float(np.max(np.abs(res_vals)))

@@ -195,6 +195,13 @@ def test_invalid_overrides_exit_2(tmp_path, override):
     assert main(["solve", "--out", str(tmp_path), "--set", override]) == 2
 
 
+@pytest.mark.parametrize("override", ["solver.damping=0.5",
+                                      "solver.init_profile=3"])
+def test_removed_solver_keys_exit_2(tmp_path, capsys, override):
+    assert main(["solve", "--out", str(tmp_path), "--set", override]) == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "none.ini")]) == 2
 
@@ -407,6 +414,20 @@ def test_solve_writes_record_and_tables(workdir):
     rows = read_csv(solve_dir / "profile.csv")
     assert rows[0] == ["radius", "u", "u_scaled"]
     assert len(rows) == 401
+
+
+def test_record_with_retired_solver_keys_loads(workdir, tmp_path):
+    """Records once listed solver.damping and solver.init_profile too; the
+    solver section is not read back, so they load unchanged."""
+    rec = read_json(workdir / "solve" / "solution.json")
+    assert sorted(rec["solver"]) == ["max_iter", "tolerance"]
+    rec["solver"].update(damping=0.5, init_profile=None)
+    old = tmp_path / "solution.json"
+    old.write_text(json.dumps(rec))
+    loaded = load_solution(str(old))
+    fresh = load_solution(str(workdir / "solve" / "solution.json"))
+    assert np.array_equal(loaded.u.values, fresh.u.values)
+    assert loaded.mass_F == fresh.mass_F
 
 
 def test_reports_round_trip_bitwise(workdir):

@@ -6,6 +6,7 @@ the default 1200-node grid and are quoted to full precision in comments next
 to the assertions that use them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,17 +57,16 @@ def solution(params):
 def test_homogeneous_sqrt_r_convention():
     spec = NonlinearitySpec.homogeneous(1.7)
     assert spec.is_homogeneous
-    assert spec.f_slope == SQRT_17
+    assert spec.limit_slope() == SQRT_17
     assert spec.C_bar == SQRT_17 and spec.C_under == SQRT_17
     assert math.isinf(spec.delta)
     assert_allclose(spec.f(2.0), SQRT_17 * 2.0 ** 0.7, rtol=1e-15)
     assert_allclose(spec.F(2.0), SQRT_17 / 1.7 * 2.0 ** 1.7, rtol=1e-15)
-    assert spec.mass_scale == SQRT_17 / 1.7
 
 
 def test_homogeneous_power_convention():
     spec = NonlinearitySpec.homogeneous(1.7, convention="power")
-    assert spec.f_slope == 1.7
+    assert spec.C_bar == 1.7 and spec.limit_slope() == 1.7
     assert_allclose(spec.F(1.0), 1.0, rtol=1e-15)
 
 
@@ -82,8 +82,6 @@ def test_general_limit_slope_recovers_prefactor():
         r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
     assert not spec.is_homogeneous
     assert_allclose(spec.limit_slope(), SQRT_17, rtol=1e-12)
-    with pytest.raises(ValueError):
-        spec.f_slope
 
 
 def test_general_rejects_nonvanishing_F_at_zero():
@@ -169,14 +167,20 @@ def test_predicted_tail_exponent(r, expected):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(damping=0.0),
-    dict(damping=1.5),
+    dict(tolerance=float("nan")),
+    dict(tolerance=-1e-10),
     dict(tolerance=0.0),
     dict(max_iterations=0),
 ])
 def test_solver_opts_validation(kwargs):
     with pytest.raises(ValueError):
         SolverOpts(**kwargs)
+
+
+def test_solver_opts_fields():
+    # the damping and the start are fixed: _DAMPING, and h_{N+2s}
+    assert [f.name for f in dataclasses.fields(SolverOpts)] == \
+        ["grid", "max_iterations", "tolerance"]
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +216,10 @@ def test_residual_gate_and_report_agree(solution):
 
 def test_mass_identity_for_homogeneous_kind(solution, params):
     spec = params.nonlinearity
-    assert solution.mass_F == spec.mass_scale * solution.norm_r ** 1.7
-    # independently integrated mass agrees (measured: exact)
-    direct = volume_integral(spec.F_of(solution.u))
-    assert_allclose(solution.mass_F, direct, rtol=1e-12)
+    assert solution.mass_F == volume_integral(spec.F_of(solution.u))
+    # int F(u) = (C_bar / r) ||u||_r^r for a power pair (measured: equal)
+    assert_allclose(solution.mass_F,
+                    spec.C_bar / 1.7 * solution.norm_r ** 1.7, rtol=1e-14)
 
 
 def test_trace_records_every_iteration(solution):
@@ -315,6 +319,22 @@ def test_pohozaev_defect_is_small(solution):
     assert defect <= 1e-7   # measured 2.6e-9
 
 
+@pytest.mark.parametrize("r", [
+    1.7,   # measured 3.24e-6, 1.77e-7, 5.79e-9: orders 4.19, 4.94
+    1.9,   # measured 1.86e-6, 5.26e-8, 2.50e-8: orders 5.14, 1.07
+])
+def test_pohozaev_defect_falls_under_refinement(r):
+    """The defect from 150 to 600 nodes, each refinement halving the log
+    spacing.  The fall is uneven (order 1.07 for r = 1.9 from 300 to 600
+    nodes), so the margin is on the whole fall: 559x and 74x measured."""
+    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
+                      nonlinearity=NonlinearitySpec.homogeneous(r))
+    defects = [solve_ground_state(p, SolverOpts(grid=RadialGrid.log_spaced(num=M)))
+               .pohozaev_defect for M in (150, 300, 600)]
+    assert defects[1] < defects[0] and defects[2] < defects[1]
+    assert defects[0] >= 50.0 * defects[2]
+
+
 def test_dilation_derivative_matches_identity(solution):
     """The numerical d/dt of the energy at t=1 equals the identity's value.
 
@@ -372,14 +392,6 @@ def test_grid_dimension_mismatch(params):
     grid2 = RadialGrid.log_spaced(N=2)
     with pytest.raises(ValueError):
         solve_ground_state(params, SolverOpts(grid=grid2))
-
-
-def test_nonpositive_initial_profile_rejected(params):
-    grid = RadialGrid.log_spaced()
-    zero = RadialFunction(grid=grid, values=np.zeros(grid.nodes.size),
-                          tail=(0.0, 4.0), value_at_origin=0.0)
-    with pytest.raises(ValueError):
-        solve_ground_state(params, SolverOpts(grid=grid, initial_profile=zero))
 
 
 def test_vanishing_nonlinearity_collapses():
