@@ -10,8 +10,8 @@ the envelopes otherwise), which makes the plain Picard map unstable along
 the amplitude direction; the iteration therefore runs on sup-normalized
 profiles and recovers the amplitude from the fixed point's multiplier,
 A = kappa^{-1/(2r-2)}.  The operator matrix closes the far field with the
-predicted decay exponent min{(N-alpha)/(2-r), N+2s} and refits it from the
-converged tail when the two disagree.
+predicted decay exponent min{(N-alpha)/(2-r), N+2s}, which holds for every
+nonlinearity inside its declared envelope (NonlinearitySpec checks it).
 
 Energy and scaling diagnostics (the functional I, the scaling functional P,
 and the dilation derivative of I, which must reproduce P) are computed from
@@ -30,7 +30,7 @@ from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
     _backward_error,
-    _CubicSpline,
+    _cubic_basis,
     _gauss,
     _origin_closure,
     _riesz_operator,
@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 
-# At most this many re-solves with a refitted tail exponent (solve_ground_state).
-_TAIL_REFIT_ROUNDS = 3
 # Weight of the new normalized iterate in each damped step.
 _DAMPING = 0.5
 
@@ -91,7 +89,8 @@ class NonlinearitySpec:
     kind "general" carries arbitrary callables plus the envelope constants
     C_under t^{r-1} <= f(t) <= C_bar t^{r-1} declared to hold for
     0 <= t <= delta.  The solver never differentiates f; F must be its
-    antiderivative (validated numerically on a lattice in (0, min(delta,1)]).
+    antiderivative and f must lie inside the envelopes (both validated
+    numerically on a lattice in (0, min(delta,1)]).
     """
 
     kind: str
@@ -129,6 +128,15 @@ class NonlinearitySpec:
                 raise ValueError(
                     f"NonlinearitySpec: F is not the antiderivative of f at "
                     f"t = {t!r} (finite difference {fd!r} vs f {ft!r})")
+            # the closure exponent the solver uses is proved for f inside
+            # these envelopes; the slack absorbs rounding of t^(r-1)
+            lo = self.C_under * t ** (self.r - 1.0)
+            hi = self.C_bar * t ** (self.r - 1.0)
+            if not (lo * (1.0 - 1e-12) <= ft <= hi * (1.0 + 1e-12)):
+                raise ValueError(
+                    f"NonlinearitySpec: f leaves its declared envelope at "
+                    f"t = {t!r}: f(t) = {ft!r}, C_under t^(r-1) = {lo!r}, "
+                    f"C_bar t^(r-1) = {hi!r}")
 
     @classmethod
     def homogeneous(cls, r: float, convention: str = "sqrt_r") -> "NonlinearitySpec":
@@ -234,8 +242,8 @@ class SolverOpts:
 class Solution:
     """A converged profile with its quality diagnostics.
 
-    trace holds one (iteration, profile_change, amplitude) triple per inner
-    iteration, concatenated across tail-refit rounds.
+    trace holds one (iteration, profile_change, amplitude) triple per
+    iteration.
     """
 
     u: RadialFunction
@@ -253,14 +261,6 @@ class Solution:
             raise ValueError("Solution: profile must be strictly positive")
         if np.any(np.diff(vals) > 1e-9 * float(np.max(vals))):
             raise ValueError("Solution: profile must be non-increasing in radius")
-
-
-def _fit_far_decade(grid: RadialGrid, values: np.ndarray) -> float:
-    """Decay slope over [r_max/20, r_max/4], away from both the core
-    transition and the last half-decade (which echoes whatever closure the
-    matrix assumed)."""
-    sel = (grid.nodes >= grid.r_max / 20.0) & (grid.nodes <= grid.r_max / 4.0)
-    return float(-np.polyfit(grid.log_nodes[sel], np.log(values[sel]), 1)[0])
 
 
 class _RhsMap:
@@ -310,14 +310,12 @@ def solve_ground_state(params: ProblemParams,
     ((-Delta)^s + mu)^{-1} to the current right-hand side, renormalizes the
     profile to unit sup norm with damping _DAMPING, and updates the
     amplitude from the multiplier of the normalized map.
-    A step runs on node arrays: one call of the round's _RhsMap, then one
-    product with the round's inverse resolvent matrix.
-    Every iterate must stay strictly positive.  After the inner loop
-    converges, the tail exponent assumed by the operator closure is checked
-    against the achieved far field and the solve is repeated with the fitted
-    exponent when they disagree by more than 15% (at most _TAIL_REFIT_ROUNDS
-    times).  The first resolvent solve of each round is checked to 1e-10
-    backward error, as in apply_inverse_operator.
+    The operator matrix and the right-hand side map are closed once, with
+    the tail exponent params.predicted_tail_exponent().  A step runs on
+    node arrays: one call of the _RhsMap, then one product with the
+    factorized resolvent matrix.  Every iterate must stay strictly
+    positive.  The first resolvent solve is checked to 1e-10 backward
+    error, as in apply_inverse_operator.
 
     Raises:
         NonConvergenceError: a non-finite iterate (for instance from an f or
@@ -344,74 +342,50 @@ def solve_ground_state(params: ProblemParams,
     a = float(np.max(v))
     v = v / a
 
-    beta_asm = params.predicted_tail_exponent()
+    beta = params.predicted_tail_exponent()
+    A = fraclap_matrix(grid, params.s, tail_omega=beta)
+    A[np.diag_indices_from(A)] += mu
+    inv = lu_factor(A)
+    rhs = _RhsMap(grid, params, beta)
     trace: list[tuple[int, float, float]] = []
-    total_iter = 0
-    converged = False
-
-    for round_idx in range(_TAIL_REFIT_ROUNDS + 1):
-        A = fraclap_matrix(grid, params.s, tail_omega=beta_asm)
-        A[np.diag_indices_from(A)] += mu
-        inv = lu_factor(A)
-        rhs = _RhsMap(grid, params, beta_asm)
-        converged = False
-        checked = False
-        while total_iter < opts.max_iterations:
-            total_iter += 1
-            b = rhs(a * v)
-            w = lu_solve(inv, b)
-            if not np.all(np.isfinite(w)):
-                raise NonConvergenceError(
-                    f"solve_ground_state: non-finite iterate at iteration {total_iter}")
-            if not checked:
-                _backward_error(A, w, b)
-                checked = True
-            kappa_w = float(np.max(w))
-            if kappa_w <= 1e-12:
-                raise ZeroCollapseError(
-                    f"solve_ground_state: iterate sup norm {kappa_w!r} collapsed "
-                    f"at iteration {total_iter}")
-            if np.any(w <= 0.0):
-                raise RuntimeError(
-                    f"solve_ground_state: iterate lost positivity at iteration "
-                    f"{total_iter} (the resolvent of a positive right-hand side "
-                    "must be positive)")
-            kappa_v = kappa_w / a ** deg
-            a_new = kappa_v ** (-1.0 / (deg - 1.0))
-            if not math.isfinite(a_new) or a_new > 1e12:
-                raise NonConvergenceError(
-                    f"solve_ground_state: amplitude diverged ({a_new!r}) at "
-                    f"iteration {total_iter}")
-            v_raw = (1.0 - _DAMPING) * v + _DAMPING * (w / kappa_w)
-            v_new = v_raw / np.max(v_raw)
-            change = float(np.max(np.abs(v_new - v)))
-            amp_change = abs(a_new - a) / a_new
-            trace.append((total_iter, change, a_new))
-            v, a = v_new, a_new
-            if change <= opts.tolerance and amp_change <= opts.tolerance:
-                converged = True
-                break
-        if not converged:
+    for it in range(1, opts.max_iterations + 1):
+        b = rhs(a * v)
+        w = lu_solve(inv, b)
+        if not np.all(np.isfinite(w)):
             raise NonConvergenceError(
-                f"solve_ground_state: no convergence after {total_iter} iterations "
-                f"(last profile change {trace[-1][1]:.3e})")
-        # The closure exponent is provably right for every nonlinearity
-        # honoring its declared envelopes, so this refit is a safety valve
-        # for mis-declared general f only.  The trigger must sit well above
-        # the pre-asymptotic transition error of the fit window (a few
-        # percent), or it fires on healthy solves and replaces a correct
-        # closure with a worse one.  Fits below N/r are not decay exponents
-        # of any solution (F(u) would not be integrable) and are ignored:
-        # they mean the profile has not localized yet, not that the closure
-        # is wrong.
-        omega_fit = min(_fit_far_decade(grid, a * v), params.N + 2.0 * params.s)
-        if omega_fit <= 1.05 * params.N / r \
-                or abs(omega_fit - beta_asm) <= 0.15 * beta_asm \
-                or round_idx == _TAIL_REFIT_ROUNDS:
+                f"solve_ground_state: non-finite iterate at iteration {it}")
+        if it == 1:
+            _backward_error(A, w, b)
+        kappa_w = float(np.max(w))
+        if kappa_w <= 1e-12:
+            raise ZeroCollapseError(
+                f"solve_ground_state: iterate sup norm {kappa_w!r} collapsed "
+                f"at iteration {it}")
+        if np.any(w <= 0.0):
+            raise RuntimeError(
+                f"solve_ground_state: iterate lost positivity at iteration "
+                f"{it} (the resolvent of a positive right-hand side "
+                "must be positive)")
+        kappa_v = kappa_w / a ** deg
+        a_new = kappa_v ** (-1.0 / (deg - 1.0))
+        if not math.isfinite(a_new) or a_new > 1e12:
+            raise NonConvergenceError(
+                f"solve_ground_state: amplitude diverged ({a_new!r}) at "
+                f"iteration {it}")
+        v_raw = (1.0 - _DAMPING) * v + _DAMPING * (w / kappa_w)
+        v_new = v_raw / np.max(v_raw)
+        change = float(np.max(np.abs(v_new - v)))
+        amp_change = abs(a_new - a) / a_new
+        trace.append((it, change, a_new))
+        v, a = v_new, a_new
+        if change <= opts.tolerance and amp_change <= opts.tolerance:
             break
-        beta_asm = omega_fit
+    else:
+        raise NonConvergenceError(
+            f"solve_ground_state: no convergence after {opts.max_iterations} "
+            f"iterations (last profile change {trace[-1][1]:.3e})")
 
-    u_fn = RadialFunction.from_samples(grid, a * v, tail_exponent=beta_asm)
+    u_fn = RadialFunction.from_samples(grid, a * v, tail_exponent=beta)
     norm_r = volume_integral(u_fn, r) ** (1.0 / r)
     mass_F = volume_integral(spec.F_of(u_fn))
 
@@ -425,7 +399,7 @@ def solve_ground_state(params: ProblemParams,
 
     _, p_val, defect = _energy_identities(u_fn, params)
     return Solution(u=u_fn, params=params, residual_sup=res_sup,
-                    pohozaev_defect=defect, iterations=total_iter,
+                    pohozaev_defect=defect, iterations=len(trace),
                     norm_r=norm_r, mass_F=mass_F, trace=tuple(trace))
 
 
@@ -519,13 +493,15 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
 
 
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
-    """u(x/t) resampled on u's own grid through a cubic spline in log-log."""
+    """u(x/t) resampled on u's own grid through the cubic-in-log stencil
+    applied to log u."""
     grid = u.grid
-    spl = _CubicSpline(grid.log_nodes, np.log(u.values))
     shifted = grid.log_nodes - math.log(t)
     vals = np.empty(grid.size)
     inside = (shifted >= grid.log_nodes[0]) & (shifted <= grid.log_nodes[-1])
-    vals[inside] = np.exp(spl(shifted[inside]))
+    base, W = _cubic_basis(grid.log_nodes, shifted[inside])
+    log_u = np.log(u.values)[base[:, None] + np.arange(4)]
+    vals[inside] = np.exp(np.sum(W * log_u, axis=1))
     lo = shifted < grid.log_nodes[0]
     if lo.any():
         x = np.exp(shifted[lo]) / grid.nodes[0]

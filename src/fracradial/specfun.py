@@ -345,8 +345,9 @@ def hyp2f1(a: float, b: float, c: float, x):
 
     Parameters are restricted to the domain the far-field lemmas need:
     a, b, c > 0, and the only integer degeneracies admitted are
-    a - b in {0, 1, 2, ...} and b - c in {0, 1}.  Anything else raises
-    ValueError up front rather than silently computing a wrong branch.
+    a - b integer (a negative one by swapping a and b, under which 2F1 is
+    symmetric) and b - c in {0, 1}.  Anything else raises ValueError up
+    front rather than silently computing a wrong branch.
 
     Evaluation: defining series on (-1/2, 0]; Pfaff transformation
     2F1(a,b,c;x) = (1-x)^(-a) 2F1(a, c-b, c; x/(x-1)) plus the series on
@@ -406,10 +407,8 @@ def hyp2f1(a: float, b: float, c: float, x):
             w = xs / (xs - 1.0)
             out[live] *= 1.0 - a * w / c
     elif _is_integer(a - b) and a - b < -_INT_SNAP:
-        raise ValueError(
-            f"hyp2f1: a - b = {a - b} is a negative integer (outside the "
-            "validated parameter domain)"
-        )
+        # 2F1 is symmetric in a and b, and a - b = m > 0 has its branch
+        return hyp2f1(b, a, c, x.reshape(shape))
     else:
         near = live & (x > -0.5)
         if near.any():

@@ -394,12 +394,17 @@ def test_grid_dimension_mismatch(params):
         solve_ground_state(params, SolverOpts(grid=grid2))
 
 
-def test_vanishing_nonlinearity_collapses():
-    spec = NonlinearitySpec.general(f=lambda t: 0.0 * t, F=lambda t: 0.0 * t,
-                                    r=1.7, C_bar=1.0, C_under=0.5, delta=1.0)
-    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
+def test_vanishing_nonlinearity_collapses(params, monkeypatch):
+    # f = 0 leaves the declared envelope, so it is rejected up front; a
+    # right-hand side that vanishes anyway collapses the iterates
+    with pytest.raises(ValueError, match="leaves its declared envelope"):
+        NonlinearitySpec.general(f=lambda t: 0.0 * t, F=lambda t: 0.0 * t,
+                                 r=1.7, C_bar=1.0, C_under=0.5, delta=1.0)
+    monkeypatch.setattr(solver_mod._RhsMap, "__call__",
+                        lambda self, values, value_at_origin=None:
+                        np.zeros_like(values))
     with pytest.raises(ZeroCollapseError):
-        solve_ground_state(p)
+        solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=64)))
 
 
 def test_non_finite_right_hand_side_is_a_nonconvergence():
@@ -494,16 +499,18 @@ def test_second_solve_reuses_operators(params, monkeypatch):
     assert np.array_equal(first.u.values, second.u.values)
 
 
-def test_misdeclared_envelope_refits_the_tail_closure(monkeypatch):
-    # f = sqrt(1.9) t^0.9 declared with r = 1.7: the closure starts at the
-    # r = 1.7 exponent 10/3, the converged tail decays like rho^(-(N+2s)),
-    # and one refit round closes with 4
+def test_misdeclared_envelope_is_rejected():
+    # f = sqrt(1.9) t^0.9 declared with r = 1.7 falls below C_under t^0.7
+    # for t < 1, so the r = 1.7 closure exponent 10/3 would not hold
     slope = math.sqrt(1.9)
-    spec = NonlinearitySpec.general(
-        f=lambda t: slope * np.power(t, 0.9),
-        F=lambda t: slope / 1.9 * np.power(t, 1.9),
-        r=1.7, C_bar=slope, C_under=slope, delta=1.0)
-    p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
+    with pytest.raises(ValueError, match="leaves its declared envelope"):
+        NonlinearitySpec.general(
+            f=lambda t: slope * np.power(t, 0.9),
+            F=lambda t: slope / 1.9 * np.power(t, 1.9),
+            r=1.7, C_bar=slope, C_under=slope, delta=1.0)
+
+
+def test_one_operator_closure_per_solve(params, monkeypatch):
     closures = []
     exact = solver_mod.fraclap_matrix
 
@@ -512,12 +519,24 @@ def test_misdeclared_envelope_refits_the_tail_closure(monkeypatch):
         return exact(grid, s, tail_omega)
 
     monkeypatch.setattr(solver_mod, "fraclap_matrix", counted)
-    sol = solve_ground_state(p, SolverOpts(grid=RadialGrid.log_spaced(num=400)))
-    assert len(closures) == 2
-    assert_allclose(closures[0], 10.0 / 3.0, rtol=1e-15)
-    assert sol.u.tail_exponent == 4.0
-    # measured: 325 iterations, residual 3.3e-10
-    assert sol.residual_sup <= 1e-6 * float(np.max(sol.u.values))
+    grid = RadialGrid.log_spaced(num=200)
+    for r in (1.68, 1.9):
+        p = dataclasses.replace(params,
+                                nonlinearity=NonlinearitySpec.homogeneous(r))
+        closures.clear()
+        solve_ground_state(p, SolverOpts(grid=grid))
+        assert closures == [p.predicted_tail_exponent()]
+
+
+def test_r168_closes_with_the_predicted_exponent(params):
+    # at r = 1.68 the far-decade slope of the converged profile reads about
+    # 2.63, well off beta = 3.125; the closure stays at beta
+    p = dataclasses.replace(params,
+                            nonlinearity=NonlinearitySpec.homogeneous(1.68))
+    sol = solve_ground_state(p, SolverOpts(grid=RadialGrid.log_spaced(num=600)))
+    assert sol.u.tail_exponent == p.predicted_tail_exponent()
+    assert_allclose(sol.u.tail_exponent, 3.125, rtol=1e-15)
+    assert sol.iterations <= 2100   # measured 2011
 
 
 def test_solver_checks_resolvent_backward_error(params, monkeypatch):

@@ -216,9 +216,26 @@ def test_hyp2f1_rejects_bad_parameters():
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 1.5, 0.25)  # positive argument
     with pytest.raises(ValueError):
-        hyp2f1(1.2, 2.2, 1.0, -1.0)  # a - b = -1
-    with pytest.raises(ValueError):
         hyp2f1(1.1, 3.5, 1.5, -1.0)  # b - c = 2
+
+
+@pytest.mark.parametrize("x", [-0.3, -2.0, -50.0, -1e4])
+def test_hyp2f1_swaps_a_negative_integer_a_minus_b(x):
+    # a - b = -1 is evaluated as 2F1(b, a, c; x); one x per branch: the
+    # defining series, Pfaff, the connection formulas on [-100, -5) (with
+    # their Pfaff fallback) and beyond _PFAFF_FLOOR
+    assert hyp2f1(0.25, 1.25, 1.0, x) == hyp2f1(1.25, 0.25, 1.0, x)
+    xs = np.array([x, 0.0])
+    assert np.array_equal(hyp2f1(0.25, 1.25, 1.0, xs),
+                          hyp2f1(1.25, 0.25, 1.0, xs))
+
+
+def test_hyp2f1_swapped_parameters_match_mpmath():
+    # mpmath at mp.dps = 40
+    assert_allclose(hyp2f1(0.25, 1.25, 1.0, -0.5), 0.8830407510817124033,
+                    rtol=1e-14)
+    assert_allclose(hyp2f1(0.25, 1.25, 1.0, -50.0), 0.3390201375713290055,
+                    rtol=1e-14)
 
 
 # Arguments across every branch of hyp2f1: x = 0, the defining series on
