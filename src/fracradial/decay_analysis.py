@@ -375,9 +375,9 @@ def verify_chain_rule(u: RadialFunction, theta, radii, s: float):
     For 0 < theta < 1 the power t -> t^theta is concave on (0, inf), so
     (-Delta)^s u^theta >= theta u^{theta-1} (-Delta)^s u holds wherever u is
     positive.  Both sides are computed by PV quadrature at each requested
-    radius, from one row per radius shared by u and u^theta, and the
-    margin lhs - rhs is compared against -1e-6 * scale with
-    scale = |lhs| + |rhs| + machine floor.
+    radius, from one row per radius shared by u and u^theta (all rows from
+    one frac_laplacian_radial call), and the margin lhs - rhs is compared
+    against -1e-6 * scale with scale = |lhs| + |rhs| + machine floor.
 
     theta may also be a sequence of exponents; the rows are then shared by
     u and every u^theta, and a list of reports comes back, one per theta,
@@ -387,7 +387,7 @@ def verify_chain_rule(u: RadialFunction, theta, radii, s: float):
     check_analysis(chain_rule_theta=thetas)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     pows = [_power_of(u, th) for th in thetas]
-    values = np.array([frac_laplacian_radial((u, *pows), s, at=r) for r in radii])
+    values = frac_laplacian_radial((u, *pows), s, at=radii)
     lap_u = values[:, 0]
     u_at = np.asarray(u.evaluate(radii), dtype=float)
     reports = []

@@ -26,9 +26,15 @@ Laplacian) or r^alpha (Riesz) is the next row shifted by one node.  The
 interior is then the shifts of one generating row (Mellin-convolution
 structure, as in FFTLog), and only the pieces that break the shift are
 computed per row, vectorised: the end columns, the origin and far-tail
-closures and the fractional Laplacian's diagonal mass; the first and last
-`_END_ROWS` rows come from the row builders.  Any other grid, and grids of
-fewer than 4 `_END_ROWS` nodes, are assembled row by row.
+closures and the fractional Laplacian's diagonal mass.  The first and last
+`_END_ROWS` rows come from the row builders: the fractional Laplacian's
+from one batched `_fraclap_rows` call, which computes every piece of a row
+for a whole block of radii at once, and the Riesz ones from `_riesz_row`,
+one call a row.  Any other grid, and grids of fewer than 4 `_END_ROWS`
+nodes, are assembled from the row builders alone, the fractional
+Laplacian's rows `_ROW_BLOCK` radii a call.  The pointwise
+`frac_laplacian_radial` takes its rows, at any radii, from the same
+batched builder.
 
 Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
 at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
@@ -557,12 +563,17 @@ def _cubic_basis(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
-               weights: np.ndarray) -> None:
+               weights: np.ndarray, rows: np.ndarray | None = None) -> None:
     """Spread weights sitting at log radii tq onto the node slots of a row
-    through the cubic-in-log stencil."""
+    through the cubic-in-log stencil; given rows, the weight at tq[k] goes
+    to row rows[k] of a C-contiguous 2-d coeffs."""
     base, W = _cubic_basis(tt, tq)
-    np.add.at(coeffs, 1 + base[:, None] + np.arange(4)[None, :],
-              weights[:, None] * W)
+    slots = 1 + base[:, None] + np.arange(4)[None, :]
+    if rows is not None:
+        # one flat index: np.add.at is several times faster on 1-d indices
+        slots = slots + coeffs.shape[1] * rows[:, None]
+        coeffs = coeffs.reshape(-1)
+    np.add.at(coeffs, slots, weights[:, None] * W)
 
 
 class _RowContext:
@@ -596,63 +607,69 @@ def _context(grid: RadialGrid) -> _RowContext:
     return _memo(("ctx", grid._token), lambda: _RowContext(grid))
 
 
-def _local_step(tt: np.ndarray, t0: float) -> float:
-    """Local log-spacing of the grid around log-radius t0."""
-    j = int(np.clip(np.searchsorted(tt, t0) - 1, 0, tt.size - 2))
-    return tt[j + 1] - tt[j]
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of each entry of x.  It is correctly rounded where numpy's
+    vector log is one bit off (about 2 in 10^4 arguments), and a
+    fractional-Laplacian row amplifies one bit of a stencil's or window's
+    log radius to 3e-15 of the row's largest entry at M = 1200."""
+    return np.array([math.log(v) for v in x.tolist()])
 
 
-def _stencil_offsets(grid: RadialGrid, t0: float) -> tuple[np.ndarray, list]:
-    """Seven log-space stencil points bracketing t0.
+def _stencil_offsets(tt: np.ndarray,
+                     t0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seven log-space stencil points bracketing each log radius t0 (R,),
+    centred on the nearest node.
 
-    Returns the offsets delta_m = t_m - t0 and a descriptor per point:
-    ('node', j) for a grid node, ('below', rho) for a virtual point handled
-    by the origin model, ('above', rho) for a virtual point handled by the
-    tail model.
+    Returns the offsets delta = t - t0, the log radii t and the node
+    indices j of the points, each (R, 7).  A point with j < 0 is virtual,
+    below r_1, and handled by the origin model; one with j >= M lies beyond
+    r_M and is handled by the tail model.  Virtual points continue the end
+    cell's log spacing.
     """
-    tt = grid.log_nodes
     M = tt.size
-    j0 = int(np.clip(np.searchsorted(tt, t0), 0, M - 1))
-    if j0 > 0 and abs(tt[j0 - 1] - t0) < abs(tt[j0] - t0):
-        j0 -= 1
-    dt_lo = tt[1] - tt[0]
-    dt_hi = tt[-1] - tt[-2]
-    offsets = np.empty(7)
-    where = []
-    for m, k in enumerate(range(-3, 4)):
-        j = j0 + k
-        if j < 0:
-            t = tt[0] + j * dt_lo
-            where.append(("below", math.exp(t)))
-        elif j >= M:
-            t = tt[-1] + (j - (M - 1)) * dt_hi
-            where.append(("above", math.exp(t)))
-        else:
-            t = tt[j]
-            where.append(("node", j))
-        offsets[m] = t - t0
-    return offsets, where
+    j0 = np.minimum(np.searchsorted(tt, t0), M - 1)
+    nearer = (j0 > 0) & (np.abs(tt[j0 - 1] - t0) < np.abs(tt[j0] - t0))
+    j = (j0 - nearer)[:, None] + np.arange(-3, 4)
+    t = np.where(j < 0, tt[0] + j * (tt[1] - tt[0]),
+                 np.where(j >= M, tt[-1] + (j - (M - 1)) * (tt[-1] - tt[-2]),
+                          tt[np.minimum(np.maximum(j, 0), M - 1)]))
+    return t - t0[:, None], t, j
 
 
 def _derivative_stencils(offsets: np.ndarray) -> np.ndarray:
-    """Weights c[k, m] with sum_m c[k, m] u(t0 + delta_m) ~= d^{k+1} u/dt^{k+1}
-    at t0, for orders 1..4, exact on polynomials of degree 6."""
-    A = np.vander(offsets, 7, increasing=True).T
-    rhs = np.zeros((7, 4))
-    rhs[1, 0] = 1.0
-    rhs[2, 1] = 2.0
-    rhs[3, 2] = 6.0
-    rhs[4, 3] = 24.0
-    return np.linalg.solve(A, rhs).T
+    """Weights c[i, k, m] with sum_m c[i, k, m] u(t0_i + offsets[i, m]) ~=
+    d^{k+1} u/dt^{k+1} at t0_i, for orders 1..4, exact on polynomials of
+    degree 6: one batched 7 x 7 solve over the rows of offsets (R, 7)."""
+    R = offsets.shape[0]
+    # A[i, m, k] = offsets[i, m]^k by running products, as np.vander forms them
+    A = np.ones((R, 7, 7))
+    A[:, :, 1:] = offsets[:, :, None]
+    np.multiply.accumulate(A[:, :, 1:], axis=2, out=A[:, :, 1:])
+    rhs = np.zeros((R, 7, 4))
+    rhs[:, 1, 0] = 1.0
+    rhs[:, 2, 1] = 2.0
+    rhs[:, 3, 2] = 6.0
+    rhs[:, 4, 3] = 24.0
+    return np.linalg.solve(A.transpose(0, 2, 1), rhs).transpose(0, 2, 1)
 
 
-def _pv_moments(N: int, p: float, r: float, w: float, s: float):
-    """Singular window moments of the PV kernel around radius r.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b, axis=-1) over the broadcast leading axes, each product
+    taken as one BLAS dot, as a @ b is for 1-d a and b; a matrix-vector
+    product would not promise that a row's value is independent of the
+    rows beside it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pv_moments(N: int, p: float, r: np.ndarray, w: np.ndarray, s: float):
+    """Singular window moments of the PV kernel around radii r (R,) with
+    window half-widths w (R,).
 
     Mk = PV int_{|xi|<w} xi^k g(r+xi) dxi for k = 1..4, where
-    g(rho) = k_p(r, rho) rho^{N-1}.  Odd moments are paired as
-    xi^k (g(r+xi) - g(r-xi)) so every integrand is O(xi^{1-2s}) or milder,
-    and a graded geometric subdivision with a power-law stub resolves it.
+    g(rho) = k_p(r, rho) rho^{N-1}, each returned as an (R,) array.  Odd
+    moments are paired as xi^k (g(r+xi) - g(r-xi)) so every integrand is
+    O(xi^{1-2s}) or milder, and a graded geometric subdivision with a
+    power-law stub resolves it: 137 points a radius.
 
     A caution on the fourth-order term: on grid-scale oscillation it responds
     with the opposite sign of the second-order term and a relative magnitude
@@ -667,36 +684,38 @@ def _pv_moments(N: int, p: float, r: float, w: float, s: float):
     error of 1.1e-4 in the pointwise value at r = 2 for s = 1/2, of 90 for
     s = 3/4).
     """
-    edges = w * _GRADE_RATIO ** np.arange(_PV_GRADE_LEVELS + 1)
+    R = r.size
+    edges = w[:, None] * _GRADE_RATIO ** np.arange(_PV_GRADE_LEVELS + 1)
     x4, w4 = _gauss(4)
-    a, b, x0 = edges[1:], edges[:-1], edges[-1]
+    a, b, x0 = edges[:, 1:, None], edges[:, :-1, None], edges[:, -1:]
     # the graded points, then the power-law stub's point x0: the integrand
     # xi^k g is taken as a power of xi below x0, of exponent 1-2s for the
     # first two moments and 3-2s for the last two
-    xi = np.append(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x4, x0)
-    wq = (0.5 * (b - a)[:, None] * w4).ravel()
-    w_lo = np.append(wq, x0 / (2.0 - 2.0 * s))
-    w_hi = np.append(wq, x0 / (4.0 - 2.0 * s))
-    gp = _kernel_eval(N, p, r, r + xi, xi) * (r + xi) ** (N - 1)
-    gm = _kernel_eval(N, p, r, r - xi, xi) * (r - xi) ** (N - 1)
+    xi = np.concatenate(((0.5 * (a + b) + 0.5 * (b - a) * x4).reshape(R, -1), x0), axis=1)
+    wq = (0.5 * (b - a) * w4).reshape(R, -1)
+    w_lo = np.concatenate((wq, x0 / (2.0 - 2.0 * s)), axis=1)
+    w_hi = np.concatenate((wq, x0 / (4.0 - 2.0 * s)), axis=1)
+    rr = r[:, None]
+    gp = _kernel_eval(N, p, rr, rr + xi, xi) * (rr + xi) ** (N - 1)
+    gm = _kernel_eval(N, p, rr, rr - xi, xi) * (rr - xi) ** (N - 1)
     odd = gp - gm
     even = gp + gm
-    return (float(w_lo @ (xi * odd)), float(w_lo @ (xi * xi * even)),
-            float(w_hi @ (xi ** 3 * odd)), float(w_hi @ (xi ** 4 * even)))
+    return (_rowdot(w_lo, xi * odd), _rowdot(w_lo, xi * xi * even),
+            _rowdot(w_hi, xi ** 3 * odd), _rowdot(w_hi, xi ** 4 * even))
 
 
-def _graded_edges(r: np.ndarray, d0: np.ndarray, hi: float) -> np.ndarray:
+def _graded_edges(r: np.ndarray, d0: np.ndarray, hi) -> np.ndarray:
     """Panel edges on [0, hi] for radii r > hi, graded so panel width grows
     with distance from r: 0, hi and the points r - d0 2^k strictly between.
 
-    Vectorised over rows: returns (n, 6) sorted edges, a missing point
-    repeating hi (an empty panel).  Every caller has d0 >= 0.1 r, so only
-    k < 4 can land above 0.
+    Vectorised over rows, hi a float or one per row: returns (n, 6) sorted
+    edges, a missing point repeating hi (an empty panel).  Every caller has
+    d0 >= 0.1 r, so only k < 4 can land above 0.
     """
+    hi = np.broadcast_to(hi, r.shape)[:, None]
     cand = r[:, None] - d0[:, None] * 2.0 ** np.arange(4)
     cand = np.where((cand > 0.0) & (cand < hi), cand, hi)
-    ends = np.broadcast_to([[0.0, hi]], (r.size, 2))
-    return np.sort(np.concatenate([ends, cand], axis=1), axis=1)
+    return np.sort(np.concatenate([np.zeros_like(hi), hi, cand], axis=1), axis=1)
 
 
 def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
@@ -734,14 +753,27 @@ def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
 def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
                r_max: float, omegas) -> tuple[np.ndarray, np.ndarray]:
     """_log_panel_sums over panels from start (n,) out to _TAIL_SPAN r_max,
-    widening geometrically; a row that arrives early gets empty panels."""
+    widening geometrically.
+
+    Rows that take the same number of panels are summed together, so no row
+    is padded with empty panels and each row's sums equal the ones it gets
+    alone: padding would regroup the pairwise sums.
+    """
     r_inf = _TAIL_SPAN * r_max
     edges = [start]
     d = np.maximum(start - r, 0.5 * start)
-    while np.any(edges[-1] < r_inf):
-        edges.append(np.minimum(np.maximum(edges[-1] + d, 1.5 * edges[-1]), r_inf))
+    while (edges[-1] < r_inf).any():
+        edges.append(np.maximum(edges[-1] + d, 1.5 * edges[-1]))
         d = 2.0 * d
-    return _log_panel_sums(N, p, r, np.stack(edges, axis=1), r_max, omegas)
+    edges = np.minimum(np.stack(edges, axis=1), r_inf)
+    panels = np.argmax(edges == r_inf, axis=1)
+    tails = np.empty((len(omegas), r.size))
+    mass = np.empty(r.size)
+    for n in np.unique(panels):
+        sel = panels == n
+        tails[:, sel], mass[sel] = _log_panel_sums(N, p, r[sel], edges[sel, :n + 1],
+                                                   r_max, omegas)
+    return tails, mass
 
 
 def _mass_remainder(N: int, s: float, r_max: float) -> float:
@@ -767,177 +799,214 @@ def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
 
 
 class _Row:
-    """One operator row at radius r while it is being assembled.
+    """One Riesz row at radius r while it is being assembled.
 
     coeffs has length M+1, slot 0 multiplying the origin value and slots
     1..M the node values; tail[k] multiplies the value at r_max of a tail
-    model with exponent omegas[k]; mass is the kernel mass seen so far,
-    which the fractional Laplacian puts on u(r) itself (the Riesz row does
-    not use it).  Only the tail weights depend on the tail exponents, so
-    one row serves every function on the grid.  The row builders add their
-    pieces with sign -1 (fractional Laplacian, the -u(rho) part) or +1
-    (Riesz).
+    model with exponent omegas[k].  Only the tail weights depend on the
+    tail exponents, so one row serves every function on the grid.
     """
 
     def __init__(self, M: int, omegas):
         self.coeffs = np.zeros(M + 1)
         self.omegas = tuple(omegas)
         self.tail = np.zeros(len(self.omegas))
-        self.mass = 0.0
 
 
 def _full_cells(row: _Row, ctx: _RowContext, p: float, r: float,
-                full: np.ndarray, sign: float) -> None:
+                full: np.ndarray) -> None:
     """The grid cells selected by `full`, with the shared cell rule."""
     sel_rho = ctx.cell_rho[full].ravel()
     if sel_rho.size:
         kern = _kernel_eval(ctx.grid.N, p, r, sel_rho,
                             np.abs(r - sel_rho)).reshape(-1, 4)
         contrib = ctx.cell_w[full] * kern
-        row.mass += float(np.sum(contrib))
         per_node = np.einsum("cq,cqm->cm", contrib, ctx.cell_cubw[full])
         idx = 1 + ctx.cell_base[full][:, None] + np.arange(4)[None, :]
-        np.add.at(row.coeffs, idx, sign * per_node)
+        np.add.at(row.coeffs, idx, per_node)
 
 
-def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float,
-                   lo_w: float, hi_w: float, w: float, sign: float) -> None:
-    """[0, r_1] outside the window (lo_w, hi_w), under the quadratic origin
-    model, with panels graded toward r when r lies beyond the region."""
+def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float) -> None:
+    """[0, r_1] under the quadratic origin model, with panels graded toward
+    r when r lies beyond it."""
     r1 = grid.nodes[0]
-    pieces = []
-    if lo_w > r1:
-        pieces.append((0.0, r1))
-    else:
-        if lo_w > 0.0:
-            pieces.append((0.0, min(lo_w, r1)))
-        if hi_w < r1:
-            pieces.append((hi_w, r1))
     at = np.array([r])
-    for a_rho, b_rho in pieces:
-        if b_rho <= a_rho:
-            continue
-        # a piece beyond which r lies always starts at the origin
-        edges = _graded_edges(at, np.array([max(w, 0.1 * r)]), b_rho) if r > b_rho \
-            else np.array([[a_rho, b_rho]])
-        c0, c1, mass = _origin_sums(grid.N, p, r1, at, edges)
-        row.coeffs[0] += sign * float(c0[0])
-        row.coeffs[1] += sign * float(c1[0])
-        row.mass += float(mass[0])
+    edges = _graded_edges(at, 0.1 * at, r1) if r > r1 else np.array([[0.0, r1]])
+    c0, c1, _ = _origin_sums(grid.N, p, r1, at, edges)
+    row.coeffs[0] += float(c0[0])
+    row.coeffs[1] += float(c1[0])
 
 
-def _far_tail(row: _Row, grid: RadialGrid, p: float, r: float,
-              edges: list, sign: float) -> None:
+def _far_tail(row: _Row, grid: RadialGrid, p: float, r: float, edges: list) -> None:
     """Panels from edges[-1] out to _TAIL_SPAN r_max, widening geometrically,
     under the power tail model (edges may already hold graded panels)."""
     at = np.array([r])
-    tail, mass = _tail_sums(grid.N, p, at, np.array([edges[-1]]), grid.r_max,
-                            row.omegas)
+    tail, _ = _tail_sums(grid.N, p, at, np.array([edges[-1]]), grid.r_max, row.omegas)
     if len(edges) > 1:
-        graded = _log_panel_sums(grid.N, p, at, np.array([edges]), grid.r_max,
-                                 row.omegas)
-        tail, mass = tail + graded[0], mass + graded[1]
-    row.tail += sign * tail[:, 0]
-    row.mass += float(mass[0])
+        graded, _ = _log_panel_sums(grid.N, p, at, np.array([edges]), grid.r_max,
+                                    row.omegas)
+        tail = tail + graded
+    row.tail += tail[:, 0]
 
 
-def _fraclap_window(row: _Row, ctx: _RowContext, r: float, s: float) -> float:
-    """The Taylor window of a fractional-Laplacian row at radius r, of
-    _WINDOW_CELLS local cells each side, and the parts of the cells its
-    edges cut; returns the window half-width w."""
+def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omegas):
+    """The Taylor windows of fractional-Laplacian rows at radii r (R,), of
+    _WINDOW_CELLS local cells each side, and the parts of the cells their
+    edges cut (at most one at each edge).
+
+    Returns what they add to the rows' (R, M+1) coefficients and
+    (R, len(omegas)) tail weights, laid out as in _fraclap_rows, the kernel
+    mass of the cut parts (R,) and the window half-widths w (R,).
+    """
     grid = ctx.grid
     N = grid.N
     tt = ctx.tt
     nodes = grid.nodes
     M = nodes.size
+    R = r.size
     r1, rM = nodes[0], nodes[-1]
     p = -(N + 2.0 * s)
-    coeffs = row.coeffs
-    t0 = math.log(r)
-    w = min(_WINDOW_CELLS * _local_step(tt, t0), 0.5) * r
+    t0 = _logs(r)
+    j = np.minimum(np.maximum(np.searchsorted(tt, t0) - 1, 0), M - 2)
+    w = np.minimum(_WINDOW_CELLS * (tt[j + 1] - tt[j]), 0.5) * r
     lo_w, hi_w = r - w, r + w
 
-    m1, m2, m3, m4 = _pv_moments(N, p, r, w, s)
-    offsets, where = _stencil_offsets(grid, t0)
-    c = _derivative_stencils(offsets)
-    ut, utt, uttt, utttt = c[0], c[1], c[2], c[3]
+    m1, m2, m3, m4 = (m[:, None] for m in _pv_moments(N, p, r, w, s))
+    offsets, t, j = _stencil_offsets(tt, t0)
+    ut, utt, uttt, utttt = _derivative_stencils(offsets).transpose(1, 0, 2)
+    rr = r[:, None]
     # radial derivatives via log-derivatives: u_r = u_t / r,
     # u_rr = (u_tt - u_t)/r^2, u_rrr = (u_ttt - 3u_tt + 2u_t)/r^3,
     # u_rrrr = (u_tttt - 6u_ttt + 11u_tt - 6u_t)/r^4
-    lam = (-(m1 / r) * ut
-           - (0.5 * m2 / r ** 2) * (utt - ut)
-           - (m3 / (6.0 * r ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
-           - (m4 / (24.0 * r ** 4)) * (utttt - 6.0 * uttt
-                                       + 11.0 * utt - 6.0 * ut))
-    for lm, (tag, info) in zip(lam, where):
-        if tag == "node":
-            coeffs[1 + info] += lm
-        elif tag == "below":
-            x2 = (info / r1) ** 2
-            coeffs[0] += lm * (1.0 - x2)
-            coeffs[1] += lm * x2
-        else:
-            for k, om in enumerate(row.omegas):
-                row.tail[k] += lm * (info / rM) ** (-om)
+    lam = (-(m1 / rr) * ut
+           - (0.5 * m2 / rr ** 2) * (utt - ut)
+           - (m3 / (6.0 * rr ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
+           - (m4 / (24.0 * rr ** 4)) * (utttt - 6.0 * uttt
+                                        + 11.0 * utt - 6.0 * ut))
+    # a stencil point adds lam to its node, or below r_1 to the origin
+    # model's slots 0 and 1, or beyond r_M to the tail weights; each slot
+    # takes its terms in stencil order (a point beyond r_M adds 0 to slot 0)
+    below, above = j < 0, j >= M
+    node = ~(below | above)
+    rho = np.exp(t)
+    x2 = (rho / r1) ** 2
+    slots = np.stack((np.where(node, 1 + j, 0), np.ones_like(j)), axis=2)
+    terms = np.stack((np.where(node, lam, np.where(below, lam * (1.0 - x2), 0.0)),
+                      np.where(below, lam * x2, 0.0)), axis=2)
+    coeffs = np.zeros((R, M + 1))
+    np.add.at(coeffs.reshape(-1), ((M + 1) * np.arange(R)[:, None, None] + slots).ravel(),
+              terms.ravel())
+    om = np.asarray(omegas, dtype=float)
+    far = np.where(above, lam, 0.0)[:, :, None] \
+        * (np.where(above, rho, rM)[:, :, None] / rM) ** -om
+    tails = np.cumsum(far, axis=1)[:, -1]
 
-    # the parts of the cells cut by the window edges that lie outside it
-    j_lo = int(np.clip(np.searchsorted(nodes, lo_w) - 1, 0, M - 2))
-    j_hi = int(np.clip(np.searchsorted(nodes, hi_w), 0, M - 2))
-    for j in range(j_lo, j_hi + 1):
-        a_rho, b_rho = nodes[j], nodes[j + 1]
-        if b_rho <= lo_w or a_rho >= hi_w:
-            continue  # fully outside window: a full cell
-        pieces = []
-        if a_rho < lo_w:
-            pieces.append((tt[j], math.log(lo_w)))
-        if b_rho > hi_w:
-            pieces.append((math.log(hi_w), tt[j + 1]))
-        for ta, tb in pieces:
-            tq, twq = _gauss_on(ta, tb, 4)
-            rho = np.exp(tq)
-            contrib = twq * rho ** N * _kernel_eval(N, p, r, rho, np.abs(r - rho))
-            row.mass += float(np.sum(contrib))
-            _add_cubic(coeffs, tt, tq, -contrib)
-    return w
+    # the parts of the cells cut by the window edges that lie outside it:
+    # the cell holding an edge strictly inside it
+    edge = np.stack((lo_w, hi_w), axis=1)
+    cell = np.searchsorted(nodes, edge) - 1
+    c = np.minimum(np.maximum(cell, 0), M - 2)
+    cut = (cell == c) & (edge < nodes[c + 1])
+    prow = np.nonzero(cut)[0]
+    a = np.stack((tt[c[:, 0]], _logs(hi_w)), axis=1)[cut][:, None]
+    b = np.stack((_logs(lo_w), tt[c[:, 1] + 1]), axis=1)[cut][:, None]
+    x4, w4 = _gauss(4)
+    half = 0.5 * (b - a)
+    tq = 0.5 * (a + b) + half * x4
+    rho = np.exp(tq)
+    rp = r[prow, None]
+    contrib = half * w4 * rho ** N * _kernel_eval(N, p, rp, rho, np.abs(rp - rho))
+    mass = np.zeros(R)
+    np.add.at(mass, prow, np.sum(contrib, axis=1))
+    _add_cubic(coeffs, tt, tq.ravel(), -contrib.ravel(), np.repeat(prow, 4))
+    return coeffs, tails, mass, w
 
 
-def _fraclap_row(ctx: _RowContext, r: float, s: float,
-                 omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled fractional-Laplacian row at radius r.
+def _fraclap_rows(ctx: _RowContext, radii, s: float,
+                  omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled fractional-Laplacian rows at the radii (R,), built together.
 
     The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
-    around r.  Returns (coeffs, tails) as laid out in _Row, one tail weight
-    per tail exponent in omegas; the factor C_{N,s} is NOT applied here.
+    around each r.  Returns the (R, M+1) coefficients, slot 0 multiplying
+    the origin value and slots 1..M the node values, and the
+    (R, len(omegas)) tail weights, column k multiplying the value at r_max
+    of a tail model with exponent omegas[k]: the coefficients do not depend
+    on the tail model, so one row serves every function on the grid.  The
+    factor C_{N,s} is NOT applied here.
+
+    Every piece is computed for all radii at once, and each row equals the
+    one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
+    temporaries, so callers pass large sets of radii _ROW_BLOCK at a time.
     """
     grid = ctx.grid
+    N = grid.N
     nodes = grid.nodes
     M = nodes.size
-    p = -(grid.N + 2.0 * s)
-    row = _Row(M, omegas)
-    coeffs = row.coeffs
-    w = _fraclap_window(row, ctx, r, s)
+    r1, rM = nodes[0], nodes[-1]
+    p = -(N + 2.0 * s)
+    r = np.asarray(radii, dtype=float)
+    R = r.size
+    rows = np.arange(R)
+    coeffs, tails, mass, w = _pv_windows(ctx, r, s, omegas)
     lo_w, hi_w = r - w, r + w
-    _full_cells(row, ctx, p, r, (nodes[1:] <= lo_w) | (nodes[:-1] >= hi_w), -1.0)
-    _origin_region(row, grid, p, r, lo_w, hi_w, w, -1.0)
-    _far_tail(row, grid, p, r, [max(hi_w, grid.r_max)], -1.0)
-    row.mass += _mass_remainder(grid.N, s, grid.r_max)
-    for k, om in enumerate(row.omegas):
-        row.tail[k] += _tail_remainder(grid.N, "fraclap", s, grid.r_max, om)
 
-    # ---- the kernel mass multiplies u(r)
-    j = int(np.clip(np.searchsorted(nodes, r) - 1, 0, M - 2))
-    if abs(nodes[j] - r) <= 1e-12 * r:
-        coeffs[1 + j] += row.mass
-    elif abs(nodes[j + 1] - r) <= 1e-12 * r:
-        coeffs[2 + j] += row.mass
-    elif r < nodes[0]:
-        x2 = (r / nodes[0]) ** 2
-        coeffs[0] += row.mass * (1.0 - x2)
-        coeffs[1] += row.mass * x2
-    else:
-        _add_cubic(coeffs, ctx.tt, np.array([math.log(r)]), np.array([row.mass]))
-    return coeffs, row.tail
+    # the cells clear of each window, from one masked kernel evaluation laid
+    # out (R, 4, M-1), Gauss point by cell, so the products below run along
+    # the cells; a masked cell takes the offset r, which keeps its discarded
+    # kernel values finite where a quadrature point meets r
+    full = ((nodes[1:] <= lo_w[:, None]) | (nodes[:-1] >= hi_w[:, None]))[:, None, :]
+    rr = r[:, None, None]
+    rho = ctx.cell_rho.T
+    dist = np.where(full, np.abs(rr - rho), rr)
+    contrib = np.where(full, ctx.cell_w.T * _kernel_eval(N, p, rr, rho, dist), 0.0)
+    mass += np.sum(contrib, axis=(1, 2))
+    cubw = np.ascontiguousarray(ctx.cell_cubw.transpose(1, 2, 0))   # (q, m, cell)
+    per_node = contrib[:, 0, None] * cubw[0]
+    for q in range(1, 4):
+        per_node += contrib[:, q, None] * cubw[q]
+    # each slot takes its cells in order; coeffs is C-contiguous, so its
+    # flat view takes the sums
+    slots = (M + 1) * rows[:, None, None] + 1 + ctx.cell_base[:, None] + np.arange(4)
+    np.add.at(coeffs.reshape(-1), slots.ravel(), -per_node.transpose(0, 2, 1).ravel())
+
+    # [0, r_1] outside the window, under the quadratic origin model: from
+    # the origin up to the window or r_1, graded toward r, and from a window
+    # that ends below r_1 up to r_1
+    c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(
+        r, np.maximum(w, 0.1 * r), np.minimum(lo_w, r1)))
+    coeffs[:, 0] -= c0
+    coeffs[:, 1] -= c1
+    mass += m0
+    gap = hi_w < r1
+    if gap.any():
+        c0, c1, m0 = _origin_sums(N, p, r1, r[gap], np.stack(
+            (hi_w[gap], np.full(np.count_nonzero(gap), r1)), axis=1))
+        coeffs[gap, 0] -= c0
+        coeffs[gap, 1] -= c1
+        mass[gap] += m0
+
+    # beyond the window and r_M, under the power tail model
+    tail, m0 = _tail_sums(N, p, r, np.maximum(hi_w, rM), rM, omegas)
+    tails -= tail.T
+    mass += m0
+    mass += _mass_remainder(N, s, rM)
+    tails += [_tail_remainder(N, "fraclap", s, rM, om) for om in omegas]
+
+    # ---- the kernel mass multiplies u(r): at its node, through the origin
+    # model below r_1, or through the cubic stencil
+    j = np.minimum(np.maximum(np.searchsorted(nodes, r) - 1, 0), M - 2)
+    on_lo = np.abs(nodes[j] - r) <= 1e-12 * r
+    on_hi = ~on_lo & (np.abs(nodes[j + 1] - r) <= 1e-12 * r)
+    on = on_lo | on_hi
+    coeffs[rows[on], (1 + j + on_hi)[on]] += mass[on]
+    below = ~on & (r < r1)
+    x2 = (r[below] / r1) ** 2
+    coeffs[below, 0] += mass[below] * (1.0 - x2)
+    coeffs[below, 1] += mass[below] * x2
+    off = ~(on | below)
+    _add_cubic(coeffs, ctx.tt, _logs(r[off]), mass[off], rows[off])
+    return coeffs, tails
 
 
 def _diagonal_stub(f0: float, f1: float, x0: float) -> float:
@@ -1007,9 +1076,9 @@ def _riesz_row(ctx: _RowContext, i: int, alpha: float,
     if i < M - 1:
         full[i] = False
         sides.append((r, nodes[i + 1]))
-    _full_cells(row, ctx, p, r, full, 1.0)
+    _full_cells(row, ctx, p, r, full)
     _riesz_diagonal(row, ctx, r, p, sides)
-    _origin_region(row, grid, p, r, r, r, 0.0, 1.0)
+    _origin_region(row, grid, p, r)
 
     # ---- far tail plus analytic remainder
     start = max(r, rM)
@@ -1027,7 +1096,7 @@ def _riesz_row(ctx: _RowContext, i: int, alpha: float,
             row.tail[k] += _diagonal_stub(f0, f1, x0)
     else:
         edges = [start]
-    _far_tail(row, grid, p, r, edges, 1.0)
+    _far_tail(row, grid, p, r, edges)
     for k, om in enumerate(row.omegas):
         row.tail[k] += _tail_remainder(N, "riesz", alpha, rM, om)
     return row.coeffs, row.tail
@@ -1040,12 +1109,13 @@ def _fraclap_C(N: int, s: float) -> float:
         / (math.pi ** (N / 2.0) * abs(math.gamma(-s)))
 
 
-# Rows assembled one by one at each end of a geometric grid, and node
+# Rows built by the row builders at each end of a geometric grid, and node
 # columns at each end that the clipped stencils of the end cells reach.
 # Rows in between keep their Taylor window, partial cells and graded
 # diagonal cells (offsets -4..4) clear of those columns and of both ends.
-# The closures of those rows are integrated _ROW_BLOCK rows at a time, which
-# keeps their temporaries under a megabyte.
+# The closures of those rows are integrated _ROW_BLOCK rows at a time, and
+# _fraclap_rows takes the rows of other grids _ROW_BLOCK radii a call, which
+# keeps each of their (block, 4, M-1) temporaries near a megabyte.
 _END_ROWS = 8
 _END_COLUMNS = 4
 _ROW_BLOCK = 64
@@ -1065,23 +1135,29 @@ def _is_geometric(grid: RadialGrid) -> bool:
 
 def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
              which) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled rows at the nodes `which`, one row-builder call each: their
-    (len(which), M+1) coefficients and their tail coefficients."""
+    """Unscaled rows at the nodes `which`: their (len(which), M+1)
+    coefficients and their tail coefficients.  Fractional-Laplacian rows
+    come from one _fraclap_rows call per _ROW_BLOCK nodes, Riesz rows from
+    one _riesz_row call each."""
     ctx = _context(grid)
-    rows = np.empty((len(which), grid.size + 1))
-    tails = np.empty(len(which))
-    for k, i in enumerate(which):
+    which = np.asarray(which, dtype=int)
+    rows = np.empty((which.size, grid.size + 1))
+    tails = np.empty(which.size)
+    for b in range(0, which.size, _ROW_BLOCK):
+        block = which[b:b + _ROW_BLOCK]
         if kind == "fraclap":
-            row = _fraclap_row(ctx, float(grid.nodes[i]), exponent, (tail_omega,))
+            rows[b:b + block.size], block_tails = _fraclap_rows(
+                ctx, grid.nodes[block], exponent, (tail_omega,))
+            tails[b:b + block.size] = block_tails[:, 0]
         else:
-            row = _riesz_row(ctx, i, exponent, (tail_omega,))
-        rows[k], (tails[k],) = row
+            for k, i in enumerate(block, start=b):
+                rows[k], (tails[k],) = _riesz_row(ctx, int(i), exponent, (tail_omega,))
     return rows, tails
 
 
 def _rows_by_loop(grid: RadialGrid, kind: str, exponent: float,
                   tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled rows at every node, one row-builder call each: the (M, M+1)
+    """Unscaled rows at every node from the row builders: the (M, M+1)
     coefficient matrix and the length-M tail coefficient vector."""
     return _rows_at(grid, kind, exponent, tail_omega, range(grid.size))
 
@@ -1180,16 +1256,18 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
 
     # near-diagonal pieces of the middle row, and the cells they cover
     g = M // 2
-    near = _Row(M, ())
     if fraclap:
-        w = _fraclap_window(near, ctx, float(nodes[g]), exponent)
+        near, _, near_mass, w = _pv_windows(ctx, nodes[g:g + 1], exponent, ())
+        near, near_mass, w = near[0], near_mass[0], w[0]
         excluded = (nodes[1:] > nodes[g] - w) & (nodes[:-1] < nodes[g] + w)
         d0 = max(w / nodes[g], 0.1)
     else:
+        row = _Row(M, ())
+        _riesz_diagonal(row, ctx, float(nodes[g]), p,
+                        [(nodes[g - 1], nodes[g]), (nodes[g], nodes[g + 1])])
+        near = row.coeffs
         excluded = np.zeros(M - 1, dtype=bool)
         excluded[g - 1:g + 1] = True
-        _riesz_diagonal(near, ctx, float(nodes[g]), p,
-                        [(nodes[g - 1], nodes[g]), (nodes[g], nodes[g + 1])])
         d0 = 0.1
 
     # full cells at offsets e = c - i in [-(M+1), M], integrated at r = 1
@@ -1203,7 +1281,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     L = 2 * M - 1
     gen = per_node[3:3 + L, 0] + per_node[2:2 + L, 1] \
         + per_node[1:1 + L, 2] + per_node[:L, 3]
-    gen[M - 1 - g:2 * M - 1 - g] += near.coeffs[1:] / scale[g]
+    gen[M - 1 - g:2 * M - 1 - g] += near[1:] / scale[g]
 
     lo, hi = _END_ROWS, M - _END_ROWS
     inner = np.arange(lo, hi)
@@ -1238,7 +1316,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
         mass += scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
-                                + near.mass / scale[g]) \
+                                + near_mass / scale[g]) \
             + _mass_remainder(N, exponent, rM)
 
     ends, end_tails = _rows_at(grid, kind, exponent, tail_omega,
@@ -1321,48 +1399,61 @@ def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return err
 
 
-def frac_laplacian_radial(u, s: float, at: float):
-    """Pointwise principal-value fractional Laplacian of u at a radius.
+def frac_laplacian_radial(u, s: float, at):
+    """Pointwise principal-value fractional Laplacian of u at one radius or
+    at several.
 
     The radial integral is Taylor-subtracted in a window of a few grid cells
-    around `at` (so the PV cancellation is explicit), integrated cell by
-    cell elsewhere with u reconstructed by cubic-in-log Lagrange
+    around each radius (so the PV cancellation is explicit), integrated cell
+    by cell elsewhere with u reconstructed by cubic-in-log Lagrange
     interpolation of the node values, and closed with u's origin and tail
-    models on [0, r_1) and (r_max, inf).
+    models on [0, r_1) and (r_max, inf).  The rows at all radii are built
+    in one batched pass.
 
     u may also be a sequence of radial functions on one grid.  A row's
-    coefficients do not depend on the tail model, so the row at `at` is
-    built once and closed with one tail weight per function; each value
-    equals the one-function call bitwise.
+    coefficients do not depend on the tail model, so the row at each radius
+    is built once and closed with one tail weight per function.  Every
+    value equals the one-function, one-radius call bitwise.
 
     Args:
         u: the radial function, with a valid tail model, or a sequence of
             them on one grid.
         s: fractional order in (0, 1).
-        at: evaluation radius in (0, r_max].
+        at: evaluation radius in (0, r_max], or a 1-d array of them.
 
     Returns:
-        The value as a float for one function; an array of one value per
-        function for a sequence.
+        For one function, a float for a scalar `at` and an array of one
+        value per radius for an array `at`.  For a sequence of K functions,
+        an array of shape (K,) for a scalar `at` and (len(at), K) for an
+        array `at`.
 
     Raises:
-        ValueError: if s or `at` is out of range.
+        ValueError: if s or a radius is out of range, or `at` is empty or
+            has more than one dimension.
     """
     fs = [u] if isinstance(u, RadialFunction) else list(u)
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_radial: s must lie in (0, 1), got {s!r}")
     grid = fs[0].grid
-    if not (0.0 < at <= grid.r_max):
+    radii = np.asarray(at, dtype=float)
+    if radii.ndim > 1 or radii.size == 0:
+        raise ValueError(
+            f"frac_laplacian_radial: radii must be a scalar or a nonempty 1-d "
+            f"array, got shape {radii.shape}")
+    if not np.all((radii > 0.0) & (radii <= grid.r_max)):
         raise ValueError(
             f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
-    coeffs, tails = _fraclap_row(_context(grid), float(at), s,
-                                 [f.tail_exponent for f in fs])
-    C = _fraclap_C(grid.N, s)
-    out = np.empty(len(fs))
-    for k, (f, tail_c) in enumerate(zip(fs, tails)):
-        vec = np.concatenate(([f.value_at_origin], f.values))
-        out[k] = C * float(coeffs @ vec + tail_c * f.tail_value_at_rmax)
-    return float(out[0]) if isinstance(u, RadialFunction) else out
+    coeffs, tails = _fraclap_rows(_context(grid), np.atleast_1d(radii), s,
+                                  [f.tail_exponent for f in fs])
+    vecs = np.array([np.concatenate(([f.value_at_origin], f.values)) for f in fs])
+    tail_values = np.array([f.tail_value_at_rmax for f in fs])
+    out = _fraclap_C(grid.N, s) * (_rowdot(coeffs[:, None, :], vecs)
+                                   + tails * tail_values)
+    if isinstance(u, RadialFunction):
+        out = out[:, 0]
+    if radii.ndim == 0:
+        out = out[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:

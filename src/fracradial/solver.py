@@ -113,7 +113,7 @@ class NonlinearitySpec:
                 f"{self.C_under!r}, {self.C_bar!r}")
         if not (self.delta > 0.0):
             raise ValueError(f"NonlinearitySpec: delta must be positive, got {self.delta!r}")
-        if abs(float(self.F(0.0))) > 1e-12:
+        if not abs(float(self.F(0.0))) <= 1e-12:  # NaN fails too
             raise ValueError("NonlinearitySpec: F(0) must vanish")
         self._check_antiderivative()
 
@@ -124,7 +124,8 @@ class NonlinearitySpec:
             h = 1e-4 * t
             fd = (float(self.F(t + h)) - float(self.F(t - h))) / (2.0 * h)
             ft = float(self.f(t))
-            if abs(fd - ft) > 1e-8 * max(1.0, abs(ft)):
+            # written so that a NaN on either side fails
+            if not abs(fd - ft) <= 1e-8 * max(1.0, abs(ft)):
                 raise ValueError(
                     f"NonlinearitySpec: F is not the antiderivative of f at "
                     f"t = {t!r} (finite difference {fd!r} vs f {ft!r})")

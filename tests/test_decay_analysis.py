@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracradial.decay_analysis as decay_analysis
+
 from fracradial import (
     NonlinearitySpec,
     ProblemParams,
@@ -293,6 +295,22 @@ def test_chain_rule_shares_rows_bitwise(N, theta):
     alone = verify_chain_rule(u, 0.7, radii, 0.5)
     assert np.array_equal(both[0].lhs, alone.lhs)
     assert np.array_equal(both[0].rhs, alone.rhs)
+
+
+def test_chain_rule_makes_one_pointwise_call(monkeypatch):
+    """All radii and exponents of a chain-rule check share one
+    frac_laplacian_radial call."""
+    calls = []
+
+    def counted(u, s, at):
+        calls.append(np.size(at))
+        return frac_laplacian_radial(u, s, at)
+
+    monkeypatch.setattr(decay_analysis, "frac_laplacian_radial", counted)
+    u = h_beta_function(RadialGrid.log_spaced(num=200), 3.0)
+    reports = verify_chain_rule(u, (0.3, 0.7), [0.5, 1.0, 5.0, 20.0], 0.5)
+    assert calls == [4]
+    assert all(rep.lhs.shape == (4,) for rep in reports)
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.0, 1.0, 1.2])

@@ -376,6 +376,45 @@ def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
     assert_allclose(got, want, rtol=1e-6)
 
 
+# The rows at all radii are built together; no piece lets one row's
+# rounding depend on the rows beside it (the far-tail panels are summed in
+# groups of equal panel count, the dot products one row at a time), so a
+# row built in a batch is the row built alone, to the bit.
+@pytest.mark.parametrize("nudged", [False, True])
+@pytest.mark.parametrize("N", [2, 3])
+def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, nudged):
+    grid = RadialGrid.log_spaced(num=150, N=N)
+    if nudged:
+        nodes = grid.nodes.copy()
+        nodes[70] *= 1.0 + 1e-9
+        grid = RadialGrid(nodes=nodes, weights=grid.weights, r_max=grid.r_max, N=N)
+        assert not radial_ops._is_geometric(grid)
+    nodes = grid.nodes
+    radii = np.array([
+        0.5 * nodes[0], 0.99 * nodes[0],              # below r_1
+        math.sqrt(nodes[40] * nodes[41]), 1.0, 2.0, 5.0, 10.0,  # between nodes
+        nodes[0], nodes[70], nodes[75],               # on nodes
+        0.999 * nodes[-1], nodes[-1],                 # at the last node
+    ])
+    ctx = radial_ops._context(grid)
+    omegas = (N + 1.0, 2.5)
+    rows, tails = radial_ops._fraclap_rows(ctx, radii, 0.5, omegas)
+    assert rows.shape == (radii.size, grid.size + 1)
+    assert tails.shape == (radii.size, len(omegas))
+    for k in range(radii.size):
+        alone, alone_tails = radial_ops._fraclap_rows(ctx, radii[k:k + 1], 0.5, omegas)
+        assert np.array_equal(alone[0], rows[k])
+        assert np.array_equal(alone_tails[0], tails[k])
+    # pointwise values over an array of radii: one per (radius, function)
+    fs = [h_beta_function(grid, omega) for omega in omegas]
+    both = frac_laplacian_radial(fs, 0.5, at=radii)
+    one = frac_laplacian_radial(fs[0], 0.5, at=radii)
+    assert both.shape == (radii.size, len(fs)) and one.shape == radii.shape
+    for k, r in enumerate(radii):
+        assert np.array_equal(both[k], frac_laplacian_radial(fs, 0.5, at=float(r)))
+        assert one[k] == frac_laplacian_radial(fs[0], 0.5, at=float(r))
+
+
 def test_fraclap_rejects_bad_arguments(grid):
     u = h_beta_function(grid, 2.0)
     for s in (0.0, 1.0, 1.2, -0.5):
@@ -387,6 +426,14 @@ def test_fraclap_rejects_bad_arguments(grid):
         frac_laplacian_radial(u, 0.5, at=0.0)
     with pytest.raises(ValueError):
         frac_laplacian_radial(u, 0.5, at=2.0 * grid.r_max)
+    with pytest.raises(ValueError):
+        frac_laplacian_radial(u, 0.5, at=np.array([1.0, 2.0 * grid.r_max]))
+    with pytest.raises(ValueError):
+        frac_laplacian_radial(u, 0.5, at=np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):
+        frac_laplacian_radial(u, 0.5, at=np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        frac_laplacian_radial(u, 0.5, at=np.array([]))
 
 
 def test_fraclap_matrix_consistent_with_row_apply(grid):
@@ -590,18 +637,20 @@ def test_nudged_grid_is_assembled_row_by_row():
 
 def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    # rows built: the radii passed to _fraclap_rows, the _riesz_row calls
     calls = {"fraclap": 0, "riesz": 0}
+    fraclap_rows, riesz_row = radial_ops._fraclap_rows, radial_ops._riesz_row
 
-    def counted(kind, builder):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return builder(*args, **kwargs)
-        return wrapper
+    def counted_fraclap(ctx, radii, *args):
+        calls["fraclap"] += np.size(radii)
+        return fraclap_rows(ctx, radii, *args)
 
-    monkeypatch.setattr(radial_ops, "_fraclap_row",
-                        counted("fraclap", radial_ops._fraclap_row))
-    monkeypatch.setattr(radial_ops, "_riesz_row",
-                        counted("riesz", radial_ops._riesz_row))
+    def counted_riesz(*args):
+        calls["riesz"] += 1
+        return riesz_row(*args)
+
+    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
+    monkeypatch.setattr(radial_ops, "_riesz_row", counted_riesz)
     grid = RadialGrid.log_spaced(num=200)
     for kind in ("fraclap", "riesz"):
         radial_ops._raw(grid, kind, *operator_args(kind, 3))

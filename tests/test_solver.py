@@ -90,6 +90,23 @@ def test_general_rejects_nonvanishing_F_at_zero():
                                  r=1.7, C_bar=1.0, C_under=1.0, delta=1.0)
 
 
+def test_general_rejects_nan_F_at_zero():
+    with pytest.raises(ValueError, match="must vanish"):
+        NonlinearitySpec.general(
+            f=lambda t: SQRT_17 * np.power(t, 0.7),
+            F=lambda t: math.nan if t == 0.0 else SQRT_17 / 1.7 * np.power(t, 1.7),
+            r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
+
+
+def test_general_rejects_nan_F_on_the_check_lattice():
+    # F(0) = 0, and F is NaN at every point the antiderivative check reads
+    with pytest.raises(ValueError, match="not the antiderivative"):
+        NonlinearitySpec.general(
+            f=lambda t: SQRT_17 * np.power(t, 0.7),
+            F=lambda t: 0.0 if t == 0.0 else math.nan,
+            r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
+
+
 def test_general_rejects_mismatched_antiderivative():
     # F is 1 percent off being the antiderivative of f
     with pytest.raises(ValueError):
@@ -476,23 +493,26 @@ def test_rhs_map_rejects_a_divergent_convolution(params):
 
 
 def test_second_solve_reuses_operators(params, monkeypatch):
+    # rows built: the radii passed to _fraclap_rows, the _riesz_row calls
     calls = {"fraclap": 0, "riesz": 0}
+    fraclap_rows, riesz_row = radial_ops._fraclap_rows, radial_ops._riesz_row
 
-    def counted(kind, builder):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return builder(*args, **kwargs)
-        return wrapper
+    def counted_fraclap(ctx, radii, *args):
+        calls["fraclap"] += np.size(radii)
+        return fraclap_rows(ctx, radii, *args)
 
-    monkeypatch.setattr(radial_ops, "_fraclap_row",
-                        counted("fraclap", radial_ops._fraclap_row))
-    monkeypatch.setattr(radial_ops, "_riesz_row",
-                        counted("riesz", radial_ops._riesz_row))
+    def counted_riesz(*args):
+        calls["riesz"] += 1
+        return riesz_row(*args)
+
+    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
+    monkeypatch.setattr(radial_ops, "_riesz_row", counted_riesz)
     # a grid of its own, so the first solve is cold whatever ran before
     grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
     first = solve_ground_state(params, SolverOpts(grid=grid))
-    # cold: the row builders ran (on a geometric grid only for the end rows)
-    assert calls["fraclap"] > 0 and calls["riesz"] > 0
+    # cold: the row builders ran, on a geometric grid for the end rows only
+    ends = 2 * radial_ops._END_ROWS
+    assert calls == {"fraclap": ends, "riesz": ends}
     calls.update(fraclap=0, riesz=0)
     second = solve_ground_state(params, SolverOpts(grid=grid))
     assert calls == {"fraclap": 0, "riesz": 0}
