@@ -27,14 +27,14 @@ interior is then the shifts of one generating row (Mellin-convolution
 structure, as in FFTLog), and only the pieces that break the shift are
 computed per row, vectorised: the end columns, the origin and far-tail
 closures and the fractional Laplacian's diagonal mass.  The first and last
-`_END_ROWS` rows come from the row builders: the fractional Laplacian's
-from one batched `_fraclap_rows` call, which computes every piece of a row
-for a whole block of radii at once, and the Riesz ones from `_riesz_row`,
-one call a row.  Any other grid, and grids of fewer than 4 `_END_ROWS`
-nodes, are assembled from the row builders alone, the fractional
-Laplacian's rows `_ROW_BLOCK` radii a call.  The pointwise
-`frac_laplacian_radial` takes its rows, at any radii, from the same
-batched builder.
+`_END_ROWS` rows, and every row of any other grid (or of one with fewer
+than 4 `_END_ROWS` nodes), come from one batched row builder per kernel,
+`_ROW_BLOCK` rows a call, which computes every piece of a row for a whole
+block of radii at once: `_fraclap_rows`, which `frac_laplacian_radial`
+also calls at any radii, and `_riesz_rows`.  They differ only near the
+diagonal, in the PV Taylor window (`_pv_windows`) and the graded diagonal
+cells (`_riesz_diagonal`), and share the grid cells, origin region and far
+tail outside it (`_add_outside`).
 
 Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
 at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
@@ -563,17 +563,14 @@ def _cubic_basis(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
-               weights: np.ndarray, rows: np.ndarray | None = None) -> None:
-    """Spread weights sitting at log radii tq onto the node slots of a row
-    through the cubic-in-log stencil; given rows, the weight at tq[k] goes
-    to row rows[k] of a C-contiguous 2-d coeffs."""
+               weights: np.ndarray, rows: np.ndarray) -> None:
+    """Spread weights sitting at log radii tq onto the node slots of the rows
+    of a C-contiguous 2-d coeffs through the cubic-in-log stencil, the
+    weight at tq[k] to row rows[k]."""
     base, W = _cubic_basis(tt, tq)
-    slots = 1 + base[:, None] + np.arange(4)[None, :]
-    if rows is not None:
-        # one flat index: np.add.at is several times faster on 1-d indices
-        slots = slots + coeffs.shape[1] * rows[:, None]
-        coeffs = coeffs.reshape(-1)
-    np.add.at(coeffs, slots, weights[:, None] * W)
+    # one flat index: np.add.at is several times faster on 1-d indices
+    slots = 1 + base[:, None] + np.arange(4)[None, :] + coeffs.shape[1] * rows[:, None]
+    np.add.at(coeffs.reshape(-1), slots, weights[:, None] * W)
 
 
 class _RowContext:
@@ -722,13 +719,14 @@ def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
                  edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel integrals over panels of [0, r_1] under the quadratic origin
     model, 8 Gauss points a panel, vectorised over radii r (n,) with panel
-    edges (n, E): the slot-0 and slot-1 weights and the kernel mass."""
+    edges (n, E): the slot-0 and slot-1 weights and the kernel mass.  An
+    empty panel adds 0, also at r: its points take the offset r."""
     x, wq = _gauss(8)
     a, b = edges[:, :-1, None], edges[:, 1:, None]
     rho = 0.5 * (a + b) + 0.5 * (b - a) * x
     rr = r[:, None, None]
     contrib = 0.5 * (b - a) * wq * rho ** (N - 1) \
-        * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
+        * _kernel_eval(N, p, rr, rho, np.where(b > a, np.abs(rr - rho), rr))
     x2 = (rho / r1) ** 2
     return (np.sum(contrib * (1.0 - x2), axis=(1, 2)),
             np.sum(contrib * x2, axis=(1, 2)), np.sum(contrib, axis=(1, 2)))
@@ -796,57 +794,6 @@ def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
             * r_inf ** (-two_s) / (two_s + tail_omega)
     return omega_sph * r_max ** tail_omega \
         * r_inf ** (exponent - tail_omega) / (tail_omega - exponent)
-
-
-class _Row:
-    """One Riesz row at radius r while it is being assembled.
-
-    coeffs has length M+1, slot 0 multiplying the origin value and slots
-    1..M the node values; tail[k] multiplies the value at r_max of a tail
-    model with exponent omegas[k].  Only the tail weights depend on the
-    tail exponents, so one row serves every function on the grid.
-    """
-
-    def __init__(self, M: int, omegas):
-        self.coeffs = np.zeros(M + 1)
-        self.omegas = tuple(omegas)
-        self.tail = np.zeros(len(self.omegas))
-
-
-def _full_cells(row: _Row, ctx: _RowContext, p: float, r: float,
-                full: np.ndarray) -> None:
-    """The grid cells selected by `full`, with the shared cell rule."""
-    sel_rho = ctx.cell_rho[full].ravel()
-    if sel_rho.size:
-        kern = _kernel_eval(ctx.grid.N, p, r, sel_rho,
-                            np.abs(r - sel_rho)).reshape(-1, 4)
-        contrib = ctx.cell_w[full] * kern
-        per_node = np.einsum("cq,cqm->cm", contrib, ctx.cell_cubw[full])
-        idx = 1 + ctx.cell_base[full][:, None] + np.arange(4)[None, :]
-        np.add.at(row.coeffs, idx, per_node)
-
-
-def _origin_region(row: _Row, grid: RadialGrid, p: float, r: float) -> None:
-    """[0, r_1] under the quadratic origin model, with panels graded toward
-    r when r lies beyond it."""
-    r1 = grid.nodes[0]
-    at = np.array([r])
-    edges = _graded_edges(at, 0.1 * at, r1) if r > r1 else np.array([[0.0, r1]])
-    c0, c1, _ = _origin_sums(grid.N, p, r1, at, edges)
-    row.coeffs[0] += float(c0[0])
-    row.coeffs[1] += float(c1[0])
-
-
-def _far_tail(row: _Row, grid: RadialGrid, p: float, r: float, edges: list) -> None:
-    """Panels from edges[-1] out to _TAIL_SPAN r_max, widening geometrically,
-    under the power tail model (edges may already hold graded panels)."""
-    at = np.array([r])
-    tail, _ = _tail_sums(grid.N, p, at, np.array([edges[-1]]), grid.r_max, row.omegas)
-    if len(edges) > 1:
-        graded, _ = _log_panel_sums(grid.N, p, at, np.array([edges]), grid.r_max,
-                                    row.omegas)
-        tail = tail + graded
-    row.tail += tail[:, 0]
 
 
 def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omegas):
@@ -922,6 +869,64 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omegas):
     return coeffs, tails, mass, w
 
 
+def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, d0: np.ndarray, sign: float, omegas,
+                 coeffs: np.ndarray, tails: np.ndarray, mass: np.ndarray) -> None:
+    """Add sign times the kernel integrals of the rows at radii r (R,) outside
+    the intervals (lo, hi) (R,) around them: the grid cells clear of each
+    interval, [0, r_1] under the origin model, graded toward r at distances
+    d0 2^k (see _graded_edges), and the tail model beyond r_M.  They go into
+    the rows' coefficients and tail weights (laid out as in _fraclap_rows)
+    and kernel mass (R,) in place, in that order: a fractional-Laplacian
+    row cancels far below its entries, so its summation order is kept.
+    Each row's sums equal the ones it gets alone."""
+    grid = ctx.grid
+    N = grid.N
+    nodes = grid.nodes
+    M = nodes.size
+    r1, rM = nodes[0], nodes[-1]
+
+    # the cells clear of each interval, from one masked kernel evaluation
+    # laid out (R, 4, M-1), Gauss point by cell, so the products below run
+    # along the cells; a masked cell takes the offset r, which keeps its
+    # discarded kernel values finite where a quadrature point meets r
+    full = ((nodes[1:] <= lo[:, None]) | (nodes[:-1] >= hi[:, None]))[:, None, :]
+    rr = r[:, None, None]
+    rho = ctx.cell_rho.T
+    dist = np.where(full, np.abs(rr - rho), rr)
+    contrib = np.where(full, ctx.cell_w.T * _kernel_eval(N, p, rr, rho, dist), 0.0)
+    mass += np.sum(contrib, axis=(1, 2))
+    cubw = np.ascontiguousarray(ctx.cell_cubw.transpose(1, 2, 0))   # (q, m, cell)
+    per_node = contrib[:, 0, None] * cubw[0]
+    for q in range(1, 4):
+        per_node += contrib[:, q, None] * cubw[q]
+    # each slot takes its cells in order; coeffs is C-contiguous, so its
+    # flat view takes the sums
+    slots = (M + 1) * np.arange(r.size)[:, None, None] + 1 + ctx.cell_base[:, None] \
+        + np.arange(4)
+    np.add.at(coeffs.reshape(-1), slots.ravel(),
+              sign * per_node.transpose(0, 2, 1).ravel())
+
+    # [0, r_1] outside the interval: from the origin up to the interval or
+    # r_1, and from an interval that ends below r_1 up to r_1
+    c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0, np.minimum(lo, r1)))
+    coeffs[:, 0] += sign * c0
+    coeffs[:, 1] += sign * c1
+    mass += m0
+    gap = hi < r1
+    if gap.any():
+        c0, c1, m0 = _origin_sums(N, p, r1, r[gap], np.stack(
+            (hi[gap], np.full(np.count_nonzero(gap), r1)), axis=1))
+        coeffs[gap, 0] += sign * c0
+        coeffs[gap, 1] += sign * c1
+        mass[gap] += m0
+
+    # beyond the interval and r_M
+    tail, m0 = _tail_sums(N, p, r, np.maximum(hi, rM), rM, omegas)
+    tails += sign * tail.T
+    mass += m0
+
+
 def _fraclap_rows(ctx: _RowContext, radii, s: float,
                   omegas) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled fractional-Laplacian rows at the radii (R,), built together.
@@ -944,52 +949,11 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float,
     nodes = grid.nodes
     M = nodes.size
     r1, rM = nodes[0], nodes[-1]
-    p = -(N + 2.0 * s)
     r = np.asarray(radii, dtype=float)
-    R = r.size
-    rows = np.arange(R)
+    rows = np.arange(r.size)
     coeffs, tails, mass, w = _pv_windows(ctx, r, s, omegas)
-    lo_w, hi_w = r - w, r + w
-
-    # the cells clear of each window, from one masked kernel evaluation laid
-    # out (R, 4, M-1), Gauss point by cell, so the products below run along
-    # the cells; a masked cell takes the offset r, which keeps its discarded
-    # kernel values finite where a quadrature point meets r
-    full = ((nodes[1:] <= lo_w[:, None]) | (nodes[:-1] >= hi_w[:, None]))[:, None, :]
-    rr = r[:, None, None]
-    rho = ctx.cell_rho.T
-    dist = np.where(full, np.abs(rr - rho), rr)
-    contrib = np.where(full, ctx.cell_w.T * _kernel_eval(N, p, rr, rho, dist), 0.0)
-    mass += np.sum(contrib, axis=(1, 2))
-    cubw = np.ascontiguousarray(ctx.cell_cubw.transpose(1, 2, 0))   # (q, m, cell)
-    per_node = contrib[:, 0, None] * cubw[0]
-    for q in range(1, 4):
-        per_node += contrib[:, q, None] * cubw[q]
-    # each slot takes its cells in order; coeffs is C-contiguous, so its
-    # flat view takes the sums
-    slots = (M + 1) * rows[:, None, None] + 1 + ctx.cell_base[:, None] + np.arange(4)
-    np.add.at(coeffs.reshape(-1), slots.ravel(), -per_node.transpose(0, 2, 1).ravel())
-
-    # [0, r_1] outside the window, under the quadratic origin model: from
-    # the origin up to the window or r_1, graded toward r, and from a window
-    # that ends below r_1 up to r_1
-    c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(
-        r, np.maximum(w, 0.1 * r), np.minimum(lo_w, r1)))
-    coeffs[:, 0] -= c0
-    coeffs[:, 1] -= c1
-    mass += m0
-    gap = hi_w < r1
-    if gap.any():
-        c0, c1, m0 = _origin_sums(N, p, r1, r[gap], np.stack(
-            (hi_w[gap], np.full(np.count_nonzero(gap), r1)), axis=1))
-        coeffs[gap, 0] -= c0
-        coeffs[gap, 1] -= c1
-        mass[gap] += m0
-
-    # beyond the window and r_M, under the power tail model
-    tail, m0 = _tail_sums(N, p, r, np.maximum(hi_w, rM), rM, omegas)
-    tails -= tail.T
-    mass += m0
+    _add_outside(ctx, -(N + 2.0 * s), r, r - w, r + w, np.maximum(w, 0.1 * r), -1.0,
+                 omegas, coeffs, tails, mass)
     mass += _mass_remainder(N, s, rM)
     tails += [_tail_remainder(N, "fraclap", s, rM, om) for om in omegas]
 
@@ -1009,97 +973,89 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float,
     return coeffs, tails
 
 
-def _diagonal_stub(f0: float, f1: float, x0: float) -> float:
-    """Integral over the last x0 before the diagonal of an integrand taken
-    as a power law through its values f0 at distance x0 and f1 at 2 x0."""
-    gam = math.log(f1 / f0) / math.log(2.0)
-    if gam <= -1.0:
+def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Integrals over the last x0 before the diagonal of integrands taken
+    as power laws through their values f0 at distance x0 and f1 at 2 x0;
+    a RuntimeError if one of them is not integrable."""
+    gam = np.log(f1 / f0) / math.log(2.0)
+    if np.any(gam <= -1.0):
         raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
     return f0 * x0 / (gam + 1.0)
 
 
-def _riesz_diagonal(row: _Row, ctx: _RowContext, r: float, p: float,
-                    sides: list) -> None:
-    """The cells (a, b) of `sides` that touch radius r in a Riesz row, each
-    graded geometrically toward r in _RIESZ_GRADE_LEVELS levels of 4 Gauss
-    points, with a power-law stub for the last level.
+def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omegas):
+    """The near-diagonal coefficients and tail weights of the Riesz rows at
+    the nodes i (R,), and the intervals (lo, hi) (R,) they cover.
 
-    The points are offsets xi from r, and the kernel is evaluated at xi
-    itself (see _kernel_eval): the rounded radius r +- xi, which places
-    them on the cubic stencil, keeps only about eps r / xi of xi.
+    The cells touching r = r_i are graded toward r in _RIESZ_GRADE_LEVELS
+    levels of 4 Gauss points with a power-law stub for the last, and so is
+    the tail model on [r, 1.5 r] at the last node, whose singularity sits
+    where the tail region starts.  The points are offsets xi from r, and
+    the kernel is evaluated at xi itself (see _kernel_eval): the rounded
+    radius r +- xi keeps only about eps r / xi of xi.
     """
     N = ctx.grid.N
-    tt = ctx.tt
-    x4, w4 = _gauss(4)
-    for a_rho, b_rho in sides:
-        span = b_rho - a_rho
-        if span <= 0.0:
-            continue
-        edges = span * _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
-        xb, xa, x0 = edges[:-1], edges[1:], edges[-1]
-        half = 0.5 * (xb - xa)
-        # the graded points, then the stub's two points x0 and 2 x0
-        xi = np.append(0.5 * (xa + xb)[:, None] + half[:, None] * x4,
-                       (x0, 2.0 * x0))
-        rho = r - xi if b_rho == r else r + xi
-        g = rho ** (N - 1) * _kernel_eval(N, p, r, rho, xi)
-        _add_cubic(row.coeffs, tt, np.log(rho[:-2]),
-                   (half[:, None] * w4).ravel() * g[:-2])
-        stub = _diagonal_stub(g[-2], g[-1], x0)
-        _add_cubic(row.coeffs, tt, np.array([math.log(r)]), np.array([stub]))
-
-
-def _riesz_row(ctx: _RowContext, i: int, alpha: float,
-               omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled Riesz row at node i, radius r = r_i.
-
-    int g(rho) k_p(r,rho) rho^{N-1} drho with p = alpha - N, graded around
-    the integrable diagonal singularity inside the cells touching r.
-    Returns (coeffs, tails) as laid out in _Row, one tail weight per tail
-    exponent in omegas; the factor C_{N,alpha} is NOT applied here.
-    """
-    grid = ctx.grid
-    N = grid.N
-    nodes = grid.nodes
+    nodes = ctx.grid.nodes
     M = nodes.size
-    rM = nodes[-1]
-    p = alpha - N
-    r = float(nodes[i])
-    row = _Row(M, omegas)
+    r = nodes[i]
+    lo = nodes[np.maximum(i - 1, 0)]
+    hi = np.where(i < M - 1, nodes[np.minimum(i + 1, M - 1)], 1.5 * r)
+    levels = _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
+    x4, w4 = _gauss(4)
 
-    # ---- grid cells, except the ones touching r
-    full = np.ones(M - 1, dtype=bool)
-    sides = []
-    if i > 0:
-        full[i - 1] = False
-        sides.append((nodes[i - 1], r))
-    if i < M - 1:
-        full[i] = False
-        sides.append((r, nodes[i + 1]))
-    _full_cells(row, ctx, p, r, full)
-    _riesz_diagonal(row, ctx, r, p, sides)
-    _origin_region(row, grid, p, r)
+    # the cells below the radii, then the cells above
+    below, above = np.flatnonzero(i > 0), np.flatnonzero(i < M - 1)
+    side = np.concatenate((below, above))
+    span = np.concatenate((r[below] - lo[below], hi[above] - r[above]))
+    edges = span[:, None] * levels
+    xb, xa, x0 = edges[:, :-1, None], edges[:, 1:, None], edges[:, -1:]
+    half = 0.5 * (xb - xa)
+    # the graded points, then the stub's two points x0 and 2 x0
+    xi = np.concatenate(((0.5 * (xa + xb) + half * x4).reshape(side.size, -1),
+                         x0, 2.0 * x0), axis=1)
+    rs = r[side, None]
+    rho = rs + np.repeat([-1.0, 1.0], (below.size, above.size))[:, None] * xi
+    g = rho ** (N - 1) * _kernel_eval(N, p, rs, rho, xi)
+    stub = _diagonal_stub(g[:, -2], g[:, -1], x0[:, 0])
+    # a row takes its graded points side by side, then its stubs at its node
+    coeffs = np.zeros((i.size, M + 1))
+    _add_cubic(coeffs, ctx.tt,
+               np.concatenate((np.log(rho[:, :-2]).ravel(), ctx.tt[i[side]])),
+               np.concatenate((((half * w4).reshape(side.size, -1) * g[:, :-2]).ravel(),
+                               stub)),
+               np.concatenate((np.repeat(side, xi.shape[1] - 2), side)))
 
-    # ---- far tail plus analytic remainder
-    start = max(r, rM)
-    if start <= r * (1.0 + 1e-12):
-        # row at the last node: the diagonal singularity sits at the start of
-        # the tail region, so grade toward it and add a power-law stub
-        ks = np.arange(_RIESZ_GRADE_LEVELS, -1, -1)
-        edges = list(r * (1.0 + 0.5 * _GRADE_RATIO ** ks))
-        x0 = 0.5 * r * _GRADE_RATIO ** _RIESZ_GRADE_LEVELS
-        xi = np.array([x0, 2.0 * x0])
-        rho = r + xi
-        g = rho ** (N - 1) * _kernel_eval(N, p, r, rho, xi)
-        for k, om in enumerate(row.omegas):
-            f0, f1 = g * (rho / rM) ** (-om)
-            row.tail[k] += _diagonal_stub(f0, f1, x0)
-    else:
-        edges = [start]
-    _far_tail(row, grid, p, r, edges)
-    for k, om in enumerate(row.omegas):
-        row.tail[k] += _tail_remainder(N, "riesz", alpha, rM, om)
-    return row.coeffs, row.tail
+    tails = np.zeros((i.size, len(omegas)))
+    last = np.flatnonzero(i == M - 1)
+    if last.size:
+        rl = r[last, None]
+        x0 = 0.5 * rl * levels[-1]
+        xi = np.concatenate((x0, 2.0 * x0), axis=1)
+        g = (rl + xi) ** (N - 1) * _kernel_eval(N, p, rl, rl + xi, xi)
+        f = g[:, :, None] * ((rl + xi) / nodes[-1])[:, :, None] ** -np.asarray(omegas, float)
+        graded, _ = _log_panel_sums(N, p, r[last], rl * (1.0 + 0.5 * levels[::-1]),
+                                    nodes[-1], omegas)
+        tails[last] = _diagonal_stub(f[:, 0], f[:, 1], x0) + graded.T
+    return coeffs, tails, lo, hi
+
+
+def _riesz_rows(ctx: _RowContext, which, alpha: float,
+                omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled Riesz rows at the node indices `which` (R,), built together
+    and laid out as _fraclap_rows lays out its own: int g(rho) k_p(r,rho)
+    rho^{N-1} drho with p = alpha - N, graded near the diagonal by
+    _riesz_diagonal.  The factor C_{N,alpha} is NOT applied here."""
+    grid = ctx.grid
+    i = np.asarray(which, dtype=int)
+    r = grid.nodes[i]
+    p = alpha - grid.N
+    coeffs, tails, lo, hi = _riesz_diagonal(ctx, i, p, omegas)
+    # [0, r_1] is graded toward r beyond r_1; the first node's row, at r_1,
+    # takes it as one panel (d0 = r leaves no grading point inside)
+    _add_outside(ctx, p, r, lo, hi, np.where(i > 0, 0.1 * r, r), 1.0, omegas,
+                 coeffs, tails, np.zeros(i.size))
+    tails += [_tail_remainder(grid.N, "riesz", alpha, grid.r_max, om) for om in omegas]
+    return coeffs, tails
 
 
 def _fraclap_C(N: int, s: float) -> float:
@@ -1114,8 +1070,8 @@ def _fraclap_C(N: int, s: float) -> float:
 # Rows in between keep their Taylor window, partial cells and graded
 # diagonal cells (offsets -4..4) clear of those columns and of both ends.
 # The closures of those rows are integrated _ROW_BLOCK rows at a time, and
-# _fraclap_rows takes the rows of other grids _ROW_BLOCK radii a call, which
-# keeps each of their (block, 4, M-1) temporaries near a megabyte.
+# the row builders take the rows of other grids _ROW_BLOCK radii a call,
+# which keeps each of their (block, 4, M-1) temporaries near a megabyte.
 _END_ROWS = 8
 _END_COLUMNS = 4
 _ROW_BLOCK = 64
@@ -1136,9 +1092,8 @@ def _is_geometric(grid: RadialGrid) -> bool:
 def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
              which) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled rows at the nodes `which`: their (len(which), M+1)
-    coefficients and their tail coefficients.  Fractional-Laplacian rows
-    come from one _fraclap_rows call per _ROW_BLOCK nodes, Riesz rows from
-    one _riesz_row call each."""
+    coefficients and their tail coefficients, from one _fraclap_rows or
+    _riesz_rows call per _ROW_BLOCK nodes."""
     ctx = _context(grid)
     which = np.asarray(which, dtype=int)
     rows = np.empty((which.size, grid.size + 1))
@@ -1148,10 +1103,10 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
         if kind == "fraclap":
             rows[b:b + block.size], block_tails = _fraclap_rows(
                 ctx, grid.nodes[block], exponent, (tail_omega,))
-            tails[b:b + block.size] = block_tails[:, 0]
         else:
-            for k, i in enumerate(block, start=b):
-                rows[k], (tails[k],) = _riesz_row(ctx, int(i), exponent, (tail_omega,))
+            rows[b:b + block.size], block_tails = _riesz_rows(
+                ctx, block, exponent, (tail_omega,))
+        tails[b:b + block.size] = block_tails[:, 0]
     return rows, tails
 
 
@@ -1257,18 +1212,13 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     # near-diagonal pieces of the middle row, and the cells they cover
     g = M // 2
     if fraclap:
-        near, _, near_mass, w = _pv_windows(ctx, nodes[g:g + 1], exponent, ())
-        near, near_mass, w = near[0], near_mass[0], w[0]
-        excluded = (nodes[1:] > nodes[g] - w) & (nodes[:-1] < nodes[g] + w)
+        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, nodes[g:g + 1], exponent, ())
+        a, b = nodes[g] - w, nodes[g] + w
         d0 = max(w / nodes[g], 0.1)
     else:
-        row = _Row(M, ())
-        _riesz_diagonal(row, ctx, float(nodes[g]), p,
-                        [(nodes[g - 1], nodes[g]), (nodes[g], nodes[g + 1])])
-        near = row.coeffs
-        excluded = np.zeros(M - 1, dtype=bool)
-        excluded[g - 1:g + 1] = True
+        (near,), _, (a,), (b,) = _riesz_diagonal(ctx, np.array([g]), p, ())
         d0 = 0.1
+    excluded = (nodes[1:] > a) & (nodes[:-1] < b)
 
     # full cells at offsets e = c - i in [-(M+1), M], integrated at r = 1
     x4, w4 = _gauss(4)
@@ -1428,10 +1378,12 @@ def frac_laplacian_radial(u, s: float, at):
         array `at`.
 
     Raises:
-        ValueError: if s or a radius is out of range, or `at` is empty or
-            has more than one dimension.
+        ValueError: if s or a radius is out of range, `at` is empty or has
+            more than one dimension, or a sequence u is empty or mixes grids.
     """
     fs = [u] if isinstance(u, RadialFunction) else list(u)
+    if not fs or any(f.grid._token != fs[0].grid._token for f in fs):
+        raise ValueError("frac_laplacian_radial: u must be one or more functions on one grid")
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_radial: s must lie in (0, 1), got {s!r}")
     grid = fs[0].grid
@@ -1572,7 +1524,14 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     and the origin value is eliminated through the quadratic two-node
     extrapolation.  Rows act on node values and return pointwise operator
     values at the nodes.  The matrix is a fresh array the caller may modify.
+
+    Raises:
+        ValueError: s outside (0, 1), or tail_omega not finite and positive.
     """
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"fraclap_matrix: s must lie in (0, 1), got {s!r}")
+    if not (0.0 < tail_omega < math.inf):
+        raise ValueError(f"fraclap_matrix: tail_omega must be finite and > 0, got {tail_omega!r}")
     op = _raw(grid, "fraclap", s, tail_omega)
     rows, tails = op.ends, op.tails  # held densely, see _raw
     C = _fraclap_C(grid.N, s)

@@ -31,6 +31,7 @@ from fracradial.specfun import (
     ProfileParams,
     frac_lap_h_exact,
     h_beta_eval,
+    hyp2f1,
     riesz_constant,
 )
 
@@ -376,6 +377,18 @@ def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
     assert_allclose(got, want, rtol=1e-6)
 
 
+def batch_grid(N, nudged):
+    """A geometric grid of 150 nodes, or the same grid with node 70 nudged
+    off the progression."""
+    grid = RadialGrid.log_spaced(num=150, N=N)
+    if nudged:
+        nodes = grid.nodes.copy()
+        nodes[70] *= 1.0 + 1e-9
+        grid = RadialGrid(nodes=nodes, weights=grid.weights, r_max=grid.r_max, N=N)
+        assert not radial_ops._is_geometric(grid)
+    return grid
+
+
 # The rows at all radii are built together; no piece lets one row's
 # rounding depend on the rows beside it (the far-tail panels are summed in
 # groups of equal panel count, the dot products one row at a time), so a
@@ -383,12 +396,7 @@ def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
 @pytest.mark.parametrize("nudged", [False, True])
 @pytest.mark.parametrize("N", [2, 3])
 def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, nudged):
-    grid = RadialGrid.log_spaced(num=150, N=N)
-    if nudged:
-        nodes = grid.nodes.copy()
-        nodes[70] *= 1.0 + 1e-9
-        grid = RadialGrid(nodes=nodes, weights=grid.weights, r_max=grid.r_max, N=N)
-        assert not radial_ops._is_geometric(grid)
+    grid = batch_grid(N, nudged)
     nodes = grid.nodes
     radii = np.array([
         0.5 * nodes[0], 0.99 * nodes[0],              # below r_1
@@ -436,6 +444,20 @@ def test_fraclap_rejects_bad_arguments(grid):
         frac_laplacian_radial(u, 0.5, at=np.array([]))
 
 
+def test_fraclap_rejects_functions_on_two_grids(grid):
+    # u's rows applied to the samples of a function on a wider grid would
+    # be wrong numbers, not an error
+    u = h_beta_function(grid, 2.0)
+    wide = h_beta_function(RadialGrid.log_spaced(r_max=1e4), 2.0)
+    with pytest.raises(ValueError, match="on one grid"):
+        frac_laplacian_radial([u, wide], 0.5, at=np.array([1.0, 2.0]))
+
+
+def test_fraclap_rejects_an_empty_sequence():
+    with pytest.raises(ValueError, match="one or more functions"):
+        frac_laplacian_radial([], 0.5, at=1.0)
+
+
 def test_fraclap_matrix_consistent_with_row_apply(grid):
     u = h_beta_function(grid, 2.0)
     A = fraclap_matrix(grid, 0.5, tail_omega=2.0)
@@ -443,6 +465,17 @@ def test_fraclap_matrix_consistent_with_row_apply(grid):
     direct = frac_laplacian_on_grid(u, 0.5)
     assert_allclose(via_matrix, direct, rtol=1e-8,
                     atol=1e-12 * np.max(np.abs(direct)))
+
+
+# s = 1.5 gave entries of about 3e17, tail_omega = nan a matrix, and s = 0
+# or 1 and tail_omega = -1 only a RuntimeWarning
+@pytest.mark.parametrize("s,tail_omega", [
+    (1.5, 4.0), (0.0, 4.0), (1.0, 4.0), (math.nan, 4.0),
+    (0.5, math.nan), (0.5, -1.0), (0.5, 0.0), (0.5, math.inf),
+])
+def test_fraclap_matrix_rejects_bad_arguments(grid, s, tail_omega):
+    with pytest.raises(ValueError, match="fraclap_matrix"):
+        fraclap_matrix(grid, s, tail_omega)
 
 
 # ----------------------------------------------------------------------------
@@ -480,6 +513,65 @@ def test_riesz_is_linear_and_decreasing(grid):
     assert_allclose(v2.values, 3.0 * v1.values, rtol=1e-13)
     assert np.all(np.diff(v1.values) < 0.0)
     assert v1.value_at_origin > v1.values[0]
+
+
+def riesz_h_exact(N, alpha, beta, r):
+    """I_alpha * h_beta at radii r in closed form, (-Delta)^s h_beta's
+    formula at s = -alpha/2: 2^(-alpha) Gamma((N-alpha)/2)
+    Gamma((beta-alpha)/2) / (Gamma(N/2) Gamma(beta/2)) times
+    2F1((N-alpha)/2, (beta-alpha)/2; N/2; -r^2).  2F1 is symmetric in its
+    first two parameters; the larger goes first, as hyp2f1 requires."""
+    a, b = 0.5 * (N - alpha), 0.5 * (beta - alpha)
+    pref = 2.0 ** -alpha * math.gamma(a) * math.gamma(b) \
+        / (math.gamma(0.5 * N) * math.gamma(0.5 * beta))
+    return pref * hyp2f1(max(a, b), min(a, b), 0.5 * N, -(r * r))
+
+
+# The max relative error on [0.1, 50] at M = 300 / 600 / 1200 measured
+# 5.6e-6 / 3.5e-7 / 2.2e-8 for (3, 2, 5), 1.0e-6 / 6.3e-8 / 4.4e-9 for
+# (2, 1, 2.5), 5.8e-6 / 3.8e-7 / 5.3e-8 for (3, 1/2, 3.7), 1.7e-5 / 1.1e-6 /
+# 6.7e-8 for (4, 3, 5) and 1.1e-6 / 6.9e-8 / 4.3e-9 for (2, 3/2, 4): an
+# order of 3.4 (alpha = 1/2) to 4.0 from 300 to 1200 nodes.  The bounds at
+# M = 1200 are about twice those figures.  The origin values agree to
+# 2.2e-8 or better.
+@pytest.mark.parametrize("N,alpha,beta,max_err", [
+    (3, 2.0, 5.0, 5e-8),
+    (2, 1.0, 2.5, 1e-8),
+    (3, 0.5, 3.7, 1e-7),
+    (4, 3.0, 5.0, 1.5e-7),
+    (2, 1.5, 4.0, 1e-8),
+])
+def test_riesz_matches_closed_form_under_refinement(N, alpha, beta, max_err):
+    errors = []
+    for M in (300, 1200):
+        g = RadialGrid.log_spaced(num=M, N=N)
+        v = riesz_convolve_radial(h_beta_function(g, beta), alpha)
+        sel = interior(g)
+        errors.append(np.max(np.abs(v.values[sel] / riesz_h_exact(N, alpha, beta, g.nodes[sel])
+                                    - 1.0)))
+    assert math.log2(errors[0] / errors[1]) / 2.0 >= 3.0
+    assert errors[1] <= max_err
+    assert abs(v.value_at_origin / riesz_h_exact(N, alpha, beta, 0.0) - 1.0) <= 5e-8
+
+
+# As for the fractional Laplacian: the first and last nodes, whose rows lack
+# a diagonal cell and grade into the tail, next to interior ones.
+@pytest.mark.parametrize("nudged", [False, True])
+@pytest.mark.parametrize("N", [2, 3])
+def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, nudged):
+    grid = batch_grid(N, nudged)
+    M = grid.size
+    which = np.array([0, 1, 7, 70, M - 2, M - 1])
+    ctx = radial_ops._context(grid)
+    omegas = (N + 0.7, 2.5)
+    for alpha in (0.5, N - 1.0):
+        rows, tails = radial_ops._riesz_rows(ctx, which, alpha, omegas)
+        assert rows.shape == (which.size, M + 1)
+        assert tails.shape == (which.size, len(omegas))
+        for k in range(which.size):
+            alone, alone_tails = radial_ops._riesz_rows(ctx, which[k:k + 1], alpha, omegas)
+            assert np.array_equal(alone[0], rows[k])
+            assert np.array_equal(alone_tails[0], tails[k])
 
 
 def test_riesz_rejects_divergent_input(grid):
@@ -637,20 +729,20 @@ def test_nudged_grid_is_assembled_row_by_row():
 
 def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    # rows built: the radii passed to _fraclap_rows, the _riesz_row calls
+    # rows built: the radii passed to _fraclap_rows, the nodes to _riesz_rows
     calls = {"fraclap": 0, "riesz": 0}
-    fraclap_rows, riesz_row = radial_ops._fraclap_rows, radial_ops._riesz_row
+    fraclap_rows, riesz_rows = radial_ops._fraclap_rows, radial_ops._riesz_rows
 
     def counted_fraclap(ctx, radii, *args):
         calls["fraclap"] += np.size(radii)
         return fraclap_rows(ctx, radii, *args)
 
-    def counted_riesz(*args):
-        calls["riesz"] += 1
-        return riesz_row(*args)
+    def counted_riesz(ctx, which, *args):
+        calls["riesz"] += np.size(which)
+        return riesz_rows(ctx, which, *args)
 
     monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
-    monkeypatch.setattr(radial_ops, "_riesz_row", counted_riesz)
+    monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
     grid = RadialGrid.log_spaced(num=200)
     for kind in ("fraclap", "riesz"):
         radial_ops._raw(grid, kind, *operator_args(kind, 3))

@@ -493,20 +493,20 @@ def test_rhs_map_rejects_a_divergent_convolution(params):
 
 
 def test_second_solve_reuses_operators(params, monkeypatch):
-    # rows built: the radii passed to _fraclap_rows, the _riesz_row calls
+    # rows built: the radii passed to _fraclap_rows, the nodes to _riesz_rows
     calls = {"fraclap": 0, "riesz": 0}
-    fraclap_rows, riesz_row = radial_ops._fraclap_rows, radial_ops._riesz_row
+    fraclap_rows, riesz_rows = radial_ops._fraclap_rows, radial_ops._riesz_rows
 
     def counted_fraclap(ctx, radii, *args):
         calls["fraclap"] += np.size(radii)
         return fraclap_rows(ctx, radii, *args)
 
-    def counted_riesz(*args):
-        calls["riesz"] += 1
-        return riesz_row(*args)
+    def counted_riesz(ctx, which, *args):
+        calls["riesz"] += np.size(which)
+        return riesz_rows(ctx, which, *args)
 
     monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
-    monkeypatch.setattr(radial_ops, "_riesz_row", counted_riesz)
+    monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
     # a grid of its own, so the first solve is cold whatever ran before
     grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
     first = solve_ground_state(params, SolverOpts(grid=grid))
