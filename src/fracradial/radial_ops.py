@@ -246,8 +246,14 @@ class _CubicSpline:
         # counting the interior nodes <= xq gives the interval, clamped to
         # the end intervals outside [x[0], x[-1]]
         i = np.searchsorted(self._inner, xq, side="right")
-        s = xq - self._x[i]
-        return ((self._c3[i] * s + self._c2[i]) * s + self._c1[i]) * s + self._c0[i]
+        s = self._x[i]
+        np.subtract(xq, s, out=s)
+        # Horner in place: ((c3 s + c2) s + c1) s + c0
+        out = self._c3[i]
+        for c in (self._c2, self._c1, self._c0):
+            out *= s
+            out += c[i]
+        return out
 
 
 class _KernelTable:
@@ -267,6 +273,8 @@ class _KernelTable:
     """
 
     _Q_HI = 50.0
+    # points per evaluation pass, which bounds the temporaries of a call
+    _SLICE = 4096
 
     def __init__(self, N: int, p: float):
         self.N = N
@@ -278,14 +286,21 @@ class _KernelTable:
 
     def eval_gap(self, gap: np.ndarray) -> np.ndarray:
         gap = np.asarray(gap, dtype=float)
-        out = np.empty_like(gap)
+        out = np.empty(gap.shape)
+        flat_gap, flat_out = gap.ravel(), out.reshape(-1)
+        for lo in range(0, flat_gap.size, self._SLICE):
+            self._eval_into(flat_gap[lo:lo + self._SLICE],
+                            flat_out[lo:lo + self._SLICE])
+        return out
+
+    def _eval_into(self, gap: np.ndarray, out: np.ndarray) -> None:
         near = gap < self._Q_HI - 1.0
         if near.any():
-            out[near] = np.exp(self._spline(np.log(gap[near])))
-        if (~near).any():
+            y = self._spline(np.log(gap[near]))
+            out[near] = np.exp(y, out=y)
+        if not near.all():
             qq = 1.0 + gap[~near]
             out[~near] = self._omega * qq ** self.p * self._far_series(qq ** -2.0)
-        return out
 
     def _far_series(self, z: np.ndarray) -> np.ndarray:
         """2F1(-p/2, (2-N-p)/2; N/2; z) for 0 < z <= 1/_Q_HI^2, by its
@@ -1483,7 +1498,9 @@ def lu_factor(A: np.ndarray) -> np.ndarray:
 def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solution inv @ b of A x = b, from inv = lu_factor(A): one
     matrix-vector product, so a non-finite b gives a non-finite x for the
-    caller to reject.  b is not modified."""
+    caller to reject.  b is not modified.  The product keeps the dtype of
+    its operands: the solver also passes a float32 copy of inv with a
+    float32 b, for its corrections between float64 anchors."""
     return inv @ b
 
 

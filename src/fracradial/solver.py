@@ -21,6 +21,7 @@ the same discrete operators and reported with every solution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,6 +60,10 @@ __all__ = [
 
 # Weight of the new normalized iterate in each damped step.
 _DAMPING = 0.5
+
+# Iterations between float64 resolvent solves; the steps in between apply
+# a float32 copy of the inverse to the change in the right-hand side.
+_ANCHOR_EVERY = 16
 
 
 class ZeroCollapseError(RuntimeError):
@@ -234,9 +239,14 @@ class SolverOpts:
 
     def __post_init__(self):
         if not (self.tolerance > 0.0):
-            raise ValueError(f"SolverOpts: tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError(f"SolverOpts: max_iterations must be >= 1")
+            raise ValueError("SolverOpts: tolerance must be positive")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(
+                f"SolverOpts: max_iterations must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError("SolverOpts: max_iterations must be >= 1")
+        object.__setattr__(self, "max_iterations", int(n))
 
 
 @dataclass(frozen=True)
@@ -313,10 +323,17 @@ def solve_ground_state(params: ProblemParams,
     amplitude from the multiplier of the normalized map.
     The operator matrix and the right-hand side map are closed once, with
     the tail exponent params.predicted_tail_exponent().  A step runs on
-    node arrays: one call of the _RhsMap, then one product with the
-    factorized resolvent matrix.  Every iterate must stay strictly
-    positive.  The first resolvent solve is checked to 1e-10 backward
-    error, as in apply_inverse_operator.
+    node arrays: one call of the _RhsMap, then one lu_solve.  Iteration 1
+    and every _ANCHOR_EVERY-th after it solve in float64 and keep
+    (b0, w0) as the anchor; the steps in between take
+    w = w0 + sigma * inv32 @ ((b - b0) / sigma), with a float32 copy inv32
+    of the inverse and sigma = max|b - b0|, as in mixed-precision
+    iterative refinement.  The float32 product errs by about 6e-8 of
+    max|b - b0|, which the contracting Picard map damps and the next
+    anchor resets, so a solve stops on the same iteration as in float64.
+    Every iterate must stay strictly positive.  The first (anchor)
+    resolvent solve is checked to 1e-10 backward error, as in
+    apply_inverse_operator.
 
     Raises:
         NonConvergenceError: a non-finite iterate (for instance from an f or
@@ -347,22 +364,38 @@ def solve_ground_state(params: ProblemParams,
     A = fraclap_matrix(grid, params.s, tail_omega=beta)
     A[np.diag_indices_from(A)] += mu
     inv = lu_factor(A)
+    inv32 = inv.astype(np.float32)
     rhs = _RhsMap(grid, params, beta)
+    v_new = np.empty_like(v)
+    step = np.empty_like(v)
     trace: list[tuple[int, float, float]] = []
     for it in range(1, opts.max_iterations + 1):
         b = rhs(a * v)
-        w = lu_solve(inv, b)
-        if not np.all(np.isfinite(w)):
+        if (it - 1) % _ANCHOR_EVERY == 0:
+            w = w0 = lu_solve(inv, b)
+            b0 = b
+        else:
+            # the change in b, scaled to unit sup norm so that float32 can
+            # neither overflow nor underflow; a NaN or inf passes through
+            d = b - b0
+            sigma = float(np.abs(d).max())
+            if sigma == 0.0:
+                sigma = 1.0
+            d /= sigma
+            w = lu_solve(inv32, d.astype(np.float32)).astype(np.float64)
+            w *= sigma
+            w += w0
+        lo, kappa_w = float(w.min()), float(w.max())  # a NaN reaches both
+        if not (math.isfinite(lo) and math.isfinite(kappa_w)):
             raise NonConvergenceError(
                 f"solve_ground_state: non-finite iterate at iteration {it}")
         if it == 1:
             _backward_error(A, w, b)
-        kappa_w = float(np.max(w))
         if kappa_w <= 1e-12:
             raise ZeroCollapseError(
                 f"solve_ground_state: iterate sup norm {kappa_w!r} collapsed "
                 f"at iteration {it}")
-        if np.any(w <= 0.0):
+        if lo <= 0.0:
             raise RuntimeError(
                 f"solve_ground_state: iterate lost positivity at iteration "
                 f"{it} (the resolvent of a positive right-hand side "
@@ -373,12 +406,17 @@ def solve_ground_state(params: ProblemParams,
             raise NonConvergenceError(
                 f"solve_ground_state: amplitude diverged ({a_new!r}) at "
                 f"iteration {it}")
-        v_raw = (1.0 - _DAMPING) * v + _DAMPING * (w / kappa_w)
-        v_new = v_raw / np.max(v_raw)
-        change = float(np.max(np.abs(v_new - v)))
+        # v_new = (1 - _DAMPING) v + _DAMPING (w / kappa_w), normalized
+        np.divide(w, kappa_w, out=step)
+        step *= _DAMPING
+        np.multiply(v, 1.0 - _DAMPING, out=v_new)
+        v_new += step
+        v_new /= v_new.max()
+        np.subtract(v_new, v, out=step)
+        change = float(np.abs(step, out=step).max())
         amp_change = abs(a_new - a) / a_new
         trace.append((it, change, a_new))
-        v, a = v_new, a_new
+        v, v_new, a = v_new, v, a_new
         if change <= opts.tolerance and amp_change <= opts.tolerance:
             break
     else:

@@ -154,6 +154,30 @@ def test_kernel_table_far_branch_and_seam(N, p):
                     rtol=2e-11)
 
 
+def test_kernel_table_temporaries_do_not_grow_with_the_points():
+    # the table evaluates in slices of _SLICE points, so a call's scratch
+    # memory beyond its result is bounded (measured 0.17 MB for 100 000
+    # points; an unsliced evaluation held about 40 B per point, 4 MB here)
+    import tracemalloc
+
+    table = radial_ops._kernel_table(2, -2.0)
+    gap = np.geomspace(1e-13, 40.0, 100_000)
+    gap[::50] = 80.0    # a few points on the multipole branch
+    want = np.concatenate([table.eval_gap(gap[lo:lo + 997])
+                           for lo in range(0, gap.size, 997)])
+    tracemalloc.start()
+    try:
+        got = table.eval_gap(gap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes <= 0.5e6
+    assert np.array_equal(got, want)
+    # any shape and layout gives the same values as the flat call
+    block = gap[:99_000].reshape(330, 300)
+    assert np.array_equal(table.eval_gap(block.T), want[:99_000].reshape(330, 300).T)
+
+
 def test_closed_form_kernel_matches_dimension_three():
     rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
     for p in (-6.0, -4.5, -3.0, -2.0, -1.0, 1.5):

@@ -188,10 +188,19 @@ def test_predicted_tail_exponent(r, expected):
     dict(tolerance=-1e-10),
     dict(tolerance=0.0),
     dict(max_iterations=0),
+    dict(max_iterations=2.5),
+    dict(max_iterations=3.0),
+    dict(max_iterations=True),
+    dict(max_iterations="3"),
 ])
 def test_solver_opts_validation(kwargs):
     with pytest.raises(ValueError):
         SolverOpts(**kwargs)
+
+
+def test_solver_opts_takes_a_numpy_integer():
+    opts = SolverOpts(max_iterations=np.int64(7))
+    assert opts.max_iterations == 7 and type(opts.max_iterations) is int
 
 
 def test_solver_opts_fields():
@@ -557,6 +566,41 @@ def test_r168_closes_with_the_predicted_exponent(params):
     assert sol.u.tail_exponent == p.predicted_tail_exponent()
     assert_allclose(sol.u.tail_exponent, 3.125, rtol=1e-15)
     assert sol.iterations <= 2100   # measured 2011
+
+
+@pytest.mark.parametrize("problem", [
+    dict(),
+    dict(N=2, alpha=1.0, nonlinearity=NonlinearitySpec.homogeneous(1.6)),
+], ids=["default", "N2-r1.6"])
+def test_float32_corrections_keep_the_float64_solve(params, problem,
+                                                    monkeypatch):
+    # measured: the same iteration counts (977 and 386), profiles within
+    # 6e-17 and 1.9e-16 of the all-float64 solve
+    p = dataclasses.replace(params, **problem)
+    opts = SolverOpts(grid=RadialGrid.log_spaced(num=400, N=p.N))
+    mixed = solve_ground_state(p, opts)
+    monkeypatch.setattr(solver_mod, "_ANCHOR_EVERY", 1)
+    plain = solve_ground_state(p, opts)
+    assert mixed.iterations == plain.iterations
+    assert np.max(np.abs(mixed.u.values - plain.u.values)) <= 1e-12
+
+
+def test_one_resolvent_solve_per_iteration_with_float64_anchors(params,
+                                                                monkeypatch):
+    dtypes = []
+    exact = solver_mod.lu_solve
+
+    def recorded(inv, b):
+        assert inv.dtype == b.dtype
+        dtypes.append(inv.dtype)
+        return exact(inv, b)
+
+    monkeypatch.setattr(solver_mod, "lu_solve", recorded)
+    sol = solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=200)))
+    assert len(dtypes) == sol.iterations > 2 * solver_mod._ANCHOR_EVERY
+    anchors = [it for it, dt in enumerate(dtypes, 1) if dt == np.float64]
+    assert anchors == list(range(1, sol.iterations + 1, 16))
+    assert set(dtypes) == {np.dtype(np.float64), np.dtype(np.float32)}
 
 
 def test_solver_checks_resolvent_backward_error(params, monkeypatch):
