@@ -179,7 +179,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config {path!r}: {exc}") from exc
         for sec in parser.sections():
             if sec not in _CONFIG_SCHEMA:
@@ -349,8 +349,11 @@ def load_solution(path: str) -> Solution:
             rec = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read solution {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed solution {path!r}: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise ConfigError(f"invalid solution record {path!r}: its top-level "
+                          "JSON value is not an object")
     if rec.get("kind") != "fracradial.solution" \
             or rec.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(

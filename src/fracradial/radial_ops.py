@@ -40,11 +40,14 @@ Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
 at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
 ("ctx", grid token) for the per-grid row context (the cell quadrature
 points and their cubic stencils), ("table", N, p) for the spline
-kernel table of a dimension N != 3, and (kind, grid token, exponent, tail
+kernel table of a dimension N != 3, (kind, grid token, exponent, tail
 exponent) for an assembled operator, kind being "fraclap" (exponent s) or
-"riesz" (exponent alpha).  An operator entry is an `_Operator`.  The Riesz
-one keeps the structure of a geometric grid in O(M) floats: the
-generating row, the row scales r_i^alpha, dense corrections for what
+"riesz" (exponent alpha), and ("rows", grid token, s, radii bytes, tail
+exponents) for the read-only pointwise rows of `frac_laplacian_radial`,
+keyed by the exact float values so that a hit is bitwise a fresh build.
+An operator entry is an `_Operator`.  The Riesz one keeps the structure
+of a geometric grid in O(M) floats: the generating row, the row scales
+r_i^alpha, dense corrections for what
 breaks the shift (the end rows; slot 0 and the `_END_COLUMNS` node
 columns at each end of the other rows), the tail coefficients, and the
 weights of the value at the origin.  Applying it is one correlation of the
@@ -53,7 +56,7 @@ The fractional Laplacian's entry holds its M x (M+1) rows densely, since
 the resolvent's inverse needs the matrix.  A hit moves its entry to the
 end and an insertion beyond the bound evicts the least recently used one,
 so operators that are in use stay assembled.  Callers pass nothing: the
-grid and the exponents alone decide what is reused.
+grid, the exponents and the radii alone decide what is reused.
 """
 
 from __future__ import annotations
@@ -1380,6 +1383,14 @@ def frac_laplacian_radial(u, s: float, at):
     is built once and closed with one tail weight per function.  Every
     value equals the one-function, one-radius call bitwise.
 
+    The rows and tail weights are memoised in `_MEMO`, keyed by the grid,
+    s, the radii and the functions' tail exponents (exact values), so a
+    later call with the same inputs, for any node values and tail
+    amplitudes (another mu of one problem, say), builds no row and returns
+    the same numbers bitwise.  They share the memo's bound with the
+    assembled operators, and the least recently used entry is evicted
+    first.
+
     Args:
         u: the radial function, with a valid tail model, or a sequence of
             them on one grid.
@@ -1410,8 +1421,16 @@ def frac_laplacian_radial(u, s: float, at):
     if not np.all((radii > 0.0) & (radii <= grid.r_max)):
         raise ValueError(
             f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
-    coeffs, tails = _fraclap_rows(_context(grid), np.atleast_1d(radii), s,
-                                  [f.tail_exponent for f in fs])
+    rs = np.atleast_1d(radii)
+    omegas = tuple(f.tail_exponent for f in fs)
+
+    def build():
+        rows = _fraclap_rows(_context(grid), rs, s, list(omegas))
+        for a in rows:
+            a.setflags(write=False)
+        return rows
+
+    coeffs, tails = _memo(("rows", grid._token, float(s), rs.tobytes(), omegas), build)
     vecs = np.array([np.concatenate(([f.value_at_origin], f.values)) for f in fs])
     tail_values = np.array([f.tail_value_at_rmax for f in fs])
     out = _fraclap_C(grid.N, s) * (_rowdot(coeffs[:, None, :], vecs)

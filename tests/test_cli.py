@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,36 @@ def test_malformed_solution_record_rejected(tmp_path):
     bad.write_text('{"kind": "something-else"}')
     assert main(["verify-decay", "--solution", str(bad),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"fracradial.solution"', "3"])
+def test_record_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "solution.json"
+    bad.write_text(text)
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert err.count("\n") == 1
+
+
+def test_solution_record_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "solution.json"
+    bad.write_bytes(b"\xff\xfe\x00x")
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed solution ")
+    assert err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "run.ini"
+    bad.write_bytes(b"\xff\xfe\x00x")
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed config ")
+    assert err.count("\n") == 1
 
 
 def test_zero_profile_record_is_an_invalid_record(workdir, tmp_path, capsys):
@@ -488,3 +519,41 @@ def test_reloaded_grid_is_assembled_by_structure(workdir):
     operators take the structured assembly."""
     sol = load_solution(str(workdir / "solve" / "solution.json"))
     assert radial_ops._is_geometric(sol.u.grid)
+
+
+def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
+    """Two stored records (M = 400, r = 1.7 and 1.9) and the four oracle
+    cases (M = 600), then verify-decay of each record twice, in one
+    process: the pointwise rows join the memo without evicting an operator,
+    and a second verification builds no rows and writes the same bytes."""
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    built = []
+    fraclap_rows = radial_ops._fraclap_rows
+
+    def counted(ctx, radii, *args):
+        built.append(np.size(radii))
+        return fraclap_rows(ctx, radii, *args)
+
+    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted)
+    records = {}
+    for r in ("1.7", "1.9"):
+        out = tmp_path / f"solve{r}"
+        assert main(["solve", "--set", f"problem.r={r}", "--set",
+                     "grid.nodes=400", "--out", str(out)]) == 0
+        records[r] = out / "solution.json"
+    assert main(["oracle", "--set", "grid.nodes=600",
+                 "--out", str(tmp_path / "oracle")]) == 0
+    operators = [key for key in radial_ops._MEMO
+                 if key[0] in ("fraclap", "riesz", "ctx")]
+    for r, record in records.items():
+        reports = []
+        for k in range(2):
+            built.clear()
+            out = tmp_path / f"verify{r}-{k}"
+            assert main(["verify-decay", "--solution", str(record),
+                         "--out", str(out)]) == 0
+            reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert built == []
+        assert reports[0] == reports[1]
+    assert len(radial_ops._MEMO) <= radial_ops._MEMO_LIMIT
+    assert all(key in radial_ops._MEMO for key in operators)

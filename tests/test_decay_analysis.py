@@ -6,6 +6,7 @@ stated next to the formulas they come from.
 """
 
 import math
+from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +14,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fracradial.decay_analysis as decay_analysis
+import fracradial.radial_ops as radial_ops
 
 from fracradial import (
     NonlinearitySpec,
     ProblemParams,
     RadialFunction,
     RadialGrid,
+    SolverOpts,
     bound_constants,
     fit_tail,
     frac_laplacian_radial,
@@ -311,6 +314,53 @@ def test_chain_rule_makes_one_pointwise_call(monkeypatch):
     reports = verify_chain_rule(u, (0.3, 0.7), [0.5, 1.0, 5.0, 20.0], 0.5)
     assert calls == [4]
     assert all(rep.lhs.shape == (4,) for rep in reports)
+
+
+def test_chain_rule_rows_are_built_once_per_grid(monkeypatch):
+    """The pointwise rows are memoised by grid, s, radii and tail exponents:
+    a second check of one solution builds none and gives the same numbers
+    bitwise, another mu keeps the tail exponents (beta depends on N, s,
+    alpha and r only) and so the rows, and another r needs new ones."""
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    built = []
+    fraclap_rows = radial_ops._fraclap_rows
+
+    def counted(ctx, radii, *args):
+        built.append(np.size(radii))
+        return fraclap_rows(ctx, radii, *args)
+
+    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted)
+    opts = SolverOpts(grid=RadialGrid.log_spaced(num=200))
+    radii = [0.5, 1.0, 5.0, 20.0]
+    thetas = (2.0 - 1.7, 0.3)
+
+    def rows_built(params):
+        """The rows one chain-rule check of a fresh solve builds."""
+        u = solve_ground_state(params, opts).u
+        built.clear()                       # the solve builds its end rows
+        verify_chain_rule(u, thetas, radii, 0.5)
+        return sum(built)
+
+    sol = solve_ground_state(make_params(1.7), opts)
+    built.clear()
+    first = verify_chain_rule(sol.u, thetas, radii, 0.5)
+    assert built == [len(radii)]
+    second = verify_chain_rule(sol.u, thetas, radii, 0.5)
+    assert built == [len(radii)]
+    for a, b in zip(first, second):
+        for field in ("lhs", "rhs", "margin"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert rows_built(make_params(1.7, mu=0.7)) == 0
+    assert rows_built(make_params(1.9)) == len(radii)
+
+
+def test_memoised_rows_are_read_only(monkeypatch):
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    u = h_beta_function(RadialGrid.log_spaced(num=200), 3.0)
+    frac_laplacian_radial(u, 0.5, at=[1.0, 2.0])
+    rows = [v for k, v in radial_ops._MEMO.items() if k[0] == "rows"]
+    assert len(rows) == 1
+    assert not any(a.flags.writeable for a in rows[0])
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.0, 1.0, 1.2])
