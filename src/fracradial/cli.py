@@ -214,10 +214,22 @@ def _build_problem(cfg: dict) -> ProblemParams:
     p = cfg["problem"]
     try:
         spec = NonlinearitySpec.homogeneous(p["r"], convention=p["convention"])
-        return ProblemParams(N=p["n"], s=p["s"], alpha=p["alpha"], mu=p["mu"],
-                             nonlinearity=spec)
+        params = ProblemParams(N=p["n"], s=p["s"], alpha=p["alpha"], mu=p["mu"],
+                               nonlinearity=spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_decay_exponent(params)
+    return params
+
+
+def _check_decay_exponent(params: ProblemParams) -> None:
+    """Reject an r that ProblemParams admits but predict_decay does not
+    (a superlinear homogeneous r), which every solution record and decay
+    report needs, before anything is solved."""
+    try:
+        predict_decay(params)
+    except ValueError as exc:
+        raise ConfigError(f"problem.r: {exc}") from exc
 
 
 def _build_grid(cfg: dict, N: int) -> RadialGrid:
@@ -447,10 +459,16 @@ def _cmd_oracle(cfg: dict, args) -> int:
 
     g = cfg["grid"]
     lo, hi = _ORACLE_WINDOW
+    # one grid per dimension; the nodes do not depend on N, so one check of
+    # the window covers every case
+    grids = {N: _build_grid(cfg, N) for N, _, _ in cases}
+    nodes = grids[cases[0][0]].nodes
+    if not np.any((nodes >= lo) & (nodes <= hi)):
+        raise ConfigError(f"grid: no node lies in the oracle window [{lo}, {hi}]")
     rows = []
     worst = 0.0
     for (N, s, beta) in cases:
-        grid = _build_grid(cfg, N)
+        grid = grids[N]
         try:
             profile = ProfileParams(N, s, beta)
         except ValueError as exc:
@@ -609,6 +627,7 @@ def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
 def _cmd_verify_decay(cfg: dict, args) -> int:
     if args.solution is not None:
         sol = load_solution(args.solution)
+        _check_decay_exponent(sol.params)
         _check_analysis(cfg, sol.params, sol.u.grid)
     else:
         params = _build_problem(cfg)

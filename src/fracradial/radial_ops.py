@@ -45,18 +45,18 @@ exponent) for an assembled operator, kind being "fraclap" (exponent s) or
 "riesz" (exponent alpha), and ("rows", grid token, s, radii bytes, tail
 exponents) for the read-only pointwise rows of `frac_laplacian_radial`,
 keyed by the exact float values so that a hit is bitwise a fresh build.
-An operator entry is an `_Operator`.  The Riesz one keeps the structure
-of a geometric grid in O(M) floats: the generating row, the row scales
-r_i^alpha, dense corrections for what
-breaks the shift (the end rows; slot 0 and the `_END_COLUMNS` node
-columns at each end of the other rows), the tail coefficients, and the
-weights of the value at the origin.  Applying it is one correlation of the
-generating row with the middle node values plus a few small products.
-The fractional Laplacian's entry holds its M x (M+1) rows densely, since
-the resolvent's inverse needs the matrix.  A hit moves its entry to the
-end and an insertion beyond the bound evicts the least recently used one,
-so operators that are in use stay assembled.  Callers pass nothing: the
-grid, the exponents and the radii alone decide what is reused.
+An operator entry is an `_Operator`, one form for both kernels.  On a
+geometric grid it keeps the structure in O(M) floats: the generating row,
+the row scales r_i^(-2s) or r_i^alpha, dense corrections for what breaks
+the shift (the end rows; slot 0 and the `_END_COLUMNS` node columns at
+each end of the other rows; the fractional Laplacian's diagonal mass), the
+tail coefficients, and for the Riesz operator the weights of the value at
+the origin.  Applying it is one correlation of the generating row with the
+middle node values plus a few small products; `fraclap_matrix` expands the
+rows for the resolvent's inverse on each call.  A hit moves its entry to
+the end and an insertion beyond the bound evicts the least recently used
+one, so operators that are in use stay assembled.  Callers pass nothing:
+the grid, the exponents and the radii alone decide what is reused.
 """
 
 from __future__ import annotations
@@ -1146,10 +1146,12 @@ class _Operator:
     columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E+1) holds their slot 0 and their first and last E node
-    columns.  `ends` holds every other row densely: rows 0..lo-1, then
-    hi..M-1.  Any other grid, and the fractional Laplacian on every grid,
-    has no interior (lo = hi = 0) and all M rows in `ends`.  A Riesz
-    operator also holds `origin`, the weights of I_alpha * u(0) over x.
+    columns, and `mass` (K,) what their diagonal adds to the shift: the
+    fractional Laplacian's kernel mass, zero for the Riesz operator.
+    `ends` holds every other row densely: rows 0..lo-1, then hi..M-1.  Any
+    other grid has no interior (lo = hi = 0) and all M rows in `ends`.  A
+    Riesz operator also holds `origin`, the weights of I_alpha * u(0) over
+    x.
     """
 
     ends: np.ndarray
@@ -1159,6 +1161,7 @@ class _Operator:
     gen: np.ndarray
     scale: np.ndarray
     edges: np.ndarray
+    mass: np.ndarray
     origin: np.ndarray | None = None
 
     @classmethod
@@ -1166,7 +1169,7 @@ class _Operator:
         """An operator with every row held densely."""
         empty = np.empty(0)
         return cls(ends=rows, tails=tails, lo=0, hi=0, gen=empty, scale=empty,
-                   edges=np.empty((0, 2 * _END_COLUMNS + 1)))
+                   edges=np.empty((0, 2 * _END_COLUMNS + 1)), mass=empty)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Unscaled operator values at the nodes for x laid out as above;
@@ -1179,7 +1182,8 @@ class _Operator:
         if hi > lo:
             corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
             out[lo:hi] += self.scale * corr \
-                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:]))
+                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:])) \
+                + self.mass * u[lo:hi]
         return out
 
     def rows(self) -> np.ndarray:
@@ -1194,15 +1198,15 @@ class _Operator:
             np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
             rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
             rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
+            inner = np.arange(lo, hi)
+            rows[inner, 1 + inner] += self.mass
         return rows
 
 
 def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                      tail_omega: float) -> _Operator:
     """The rows of _rows_by_loop on a geometric grid, built from one
-    generating row.  The Riesz operator is stored as an _Operator with an
-    interior; the fractional Laplacian, whose diagonal also carries the
-    kernel mass, is returned dense.
+    generating row and stored by structure (see _Operator).
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
     l^p k_p(r, rho), so away from the ends row i divided by its scale
@@ -1278,7 +1282,8 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         edges[b - lo:b - lo + r.size, 0] = sign * c0
         edges[b - lo:b - lo + r.size, 1] += sign * c1
         tails[b:b + r.size] = sign * tail
-        mass[b - lo:b - lo + r.size] = m0 + m1
+        if fraclap:  # the Riesz diagonal shifts like the rest of the row
+            mass[b - lo:b - lo + r.size] = m0 + m1
     tails[lo:hi] += _tail_remainder(N, kind, exponent, rM, tail_omega)
     if fraclap:
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
@@ -1292,15 +1297,9 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     tails[:lo] = end_tails[:lo]
     tails[hi:] = end_tails[lo:]
     # the generating row where the interior rows reach the middle columns
-    op = _Operator(ends=ends, tails=tails, lo=lo, hi=hi,
-                   gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
-                   scale=scale[lo:hi], edges=edges)
-    if not fraclap:
-        # the Riesz diagonal shifts like the rest of the row
-        return op
-    rows = op.rows()
-    rows[inner, 1 + inner] += mass
-    return _Operator.dense(rows, tails)
+    return _Operator(ends=ends, tails=tails, lo=lo, hi=hi,
+                     gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
+                     scale=scale[lo:hi], edges=edges, mass=mass)
 
 
 def _riesz_origin(grid: RadialGrid, alpha: float, tail_omega: float) -> np.ndarray:
@@ -1326,11 +1325,8 @@ def _raw(grid: RadialGrid, kind: str, exponent: float,
          tail_omega: float) -> _Operator:
     """Unscaled rows of one operator at every node, memoised as an
     _Operator.  kind is "fraclap" (exponent s) or "riesz" (exponent alpha).
-    A geometric grid is assembled from one generating row, any other grid
-    row by row.  The Riesz operator keeps the structure; the fractional
-    Laplacian is held densely, as the resolvent's inverse needs it and its
-    PV rows cancel to far below their entries, so a different summation
-    order would move its values by 1e-11 of their maximum."""
+    A geometric grid is assembled from one generating row and keeps that
+    structure, any other grid is assembled and held row by row."""
     def build():
         if _is_geometric(grid):
             op = _structured_rows(grid, kind, exponent, tail_omega)
@@ -1559,7 +1555,8 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     Column M-1 absorbs the tail model (continuity A r_max^(-omega) = u_M)
     and the origin value is eliminated through the quadratic two-node
     extrapolation.  Rows act on node values and return pointwise operator
-    values at the nodes.  The matrix is a fresh array the caller may modify.
+    values at the nodes.  The matrix is expanded from the memoised operator
+    (_Operator.rows) on each call, a fresh array the caller may modify.
 
     Raises:
         ValueError: s outside (0, 1), or tail_omega not finite and positive.
@@ -1569,13 +1566,13 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     if not (0.0 < tail_omega < math.inf):
         raise ValueError(f"fraclap_matrix: tail_omega must be finite and > 0, got {tail_omega!r}")
     op = _raw(grid, "fraclap", s, tail_omega)
-    rows, tails = op.ends, op.tails  # held densely, see _raw
     C = _fraclap_C(grid.N, s)
-    A = C * rows[:, 1:]
-    A[:, grid.size - 1] += C * tails
-    g1, g2 = _origin_closure(grid)
-    A[:, 0] += C * rows[:, 0] * g1
-    A[:, 1] += C * rows[:, 0] * g2
+    rows = op.rows()
+    rows *= C
+    A = rows[:, 1:]
+    A[:, grid.size - 1] += C * op.tails
+    # the origin value through its closure g1 u_1 + g2 u_2
+    A[:, :2] += rows[:, :1] * _origin_closure(grid)
     return A
 
 

@@ -300,13 +300,11 @@ class _RhsMap:
         self._up = grid.r_max ** om_F
         self._down = grid.r_max ** (-om_F)
 
-    def __call__(self, values: np.ndarray,
-                 value_at_origin: float | None = None) -> np.ndarray:
-        """b at the nodes for u = values; u(0) defaults to the origin
-        closure g1 u_1 + g2 u_2."""
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """b at the nodes for u = values, with u(0) from the origin closure
+        g1 u_1 + g2 u_2."""
         spec = self._spec
-        if value_at_origin is None:
-            value_at_origin = float(self._g1 * values[0] + self._g2 * values[1])
+        value_at_origin = float(self._g1 * values[0] + self._g2 * values[1])
         fu = spec.F_values(values)
         x = np.concatenate(([float(spec.F(value_at_origin))], fu,
                             [float(fu[-1] * self._up) * self._down]))
@@ -426,9 +424,10 @@ def solve_ground_state(params: ProblemParams,
 
     u_fn = RadialFunction.from_samples(grid, a * v, tail_exponent=beta)
     norm_r = volume_integral(u_fn, r) ** (1.0 / r)
-    mass_F = volume_integral(spec.F_of(u_fn))
+    lap, fu, conv = _evaluate(u_fn, params)
+    mass_F = volume_integral(fu)
 
-    res_vals = _residual_values(u_fn, params)
+    res_vals = _residual_values(u_fn, params, lap, conv)
     res_sup = float(np.max(np.abs(res_vals)))
     sup_u = float(np.max(u_fn.values))
     if not res_sup <= 1e-6 * sup_u:  # a NaN residual fails too
@@ -436,30 +435,40 @@ def solve_ground_state(params: ProblemParams,
             f"solve_ground_state: converged iteration left residual "
             f"{res_sup:.3e} > 1e-6 * sup u = {1e-6 * sup_u:.3e}")
 
-    _, p_val, defect = _energy_identities(u_fn, params)
+    _, p_val, defect = _energy_identities(u_fn, params, lap, fu, conv)
     return Solution(u=u_fn, params=params, residual_sup=res_sup,
                     pohozaev_defect=defect, iterations=len(trace),
                     norm_r=norm_r, mass_F=mass_F, trace=tuple(trace))
 
 
-def _residual_values(u: RadialFunction, params: ProblemParams) -> np.ndarray:
-    lap = frac_laplacian_on_grid(u, params.s)
-    rhs = _RhsMap(u.grid, params, u.tail_exponent)
-    return lap + params.mu * u.values - rhs(u.values, u.value_at_origin)
+def _evaluate(u: RadialFunction, params: ProblemParams) -> tuple:
+    """(-Delta)^s u at the nodes, F(u) and I_alpha * F(u): the evaluations
+    of u that the residual and the energy identities share."""
+    fu = params.nonlinearity.F_of(u)
+    return frac_laplacian_on_grid(u, params.s), fu, riesz_convolve_radial(fu, params.alpha)
+
+
+def _residual_values(u: RadialFunction, params: ProblemParams, lap: np.ndarray,
+                     conv: RadialFunction) -> np.ndarray:
+    # conv.values * f(u) is bitwise the _RhsMap's product
+    return lap + params.mu * u.values - conv.values * params.nonlinearity.f_values(u.values)
 
 
 def residual(sol: Solution) -> RadialFunction:
     """Pointwise equation residual (-Delta)^s u + mu u - (I_alpha*F(u)) f(u),
     with all three terms recomputed from the grid operators."""
     u = sol.u
-    return RadialFunction.from_samples(u.grid, _residual_values(u, sol.params),
+    lap, _, conv = _evaluate(u, sol.params)
+    return RadialFunction.from_samples(u.grid, _residual_values(u, sol.params, lap, conv),
                                        tail_exponent=u.tail_exponent)
 
 
-def _energy_terms(u: RadialFunction,
-                  params: ProblemParams) -> tuple[float, float, float]:
-    """The three integrals behind the energy and scaling functionals:
-    int u (-Delta)^s u, int u^2, int (I_alpha*F(u)) F(u).
+def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray,
+                       fu: RadialFunction,
+                       conv: RadialFunction) -> tuple[float, float, float]:
+    """(I_val, P_val, relative_defect) from the evaluations of _evaluate,
+    through the three integrals int u (-Delta)^s u, int u^2 and
+    int (I_alpha*F(u)) F(u).
 
     The quadratic form uses the node weights plus a quadratic origin model;
     the omitted far-tail correction of the sign-indefinite u*(-Delta)^s u
@@ -468,11 +477,10 @@ def _energy_terms(u: RadialFunction,
     tail exponent omega_F + N - alpha, integrated by volume_integral.
     """
     grid = u.grid
-    N = params.N
+    N, s, mu = params.N, params.s, params.mu
     area = sphere_surface_area(N)
     g1, g2 = _origin_closure(grid)
 
-    lap = frac_laplacian_on_grid(u, params.s)
     quad_nodes = float(np.sum(grid.weights * u.values * lap))
     lap0 = g1 * lap[0] + g2 * lap[1]
     quad_origin = _origin_ball_integral(grid, u.value_at_origin, u.values[0],
@@ -481,13 +489,19 @@ def _energy_terms(u: RadialFunction,
 
     b_sq = volume_integral(u, 2.0)
 
-    fu = params.nonlinearity.F_of(u)
-    conv = riesz_convolve_radial(fu, params.alpha)
     c_choq = volume_integral(RadialFunction.from_samples(
         grid, conv.values * fu.values,
         value_at_origin=conv.value_at_origin * fu.value_at_origin,
         tail_exponent=fu.tail_exponent + N - params.alpha))
-    return a_quad, b_sq, c_choq
+
+    i_val = 0.5 * a_quad + 0.5 * mu * b_sq - 0.5 * c_choq
+    t1 = 0.5 * (N - 2.0 * s) * a_quad
+    t2 = 0.5 * N * mu * b_sq
+    t3 = 0.5 * (N + params.alpha) * c_choq
+    p_val = t1 + t2 - t3
+    scale = abs(t1) + abs(t2) + abs(t3)
+    defect = abs(p_val) / scale
+    return i_val, p_val, defect
 
 
 def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
@@ -505,21 +519,6 @@ def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
     return float(np.sum(wq * mv * mw * rho ** (N - 1)))
 
 
-def _energy_identities(u: RadialFunction,
-                       params: ProblemParams) -> tuple[float, float, float]:
-    """(I_val, P_val, relative_defect) from the three base integrals."""
-    a_quad, b_sq, c_choq = _energy_terms(u, params)
-    N, s, mu = params.N, params.s, params.mu
-    i_val = 0.5 * a_quad + 0.5 * mu * b_sq - 0.5 * c_choq
-    t1 = 0.5 * (N - 2.0 * s) * a_quad
-    t2 = 0.5 * N * mu * b_sq
-    t3 = 0.5 * (N + params.alpha) * c_choq
-    p_val = t1 + t2 - t3
-    scale = abs(t1) + abs(t2) + abs(t3)
-    defect = abs(p_val) / scale
-    return i_val, p_val, defect
-
-
 def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
     """Energy functional, scaling functional, and the relative defect.
 
@@ -528,7 +527,7 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
     P vanishes on true solutions, so |P| over the sum of its three term
     magnitudes measures discretization error.
     """
-    return _energy_identities(sol.u, sol.params)
+    return _energy_identities(sol.u, sol.params, *_evaluate(sol.u, sol.params))
 
 
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
@@ -566,6 +565,9 @@ def dilation_derivative(sol: Solution) -> float:
     """
     step = 0.01
     params = sol.params
-    i_plus, _, _ = _energy_identities(_dilated_profile(sol.u, 1.0 + step), params)
-    i_minus, _, _ = _energy_identities(_dilated_profile(sol.u, 1.0 - step), params)
-    return (i_plus - i_minus) / (2.0 * step)
+
+    def energy(t: float) -> float:
+        u = _dilated_profile(sol.u, t)
+        return _energy_identities(u, params, *_evaluate(u, params))[0]
+
+    return (energy(1.0 + step) - energy(1.0 - step)) / (2.0 * step)

@@ -430,6 +430,44 @@ def test_unusable_analysis_setting_exits_2_before_solving(
     assert solves == []
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["verify-decay"],
+                                  ["verify-decay", "--solution"]],
+                         ids=["solve", "verify", "verify-stored"])
+def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
+                                              monkeypatch, argv):
+    # ProblemParams admits a homogeneous r up to (N+alpha)/(N-2s) = 2.5,
+    # but every record and report needs the decay prediction, for r < 2
+    def no_solve(*args):
+        raise AssertionError("solve_ground_state ran")
+
+    monkeypatch.setattr(cli, "solve_ground_state", no_solve)
+    argv = argv + ["--set", "problem.r=2.2", "--out", str(tmp_path / "out")]
+    if "--solution" in argv:
+        rec = read_json(workdir / "solve" / "solution.json")
+        rec["problem"]["r"] = 2.2
+        (tmp_path / "r22.json").write_text(json.dumps(rec))
+        argv.insert(2, str(tmp_path / "r22.json"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.r: decay prediction needs r in ")
+    assert "2), got 2.2" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_grid_without_a_node_in_the_window_exits_2(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_case(*args):
+        raise AssertionError("an oracle case ran")
+
+    monkeypatch.setattr(cli, "frac_laplacian_on_grid", no_case)
+    code = main(["oracle", "--set", "grid.r_min=100", "--set", "grid.nodes=100",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: grid: no node lies in the oracle window [0.1, 50.0]\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # solve outputs and the two pipeline invariants
 
@@ -557,3 +595,21 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
         assert reports[0] == reports[1]
     assert len(radial_ops._MEMO) <= radial_ops._MEMO_LIMIT
     assert all(key in radial_ops._MEMO for key in operators)
+    # both operators are kept by their generating rows: 1.5 MB measured,
+    # where one dense fractional Laplacian at M = 600 alone takes 2.9 MB
+    assert memo_bytes() <= 3e6
+
+
+def memo_bytes():
+    """Bytes of the arrays the operator memo holds."""
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from arrays(v)
+        elif hasattr(value, "__dict__"):
+            for v in vars(value).values():
+                yield from arrays(v)
+
+    return sum(a.nbytes for v in radial_ops._MEMO.values() for a in arrays(v))

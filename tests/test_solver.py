@@ -427,8 +427,7 @@ def test_vanishing_nonlinearity_collapses(params, monkeypatch):
         NonlinearitySpec.general(f=lambda t: 0.0 * t, F=lambda t: 0.0 * t,
                                  r=1.7, C_bar=1.0, C_under=0.5, delta=1.0)
     monkeypatch.setattr(solver_mod._RhsMap, "__call__",
-                        lambda self, values, value_at_origin=None:
-                        np.zeros_like(values))
+                        lambda self, values: np.zeros_like(values))
     with pytest.raises(ZeroCollapseError):
         solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=64)))
 
@@ -488,7 +487,6 @@ def test_rhs_map_matches_the_convolution_path_bitwise(N, alpha, omega,
         * spec.f_values(u.values)
     rhs = solver_mod._RhsMap(grid, p, omega)
     assert np.array_equal(rhs(u.values), want)
-    assert np.array_equal(rhs(u.values, u.value_at_origin), want)
 
 
 def test_rhs_map_rejects_a_divergent_convolution(params):
