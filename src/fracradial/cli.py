@@ -8,21 +8,32 @@ silently changing it.  Numeric output is serialized with repr, the shortest
 decimal string that round-trips the double, so identical runs produce
 byte-identical files and a written solution reloads without loss.
 
+Every command hands its report to one writer (_report, _write): a CSV of its
+header and rows, and a strict-JSON document that opens with schema_version
+and kind, then the command's fields, then the rows as objects.  Every
+requested file is serialized before the first one is opened, so a number
+that is not finite fails the command (exit 3) without leaving a partial
+report.  The problem section and the "problem" object of every record and
+report map to and from ProblemParams through one pair of helpers.
+
 Exit codes: 0 success, 1 at least one verification check failed,
 2 configuration error, 3 a numerical failure (no convergence, a collapsed or
 non-positive iterate, a singular or inaccurate linear solve, a divergent
-quadrature).  Every configuration error is raised as ConfigError while the
-configuration is parsed and checked, so any other ValueError escaping a
-command is a numerical failure too.
+quadrature).  Every configuration error, an invalid stored solution record
+included, is raised as ConfigError while the inputs are parsed and checked,
+so any other ValueError escaping a command is a numerical failure too.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +83,16 @@ _CHAIN_RADII = (0.5, 1.0, 5.0, 20.0)
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or malformed file."""
+
+
+@contextlib.contextmanager
+def _config_errors(prefix: str = ""):
+    """Re-raise a ValueError of the block as a ConfigError, its message
+    after prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +224,31 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     for sec, keys in _CONFIG_SCHEMA.items():
         cfg[sec] = {}
         for key, (parse, _) in keys.items():
-            try:
+            with _config_errors(f"{sec}.{key}: "):
                 cfg[sec][key] = parse(raw[sec][key])
-            except ValueError as exc:
-                raise ConfigError(f"{sec}.{key}: {exc}") from exc
     return cfg
 
 
+def _problem_params(p: dict) -> ProblemParams:
+    """ProblemParams of a problem dict: the problem section of a config, or
+    the "problem" object of a solution record."""
+    spec = NonlinearitySpec.homogeneous(p["r"], convention=p["convention"])
+    return ProblemParams(N=p["n"], s=p["s"], alpha=p["alpha"], mu=p["mu"],
+                         nonlinearity=spec)
+
+
+def _problem_dict(params: ProblemParams) -> dict:
+    """The problem dict of params, as records and reports hold it."""
+    spec = params.nonlinearity
+    if not spec.is_homogeneous:
+        raise ConfigError("only homogeneous nonlinearities are serializable")
+    return {"n": params.N, "s": params.s, "alpha": params.alpha,
+            "mu": params.mu, "r": spec.r, "convention": spec.convention}
+
+
 def _build_problem(cfg: dict) -> ProblemParams:
-    p = cfg["problem"]
-    try:
-        spec = NonlinearitySpec.homogeneous(p["r"], convention=p["convention"])
-        params = ProblemParams(N=p["n"], s=p["s"], alpha=p["alpha"], mu=p["mu"],
-                               nonlinearity=spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _config_errors():
+        params = _problem_params(cfg["problem"])
     _check_decay_exponent(params)
     return params
 
@@ -226,51 +257,45 @@ def _check_decay_exponent(params: ProblemParams) -> None:
     """Reject an r that ProblemParams admits but predict_decay does not
     (a superlinear homogeneous r), which every solution record and decay
     report needs, before anything is solved."""
-    try:
+    with _config_errors("problem.r: "):
         predict_decay(params)
-    except ValueError as exc:
-        raise ConfigError(f"problem.r: {exc}") from exc
 
 
 def _build_grid(cfg: dict, N: int) -> RadialGrid:
     g = cfg["grid"]
-    try:
+    with _config_errors():
         return RadialGrid.log_spaced(r_min=g["r_min"], r_max=g["r_max"],
                                      num=g["nodes"], N=N)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _build_solver_opts(cfg: dict, grid: RadialGrid) -> SolverOpts:
     s = cfg["solver"]
-    try:
+    with _config_errors():
         return SolverOpts(grid=grid, tolerance=s["tolerance"],
                           max_iterations=s["max_iter"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _tolist(obj):
+    """json's hook for numpy arrays and for the numpy scalars that are not
+    Python numbers; a numpy float is a float, written by its repr."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(kind: str, fields: dict) -> str:
+    """A record or report as strict JSON: schema_version and kind, then the
+    fields.  Every report envelope is built here."""
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+    return json.dumps(payload, indent=2, allow_nan=False, default=_tolist) + "\n"
 
 
 def _cell(value) -> str:
+    """One CSV cell; csv would write a numpy float as np.float64(...)."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -282,54 +307,45 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+def _report(cfg: dict, stem: str, kind: str, fields: dict, header: list[str],
+            rows: list[list], rows_key: str = "rows", **closing) -> dict[str, str]:
+    """The text of each requested format of one report, by file name: the
+    CSV holds the header and the rows; the JSON holds the fields, then the
+    rows as objects under rows_key, then the closing fields."""
+    texts = {}
+    for fmt in cfg["output"]["formats"]:
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in row] for row in rows)
+            texts[f"{stem}.csv"] = buf.getvalue()
+        else:
+            table = [dict(zip(header, row)) for row in rows]
+            texts[f"{stem}.json"] = _json_text(
+                kind, {**fields, rows_key: table, **closing})
+    return texts
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def _out_dir(cfg: dict) -> Path:
+def _write(cfg: dict, texts: dict[str, str]) -> None:
+    """Write each serialized file to the output directory and print one
+    wrote line per file.  Callers serialize every file first, so a report
+    that cannot be serialized leaves none of its files behind."""
     out = Path(cfg["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit_table(cfg: dict, stem: str, header: list[str], rows: list[list],
-                payload: dict) -> list[Path]:
-    out = _out_dir(cfg)
-    written = []
-    for fmt in cfg["output"]["formats"]:
-        path = out / f"{stem}.{fmt}"
-        if fmt == "csv":
-            _write_csv(path, header, rows)
-        else:
-            _write_json(path, payload)
-        written.append(path)
-    return written
+    for name, text in texts.items():
+        path = out / name
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
 def _solution_record(sol: Solution, cfg: dict) -> dict:
-    params = sol.params
-    spec = params.nonlinearity
-    if not spec.is_homogeneous:
-        raise ConfigError("only homogeneous nonlinearities are serializable")
-    pred = predict_decay(params)
+    """The fields of the solution record of sol (see _json_text)."""
+    pred = predict_decay(sol.params)
     u = sol.u
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fracradial.solution",
-        "problem": {
-            "n": params.N, "s": params.s, "alpha": params.alpha,
-            "mu": params.mu, "r": spec.r, "convention": spec.convention,
-        },
+        "problem": _problem_dict(sol.params),
         "solver": dict(cfg["solver"]),
         "grid": {
             "n": u.grid.N, "r_max": u.grid.r_max,
@@ -354,8 +370,20 @@ def _solution_record(sol: Solution, cfg: dict) -> dict:
     }
 
 
+# the diagnostics a Solution keeps, each checked finite when a record loads
+_KEPT_DIAGNOSTICS = ("residual_sup", "pohozaev_defect", "iterations", "norm_r",
+                     "mass_F")
+
+
 def load_solution(path: str) -> Solution:
-    """Rebuild a Solution from a record written by the solve command."""
+    """Rebuild a Solution from a record written by the solve command.
+
+    Raises:
+        ConfigError: an unreadable or malformed file, or an invalid record:
+            a missing field, a profile that is not positive and
+            non-increasing, a kept diagnostic that is not a finite number,
+            or a mass_F that is not positive.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             rec = json.load(fh)
@@ -371,10 +399,7 @@ def load_solution(path: str) -> Solution:
         raise ConfigError(
             f"{path!r} is not a schema-version-{SCHEMA_VERSION} solution record")
     try:
-        pr = rec["problem"]
-        spec = NonlinearitySpec.homogeneous(pr["r"], convention=pr["convention"])
-        params = ProblemParams(N=pr["n"], s=pr["s"], alpha=pr["alpha"],
-                               mu=pr["mu"], nonlinearity=spec)
+        params = _problem_params(rec["problem"])
         gr = rec["grid"]
         grid = RadialGrid(nodes=np.asarray(gr["nodes"], dtype=float),
                           weights=np.asarray(gr["weights"], dtype=float),
@@ -384,12 +409,16 @@ def load_solution(path: str) -> Solution:
                            values=np.asarray(prof["values"], dtype=float),
                            tail=(prof["tail_amplitude"], prof["tail_exponent"]),
                            value_at_origin=prof["value_at_origin"])
-        diag = rec["diagnostics"]
-        return Solution(u=u, params=params,
-                        residual_sup=diag["residual_sup"],
-                        pohozaev_defect=diag["pohozaev_defect"],
-                        iterations=diag["iterations"],
-                        norm_r=diag["norm_r"], mass_F=diag["mass_F"])
+        diag = {k: rec["diagnostics"][k] for k in _KEPT_DIAGNOSTICS}
+        for key, value in diag.items():
+            # json.load reads NaN and Infinity
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(
+                    f"diagnostics.{key} is not a finite number: {value!r}")
+        if not diag["mass_F"] > 0.0:
+            raise ValueError(
+                f"diagnostics.mass_F must be positive, got {diag['mass_F']!r}")
+        return Solution(u=u, params=params, **diag)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc
 
@@ -402,18 +431,14 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
     N = cfg["problem"]["n"]
     s = cfg["problem"]["s"]
     beta = args.beta
-    try:
+    with _config_errors("--radii: "):
         radii = _parse_float_list(args.radii)
         for r in radii:
             if r < 0.0:
                 raise ValueError(f"radii must be >= 0, got {r!r}")
-    except ValueError as exc:
-        raise ConfigError(f"--radii: {exc}") from exc
-    try:
+    with _config_errors():
         profile = ProfileParams(N, s, beta)
         law = frac_lap_h_asymptotic(profile)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     r = np.array(radii, dtype=float)
     h = h_beta_eval(r, beta)
@@ -428,23 +453,18 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
         ratio = float(exact[k]) / far if far else None
         rows.append([radius, float(h[k]), float(exact[k]), far, ratio])
 
-    header = ["radius", "h_beta", "fraclap_exact", "fraclap_asymptotic", "ratio"]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fracradial.specfun_table",
-        "problem": {"n": N, "s": s, "beta": beta},
-        "asymptotic_regime": law.regime,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    for path in _emit_table(cfg, "specfun_table", header, rows, payload):
-        print(f"wrote {path}")
+    _write(cfg, _report(
+        cfg, "specfun_table", "fracradial.specfun_table",
+        {"problem": {"n": N, "s": s, "beta": beta},
+         "asymptotic_regime": law.regime},
+        ["radius", "h_beta", "fraclap_exact", "fraclap_asymptotic", "ratio"], rows))
     print(f"specfun-table: {len(rows)} radii, regime {law.regime}")
     return 0
 
 
 def _cmd_oracle(cfg: dict, args) -> int:
     if args.case:
-        try:
+        with _config_errors("--case expects N,s,beta: "):
             cases = []
             for text in args.case:
                 fields = text.split(",")
@@ -452,12 +472,9 @@ def _cmd_oracle(cfg: dict, args) -> int:
                     raise ValueError(f"{text!r} has {len(fields)} fields")
                 n_str, s_str, b_str = fields
                 cases.append((int(n_str), float(s_str), float(b_str)))
-        except ValueError as exc:
-            raise ConfigError(f"--case expects N,s,beta: {exc}") from exc
     else:
         cases = list(_ORACLE_CASES)
 
-    g = cfg["grid"]
     lo, hi = _ORACLE_WINDOW
     # one grid per dimension; the nodes do not depend on N, so one check of
     # the window covers every case
@@ -469,10 +486,8 @@ def _cmd_oracle(cfg: dict, args) -> int:
     worst = 0.0
     for (N, s, beta) in cases:
         grid = grids[N]
-        try:
+        with _config_errors():
             profile = ProfileParams(N, s, beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         h = h_beta_function(grid, beta)
         lap = frac_laplacian_on_grid(h, s)
         sel = (grid.nodes >= lo) & (grid.nodes <= hi)
@@ -485,16 +500,10 @@ def _cmd_oracle(cfg: dict, args) -> int:
         print(f"{status} oracle ({N}, {s}, {beta}): max rel err {err:.3e} "
               f"(tolerance {_ORACLE_TOLERANCE:.0e})")
 
-    header = ["n", "s", "beta", "max_rel_err", "tolerance", "passed"]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fracradial.oracle_report",
-        "grid": dict(g),
-        "window": list(_ORACLE_WINDOW),
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    for path in _emit_table(cfg, "oracle_report", header, rows, payload):
-        print(f"wrote {path}")
+    _write(cfg, _report(
+        cfg, "oracle_report", "fracradial.oracle_report",
+        {"grid": dict(cfg["grid"]), "window": list(_ORACLE_WINDOW)},
+        ["n", "s", "beta", "max_rel_err", "tolerance", "passed"], rows))
     return 0 if worst <= _ORACLE_TOLERANCE else 1
 
 
@@ -503,44 +512,36 @@ def _cmd_solve(cfg: dict, args) -> int:
     grid = _build_grid(cfg, params.N)
     sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
     record = _solution_record(sol, cfg)
-    out = _out_dir(cfg)
-    sol_path = out / "solution.json"
-    _write_json(sol_path, record)
-    print(f"wrote {sol_path}")
-
-    beta = record["diagnostics"]["predicted_beta"]
-    nodes = sol.u.grid.nodes
-    rows = [[r, u, u * r ** beta]
-            for r, u in zip(nodes.tolist(), sol.u.values.tolist())]
-    header = ["radius", "u", "u_scaled"]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fracradial.profile_table",
-        "scaling_exponent": beta,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    for path in _emit_table(cfg, "profile", header, rows, payload):
-        print(f"wrote {path}")
-
     d = record["diagnostics"]
+    beta = d["predicted_beta"]
+    rows = [[r, u, u * r ** beta]
+            for r, u in zip(sol.u.grid.nodes.tolist(), sol.u.values.tolist())]
+    _write(cfg, {"solution.json": _json_text("fracradial.solution", record),
+                 **_report(cfg, "profile", "fracradial.profile_table",
+                           {"scaling_exponent": beta},
+                           ["radius", "u", "u_scaled"], rows)})
+
     print(f"converged in {d['iterations']} iterations: sup u = {d['sup']:.6e}, "
           f"residual = {d['residual_sup']:.3e}, defect = {d['pohozaev_defect']:.3e}")
     print(f"predicted decay: beta = {beta!r} ({d['regime']})")
     return 0
 
 
-def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[dict], dict]:
-    """All decay checks for one solution; returns (checks, report numbers)."""
+# the columns of a verify report's CSV, and the keys of each of its checks
+_CHECK_HEADER = ["name", "passed", "measured", "reference", "tolerance"]
+
+
+def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], dict]:
+    """All decay checks for one solution; returns (checks, report numbers),
+    each check a row of _CHECK_HEADER values."""
     params = sol.params
     ana = cfg["analysis"]
     pred = predict_decay(params)
-    checks: list[dict] = []
+    checks: list[list] = []
 
     def add(name, passed, measured, reference, tolerance):
-        checks.append({"name": name, "passed": bool(passed),
-                       "measured": float(measured),
-                       "reference": float(reference),
-                       "tolerance": float(tolerance)})
+        checks.append([name, bool(passed), float(measured), float(reference),
+                       float(tolerance)])
 
     fit = fit_tail(sol.u, ana["fit_window"])
     add("fit_exponent", abs(fit.fitted_exponent - pred.beta) <= 0.1 * pred.beta,
@@ -618,10 +619,8 @@ def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
              {"chain_rule_theta": ana["chain_rule_theta"]}),
             ("analysis.kappa", {"kappa": ana["kappa"]}),
             ("grid.r_max", {"radii": _CHAIN_RADII})):
-        try:
+        with _config_errors(f"{key}: "):
             check_analysis(params, grid, **setting)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _cmd_verify_decay(cfg: dict, args) -> int:
@@ -635,32 +634,17 @@ def _cmd_verify_decay(cfg: dict, args) -> int:
         _check_analysis(cfg, params, grid)
         sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
     checks, numbers = _verify_checks(sol, cfg)
-
-    params = sol.params
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fracradial.verify_report",
-        "problem": {
-            "n": params.N, "s": params.s, "alpha": params.alpha,
-            "mu": params.mu, "r": params.nonlinearity.r,
-            "convention": params.nonlinearity.convention,
-        },
-        **numbers,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    header = ["name", "passed", "measured", "reference", "tolerance"]
-    rows = [[c[k] for k in header] for c in checks]
-    for path in _emit_table(cfg, "verify_report", header, rows, payload):
-        print(f"wrote {path}")
+    passed = all(ok for _, ok, *_ in checks)
+    _write(cfg, _report(cfg, "verify_report", "fracradial.verify_report",
+                        {"problem": _problem_dict(sol.params), **numbers},
+                        _CHECK_HEADER, checks, rows_key="checks", passed=passed))
 
     pred = numbers["prediction"]
     print(f"predicted decay: beta = {pred['beta']!r} ({pred['regime']})")
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(f"{status} {c['name']}: measured {c['measured']!r} "
-              f"(reference {c['reference']!r}, tolerance {c['tolerance']!r})")
-    return 0 if payload["passed"] else 1
+    for name, ok, measured, reference, tolerance in checks:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: measured {measured!r} "
+              f"(reference {reference!r}, tolerance {tolerance!r})")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +699,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"specfun-table": _cmd_specfun_table, "oracle": _cmd_oracle,
+             "solve": _cmd_solve, "verify-decay": _cmd_verify_decay}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -723,13 +711,7 @@ def main(argv=None) -> int:
             cfg["output"]["directory"] = args.out
         if args.format is not None:
             cfg["output"]["formats"] = (args.format,)
-        if args.command == "specfun-table":
-            return _cmd_specfun_table(cfg, args)
-        if args.command == "oracle":
-            return _cmd_oracle(cfg, args)
-        if args.command == "solve":
-            return _cmd_solve(cfg, args)
-        return _cmd_verify_decay(cfg, args)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

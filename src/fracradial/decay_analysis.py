@@ -143,8 +143,11 @@ def _sublinear_exponent(params) -> float:
 def predict_decay(params) -> DecayPrediction:
     """Predicted decay exponent and regime.
 
+    The exponent is params.predicted_tail_exponent(), the one the solver
+    closes its tails with; this adds the range check, r* and the regime.
+
     Args:
-        params: problem parameters (N, s, alpha, mu, nonlinearity).
+        params: problem parameters (ProblemParams).
 
     Raises:
         ValueError: r outside the sublinear admissible range [(N+alpha)/N, 2).
@@ -152,9 +155,7 @@ def predict_decay(params) -> DecayPrediction:
     N, s, alpha = _dims(params)
     r = _sublinear_exponent(params)
     r_star = (N + alpha + 4.0 * s) / (N + 2.0 * s)
-    beta_choq = (N - alpha) / (2.0 - r)
-    beta_lap = N + 2.0 * s
-    beta = min(beta_choq, beta_lap)
+    beta = params.predicted_tail_exponent()
     if abs(r - r_star) <= _SNAP * r_star:
         regime = "boundary"
     elif r < r_star:

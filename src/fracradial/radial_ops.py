@@ -1146,8 +1146,9 @@ class _Operator:
     columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E+1) holds their slot 0 and their first and last E node
-    columns, and `mass` (K,) what their diagonal adds to the shift: the
-    fractional Laplacian's kernel mass, zero for the Riesz operator.
+    columns, and `mass` (K,), when there is one, what their diagonal adds
+    to the shift: the fractional Laplacian's kernel mass.  The Riesz
+    diagonal shifts like the rest of its rows, so that operator has none.
     `ends` holds every other row densely: rows 0..lo-1, then hi..M-1.  Any
     other grid has no interior (lo = hi = 0) and all M rows in `ends`.  A
     Riesz operator also holds `origin`, the weights of I_alpha * u(0) over
@@ -1161,7 +1162,7 @@ class _Operator:
     gen: np.ndarray
     scale: np.ndarray
     edges: np.ndarray
-    mass: np.ndarray
+    mass: np.ndarray | None = None
     origin: np.ndarray | None = None
 
     @classmethod
@@ -1169,7 +1170,7 @@ class _Operator:
         """An operator with every row held densely."""
         empty = np.empty(0)
         return cls(ends=rows, tails=tails, lo=0, hi=0, gen=empty, scale=empty,
-                   edges=np.empty((0, 2 * _END_COLUMNS + 1)), mass=empty)
+                   edges=np.empty((0, 2 * _END_COLUMNS + 1)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Unscaled operator values at the nodes for x laid out as above;
@@ -1181,9 +1182,11 @@ class _Operator:
         out[hi:] += self.ends[lo:] @ vec
         if hi > lo:
             corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
-            out[lo:hi] += self.scale * corr \
-                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:])) \
-                + self.mass * u[lo:hi]
+            inner = self.scale * corr \
+                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:]))
+            if self.mass is not None:
+                inner += self.mass * u[lo:hi]
+            out[lo:hi] += inner
         return out
 
     def rows(self) -> np.ndarray:
@@ -1198,8 +1201,9 @@ class _Operator:
             np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
             rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
             rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
-            inner = np.arange(lo, hi)
-            rows[inner, 1 + inner] += self.mass
+            if self.mass is not None:
+                inner = np.arange(lo, hi)
+                rows[inner, 1 + inner] += self.mass
         return rows
 
 
@@ -1274,7 +1278,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                 edges[:, 1 + j - M + 2 * E] += part[:, m]
 
     # origin region and far tail, a block of rows at a time
-    mass = np.zeros(hi - lo)
+    mass = np.zeros(hi - lo) if fraclap else None
     for b in range(lo, hi, _ROW_BLOCK):
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
         c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
@@ -1371,8 +1375,8 @@ def frac_laplacian_radial(u, s: float, at):
     around each radius (so the PV cancellation is explicit), integrated cell
     by cell elsewhere with u reconstructed by cubic-in-log Lagrange
     interpolation of the node values, and closed with u's origin and tail
-    models on [0, r_1) and (r_max, inf).  The rows at all radii are built
-    in one batched pass.
+    models on [0, r_1) and (r_max, inf).  The rows are built in batched
+    passes of _ROW_BLOCK radii.
 
     u may also be a sequence of radial functions on one grid.  A row's
     coefficients do not depend on the tail model, so the row at each radius
@@ -1421,10 +1425,14 @@ def frac_laplacian_radial(u, s: float, at):
     omegas = tuple(f.tail_exponent for f in fs)
 
     def build():
-        rows = _fraclap_rows(_context(grid), rs, s, list(omegas))
-        for a in rows:
-            a.setflags(write=False)
-        return rows
+        coeffs = np.empty((rs.size, grid.size + 1))
+        tails = np.empty((rs.size, len(omegas)))
+        for b in range(0, rs.size, _ROW_BLOCK):
+            coeffs[b:b + _ROW_BLOCK], tails[b:b + _ROW_BLOCK] = _fraclap_rows(
+                _context(grid), rs[b:b + _ROW_BLOCK], s, list(omegas))
+        coeffs.setflags(write=False)
+        tails.setflags(write=False)
+        return coeffs, tails
 
     coeffs, tails = _memo(("rows", grid._token, float(s), rs.tobytes(), omegas), build)
     vecs = np.array([np.concatenate(([f.value_at_origin], f.values)) for f in fs])

@@ -7,8 +7,10 @@ magnitude inside the 1e-3 tolerance.
 """
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -125,7 +127,7 @@ def test_table_without_a_finite_law_writes_null(tmp_path):
 
 def test_reports_reject_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
-        cli._write_json(tmp_path / "r.json", {"x": [1.0, float("inf")]})
+        cli._json_text("fracradial.test", {"x": [1.0, float("inf")]})
 
 
 def test_format_flag_restricts_outputs(tmp_path):
@@ -270,6 +272,41 @@ def test_negative_origin_record_is_an_invalid_record(workdir, tmp_path,
     assert err.startswith("config error: invalid solution record ")
     assert err.endswith("Solution: profile must be strictly positive\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mass_F", ["0", "-5", "Infinity", "NaN"])
+def test_record_with_bad_diagnostics_exits_2_and_writes_no_report(
+        workdir, tmp_path, capsys, mass_F):
+    # json.load reads NaN and Infinity; a zero mass divided the tail
+    # constant by zero, a negative one made it complex, and a non-finite
+    # one left a truncated report
+    text = (workdir / "solve" / "solution.json").read_text()
+    bad = tmp_path / "solution.json"
+    bad.write_text(re.sub(r'"mass_F": [^,]*,', f'"mass_F": {mass_F},', text))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert "diagnostics.mass_F" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_report_number_exits_3_and_writes_no_file(
+        workdir, tmp_path, capsys, monkeypatch):
+    def nan_exponent(*args, **kwargs):
+        return dataclasses.replace(fit_tail(*args, **kwargs),
+                                   fitted_exponent=float("nan"))
+
+    fit_tail = cli.fit_tail
+    monkeypatch.setattr(cli, "fit_tail", nan_exponent)
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution",
+                 str(workdir / "solve" / "solution.json"),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (out / "verify_report.csv").exists()
+    assert not (out / "verify_report.json").exists()
 
 
 def test_reused_parser_keeps_no_override_of_an_earlier_call(tmp_path,
@@ -518,6 +555,34 @@ def test_repeated_solve_is_byte_identical(workdir, tmp_path):
     assert first == second
     assert (workdir / "solve" / "solution.json").read_bytes() == \
         (tmp_path / "solution.json").read_bytes()
+
+
+@pytest.mark.parametrize("path,kind,keys", [
+    ("solve/solution.json", "solution",
+     ["problem", "solver", "grid", "profile", "diagnostics"]),
+    ("solve/profile.json", "profile_table", ["scaling_exponent", "rows"]),
+    ("fresh/verify_report.json", "verify_report",
+     ["problem", "prediction", "fit", "constants", "riesz_tail", "chain_rule",
+      "checks", "passed"]),
+])
+def test_record_envelopes(workdir, path, kind, keys):
+    rec = read_json(workdir / path)
+    assert list(rec) == ["schema_version", "kind", *keys]
+    assert rec["schema_version"] == 1
+    assert rec["kind"] == f"fracradial.{kind}"
+
+
+def test_table_report_envelopes(tmp_path):
+    assert main(["specfun-table", "--out", str(tmp_path)]) == 0
+    assert main(["oracle", "--out", str(tmp_path), "--set", "grid.nodes=400",
+                 "--case", "3,0.5,2"]) == 0
+    for stem, keys in (
+            ("specfun_table", ["problem", "asymptotic_regime", "rows"]),
+            ("oracle_report", ["grid", "window", "rows"])):
+        rec = read_json(tmp_path / f"{stem}.json")
+        assert list(rec) == ["schema_version", "kind", *keys]
+        assert rec["schema_version"] == 1
+        assert rec["kind"] == f"fracradial.{stem}"
 
 
 def test_verify_report_checks(workdir):
