@@ -77,9 +77,6 @@ _ORACLE_CASES = ((3, 0.5, 2.0), (3, 0.5, 3.5), (2, 0.5, 2.5), (3, 0.25, 3.0))
 _ORACLE_TOLERANCE = 1e-3
 _ORACLE_WINDOW = (0.1, 50.0)
 
-# default radii for the pointwise chain-rule check; well inside the grid
-_CHAIN_RADII = (0.5, 1.0, 5.0, 20.0)
-
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or malformed file."""
@@ -380,9 +377,10 @@ def load_solution(path: str) -> Solution:
 
     Raises:
         ConfigError: an unreadable or malformed file, or an invalid record:
-            a missing field, a profile that is not positive and
-            non-increasing, a kept diagnostic that is not a finite number,
-            or a mass_F that is not positive.
+            a missing field, a grid.n other than problem.n, a profile that
+            is not positive and non-increasing, a kept diagnostic that is not
+            a finite number (or, for iterations, not an integer), or a
+            mass_F that is not positive.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -404,6 +402,8 @@ def load_solution(path: str) -> Solution:
         grid = RadialGrid(nodes=np.asarray(gr["nodes"], dtype=float),
                           weights=np.asarray(gr["weights"], dtype=float),
                           r_max=gr["r_max"], N=gr["n"])
+        if grid.N != params.N:
+            raise ValueError(f"grid.n {gr['n']!r} differs from problem.n {params.N!r}")
         prof = rec["profile"]
         u = RadialFunction(grid=grid,
                            values=np.asarray(prof["values"], dtype=float),
@@ -411,10 +411,14 @@ def load_solution(path: str) -> Solution:
                            value_at_origin=prof["value_at_origin"])
         diag = {k: rec["diagnostics"][k] for k in _KEPT_DIAGNOSTICS}
         for key, value in diag.items():
-            # json.load reads NaN and Infinity
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            # json.load reads NaN and Infinity, and true and false as bools
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(
                     f"diagnostics.{key} is not a finite number: {value!r}")
+        if not isinstance(diag["iterations"], int):
+            raise ValueError(
+                f"diagnostics.iterations is not an integer: {diag['iterations']!r}")
         if not diag["mass_F"] > 0.0:
             raise ValueError(
                 f"diagnostics.mass_F must be positive, got {diag['mass_F']!r}")
@@ -583,11 +587,14 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], dict]:
         r = params.nonlinearity.r
         thetas = (0.3,) if abs(2.0 - r - 0.3) < 1e-12 else (0.3, 2.0 - r)
     chain_reports = []
-    reps = verify_chain_rule(sol.u, tuple(thetas), list(_CHAIN_RADII), params.s)
+    reps = verify_chain_rule(sol.u, tuple(thetas), params.s)
     for th, rep in zip(thetas, reps):
-        worst = float(np.min(rep.margin / rep.scale))
+        ratio = rep.margin / rep.scale
+        k = int(np.argmin(ratio))
+        worst = float(ratio[k])
         add(f"chain_rule_theta_{th:g}", rep.passed, worst, 0.0, rep.tolerance)
         chain_reports.append({"theta": th, "min_margin_over_scale": worst,
+                              "worst_radius": float(rep.radii[k]),
                               "passed": rep.passed})
 
     numbers = {
@@ -617,8 +624,7 @@ def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
             ("analysis.theta", {"theta": ana["theta"]}),
             ("analysis.chain_rule_theta",
              {"chain_rule_theta": ana["chain_rule_theta"]}),
-            ("analysis.kappa", {"kappa": ana["kappa"]}),
-            ("grid.r_max", {"radii": _CHAIN_RADII})):
+            ("analysis.kappa", {"kappa": ana["kappa"]})):
         with _config_errors(f"{key}: "):
             check_analysis(params, grid, **setting)
 

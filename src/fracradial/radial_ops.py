@@ -42,9 +42,9 @@ at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
 points and their cubic stencils), ("table", N, p) for the spline
 kernel table of a dimension N != 3, (kind, grid token, exponent, tail
 exponent) for an assembled operator, kind being "fraclap" (exponent s) or
-"riesz" (exponent alpha), and ("rows", grid token, s, radii bytes, tail
-exponents) for the read-only pointwise rows of `frac_laplacian_radial`,
-keyed by the exact float values so that a hit is bitwise a fresh build.
+"riesz" (exponent alpha).  The pointwise rows of `frac_laplacian_radial`
+are built on each call and not kept: the checks at the grid nodes read the
+assembled operators instead.
 An operator entry is an `_Operator`, one form for both kernels.  On a
 geometric grid it keeps the structure in O(M) floats: the generating row,
 the row scales r_i^(-2s) or r_i^alpha, dense corrections for what breaks
@@ -56,7 +56,7 @@ middle node values plus a few small products; `fraclap_matrix` expands the
 rows for the resolvent's inverse on each call.  A hit moves its entry to
 the end and an insertion beyond the bound evicts the least recently used
 one, so operators that are in use stay assembled.  Callers pass nothing:
-the grid, the exponents and the radii alone decide what is reused.
+the grid and the exponents alone decide what is reused.
 """
 
 from __future__ import annotations
@@ -751,23 +751,23 @@ def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
 
 
 def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
-                    r_max: float, omegas) -> tuple[np.ndarray, np.ndarray]:
+                    r_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Kernel integrals over panels beyond r_max, 8 Gauss points a panel in
     log radius, vectorised over radii r (n,) with panel edges (n, E): the
-    weights (len(omegas), n) of the tail model value at r_max, one per tail
-    exponent in omegas, and the kernel mass (n,)."""
+    weights (n,) of the value at r_max of a tail model with exponent omega,
+    and the kernel mass (n,)."""
     x, wq = _gauss(8)
     la, lb = np.log(edges[:, :-1, None]), np.log(edges[:, 1:, None])
     rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x)
     rr = r[:, None, None]
     contrib = 0.5 * (lb - la) * wq * rho ** N \
         * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
-    tails = [np.sum(contrib * (rho / r_max) ** (-om), axis=(1, 2)) for om in omegas]
-    return np.array(tails), np.sum(contrib, axis=(1, 2))
+    return (np.sum(contrib * (rho / r_max) ** (-omega), axis=(1, 2)),
+            np.sum(contrib, axis=(1, 2)))
 
 
 def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
-               r_max: float, omegas) -> tuple[np.ndarray, np.ndarray]:
+               r_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """_log_panel_sums over panels from start (n,) out to _TAIL_SPAN r_max,
     widening geometrically.
 
@@ -783,12 +783,12 @@ def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
         d = 2.0 * d
     edges = np.minimum(np.stack(edges, axis=1), r_inf)
     panels = np.argmax(edges == r_inf, axis=1)
-    tails = np.empty((len(omegas), r.size))
+    tails = np.empty(r.size)
     mass = np.empty(r.size)
     for n in np.unique(panels):
         sel = panels == n
-        tails[:, sel], mass[sel] = _log_panel_sums(N, p, r[sel], edges[sel, :n + 1],
-                                                   r_max, omegas)
+        tails[sel], mass[sel] = _log_panel_sums(N, p, r[sel], edges[sel, :n + 1],
+                                                r_max, omega)
     return tails, mass
 
 
@@ -814,13 +814,13 @@ def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
         * r_inf ** (exponent - tail_omega) / (tail_omega - exponent)
 
 
-def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omegas):
+def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
     """The Taylor windows of fractional-Laplacian rows at radii r (R,), of
     _WINDOW_CELLS local cells each side, and the parts of the cells their
     edges cut (at most one at each edge).
 
-    Returns what they add to the rows' (R, M+1) coefficients and
-    (R, len(omegas)) tail weights, laid out as in _fraclap_rows, the kernel
+    Returns what they add to the rows' (R, M+1) coefficients and (R,)
+    tail weights, laid out as in _fraclap_rows, the kernel
     mass of the cut parts (R,) and the window half-widths w (R,).
     """
     grid = ctx.grid
@@ -861,9 +861,7 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omegas):
     coeffs = np.zeros((R, M + 1))
     np.add.at(coeffs.reshape(-1), ((M + 1) * np.arange(R)[:, None, None] + slots).ravel(),
               terms.ravel())
-    om = np.asarray(omegas, dtype=float)
-    far = np.where(above, lam, 0.0)[:, :, None] \
-        * (np.where(above, rho, rM)[:, :, None] / rM) ** -om
+    far = np.where(above, lam, 0.0) * (np.where(above, rho, rM) / rM) ** -omega
     tails = np.cumsum(far, axis=1)[:, -1]
 
     # the parts of the cells cut by the window edges that lie outside it:
@@ -888,7 +886,7 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omegas):
 
 
 def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, d0: np.ndarray, sign: float, omegas,
+                 hi: np.ndarray, d0: np.ndarray, sign: float, omega: float,
                  coeffs: np.ndarray, tails: np.ndarray, mass: np.ndarray) -> None:
     """Add sign times the kernel integrals of the rows at radii r (R,) outside
     the intervals (lo, hi) (R,) around them: the grid cells clear of each
@@ -940,23 +938,21 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
         mass[gap] += m0
 
     # beyond the interval and r_M
-    tail, m0 = _tail_sums(N, p, r, np.maximum(hi, rM), rM, omegas)
-    tails += sign * tail.T
+    tail, m0 = _tail_sums(N, p, r, np.maximum(hi, rM), rM, omega)
+    tails += sign * tail
     mass += m0
 
 
 def _fraclap_rows(ctx: _RowContext, radii, s: float,
-                  omegas) -> tuple[np.ndarray, np.ndarray]:
+                  omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled fractional-Laplacian rows at the radii (R,), built together.
 
     The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
     around each r.  Returns the (R, M+1) coefficients, slot 0 multiplying
-    the origin value and slots 1..M the node values, and the
-    (R, len(omegas)) tail weights, column k multiplying the value at r_max
-    of a tail model with exponent omegas[k]: the coefficients do not depend
-    on the tail model, so one row serves every function on the grid.  The
-    factor C_{N,s} is NOT applied here.
+    the origin value and slots 1..M the node values, and the (R,) tail
+    weights, multiplying the value at r_max of a tail model with exponent
+    omega.  The factor C_{N,s} is NOT applied here.
 
     Every piece is computed for all radii at once, and each row equals the
     one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
@@ -969,11 +965,11 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float,
     r1, rM = nodes[0], nodes[-1]
     r = np.asarray(radii, dtype=float)
     rows = np.arange(r.size)
-    coeffs, tails, mass, w = _pv_windows(ctx, r, s, omegas)
+    coeffs, tails, mass, w = _pv_windows(ctx, r, s, omega)
     _add_outside(ctx, -(N + 2.0 * s), r, r - w, r + w, np.maximum(w, 0.1 * r), -1.0,
-                 omegas, coeffs, tails, mass)
+                 omega, coeffs, tails, mass)
     mass += _mass_remainder(N, s, rM)
-    tails += [_tail_remainder(N, "fraclap", s, rM, om) for om in omegas]
+    tails += _tail_remainder(N, "fraclap", s, rM, omega)
 
     # ---- the kernel mass multiplies u(r): at its node, through the origin
     # model below r_1, or through the cubic stencil
@@ -1001,7 +997,7 @@ def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray
     return f0 * x0 / (gam + 1.0)
 
 
-def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omegas):
+def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     """The near-diagonal coefficients and tail weights of the Riesz rows at
     the nodes i (R,), and the intervals (lo, hi) (R,) they cover.
 
@@ -1043,22 +1039,22 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omegas):
                                stub)),
                np.concatenate((np.repeat(side, xi.shape[1] - 2), side)))
 
-    tails = np.zeros((i.size, len(omegas)))
+    tails = np.zeros(i.size)
     last = np.flatnonzero(i == M - 1)
     if last.size:
         rl = r[last, None]
         x0 = 0.5 * rl * levels[-1]
         xi = np.concatenate((x0, 2.0 * x0), axis=1)
         g = (rl + xi) ** (N - 1) * _kernel_eval(N, p, rl, rl + xi, xi)
-        f = g[:, :, None] * ((rl + xi) / nodes[-1])[:, :, None] ** -np.asarray(omegas, float)
+        f = g * ((rl + xi) / nodes[-1]) ** -omega
         graded, _ = _log_panel_sums(N, p, r[last], rl * (1.0 + 0.5 * levels[::-1]),
-                                    nodes[-1], omegas)
-        tails[last] = _diagonal_stub(f[:, 0], f[:, 1], x0) + graded.T
+                                    nodes[-1], omega)
+        tails[last] = _diagonal_stub(f[:, 0], f[:, 1], x0[:, 0]) + graded
     return coeffs, tails, lo, hi
 
 
 def _riesz_rows(ctx: _RowContext, which, alpha: float,
-                omegas) -> tuple[np.ndarray, np.ndarray]:
+                omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled Riesz rows at the node indices `which` (R,), built together
     and laid out as _fraclap_rows lays out its own: int g(rho) k_p(r,rho)
     rho^{N-1} drho with p = alpha - N, graded near the diagonal by
@@ -1067,12 +1063,12 @@ def _riesz_rows(ctx: _RowContext, which, alpha: float,
     i = np.asarray(which, dtype=int)
     r = grid.nodes[i]
     p = alpha - grid.N
-    coeffs, tails, lo, hi = _riesz_diagonal(ctx, i, p, omegas)
+    coeffs, tails, lo, hi = _riesz_diagonal(ctx, i, p, omega)
     # [0, r_1] is graded toward r beyond r_1; the first node's row, at r_1,
     # takes it as one panel (d0 = r leaves no grading point inside)
-    _add_outside(ctx, p, r, lo, hi, np.where(i > 0, 0.1 * r, r), 1.0, omegas,
+    _add_outside(ctx, p, r, lo, hi, np.where(i > 0, 0.1 * r, r), 1.0, omega,
                  coeffs, tails, np.zeros(i.size))
-    tails += [_tail_remainder(grid.N, "riesz", alpha, grid.r_max, om) for om in omegas]
+    tails += _tail_remainder(grid.N, "riesz", alpha, grid.r_max, omega)
     return coeffs, tails
 
 
@@ -1119,20 +1115,12 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
     for b in range(0, which.size, _ROW_BLOCK):
         block = which[b:b + _ROW_BLOCK]
         if kind == "fraclap":
-            rows[b:b + block.size], block_tails = _fraclap_rows(
-                ctx, grid.nodes[block], exponent, (tail_omega,))
+            rows[b:b + block.size], tails[b:b + block.size] = _fraclap_rows(
+                ctx, grid.nodes[block], exponent, tail_omega)
         else:
-            rows[b:b + block.size], block_tails = _riesz_rows(
-                ctx, block, exponent, (tail_omega,))
-        tails[b:b + block.size] = block_tails[:, 0]
+            rows[b:b + block.size], tails[b:b + block.size] = _riesz_rows(
+                ctx, block, exponent, tail_omega)
     return rows, tails
-
-
-def _rows_by_loop(grid: RadialGrid, kind: str, exponent: float,
-                  tail_omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled rows at every node from the row builders: the (M, M+1)
-    coefficient matrix and the length-M tail coefficient vector."""
-    return _rows_at(grid, kind, exponent, tail_omega, range(grid.size))
 
 
 @dataclass
@@ -1209,7 +1197,7 @@ class _Operator:
 
 def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                      tail_omega: float) -> _Operator:
-    """The rows of _rows_by_loop on a geometric grid, built from one
+    """The rows of _rows_at at every node of a geometric grid, built from one
     generating row and stored by structure (see _Operator).
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
@@ -1238,11 +1226,12 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     # near-diagonal pieces of the middle row, and the cells they cover
     g = M // 2
     if fraclap:
-        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, nodes[g:g + 1], exponent, ())
+        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, nodes[g:g + 1], exponent,
+                                                     tail_omega)
         a, b = nodes[g] - w, nodes[g] + w
         d0 = max(w / nodes[g], 0.1)
     else:
-        (near,), _, (a,), (b,) = _riesz_diagonal(ctx, np.array([g]), p, ())
+        (near,), _, (a,), (b,) = _riesz_diagonal(ctx, np.array([g]), p, tail_omega)
         d0 = 0.1
     excluded = (nodes[1:] > a) & (nodes[:-1] < b)
 
@@ -1282,7 +1271,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     for b in range(lo, hi, _ROW_BLOCK):
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
         c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
-        (tail,), m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, (tail_omega,))
+        tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
         edges[b - lo:b - lo + r.size, 0] = sign * c0
         edges[b - lo:b - lo + r.size, 1] += sign * c1
         tails[b:b + r.size] = sign * tail
@@ -1335,7 +1324,8 @@ def _raw(grid: RadialGrid, kind: str, exponent: float,
         if _is_geometric(grid):
             op = _structured_rows(grid, kind, exponent, tail_omega)
         else:
-            op = _Operator.dense(*_rows_by_loop(grid, kind, exponent, tail_omega))
+            op = _Operator.dense(*_rows_at(grid, kind, exponent, tail_omega,
+                                           range(grid.size)))
         if kind == "riesz":
             op.origin = _riesz_origin(grid, exponent, tail_omega)
         return op
@@ -1367,7 +1357,7 @@ def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return err
 
 
-def frac_laplacian_radial(u, s: float, at):
+def frac_laplacian_radial(u: RadialFunction, s: float, at):
     """Pointwise principal-value fractional Laplacian of u at one radius or
     at several.
 
@@ -1376,43 +1366,25 @@ def frac_laplacian_radial(u, s: float, at):
     by cell elsewhere with u reconstructed by cubic-in-log Lagrange
     interpolation of the node values, and closed with u's origin and tail
     models on [0, r_1) and (r_max, inf).  The rows are built in batched
-    passes of _ROW_BLOCK radii.
-
-    u may also be a sequence of radial functions on one grid.  A row's
-    coefficients do not depend on the tail model, so the row at each radius
-    is built once and closed with one tail weight per function.  Every
-    value equals the one-function, one-radius call bitwise.
-
-    The rows and tail weights are memoised in `_MEMO`, keyed by the grid,
-    s, the radii and the functions' tail exponents (exact values), so a
-    later call with the same inputs, for any node values and tail
-    amplitudes (another mu of one problem, say), builds no row and returns
-    the same numbers bitwise.  They share the memo's bound with the
-    assembled operators, and the least recently used entry is evicted
-    first.
+    passes of _ROW_BLOCK radii, on each call: at the grid nodes the
+    memoised operator of frac_laplacian_on_grid serves instead.
 
     Args:
-        u: the radial function, with a valid tail model, or a sequence of
-            them on one grid.
+        u: the radial function, with a valid tail model.
         s: fractional order in (0, 1).
         at: evaluation radius in (0, r_max], or a 1-d array of them.
 
     Returns:
-        For one function, a float for a scalar `at` and an array of one
-        value per radius for an array `at`.  For a sequence of K functions,
-        an array of shape (K,) for a scalar `at` and (len(at), K) for an
+        A float for a scalar `at`, an array of one value per radius for an
         array `at`.
 
     Raises:
-        ValueError: if s or a radius is out of range, `at` is empty or has
-            more than one dimension, or a sequence u is empty or mixes grids.
+        ValueError: if s or a radius is out of range, or `at` is empty or
+            has more than one dimension.
     """
-    fs = [u] if isinstance(u, RadialFunction) else list(u)
-    if not fs or any(f.grid._token != fs[0].grid._token for f in fs):
-        raise ValueError("frac_laplacian_radial: u must be one or more functions on one grid")
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_radial: s must lie in (0, 1), got {s!r}")
-    grid = fs[0].grid
+    grid = u.grid
     radii = np.asarray(at, dtype=float)
     if radii.ndim > 1 or radii.size == 0:
         raise ValueError(
@@ -1422,28 +1394,14 @@ def frac_laplacian_radial(u, s: float, at):
         raise ValueError(
             f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
     rs = np.atleast_1d(radii)
-    omegas = tuple(f.tail_exponent for f in fs)
-
-    def build():
-        coeffs = np.empty((rs.size, grid.size + 1))
-        tails = np.empty((rs.size, len(omegas)))
-        for b in range(0, rs.size, _ROW_BLOCK):
-            coeffs[b:b + _ROW_BLOCK], tails[b:b + _ROW_BLOCK] = _fraclap_rows(
-                _context(grid), rs[b:b + _ROW_BLOCK], s, list(omegas))
-        coeffs.setflags(write=False)
-        tails.setflags(write=False)
-        return coeffs, tails
-
-    coeffs, tails = _memo(("rows", grid._token, float(s), rs.tobytes(), omegas), build)
-    vecs = np.array([np.concatenate(([f.value_at_origin], f.values)) for f in fs])
-    tail_values = np.array([f.tail_value_at_rmax for f in fs])
-    out = _fraclap_C(grid.N, s) * (_rowdot(coeffs[:, None, :], vecs)
-                                   + tails * tail_values)
-    if isinstance(u, RadialFunction):
-        out = out[:, 0]
-    if radii.ndim == 0:
-        out = out[0]
-    return float(out) if np.ndim(out) == 0 else out
+    vec = np.concatenate(([u.value_at_origin], u.values))
+    out = np.empty(rs.size)
+    for b in range(0, rs.size, _ROW_BLOCK):
+        coeffs, tails = _fraclap_rows(_context(grid), rs[b:b + _ROW_BLOCK], s,
+                                      u.tail_exponent)
+        out[b:b + _ROW_BLOCK] = _fraclap_C(grid.N, s) * (
+            _rowdot(coeffs, vec) + tails * u.tail_value_at_rmax)
+    return float(out[0]) if radii.ndim == 0 else out
 
 
 def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:

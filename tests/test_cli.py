@@ -274,6 +274,54 @@ def test_negative_origin_record_is_an_invalid_record(workdir, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def n2_record(tmp_path_factory):
+    """A stored N = 2 record (alpha = 1, r = 1.6) on a 200-node grid."""
+    out = tmp_path_factory.mktemp("n2")
+    assert main(["solve", "--set", "problem.n=2", "--set", "problem.alpha=1",
+                 "--set", "problem.r=1.6", "--set", "grid.nodes=200",
+                 "--out", str(out)]) == 0
+    return out / "solution.json"
+
+
+# An N = 2 record read on an N = 3 grid ran every check (exit 1), and an
+# N = 3 one on an N = 2 grid failed with alpha = 2 outside (0, N) (exit 3).
+@pytest.mark.parametrize("grid_n", [3, 2])
+def test_record_whose_grid_n_is_not_problem_n_is_an_invalid_record(
+        workdir, n2_record, tmp_path, capsys, grid_n):
+    record = n2_record if grid_n == 3 else workdir / "solve" / "solution.json"
+    rec = read_json(record)
+    rec["grid"]["n"] = grid_n
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"grid.n {grid_n} differs from problem.n {5 - grid_n}" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# Each of these loaded, and verify-decay on it exited 0.
+@pytest.mark.parametrize("key,value", [
+    ("iterations", 1.5), ("iterations", True), ("residual_sup", True)])
+def test_record_with_a_non_integer_or_boolean_diagnostic_exits_2(
+        workdir, tmp_path, capsys, key, value):
+    rec = read_json(workdir / "solve" / "solution.json")
+    rec["diagnostics"][key] = value
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"diagnostics.{key}" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mass_F", ["0", "-5", "Infinity", "NaN"])
 def test_record_with_bad_diagnostics_exits_2_and_writes_no_report(
         workdir, tmp_path, capsys, mass_F):
@@ -449,8 +497,6 @@ def test_unusable_analysis_setting_for_a_stored_record_exits_2(
     (["analysis.theta=5.5"], "analysis.theta"),       # N + alpha = 5
     (["analysis.kappa=-1"], "analysis.kappa"),
     (["analysis.kappa=0.01"], "analysis.kappa"),
-    # a usable fit window, but the chain-rule radius 20 lies beyond r_max
-    (["grid.r_max=15", "analysis.fit_window=0.5,1.5"], "grid.r_max"),
 ])
 def test_unusable_analysis_setting_exits_2_before_solving(
         tmp_path, capsys, monkeypatch, overrides, key):
@@ -600,9 +646,8 @@ def test_verify_report_checks(workdir):
 
 def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):
     """The chain-rule figures of verify_report.json on a stored r = 1.9
-    record (400 nodes).  Two of its radii, 0.5 and 1.0, are powers of two,
-    where the PV window must read the kernel at its exact offsets from the
-    diagonal (see radial_ops._pv_moments)."""
+    record (400 nodes), checked at every node: each entry names the node
+    where margin/scale is smallest."""
     rec = tmp_path / "rec"
     assert main(["solve", "--set", "grid.nodes=400", "--set", "problem.r=1.9",
                  "--out", str(rec)]) == 0
@@ -614,7 +659,9 @@ def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):
     # the margins come out of a full solve, so they are compared at the
     # rtol of the other frozen-solve tests, not bitwise across platforms
     assert_allclose([c["min_margin_over_scale"] for c in chain],
-                    [0.24137703137868807, 0.3758166228791552], rtol=1e-9)
+                    [0.2329265516050302, 0.36581189945435205], rtol=1e-9)
+    nodes = read_json(rec / "solution.json")["grid"]["nodes"]
+    assert all(c["worst_radius"] in nodes for c in chain)
 
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):
@@ -627,8 +674,9 @@ def test_reloaded_grid_is_assembled_by_structure(workdir):
 def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
     """Two stored records (M = 400, r = 1.7 and 1.9) and the four oracle
     cases (M = 600), then verify-decay of each record twice, in one
-    process: the pointwise rows join the memo without evicting an operator,
-    and a second verification builds no rows and writes the same bytes."""
+    process: the chain-rule operators of u^theta join the memo without
+    evicting another operator, and a second verification builds no rows
+    and writes the same bytes."""
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
     built = []
     fraclap_rows = radial_ops._fraclap_rows

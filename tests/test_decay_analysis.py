@@ -24,7 +24,7 @@ from fracradial import (
     SolverOpts,
     bound_constants,
     fit_tail,
-    frac_laplacian_radial,
+    frac_laplacian_on_grid,
     h_beta_function,
     predict_decay,
     riesz_constant,
@@ -247,134 +247,114 @@ def test_distinct_envelopes_have_no_equalizer():
 
 def test_chain_rule_on_reference_profile(grid):
     h4 = h_beta_function(grid, 4.0)
-    report = verify_chain_rule(h4, 0.3, [0.5, 1.0, 5.0, 20.0], 0.5)
+    report = verify_chain_rule(h4, 0.3, 0.5)
     assert report.passed
-    assert np.all(report.margin > 0.0)   # measured: 0.46, 0.33, 0.055, 0.009
+    assert np.all(report.margin > 0.0)   # measured: min margin/scale 0.23, at r_1
 
 
 def test_chain_rule_becomes_equality_at_theta_one(grid):
     h4 = h_beta_function(grid, 4.0)
-    report = verify_chain_rule(h4, 1.0 - 1e-9, [0.5, 1.0, 5.0, 20.0], 0.5)
+    report = verify_chain_rule(h4, 1.0 - 1e-9, 0.5)
     assert report.passed
-    # both sides coincide up to rounding (measured 3.6e-9 of scale)
+    # both sides coincide up to rounding (measured at most 6.5e-8 of scale,
+    # and 3.1e-7 at r = 1.729, next to the sign change of (-Delta)^s h_4 at
+    # sqrt(3), where both sides are 1.9e-4 against a maximum of 3)
     assert np.max(np.abs(report.margin) / report.scale) <= 1e-6
 
 
 @pytest.mark.parametrize("theta", [2.0 - 1.7, 0.3])
 def test_chain_rule_on_computed_solution(solution, theta):
-    report = verify_chain_rule(solution.u, theta, [0.5, 1.0, 5.0, 20.0], 0.5)
+    report = verify_chain_rule(solution.u, theta, 0.5)
     assert report.passed
     assert np.all(report.margin > 0.0)
 
 
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("theta", [0.3, 2.0 - 1.9])
-def test_chain_rule_shares_rows_bitwise(N, theta):
-    """Both sides come from one row per radius, closed once with u's tail
-    and once with u^theta's; each value equals the per-radius
-    frac_laplacian_radial of that function to the bit."""
+def test_chain_rule_sides_are_the_assembled_operator(N, theta):
+    """Both sides are the assembled fractional Laplacian at every node, of
+    u^theta and of u, to the bit; several exponents give the reports of
+    one exponent each."""
     g = RadialGrid.log_spaced(num=400, N=N)
     u = h_beta_function(g, 3.0)
     amp, om = u.tail
     u_pow = RadialFunction(grid=g, values=u.values ** theta,
                            tail=(amp ** theta, om * theta),
                            value_at_origin=u.value_at_origin ** theta)
-    radii = [0.5, 1.0, 5.0, 20.0]
-    lhs = np.array([frac_laplacian_radial(u_pow, 0.5, at=r) for r in radii])
-    lap_u = np.array([frac_laplacian_radial(u, 0.5, at=r) for r in radii])
-    shared = np.array([frac_laplacian_radial((u_pow, u), 0.5, at=r)
-                       for r in radii])
-    assert np.array_equal(shared, np.stack([lhs, lap_u], axis=1))
-    report = verify_chain_rule(u, theta, radii, 0.5)
-    assert np.array_equal(report.lhs, lhs)
-    u_at = np.asarray(u.evaluate(np.array(radii)), dtype=float)
-    assert np.array_equal(report.rhs, theta * u_at ** (theta - 1.0) * lap_u)
-    # several exponents share the rows too, with the same reports
-    both = verify_chain_rule(u, (0.7, theta), radii, 0.5)
+    report = verify_chain_rule(u, theta, 0.5)
+    assert np.array_equal(report.lhs, frac_laplacian_on_grid(u_pow, 0.5))
+    assert np.array_equal(report.rhs, theta * u.values ** (theta - 1.0)
+                          * frac_laplacian_on_grid(u, 0.5))
+    both = verify_chain_rule(u, (0.7, theta), 0.5)
     assert [rep.theta for rep in both] == [0.7, theta]
     for field in ("lhs", "rhs", "margin", "scale"):
         assert np.array_equal(getattr(both[1], field), getattr(report, field))
     assert both[1].passed == report.passed
-    alone = verify_chain_rule(u, 0.7, radii, 0.5)
+    alone = verify_chain_rule(u, 0.7, 0.5)
     assert np.array_equal(both[0].lhs, alone.lhs)
     assert np.array_equal(both[0].rhs, alone.rhs)
 
 
-def test_chain_rule_makes_one_pointwise_call(monkeypatch):
-    """All radii and exponents of a chain-rule check share one
-    frac_laplacian_radial call."""
-    calls = []
+def test_chain_rule_covers_every_node(monkeypatch):
+    """The check runs at all M nodes, from the assembled operator alone:
+    no pointwise row is built."""
+    def refuse(*args):
+        raise AssertionError("pointwise rows built")
 
-    def counted(u, s, at):
-        calls.append(np.size(at))
-        return frac_laplacian_radial(u, s, at)
+    monkeypatch.setattr(decay_analysis, "frac_laplacian_radial", refuse)
+    monkeypatch.setattr(radial_ops, "frac_laplacian_radial", refuse)
+    grid = RadialGrid.log_spaced(num=200)
+    reports = verify_chain_rule(h_beta_function(grid, 3.0), (0.3, 0.7), 0.5)
+    for rep in reports:
+        assert np.array_equal(rep.radii, grid.nodes)
+        for field in ("lhs", "rhs", "margin", "scale"):
+            assert getattr(rep, field).shape == (grid.size,)
 
-    monkeypatch.setattr(decay_analysis, "frac_laplacian_radial", counted)
-    u = h_beta_function(RadialGrid.log_spaced(num=200), 3.0)
-    reports = verify_chain_rule(u, (0.3, 0.7), [0.5, 1.0, 5.0, 20.0], 0.5)
-    assert calls == [4]
-    assert all(rep.lhs.shape == (4,) for rep in reports)
 
-
-def test_chain_rule_rows_are_built_once_per_grid(monkeypatch):
-    """The pointwise rows are memoised by grid, s, radii and tail exponents:
-    a second check of one solution builds none and gives the same numbers
-    bitwise, another mu keeps the tail exponents (beta depends on N, s,
-    alpha and r only) and so the rows, and another r needs new ones."""
+def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch):
+    """Both sides read the memoised operators: a first check of a solution
+    builds one per exponent theta (u's own comes from the solve), a second
+    builds none and gives the same numbers bitwise, and another mu keeps
+    the tail exponents (beta depends on N, s, alpha and r only) and so the
+    operators."""
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
     built = []
-    fraclap_rows = radial_ops._fraclap_rows
+    structured_rows = radial_ops._structured_rows
 
-    def counted(ctx, radii, *args):
-        built.append(np.size(radii))
-        return fraclap_rows(ctx, radii, *args)
+    def counted(grid, kind, *args):
+        built.append(kind)
+        return structured_rows(grid, kind, *args)
 
-    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted)
+    monkeypatch.setattr(radial_ops, "_structured_rows", counted)
     opts = SolverOpts(grid=RadialGrid.log_spaced(num=200))
-    radii = [0.5, 1.0, 5.0, 20.0]
-    thetas = (2.0 - 1.7, 0.3)
-
-    def rows_built(params):
-        """The rows one chain-rule check of a fresh solve builds."""
-        u = solve_ground_state(params, opts).u
-        built.clear()                       # the solve builds its end rows
-        verify_chain_rule(u, thetas, radii, 0.5)
-        return sum(built)
-
+    thetas = (0.3, 0.7)
     sol = solve_ground_state(make_params(1.7), opts)
     built.clear()
-    first = verify_chain_rule(sol.u, thetas, radii, 0.5)
-    assert built == [len(radii)]
-    second = verify_chain_rule(sol.u, thetas, radii, 0.5)
-    assert built == [len(radii)]
+    first = verify_chain_rule(sol.u, thetas, 0.5)
+    assert built == ["fraclap", "fraclap"]
+    built.clear()
+    second = verify_chain_rule(sol.u, thetas, 0.5)
+    assert built == []
     for a, b in zip(first, second):
         for field in ("lhs", "rhs", "margin"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert rows_built(make_params(1.7, mu=0.7)) == 0
-    assert rows_built(make_params(1.9)) == len(radii)
-
-
-def test_memoised_rows_are_read_only(monkeypatch):
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    u = h_beta_function(RadialGrid.log_spaced(num=200), 3.0)
-    frac_laplacian_radial(u, 0.5, at=[1.0, 2.0])
-    rows = [v for k, v in radial_ops._MEMO.items() if k[0] == "rows"]
-    assert len(rows) == 1
-    assert not any(a.flags.writeable for a in rows[0])
+    other_mu = solve_ground_state(make_params(1.7, mu=0.7), opts)
+    verify_chain_rule(other_mu.u, thetas, 0.5)
+    assert built == []
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.0, 1.0, 1.2])
 def test_chain_rule_theta_validation(grid, theta):
     h4 = h_beta_function(grid, 4.0)
     with pytest.raises(ValueError):
-        verify_chain_rule(h4, theta, [1.0], 0.5)
+        verify_chain_rule(h4, theta, 0.5)
 
 
 def test_chain_rule_needs_positive_function(grid):
     minus_one = RadialFunction.from_samples(grid, -np.ones(grid.nodes.size),
                                             value_at_origin=-1.0, tail_exponent=4.0)
     with pytest.raises(ValueError):
-        verify_chain_rule(minus_one, 0.3, [1.0], 0.5)
+        verify_chain_rule(minus_one, 0.3, 0.5)
 
 
 # ---------------------------------------------------------------------------
