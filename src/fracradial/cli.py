@@ -712,19 +712,30 @@ _COMMANDS = {"specfun-table": _cmd_specfun_table, "oracle": _cmd_oracle,
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, list(args.set))
-        if args.out is not None:
-            cfg["output"]["directory"] = args.out
-        if args.format is not None:
-            cfg["output"]["formats"] = (args.format,)
-        return _COMMANDS[args.command](cfg, args)
+        # a floating-point overflow, division by zero or invalid value is a
+        # numerical failure (exit 3) under any warning filter
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = load_config(args.config, list(args.set))
+            if args.out is not None:
+                cfg["output"]["directory"] = args.out
+            if args.format is not None:
+                cfg["output"]["formats"] = (args.format,)
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     # NonConvergenceError and ZeroCollapseError are RuntimeErrors; a bare
-    # ValueError after parsing comes from the numerics, not the config
-    except (RuntimeError, ValueError) as exc:
-        print("numerical failure: " + " ".join(str(exc).split()), file=sys.stderr)
+    # ValueError after parsing comes from the numerics, not the config, and
+    # an ArithmeticError is a float overflowing or dividing by zero
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        cause = " ".join(str(exc).split())
+        if isinstance(exc, ArithmeticError):
+            # the float's own message does not say where it went wrong
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            cause = f"{tb.tb_frame.f_code.co_name}: {cause}"
+        print("numerical failure: " + cause, file=sys.stderr)
         return 3
 
 

@@ -434,6 +434,10 @@ class RadialGrid:
             raise ValueError("RadialGrid.log_spaced: need 0 < r_min < r_max")
         if num < 8:
             raise ValueError("RadialGrid.log_spaced: need at least 8 nodes")
+        if N * math.log(r_max) >= math.log(np.finfo(float).max):
+            raise ValueError(
+                f"RadialGrid.log_spaced: r_max = {r_max!r} is out of range: the "
+                f"weights need r_max**{N} below {np.finfo(float).max:.3g}")
         nodes = np.geomspace(r_min, r_max, num)
         nodes[0] = r_min
         nodes[-1] = r_max
@@ -525,8 +529,9 @@ class RadialFunction:
                    value_at_origin=value_at_origin)
 
     def evaluate(self, rho) -> np.ndarray | float:
-        """Model value at any radius: origin model, log-linear interpolation
-        between nodes, power tail beyond r_max."""
+        """Model value at any radius: the quadratic origin model below r_1,
+        the cubic-in-log stencil of the operators (`_cubic_basis`, applied
+        to the values) on [r_1, r_max], and the power tail beyond r_max."""
         rho = np.asarray(rho, dtype=float)
         scalar = rho.ndim == 0
         rho = np.atleast_1d(rho)
@@ -539,7 +544,8 @@ class RadialFunction:
             x = rho[inner] / r1
             out[inner] = self.value_at_origin + (self.values[0] - self.value_at_origin) * x * x
         if mid.any():
-            out[mid] = np.interp(np.log(rho[mid]), self.grid.log_nodes, self.values)
+            base, W = _cubic_basis(self.grid.log_nodes, np.log(rho[mid]))
+            out[mid] = np.sum(W * self.values[base[:, None] + np.arange(4)], axis=1)
         if outer.any():
             amp, om = self.tail
             out[outer] = amp * rho[outer] ** (-om)

@@ -31,7 +31,6 @@ from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
     _backward_error,
-    _cubic_basis,
     _gauss,
     _origin_closure,
     _riesz_operator,
@@ -531,25 +530,10 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
 
 
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
-    """u(x/t) resampled on u's own grid through the cubic-in-log stencil
-    applied to log u."""
-    grid = u.grid
-    shifted = grid.log_nodes - math.log(t)
-    vals = np.empty(grid.size)
-    inside = (shifted >= grid.log_nodes[0]) & (shifted <= grid.log_nodes[-1])
-    base, W = _cubic_basis(grid.log_nodes, shifted[inside])
-    log_u = np.log(u.values)[base[:, None] + np.arange(4)]
-    vals[inside] = np.exp(np.sum(W * log_u, axis=1))
-    lo = shifted < grid.log_nodes[0]
-    if lo.any():
-        x = np.exp(shifted[lo]) / grid.nodes[0]
-        vals[lo] = u.value_at_origin + (u.values[0] - u.value_at_origin) * x * x
-    hi = shifted > grid.log_nodes[-1]
-    if hi.any():
-        amp, om = u.tail
-        vals[hi] = amp * np.exp(-om * shifted[hi])
+    """u(x/t) on u's own grid: `u.evaluate` at the nodes over t, so between
+    nodes u is read through the operators' cubic-in-log stencil."""
     amp, om = u.tail
-    return RadialFunction(grid=grid, values=vals,
+    return RadialFunction(grid=u.grid, values=u.evaluate(u.grid.nodes / t),
                           tail=(amp * t ** om, om),
                           value_at_origin=u.value_at_origin)
 
@@ -559,7 +543,9 @@ def dilation_derivative(sol: Solution) -> float:
 
     This is the defining property of the scaling functional: the derivative
     equals P(u).  The dilated profiles are resampled on the original grid
-    and pushed through the same energy quadratures as pohozaev_check, so the
+    by `RadialFunction.evaluate` (the operators' cubic-in-log stencil
+    between nodes, the origin model and the power tail outside them) and
+    pushed through the same energy quadratures as pohozaev_check, so the
     agreement of this number with P_val is a two-route consistency check,
     not an algebraic identity.
     """

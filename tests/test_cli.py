@@ -411,6 +411,30 @@ def test_singular_resolvent_exits_3_with_one_line(tmp_path, capsys,
     assert err == "numerical failure: lu_factor: singular resolvent matrix\n"
 
 
+@pytest.mark.parametrize("overrides, where", [
+    (("grid.r_max=1e60", "grid.nodes=400"), "_tail_remainder: overflow"),
+    (("grid.r_min=1e-300", "grid.nodes=100"), "_kernel3_arrays: overflow"),
+], ids=["r_max_1e60", "r_min_1e-300"])
+def test_float_overflow_exits_3_with_one_line(tmp_path, capsys, overrides, where):
+    # a float overflow is a numerical failure under any warning filter
+    argv = ["solve", "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--set", override]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: " + where) and err.count("\n") == 1
+
+
+def test_grid_whose_weights_overflow_exits_2(tmp_path, capsys):
+    code = main(["solve", "--out", str(tmp_path), "--set", "grid.r_max=1e200",
+                 "--set", "grid.nodes=200"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("config error: RadialGrid.log_spaced: r_max = 1e+200 is out "
+                   "of range: the weights need r_max**3 below 1.8e+308\n")
+
+
 def _run_fresh(code):
     """Run code in a fresh interpreter that imports the package from src."""
     src = Path(cli.__file__).resolve().parents[1]

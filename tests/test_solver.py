@@ -283,7 +283,30 @@ def test_rescaled_problem_is_covariant(solution):
     sel = (grid.nodes >= 1e-3) & (grid.nodes <= 200.0)
     ref = c * solution.u.evaluate(lam * grid.nodes[sel])
     dev = np.max(np.abs(s4.u.values[sel] - ref) / ref)
-    assert dev <= 1e-2   # measured 1.6e-4
+    assert dev <= 2e-5   # measured 4.4e-6
+
+
+@pytest.mark.parametrize("N, s, alpha, r, bound", [
+    (3, 0.5, 2.0, 1.7, 1e-6),    # measured 7.1e-8
+    (3, 0.5, 2.0, 1.9, 3e-6),    # measured 4.2e-7
+    (3, 0.25, 2.0, 1.8, 2e-6),   # measured 1.8e-7
+    (2, 0.5, 1.0, 1.6, 1e-6),    # measured 2.8e-8
+])
+def test_rescaled_family_is_covariant(N, s, alpha, r, bound):
+    """u_mu(x) = mu^{a/2s} u_1(mu^{1/2s} x) with a = (alpha + 2s)/(2(r - 1)),
+    at lambda = mu^{1/2s} = 2 on [r_1, r_max/(10 lambda)] of an M = 600 grid.
+
+    Reading u_1 between nodes log-linearly leaves 8.8e-5 to 2.5e-4 here."""
+    lam = 2.0
+    opts = SolverOpts(grid=RadialGrid.log_spaced(num=600, N=N))
+    u1, u_mu = (solve_ground_state(
+        ProblemParams(N=N, s=s, alpha=alpha, mu=mu,
+                      nonlinearity=NonlinearitySpec.homogeneous(r)), opts).u
+        for mu in (1.0, lam ** (2.0 * s)))
+    nodes = u1.grid.nodes
+    sel = nodes <= u1.grid.r_max / (10.0 * lam)
+    ref = lam ** ((alpha + 2.0 * s) / (2.0 * (r - 1.0))) * u1.evaluate(lam * nodes[sel])
+    assert np.max(np.abs(u_mu.values[sel] - ref) / ref) <= bound
 
 
 def test_general_kind_reproduces_homogeneous_solve(solution):
