@@ -21,7 +21,8 @@ Exit codes: 0 success, 1 at least one verification check failed,
 non-positive iterate, a singular or inaccurate linear solve, a divergent
 quadrature).  Every configuration error, an invalid stored solution record
 included, is raised as ConfigError while the inputs are parsed and checked,
-so any other ValueError escaping a command is a numerical failure too.
+so any other ValueError escaping a command is a numerical failure too; an
+output path that cannot be written is a ConfigError as well.
 """
 
 from __future__ import annotations
@@ -327,14 +328,18 @@ def _report(cfg: dict, stem: str, kind: str, fields: dict, header: list[str],
 def _write(cfg: dict, texts: dict[str, str]) -> None:
     """Write each serialized file to the output directory and print one
     wrote line per file.  Callers serialize every file first, so a report
-    that cannot be serialized leaves none of its files behind."""
-    out = Path(cfg["output"]["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        path = out / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
+    that cannot be serialized leaves none of its files behind.  An output
+    path that cannot be created or written is a ConfigError naming it."""
+    out = path = Path(cfg["output"]["directory"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            path = out / name
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            print(f"wrote {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _solution_record(sol: Solution, cfg: dict) -> dict:

@@ -36,10 +36,10 @@ diagonal, in the PV Taylor window (`_pv_windows`) and the graded diagonal
 cells (`_riesz_diagonal`), and share the grid cells, origin region and far
 tail outside it (`_add_outside`).
 
-Everything reused across calls sits in one bounded LRU memo, `_MEMO`, of
-at most `_MEMO_LIMIT` = 16 entries.  Its keys are tuples:
+Everything reused across calls sits in one LRU memo, `_MEMO`, bounded by
+the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples:
 ("ctx", grid token) for the per-grid row context (the cell quadrature
-points and their cubic stencils), ("table", N, p) for the spline
+points and their cubic stencils), ("table", N, p) for the angular
 kernel table of a dimension N != 3, (kind, grid token, exponent, tail
 exponent) for an assembled operator, kind being "fraclap" (exponent s) or
 "riesz" (exponent alpha).  The pointwise rows of `frac_laplacian_radial`
@@ -55,7 +55,7 @@ the origin.  Applying it is one correlation of the generating row with the
 middle node values plus a few small products; `fraclap_matrix` expands the
 rows for the resolvent's inverse on each call.  A hit moves its entry to
 the end and an insertion beyond the bound evicts the least recently used
-one, so operators that are in use stay assembled.  Callers pass nothing:
+ones, so operators that are in use stay assembled.  Callers pass nothing:
 the grid and the exponents alone decide what is reused.
 """
 
@@ -117,17 +117,28 @@ def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MEMO: OrderedDict = OrderedDict()
-_MEMO_LIMIT = 16
+# Bytes of array data the memo holds at most.  The read side (two M = 400
+# records with three chain-rule exponents, and the four oracle cases at
+# M = 600) keeps about 2 MB; one dense operator of a non-geometric grid
+# takes 11.5 MB at M = 1200, so both operators of such a solve fit.
+_MEMO_BYTES = 32_000_000
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays a memoised value holds as attributes."""
+    return sum(a.nbytes for a in vars(value).values() if isinstance(a, np.ndarray))
 
 
 def _memo(key: tuple, build):
-    """The memoised value for key, built by build() on a miss (LRU, bounded)."""
+    """The memoised value for key, built by build() on a miss (LRU, bounded
+    by _MEMO_BYTES; the newest entry is kept even when it alone exceeds it)."""
     value = _MEMO.get(key)
     if value is None:
         value = build()
         _MEMO[key] = value
-        if len(_MEMO) > _MEMO_LIMIT:
-            _MEMO.popitem(last=False)
+        held = sum(map(_nbytes, _MEMO.values()))
+        while held > _MEMO_BYTES and len(_MEMO) > 1:
+            held -= _nbytes(_MEMO.popitem(last=False)[1])
     else:
         _MEMO.move_to_end(key)
     return value
@@ -202,71 +213,15 @@ def _kernel_at_gap(gap, p: float, N: int):
     return float(out) if out.ndim == 0 else out
 
 
-class _CubicSpline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing with at
-    least four nodes (scipy's CubicSpline default).
-
-    The slopes at the nodes solve one tridiagonal system, by elimination
-    without pivoting and back substitution in plain floats: LAPACK's gtsv
-    (scipy's solve_banded) takes the same steps when no row swap is needed,
-    and the rows are diagonally dominant but for the two not-a-knot ones,
-    whose elimination leaves positive pivots.  Each interval keeps its
-    cubic in powers of t - x_i, evaluated by Horner.  Points beyond either
-    end take the end interval's cubic.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        n = x.size
-        # row i of the system: lower[i-1] k[i-1] + diag[i] k[i] + upper[i] k[i+1]
-        d0 = x[2] - x[0]
-        dn = x[-1] - x[-3]
-        lower = [*dx[1:].tolist(), dn]
-        diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
-        upper = [d0, *dx[:-1].tolist()]
-        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-        k = [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
-             *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
-             (dx[-1] ** 2 * slope[-2] + (2.0 * dn + dx[-1]) * dx[-2] * slope[-1]) / dn]
-        for i in range(n - 1):
-            f = lower[i] / diag[i]
-            diag[i + 1] -= f * upper[i]
-            k[i + 1] -= f * k[i]
-        k[-1] /= diag[-1]
-        for i in range(n - 2, -1, -1):
-            k[i] = (k[i] - upper[i] * k[i + 1]) / diag[i]
-        k = np.array(k)
-        t = (k[:-1] + k[1:] - 2.0 * slope) / dx
-        self._x = x
-        self._inner = x[1:-1]
-        self._c3 = t / dx
-        self._c2 = (slope - k[:-1]) / dx - t
-        self._c1 = k[:-1]
-        self._c0 = y[:-1]
-
-    def __call__(self, xq: np.ndarray) -> np.ndarray:
-        # counting the interior nodes <= xq gives the interval, clamped to
-        # the end intervals outside [x[0], x[-1]]
-        i = np.searchsorted(self._inner, xq, side="right")
-        s = self._x[i]
-        np.subtract(xq, s, out=s)
-        # Horner in place: ((c3 s + c2) s + c1) s + c0
-        out = self._c3[i]
-        for c in (self._c2, self._c1, self._c0):
-            out *= s
-            out += c[i]
-        return out
-
-
 class _KernelTable:
     """Angular kernel k_p(1, q) for one (N, p), evaluated by the gap q - 1 of
     the radius ratio: the closed form via 2F1 (`_kernel_at_gap`), tabulated
     once per (N, p).
 
-    The kernel is log-log smooth in q - 1, so a cubic spline over
-    log(q - 1) covers ratios from the deepest PV grading (1 + 1e-13) up to
-    _Q_HI.  Beyond, the multipole series
+    The kernel is log-log smooth in q - 1, so cubics in log(q - 1), each
+    interval's through its four nearest nodes (the operators' stencil,
+    `_cell_stencils`), cover ratios from the deepest PV grading (1 + 1e-13)
+    up to _Q_HI.  Beyond, the multipole series
 
         k_p(1, q) = |S^{N-1}| q^p 2F1(-p/2, (2-N-p)/2; N/2; q^(-2))
 
@@ -282,9 +237,19 @@ class _KernelTable:
     def __init__(self, N: int, p: float):
         self.N = N
         self.p = p
-        x = np.linspace(math.log(1e-13), math.log(self._Q_HI - 1.0), 2400)
-        y = _kernel_at_gap(np.exp(x), p, N)
-        self._spline = _CubicSpline(x, np.log(y))
+        x = np.linspace(math.log(1e-13), math.log(self._Q_HI - 1.0), 4800)
+        y = np.log(_kernel_at_gap(np.exp(x), p, N))
+        # each interval's cubic in powers of t - x_i, from its values at
+        # four points of the interval, fractions theta of its width
+        theta = np.arange(4) / 3.0
+        dx = np.diff(x)
+        base, W = _cell_stencils(x, x[:-1, None] + dx[:, None] * theta)
+        vals = np.einsum("iqm,im->iq", W, y[base[:, None] + np.arange(4)])
+        c = vals @ np.linalg.inv(np.vander(theta, increasing=True)).T \
+            / dx[:, None] ** np.arange(4)
+        self._x = x
+        self._inner = x[1:-1]
+        self._c0, self._c1, self._c2, self._c3 = c.T.copy()
         self._omega = sphere_surface_area(N)
 
     def eval_gap(self, gap: np.ndarray) -> np.ndarray:
@@ -299,11 +264,26 @@ class _KernelTable:
     def _eval_into(self, gap: np.ndarray, out: np.ndarray) -> None:
         near = gap < self._Q_HI - 1.0
         if near.any():
-            y = self._spline(np.log(gap[near]))
+            y = self._log_kernel(np.log(gap[near]))
             out[near] = np.exp(y, out=y)
         if not near.all():
             qq = 1.0 + gap[~near]
             out[~near] = self._omega * qq ** self.p * self._far_series(qq ** -2.0)
+
+    def _log_kernel(self, xq: np.ndarray) -> np.ndarray:
+        """log k_p(1, 1 + e^xq) from the table; points beyond either end
+        take the end interval's cubic."""
+        # counting the interior nodes <= xq gives the interval, clamped to
+        # the end intervals outside [x[0], x[-1]]
+        i = np.searchsorted(self._inner, xq, side="right")
+        s = self._x[i]
+        np.subtract(xq, s, out=s)
+        # Horner in place: ((c3 s + c2) s + c1) s + c0
+        out = self._c3[i]
+        for c in (self._c2, self._c1, self._c0):
+            out *= s
+            out += c[i]
+        return out
 
     def _far_series(self, z: np.ndarray) -> np.ndarray:
         """2F1(-p/2, (2-N-p)/2; N/2; z) for 0 < z <= 1/_Q_HI^2, by its
@@ -586,6 +566,14 @@ def _cubic_basis(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return base, _lagrange4(tb, tq[:, None])[:, 0, :]
 
 
+def _cell_stencils(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil of `_cubic_basis` for points tq (M-1, Q) inside each cell
+    of the nodes tt: the base node index (M-1,) and weights (M-1, Q, 4) over
+    nodes base .. base+3."""
+    base = np.clip(np.arange(tt.size - 1) - 1, 0, tt.size - 4)
+    return base, _lagrange4(tt[base[:, None] + np.arange(4)], tq)
+
+
 def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
                weights: np.ndarray, rows: np.ndarray) -> None:
     """Spread weights sitting at log radii tq onto the node slots of the rows
@@ -610,7 +598,6 @@ class _RowContext:
         self.grid = grid
         tt = grid.log_nodes
         self.tt = tt
-        M = tt.size
         x4, w4 = _gauss(4)
         mid = 0.5 * (tt[1:] + tt[:-1])
         half = 0.5 * (tt[1:] - tt[:-1])
@@ -618,10 +605,8 @@ class _RowContext:
         rho = np.exp(tq)
         self.cell_rho = rho                                # (M-1, 4)
         self.cell_w = w4[None, :] * half[:, None] * rho ** (grid.N)
-        base = np.clip(np.arange(M - 1) - 1, 0, M - 4)
-        self.cell_base = base                              # (M-1,)
-        tb = tt[base[:, None] + np.arange(4)[None, :]]
-        self.cell_cubw = _lagrange4(tb, tq)                # (M-1, 4, 4)
+        # (M-1,) and (M-1, 4, 4)
+        self.cell_base, self.cell_cubw = _cell_stencils(tt, tq)
 
 
 def _context(grid: RadialGrid) -> _RowContext:

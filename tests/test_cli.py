@@ -170,6 +170,17 @@ def test_oracle_case_needs_three_fields(tmp_path, capsys, case):
     assert not (tmp_path / "oracle_report.json").exists()
 
 
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    # its parent is a regular file: mkdir raised NotADirectoryError (exit 1)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["oracle", "--case", "3,0.5,2.0", "--set", "grid.nodes=200",
+                 "--out", str(blocker / "sub")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: cannot write {blocker / 'sub'}: Not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 
@@ -730,11 +741,48 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
             reports.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert built == []
         assert reports[0] == reports[1]
-    assert len(radial_ops._MEMO) <= radial_ops._MEMO_LIMIT
     assert all(key in radial_ops._MEMO for key in operators)
     # both operators are kept by their generating rows: 1.5 MB measured,
     # where one dense fractional Laplacian at M = 600 alone takes 2.9 MB
     assert memo_bytes() <= 3e6
+
+
+def test_read_side_with_more_operators_builds_none_on_a_second_pass(
+        workdir, tmp_path, monkeypatch):
+    """verify-decay of the r = 1.7 and 1.9 records (M = 400) with four
+    chain-rule exponents, interleaved with the four oracle cases (M = 600),
+    reads 20 memo entries (2.3 MB).  A memo of 16 entries rebuilt 16
+    operators on every pass of this traffic; the byte bound keeps them all,
+    so a second pass builds none."""
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    # rows built: the radii passed to _fraclap_rows, the nodes to _riesz_rows
+    calls = {"fraclap": 0, "riesz": 0}
+    fraclap_rows, riesz_rows = radial_ops._fraclap_rows, radial_ops._riesz_rows
+
+    def counted_fraclap(ctx, radii, *args):
+        calls["fraclap"] += np.size(radii)
+        return fraclap_rows(ctx, radii, *args)
+
+    def counted_riesz(ctx, which, *args):
+        calls["riesz"] += np.size(which)
+        return riesz_rows(ctx, which, *args)
+
+    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
+    monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
+    assert main(["solve", "--set", "problem.r=1.9", "--set", "grid.nodes=400",
+                 "--out", str(tmp_path / "solve1.9")]) == 0
+    records = [workdir / "solve" / "solution.json",
+               tmp_path / "solve1.9" / "solution.json"]
+    cases = ["3,0.5,2.0", "3,0.5,3.5", "2,0.5,2.5", "3,0.25,3.0"]
+    for _ in range(2):
+        calls.update(fraclap=0, riesz=0)
+        for record, case in zip(records * 2, cases):
+            assert main(["verify-decay", "--solution", str(record), "--set",
+                         "analysis.chain_rule_theta=0.3,0.2,0.1,0.05",
+                         "--out", str(tmp_path / "verify")]) == 0
+            assert main(["oracle", "--case", case, "--set", "grid.nodes=600",
+                         "--out", str(tmp_path / "oracle")]) == 0
+    assert calls == {"fraclap": 0, "riesz": 0}
 
 
 def memo_bytes():

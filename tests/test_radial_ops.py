@@ -8,6 +8,7 @@ have their own frozen-reference tests.
 
 import math
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def test_kernel_table_at_deep_gaps(N, p, expected):
 
 # From gap 49 on, the table sums the multipole series q^p 2F1(-p/2,
 # (2-N-p)/2; N/2; q^-2) to round-off.  Measured against the closed form:
-# 5.6e-16 on gaps [49, 1e8], and a step of at most 2.4e-15 across the seam
-# with the spline.  The two-term expansion it replaced was 3.1e-10 off at
-# gap 49 for (N, p) = (2, -3).
+# 5.6e-16 on gaps [49, 1e8], and a step of at most 2.5e-14 across the seam
+# with the table's cubics.  The two-term expansion it replaced was 3.1e-10
+# off at gap 49 for (N, p) = (2, -3).
 @pytest.mark.parametrize("N,p", [(2, -3.0), (2, 1.0), (4, -3.0), (5, -2.5)])
 def test_kernel_table_far_branch_and_seam(N, p):
     table = radial_ops._kernel_table(N, p)
@@ -206,22 +207,16 @@ def test_closed_form_kernel_matches_dimension_three():
                         rtol=1e-13)
 
 
-# The kernel table's nodes (uniform in log gap), a geometric grid's log
-# nodes, and scattered nodes; queries at the ends, beyond them and between.
-@pytest.mark.parametrize("x", [
-    np.linspace(math.log(1e-13), math.log(49.0), 2400),
-    np.log(np.geomspace(1e-3, 1e3, 600)),
-    np.sort(np.random.default_rng(7).uniform(-2.0, 3.0, 9)),
-    np.array([0.0, 0.1, 0.5, 2.0]),
-], ids=["table", "geometric", "scattered", "four-nodes"])
-def test_cubic_spline_matches_scipy_not_a_knot(x):
-    from scipy.interpolate import CubicSpline
-
-    y = np.cos(0.7 * x) + np.sin(2.0 * x)
-    inside = np.random.default_rng(3).uniform(x[0], x[-1], 2000)
-    xq = np.concatenate([x, inside, [x[0] - 0.2, x[-1] + 0.2]])
-    got = radial_ops._CubicSpline(x, y)(xq)
-    assert np.max(np.abs(got - CubicSpline(x, y)(xq))) <= 1e-13
+# The table's cubics against the closed form over the whole tabulated range
+# (measured 2.7e-12 at (2, -0.5) to 2.1e-11 at (4, -5); the not-a-knot
+# spline on 2400 nodes it replaced reached 8.0e-11 at (4, -5)).
+@pytest.mark.parametrize("N,p", [(2, -3.0), (2, -0.5), (2, 1.0), (4, -5.0),
+                                 (4, -1.0), (5, -2.5)])
+def test_kernel_table_matches_closed_form(N, p):
+    rng = np.random.default_rng(11)
+    gap = np.exp(rng.uniform(math.log(1e-13), math.log(48.9), 20_000))
+    got = radial_ops._kernel_table(N, p).eval_gap(gap)
+    assert_allclose(got, radial_ops._kernel_at_gap(gap, p, N), rtol=3e-11)
 
 
 def test_lu_solve_matches_scipy_to_round_off(grid):
@@ -676,12 +671,17 @@ def test_inverse_rejects_bad_arguments(grid):
 # ----------------------------------------------------------------------------
 
 def test_memo_is_bounded_lru(monkeypatch):
+    # entries of 800 bytes of arrays under a bound of 16 of them
+    limit = 16
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    limit = radial_ops._MEMO_LIMIT
+    monkeypatch.setattr(radial_ops, "_MEMO_BYTES", limit * 800)
     built = []
 
-    def put(key):
-        return radial_ops._memo(key, lambda: built.append(key) or key)
+    def put(key, size=100):
+        def build():
+            built.append(key)
+            return SimpleNamespace(a=np.zeros(size))
+        return radial_ops._memo(key, build)
 
     for i in range(limit):
         put(("test", i))
@@ -692,6 +692,9 @@ def test_memo_is_bounded_lru(monkeypatch):
     assert len(radial_ops._MEMO) == limit
     assert ("test", 0) in radial_ops._MEMO
     assert ("test", 1) not in radial_ops._MEMO
+    # an entry alone above the bound evicts every other and is kept
+    put(("test", "big"), size=2 * limit * 100)
+    assert list(radial_ops._MEMO) == [("test", "big")]
 
 
 # ----------------------------------------------------------------------------
