@@ -26,8 +26,6 @@ from fracradial.decay_analysis import (
 from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
-    angular_kernel,
-    apply_inverse_operator,
     frac_laplacian_on_grid,
     frac_laplacian_radial,
     fraclap_matrix,
@@ -78,8 +76,6 @@ __all__ = [
     "Solution",
     "SolverOpts",
     "ZeroCollapseError",
-    "angular_kernel",
-    "apply_inverse_operator",
     "bound_constants",
     "dilation_derivative",
     "check_analysis",

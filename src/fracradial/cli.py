@@ -22,7 +22,8 @@ non-positive iterate, a singular or inaccurate linear solve, a divergent
 quadrature).  Every configuration error, an invalid stored solution record
 included, is raised as ConfigError while the inputs are parsed and checked,
 so any other ValueError escaping a command is a numerical failure too; an
-output path that cannot be written is a ConfigError as well.
+output path that cannot be written is a ConfigError as well, and one whose
+directory cannot be made is found before the command computes anything.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import argparse
 import configparser
 import contextlib
 import csv
+import errno
 import functools
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -342,6 +345,21 @@ def _write(cfg: dict, texts: dict[str, str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_output_directory(out: Path) -> None:
+    """A ConfigError, before any computation, for an output directory that
+    _write could not create: the nearest existing path on its way must be
+    a directory that can be written to.  Nothing is created here, so a
+    command that fails leaves no directory behind."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        cause = errno.ENOTDIR
+    elif not os.access(existing, os.W_OK | os.X_OK):
+        cause = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {out}: {os.strerror(cause)}")
+
+
 def _solution_record(sol: Solution, cfg: dict) -> dict:
     """The fields of the solution record of sol (see _json_text)."""
     pred = predict_decay(sol.params)
@@ -378,14 +396,17 @@ _KEPT_DIAGNOSTICS = ("residual_sup", "pohozaev_defect", "iterations", "norm_r",
 
 
 def load_solution(path: str) -> Solution:
-    """Rebuild a Solution from a record written by the solve command.
+    """Rebuild a Solution from a record written by the solve command.  The
+    grid is rebuilt from grid.n, grid.r_max and the first node and count
+    of grid.nodes; the stored nodes and weights must equal its own.
 
     Raises:
         ConfigError: an unreadable or malformed file, or an invalid record:
-            a missing field, a grid.n other than problem.n, a profile that
-            is not positive and non-increasing, a kept diagnostic that is not
-            a finite number (or, for iterations, not an integer), or a
-            mass_F that is not positive.
+            a missing field, a grid.n other than problem.n, grid nodes or
+            weights that differ in any bit from those of the rebuilt grid,
+            a profile that is not positive and non-increasing, a kept
+            diagnostic that is not a finite number (or, for iterations,
+            not an integer), or a mass_F that is not positive.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -404,11 +425,19 @@ def load_solution(path: str) -> Solution:
     try:
         params = _problem_params(rec["problem"])
         gr = rec["grid"]
-        grid = RadialGrid(nodes=np.asarray(gr["nodes"], dtype=float),
-                          weights=np.asarray(gr["weights"], dtype=float),
-                          r_max=gr["r_max"], N=gr["n"])
+        nodes = np.asarray(gr["nodes"], dtype=float)
+        if nodes.ndim != 1 or nodes.size == 0:
+            raise ValueError("grid.nodes is not a nonempty list of numbers")
+        grid = RadialGrid(r_min=float(nodes[0]), r_max=gr["r_max"],
+                          size=nodes.size, N=gr["n"])
         if grid.N != params.N:
             raise ValueError(f"grid.n {gr['n']!r} differs from problem.n {params.N!r}")
+        for key in ("nodes", "weights"):
+            if not np.array_equal(np.asarray(gr[key], dtype=float),
+                                  getattr(grid, key)):
+                raise ValueError(
+                    f"grid.{key} are not those of the geometric grid of "
+                    f"{grid.size} nodes on [{grid.r_min!r}, {grid.r_max!r}]")
         prof = rec["profile"]
         u = RadialFunction(grid=grid,
                            values=np.asarray(prof["values"], dtype=float),
@@ -725,6 +754,7 @@ def main(argv=None) -> int:
                 cfg["output"]["directory"] = args.out
             if args.format is not None:
                 cfg["output"]["formats"] = (args.format,)
+            _check_output_directory(Path(cfg["output"]["directory"]))
             return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

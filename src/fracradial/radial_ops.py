@@ -8,7 +8,8 @@ both ends.  On top of that representation this module provides
 * the principal-value fractional Laplacian (pointwise and as an assembled
   matrix),
 * the Riesz-potential convolution I_alpha * g,
-* the resolvent ((-Delta)^s + mu)^(-1).
+* the resolvent ((-Delta)^s + mu)^(-1), as the inverse of the assembled
+  matrix plus mu (`lu_factor`, `lu_solve`).
 
 The N-dimensional integrals are reduced to one dimension through the
 angular kernel k_p(r, rho) = int_{S^{N-1}} |r e1 - rho w|^p dsigma(w),
@@ -18,40 +19,39 @@ closed form via 2F1, tabulated once per (N, p).  All quadrature decisions
 local window, analytic far-tail remainders) live here and are shared by
 every operator.
 
-The assembled operators take one of two paths, chosen by the grid alone.
-On a geometric grid (log radii in arithmetic progression to within 64 ulp,
-as `RadialGrid.log_spaced` builds them and `load_solution` rebuilds them)
-both kernels are homogeneous, so a row divided by r^(-2s) (fractional
+Every grid is geometric (log radii in arithmetic progression, as
+`RadialGrid` builds them from its end radii and node count), so both
+kernels are homogeneous on it: a row divided by r^(-2s) (fractional
 Laplacian) or r^alpha (Riesz) is the next row shifted by one node.  The
-interior is then the shifts of one generating row (Mellin-convolution
-structure, as in FFTLog), and only the pieces that break the shift are
-computed per row, vectorised: the end columns, the origin and far-tail
-closures and the fractional Laplacian's diagonal mass.  The first and last
-`_END_ROWS` rows, and every row of any other grid (or of one with fewer
-than 4 `_END_ROWS` nodes), come from one batched row builder per kernel,
-`_ROW_BLOCK` rows a call, which computes every piece of a row for a whole
-block of radii at once: `_fraclap_rows`, which `frac_laplacian_radial`
-also calls at any radii, and `_riesz_rows`.  They differ only near the
-diagonal, in the PV Taylor window (`_pv_windows`) and the graded diagonal
-cells (`_riesz_diagonal`), and share the grid cells, origin region and far
-tail outside it (`_add_outside`).
+assembled operators are therefore built one way.  The interior is the
+shifts of one generating row (Mellin-convolution structure, as in FFTLog),
+and only the pieces that break the shift are computed per row, vectorised:
+the end columns, the origin and far-tail closures and the fractional
+Laplacian's diagonal mass.  The first and last `_END_ROWS` rows come from
+one batched row builder per kernel, which computes every piece of a row
+for a whole block of radii at once: `_fraclap_rows`, which
+`frac_laplacian_radial` also calls at any radii, and `_riesz_rows`.  They
+differ only near the diagonal, in the PV Taylor window (`_pv_windows`) and
+the graded diagonal cells (`_riesz_diagonal`), and share the grid cells,
+origin region and far tail outside it (`_add_outside`).
 
 Everything reused across calls sits in one LRU memo, `_MEMO`, bounded by
-the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples:
-("ctx", grid token) for the per-grid row context (the cell quadrature
-points and their cubic stencils), ("table", N, p) for the angular
-kernel table of a dimension N != 3, (kind, grid token, exponent, tail
-exponent) for an assembled operator, kind being "fraclap" (exponent s) or
-"riesz" (exponent alpha).  The pointwise rows of `frac_laplacian_radial`
-are built on each call and not kept: the checks at the grid nodes read the
-assembled operators instead.
-An operator entry is an `_Operator`, one form for both kernels.  On a
-geometric grid it keeps the structure in O(M) floats: the generating row,
-the row scales r_i^(-2s) or r_i^alpha, dense corrections for what breaks
-the shift (the end rows; slot 0 and the `_END_COLUMNS` node columns at
-each end of the other rows; the fractional Laplacian's diagonal mass), the
-tail coefficients, and for the Riesz operator the weights of the value at
-the origin.  Applying it is one correlation of the generating row with the
+the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples, a grid
+entering by its token (N, M, r_min, r_max): ("ctx", grid token) for the
+per-grid row context (the cell quadrature points and their cubic
+stencils), ("table", N, p) for the angular kernel table of a dimension
+N != 3, (kind, grid token, exponent, tail exponent) for an assembled
+operator, kind being "fraclap" (exponent s) or "riesz" (exponent alpha).
+The pointwise rows of `frac_laplacian_radial` are built on each call and
+not kept: the checks at the grid nodes read the assembled operators
+instead.
+An operator entry is an `_Operator`, one form for both kernels.  It keeps
+the structure in O(M) floats: the generating row, the row scales
+r_i^(-2s) or r_i^alpha, dense corrections for what breaks the shift (the
+end rows; slot 0 and the `_END_COLUMNS` node columns at each end of the
+other rows; the fractional Laplacian's diagonal mass), the tail
+coefficients, and for the Riesz operator the weights of the value at the
+origin.  Applying it is one correlation of the generating row with the
 middle node values plus a few small products; `fraclap_matrix` expands the
 rows for the resolvent's inverse on each call.  A hit moves its entry to
 the end and an insertion beyond the bound evicts the least recently used
@@ -74,13 +74,11 @@ __all__ = [
     "RadialGrid",
     "RadialFunction",
     "sphere_surface_area",
-    "angular_kernel",
     "h_beta_function",
     "frac_laplacian_radial",
     "frac_laplacian_on_grid",
     "fraclap_matrix",
     "riesz_convolve_radial",
-    "apply_inverse_operator",
     "lu_factor",
     "lu_solve",
     "volume_integral",
@@ -119,8 +117,7 @@ def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 _MEMO: OrderedDict = OrderedDict()
 # Bytes of array data the memo holds at most.  The read side (two M = 400
 # records with three chain-rule exponents, and the four oracle cases at
-# M = 600) keeps about 2 MB; one dense operator of a non-geometric grid
-# takes 11.5 MB at M = 1200, so both operators of such a solve fit.
+# M = 600) keeps about 2 MB, and an operator holds O(M) floats.
 _MEMO_BYTES = 32_000_000
 
 
@@ -231,8 +228,10 @@ class _KernelTable:
     """
 
     _Q_HI = 50.0
-    # points per evaluation pass, which bounds the temporaries of a call
+    # points per evaluation pass, and intervals per pass of the build, which
+    # bound the temporaries of a call
     _SLICE = 4096
+    _BUILD_BLOCK = 512
 
     def __init__(self, N: int, p: float):
         self.N = N
@@ -243,8 +242,12 @@ class _KernelTable:
         # four points of the interval, fractions theta of its width
         theta = np.arange(4) / 3.0
         dx = np.diff(x)
-        base, W = _cell_stencils(x, x[:-1, None] + dx[:, None] * theta)
-        vals = np.einsum("iqm,im->iq", W, y[base[:, None] + np.arange(4)])
+        vals = np.empty((dx.size, 4))
+        for lo in range(0, dx.size, self._BUILD_BLOCK):
+            cells = slice(lo, lo + self._BUILD_BLOCK)
+            base, W = _cell_stencils(x, x[:-1][cells, None] + dx[cells, None] * theta,
+                                     cells)
+            vals[cells] = np.einsum("iqm,im->iq", W, y[base[:, None] + np.arange(4)])
         c = vals @ np.linalg.inv(np.vander(theta, increasing=True)).T \
             / dx[:, None] ** np.arange(4)
         self._x = x
@@ -315,110 +318,44 @@ def _kernel_eval(N: int, p: float, r: float, rho: np.ndarray,
     return m ** p * _kernel_table(N, p).eval_gap(dist / m)
 
 
-def angular_kernel(r: float, rho: float, p: float, N: int) -> float:
-    """Surface integral of |r e1 - rho w|^p over the unit sphere S^{N-1}.
-
-    Symmetric in (r, rho) exactly, by canonicalization.  At coincident radii
-    the integrand is singular for p < 0 and the call is rejected; the PV
-    machinery that needs values arbitrarily close to the diagonal never
-    lands on it.
-
-    Args:
-        r, rho: nonnegative radii.
-        p: kernel exponent.
-        N: dimension, N >= 2.
-
-    Returns:
-        The kernel value, always positive.
-
-    Raises:
-        ValueError: for invalid dimension, negative radii, or the singular
-            coincident case.
-    """
-    if int(N) != N or N < 2:
-        raise ValueError(f"angular_kernel: N must be an integer >= 2, got {N!r}")
-    if r < 0.0 or rho < 0.0:
-        raise ValueError("angular_kernel: radii must be nonnegative")
-    lo, hi = (r, rho) if r <= rho else (rho, r)
-    if hi == 0.0:
-        if p > 0.0:
-            return 0.0
-        if p == 0.0:
-            return sphere_surface_area(N)
-        raise ValueError("angular_kernel: singular at r = rho = 0 with p < 0")
-    if lo == hi and p < 0.0:
-        raise ValueError(f"angular_kernel: singular at r = rho = {r} for p = {p} < 0")
-    if lo == 0.0:
-        return sphere_surface_area(N) * hi ** p
-    if N == 3:
-        return float(_kernel3_arrays(lo, hi, p, hi - lo))
-    return lo ** p * _kernel_at_gap((hi - lo) / lo, p, N)
-
-
 # ----------------------------------------------------------------------------
 # Grid and function representation
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Radial collocation grid with quadrature weights for r^{N-1} dr.
+    """Geometric radial grid: `size` nodes from r_min to r_max in geometric
+    progression, with quadrature weights for r^{N-1} dr.
 
-    The weights integrate piecewise-linear-in-log-r data exactly against
-    the measure r^{N-1} dr over [r_1, r_M]; contributions from [0, r_1) and
-    (r_M, inf) are handled by the origin and tail models of RadialFunction,
-    not by the weights.
+    The four fields define the grid; the nodes, weights and log nodes are
+    derived from them, and the memo keys on them.  The weights integrate
+    piecewise-linear-in-log-r data exactly against the measure r^{N-1} dr
+    over [r_1, r_M]; contributions from [0, r_1) and (r_M, inf) are handled
+    by the origin and tail models of RadialFunction, not by the weights.
+    A grid has at least 4 `_END_ROWS` nodes, so that the assembled
+    operators have interior rows clear of both ends.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    r_min: float
     r_max: float
+    size: int
     N: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 8:
-            raise ValueError("RadialGrid: need a 1-d array of at least 8 nodes")
-        if not np.all(np.isfinite(nodes)) or nodes[0] <= 0.0:
-            raise ValueError("RadialGrid: nodes must be finite with r_1 > 0")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("RadialGrid: nodes must be strictly increasing")
-        if weights.shape != nodes.shape or not np.all(weights >= 0.0):
-            raise ValueError("RadialGrid: weights must be nonnegative, one per node")
-        if int(self.N) != self.N or self.N < 2:
-            raise ValueError(f"RadialGrid: N must be an integer >= 2, got {self.N!r}")
-        if abs(self.r_max - nodes[-1]) > 1e-12 * nodes[-1]:
-            raise ValueError("RadialGrid: r_max must equal the last node")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "r_max", float(nodes[-1]))
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "_log_nodes", np.log(nodes))
-        object.__setattr__(self, "_token",
-                           (self.N, nodes.size, float(nodes[0]), float(nodes[-1]),
-                            hash(nodes.tobytes())))
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    @property
-    def log_nodes(self) -> np.ndarray:
-        return self._log_nodes
-
-    @classmethod
-    def log_spaced(cls, r_min: float = 1e-3, r_max: float = 1e3,
-                   num: int = 1200, N: int = 3) -> "RadialGrid":
-        """Geometric grid on [r_min, r_max] with exact pw-linear-in-log weights."""
+        r_min, r_max, M, N = self.r_min, self.r_max, self.size, self.N
+        if int(N) != N or N < 2:
+            raise ValueError(f"RadialGrid: N must be an integer >= 2, got {N!r}")
         if not (0.0 < r_min < r_max):
-            raise ValueError("RadialGrid.log_spaced: need 0 < r_min < r_max")
-        if num < 8:
-            raise ValueError("RadialGrid.log_spaced: need at least 8 nodes")
+            raise ValueError("RadialGrid: need 0 < r_min < r_max")
+        if int(M) != M or M < 4 * _END_ROWS:
+            raise ValueError(
+                f"RadialGrid: need at least {4 * _END_ROWS} nodes, got {M!r}")
         if N * math.log(r_max) >= math.log(np.finfo(float).max):
             raise ValueError(
-                f"RadialGrid.log_spaced: r_max = {r_max!r} is out of range: the "
+                f"RadialGrid: r_max = {r_max!r} is out of range: the "
                 f"weights need r_max**{N} below {np.finfo(float).max:.3g}")
-        nodes = np.geomspace(r_min, r_max, num)
+        M, N = int(M), int(N)
+        nodes = np.geomspace(r_min, r_max, M)
         nodes[0] = r_min
         nodes[-1] = r_max
         # hat-function integrals of e^{N t} dt per cell
@@ -427,10 +364,23 @@ class RadialGrid:
         dt = np.diff(np.log(nodes))
         rising = b / N - (b - a) / (N * N * dt)
         falling = (b - a) / N - rising
-        weights = np.zeros(num)
+        weights = np.zeros(M)
         weights[:-1] += falling
         weights[1:] += rising
-        return cls(nodes=nodes, weights=weights, r_max=r_max, N=N)
+        for name, value in (("r_min", float(r_min)), ("r_max", float(r_max)),
+                            ("size", M), ("N", N), ("nodes", nodes),
+                            ("weights", weights), ("log_nodes", np.log(nodes))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def _token(self) -> tuple:
+        return (self.N, self.size, self.r_min, self.r_max)
+
+    @classmethod
+    def log_spaced(cls, r_min: float = 1e-3, r_max: float = 1e3,
+                   num: int = 1200, N: int = 3) -> "RadialGrid":
+        """The grid of num nodes on [r_min, r_max]."""
+        return cls(r_min=r_min, r_max=r_max, size=num, N=N)
 
 
 def _origin_closure(grid: RadialGrid) -> tuple[float, float]:
@@ -566,11 +516,12 @@ def _cubic_basis(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return base, _lagrange4(tb, tq[:, None])[:, 0, :]
 
 
-def _cell_stencils(tt: np.ndarray, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stencil of `_cubic_basis` for points tq (M-1, Q) inside each cell
-    of the nodes tt: the base node index (M-1,) and weights (M-1, Q, 4) over
-    nodes base .. base+3."""
-    base = np.clip(np.arange(tt.size - 1) - 1, 0, tt.size - 4)
+def _cell_stencils(tt: np.ndarray, tq: np.ndarray,
+                   cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil of `_cubic_basis` for points tq (C, Q) inside the cells
+    `cells` of the nodes tt (by default all M-1): the base node index (C,)
+    and weights (C, Q, 4) over nodes base .. base+3."""
+    base = np.clip(np.arange(tt.size - 1) - 1, 0, tt.size - 4)[cells]
     return base, _lagrange4(tt[base[:, None] + np.arange(4)], tq)
 
 
@@ -1070,28 +1021,16 @@ def _fraclap_C(N: int, s: float) -> float:
         / (math.pi ** (N / 2.0) * abs(math.gamma(-s)))
 
 
-# Rows built by the row builders at each end of a geometric grid, and node
-# columns at each end that the clipped stencils of the end cells reach.
-# Rows in between keep their Taylor window, partial cells and graded
-# diagonal cells (offsets -4..4) clear of those columns and of both ends.
-# The closures of those rows are integrated _ROW_BLOCK rows at a time, and
-# the row builders take the rows of other grids _ROW_BLOCK radii a call,
-# which keeps each of their (block, 4, M-1) temporaries near a megabyte.
+# Rows built by the row builders at each end of a grid, and node columns
+# at each end that the clipped stencils of the end cells reach.  Rows in
+# between keep their Taylor window, partial cells and graded diagonal cells
+# (offsets -4..4) clear of those columns and of both ends.  The closures
+# of those rows are integrated _ROW_BLOCK rows at a time, and the row
+# builders take _ROW_BLOCK radii a call, which keeps each of their
+# (block, 4, M-1) temporaries near a megabyte.
 _END_ROWS = 8
 _END_COLUMNS = 4
 _ROW_BLOCK = 64
-
-
-def _is_geometric(grid: RadialGrid) -> bool:
-    """True when the log radii form an arithmetic progression to within 64
-    ulp and the grid has room for rows away from both ends."""
-    tt = grid.log_nodes
-    M = tt.size
-    if M < 4 * _END_ROWS:
-        return False
-    h = (tt[-1] - tt[0]) / (M - 1)
-    dev = float(np.max(np.abs(tt - (tt[0] + h * np.arange(M)))))
-    return dev <= 64.0 * np.finfo(float).eps * max(abs(tt[0]), abs(tt[-1]), 1.0)
 
 
 def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
@@ -1121,15 +1060,14 @@ class _Operator:
     Row i maps x = (u(0), u_1, ..., u_M, A r_max^(-omega)) to the operator
     value at node i before its constant factor: slot 0 takes the origin
     value, slots 1..M the node values, and tails[i] the tail model value.
-    On a geometric grid the interior rows i = lo..hi-1 are, at the node
-    columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
+    The interior rows i = lo..hi-1 are, at the node columns E..M-1-E
+    (E = _END_COLUMNS), shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E+1) holds their slot 0 and their first and last E node
     columns, and `mass` (K,), when there is one, what their diagonal adds
     to the shift: the fractional Laplacian's kernel mass.  The Riesz
     diagonal shifts like the rest of its rows, so that operator has none.
-    `ends` holds every other row densely: rows 0..lo-1, then hi..M-1.  Any
-    other grid has no interior (lo = hi = 0) and all M rows in `ends`.  A
+    `ends` holds every other row densely: rows 0..lo-1, then hi..M-1.  A
     Riesz operator also holds `origin`, the weights of I_alpha * u(0) over
     x.
     """
@@ -1144,13 +1082,6 @@ class _Operator:
     mass: np.ndarray | None = None
     origin: np.ndarray | None = None
 
-    @classmethod
-    def dense(cls, rows: np.ndarray, tails: np.ndarray) -> "_Operator":
-        """An operator with every row held densely."""
-        empty = np.empty(0)
-        return cls(ends=rows, tails=tails, lo=0, hi=0, gen=empty, scale=empty,
-                   edges=np.empty((0, 2 * _END_COLUMNS + 1)))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Unscaled operator values at the nodes for x laid out as above;
         the interior is one correlation of gen with the middle node values."""
@@ -1159,13 +1090,12 @@ class _Operator:
         out = self.tails * x[-1]
         out[:lo] += self.ends[:lo] @ vec
         out[hi:] += self.ends[lo:] @ vec
-        if hi > lo:
-            corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
-            inner = self.scale * corr \
-                + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:]))
-            if self.mass is not None:
-                inner += self.mass * u[lo:hi]
-            out[lo:hi] += inner
+        corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
+        inner = self.scale * corr \
+            + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:]))
+        if self.mass is not None:
+            inner += self.mass * u[lo:hi]
+        out[lo:hi] += inner
         return out
 
     def rows(self) -> np.ndarray:
@@ -1175,20 +1105,19 @@ class _Operator:
         rows = np.empty((M, M + 1))
         rows[:lo] = self.ends[:lo]
         rows[hi:] = self.ends[lo:]
-        if hi > lo:
-            shifts = np.lib.stride_tricks.sliding_window_view(self.gen, M - 2 * E)
-            np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
-            rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
-            rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
-            if self.mass is not None:
-                inner = np.arange(lo, hi)
-                rows[inner, 1 + inner] += self.mass
+        shifts = np.lib.stride_tricks.sliding_window_view(self.gen, M - 2 * E)
+        np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
+        rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
+        rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
+        if self.mass is not None:
+            inner = np.arange(lo, hi)
+            rows[inner, 1 + inner] += self.mass
         return rows
 
 
 def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                      tail_omega: float) -> _Operator:
-    """The rows of _rows_at at every node of a geometric grid, built from one
+    """The rows of _rows_at at every node of the grid, built from one
     generating row and stored by structure (see _Operator).
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
@@ -1307,16 +1236,11 @@ def _riesz_origin(grid: RadialGrid, alpha: float, tail_omega: float) -> np.ndarr
 
 def _raw(grid: RadialGrid, kind: str, exponent: float,
          tail_omega: float) -> _Operator:
-    """Unscaled rows of one operator at every node, memoised as an
-    _Operator.  kind is "fraclap" (exponent s) or "riesz" (exponent alpha).
-    A geometric grid is assembled from one generating row and keeps that
-    structure, any other grid is assembled and held row by row."""
+    """Unscaled rows of one operator at every node, assembled from one
+    generating row and memoised as an _Operator.  kind is "fraclap"
+    (exponent s) or "riesz" (exponent alpha)."""
     def build():
-        if _is_geometric(grid):
-            op = _structured_rows(grid, kind, exponent, tail_omega)
-        else:
-            op = _Operator.dense(*_rows_at(grid, kind, exponent, tail_omega,
-                                           range(grid.size)))
+        op = _structured_rows(grid, kind, exponent, tail_omega)
         if kind == "riesz":
             op.origin = _riesz_origin(grid, exponent, tail_omega)
         return op
@@ -1474,36 +1398,6 @@ def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     its operands: the solver also passes a float32 copy of inv with a
     float32 b, for its corrections between float64 anchors."""
     return inv @ b
-
-
-def apply_inverse_operator(rhs: RadialFunction, s: float,
-                           mu: float) -> RadialFunction:
-    """Solve ((-Delta)^s + mu) w = rhs on the grid of rhs.
-
-    The discrete fractional Laplacian is assembled with w's tail exponent
-    taken as min(tail exponent of rhs, N + 2s), which is the exponent of the
-    true resolvent image for right-hand sides in that decay class.  The
-    linear solve is checked to 1e-10 relative residual.
-
-    Raises:
-        ValueError: mu <= 0.
-        RuntimeError: singular or numerically unreliable operator matrix.
-    """
-    if not (mu > 0.0):
-        raise ValueError(f"apply_inverse_operator: mu must be positive, got {mu!r}")
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"apply_inverse_operator: s must lie in (0, 1), got {s!r}")
-    grid = rhs.grid
-    om_w = min(rhs.tail_exponent, grid.N + 2.0 * s)
-
-    A = fraclap_matrix(grid, s, om_w)
-    A[np.diag_indices_from(A)] += mu
-    b = rhs.values
-    inv = lu_factor(A)
-    wv = lu_solve(inv, b)
-    wv += lu_solve(inv, b - A @ wv)  # one step of iterative refinement
-    _backward_error(A, wv, b)
-    return RadialFunction.from_samples(grid, wv, tail_exponent=om_w)
 
 
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:

@@ -13,9 +13,11 @@ A = kappa^{-1/(2r-2)}.  The operator matrix closes the far field with the
 predicted decay exponent min{(N-alpha)/(2-r), N+2s}, which holds for every
 nonlinearity inside its declared envelope (NonlinearitySpec checks it).
 
-Energy and scaling diagnostics (the functional I, the scaling functional P,
-and the dilation derivative of I, which must reproduce P) are computed from
-the same discrete operators and reported with every solution.
+Energy and scaling diagnostics are computed from the same discrete
+operators: every solution reports the relative defect of the scaling
+identity P(u) = 0 (pohozaev_defect); pohozaev_check gives the functional I,
+P and that defect, and dilation_derivative the derivative of
+t -> I(u(./t)) at t = 1, which must reproduce P.
 """
 
 from __future__ import annotations
@@ -329,8 +331,7 @@ def solve_ground_state(params: ProblemParams,
     max|b - b0|, which the contracting Picard map damps and the next
     anchor resets, so a solve stops on the same iteration as in float64.
     Every iterate must stay strictly positive.  The first (anchor)
-    resolvent solve is checked to 1e-10 backward error, as in
-    apply_inverse_operator.
+    resolvent solve is checked to 1e-10 backward error.
 
     Raises:
         NonConvergenceError: a non-finite iterate (for instance from an f or

@@ -181,6 +181,26 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert err == f"config error: cannot write {blocker / 'sub'}: Not a directory\n"
 
 
+def test_unusable_output_directory_exits_2_before_computing(tmp_path, capsys,
+                                                            monkeypatch):
+    # the oracle printed its PASS line and a solve ran to the end before
+    # the output directory was found unusable
+    def no_solve(*args):
+        raise AssertionError("solve_ground_state ran")
+
+    monkeypatch.setattr(cli, "solve_ground_state", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["solve"], ["verify-decay"],
+                 ["oracle", "--case", "3,0.5,2.0", "--set", "grid.nodes=200"]):
+        code = main(argv + ["--out", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == \
+            f"config error: cannot write {blocker / 'sub'}: Not a directory\n"
+        assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 
@@ -351,6 +371,29 @@ def test_record_with_bad_diagnostics_exits_2_and_writes_no_report(
     assert not out.exists()
 
 
+# A record's grid is rebuilt from its first node, r_max, node count and n;
+# stored nodes or weights one bit off it loaded and were assembled row by
+# row.  A first node one bit up rebuilds a grid of the same nodes but other
+# weights.
+@pytest.mark.parametrize("key,index,refused", [
+    ("nodes", 70, "nodes"), ("nodes", 399, "nodes"), ("nodes", 0, "weights"),
+    ("weights", 200, "weights")])
+def test_record_whose_grid_is_not_the_rebuilt_one_exits_2(
+        workdir, tmp_path, capsys, key, index, refused):
+    rec = read_json(workdir / "solve" / "solution.json")
+    rec["grid"][key][index] = float(np.nextafter(rec["grid"][key][index], np.inf))
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"grid.{refused} are not those of the geometric grid of 400 nodes" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_non_finite_report_number_exits_3_and_writes_no_file(
         workdir, tmp_path, capsys, monkeypatch):
     def nan_exponent(*args, **kwargs):
@@ -390,8 +433,10 @@ def test_nonconvergence_exits_3(tmp_path):
 
 
 def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
-    # 16 nodes are too coarse: the first iterate loses positivity
-    code = main(["solve", "--out", str(tmp_path), "--set", "grid.nodes=16"])
+    # 32 nodes over twelve decades are too coarse (as 16 over six were):
+    # the first iterate loses positivity
+    code = main(["solve", "--out", str(tmp_path), "--set", "grid.nodes=32",
+                 "--set", "grid.r_min=1e-6", "--set", "grid.r_max=1e6"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
@@ -442,8 +487,23 @@ def test_grid_whose_weights_overflow_exits_2(tmp_path, capsys):
                  "--set", "grid.nodes=200"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == ("config error: RadialGrid.log_spaced: r_max = 1e+200 is out "
+    assert err == ("config error: RadialGrid: r_max = 1e+200 is out "
                    "of range: the weights need r_max**3 below 1.8e+308\n")
+
+
+def test_grid_of_fewer_than_32_nodes_exits_2(tmp_path, capsys, monkeypatch):
+    # 16 nodes ran the solve, whose first iterate lost positivity (exit 3)
+    def no_solve(*args):
+        raise AssertionError("solve_ground_state ran")
+
+    monkeypatch.setattr(cli, "solve_ground_state", no_solve)
+    for command in ("solve", "oracle"):
+        code = main([command, "--out", str(tmp_path / "out"),
+                     "--set", "grid.nodes=16"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "config error: RadialGrid: need at least 32 nodes, got 16\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _run_fresh(code):
@@ -700,10 +760,14 @@ def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):
 
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):
-    """A grid rebuilt from solution.json is geometric to the bit, so its
-    operators take the structured assembly."""
+    """A grid rebuilt from solution.json is the solve's grid: equal fields,
+    so the same memo token and the same structured operators."""
     sol = load_solution(str(workdir / "solve" / "solution.json"))
-    assert radial_ops._is_geometric(sol.u.grid)
+    grid = radial_ops.RadialGrid.log_spaced(num=400)
+    assert sol.u.grid == grid and sol.u.grid._token == grid._token
+    op = radial_ops._raw(sol.u.grid, "fraclap", 0.5, sol.u.tail_exponent)
+    assert op is radial_ops._raw(grid, "fraclap", 0.5, sol.u.tail_exponent)
+    assert op.hi > op.lo
 
 
 def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):

@@ -18,12 +18,12 @@ import fracradial.radial_ops as radial_ops
 from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
-    angular_kernel,
-    apply_inverse_operator,
     frac_laplacian_on_grid,
     frac_laplacian_radial,
     fraclap_matrix,
     h_beta_function,
+    lu_factor,
+    lu_solve,
     riesz_convolve_radial,
     sphere_surface_area,
     volume_integral,
@@ -58,6 +58,12 @@ def test_sphere_surface_area():
         sphere_surface_area(0)
 
 
+def kernel(N, p, r, rho):
+    """The angular kernel k_p(r, rho) as the operators read it, at the offset
+    |rho - r| (_kernel_eval: the closed form for N = 3, the table else)."""
+    return float(radial_ops._kernel_eval(N, p, r, np.array(rho), abs(rho - r)))
+
+
 # mpmath mp.dps = 30, direct quadrature of int_{S^{N-1}} |r e1 - rho w|^p.
 ANGULAR_KERNEL_CASES = [
     (1.0, 2.0, -3.0, 2, 1.484988135617251),
@@ -69,12 +75,12 @@ ANGULAR_KERNEL_CASES = [
 
 @pytest.mark.parametrize("r,rho,p,N,expected", ANGULAR_KERNEL_CASES)
 def test_angular_kernel_reference_values(r, rho, p, N, expected):
-    assert_allclose(angular_kernel(r, rho, p, N), expected, rtol=1e-9)
+    assert_allclose(kernel(N, p, r, rho), expected, rtol=1e-9)
 
 
 def test_angular_kernel_closed_form_dimension_three():
     # p = -1: 2 pi / (r rho) * ((r+rho) - |r-rho|) = 4 pi min / (r rho)
-    assert_allclose(angular_kernel(1.0, 2.0, -1.0, 3), 2.0 * math.pi, rtol=1e-14)
+    assert_allclose(kernel(3, -1.0, 1.0, 2.0), 2.0 * math.pi, rtol=1e-14)
 
 
 @pytest.mark.parametrize("r,rho,p,N", [
@@ -83,32 +89,25 @@ def test_angular_kernel_closed_form_dimension_three():
     (2.0, 11.0, -6.2, 2),
 ])
 def test_angular_kernel_symmetric(r, rho, p, N):
-    assert_allclose(angular_kernel(r, rho, p, N),
-                    angular_kernel(rho, r, p, N), rtol=1e-12)
+    assert_allclose(kernel(N, p, r, rho), kernel(N, p, rho, r), rtol=1e-12)
 
 
-def test_angular_kernel_center_values():
-    """With one point at the origin the integrand is constant on the sphere."""
-    assert_allclose(angular_kernel(0.0, 2.0, -3.0, 3),
-                    sphere_surface_area(3) * 2.0 ** -3.0, rtol=1e-14)
-    assert angular_kernel(0.0, 0.0, 1.5, 3) == 0.0
-    assert_allclose(angular_kernel(0.0, 0.0, 0.0, 4),
-                    sphere_surface_area(4), rtol=1e-15)
-
-
-def test_angular_kernel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        angular_kernel(1.0, 1.0, -3.0, 3)  # coincident radii, singular p
-    with pytest.raises(ValueError):
-        angular_kernel(0.0, 0.0, -1.0, 3)
-    with pytest.raises(ValueError):
-        angular_kernel(-1.0, 2.0, -3.0, 3)
-    with pytest.raises(ValueError):
-        angular_kernel(1.0, 2.0, -3.0, 1)
+def test_angular_kernel_near_the_origin():
+    """With one point near the origin the integrand is nearly constant on
+    the sphere (to (r/rho)^2 = 2.5e-13 here), as in the origin region's
+    panels, and for p = 0 it is 1.  Measured: 8.2e-11 for N = 3, where the
+    closed form's two powers cancel, 9.3e-14 for N = 4 (the table's
+    multipole branch, at the gap 2e6), and 3.3e-15 at p = 0."""
+    for N in (3, 4):
+        assert_allclose(kernel(N, -3.0, 1e-6, 2.0),
+                        sphere_surface_area(N) * 2.0 ** -3.0, rtol=1e-9)
+    assert_allclose(kernel(4, 0.0, 1.0, 2.0), sphere_surface_area(4), rtol=1e-12)
 
 
 # p >= 0, coincident radii included (Gauss's sum); mpmath mp.dps = 30, the
-# same direct quadrature of the polar integral.
+# same direct quadrature of the polar integral.  Checked on the closed form
+# that the N != 3 table tabulates, lo^p k_p(1, hi / lo), since the table
+# starts at the gap 1e-13.
 ANGULAR_KERNEL_NONNEGATIVE_CASES = [
     (1.0, 2.0, 0.5, 2, 9.029959566053718),
     (0.7, 1.3, 3.0, 4, 67.79229593556829),
@@ -120,7 +119,9 @@ ANGULAR_KERNEL_NONNEGATIVE_CASES = [
 
 @pytest.mark.parametrize("r,rho,p,N,expected", ANGULAR_KERNEL_NONNEGATIVE_CASES)
 def test_angular_kernel_nonnegative_exponents(r, rho, p, N, expected):
-    assert_allclose(angular_kernel(r, rho, p, N), expected, rtol=1e-13)
+    lo, hi = min(r, rho), max(r, rho)
+    assert_allclose(lo ** p * radial_ops._kernel_at_gap((hi - lo) / lo, p, N),
+                    expected, rtol=1e-13)
 
 
 # k_p(1, 1 + gap) at gaps 1e-13, 1e-11 and 1e-9, the deepest PV grading:
@@ -177,6 +178,26 @@ def test_kernel_table_temporaries_do_not_grow_with_the_points():
     # any shape and layout gives the same values as the flat call
     block = gap[:99_000].reshape(330, 300)
     assert np.array_equal(table.eval_gap(block.T), want[:99_000].reshape(330, 300).T)
+
+
+def test_kernel_table_is_built_a_block_of_intervals_at_a_time(monkeypatch):
+    # the stencils of all 4799 intervals at once peaked at 5.1 MB for a
+    # 0.23 MB table; _BUILD_BLOCK = 512 intervals at a time peak at 1.12 MB
+    # (measured, N = 2, p = -3), where the 4800 closed-form values set it
+    import tracemalloc
+
+    radial_ops._KernelTable(2, -3.0)    # Gauss rules and the like
+    tracemalloc.start()
+    try:
+        table = radial_ops._KernelTable(2, -3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6
+    monkeypatch.setattr(radial_ops._KernelTable, "_BUILD_BLOCK", 4800)
+    one_shot = radial_ops._KernelTable(2, -3.0)
+    for c in ("_c0", "_c1", "_c2", "_c3"):
+        assert np.array_equal(getattr(table, c), getattr(one_shot, c))
 
 
 def test_pointwise_rows_are_built_a_block_of_radii_at_a_time():
@@ -267,23 +288,36 @@ def test_grid_weights_integrate_log_linear_data_exactly():
 
 
 def test_grid_validation():
-    nodes = np.geomspace(1e-3, 1e3, 32)
-    w = np.ones(32)
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=nodes[:4], weights=w[:4], r_max=float(nodes[3]), N=3)
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=nodes[::-1], weights=w, r_max=1e-3, N=3)
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=np.concatenate(([0.0], nodes[1:])), weights=w,
-                   r_max=1e3, N=3)
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=nodes, weights=-w, r_max=1e3, N=3)
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=nodes, weights=w, r_max=500.0, N=3)
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=nodes, weights=w, r_max=1e3, N=1)
+    for r_min, r_max, size, N in [
+            (1e-3, 1e3, 31, 3),          # fewer than 4 _END_ROWS nodes
+            (1e-3, 1e3, 32.5, 3),        # a fractional node count
+            (0.0, 1e3, 32, 3),           # r_min must be positive
+            (2.0, 1.0, 32, 3),           # r_min < r_max
+            (1e-3, math.nan, 32, 3),
+            (1e-3, 1e3, 32, 1),          # N >= 2
+            (1e-3, 1e3, 32, 2.5),
+            (1e-3, 1e200, 32, 3),        # r_max**N overflows the weights
+    ]:
+        with pytest.raises(ValueError, match="RadialGrid: "):
+            RadialGrid(r_min=r_min, r_max=r_max, size=size, N=N)
+    with pytest.raises(ValueError, match="need at least 32 nodes, got 16"):
+        RadialGrid.log_spaced(num=16)
     with pytest.raises(ValueError):
         RadialGrid.log_spaced(r_min=2.0, r_max=1.0)
+
+
+def test_grid_is_its_four_fields():
+    """The grid is (r_min, r_max, size, N): a grid built again from them is
+    equal, hashes alike and shares the memo token, and log_spaced builds
+    the same one."""
+    g = RadialGrid(r_min=1e-3, r_max=1e3, size=400, N=2)
+    again = RadialGrid.log_spaced(r_min=g.nodes[0], r_max=g.r_max, num=g.size, N=2)
+    assert g == again and hash(g) == hash(again)
+    assert g._token == again._token == (2, 400, 1e-3, 1e3)
+    assert np.array_equal(g.nodes, again.nodes)
+    assert np.array_equal(g.weights, again.weights)
+    assert g.nodes[0] == g.r_min and g.nodes[-1] == g.r_max
+    assert g != RadialGrid.log_spaced(num=400, N=3)
 
 
 def test_from_samples_origin_default(grid):
@@ -431,31 +465,27 @@ def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
     assert_allclose(got, want, rtol=1e-6)
 
 
-def batch_grid(N, nudged):
-    """A geometric grid of 150 nodes, or the same grid with node 70 nudged
-    off the progression."""
-    grid = RadialGrid.log_spaced(num=150, N=N)
-    if nudged:
-        nodes = grid.nodes.copy()
-        nodes[70] *= 1.0 + 1e-9
-        grid = RadialGrid(nodes=nodes, weights=grid.weights, r_max=grid.r_max, N=N)
-        assert not radial_ops._is_geometric(grid)
-    return grid
+def batch_grid(N, coarse):
+    """A grid of 150 nodes, or the coarsest one on the same range: 32 nodes,
+    whose PV windows are capped at half the radius (1.5 cells are 0.67 in
+    log radius)."""
+    return RadialGrid.log_spaced(num=32 if coarse else 150, N=N)
 
 
 # The rows at all radii are built together; no piece lets one row's
 # rounding depend on the rows beside it (the far-tail panels are summed in
 # groups of equal panel count, the dot products one row at a time), so a
 # row built in a batch is the row built alone, to the bit.
-@pytest.mark.parametrize("nudged", [False, True])
+@pytest.mark.parametrize("coarse", [False, True])
 @pytest.mark.parametrize("N", [2, 3])
-def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, nudged):
-    grid = batch_grid(N, nudged)
+def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
+    grid = batch_grid(N, coarse)
     nodes = grid.nodes
+    k = [i * grid.size // 150 for i in (40, 70, 75)]
     radii = np.array([
         0.5 * nodes[0], 0.99 * nodes[0],              # below r_1
-        math.sqrt(nodes[40] * nodes[41]), 1.0, 2.0, 5.0, 10.0,  # between nodes
-        nodes[0], nodes[70], nodes[75],               # on nodes
+        math.sqrt(nodes[k[0]] * nodes[k[0] + 1]), 1.0, 2.0, 5.0, 10.0,  # between nodes
+        nodes[0], nodes[k[1]], nodes[k[2]],           # on nodes
         0.999 * nodes[-1], nodes[-1],                 # at the last node
     ])
     ctx = radial_ops._context(grid)
@@ -594,12 +624,12 @@ def test_riesz_matches_closed_form_under_refinement(N, alpha, beta, max_err):
 
 # As for the fractional Laplacian: the first and last nodes, whose rows lack
 # a diagonal cell and grade into the tail, next to interior ones.
-@pytest.mark.parametrize("nudged", [False, True])
+@pytest.mark.parametrize("coarse", [False, True])
 @pytest.mark.parametrize("N", [2, 3])
-def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, nudged):
-    grid = batch_grid(N, nudged)
+def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, coarse):
+    grid = batch_grid(N, coarse)
     M = grid.size
-    which = np.array([0, 1, 7, 70, M - 2, M - 1])
+    which = np.array([0, 1, 7, 70 * M // 150, M - 2, M - 1])
     ctx = radial_ops._context(grid)
     for alpha, omega in ((0.5, N + 0.7), (N - 1.0, 2.5)):
         rows, tails = radial_ops._riesz_rows(ctx, which, alpha, omega)
@@ -622,22 +652,28 @@ def test_riesz_rejects_divergent_input(grid):
 # resolvent
 # ----------------------------------------------------------------------------
 
+def resolvent_solve(grid, s, mu, b, omega):
+    """((-Delta)^s + mu)^(-1) b at the nodes by the solver's path: the
+    assembled matrix closed with the tail exponent min(omega, N + 2s) of
+    the resolvent image, plus mu, through lu_factor and lu_solve."""
+    A = fraclap_matrix(grid, s, min(omega, grid.N + 2.0 * s))
+    A[np.diag_indices_from(A)] += mu
+    return lu_solve(lu_factor(A), b)
+
+
 def test_inverse_round_trip(grid):
     u = h_beta_function(grid, 2.0)
     mu = 0.7
     b_vals = frac_laplacian_on_grid(u, 0.5) + mu * u.values
     # with the exact tail model the round trip is tight on the whole grid
-    rhs = RadialFunction.from_samples(grid, b_vals, tail_exponent=2.0)
-    w = apply_inverse_operator(rhs, 0.5, mu)
-    assert np.max(np.abs(w.values / u.values - 1.0)) < 1e-8
+    w = resolvent_solve(grid, 0.5, mu, b_vals, 2.0)
+    assert np.max(np.abs(w / u.values - 1.0)) < 1e-8
     # a slightly wrong tail exponent perturbs only the outer boundary
     # closure; 2.0000605626671963 is what a least-squares fit of log b over
     # the last decade of radii gives
-    w2 = apply_inverse_operator(
-        RadialFunction.from_samples(grid, b_vals, tail_exponent=2.0000605626671963),
-        0.5, mu)
+    w2 = resolvent_solve(grid, 0.5, mu, b_vals, 2.0000605626671963)
     sel = interior(grid)
-    assert np.max(np.abs(w2.values[sel] / u.values[sel] - 1.0)) < 1e-8
+    assert np.max(np.abs(w2[sel] / u.values[sel] - 1.0)) < 1e-8
 
 
 def test_inverse_recovers_closed_form_solution(grid):
@@ -645,25 +681,16 @@ def test_inverse_recovers_closed_form_solution(grid):
     with the right-hand side built purely from closed forms."""
     mu = 1.0
     b_vals = 2.0 * h_beta_eval(grid.nodes, 4.0) + mu * h_beta_eval(grid.nodes, 2.0)
-    rhs = RadialFunction.from_samples(grid, b_vals, tail_exponent=2.0)
-    w = apply_inverse_operator(rhs, 0.5, mu)
+    w = resolvent_solve(grid, 0.5, mu, b_vals, 2.0)
     sel = interior(grid)
     want = h_beta_eval(grid.nodes[sel], 2.0)
-    assert np.max(np.abs(w.values[sel] / want - 1.0)) < 1e-6
+    assert np.max(np.abs(w[sel] / want - 1.0)) < 1e-6
 
 
 def test_inverse_large_mu_limit(grid):
     rhs = h_beta_function(grid, 4.0)
-    w = apply_inverse_operator(rhs, 0.5, 1e6)
-    assert np.max(np.abs(1e6 * w.values / rhs.values - 1.0)) < 1e-3
-
-
-def test_inverse_rejects_bad_arguments(grid):
-    rhs = h_beta_function(grid, 4.0)
-    with pytest.raises(ValueError):
-        apply_inverse_operator(rhs, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        apply_inverse_operator(rhs, 1.5, 1.0)
+    w = resolvent_solve(grid, 0.5, 1e6, rhs.values, 4.0)
+    assert np.max(np.abs(1e6 * w / rhs.values - 1.0)) < 1e-3
 
 
 # ----------------------------------------------------------------------------
@@ -757,21 +784,6 @@ def test_structured_assembly_matches_row_loop(kind, N):
 ])
 def test_structured_assembly_matches_row_loop_generic_kernel(kind, N, exponent, omega):
     assert_structured_matches_loop(kind, N, exponent, omega)
-
-
-def test_nudged_grid_is_assembled_row_by_row():
-    base = RadialGrid.log_spaced(num=150)
-    nodes = base.nodes.copy()
-    nodes[70] *= 1.0 + 1e-9
-    grid = RadialGrid(nodes=nodes, weights=base.weights, r_max=base.r_max, N=3)
-    assert radial_ops._is_geometric(base)
-    assert not radial_ops._is_geometric(grid)
-    for kind in ("fraclap", "riesz"):
-        exponent, omega = operator_args(kind, 3)
-        rows, tails = densify(radial_ops._raw(grid, kind, exponent, omega))
-        ref, ref_tails = radial_ops._rows_at(grid, kind, exponent, omega,
-                                             range(grid.size))
-        assert np.array_equal(rows, ref) and np.array_equal(tails, ref_tails)
 
 
 def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
