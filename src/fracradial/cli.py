@@ -72,7 +72,10 @@ from fracradial.specfun import (
     h_beta_eval,
 )
 
+# the envelope version of every report, and of the solution record (2: its
+# grid is stored as its four numbers and its profile as its node values)
 SCHEMA_VERSION = 1
+SOLUTION_SCHEMA_VERSION = 2
 
 # quadrature-vs-closed-form comparisons run by the oracle command:
 # (N, s, beta) triples with a hypergeometric reference, all expected to agree
@@ -288,10 +291,10 @@ def _tolist(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(kind: str, fields: dict) -> str:
+def _json_text(kind: str, fields: dict, version: int = SCHEMA_VERSION) -> str:
     """A record or report as strict JSON: schema_version and kind, then the
-    fields.  Every report envelope is built here."""
-    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+    fields.  Every envelope is built here."""
+    payload = {"schema_version": version, "kind": kind, **fields}
     return json.dumps(payload, indent=2, allow_nan=False, default=_tolist) + "\n"
 
 
@@ -361,22 +364,19 @@ def _check_output_directory(out: Path) -> None:
 
 
 def _solution_record(sol: Solution, cfg: dict) -> dict:
-    """The fields of the solution record of sol (see _json_text)."""
+    """The fields of the solution record of sol (see _json_text): only what
+    defines the solution.  The grid is its four numbers and the profile its
+    node values and tail exponent; load_solution derives the nodes, the
+    weights, the origin value and the tail amplitude from them, as the
+    solve did."""
     pred = predict_decay(sol.params)
     u = sol.u
     return {
         "problem": _problem_dict(sol.params),
         "solver": dict(cfg["solver"]),
-        "grid": {
-            "n": u.grid.N, "r_max": u.grid.r_max,
-            "nodes": u.grid.nodes, "weights": u.grid.weights,
-        },
-        "profile": {
-            "values": u.values,
-            "value_at_origin": u.value_at_origin,
-            "tail_amplitude": u.tail_amplitude,
-            "tail_exponent": u.tail_exponent,
-        },
+        "grid": {"n": u.grid.N, "r_min": u.grid.r_min, "r_max": u.grid.r_max,
+                 "size": u.grid.size},
+        "profile": {"values": u.values, "tail_exponent": u.tail_exponent},
         "diagnostics": {
             "iterations": sol.iterations,
             "residual_sup": sol.residual_sup,
@@ -397,16 +397,20 @@ _KEPT_DIAGNOSTICS = ("residual_sup", "pohozaev_defect", "iterations", "norm_r",
 
 def load_solution(path: str) -> Solution:
     """Rebuild a Solution from a record written by the solve command.  The
-    grid is rebuilt from grid.n, grid.r_max and the first node and count
-    of grid.nodes; the stored nodes and weights must equal its own.
+    grid is RadialGrid(r_min, r_max, size, n) of the record's grid fields,
+    and the profile is RadialFunction.from_samples of its values and tail
+    exponent: the closures of the solve, so the origin value and the tail
+    amplitude come back bitwise.
 
     Raises:
-        ConfigError: an unreadable or malformed file, or an invalid record:
-            a missing field, a grid.n other than problem.n, grid nodes or
-            weights that differ in any bit from those of the rebuilt grid,
-            a profile that is not positive and non-increasing, a kept
-            diagnostic that is not a finite number (or, for iterations,
-            not an integer), or a mass_F that is not positive.
+        ConfigError: an unreadable or malformed file, a record of another
+            schema version (a version-1 record, which stored the nodes and
+            weights, is refused with the advice to re-run solve), or an
+            invalid record: a missing field, grid fields that RadialGrid
+            refuses, a grid.n other than problem.n, a profile that is not
+            positive and non-increasing, a kept diagnostic that is not a
+            finite number (or, for iterations, not an integer), or a mass_F
+            that is not positive.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -418,31 +422,24 @@ def load_solution(path: str) -> Solution:
     if not isinstance(rec, dict):
         raise ConfigError(f"invalid solution record {path!r}: its top-level "
                           "JSON value is not an object")
-    if rec.get("kind") != "fracradial.solution" \
-            or rec.get("schema_version") != SCHEMA_VERSION:
+    if rec.get("kind") != "fracradial.solution":
+        raise ConfigError(f"{path!r} is not a schema-version-"
+                          f"{SOLUTION_SCHEMA_VERSION} solution record")
+    if rec.get("schema_version") != SOLUTION_SCHEMA_VERSION:
         raise ConfigError(
-            f"{path!r} is not a schema-version-{SCHEMA_VERSION} solution record")
+            f"{path!r} is a solution record of schema version "
+            f"{rec.get('schema_version')!r}, not {SOLUTION_SCHEMA_VERSION}: "
+            "re-run solve to write one")
     try:
         params = _problem_params(rec["problem"])
         gr = rec["grid"]
-        nodes = np.asarray(gr["nodes"], dtype=float)
-        if nodes.ndim != 1 or nodes.size == 0:
-            raise ValueError("grid.nodes is not a nonempty list of numbers")
-        grid = RadialGrid(r_min=float(nodes[0]), r_max=gr["r_max"],
-                          size=nodes.size, N=gr["n"])
+        grid = RadialGrid(r_min=gr["r_min"], r_max=gr["r_max"],
+                          size=gr["size"], N=gr["n"])
         if grid.N != params.N:
             raise ValueError(f"grid.n {gr['n']!r} differs from problem.n {params.N!r}")
-        for key in ("nodes", "weights"):
-            if not np.array_equal(np.asarray(gr[key], dtype=float),
-                                  getattr(grid, key)):
-                raise ValueError(
-                    f"grid.{key} are not those of the geometric grid of "
-                    f"{grid.size} nodes on [{grid.r_min!r}, {grid.r_max!r}]")
         prof = rec["profile"]
-        u = RadialFunction(grid=grid,
-                           values=np.asarray(prof["values"], dtype=float),
-                           tail=(prof["tail_amplitude"], prof["tail_exponent"]),
-                           value_at_origin=prof["value_at_origin"])
+        u = RadialFunction.from_samples(grid, prof["values"],
+                                        tail_exponent=prof["tail_exponent"])
         diag = {k: rec["diagnostics"][k] for k in _KEPT_DIAGNOSTICS}
         for key, value in diag.items():
             # json.load reads NaN and Infinity, and true and false as bools
@@ -457,7 +454,7 @@ def load_solution(path: str) -> Solution:
             raise ValueError(
                 f"diagnostics.mass_F must be positive, got {diag['mass_F']!r}")
         return Solution(u=u, params=params, **diag)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc
 
 
@@ -554,7 +551,8 @@ def _cmd_solve(cfg: dict, args) -> int:
     beta = d["predicted_beta"]
     rows = [[r, u, u * r ** beta]
             for r, u in zip(sol.u.grid.nodes.tolist(), sol.u.values.tolist())]
-    _write(cfg, {"solution.json": _json_text("fracradial.solution", record),
+    _write(cfg, {"solution.json": _json_text("fracradial.solution", record,
+                                             SOLUTION_SCHEMA_VERSION),
                  **_report(cfg, "profile", "fracradial.profile_table",
                            {"scaling_exponent": beta},
                            ["radius", "u", "u_scaled"], rows)})

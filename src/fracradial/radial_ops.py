@@ -174,39 +174,24 @@ def _kernel3_arrays(r, rho, p: float, dist):
 
 
 def _kernel_at_gap(gap, p: float, N: int):
-    """Angular kernel k_p(1, 1 + gap) for gap >= 0, in closed form.
+    """Angular kernel k_p(1, 1 + gap) for gap > 0 and p < 0, in closed form.
 
     By Pfaff's transformation of the polar integral,
 
         k_p(1, q) = |S^{N-1}| (q-1)^p 2F1(-p/2, (N-1)/2; N-1; -4q/(q-1)^2).
 
     The argument is formed from the gap itself, since 1 + gap keeps only
-    about eps/gap of it.  For p < 0 the larger of -p/2 and (N-1)/2 goes
-    first, so a - b >= 0 as hyp2f1 requires; for p >= 0 Euler's transform
-    2F1(a, b; c; x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) makes every
-    parameter positive, and (1 - x) = ((gap+2)/gap)^2.  Coincident radii
-    (gap 0, p >= 0 only) take Gauss's sum at x -> -inf.
+    about eps/gap of it.  The larger of -p/2 and (N-1)/2 goes first, so
+    a - b >= 0 as hyp2f1 requires.  Every operator kernel has p < 0:
+    -(N+2s) for the fractional Laplacian, alpha - N for the Riesz potential.
 
     gap is a scalar, which gives a float, or an ndarray, which gives an
     array from one hyp2f1 call; each value equals the scalar call's.
     """
-    omega = sphere_surface_area(N)
-    h = 0.5 * (N - 1)
     gap = np.asarray(gap, dtype=float)
-    out = np.empty(gap.shape)
-    touch = gap == 0.0
-    if touch.any():
-        out[touch] = omega * 2.0 ** p * math.gamma(N - 1.0) * math.gamma(h + 0.5 * p) \
-            / (math.gamma(N - 1.0 + 0.5 * p) * math.gamma(h))
-    g = gap[~touch]
-    x = -4.0 * (1.0 + g) / (g * g)
-    if p < 0.0:
-        a = -0.5 * p
-        out[~touch] = omega * g ** p * hyp2f1(max(a, h), min(a, h), N - 1.0, x)
-    else:
-        ratio = (g + 2.0) / g
-        out[~touch] = omega * (g + 2.0) ** p * ratio ** (N - 1) \
-            * hyp2f1(N - 1.0 + 0.5 * p, h, N - 1.0, x)
+    a, h = -0.5 * p, 0.5 * (N - 1)
+    out = sphere_surface_area(N) * gap ** p \
+        * hyp2f1(max(a, h), min(a, h), N - 1.0, -4.0 * (1.0 + gap) / (gap * gap))
     return float(out) if out.ndim == 0 else out
 
 
@@ -427,10 +412,6 @@ class RadialFunction:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail", (amp, om))
         object.__setattr__(self, "value_at_origin", u0)
-
-    @property
-    def tail_amplitude(self) -> float:
-        return self.tail[0]
 
     @property
     def tail_exponent(self) -> float:

@@ -281,27 +281,12 @@ def test_zero_profile_record_is_an_invalid_record(workdir, tmp_path, capsys):
     rec = read_json(workdir / "solve" / "solution.json")
     prof = rec["profile"]
     prof["values"] = [0.0] * len(prof["values"])
-    prof["value_at_origin"] = prof["tail_amplitude"] = 0.0
     bad = tmp_path / "solution.json"
     bad.write_text(json.dumps(rec))
     assert main(["verify-decay", "--solution", str(bad),
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid solution record ")
-    assert err.count("\n") == 1
-
-
-def test_negative_origin_record_is_an_invalid_record(workdir, tmp_path,
-                                                     capsys):
-    rec = read_json(workdir / "solve" / "solution.json")
-    rec["profile"]["value_at_origin"] = -1.0
-    bad = tmp_path / "solution.json"
-    bad.write_text(json.dumps(rec))
-    assert main(["verify-decay", "--solution", str(bad),
-                 "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: invalid solution record ")
-    assert err.endswith("Solution: profile must be strictly positive\n")
     assert err.count("\n") == 1
 
 
@@ -371,17 +356,44 @@ def test_record_with_bad_diagnostics_exits_2_and_writes_no_report(
     assert not out.exists()
 
 
-# A record's grid is rebuilt from its first node, r_max, node count and n;
-# stored nodes or weights one bit off it loaded and were assembled row by
-# row.  A first node one bit up rebuilds a grid of the same nodes but other
-# weights.
-@pytest.mark.parametrize("key,index,refused", [
-    ("nodes", 70, "nodes"), ("nodes", 399, "nodes"), ("nodes", 0, "weights"),
-    ("weights", 200, "weights")])
-def test_record_whose_grid_is_not_the_rebuilt_one_exits_2(
-        workdir, tmp_path, capsys, key, index, refused):
+# A record's grid is RadialGrid(r_min, r_max, size, n) of its grid fields:
+# fields that make no grid, or a grid of another dimension than the
+# problem's, are refused before any check runs.
+@pytest.mark.parametrize("fields,cause", [
+    ({"size": 16}, "RadialGrid: need at least 32 nodes, got 16"),
+    ({"size": 400.5}, "RadialGrid: need at least 32 nodes, got 400.5"),
+    ({"r_min": 1e3}, "RadialGrid: need 0 < r_min < r_max"),
+    ({"r_max": "1e400"}, "RadialGrid: r_max = inf is out of range"),
+    ({"n": 2}, "grid.n 2 differs from problem.n 3"),
+], ids=["size-16", "size-400.5", "r_min-at-r_max", "r_max-1e400", "n-2"])
+def test_record_whose_grid_fields_make_no_grid_exits_2(
+        workdir, tmp_path, capsys, fields, cause):
     rec = read_json(workdir / "solve" / "solution.json")
-    rec["grid"][key][index] = float(np.nextafter(rec["grid"][key][index], np.inf))
+    rec["grid"].update(fields)
+    bad = tmp_path / "solution.json"
+    # 1e400 is written as a JSON number, which json.load reads as inf
+    bad.write_text(json.dumps(rec).replace('"1e400"', "1e400"))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: invalid solution record ")
+    assert cause in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+# The origin value and the tail amplitude are derived from the values and
+# the tail exponent as the record loads: too few values, or a tail exponent
+# whose power of r_max overflows, is an invalid record too.
+@pytest.mark.parametrize("field,value", [
+    ("values", []), ("values", [0.5]), ("values", [0.5] * 399),
+    ("tail_exponent", 1e6)])
+def test_record_whose_profile_does_not_fit_its_grid_exits_2(
+        workdir, tmp_path, capsys, field, value):
+    rec = read_json(workdir / "solve" / "solution.json")
+    rec["profile"][field] = value
     bad = tmp_path / "solution.json"
     bad.write_text(json.dumps(rec))
     out = tmp_path / "out"
@@ -389,8 +401,34 @@ def test_record_whose_grid_is_not_the_rebuilt_one_exits_2(
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid solution record ")
-    assert f"grid.{refused} are not those of the geometric grid of 400 nodes" in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_version_1_record_exits_2_with_the_advice_to_re_run_solve(
+        workdir, tmp_path, capsys):
+    """A record of the version-1 layout, with the grid's nodes and weights
+    and the profile's origin value and tail amplitude, is refused in full."""
+    rec = read_json(workdir / "solve" / "solution.json")
+    sol = load_solution(str(workdir / "solve" / "solution.json"))
+    rec["schema_version"] = 1
+    rec["grid"] = {"n": 3, "r_max": sol.u.grid.r_max,
+                   "nodes": sol.u.grid.nodes.tolist(),
+                   "weights": sol.u.grid.weights.tolist()}
+    rec["profile"] = {"values": rec["profile"]["values"],
+                      "value_at_origin": sol.u.value_at_origin,
+                      "tail_amplitude": sol.u.tail[0],
+                      "tail_exponent": sol.u.tail_exponent}
+    old = tmp_path / "solution.json"
+    old.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(old),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {str(old)!r} is a solution record of schema version "
+        "1, not 2: re-run solve to write one\n")
     assert not out.exists()
 
 
@@ -653,7 +691,7 @@ def test_oracle_grid_without_a_node_in_the_window_exits_2(tmp_path, capsys,
 def test_solve_writes_record_and_tables(workdir):
     solve_dir = workdir / "solve"
     rec = read_json(solve_dir / "solution.json")
-    assert rec["schema_version"] == 1
+    assert rec["schema_version"] == 2
     assert rec["kind"] == "fracradial.solution"
     assert rec["problem"]["r"] == 1.7
     assert len(rec["profile"]["values"]) == 400
@@ -709,7 +747,8 @@ def test_repeated_solve_is_byte_identical(workdir, tmp_path):
 def test_record_envelopes(workdir, path, kind, keys):
     rec = read_json(workdir / path)
     assert list(rec) == ["schema_version", "kind", *keys]
-    assert rec["schema_version"] == 1
+    # the solution record is at schema version 2, every report at 1
+    assert rec["schema_version"] == (2 if kind == "solution" else 1)
     assert rec["kind"] == f"fracradial.{kind}"
 
 
@@ -755,8 +794,38 @@ def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):
     # rtol of the other frozen-solve tests, not bitwise across platforms
     assert_allclose([c["min_margin_over_scale"] for c in chain],
                     [0.2329265516050302, 0.36581189945435205], rtol=1e-9)
-    nodes = read_json(rec / "solution.json")["grid"]["nodes"]
+    nodes = load_solution(str(rec / "solution.json")).u.grid.nodes.tolist()
     assert all(c["worst_radius"] in nodes for c in chain)
+
+
+# the M = 400, r = 1.7 record of schema version 1, which also stored the
+# grid's nodes and weights and the profile's origin value and tail amplitude
+_V1_RECORD_BYTES = 33_306
+
+
+@pytest.mark.parametrize("r", [1.7, 1.9])
+def test_reloaded_record_rebuilds_its_closures_bitwise(tmp_path, monkeypatch, r):
+    """A record stores the grid as its four numbers and the profile as its
+    node values and tail exponent; reloading it rebuilds the solve's origin
+    value and tail amplitude bitwise, from the closures the solve used."""
+    solved = []
+
+    def keep(*args, **kwargs):
+        solved.append(solver_mod.solve_ground_state(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_ground_state", keep)
+    assert main(["solve", "--set", "grid.nodes=400", "--set", f"problem.r={r}",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "solution.json"
+    rec = read_json(path)
+    assert set(rec["grid"]) == {"n", "r_min", "r_max", "size"}
+    assert set(rec["profile"]) == {"values", "tail_exponent"}
+    assert path.stat().st_size <= 0.4 * _V1_RECORD_BYTES
+    u, v = solved[0].u, load_solution(str(path)).u
+    assert np.array_equal(v.values, u.values)
+    assert v.value_at_origin == u.value_at_origin
+    assert v.tail == u.tail
 
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):
