@@ -367,8 +367,7 @@ def _solution_record(sol: Solution, cfg: dict) -> dict:
     """The fields of the solution record of sol (see _json_text): only what
     defines the solution.  The grid is its four numbers and the profile its
     node values and tail exponent; load_solution derives the nodes, the
-    weights, the origin value and the tail amplitude from them, as the
-    solve did."""
+    weights and the origin value from them, as the solve did."""
     pred = predict_decay(sol.params)
     u = sol.u
     return {
@@ -399,8 +398,8 @@ def load_solution(path: str) -> Solution:
     """Rebuild a Solution from a record written by the solve command.  The
     grid is RadialGrid(r_min, r_max, size, n) of the record's grid fields,
     and the profile is RadialFunction.from_samples of its values and tail
-    exponent: the closures of the solve, so the origin value and the tail
-    amplitude come back bitwise.
+    exponent: the closure of the solve, so the origin value comes back
+    bitwise.
 
     Raises:
         ConfigError: an unreadable or malformed file, a record of another
@@ -408,7 +407,8 @@ def load_solution(path: str) -> Solution:
             weights, is refused with the advice to re-run solve), or an
             invalid record: a missing field, grid fields that RadialGrid
             refuses, a grid.n other than problem.n, a profile that is not
-            positive and non-increasing, a kept diagnostic that is not a
+            positive and non-increasing, a tail exponent whose power of
+            r_max is not a finite float, a kept diagnostic that is not a
             finite number (or, for iterations, not an integer), or a mass_F
             that is not positive.
     """
@@ -440,6 +440,10 @@ def load_solution(path: str) -> Solution:
         prof = rec["profile"]
         u = RadialFunction.from_samples(grid, prof["values"],
                                         tail_exponent=prof["tail_exponent"])
+        # refused here, not as an overflow in the Riesz tail weights
+        if not u.tail_exponent * math.log(grid.r_max) < math.log(sys.float_info.max):
+            raise ValueError(f"r_max ** profile.tail_exponent = {grid.r_max!r} ** "
+                             f"{u.tail_exponent!r} is not a finite float")
         diag = {k: rec["diagnostics"][k] for k in _KEPT_DIAGNOSTICS}
         for key, value in diag.items():
             # json.load reads NaN and Infinity, and true and false as bools

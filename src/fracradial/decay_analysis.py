@@ -364,9 +364,8 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
 def _power_of(u: RadialFunction, theta: float) -> RadialFunction:
     if np.any(u.values <= 0.0) or u.value_at_origin <= 0.0:
         raise ValueError("verify_chain_rule: u must be strictly positive")
-    amp, om = u.tail
     return RadialFunction(grid=u.grid, values=u.values ** theta,
-                          tail=(amp ** theta, om * theta),
+                          tail_exponent=u.tail_exponent * theta,
                           value_at_origin=u.value_at_origin ** theta)
 
 

@@ -1,9 +1,15 @@
 """Discrete operators for radial functions on R^N.
 
-A radial function is represented by samples on a logarithmic grid together
-with a power-law tail model, of a given positive exponent, and a quadratic
-origin model, so integrals over all of R^N can be closed analytically on
-both ends.  On top of that representation this module provides
+A radial function (`RadialFunction`) is its values u_1, ..., u_M at the
+nodes of a logarithmic grid, its value u(0) at the origin and a tail
+exponent omega > 0.  Two closures extend it to all of R^N, so integrals
+over R^N close analytically on both ends: the quadratic origin model
+u(0) + (u_1 - u(0)) (rho/r_1)^2 below r_1, and the power tail
+u(rho) = u_M (rho/r_max)^(-omega) beyond r_max, which continues the last
+sample by construction.  Every operator row therefore acts on
+x = (u(0), u_1, ..., u_M): the origin model's weights go to slot 0 and
+to u_1's slot, the tail's to u_M's.  On top of that representation this
+module provides
 
 * the principal-value fractional Laplacian (pointwise and as an assembled
   matrix),
@@ -49,11 +55,11 @@ An operator entry is an `_Operator`, one form for both kernels.  It keeps
 the structure in O(M) floats: the generating row, the row scales
 r_i^(-2s) or r_i^alpha, dense corrections for what breaks the shift (the
 end rows; slot 0 and the `_END_COLUMNS` node columns at each end of the
-other rows; the fractional Laplacian's diagonal mass), the tail
-coefficients, and for the Riesz operator the weights of the value at the
-origin.  Applying it is one correlation of the generating row with the
-middle node values plus a few small products; `fraclap_matrix` expands the
-rows for the resolvent's inverse on each call.  A hit moves its entry to
+other rows; the fractional Laplacian's diagonal mass), and for the Riesz
+operator the weights of the value at the origin.  Applying it is one
+correlation of the generating row with the middle node values plus a few
+small products; `fraclap_matrix` expands the rows for the resolvent's
+inverse on each call.  A hit moves its entry to
 the end and an insertion beyond the bound evicts the least recently used
 ones, so operators that are in use stay assembled.  Callers pass nothing:
 the grid and the exponents alone decide what is reused.
@@ -62,6 +68,7 @@ the grid and the exponents alone decide what is reused.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -316,7 +323,7 @@ class RadialGrid:
     derived from them, and the memo keys on them.  The weights integrate
     piecewise-linear-in-log-r data exactly against the measure r^{N-1} dr
     over [r_1, r_M]; contributions from [0, r_1) and (r_M, inf) are handled
-    by the origin and tail models of RadialFunction, not by the weights.
+    by the closures of RadialFunction, not by the weights.
     A grid has at least 4 `_END_ROWS` nodes, so that the assembled
     operators have interior rows clear of both ends.
     """
@@ -332,7 +339,9 @@ class RadialGrid:
             raise ValueError(f"RadialGrid: N must be an integer >= 2, got {N!r}")
         if not (0.0 < r_min < r_max):
             raise ValueError("RadialGrid: need 0 < r_min < r_max")
-        if int(M) != M or M < 4 * _END_ROWS:
+        if isinstance(M, bool) or not isinstance(M, numbers.Integral):
+            raise ValueError(f"RadialGrid: size must be an integer, got {M!r}")
+        if M < 4 * _END_ROWS:
             raise ValueError(
                 f"RadialGrid: need at least {4 * _END_ROWS} nodes, got {M!r}")
         if N * math.log(r_max) >= math.log(np.finfo(float).max):
@@ -378,15 +387,12 @@ def _origin_closure(grid: RadialGrid) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Radial function: node samples + power-law tail + quadratic origin model.
-
-    The tail (A, omega) models u(rho) = A rho^(-omega) for rho > r_max, with
-    omega > 0, and must match the last sample within 1% relative.
-    """
+    """Radial function: node values, value at the origin and tail exponent,
+    closed as the module docstring states."""
 
     grid: RadialGrid
     values: np.ndarray
-    tail: tuple[float, float]
+    tail_exponent: float
     value_at_origin: float
 
     def __post_init__(self):
@@ -395,48 +401,27 @@ class RadialFunction:
             raise ValueError("RadialFunction: values must align with grid nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("RadialFunction: values must be finite")
-        amp, om = (float(self.tail[0]), float(self.tail[1]))
-        if not (math.isfinite(amp) and math.isfinite(om)):
-            raise ValueError("RadialFunction: tail model must be finite")
+        om = float(self.tail_exponent)
+        if not 0.0 < om < math.inf:
+            raise ValueError(
+                f"RadialFunction: tail exponent must be positive and finite, got {om!r}")
         u0 = float(self.value_at_origin)
         if not math.isfinite(u0):
             raise ValueError("RadialFunction: value_at_origin must be finite")
-        if om <= 0.0:
-            raise ValueError(f"RadialFunction: tail exponent must be positive, got {om!r}")
-        model = amp * self.grid.r_max ** (-om)
-        scale = max(abs(values[-1]), abs(model))
-        if abs(model - values[-1]) > 0.01 * scale:
-            raise ValueError(
-                f"RadialFunction: tail model value {model!r} at r_max differs "
-                f"from the last sample {values[-1]!r} by more than 1%")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tail", (amp, om))
+        object.__setattr__(self, "tail_exponent", om)
         object.__setattr__(self, "value_at_origin", u0)
-
-    @property
-    def tail_exponent(self) -> float:
-        return self.tail[1]
-
-    @property
-    def tail_value_at_rmax(self) -> float:
-        amp, om = self.tail
-        return amp * self.grid.r_max ** (-om)
 
     @classmethod
     def from_samples(cls, grid: RadialGrid, values, value_at_origin: float | None = None,
                      *, tail_exponent: float) -> "RadialFunction":
-        """Build a RadialFunction from node samples, with the standard closures.
-
-        The tail exponent is given (it must be positive) and the tail
-        amplitude comes from exact continuity at r_max.  The origin value
-        defaults to the quadratic extrapolation through the first two nodes.
-        """
+        """A RadialFunction of node samples; the origin value defaults to
+        the quadratic extrapolation through the first two nodes."""
         values = np.asarray(values, dtype=float)
         if value_at_origin is None:
             g1, g2 = _origin_closure(grid)
             value_at_origin = g1 * values[0] + g2 * values[1]
-        return cls(grid=grid, values=values,
-                   tail=(values[-1] * grid.r_max ** tail_exponent, tail_exponent),
+        return cls(grid=grid, values=values, tail_exponent=tail_exponent,
                    value_at_origin=value_at_origin)
 
     def evaluate(self, rho) -> np.ndarray | float:
@@ -458,8 +443,8 @@ class RadialFunction:
             base, W = _cubic_basis(self.grid.log_nodes, np.log(rho[mid]))
             out[mid] = np.sum(W * self.values[base[:, None] + np.arange(4)], axis=1)
         if outer.any():
-            amp, om = self.tail
-            out[outer] = amp * rho[outer] ** (-om)
+            out[outer] = self.values[-1] \
+                * (rho[outer] / self.grid.r_max) ** -self.tail_exponent
         return float(out[0]) if scalar else out
 
 
@@ -742,9 +727,9 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
     _WINDOW_CELLS local cells each side, and the parts of the cells their
     edges cut (at most one at each edge).
 
-    Returns what they add to the rows' (R, M+1) coefficients and (R,)
-    tail weights, laid out as in _fraclap_rows, the kernel
-    mass of the cut parts (R,) and the window half-widths w (R,).
+    Returns what they add to the rows' (R, M+1) coefficients over x and
+    their (R,) tail weights, the kernel mass of the cut parts (R,) and the
+    window half-widths w (R,).
     """
     grid = ctx.grid
     N = grid.N
@@ -815,8 +800,8 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     the intervals (lo, hi) (R,) around them: the grid cells clear of each
     interval, [0, r_1] under the origin model, graded toward r at distances
     d0 2^k (see _graded_edges), and the tail model beyond r_M.  They go into
-    the rows' coefficients and tail weights (laid out as in _fraclap_rows)
-    and kernel mass (R,) in place, in that order: a fractional-Laplacian
+    the rows' (R, M+1) coefficients over x, (R,) tail weights and (R,)
+    kernel mass in place, in that order: a fractional-Laplacian
     row cancels far below its entries, so its summation order is kept.
     Each row's sums equal the ones it gets alone."""
     grid = ctx.grid
@@ -866,16 +851,14 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     mass += m0
 
 
-def _fraclap_rows(ctx: _RowContext, radii, s: float,
-                  omega: float) -> tuple[np.ndarray, np.ndarray]:
+def _fraclap_rows(ctx: _RowContext, radii, s: float, omega: float) -> np.ndarray:
     """Unscaled fractional-Laplacian rows at the radii (R,), built together.
 
     The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
-    around each r.  Returns the (R, M+1) coefficients, slot 0 multiplying
-    the origin value and slots 1..M the node values, and the (R,) tail
-    weights, multiplying the value at r_max of a tail model with exponent
-    omega.  The factor C_{N,s} is NOT applied here.
+    around each r.  Returns the (R, M+1) coefficients over x, the weights
+    of a tail of exponent omega added to slot M last.  The factor C_{N,s}
+    is NOT applied here.
 
     Every piece is computed for all radii at once, and each row equals the
     one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
@@ -907,7 +890,8 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float,
     coeffs[below, 1] += mass[below] * x2
     off = ~(on | below)
     _add_cubic(coeffs, ctx.tt, _logs(r[off]), mass[off], rows[off])
-    return coeffs, tails
+    coeffs[:, M] += tails
+    return coeffs
 
 
 def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -976,8 +960,7 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     return coeffs, tails, lo, hi
 
 
-def _riesz_rows(ctx: _RowContext, which, alpha: float,
-                omega: float) -> tuple[np.ndarray, np.ndarray]:
+def _riesz_rows(ctx: _RowContext, which, alpha: float, omega: float) -> np.ndarray:
     """Unscaled Riesz rows at the node indices `which` (R,), built together
     and laid out as _fraclap_rows lays out its own: int g(rho) k_p(r,rho)
     rho^{N-1} drho with p = alpha - N, graded near the diagonal by
@@ -991,8 +974,9 @@ def _riesz_rows(ctx: _RowContext, which, alpha: float,
     # takes it as one panel (d0 = r leaves no grading point inside)
     _add_outside(ctx, p, r, lo, hi, np.where(i > 0, 0.1 * r, r), 1.0, omega,
                  coeffs, tails, np.zeros(i.size))
-    tails += _tail_remainder(grid.N, "riesz", alpha, grid.r_max, omega)
-    return coeffs, tails
+    coeffs[:, grid.size] += tails + _tail_remainder(grid.N, "riesz", alpha,
+                                                    grid.r_max, omega)
+    return coeffs
 
 
 def _fraclap_C(N: int, s: float) -> float:
@@ -1015,34 +999,30 @@ _ROW_BLOCK = 64
 
 
 def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
-             which) -> tuple[np.ndarray, np.ndarray]:
+             which) -> np.ndarray:
     """Unscaled rows at the nodes `which`: their (len(which), M+1)
-    coefficients and their tail coefficients, from one _fraclap_rows or
-    _riesz_rows call per _ROW_BLOCK nodes."""
+    coefficients over x, from one _fraclap_rows or _riesz_rows call per
+    _ROW_BLOCK nodes."""
     ctx = _context(grid)
     which = np.asarray(which, dtype=int)
     rows = np.empty((which.size, grid.size + 1))
-    tails = np.empty(which.size)
     for b in range(0, which.size, _ROW_BLOCK):
         block = which[b:b + _ROW_BLOCK]
         if kind == "fraclap":
-            rows[b:b + block.size], tails[b:b + block.size] = _fraclap_rows(
-                ctx, grid.nodes[block], exponent, tail_omega)
+            rows[b:b + block.size] = _fraclap_rows(ctx, grid.nodes[block], exponent,
+                                                   tail_omega)
         else:
-            rows[b:b + block.size], tails[b:b + block.size] = _riesz_rows(
-                ctx, block, exponent, tail_omega)
-    return rows, tails
+            rows[b:b + block.size] = _riesz_rows(ctx, block, exponent, tail_omega)
+    return rows
 
 
 @dataclass
 class _Operator:
     """Unscaled rows of one operator at every node, stored by structure.
 
-    Row i maps x = (u(0), u_1, ..., u_M, A r_max^(-omega)) to the operator
-    value at node i before its constant factor: slot 0 takes the origin
-    value, slots 1..M the node values, and tails[i] the tail model value.
-    The interior rows i = lo..hi-1 are, at the node columns E..M-1-E
-    (E = _END_COLUMNS), shifts of one generating row:
+    Row i maps x to the operator value at node i before its constant
+    factor.  The interior rows i = lo..hi-1 are, at the node columns
+    E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E+1) holds their slot 0 and their first and last E node
     columns, and `mass` (K,), when there is one, what their diagonal adds
@@ -1054,7 +1034,6 @@ class _Operator:
     """
 
     ends: np.ndarray
-    tails: np.ndarray
     lo: int
     hi: int
     gen: np.ndarray
@@ -1067,22 +1046,21 @@ class _Operator:
         """Unscaled operator values at the nodes for x laid out as above;
         the interior is one correlation of gen with the middle node values."""
         lo, hi, E = self.lo, self.hi, _END_COLUMNS
-        vec, u = x[:-1], x[1:-1]
-        out = self.tails * x[-1]
-        out[:lo] += self.ends[:lo] @ vec
-        out[hi:] += self.ends[lo:] @ vec
+        u = x[1:]
+        out = np.empty(u.size)
+        out[:lo] = self.ends[:lo] @ x
+        out[hi:] = self.ends[lo:] @ x
         corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
-        inner = self.scale * corr \
-            + self.edges @ np.concatenate((vec[:1 + E], u[u.size - E:]))
+        out[lo:hi] = self.scale * corr \
+            + self.edges @ np.concatenate((x[:1 + E], u[u.size - E:]))
         if self.mass is not None:
-            inner += self.mass * u[lo:hi]
-        out[lo:hi] += inner
+            out[lo:hi] += self.mass * u[lo:hi]
         return out
 
     def rows(self) -> np.ndarray:
         """The (M, M+1) coefficients of every row, as a fresh array."""
         lo, hi, E = self.lo, self.hi, _END_COLUMNS
-        M = self.tails.size
+        M = self.ends.shape[1] - 1
         rows = np.empty((M, M + 1))
         rows[:lo] = self.ends[:lo]
         rows[hi:] = self.ends[lo:]
@@ -1109,8 +1087,8 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     full cells at every offset, integrated once at r = 1.  What is not
     shift-invariant is computed per row, vectorised: the end columns (the
     end cells' clipped stencils), the origin region (slots 0 and 1), the
-    far tail, and for the fractional Laplacian the kernel mass on the
-    diagonal.  The end rows come from the row builders themselves.
+    far tail (slot M), and for the fractional Laplacian the kernel mass on
+    the diagonal.  The end rows come from the row builders themselves.
     """
     ctx = _context(grid)
     N = grid.N
@@ -1151,7 +1129,6 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
 
     lo, hi = _END_ROWS, M - _END_ROWS
     inner = np.arange(lo, hi)
-    tails = np.empty(M)
 
     # end columns: only the real cells whose stencils reach them; edge
     # column 1 + j holds node j < E, column 1 + j - M + 2E node j >= M - E
@@ -1169,16 +1146,18 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
 
     # origin region and far tail, a block of rows at a time
     mass = np.zeros(hi - lo) if fraclap else None
+    tails = np.empty(hi - lo)
     for b in range(lo, hi, _ROW_BLOCK):
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
         c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
         tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
         edges[b - lo:b - lo + r.size, 0] = sign * c0
         edges[b - lo:b - lo + r.size, 1] += sign * c1
-        tails[b:b + r.size] = sign * tail
+        tails[b - lo:b - lo + r.size] = sign * tail
         if fraclap:  # the Riesz diagonal shifts like the rest of the row
             mass[b - lo:b - lo + r.size] = m0 + m1
-    tails[lo:hi] += _tail_remainder(N, kind, exponent, rM, tail_omega)
+    # the tail continues u_M: its weights go to the last node column
+    edges[:, 2 * E] += tails + _tail_remainder(N, kind, exponent, rM, tail_omega)
     if fraclap:
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
@@ -1186,32 +1165,28 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                                 + near_mass / scale[g]) \
             + _mass_remainder(N, exponent, rM)
 
-    ends, end_tails = _rows_at(grid, kind, exponent, tail_omega,
-                               (*range(lo), *range(hi, M)))
-    tails[:lo] = end_tails[:lo]
-    tails[hi:] = end_tails[lo:]
+    ends = _rows_at(grid, kind, exponent, tail_omega, (*range(lo), *range(hi, M)))
     # the generating row where the interior rows reach the middle columns
-    return _Operator(ends=ends, tails=tails, lo=lo, hi=hi,
+    return _Operator(ends=ends, lo=lo, hi=hi,
                      gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
                      scale=scale[lo:hi], edges=edges, mass=mass)
 
 
 def _riesz_origin(grid: RadialGrid, alpha: float, tail_omega: float) -> np.ndarray:
-    """Weights of the unscaled Riesz potential at the origin over x (see
-    _Operator), where the kernel is |S^{N-1}| rho^(alpha-N): the [0, r_1]
-    piece of int g rho^(alpha-1) drho is exact for the quadratic origin
-    model, the grid part uses the shared cell rule, and the tail closes
-    analytically."""
+    """Weights of the unscaled Riesz potential at the origin over x, where
+    the kernel is |S^{N-1}| rho^(alpha-N): the [0, r_1] piece of
+    int g rho^(alpha-1) drho is exact for the quadratic origin model, the
+    grid part uses the shared cell rule, and the tail closes analytically."""
     ctx = _context(grid)
     M = grid.size
     r1a = grid.nodes[0] ** alpha
     per_node = np.einsum("cq,cqm->cm", ctx.cell_w * ctx.cell_rho ** (alpha - grid.N),
                          ctx.cell_cubw)
-    weights = np.zeros(M + 2)
+    weights = np.zeros(M + 1)
     np.add.at(weights, 1 + ctx.cell_base[:, None] + np.arange(4), per_node)
     weights[0] += r1a * (1.0 / alpha - 1.0 / (alpha + 2.0))
     weights[1] += r1a / (alpha + 2.0)
-    weights[M + 1] = grid.r_max ** alpha / (tail_omega - alpha)
+    weights[M] += grid.r_max ** alpha / (tail_omega - alpha)
     return sphere_surface_area(grid.N) * weights
 
 
@@ -1231,9 +1206,8 @@ def _raw(grid: RadialGrid, kind: str, exponent: float,
 
 
 def _samples(u: RadialFunction) -> np.ndarray:
-    """x = (u(0), u_1, ..., u_M, tail model value at r_max), the vector the
-    operator rows act on."""
-    return np.concatenate(([u.value_at_origin], u.values, [u.tail_value_at_rmax]))
+    """x = (u(0), u_1, ..., u_M), the vector the operator rows act on."""
+    return np.concatenate(([u.value_at_origin], u.values))
 
 
 def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
@@ -1260,13 +1234,13 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at):
     The radial integral is Taylor-subtracted in a window of a few grid cells
     around each radius (so the PV cancellation is explicit), integrated cell
     by cell elsewhere with u reconstructed by cubic-in-log Lagrange
-    interpolation of the node values, and closed with u's origin and tail
-    models on [0, r_1) and (r_max, inf).  The rows are built in batched
+    interpolation of the node values, and closed with u's closures on
+    [0, r_1) and (r_max, inf).  The rows are built in batched
     passes of _ROW_BLOCK radii, on each call: at the grid nodes the
     memoised operator of frac_laplacian_on_grid serves instead.
 
     Args:
-        u: the radial function, with a valid tail model.
+        u: the radial function.
         s: fractional order in (0, 1).
         at: evaluation radius in (0, r_max], or a 1-d array of them.
 
@@ -1290,13 +1264,11 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at):
         raise ValueError(
             f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
     rs = np.atleast_1d(radii)
-    vec = np.concatenate(([u.value_at_origin], u.values))
+    x = _samples(u)
     out = np.empty(rs.size)
     for b in range(0, rs.size, _ROW_BLOCK):
-        coeffs, tails = _fraclap_rows(_context(grid), rs[b:b + _ROW_BLOCK], s,
-                                      u.tail_exponent)
-        out[b:b + _ROW_BLOCK] = _fraclap_C(grid.N, s) * (
-            _rowdot(coeffs, vec) + tails * u.tail_value_at_rmax)
+        coeffs = _fraclap_rows(_context(grid), rs[b:b + _ROW_BLOCK], s, u.tail_exponent)
+        out[b:b + _ROW_BLOCK] = _fraclap_C(grid.N, s) * _rowdot(coeffs, x)
     return float(out[0]) if radii.ndim == 0 else out
 
 
@@ -1384,11 +1356,10 @@ def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     """Assembled M x M matrix of (-Delta)^s under the standard closures.
 
-    Column M-1 absorbs the tail model (continuity A r_max^(-omega) = u_M)
-    and the origin value is eliminated through the quadratic two-node
-    extrapolation.  Rows act on node values and return pointwise operator
-    values at the nodes.  The matrix is expanded from the memoised operator
-    (_Operator.rows) on each call, a fresh array the caller may modify.
+    The rows of the memoised operator (_Operator.rows), with the origin
+    value eliminated through the quadratic two-node extrapolation: they act
+    on the node values and return the operator's values at the nodes.  The
+    matrix is expanded on each call, a fresh array the caller may modify.
 
     Raises:
         ValueError: s outside (0, 1), or tail_omega not finite and positive.
@@ -1402,7 +1373,6 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     rows = op.rows()
     rows *= C
     A = rows[:, 1:]
-    A[:, grid.size - 1] += C * op.tails
     # the origin value through its closure g1 u_1 + g2 u_2
     A[:, :2] += rows[:, :1] * _origin_closure(grid)
     return A
@@ -1429,7 +1399,7 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     frac = abs(q - round(q)) > 1e-12
     if frac and (np.any(u.values < 0.0) or u.value_at_origin < 0.0):
         raise ValueError("volume_integral: fractional power of a sign-changing function")
-    amp, om = u.tail
+    om = u.tail_exponent
     if q * om <= N:
         raise ValueError(
             f"volume_integral: tail decay power*omega = {q * om} must exceed N = {N}")
@@ -1438,5 +1408,5 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     x, xw = _gauss_on(0.0, r1, 16)
     model = u.value_at_origin + (u.values[0] - u.value_at_origin) * (x / r1) ** 2
     origin_part = float(np.sum(xw * model ** q * x ** (N - 1)))
-    tail_part = (amp ** q) * grid.r_max ** (N - q * om) / (q * om - N)
+    tail_part = u.values[-1] ** q * grid.r_max ** N / (q * om - N)
     return sphere_surface_area(N) * (node_part + origin_part + tail_part)

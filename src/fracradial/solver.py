@@ -280,12 +280,12 @@ class _RhsMap:
     node values, for profiles u closed with one tail exponent omega.
 
     It binds what does not change with u: the Riesz operator for the tail
-    exponent r*omega of F(u) and its constant C, the origin closure
-    (g1, g2), and r_max^(r omega).  A call then runs the arithmetic of
+    exponent r*omega of F(u) and its constant C, and the origin closure
+    (g1, g2).  A call then runs the arithmetic of
     riesz_convolve_radial(spec.F_of(u), alpha).values * spec.f_values(u)
     in the same order, so it gives the same bits, without building the
-    three RadialFunctions.  A non-finite
-    F(u) or f(u) gives a non-finite result instead of a ValueError.
+    three RadialFunctions.  A non-finite F(u) or f(u) gives a non-finite
+    result instead of a ValueError.
 
     Raises:
         ValueError: r*omega <= alpha (see _riesz_operator).
@@ -296,19 +296,13 @@ class _RhsMap:
         om_F = self._spec.r * omega
         self._C, self._op = _riesz_operator(grid, params.alpha, om_F)
         self._g1, self._g2 = _origin_closure(grid)
-        # F(u)'s tail model value at r_max, A r_max^(-rw) with
-        # A = F(u_M) r_max^(rw), as RadialFunction computes it
-        self._up = grid.r_max ** om_F
-        self._down = grid.r_max ** (-om_F)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """b at the nodes for u = values, with u(0) from the origin closure
         g1 u_1 + g2 u_2."""
         spec = self._spec
         value_at_origin = float(self._g1 * values[0] + self._g2 * values[1])
-        fu = spec.F_values(values)
-        x = np.concatenate(([float(spec.F(value_at_origin))], fu,
-                            [float(fu[-1] * self._up) * self._down]))
+        x = np.concatenate(([float(spec.F(value_at_origin))], spec.F_values(values)))
         return self._C * self._op.apply(x) * spec.f_values(values)
 
 
@@ -533,9 +527,8 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
     """u(x/t) on u's own grid: `u.evaluate` at the nodes over t, so between
     nodes u is read through the operators' cubic-in-log stencil."""
-    amp, om = u.tail
     return RadialFunction(grid=u.grid, values=u.evaluate(u.grid.nodes / t),
-                          tail=(amp * t ** om, om),
+                          tail_exponent=u.tail_exponent,
                           value_at_origin=u.value_at_origin)
 
 

@@ -361,7 +361,7 @@ def test_record_with_bad_diagnostics_exits_2_and_writes_no_report(
 # problem's, are refused before any check runs.
 @pytest.mark.parametrize("fields,cause", [
     ({"size": 16}, "RadialGrid: need at least 32 nodes, got 16"),
-    ({"size": 400.5}, "RadialGrid: need at least 32 nodes, got 400.5"),
+    ({"size": 400.5}, "RadialGrid: size must be an integer, got 400.5"),
     ({"r_min": 1e3}, "RadialGrid: need 0 < r_min < r_max"),
     ({"r_max": "1e400"}, "RadialGrid: r_max = inf is out of range"),
     ({"n": 2}, "grid.n 2 differs from problem.n 3"),
@@ -417,7 +417,8 @@ def test_version_1_record_exits_2_with_the_advice_to_re_run_solve(
                    "weights": sol.u.grid.weights.tolist()}
     rec["profile"] = {"values": rec["profile"]["values"],
                       "value_at_origin": sol.u.value_at_origin,
-                      "tail_amplitude": sol.u.tail[0],
+                      "tail_amplitude": (sol.u.values[-1]
+                                         * sol.u.grid.r_max ** sol.u.tail_exponent),
                       "tail_exponent": sol.u.tail_exponent}
     old = tmp_path / "solution.json"
     old.write_text(json.dumps(rec))
@@ -807,7 +808,7 @@ _V1_RECORD_BYTES = 33_306
 def test_reloaded_record_rebuilds_its_closures_bitwise(tmp_path, monkeypatch, r):
     """A record stores the grid as its four numbers and the profile as its
     node values and tail exponent; reloading it rebuilds the solve's origin
-    value and tail amplitude bitwise, from the closures the solve used."""
+    value bitwise, from the closure the solve used."""
     solved = []
 
     def keep(*args, **kwargs):
@@ -825,7 +826,7 @@ def test_reloaded_record_rebuilds_its_closures_bitwise(tmp_path, monkeypatch, r)
     u, v = solved[0].u, load_solution(str(path)).u
     assert np.array_equal(v.values, u.values)
     assert v.value_at_origin == u.value_at_origin
-    assert v.tail == u.tail
+    assert v.tail_exponent == u.tail_exponent
 
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):

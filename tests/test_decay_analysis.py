@@ -120,8 +120,7 @@ def test_fit_reference_profile(grid):
 
 def test_fit_log_corrected_model(grid):
     vals = 5.0 * np.log(grid.nodes) * grid.nodes ** -3.0
-    u = RadialFunction(grid=grid, values=vals,
-                       tail=(vals[-1] * grid.r_max ** 3.0, 3.0),
+    u = RadialFunction(grid=grid, values=vals, tail_exponent=3.0,
                        value_at_origin=float(vals[0]))
     fit = fit_tail(u, (20.0, 100.0))
     assert fit.log_corrected
@@ -150,8 +149,7 @@ def test_fit_window_validation(grid):
 def test_fit_rejects_nonpositive_samples(grid):
     vals = 2.0 * grid.nodes ** -3.5
     vals[600] = -vals[600]
-    u = RadialFunction(grid=grid, values=vals,
-                       tail=(vals[-1] * grid.r_max ** 3.5, 3.5),
+    u = RadialFunction(grid=grid, values=vals, tail_exponent=3.5,
                        value_at_origin=float(vals[0]))
     lo, hi = grid.nodes[590], grid.nodes[640]
     with pytest.raises(ValueError):
@@ -277,9 +275,8 @@ def test_chain_rule_sides_are_the_assembled_operator(N, theta):
     one exponent each."""
     g = RadialGrid.log_spaced(num=400, N=N)
     u = h_beta_function(g, 3.0)
-    amp, om = u.tail
     u_pow = RadialFunction(grid=g, values=u.values ** theta,
-                           tail=(amp ** theta, om * theta),
+                           tail_exponent=u.tail_exponent * theta,
                            value_at_origin=u.value_at_origin ** theta)
     report = verify_chain_rule(u, theta, 0.5)
     assert np.array_equal(report.lhs, frac_laplacian_on_grid(u_pow, 0.5))

@@ -281,6 +281,12 @@ def test_grid_validation():
             RadialGrid(r_min=r_min, r_max=r_max, size=size, N=N)
     with pytest.raises(ValueError, match="need at least 32 nodes, got 16"):
         RadialGrid.log_spaced(num=16)
+    # a size that is no integer is named as such, not as a count
+    for size in (400.5, 400.0, True, "400"):
+        with pytest.raises(ValueError,
+                           match=f"RadialGrid: size must be an integer, got {size!r}"):
+            RadialGrid(r_min=1e-3, r_max=1e3, size=size, N=3)
+    assert RadialGrid(r_min=1e-3, r_max=1e3, size=np.int64(400), N=3).size == 400
     with pytest.raises(ValueError):
         RadialGrid.log_spaced(r_min=2.0, r_max=1.0)
 
@@ -318,19 +324,15 @@ def test_radial_function_rejects_nonpositive_exponent_even_when_constant(grid, o
     # a constant function has no power tail to close its integrals with
     with pytest.raises(ValueError, match="tail exponent must be positive"):
         RadialFunction(grid=grid, values=np.full(grid.size, 2.5),
-                       tail=(2.5, omega), value_at_origin=2.5)
+                       tail_exponent=omega, value_at_origin=2.5)
 
 
 def test_radial_function_validation(grid):
     vals = h_beta_eval(grid.nodes, 2.0)
     with pytest.raises(ValueError):
-        RadialFunction(grid=grid, values=vals, tail=(2.0 * vals[-1] * grid.r_max ** 2, 2.0),
-                       value_at_origin=1.0)
+        RadialFunction(grid=grid, values=vals, tail_exponent=-1.0, value_at_origin=1.0)
     with pytest.raises(ValueError):
-        RadialFunction(grid=grid, values=vals, tail=(vals[-1], -1.0),
-                       value_at_origin=1.0)
-    with pytest.raises(ValueError):
-        RadialFunction(grid=grid, values=vals[:-1], tail=(1.0, 2.0),
+        RadialFunction(grid=grid, values=vals[:-1], tail_exponent=2.0,
                        value_at_origin=1.0)
 
 
@@ -339,7 +341,7 @@ def test_evaluate_in_all_three_regions(grid):
     assert u.evaluate(0.0) == pytest.approx(u.value_at_origin)
     assert_allclose(u.evaluate(grid.nodes[37]), u.values[37], rtol=1e-15)
     r_out = 10.0 * grid.r_max
-    assert_allclose(u.evaluate(r_out), u.tail[0] * r_out ** -4.0, rtol=1e-15)
+    assert_allclose(u.evaluate(r_out), u.values[-1] * 10.0 ** -4.0, rtol=1e-15)
     out = u.evaluate(np.array([0.0, 1.0, 2e3]))
     assert out.shape == (3,)
 
@@ -469,13 +471,11 @@ def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     ])
     ctx = radial_ops._context(grid)
     for omega in (N + 1.0, 2.5):
-        rows, tails = radial_ops._fraclap_rows(ctx, radii, 0.5, omega)
+        rows = radial_ops._fraclap_rows(ctx, radii, 0.5, omega)
         assert rows.shape == (radii.size, grid.size + 1)
-        assert tails.shape == radii.shape
         for k in range(radii.size):
-            alone, alone_tails = radial_ops._fraclap_rows(ctx, radii[k:k + 1], 0.5, omega)
+            alone = radial_ops._fraclap_rows(ctx, radii[k:k + 1], 0.5, omega)
             assert np.array_equal(alone[0], rows[k])
-            assert alone_tails[0] == tails[k]
         # pointwise values over an array of radii, one per radius
         u = h_beta_function(grid, omega)
         values = frac_laplacian_radial(u, 0.5, at=radii)
@@ -505,13 +505,25 @@ def test_fraclap_rejects_bad_arguments(grid):
         frac_laplacian_radial(u, 0.5, at=np.array([]))
 
 
+# The matrix and the structured apply read the same rows, the tail weights
+# folded into the last node column of both, at each order s.  h_3 (1 + 0.1
+# sin log rho) is not a multiple of any h_beta.  h_2 at s = 3/4 is left
+# out: near r_1 its value is about 1e-7 of the largest entry of its row,
+# and the two routes differ there by up to 2.1e-7 relative (at r_1, where
+# the matrix also takes u(0) from its closure), with or without the fold.
 def test_fraclap_matrix_consistent_with_row_apply(grid):
-    u = h_beta_function(grid, 2.0)
-    A = fraclap_matrix(grid, 0.5, tail_omega=2.0)
-    via_matrix = A @ u.values
-    direct = frac_laplacian_on_grid(u, 0.5)
-    assert_allclose(via_matrix, direct, rtol=1e-8,
-                    atol=1e-12 * np.max(np.abs(direct)))
+    wavy_h3 = RadialFunction.from_samples(
+        grid, h_beta_eval(grid.nodes, 3.0) * (1.0 + 0.1 * np.sin(grid.log_nodes)),
+        tail_exponent=3.0)
+    h2 = h_beta_function(grid, 2.0)
+    for s, u in ((0.25, h2), (0.5, h2), (0.25, wavy_h3), (0.5, wavy_h3),
+                 (0.75, wavy_h3)):
+        A = fraclap_matrix(grid, s, tail_omega=u.tail_exponent)
+        via_matrix = A @ u.values
+        direct = frac_laplacian_on_grid(u, s)
+        assert_allclose(via_matrix, direct, rtol=1e-8,
+                        atol=1e-12 * np.max(np.abs(direct)),
+                        err_msg=f"s = {s}, tail exponent {u.tail_exponent}")
 
 
 # s = 1.5 gave entries of about 3e17, tail_omega = nan a matrix, and s = 0
@@ -552,8 +564,7 @@ def test_riesz_far_field_mass_law(grid):
 
 def test_riesz_is_linear_and_decreasing(grid):
     g1 = h_beta_function(grid, 5.0)
-    g2 = RadialFunction(grid=grid, values=3.0 * g1.values,
-                        tail=(3.0 * g1.tail[0], 5.0),
+    g2 = RadialFunction(grid=grid, values=3.0 * g1.values, tail_exponent=5.0,
                         value_at_origin=3.0)
     v1 = riesz_convolve_radial(g1, 2.0)
     v2 = riesz_convolve_radial(g2, 2.0)
@@ -611,13 +622,11 @@ def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     which = np.array([0, 1, 7, 70 * M // 150, M - 2, M - 1])
     ctx = radial_ops._context(grid)
     for alpha, omega in ((0.5, N + 0.7), (N - 1.0, 2.5)):
-        rows, tails = radial_ops._riesz_rows(ctx, which, alpha, omega)
+        rows = radial_ops._riesz_rows(ctx, which, alpha, omega)
         assert rows.shape == (which.size, M + 1)
-        assert tails.shape == which.shape
         for k in range(which.size):
-            alone, alone_tails = radial_ops._riesz_rows(ctx, which[k:k + 1], alpha, omega)
+            alone = radial_ops._riesz_rows(ctx, which[k:k + 1], alpha, omega)
             assert np.array_equal(alone[0], rows[k])
-            assert alone_tails[0] == tails[k]
 
 
 def test_riesz_rejects_divergent_input(grid):
@@ -712,20 +721,14 @@ def operator_args(kind, N):
     return (0.5, N + 1.0) if kind == "fraclap" else (N - 1.0, N + 0.7)
 
 
-def densify(op):
-    """The (M, M+1) rows and the tail coefficients of an operator."""
-    return op.rows(), op.tails
-
-
 def assert_structured_matches_loop(kind, N, exponent, omega):
     M = 150
     grid = RadialGrid.log_spaced(num=M, N=N)
-    rows, tails = densify(radial_ops._structured_rows(grid, kind, exponent, omega))
-    ref, ref_tails = radial_ops._rows_at(grid, kind, exponent, omega,
-                                         range(grid.size))
+    rows = radial_ops._structured_rows(grid, kind, exponent, omega).rows()
+    ref = radial_ops._rows_at(grid, kind, exponent, omega, range(grid.size))
+    # every column, the last one with the tail weights folded in
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert err.max() <= 1e-10
-    assert np.max(np.abs(tails - ref_tails)) <= 1e-10 * np.max(np.abs(ref_tails))
     # the loop's scaled rows over offsets -6..6, interior rows
     scaled = ref[:, 1:] / grid.nodes[:, None] ** (
         -2.0 * exponent if kind == "fraclap" else exponent)
@@ -735,15 +738,15 @@ def assert_structured_matches_loop(kind, N, exponent, omega):
 
 
 # Measured at M = 150 against the row-by-row loop, relative to each row's
-# largest entry: the worst entry is 1.8e-11 (N = 3 Riesz, last column, where
-# the closed-form kernel (r+rho)^e - |r-rho|^e cancels), 2e-14 elsewhere, and
-# the tails agree to the bit.  The loop's own interior rows, divided by their
-# scale, are shift-invariant to 1.3e-13 of the row maximum for every N.  For
-# N = 2 and 4 that needs the spline kernel table to be read at the gap
-# (big - m) / m: reading it at big / m - 1 spread those rows by 7.2e-8
-# (3.5e-7 of the entry next to the diagonal for N = 2).  For N != 3 the
-# kernel's 2F1 has a - b = 1 in every case but the N = 2 Riesz one (a = b);
-# the N = 4 Riesz case is alpha = 3.
+# largest entry: the worst entry is 2.9e-12 (N = 3 Riesz, next-to-last
+# column, where the closed-form kernel (r+rho)^e - |r-rho|^e cancels; 8.5e-13
+# in the last column, which holds the tail weights), 2e-14 elsewhere.  The
+# loop's own interior rows, divided by their scale, are shift-invariant to
+# 1.3e-13 of the row maximum for every N.  For N = 2 and 4 that needs the
+# spline kernel table to be read at the gap (big - m) / m: reading it at
+# big / m - 1 spread those rows by 7.2e-8 (3.5e-7 of the entry next to the
+# diagonal for N = 2).  For N != 3 the kernel's 2F1 has a - b = 1 in every
+# case but the N = 2 Riesz one (a = b); the N = 4 Riesz case is alpha = 3.
 @pytest.mark.parametrize("N", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["fraclap", "riesz"])
 def test_structured_assembly_matches_row_loop(kind, N):
@@ -801,11 +804,9 @@ def test_compact_riesz_apply_matches_dense_rows(N):
     g = h_beta_function(grid, omega)
     op = radial_ops._raw(grid, "riesz", alpha, omega)
     assert op.hi > op.lo                   # the interior is held compactly
-    ref, ref_tails = radial_ops._rows_at(grid, "riesz", alpha, omega,
-                                         range(M))
+    ref = radial_ops._rows_at(grid, "riesz", alpha, omega, range(M))
     C = riesz_constant(N, alpha)
-    x = np.concatenate(([g.value_at_origin], g.values))
-    want = C * (ref @ x + ref_tails * g.tail_value_at_rmax)
+    want = C * (ref @ np.concatenate(([g.value_at_origin], g.values)))
     v = riesz_convolve_radial(g, alpha)
     assert np.max(np.abs(v.values / want - 1.0)) <= 1e-13
     # the origin value as the dense sum it replaced: the quadratic origin
@@ -817,7 +818,7 @@ def test_compact_riesz_apply_matches_dense_rows(N):
     gq = np.einsum("cqm,cm->cq", ctx.cell_cubw,
                    g.values[ctx.cell_base[:, None] + np.arange(4)])
     origin += np.sum(ctx.cell_w * ctx.cell_rho ** (alpha - N) * gq)
-    origin += g.tail_value_at_rmax * grid.r_max ** alpha / (omega - alpha)
+    origin += g.values[-1] * grid.r_max ** alpha / (omega - alpha)
     origin *= C * sphere_surface_area(N)
     assert abs(v.value_at_origin / origin - 1.0) <= 1e-13
 
@@ -855,7 +856,7 @@ def test_structured_fraclap_apply_matches_its_rows(N, s, M):
     op = radial_ops._raw(grid, "fraclap", s, u.tail_exponent)
     assert op.hi > op.lo and np.any(op.mass != 0.0)
     x = radial_ops._samples(u)
-    want = op.rows() @ x[:-1] + op.tails * x[-1]
+    want = op.rows() @ x
     assert np.max(np.abs(op.apply(x) - want)) <= 5e-8 * np.max(np.abs(want))
 
 
@@ -865,7 +866,7 @@ def test_structured_riesz_operator_holds_no_mass():
     op = radial_ops._raw(grid, "riesz", 2.0, u.tail_exponent)
     assert op.hi > op.lo and op.mass is None
     x = radial_ops._samples(u)
-    want = op.rows() @ x[:-1] + op.tails * x[-1]
+    want = op.rows() @ x
     assert np.max(np.abs(op.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -885,8 +886,7 @@ def test_volume_integral_rejects_divergent_or_invalid(grid):
         volume_integral(h_beta_function(grid, 2.0))  # 2 <= N = 3
     vals = h_beta_eval(grid.nodes, 4.0)
     vals[3] = -vals[3]
-    signed = RadialFunction(grid=grid, values=vals,
-                            tail=(vals[-1] * grid.r_max ** 4, 4.0),
+    signed = RadialFunction(grid=grid, values=vals, tail_exponent=4.0,
                             value_at_origin=1.0)
     with pytest.raises(ValueError):
         volume_integral(signed, power=1.5)

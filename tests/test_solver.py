@@ -260,9 +260,7 @@ def test_perturbed_profile_has_larger_residual(solution, params):
     u = solution.u
     grid = u.grid
     vals = u.values + 0.1 * h_beta_eval(grid.nodes, 4.0)
-    pert = RadialFunction(grid=grid, values=vals,
-                          tail=(vals[-1] * grid.r_max ** u.tail_exponent,
-                                u.tail_exponent),
+    pert = RadialFunction(grid=grid, values=vals, tail_exponent=u.tail_exponent,
                           value_at_origin=u.value_at_origin + 0.1)
     shifted = Solution(u=pert, params=params, residual_sup=0.0,
                        pohozaev_defect=0.0, iterations=0,
@@ -404,7 +402,7 @@ def test_solution_rejects_sign_changing_profile(solution, params):
     vals = solution.u.values.copy()
     vals[3] = -vals[3]
     bad = RadialFunction(grid=grid, values=vals,
-                         tail=solution.u.tail,
+                         tail_exponent=solution.u.tail_exponent,
                          value_at_origin=solution.u.value_at_origin)
     with pytest.raises(ValueError):
         Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
@@ -414,7 +412,7 @@ def test_solution_rejects_sign_changing_profile(solution, params):
 def test_solution_rejects_the_zero_profile(params):
     grid = RadialGrid.log_spaced(num=64)
     zero = RadialFunction(grid=grid, values=np.zeros(grid.size),
-                          tail=(0.0, 4.0), value_at_origin=0.0)
+                          tail_exponent=4.0, value_at_origin=0.0)
     with pytest.raises(ValueError, match="strictly positive"):
         Solution(u=zero, params=params, residual_sup=0.0, pohozaev_defect=0.0,
                  iterations=0, norm_r=0.0, mass_F=0.0)
@@ -423,8 +421,7 @@ def test_solution_rejects_the_zero_profile(params):
 def test_solution_rejects_increasing_profile(solution, params):
     grid = solution.u.grid
     vals = solution.u.values[::-1].copy()
-    bad = RadialFunction(grid=grid, values=vals,
-                         tail=(vals[-1] * grid.r_max ** 4.0, 4.0),
+    bad = RadialFunction(grid=grid, values=vals, tail_exponent=4.0,
                          value_at_origin=float(vals[0]))
     with pytest.raises(ValueError):
         Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
