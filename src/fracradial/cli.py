@@ -366,8 +366,8 @@ def _check_output_directory(out: Path) -> None:
 def _solution_record(sol: Solution, cfg: dict) -> dict:
     """The fields of the solution record of sol (see _json_text): only what
     defines the solution.  The grid is its four numbers and the profile its
-    node values and tail exponent; load_solution derives the nodes, the
-    weights and the origin value from them, as the solve did."""
+    node values and tail exponent; load_solution derives the nodes and the
+    weights from them, as the solve did."""
     pred = predict_decay(sol.params)
     u = sol.u
     return {
@@ -397,9 +397,8 @@ _KEPT_DIAGNOSTICS = ("residual_sup", "pohozaev_defect", "iterations", "norm_r",
 def load_solution(path: str) -> Solution:
     """Rebuild a Solution from a record written by the solve command.  The
     grid is RadialGrid(r_min, r_max, size, n) of the record's grid fields,
-    and the profile is RadialFunction.from_samples of its values and tail
-    exponent: the closure of the solve, so the origin value comes back
-    bitwise.
+    and the profile is the RadialFunction of its values and tail exponent,
+    closed as the solve closed it.
 
     Raises:
         ConfigError: an unreadable or malformed file, a record of another
@@ -438,8 +437,8 @@ def load_solution(path: str) -> Solution:
         if grid.N != params.N:
             raise ValueError(f"grid.n {gr['n']!r} differs from problem.n {params.N!r}")
         prof = rec["profile"]
-        u = RadialFunction.from_samples(grid, prof["values"],
-                                        tail_exponent=prof["tail_exponent"])
+        u = RadialFunction(grid=grid, values=prof["values"],
+                           tail_exponent=prof["tail_exponent"])
         # refused here, not as an overflow in the Riesz tail weights
         if not u.tail_exponent * math.log(grid.r_max) < math.log(sys.float_info.max):
             raise ValueError(f"r_max ** profile.tail_exponent = {grid.r_max!r} ** "

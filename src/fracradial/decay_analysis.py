@@ -362,11 +362,10 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
 
 
 def _power_of(u: RadialFunction, theta: float) -> RadialFunction:
-    if np.any(u.values <= 0.0) or u.value_at_origin <= 0.0:
+    if np.any(u.values <= 0.0):
         raise ValueError("verify_chain_rule: u must be strictly positive")
     return RadialFunction(grid=u.grid, values=u.values ** theta,
-                          tail_exponent=u.tail_exponent * theta,
-                          value_at_origin=u.value_at_origin ** theta)
+                          tail_exponent=u.tail_exponent * theta)
 
 
 def verify_chain_rule(u: RadialFunction, theta, s: float):

@@ -1,15 +1,16 @@
 """Discrete operators for radial functions on R^N.
 
 A radial function (`RadialFunction`) is its values u_1, ..., u_M at the
-nodes of a logarithmic grid, its value u(0) at the origin and a tail
-exponent omega > 0.  Two closures extend it to all of R^N, so integrals
-over R^N close analytically on both ends: the quadratic origin model
-u(0) + (u_1 - u(0)) (rho/r_1)^2 below r_1, and the power tail
-u(rho) = u_M (rho/r_max)^(-omega) beyond r_max, which continues the last
-sample by construction.  Every operator row therefore acts on
-x = (u(0), u_1, ..., u_M): the origin model's weights go to slot 0 and
-to u_1's slot, the tail's to u_M's.  On top of that representation this
-module provides
+nodes of a logarithmic grid and a tail exponent omega > 0.  Two closures
+extend it to all of R^N, so integrals over R^N close analytically on both
+ends, and each continues the nearest samples by construction: the
+quadratic origin model u(0) + (u_1 - u(0)) (rho/r_1)^2 below r_1, whose
+u(0) = g1 u_1 + g2 u_2 is the quadratic in rho through the first two
+nodes (`_origin_closure`), and the power tail
+u(rho) = u_M (rho/r_max)^(-omega) beyond r_max.  Every operator row
+therefore acts on the M node values: the origin model's weights go to the
+first two node columns, the tail's to the last.  On top of that
+representation this module provides
 
 * the principal-value fractional Laplacian (pointwise and as an assembled
   matrix),
@@ -54,9 +55,8 @@ instead.
 An operator entry is an `_Operator`, one form for both kernels.  It keeps
 the structure in O(M) floats: the generating row, the row scales
 r_i^(-2s) or r_i^alpha, dense corrections for what breaks the shift (the
-end rows; slot 0 and the `_END_COLUMNS` node columns at each end of the
-other rows; the fractional Laplacian's diagonal mass), and for the Riesz
-operator the weights of the value at the origin.  Applying it is one
+end rows; the `_END_COLUMNS` node columns at each end of the other rows;
+the fractional Laplacian's diagonal mass).  Applying it is one
 correlation of the generating row with the middle node values plus a few
 small products; `fraclap_matrix` expands the rows for the resolvent's
 inverse on each call.  A hit moves its entry to
@@ -378,22 +378,28 @@ class RadialGrid:
 
 
 def _origin_closure(grid: RadialGrid) -> tuple[float, float]:
-    """Coefficients (g1, g2) of u(0) ~= g1 u_1 + g2 u_2 under the model
+    """Coefficients (g1, g2) of u(0) = g1 u_1 + g2 u_2 under the model
     u = a + b rho^2 through the first two nodes."""
     r1, r2 = grid.nodes[0], grid.nodes[1]
     d = r2 * r2 - r1 * r1
     return r2 * r2 / d, -r1 * r1 / d
 
 
+def _origin_model(grid: RadialGrid, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (on u_1, on u_2) of the origin model's value
+    u(0) (1 - x2) + u_1 x2 at points below r_1 with x2 = (rho/r_1)^2."""
+    g1, g2 = _origin_closure(grid)
+    return g1 * (1.0 - x2) + x2, g2 * (1.0 - x2)
+
+
 @dataclass(frozen=True)
 class RadialFunction:
-    """Radial function: node values, value at the origin and tail exponent,
-    closed as the module docstring states."""
+    """Radial function: node values and tail exponent, closed as the module
+    docstring states."""
 
     grid: RadialGrid
     values: np.ndarray
     tail_exponent: float
-    value_at_origin: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -405,24 +411,15 @@ class RadialFunction:
         if not 0.0 < om < math.inf:
             raise ValueError(
                 f"RadialFunction: tail exponent must be positive and finite, got {om!r}")
-        u0 = float(self.value_at_origin)
-        if not math.isfinite(u0):
-            raise ValueError("RadialFunction: value_at_origin must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail_exponent", om)
-        object.__setattr__(self, "value_at_origin", u0)
 
-    @classmethod
-    def from_samples(cls, grid: RadialGrid, values, value_at_origin: float | None = None,
-                     *, tail_exponent: float) -> "RadialFunction":
-        """A RadialFunction of node samples; the origin value defaults to
-        the quadratic extrapolation through the first two nodes."""
-        values = np.asarray(values, dtype=float)
-        if value_at_origin is None:
-            g1, g2 = _origin_closure(grid)
-            value_at_origin = g1 * values[0] + g2 * values[1]
-        return cls(grid=grid, values=values, tail_exponent=tail_exponent,
-                   value_at_origin=value_at_origin)
+    @property
+    def value_at_origin(self) -> float:
+        """u(0) = g1 u_1 + g2 u_2, the origin closure of the first two
+        samples."""
+        g1, g2 = _origin_closure(self.grid)
+        return float(g1 * self.values[0] + g2 * self.values[1])
 
     def evaluate(self, rho) -> np.ndarray | float:
         """Model value at any radius: the quadratic origin model below r_1,
@@ -438,7 +435,8 @@ class RadialFunction:
         mid = ~(inner | outer)
         if inner.any():
             x = rho[inner] / r1
-            out[inner] = self.value_at_origin + (self.values[0] - self.value_at_origin) * x * x
+            u0 = self.value_at_origin
+            out[inner] = u0 + (self.values[0] - u0) * x * x
         if mid.any():
             base, W = _cubic_basis(self.grid.log_nodes, np.log(rho[mid]))
             out[mid] = np.sum(W * self.values[base[:, None] + np.arange(4)], axis=1)
@@ -450,8 +448,8 @@ class RadialFunction:
 
 def h_beta_function(grid: RadialGrid, beta: float) -> RadialFunction:
     """The profile (1 + rho^2)^(-beta/2) as a RadialFunction on the grid."""
-    return RadialFunction.from_samples(grid, h_beta_eval(grid.nodes, beta),
-                                       value_at_origin=1.0, tail_exponent=beta)
+    return RadialFunction(grid=grid, values=h_beta_eval(grid.nodes, beta),
+                          tail_exponent=beta)
 
 
 # ----------------------------------------------------------------------------
@@ -493,12 +491,12 @@ def _cell_stencils(tt: np.ndarray, tq: np.ndarray,
 
 def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
                weights: np.ndarray, rows: np.ndarray) -> None:
-    """Spread weights sitting at log radii tq onto the node slots of the rows
+    """Spread weights sitting at log radii tq onto the node columns of the rows
     of a C-contiguous 2-d coeffs through the cubic-in-log stencil, the
     weight at tq[k] to row rows[k]."""
     base, W = _cubic_basis(tt, tq)
     # one flat index: np.add.at is several times faster on 1-d indices
-    slots = 1 + base[:, None] + np.arange(4)[None, :] + coeffs.shape[1] * rows[:, None]
+    slots = base[:, None] + np.arange(4)[None, :] + coeffs.shape[1] * rows[:, None]
     np.add.at(coeffs.reshape(-1), slots, weights[:, None] * W)
 
 
@@ -641,21 +639,23 @@ def _graded_edges(r: np.ndarray, d0: np.ndarray, hi) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros_like(hi), hi, cand], axis=1), axis=1)
 
 
-def _origin_sums(N: int, p: float, r1: float, r: np.ndarray,
+def _origin_sums(grid: RadialGrid, p: float, r: np.ndarray,
                  edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel integrals over panels of [0, r_1] under the quadratic origin
     model, 8 Gauss points a panel, vectorised over radii r (n,) with panel
-    edges (n, E): the slot-0 and slot-1 weights and the kernel mass.  An
-    empty panel adds 0, also at r: its points take the offset r."""
+    edges (n, E): the weights of u_1 and u_2 and the kernel mass.  An
+    empty panel adds 0, also at r or at 0: its points take the radius r
+    and the offset r."""
+    N = grid.N
     x, wq = _gauss(8)
     a, b = edges[:, :-1, None], edges[:, 1:, None]
-    rho = 0.5 * (a + b) + 0.5 * (b - a) * x
     rr = r[:, None, None]
+    rho = np.where(b > a, 0.5 * (a + b) + 0.5 * (b - a) * x, rr)
     contrib = 0.5 * (b - a) * wq * rho ** (N - 1) \
         * _kernel_eval(N, p, rr, rho, np.where(b > a, np.abs(rr - rho), rr))
-    x2 = (rho / r1) ** 2
-    return (np.sum(contrib * (1.0 - x2), axis=(1, 2)),
-            np.sum(contrib * x2, axis=(1, 2)), np.sum(contrib, axis=(1, 2)))
+    w1, w2 = _origin_model(grid, (rho / grid.nodes[0]) ** 2)
+    return (np.sum(contrib * w1, axis=(1, 2)),
+            np.sum(contrib * w2, axis=(1, 2)), np.sum(contrib, axis=(1, 2)))
 
 
 def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
@@ -727,9 +727,9 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
     _WINDOW_CELLS local cells each side, and the parts of the cells their
     edges cut (at most one at each edge).
 
-    Returns what they add to the rows' (R, M+1) coefficients over x and
-    their (R,) tail weights, the kernel mass of the cut parts (R,) and the
-    window half-widths w (R,).
+    Returns what they add to the rows' (R, M) coefficients over the node
+    values and their (R,) tail weights, the kernel mass of the cut parts
+    (R,) and the window half-widths w (R,).
     """
     grid = ctx.grid
     N = grid.N
@@ -756,18 +756,18 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
            - (m3 / (6.0 * rr ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
            - (m4 / (24.0 * rr ** 4)) * (utttt - 6.0 * uttt
                                         + 11.0 * utt - 6.0 * ut))
-    # a stencil point adds lam to its node, or below r_1 to the origin
-    # model's slots 0 and 1, or beyond r_M to the tail weights; each slot
-    # takes its terms in stencil order (a point beyond r_M adds 0 to slot 0)
+    # a stencil point adds lam to its node, or below r_1 to u_1 and u_2
+    # through the origin model, or beyond r_M to the tail weights; each node
+    # takes its terms in stencil order (a point beyond r_M adds 0 to u_1)
     below, above = j < 0, j >= M
     node = ~(below | above)
     rho = np.exp(t)
-    x2 = (rho / r1) ** 2
-    slots = np.stack((np.where(node, 1 + j, 0), np.ones_like(j)), axis=2)
-    terms = np.stack((np.where(node, lam, np.where(below, lam * (1.0 - x2), 0.0)),
-                      np.where(below, lam * x2, 0.0)), axis=2)
-    coeffs = np.zeros((R, M + 1))
-    np.add.at(coeffs.reshape(-1), ((M + 1) * np.arange(R)[:, None, None] + slots).ravel(),
+    w1, w2 = _origin_model(grid, (rho / r1) ** 2)
+    slots = np.stack((np.where(node, j, 0), np.ones_like(j)), axis=2)
+    terms = np.stack((np.where(node, lam, np.where(below, lam * w1, 0.0)),
+                      np.where(below, lam * w2, 0.0)), axis=2)
+    coeffs = np.zeros((R, M))
+    np.add.at(coeffs.reshape(-1), (M * np.arange(R)[:, None, None] + slots).ravel(),
               terms.ravel())
     far = np.where(above, lam, 0.0) * (np.where(above, rho, rM) / rM) ** -omega
     tails = np.cumsum(far, axis=1)[:, -1]
@@ -800,8 +800,8 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     the intervals (lo, hi) (R,) around them: the grid cells clear of each
     interval, [0, r_1] under the origin model, graded toward r at distances
     d0 2^k (see _graded_edges), and the tail model beyond r_M.  They go into
-    the rows' (R, M+1) coefficients over x, (R,) tail weights and (R,)
-    kernel mass in place, in that order: a fractional-Laplacian
+    the rows' (R, M) coefficients over the node values, (R,) tail weights
+    and (R,) kernel mass in place, in that order: a fractional-Laplacian
     row cancels far below its entries, so its summation order is kept.
     Each row's sums equal the ones it gets alone."""
     grid = ctx.grid
@@ -824,25 +824,24 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     per_node = contrib[:, 0, None] * cubw[0]
     for q in range(1, 4):
         per_node += contrib[:, q, None] * cubw[q]
-    # each slot takes its cells in order; coeffs is C-contiguous, so its
+    # each column takes its cells in order; coeffs is C-contiguous, so its
     # flat view takes the sums
-    slots = (M + 1) * np.arange(r.size)[:, None, None] + 1 + ctx.cell_base[:, None] \
-        + np.arange(4)
+    slots = M * np.arange(r.size)[:, None, None] + ctx.cell_base[:, None] + np.arange(4)
     np.add.at(coeffs.reshape(-1), slots.ravel(),
               sign * per_node.transpose(0, 2, 1).ravel())
 
     # [0, r_1] outside the interval: from the origin up to the interval or
     # r_1, and from an interval that ends below r_1 up to r_1
-    c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0, np.minimum(lo, r1)))
-    coeffs[:, 0] += sign * c0
-    coeffs[:, 1] += sign * c1
+    c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0, np.minimum(lo, r1)))
+    coeffs[:, 0] += sign * c1
+    coeffs[:, 1] += sign * c2
     mass += m0
     gap = hi < r1
     if gap.any():
-        c0, c1, m0 = _origin_sums(N, p, r1, r[gap], np.stack(
+        c1, c2, m0 = _origin_sums(grid, p, r[gap], np.stack(
             (hi[gap], np.full(np.count_nonzero(gap), r1)), axis=1))
-        coeffs[gap, 0] += sign * c0
-        coeffs[gap, 1] += sign * c1
+        coeffs[gap, 0] += sign * c1
+        coeffs[gap, 1] += sign * c2
         mass[gap] += m0
 
     # beyond the interval and r_M
@@ -856,9 +855,9 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float, omega: float) -> np.ndarray
 
     The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
-    around each r.  Returns the (R, M+1) coefficients over x, the weights
-    of a tail of exponent omega added to slot M last.  The factor C_{N,s}
-    is NOT applied here.
+    around each r.  Returns the (R, M) coefficients over the node values,
+    the weights of a tail of exponent omega added to the last column last.
+    The factor C_{N,s} is NOT applied here.
 
     Every piece is computed for all radii at once, and each row equals the
     one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
@@ -883,14 +882,14 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float, omega: float) -> np.ndarray
     on_lo = np.abs(nodes[j] - r) <= 1e-12 * r
     on_hi = ~on_lo & (np.abs(nodes[j + 1] - r) <= 1e-12 * r)
     on = on_lo | on_hi
-    coeffs[rows[on], (1 + j + on_hi)[on]] += mass[on]
+    coeffs[rows[on], (j + on_hi)[on]] += mass[on]
     below = ~on & (r < r1)
-    x2 = (r[below] / r1) ** 2
-    coeffs[below, 0] += mass[below] * (1.0 - x2)
-    coeffs[below, 1] += mass[below] * x2
+    w1, w2 = _origin_model(grid, (r[below] / r1) ** 2)
+    coeffs[below, 0] += mass[below] * w1
+    coeffs[below, 1] += mass[below] * w2
     off = ~(on | below)
     _add_cubic(coeffs, ctx.tt, _logs(r[off]), mass[off], rows[off])
-    coeffs[:, M] += tails
+    coeffs[:, M - 1] += tails
     return coeffs
 
 
@@ -909,9 +908,10 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     the nodes i (R,), and the intervals (lo, hi) (R,) they cover.
 
     The cells touching r = r_i are graded toward r in _RIESZ_GRADE_LEVELS
-    levels of 4 Gauss points with a power-law stub for the last, and so is
-    the tail model on [r, 1.5 r] at the last node, whose singularity sits
-    where the tail region starts.  The points are offsets xi from r, and
+    levels of 4 Gauss points with a power-law stub for the last, and so are
+    the origin model on [0, r_1] at the first node and the tail model on
+    [r, 1.5 r] at the last node, whose singularities sit where those
+    regions end and start.  The points are offsets xi from r, and
     the kernel is evaluated at xi itself (see _kernel_eval): the rounded
     radius r +- xi keeps only about eps r / xi of xi.
     """
@@ -919,15 +919,15 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     nodes = ctx.grid.nodes
     M = nodes.size
     r = nodes[i]
-    lo = nodes[np.maximum(i - 1, 0)]
+    lo = np.where(i > 0, nodes[np.maximum(i - 1, 0)], 0.0)
     hi = np.where(i < M - 1, nodes[np.minimum(i + 1, M - 1)], 1.5 * r)
     levels = _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
     x4, w4 = _gauss(4)
 
     # the cells below the radii, then the cells above
-    below, above = np.flatnonzero(i > 0), np.flatnonzero(i < M - 1)
+    below, above = np.arange(i.size), np.flatnonzero(i < M - 1)
     side = np.concatenate((below, above))
-    span = np.concatenate((r[below] - lo[below], hi[above] - r[above]))
+    span = np.concatenate((r - lo, hi[above] - r[above]))
     edges = span[:, None] * levels
     xb, xa, x0 = edges[:, :-1, None], edges[:, 1:, None], edges[:, -1:]
     half = 0.5 * (xb - xa)
@@ -938,13 +938,19 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     rho = rs + np.repeat([-1.0, 1.0], (below.size, above.size))[:, None] * xi
     g = rho ** (N - 1) * _kernel_eval(N, p, rs, rho, xi)
     stub = _diagonal_stub(g[:, -2], g[:, -1], x0[:, 0])
-    # a row takes its graded points side by side, then its stubs at its node
-    coeffs = np.zeros((i.size, M + 1))
+    wg = (half * w4).reshape(side.size, -1) * g[:, :-2]
+    # a row takes its graded points side by side, then its stubs at its
+    # node, then the first node's row its origin points through the model
+    origin = np.concatenate((i == 0, np.zeros(above.size, dtype=bool)))
+    cubic = ~origin
+    coeffs = np.zeros((i.size, M))
     _add_cubic(coeffs, ctx.tt,
-               np.concatenate((np.log(rho[:, :-2]).ravel(), ctx.tt[i[side]])),
-               np.concatenate((((half * w4).reshape(side.size, -1) * g[:, :-2]).ravel(),
-                               stub)),
-               np.concatenate((np.repeat(side, xi.shape[1] - 2), side)))
+               np.concatenate((np.log(rho[cubic, :-2]).ravel(), ctx.tt[i[side]])),
+               np.concatenate((wg[cubic].ravel(), stub)),
+               np.concatenate((np.repeat(side[cubic], xi.shape[1] - 2), side)))
+    w1, w2 = _origin_model(ctx.grid, (rho[origin, :-2] / nodes[0]) ** 2)
+    coeffs[side[origin], 0] += _rowdot(wg[origin], w1)
+    coeffs[side[origin], 1] += _rowdot(wg[origin], w2)
 
     tails = np.zeros(i.size)
     last = np.flatnonzero(i == M - 1)
@@ -970,12 +976,8 @@ def _riesz_rows(ctx: _RowContext, which, alpha: float, omega: float) -> np.ndarr
     r = grid.nodes[i]
     p = alpha - grid.N
     coeffs, tails, lo, hi = _riesz_diagonal(ctx, i, p, omega)
-    # [0, r_1] is graded toward r beyond r_1; the first node's row, at r_1,
-    # takes it as one panel (d0 = r leaves no grading point inside)
-    _add_outside(ctx, p, r, lo, hi, np.where(i > 0, 0.1 * r, r), 1.0, omega,
-                 coeffs, tails, np.zeros(i.size))
-    coeffs[:, grid.size] += tails + _tail_remainder(grid.N, "riesz", alpha,
-                                                    grid.r_max, omega)
+    _add_outside(ctx, p, r, lo, hi, 0.1 * r, 1.0, omega, coeffs, tails, np.zeros(i.size))
+    coeffs[:, -1] += tails + _tail_remainder(grid.N, "riesz", alpha, grid.r_max, omega)
     return coeffs
 
 
@@ -1000,12 +1002,12 @@ _ROW_BLOCK = 64
 
 def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
              which) -> np.ndarray:
-    """Unscaled rows at the nodes `which`: their (len(which), M+1)
-    coefficients over x, from one _fraclap_rows or _riesz_rows call per
-    _ROW_BLOCK nodes."""
+    """Unscaled rows at the nodes `which`: their (len(which), M)
+    coefficients over the node values, from one _fraclap_rows or
+    _riesz_rows call per _ROW_BLOCK nodes."""
     ctx = _context(grid)
     which = np.asarray(which, dtype=int)
-    rows = np.empty((which.size, grid.size + 1))
+    rows = np.empty((which.size, grid.size))
     for b in range(0, which.size, _ROW_BLOCK):
         block = which[b:b + _ROW_BLOCK]
         if kind == "fraclap":
@@ -1020,17 +1022,15 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
 class _Operator:
     """Unscaled rows of one operator at every node, stored by structure.
 
-    Row i maps x to the operator value at node i before its constant
-    factor.  The interior rows i = lo..hi-1 are, at the node columns
-    E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
+    Row i maps the node values u to the operator value at node i before
+    its constant factor.  The interior rows i = lo..hi-1 are, at the node
+    columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
-    `edges` (K, 2E+1) holds their slot 0 and their first and last E node
-    columns, and `mass` (K,), when there is one, what their diagonal adds
-    to the shift: the fractional Laplacian's kernel mass.  The Riesz
-    diagonal shifts like the rest of its rows, so that operator has none.
-    `ends` holds every other row densely: rows 0..lo-1, then hi..M-1.  A
-    Riesz operator also holds `origin`, the weights of I_alpha * u(0) over
-    x.
+    `edges` (K, 2E) holds their first and last E node columns, and `mass`
+    (K,), when there is one, what their diagonal adds to the shift: the
+    fractional Laplacian's kernel mass.  The Riesz diagonal shifts like
+    the rest of its rows, so that operator has none.  `ends` holds every
+    other row densely: rows 0..lo-1, then hi..M-1.
     """
 
     ends: np.ndarray
@@ -1040,37 +1040,35 @@ class _Operator:
     scale: np.ndarray
     edges: np.ndarray
     mass: np.ndarray | None = None
-    origin: np.ndarray | None = None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Unscaled operator values at the nodes for x laid out as above;
-        the interior is one correlation of gen with the middle node values."""
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Unscaled operator values at the nodes for the node values u; the
+        interior is one correlation of gen with the middle node values."""
         lo, hi, E = self.lo, self.hi, _END_COLUMNS
-        u = x[1:]
-        out = np.empty(u.size)
-        out[:lo] = self.ends[:lo] @ x
-        out[hi:] = self.ends[lo:] @ x
-        corr = np.correlate(self.gen, u[E:u.size - E], "valid")[::-1]
-        out[lo:hi] = self.scale * corr \
-            + self.edges @ np.concatenate((x[:1 + E], u[u.size - E:]))
+        M = u.size
+        out = np.empty(M)
+        out[:lo] = self.ends[:lo] @ u
+        out[hi:] = self.ends[lo:] @ u
+        corr = np.correlate(self.gen, u[E:M - E], "valid")[::-1]
+        out[lo:hi] = self.scale * corr + self.edges @ np.concatenate((u[:E], u[M - E:]))
         if self.mass is not None:
             out[lo:hi] += self.mass * u[lo:hi]
         return out
 
     def rows(self) -> np.ndarray:
-        """The (M, M+1) coefficients of every row, as a fresh array."""
+        """The (M, M) coefficients of every row, as a fresh array."""
         lo, hi, E = self.lo, self.hi, _END_COLUMNS
-        M = self.ends.shape[1] - 1
-        rows = np.empty((M, M + 1))
+        M = self.ends.shape[1]
+        rows = np.empty((M, M))
         rows[:lo] = self.ends[:lo]
         rows[hi:] = self.ends[lo:]
         shifts = np.lib.stride_tricks.sliding_window_view(self.gen, M - 2 * E)
-        np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, 1 + E:1 + M - E])
-        rows[lo:hi, :1 + E] = self.edges[:, :1 + E]
-        rows[lo:hi, 1 + M - E:] = self.edges[:, 1 + E:]
+        np.multiply(shifts[::-1], self.scale[:, None], out=rows[lo:hi, E:M - E])
+        rows[lo:hi, :E] = self.edges[:, :E]
+        rows[lo:hi, M - E:] = self.edges[:, E:]
         if self.mass is not None:
             inner = np.arange(lo, hi)
-            rows[inner, 1 + inner] += self.mass
+            rows[inner, inner] += self.mass
         return rows
 
 
@@ -1086,9 +1084,10 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     generating row: the near-diagonal pieces of the middle row plus the
     full cells at every offset, integrated once at r = 1.  What is not
     shift-invariant is computed per row, vectorised: the end columns (the
-    end cells' clipped stencils), the origin region (slots 0 and 1), the
-    far tail (slot M), and for the fractional Laplacian the kernel mass on
-    the diagonal.  The end rows come from the row builders themselves.
+    end cells' clipped stencils), the origin region (the first two
+    columns), the far tail (the last column), and for the fractional
+    Laplacian the kernel mass on the diagonal.  The end rows come from the
+    row builders themselves.
     """
     ctx = _context(grid)
     N = grid.N
@@ -1125,39 +1124,39 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     L = 2 * M - 1
     gen = per_node[3:3 + L, 0] + per_node[2:2 + L, 1] \
         + per_node[1:1 + L, 2] + per_node[:L, 3]
-    gen[M - 1 - g:2 * M - 1 - g] += near[1:] / scale[g]
+    gen[M - 1 - g:2 * M - 1 - g] += near / scale[g]
 
     lo, hi = _END_ROWS, M - _END_ROWS
     inner = np.arange(lo, hi)
 
     # end columns: only the real cells whose stencils reach them; edge
-    # column 1 + j holds node j < E, column 1 + j - M + 2E node j >= M - E
+    # column j holds node j < E, column j - M + 2E node j >= M - E
     E = _END_COLUMNS
-    edges = np.zeros((hi - lo, 2 * E + 1))
+    edges = np.zeros((hi - lo, 2 * E))
     for c in (*range(E + 1), *range(M - E - 2, M - 1)):
         base = ctx.cell_base[c]
         part = sign * scale[lo:hi, None] * (cells[c - inner + M + 1] @ ctx.cell_cubw[c])
         for m in range(4):
             j = base + m
             if j < E:
-                edges[:, 1 + j] += part[:, m]
+                edges[:, j] += part[:, m]
             elif j >= M - E:
-                edges[:, 1 + j - M + 2 * E] += part[:, m]
+                edges[:, j - M + 2 * E] += part[:, m]
 
     # origin region and far tail, a block of rows at a time
     mass = np.zeros(hi - lo) if fraclap else None
     tails = np.empty(hi - lo)
     for b in range(lo, hi, _ROW_BLOCK):
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
-        c0, c1, m0 = _origin_sums(N, p, r1, r, _graded_edges(r, d0 * r, r1))
+        c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0 * r, r1))
         tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
-        edges[b - lo:b - lo + r.size, 0] = sign * c0
-        edges[b - lo:b - lo + r.size, 1] += sign * c1
+        edges[b - lo:b - lo + r.size, 0] += sign * c1
+        edges[b - lo:b - lo + r.size, 1] += sign * c2
         tails[b - lo:b - lo + r.size] = sign * tail
         if fraclap:  # the Riesz diagonal shifts like the rest of the row
             mass[b - lo:b - lo + r.size] = m0 + m1
     # the tail continues u_M: its weights go to the last node column
-    edges[:, 2 * E] += tails + _tail_remainder(N, kind, exponent, rM, tail_omega)
+    edges[:, -1] += tails + _tail_remainder(N, kind, exponent, rM, tail_omega)
     if fraclap:
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
@@ -1172,42 +1171,13 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
                      scale=scale[lo:hi], edges=edges, mass=mass)
 
 
-def _riesz_origin(grid: RadialGrid, alpha: float, tail_omega: float) -> np.ndarray:
-    """Weights of the unscaled Riesz potential at the origin over x, where
-    the kernel is |S^{N-1}| rho^(alpha-N): the [0, r_1] piece of
-    int g rho^(alpha-1) drho is exact for the quadratic origin model, the
-    grid part uses the shared cell rule, and the tail closes analytically."""
-    ctx = _context(grid)
-    M = grid.size
-    r1a = grid.nodes[0] ** alpha
-    per_node = np.einsum("cq,cqm->cm", ctx.cell_w * ctx.cell_rho ** (alpha - grid.N),
-                         ctx.cell_cubw)
-    weights = np.zeros(M + 1)
-    np.add.at(weights, 1 + ctx.cell_base[:, None] + np.arange(4), per_node)
-    weights[0] += r1a * (1.0 / alpha - 1.0 / (alpha + 2.0))
-    weights[1] += r1a / (alpha + 2.0)
-    weights[M] += grid.r_max ** alpha / (tail_omega - alpha)
-    return sphere_surface_area(grid.N) * weights
-
-
 def _raw(grid: RadialGrid, kind: str, exponent: float,
          tail_omega: float) -> _Operator:
     """Unscaled rows of one operator at every node, assembled from one
     generating row and memoised as an _Operator.  kind is "fraclap"
     (exponent s) or "riesz" (exponent alpha)."""
-    def build():
-        op = _structured_rows(grid, kind, exponent, tail_omega)
-        if kind == "riesz":
-            op.origin = _riesz_origin(grid, exponent, tail_omega)
-        return op
-
     return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),
-                 build)
-
-
-def _samples(u: RadialFunction) -> np.ndarray:
-    """x = (u(0), u_1, ..., u_M), the vector the operator rows act on."""
-    return np.concatenate(([u.value_at_origin], u.values))
+                 lambda: _structured_rows(grid, kind, exponent, tail_omega))
 
 
 def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
@@ -1264,11 +1234,10 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at):
         raise ValueError(
             f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
     rs = np.atleast_1d(radii)
-    x = _samples(u)
     out = np.empty(rs.size)
     for b in range(0, rs.size, _ROW_BLOCK):
         coeffs = _fraclap_rows(_context(grid), rs[b:b + _ROW_BLOCK], s, u.tail_exponent)
-        out[b:b + _ROW_BLOCK] = _fraclap_C(grid.N, s) * _rowdot(coeffs, x)
+        out[b:b + _ROW_BLOCK] = _fraclap_C(grid.N, s) * _rowdot(coeffs, u.values)
     return float(out[0]) if radii.ndim == 0 else out
 
 
@@ -1277,14 +1246,14 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_on_grid: s must lie in (0, 1), got {s!r}")
     op = _raw(u.grid, "fraclap", s, u.tail_exponent)
-    return _fraclap_C(u.grid.N, s) * op.apply(_samples(u))
+    return _fraclap_C(u.grid.N, s) * op.apply(u.values)
 
 
 def _riesz_operator(grid: RadialGrid, alpha: float,
                     tail_omega: float) -> tuple[float, _Operator]:
     """The Riesz constant C_{N,alpha} and the memoised unscaled Riesz
     operator (see _Operator) for inputs on grid closed with tail exponent
-    tail_omega; C * op.apply(x) is I_alpha * g at the nodes.
+    tail_omega; C * op.apply(g.values) is I_alpha * g at the nodes.
 
     Raises:
         ValueError: alpha outside (0, N), or tail_omega <= alpha, where the
@@ -1309,23 +1278,16 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
         alpha: order of the potential, in (0, N).
 
     Returns:
-        The convolution sampled on the same grid, with the exact value at the
-        origin and the tail exponent min(omega_g, N) - alpha, omega_g being
-        g's: I_alpha * g decays like rho^(alpha-N) when g is integrable
-        (omega_g > N) and like rho^(alpha-omega_g) otherwise.
+        The convolution sampled on the same grid, closed like any
+        RadialFunction, with the tail exponent min(omega_g, N) - alpha,
+        omega_g being g's: I_alpha * g decays like rho^(alpha-N) when g is
+        integrable (omega_g > N) and like rho^(alpha-omega_g) otherwise.
     """
     grid = g.grid
     om_g = g.tail_exponent
     C, op = _riesz_operator(grid, alpha, om_g)
-
-    # the value at the origin, exact as far as the three models go, is one
-    # more weight row of the operator
-    x = _samples(g)
-    values = C * op.apply(x)
-    origin = C * float(op.origin @ x)
-
-    return RadialFunction.from_samples(grid, values, value_at_origin=origin,
-                                       tail_exponent=min(om_g, float(grid.N)) - alpha)
+    return RadialFunction(grid=grid, values=C * op.apply(g.values),
+                          tail_exponent=min(om_g, float(grid.N)) - alpha)
 
 
 def lu_factor(A: np.ndarray) -> np.ndarray:
@@ -1356,10 +1318,10 @@ def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     """Assembled M x M matrix of (-Delta)^s under the standard closures.
 
-    The rows of the memoised operator (_Operator.rows), with the origin
-    value eliminated through the quadratic two-node extrapolation: they act
-    on the node values and return the operator's values at the nodes.  The
-    matrix is expanded on each call, a fresh array the caller may modify.
+    C_{N,s} times the rows of the memoised operator (_Operator.rows): they
+    act on the node values and return the operator's values at the nodes.
+    The matrix is expanded on each call, a fresh array the caller may
+    modify.
 
     Raises:
         ValueError: s outside (0, 1), or tail_omega not finite and positive.
@@ -1368,14 +1330,9 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
         raise ValueError(f"fraclap_matrix: s must lie in (0, 1), got {s!r}")
     if not (0.0 < tail_omega < math.inf):
         raise ValueError(f"fraclap_matrix: tail_omega must be finite and > 0, got {tail_omega!r}")
-    op = _raw(grid, "fraclap", s, tail_omega)
-    C = _fraclap_C(grid.N, s)
-    rows = op.rows()
-    rows *= C
-    A = rows[:, 1:]
-    # the origin value through its closure g1 u_1 + g2 u_2
-    A[:, :2] += rows[:, :1] * _origin_closure(grid)
-    return A
+    rows = _raw(grid, "fraclap", s, tail_omega).rows()
+    rows *= _fraclap_C(grid.N, s)
+    return rows
 
 
 # ----------------------------------------------------------------------------
@@ -1397,7 +1354,8 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     N = grid.N
     q = float(power)
     frac = abs(q - round(q)) > 1e-12
-    if frac and (np.any(u.values < 0.0) or u.value_at_origin < 0.0):
+    u0 = u.value_at_origin
+    if frac and (np.any(u.values < 0.0) or u0 < 0.0):
         raise ValueError("volume_integral: fractional power of a sign-changing function")
     om = u.tail_exponent
     if q * om <= N:
@@ -1406,7 +1364,7 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     node_part = float(np.sum(grid.weights * u.values ** q))
     r1 = grid.nodes[0]
     x, xw = _gauss_on(0.0, r1, 16)
-    model = u.value_at_origin + (u.values[0] - u.value_at_origin) * (x / r1) ** 2
+    model = u0 + (u.values[0] - u0) * (x / r1) ** 2
     origin_part = float(np.sum(xw * model ** q * x ** (N - 1)))
     tail_part = u.values[-1] ** q * grid.r_max ** N / (q * om - N)
     return sphere_surface_area(N) * (node_part + origin_part + tail_part)

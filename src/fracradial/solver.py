@@ -183,9 +183,8 @@ class NonlinearitySpec:
 
     def F_of(self, u: RadialFunction) -> RadialFunction:
         """F(u) as a RadialFunction, with the envelope tail model r*omega."""
-        return RadialFunction.from_samples(u.grid, self.F_values(u.values),
-                                           value_at_origin=float(self.F(u.value_at_origin)),
-                                           tail_exponent=self.r * u.tail_exponent)
+        return RadialFunction(grid=u.grid, values=self.F_values(u.values),
+                              tail_exponent=self.r * u.tail_exponent)
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ class Solution:
 
     def __post_init__(self):
         vals = self.u.values
-        if np.any(vals <= 0.0) or not (self.u.value_at_origin > 0.0):
+        if np.any(vals <= 0.0):
             raise ValueError("Solution: profile must be strictly positive")
         if np.any(np.diff(vals) > 1e-9 * float(np.max(vals))):
             raise ValueError("Solution: profile must be non-increasing in radius")
@@ -280,8 +279,8 @@ class _RhsMap:
     node values, for profiles u closed with one tail exponent omega.
 
     It binds what does not change with u: the Riesz operator for the tail
-    exponent r*omega of F(u) and its constant C, and the origin closure
-    (g1, g2).  A call then runs the arithmetic of
+    exponent r*omega of F(u) and its constant C.  A call then runs the
+    arithmetic of
     riesz_convolve_radial(spec.F_of(u), alpha).values * spec.f_values(u)
     in the same order, so it gives the same bits, without building the
     three RadialFunctions.  A non-finite F(u) or f(u) gives a non-finite
@@ -295,15 +294,11 @@ class _RhsMap:
         self._spec = params.nonlinearity
         om_F = self._spec.r * omega
         self._C, self._op = _riesz_operator(grid, params.alpha, om_F)
-        self._g1, self._g2 = _origin_closure(grid)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """b at the nodes for u = values, with u(0) from the origin closure
-        g1 u_1 + g2 u_2."""
+        """b at the nodes for u = values."""
         spec = self._spec
-        value_at_origin = float(self._g1 * values[0] + self._g2 * values[1])
-        x = np.concatenate(([float(spec.F(value_at_origin))], spec.F_values(values)))
-        return self._C * self._op.apply(x) * spec.f_values(values)
+        return self._C * self._op.apply(spec.F_values(values)) * spec.f_values(values)
 
 
 def solve_ground_state(params: ProblemParams,
@@ -416,7 +411,7 @@ def solve_ground_state(params: ProblemParams,
             f"solve_ground_state: no convergence after {opts.max_iterations} "
             f"iterations (last profile change {trace[-1][1]:.3e})")
 
-    u_fn = RadialFunction.from_samples(grid, a * v, tail_exponent=beta)
+    u_fn = RadialFunction(grid=grid, values=a * v, tail_exponent=beta)
     norm_r = volume_integral(u_fn, r) ** (1.0 / r)
     lap, fu, conv = _evaluate(u_fn, params)
     mass_F = volume_integral(fu)
@@ -453,8 +448,8 @@ def residual(sol: Solution) -> RadialFunction:
     with all three terms recomputed from the grid operators."""
     u = sol.u
     lap, _, conv = _evaluate(u, sol.params)
-    return RadialFunction.from_samples(u.grid, _residual_values(u, sol.params, lap, conv),
-                                       tail_exponent=u.tail_exponent)
+    return RadialFunction(grid=u.grid, values=_residual_values(u, sol.params, lap, conv),
+                          tail_exponent=u.tail_exponent)
 
 
 def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray,
@@ -483,9 +478,8 @@ def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray
 
     b_sq = volume_integral(u, 2.0)
 
-    c_choq = volume_integral(RadialFunction.from_samples(
-        grid, conv.values * fu.values,
-        value_at_origin=conv.value_at_origin * fu.value_at_origin,
+    c_choq = volume_integral(RadialFunction(
+        grid=grid, values=conv.values * fu.values,
         tail_exponent=fu.tail_exponent + N - params.alpha))
 
     i_val = 0.5 * a_quad + 0.5 * mu * b_sq - 0.5 * c_choq
@@ -528,8 +522,7 @@ def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
     """u(x/t) on u's own grid: `u.evaluate` at the nodes over t, so between
     nodes u is read through the operators' cubic-in-log stencil."""
     return RadialFunction(grid=u.grid, values=u.evaluate(u.grid.nodes / t),
-                          tail_exponent=u.tail_exponent,
-                          value_at_origin=u.value_at_origin)
+                          tail_exponent=u.tail_exponent)
 
 
 def dilation_derivative(sol: Solution) -> float:

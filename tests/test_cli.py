@@ -829,6 +829,17 @@ def test_reloaded_record_rebuilds_its_closures_bitwise(tmp_path, monkeypatch, r)
     assert v.tail_exponent == u.tail_exponent
 
 
+def test_origin_value_is_the_closure_of_the_first_two_samples(workdir):
+    """u(0) is g1 u_1 + g2 u_2 for every RadialFunction, bitwise: a
+    profile, I_alpha * g, F(u) and a reloaded record's profile."""
+    sol = load_solution(str(workdir / "solve" / "solution.json"))
+    g1, g2 = radial_ops._origin_closure(sol.u.grid)
+    fu = sol.params.nonlinearity.F_of(sol.u)
+    for u in (radial_ops.h_beta_function(sol.u.grid, 3.5), fu,
+              radial_ops.riesz_convolve_radial(fu, sol.params.alpha), sol.u):
+        assert u.value_at_origin == g1 * u.values[0] + g2 * u.values[1]
+
+
 def test_reloaded_grid_is_assembled_by_structure(workdir):
     """A grid rebuilt from solution.json is the solve's grid: equal fields,
     so the same memo token and the same structured operators."""

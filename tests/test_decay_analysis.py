@@ -101,7 +101,7 @@ def test_predict_rejects_exponent_outside_window(bad_r):
 
 
 def test_fit_recovers_exact_power(grid):
-    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
+    u = RadialFunction(grid=grid, values=2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
     fit = fit_tail(u, (10.0, 100.0))
     assert_allclose(fit.fitted_exponent, 3.5, atol=1e-10)
     assert_allclose(fit.fitted_amplitude, 2.0, rtol=1e-9)
@@ -120,8 +120,7 @@ def test_fit_reference_profile(grid):
 
 def test_fit_log_corrected_model(grid):
     vals = 5.0 * np.log(grid.nodes) * grid.nodes ** -3.0
-    u = RadialFunction(grid=grid, values=vals, tail_exponent=3.0,
-                       value_at_origin=float(vals[0]))
+    u = RadialFunction(grid=grid, values=vals, tail_exponent=3.0)
     fit = fit_tail(u, (20.0, 100.0))
     assert fit.log_corrected
     assert_allclose(fit.fitted_exponent, 3.0, atol=1e-9)
@@ -129,7 +128,7 @@ def test_fit_log_corrected_model(grid):
 
 
 def test_fit_log_model_needs_window_above_one(grid):
-    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
+    u = RadialFunction(grid=grid, values=2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
     # log(r) changes sign inside the window: the plain power fit is used
     fit = fit_tail(u, (0.5, 50.0))
     assert not fit.log_corrected
@@ -137,7 +136,7 @@ def test_fit_log_model_needs_window_above_one(grid):
 
 
 def test_fit_window_validation(grid):
-    u = RadialFunction.from_samples(grid, 2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
+    u = RadialFunction(grid=grid, values=2.0 * grid.nodes ** -3.5, tail_exponent=3.5)
     with pytest.raises(ValueError):
         fit_tail(u, (100.0, 50.0))          # reversed
     with pytest.raises(ValueError):
@@ -149,8 +148,7 @@ def test_fit_window_validation(grid):
 def test_fit_rejects_nonpositive_samples(grid):
     vals = 2.0 * grid.nodes ** -3.5
     vals[600] = -vals[600]
-    u = RadialFunction(grid=grid, values=vals, tail_exponent=3.5,
-                       value_at_origin=float(vals[0]))
+    u = RadialFunction(grid=grid, values=vals, tail_exponent=3.5)
     lo, hi = grid.nodes[590], grid.nodes[640]
     with pytest.raises(ValueError):
         fit_tail(u, (lo, hi))
@@ -276,8 +274,7 @@ def test_chain_rule_sides_are_the_assembled_operator(N, theta):
     g = RadialGrid.log_spaced(num=400, N=N)
     u = h_beta_function(g, 3.0)
     u_pow = RadialFunction(grid=g, values=u.values ** theta,
-                           tail_exponent=u.tail_exponent * theta,
-                           value_at_origin=u.value_at_origin ** theta)
+                           tail_exponent=u.tail_exponent * theta)
     report = verify_chain_rule(u, theta, 0.5)
     assert np.array_equal(report.lhs, frac_laplacian_on_grid(u_pow, 0.5))
     assert np.array_equal(report.rhs, theta * u.values ** (theta - 1.0)
@@ -348,8 +345,8 @@ def test_chain_rule_theta_validation(grid, theta):
 
 
 def test_chain_rule_needs_positive_function(grid):
-    minus_one = RadialFunction.from_samples(grid, -np.ones(grid.nodes.size),
-                                            value_at_origin=-1.0, tail_exponent=4.0)
+    minus_one = RadialFunction(grid=grid, values=-np.ones(grid.nodes.size),
+                               tail_exponent=4.0)
     with pytest.raises(ValueError):
         verify_chain_rule(minus_one, 0.3, 0.5)
 

@@ -305,35 +305,25 @@ def test_grid_is_its_four_fields():
     assert g != RadialGrid.log_spaced(num=400, N=3)
 
 
-def test_from_samples_origin_default(grid):
-    u = RadialFunction.from_samples(grid, h_beta_eval(grid.nodes, 2.0),
-                                    tail_exponent=2.0)
+def test_origin_value_is_the_quadratic_closure(grid):
+    u = RadialFunction(grid=grid, values=h_beta_eval(grid.nodes, 2.0), tail_exponent=2.0)
     # quadratic extrapolation through r_1, r_2 with r_1 = 1e-3
     assert_allclose(u.value_at_origin, 1.0, rtol=1e-10)
-
-
-def test_from_samples_rejects_nonpositive_tail(grid):
-    vals = h_beta_eval(grid.nodes, 2.0)
-    for omega in (0.0, -1.0):
-        with pytest.raises(ValueError, match="tail exponent must be positive"):
-            RadialFunction.from_samples(grid, vals, tail_exponent=omega)
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0])
 def test_radial_function_rejects_nonpositive_exponent_even_when_constant(grid, omega):
     # a constant function has no power tail to close its integrals with
     with pytest.raises(ValueError, match="tail exponent must be positive"):
-        RadialFunction(grid=grid, values=np.full(grid.size, 2.5),
-                       tail_exponent=omega, value_at_origin=2.5)
+        RadialFunction(grid=grid, values=np.full(grid.size, 2.5), tail_exponent=omega)
 
 
 def test_radial_function_validation(grid):
     vals = h_beta_eval(grid.nodes, 2.0)
     with pytest.raises(ValueError):
-        RadialFunction(grid=grid, values=vals, tail_exponent=-1.0, value_at_origin=1.0)
+        RadialFunction(grid=grid, values=vals, tail_exponent=-1.0)
     with pytest.raises(ValueError):
-        RadialFunction(grid=grid, values=vals[:-1], tail_exponent=2.0,
-                       value_at_origin=1.0)
+        RadialFunction(grid=grid, values=vals[:-1], tail_exponent=2.0)
 
 
 def test_evaluate_in_all_three_regions(grid):
@@ -365,7 +355,7 @@ def test_h_beta_function_matches_profile(grid):
     u = h_beta_function(grid, 3.5)
     assert_allclose(u.values, (1.0 + grid.nodes ** 2) ** -1.75, rtol=1e-15)
     assert u.tail_exponent == 3.5
-    assert u.value_at_origin == 1.0
+    assert abs(u.value_at_origin - 1.0) <= 1e-11
 
 
 # ----------------------------------------------------------------------------
@@ -472,7 +462,7 @@ def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     ctx = radial_ops._context(grid)
     for omega in (N + 1.0, 2.5):
         rows = radial_ops._fraclap_rows(ctx, radii, 0.5, omega)
-        assert rows.shape == (radii.size, grid.size + 1)
+        assert rows.shape == (radii.size, grid.size)
         for k in range(radii.size):
             alone = radial_ops._fraclap_rows(ctx, radii[k:k + 1], 0.5, omega)
             assert np.array_equal(alone[0], rows[k])
@@ -509,12 +499,10 @@ def test_fraclap_rejects_bad_arguments(grid):
 # folded into the last node column of both, at each order s.  h_3 (1 + 0.1
 # sin log rho) is not a multiple of any h_beta.  h_2 at s = 3/4 is left
 # out: near r_1 its value is about 1e-7 of the largest entry of its row,
-# and the two routes differ there by up to 2.1e-7 relative (at r_1, where
-# the matrix also takes u(0) from its closure), with or without the fold.
+# and the two routes differ there by up to 3.3e-8 relative (at node 5).
 def test_fraclap_matrix_consistent_with_row_apply(grid):
-    wavy_h3 = RadialFunction.from_samples(
-        grid, h_beta_eval(grid.nodes, 3.0) * (1.0 + 0.1 * np.sin(grid.log_nodes)),
-        tail_exponent=3.0)
+    wavy = h_beta_eval(grid.nodes, 3.0) * (1.0 + 0.1 * np.sin(grid.log_nodes))
+    wavy_h3 = RadialFunction(grid=grid, values=wavy, tail_exponent=3.0)
     h2 = h_beta_function(grid, 2.0)
     for s, u in ((0.25, h2), (0.5, h2), (0.25, wavy_h3), (0.5, wavy_h3),
                  (0.75, wavy_h3)):
@@ -564,8 +552,7 @@ def test_riesz_far_field_mass_law(grid):
 
 def test_riesz_is_linear_and_decreasing(grid):
     g1 = h_beta_function(grid, 5.0)
-    g2 = RadialFunction(grid=grid, values=3.0 * g1.values, tail_exponent=5.0,
-                        value_at_origin=3.0)
+    g2 = RadialFunction(grid=grid, values=3.0 * g1.values, tail_exponent=5.0)
     v1 = riesz_convolve_radial(g1, 2.0)
     v2 = riesz_convolve_radial(g2, 2.0)
     assert_allclose(v2.values, 3.0 * v1.values, rtol=1e-13)
@@ -590,8 +577,7 @@ def riesz_h_exact(N, alpha, beta, r):
 # (2, 1, 2.5), 5.8e-6 / 3.8e-7 / 5.3e-8 for (3, 1/2, 3.7), 1.7e-5 / 1.1e-6 /
 # 6.7e-8 for (4, 3, 5) and 1.1e-6 / 6.9e-8 / 4.3e-9 for (2, 3/2, 4): an
 # order of 3.4 (alpha = 1/2) to 4.0 from 300 to 1200 nodes.  The bounds at
-# M = 1200 are about twice those figures.  The origin values agree to
-# 2.2e-8 or better.
+# M = 1200 are about twice those figures.
 @pytest.mark.parametrize("N,alpha,beta,max_err", [
     (3, 2.0, 5.0, 5e-8),
     (2, 1.0, 2.5, 1e-8),
@@ -609,7 +595,24 @@ def test_riesz_matches_closed_form_under_refinement(N, alpha, beta, max_err):
                                     - 1.0)))
     assert math.log2(errors[0] / errors[1]) / 2.0 >= 3.0
     assert errors[1] <= max_err
-    assert abs(v.value_at_origin / riesz_h_exact(N, alpha, beta, 0.0) - 1.0) <= 5e-8
+
+
+# The first node's row integrates the origin region [0, r_1] graded toward
+# r_1, where the kernel is singular for alpha <= 1, with a power-law stub.
+# Measured on the first three nodes: 1.5e-8 (M = 300) and 2.0e-8 (1200) at
+# (3, 1/2, 3.7), 7.0e-8 and 3.2e-10 at (2, 1, 2.5).  As one 8-point panel
+# that row was 1.9e-3 off at (3, 1/2, 3.7) and 2.3e-6 at (2, 1, 2.5), at
+# either M.
+@pytest.mark.parametrize("N,alpha,beta,bounds", [
+    (3, 0.5, 3.7, (5e-8, 5e-8)),
+    (2, 1.0, 2.5, (2e-7, 1e-9)),
+])
+def test_first_riesz_rows_match_closed_form(N, alpha, beta, bounds):
+    for M, bound in zip((300, 1200), bounds):
+        g = RadialGrid.log_spaced(num=M, N=N)
+        v = riesz_convolve_radial(h_beta_function(g, beta), alpha)
+        want = riesz_h_exact(N, alpha, beta, g.nodes[:3])
+        assert np.max(np.abs(v.values[:3] / want - 1.0)) <= bound, M
 
 
 # As for the fractional Laplacian: the first and last nodes, whose rows lack
@@ -623,7 +626,7 @@ def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     ctx = radial_ops._context(grid)
     for alpha, omega in ((0.5, N + 0.7), (N - 1.0, 2.5)):
         rows = radial_ops._riesz_rows(ctx, which, alpha, omega)
-        assert rows.shape == (which.size, M + 1)
+        assert rows.shape == (which.size, M)
         for k in range(which.size):
             alone = radial_ops._riesz_rows(ctx, which[k:k + 1], alpha, omega)
             assert np.array_equal(alone[0], rows[k])
@@ -730,7 +733,7 @@ def assert_structured_matches_loop(kind, N, exponent, omega):
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert err.max() <= 1e-10
     # the loop's scaled rows over offsets -6..6, interior rows
-    scaled = ref[:, 1:] / grid.nodes[:, None] ** (
+    scaled = ref / grid.nodes[:, None] ** (
         -2.0 * exponent if kind == "fraclap" else exponent)
     inner = np.arange(12, M - 12)
     band = scaled[inner[:, None], inner[:, None] + np.arange(-6, 7)]
@@ -794,8 +797,7 @@ def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
 # The compact Riesz apply sums the products of the dense matvec in another
 # order.  Measured at M = 150 against the row loop, the values agree to
 # 2e-15 (N = 2), 1.5e-14 (N = 3, where the structured last column carries
-# the closed form's cancellation) and 4e-15 (N = 4) relative, and the origin
-# value agrees with the sum it replaced to 2.2e-16.
+# the closed form's cancellation) and 4e-15 (N = 4) relative.
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_compact_riesz_apply_matches_dense_rows(N):
     M = 150
@@ -805,22 +807,9 @@ def test_compact_riesz_apply_matches_dense_rows(N):
     op = radial_ops._raw(grid, "riesz", alpha, omega)
     assert op.hi > op.lo                   # the interior is held compactly
     ref = radial_ops._rows_at(grid, "riesz", alpha, omega, range(M))
-    C = riesz_constant(N, alpha)
-    want = C * (ref @ np.concatenate(([g.value_at_origin], g.values)))
+    want = riesz_constant(N, alpha) * (ref @ g.values)
     v = riesz_convolve_radial(g, alpha)
     assert np.max(np.abs(v.values / want - 1.0)) <= 1e-13
-    # the origin value as the dense sum it replaced: the quadratic origin
-    # model on [0, r_1], the cell rule on the grid, the analytic tail
-    ctx = radial_ops._context(grid)
-    r1 = grid.nodes[0]
-    origin = r1 ** alpha * (g.value_at_origin / alpha
-                            + (g.values[0] - g.value_at_origin) / (alpha + 2.0))
-    gq = np.einsum("cqm,cm->cq", ctx.cell_cubw,
-                   g.values[ctx.cell_base[:, None] + np.arange(4)])
-    origin += np.sum(ctx.cell_w * ctx.cell_rho ** (alpha - N) * gq)
-    origin += g.values[-1] * grid.r_max ** alpha / (omega - alpha)
-    origin *= C * sphere_surface_area(N)
-    assert abs(v.value_at_origin / origin - 1.0) <= 1e-13
 
 
 def test_memoised_riesz_operator_holds_O_of_M_floats():
@@ -855,9 +844,8 @@ def test_structured_fraclap_apply_matches_its_rows(N, s, M):
     u = h_beta_function(grid, N + 0.5)
     op = radial_ops._raw(grid, "fraclap", s, u.tail_exponent)
     assert op.hi > op.lo and np.any(op.mass != 0.0)
-    x = radial_ops._samples(u)
-    want = op.rows() @ x
-    assert np.max(np.abs(op.apply(x) - want)) <= 5e-8 * np.max(np.abs(want))
+    want = op.rows() @ u.values
+    assert np.max(np.abs(op.apply(u.values) - want)) <= 5e-8 * np.max(np.abs(want))
 
 
 def test_structured_riesz_operator_holds_no_mass():
@@ -865,9 +853,8 @@ def test_structured_riesz_operator_holds_no_mass():
     u = h_beta_function(grid, 3.5)
     op = radial_ops._raw(grid, "riesz", 2.0, u.tail_exponent)
     assert op.hi > op.lo and op.mass is None
-    x = radial_ops._samples(u)
-    want = op.rows() @ x
-    assert np.max(np.abs(op.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
+    want = op.rows() @ u.values
+    assert np.max(np.abs(op.apply(u.values) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ----------------------------------------------------------------------------
@@ -886,7 +873,6 @@ def test_volume_integral_rejects_divergent_or_invalid(grid):
         volume_integral(h_beta_function(grid, 2.0))  # 2 <= N = 3
     vals = h_beta_eval(grid.nodes, 4.0)
     vals[3] = -vals[3]
-    signed = RadialFunction(grid=grid, values=vals, tail_exponent=4.0,
-                            value_at_origin=1.0)
+    signed = RadialFunction(grid=grid, values=vals, tail_exponent=4.0)
     with pytest.raises(ValueError):
         volume_integral(signed, power=1.5)

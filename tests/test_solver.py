@@ -260,8 +260,7 @@ def test_perturbed_profile_has_larger_residual(solution, params):
     u = solution.u
     grid = u.grid
     vals = u.values + 0.1 * h_beta_eval(grid.nodes, 4.0)
-    pert = RadialFunction(grid=grid, values=vals, tail_exponent=u.tail_exponent,
-                          value_at_origin=u.value_at_origin + 0.1)
+    pert = RadialFunction(grid=grid, values=vals, tail_exponent=u.tail_exponent)
     shifted = Solution(u=pert, params=params, residual_sup=0.0,
                        pohozaev_defect=0.0, iterations=0,
                        norm_r=solution.norm_r, mass_F=solution.mass_F)
@@ -349,9 +348,20 @@ def test_interaction_term_is_positive(solution, params):
     fu = params.nonlinearity.F_of(solution.u)
     conv = riesz_convolve_radial(fu, 2.0)
     # I_2 * F(u) decays like rho^(2-N), so the product like rho^(-(r omega + 1))
-    prod = RadialFunction.from_samples(solution.u.grid, conv.values * fu.values,
-                                       tail_exponent=fu.tail_exponent + 1.0)
+    prod = RadialFunction(grid=solution.u.grid, values=conv.values * fu.values,
+                          tail_exponent=fu.tail_exponent + 1.0)
     assert volume_integral(prod) > 0.0   # measured 13.7
+
+
+def test_alpha_one_half_solves_to_a_monotone_profile():
+    """At alpha = 1/2 the Riesz kernel is singular at the end of the first
+    node's origin region; integrated as one panel, that row lifted u_2 above
+    u_1 (by 7.5e-7 of sup u at r = 1.458) and Solution refused the profile."""
+    p = ProblemParams(N=3, s=0.5, alpha=0.5, mu=1.0,
+                      nonlinearity=NonlinearitySpec.homogeneous(1.5))
+    sol = solve_ground_state(p, SolverOpts(grid=RadialGrid.log_spaced(num=400)))
+    assert isinstance(sol, Solution)
+    assert sol.residual_sup <= 1e-6 * float(np.max(sol.u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +411,7 @@ def test_solution_rejects_sign_changing_profile(solution, params):
     grid = solution.u.grid
     vals = solution.u.values.copy()
     vals[3] = -vals[3]
-    bad = RadialFunction(grid=grid, values=vals,
-                         tail_exponent=solution.u.tail_exponent,
-                         value_at_origin=solution.u.value_at_origin)
+    bad = RadialFunction(grid=grid, values=vals, tail_exponent=solution.u.tail_exponent)
     with pytest.raises(ValueError):
         Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
                  iterations=0, norm_r=1.0, mass_F=1.0)
@@ -411,8 +419,7 @@ def test_solution_rejects_sign_changing_profile(solution, params):
 
 def test_solution_rejects_the_zero_profile(params):
     grid = RadialGrid.log_spaced(num=64)
-    zero = RadialFunction(grid=grid, values=np.zeros(grid.size),
-                          tail_exponent=4.0, value_at_origin=0.0)
+    zero = RadialFunction(grid=grid, values=np.zeros(grid.size), tail_exponent=4.0)
     with pytest.raises(ValueError, match="strictly positive"):
         Solution(u=zero, params=params, residual_sup=0.0, pohozaev_defect=0.0,
                  iterations=0, norm_r=0.0, mass_F=0.0)
@@ -421,8 +428,7 @@ def test_solution_rejects_the_zero_profile(params):
 def test_solution_rejects_increasing_profile(solution, params):
     grid = solution.u.grid
     vals = solution.u.values[::-1].copy()
-    bad = RadialFunction(grid=grid, values=vals, tail_exponent=4.0,
-                         value_at_origin=float(vals[0]))
+    bad = RadialFunction(grid=grid, values=vals, tail_exponent=4.0)
     with pytest.raises(ValueError):
         Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
                  iterations=0, norm_r=1.0, mass_F=1.0)
@@ -492,8 +498,8 @@ def test_rhs_map_matches_the_convolution_path_bitwise(N, alpha, omega,
         else general_spec()
     p = ProblemParams(N=N, s=0.5, alpha=alpha, mu=1.0, nonlinearity=spec)
     grid = RadialGrid.log_spaced(num=32 if coarse else 150, N=N)
-    u = RadialFunction.from_samples(grid, 0.8 * h_beta_eval(grid.nodes, omega),
-                                    tail_exponent=omega)
+    u = RadialFunction(grid=grid, values=0.8 * h_beta_eval(grid.nodes, omega),
+                       tail_exponent=omega)
     want = riesz_convolve_radial(spec.F_of(u), alpha).values \
         * spec.f_values(u.values)
     rhs = solver_mod._RhsMap(grid, p, omega)
