@@ -364,10 +364,11 @@ def _check_output_directory(out: Path) -> None:
 
 
 def _solution_record(sol: Solution, cfg: dict) -> dict:
-    """The fields of the solution record of sol (see _json_text): only what
-    defines the solution.  The grid is its four numbers and the profile its
-    node values and tail exponent; load_solution derives the nodes and the
-    weights from them, as the solve did."""
+    """The fields of the solution record of sol (see _json_text).  The grid
+    is its four numbers and the profile its node values and tail exponent;
+    load_solution derives the nodes and the weights from them, as the solve
+    did.  The solver and diagnostics sections report the solve; of them
+    load_solution reads back only diagnostics.iterations."""
     pred = predict_decay(sol.params)
     u = sol.u
     return {
@@ -389,16 +390,12 @@ def _solution_record(sol: Solution, cfg: dict) -> dict:
     }
 
 
-# the diagnostics a Solution keeps, each checked finite when a record loads
-_KEPT_DIAGNOSTICS = ("residual_sup", "pohozaev_defect", "iterations", "norm_r",
-                     "mass_F")
-
-
 def load_solution(path: str) -> Solution:
     """Rebuild a Solution from a record written by the solve command.  The
     grid is RadialGrid(r_min, r_max, size, n) of the record's grid fields,
     and the profile is the RadialFunction of its values and tail exponent,
-    closed as the solve closed it.
+    closed as the solve closed it.  Of the diagnostics only iterations is
+    read; the Solution derives the others from the profile and the problem.
 
     Raises:
         ConfigError: an unreadable or malformed file, a record of another
@@ -407,9 +404,8 @@ def load_solution(path: str) -> Solution:
             invalid record: a missing field, grid fields that RadialGrid
             refuses, a grid.n other than problem.n, a profile that is not
             positive and non-increasing, a tail exponent whose power of
-            r_max is not a finite float, a kept diagnostic that is not a
-            finite number (or, for iterations, not an integer), or a mass_F
-            that is not positive.
+            r_max is not a finite float, or a diagnostics.iterations that
+            is not an integer.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -443,20 +439,12 @@ def load_solution(path: str) -> Solution:
         if not u.tail_exponent * math.log(grid.r_max) < math.log(sys.float_info.max):
             raise ValueError(f"r_max ** profile.tail_exponent = {grid.r_max!r} ** "
                              f"{u.tail_exponent!r} is not a finite float")
-        diag = {k: rec["diagnostics"][k] for k in _KEPT_DIAGNOSTICS}
-        for key, value in diag.items():
-            # json.load reads NaN and Infinity, and true and false as bools
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(
-                    f"diagnostics.{key} is not a finite number: {value!r}")
-        if not isinstance(diag["iterations"], int):
+        iterations = rec["diagnostics"]["iterations"]
+        # json.load reads true and false as bools, which are ints too
+        if isinstance(iterations, bool) or not isinstance(iterations, int):
             raise ValueError(
-                f"diagnostics.iterations is not an integer: {diag['iterations']!r}")
-        if not diag["mass_F"] > 0.0:
-            raise ValueError(
-                f"diagnostics.mass_F must be positive, got {diag['mass_F']!r}")
-        return Solution(u=u, params=params, **diag)
+                f"diagnostics.iterations is not an integer: {iterations!r}")
+        return Solution(u=u, params=params, iterations=iterations)
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc
 
@@ -520,12 +508,13 @@ def _cmd_oracle(cfg: dict, args) -> int:
     nodes = grids[cases[0][0]].nodes
     if not np.any((nodes >= lo) & (nodes <= hi)):
         raise ConfigError(f"grid: no node lies in the oracle window [{lo}, {hi}]")
+    # every case is checked before the first one is computed
+    with _config_errors():
+        profiles = [ProfileParams(*case) for case in cases]
     rows = []
     worst = 0.0
-    for (N, s, beta) in cases:
+    for (N, s, beta), profile in zip(cases, profiles):
         grid = grids[N]
-        with _config_errors():
-            profile = ProfileParams(N, s, beta)
         h = h_beta_function(grid, beta)
         lap = frac_laplacian_on_grid(h, s)
         sel = (grid.nodes >= lo) & (grid.nodes <= hi)

@@ -330,7 +330,7 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     bounds, kappa* = C_bar mu^{1-r}, and it is used as the default rescaling.
 
     Args:
-        sol: converged solution (mass_F and params are read).
+        sol: converged solution (params and its derived mass_F are read).
         kappa: optional rescaling; must keep the denominator positive.
 
     Raises:
@@ -407,7 +407,7 @@ def verify_riesz_tail(sol, theta: float) -> RieszTailReport:
     r^{alpha-N}; the deviation, normalized by the theoretical envelope
     C_{N,alpha} r^{alpha-N} (1/(1+r) + 1/(1+r^{theta-N})), must stay bounded
     on the tail window [r_max/50, r_max/10].  The mass int F(u) is
-    integrated independently here rather than read from the solution record.
+    integrated here, as Solution.mass_F integrates it, from .u and .params.
 
     Args:
         sol: object with .u and .params (a converged Solution in practice).

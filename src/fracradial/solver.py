@@ -13,15 +13,16 @@ A = kappa^{-1/(2r-2)}.  The operator matrix closes the far field with the
 predicted decay exponent min{(N-alpha)/(2-r), N+2s}, which holds for every
 nonlinearity inside its declared envelope (NonlinearitySpec checks it).
 
-Energy and scaling diagnostics are computed from the same discrete
-operators: every solution reports the relative defect of the scaling
-identity P(u) = 0 (pohozaev_defect); pohozaev_check gives the functional I,
-P and that defect, and dilation_derivative the derivative of
+A Solution derives its diagnostics from its profile and problem through the
+same discrete operators, so a reloaded profile reports the solve's numbers.
+pohozaev_check gives the functional I, P and the relative defect of the
+scaling identity P(u) = 0, and dilation_derivative the derivative of
 t -> I(u(./t)) at t = 1, which must reproduce P.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -251,19 +252,17 @@ class SolverOpts:
 
 @dataclass(frozen=True)
 class Solution:
-    """A converged profile with its quality diagnostics.
-
+    """A converged profile of a problem, with the steps that reached it:
     trace holds one (iteration, profile_change, amplitude) triple per
-    iteration.
+    iteration.  The diagnostics residual_sup (sup |residual| at the nodes),
+    pohozaev_defect, norm_r (||u||_r) and mass_F (int F(u)) are computed from
+    (u, params) on first read and kept; one evaluation of (-Delta)^s u and
+    I_alpha * F(u) serves the first two, and mass_F needs neither.
     """
 
     u: RadialFunction
     params: ProblemParams
-    residual_sup: float
-    pohozaev_defect: float
     iterations: int
-    norm_r: float
-    mass_F: float
     trace: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -272,6 +271,27 @@ class Solution:
             raise ValueError("Solution: profile must be strictly positive")
         if np.any(np.diff(vals) > 1e-9 * float(np.max(vals))):
             raise ValueError("Solution: profile must be non-increasing in radius")
+
+    @functools.cached_property
+    def _evaluation(self) -> tuple:
+        return _evaluate(self.u, self.params)
+
+    @functools.cached_property
+    def residual_sup(self) -> float:
+        return float(np.max(np.abs(residual(self).values)))
+
+    @functools.cached_property
+    def pohozaev_defect(self) -> float:
+        return pohozaev_check(self)[2]
+
+    @functools.cached_property
+    def norm_r(self) -> float:
+        r = self.params.nonlinearity.r
+        return volume_integral(self.u, r) ** (1.0 / r)
+
+    @functools.cached_property
+    def mass_F(self) -> float:
+        return volume_integral(self.params.nonlinearity.F_of(self.u))
 
 
 class _RhsMap:
@@ -411,23 +431,16 @@ def solve_ground_state(params: ProblemParams,
             f"solve_ground_state: no convergence after {opts.max_iterations} "
             f"iterations (last profile change {trace[-1][1]:.3e})")
 
-    u_fn = RadialFunction(grid=grid, values=a * v, tail_exponent=beta)
-    norm_r = volume_integral(u_fn, r) ** (1.0 / r)
-    lap, fu, conv = _evaluate(u_fn, params)
-    mass_F = volume_integral(fu)
-
-    res_vals = _residual_values(u_fn, params, lap, conv)
-    res_sup = float(np.max(np.abs(res_vals)))
-    sup_u = float(np.max(u_fn.values))
-    if not res_sup <= 1e-6 * sup_u:  # a NaN residual fails too
+    sol = Solution(u=RadialFunction(grid=grid, values=a * v, tail_exponent=beta),
+                   params=params, iterations=len(trace), trace=tuple(trace))
+    sup_u = float(np.max(sol.u.values))
+    if not sol.residual_sup <= 1e-6 * sup_u:  # a NaN residual fails too
         raise NonConvergenceError(
             f"solve_ground_state: converged iteration left residual "
-            f"{res_sup:.3e} > 1e-6 * sup u = {1e-6 * sup_u:.3e}")
-
-    _, p_val, defect = _energy_identities(u_fn, params, lap, fu, conv)
-    return Solution(u=u_fn, params=params, residual_sup=res_sup,
-                    pohozaev_defect=defect, iterations=len(trace),
-                    norm_r=norm_r, mass_F=mass_F, trace=tuple(trace))
+            f"{sol.residual_sup:.3e} > 1e-6 * sup u = {1e-6 * sup_u:.3e}")
+    # evaluated here, so that the time of a solve includes its diagnostics
+    sol.pohozaev_defect, sol.norm_r, sol.mass_F
+    return sol
 
 
 def _evaluate(u: RadialFunction, params: ProblemParams) -> tuple:
@@ -437,19 +450,14 @@ def _evaluate(u: RadialFunction, params: ProblemParams) -> tuple:
     return frac_laplacian_on_grid(u, params.s), fu, riesz_convolve_radial(fu, params.alpha)
 
 
-def _residual_values(u: RadialFunction, params: ProblemParams, lap: np.ndarray,
-                     conv: RadialFunction) -> np.ndarray:
-    # conv.values * f(u) is bitwise the _RhsMap's product
-    return lap + params.mu * u.values - conv.values * params.nonlinearity.f_values(u.values)
-
-
 def residual(sol: Solution) -> RadialFunction:
     """Pointwise equation residual (-Delta)^s u + mu u - (I_alpha*F(u)) f(u),
-    with all three terms recomputed from the grid operators."""
-    u = sol.u
-    lap, _, conv = _evaluate(u, sol.params)
-    return RadialFunction(grid=u.grid, values=_residual_values(u, sol.params, lap, conv),
-                          tail_exponent=u.tail_exponent)
+    with all three terms from the grid operators (sol's one evaluation)."""
+    u, params = sol.u, sol.params
+    lap, _, conv = sol._evaluation
+    # conv.values * f(u) is bitwise the _RhsMap's product
+    values = lap + params.mu * u.values - conv.values * params.nonlinearity.f_values(u.values)
+    return RadialFunction(grid=u.grid, values=values, tail_exponent=u.tail_exponent)
 
 
 def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray,
@@ -515,7 +523,7 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
     P vanishes on true solutions, so |P| over the sum of its three term
     magnitudes measures discretization error.
     """
-    return _energy_identities(sol.u, sol.params, *_evaluate(sol.u, sol.params))
+    return _energy_identities(sol.u, sol.params, *sol._evaluation)
 
 
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:

@@ -10,7 +10,6 @@ import csv
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -158,6 +157,21 @@ def test_oracle_coarse_grid_fails(tmp_path):
     assert code == 1
     rec = read_json(tmp_path / "oracle_report.json")
     assert rec["rows"][0]["passed"] is False
+
+
+# A second case outside the profile's range was refused only after the
+# first had been computed and its PASS line printed.
+@pytest.mark.parametrize("bad", ["3,0.5,9.0", "3,1.5,2.0"])
+def test_oracle_checks_every_case_before_computing_any(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    code = main(["oracle", "--case", "3,0.5,2.0", "--case", bad,
+                 "--set", "grid.nodes=400", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ProfileParams: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["3,0.5,2,9", "3,0.5"])
@@ -321,8 +335,7 @@ def test_record_whose_grid_n_is_not_problem_n_is_an_invalid_record(
 
 
 # Each of these loaded, and verify-decay on it exited 0.
-@pytest.mark.parametrize("key,value", [
-    ("iterations", 1.5), ("iterations", True), ("residual_sup", True)])
+@pytest.mark.parametrize("key,value", [("iterations", 1.5), ("iterations", True)])
 def test_record_with_a_non_integer_or_boolean_diagnostic_exits_2(
         workdir, tmp_path, capsys, key, value):
     rec = read_json(workdir / "solve" / "solution.json")
@@ -338,22 +351,27 @@ def test_record_with_a_non_integer_or_boolean_diagnostic_exits_2(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mass_F", ["0", "-5", "Infinity", "NaN"])
-def test_record_with_bad_diagnostics_exits_2_and_writes_no_report(
-        workdir, tmp_path, capsys, mass_F):
-    # json.load reads NaN and Infinity; a zero mass divided the tail
-    # constant by zero, a negative one made it complex, and a non-finite
-    # one left a truncated report
-    text = (workdir / "solve" / "solution.json").read_text()
-    bad = tmp_path / "solution.json"
-    bad.write_text(re.sub(r'"mass_F": [^,]*,', f'"mass_F": {mass_F},', text))
+# A record's diagnostics other than iterations report the solve that wrote it,
+# and are not read back.  A mass_F edited to twice its value once failed the
+# tail_constant check (exit 1); a zero, negative or non-finite one had to
+# be refused (exit 2).
+@pytest.mark.parametrize("edit", ["x2", 0, -5, float("nan"), float("inf"), True],
+                         ids=["x2", "0", "-5", "NaN", "Infinity", "true"])
+@pytest.mark.parametrize("key", ["residual_sup", "pohozaev_defect", "norm_r",
+                                 "mass_F"])
+def test_record_diagnostics_but_iterations_are_not_read_back(
+        workdir, tmp_path, key, edit):
+    rec = read_json(workdir / "solve" / "solution.json")
+    diag = rec["diagnostics"]
+    diag[key] = 2.0 * diag[key] if edit == "x2" else edit
+    edited = tmp_path / "solution.json"
+    edited.write_text(json.dumps(rec))
     out = tmp_path / "out"
-    assert main(["verify-decay", "--solution", str(bad),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: invalid solution record ")
-    assert "diagnostics.mass_F" in err and err.count("\n") == 1
-    assert not out.exists()
+    assert main(["verify-decay", "--solution", str(edited),
+                 "--out", str(out)]) == 0
+    for name in ("verify_report.json", "verify_report.csv"):
+        assert (out / name).read_bytes() == \
+            (workdir / "reloaded" / name).read_bytes()
 
 
 # A record's grid is RadialGrid(r_min, r_max, size, n) of its grid fields:
@@ -713,7 +731,18 @@ def test_record_with_retired_solver_keys_loads(workdir, tmp_path):
     loaded = load_solution(str(old))
     fresh = load_solution(str(workdir / "solve" / "solution.json"))
     assert np.array_equal(loaded.u.values, fresh.u.values)
-    assert loaded.mass_F == fresh.mass_F
+    for key in ("residual_sup", "pohozaev_defect", "norm_r", "mass_F"):
+        assert getattr(loaded, key) == getattr(fresh, key)
+
+
+@pytest.mark.parametrize("which", ["n3", "n2"])
+def test_loaded_solution_derives_the_stored_diagnostics(workdir, n2_record, which):
+    """The diagnostics a record reports are the ones its profile gives."""
+    path = workdir / "solve" / "solution.json" if which == "n3" else n2_record
+    stored = read_json(path)["diagnostics"]
+    sol = load_solution(str(path))
+    for key in ("residual_sup", "pohozaev_defect", "norm_r", "mass_F"):
+        assert getattr(sol, key) == stored[key]
 
 
 def test_reports_round_trip_bitwise(workdir):

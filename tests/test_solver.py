@@ -208,6 +208,19 @@ def test_solver_opts_fields():
         ["grid", "max_iterations", "tolerance"]
 
 
+def test_solution_fields():
+    # residual_sup, pohozaev_defect, norm_r and mass_F are derived from
+    # (u, params), so a record cannot hold values its profile contradicts
+    assert [f.name for f in dataclasses.fields(Solution)] == \
+        ["u", "params", "iterations", "trace"]
+
+
+def test_solve_returns_its_diagnostics_evaluated(params):
+    # the time of a solve includes them, as when the Solution stored them
+    sol = solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=150)))
+    assert {"residual_sup", "pohozaev_defect", "norm_r", "mass_F"} <= vars(sol).keys()
+
+
 # ---------------------------------------------------------------------------
 # converged solve on the default grid
 
@@ -261,11 +274,8 @@ def test_perturbed_profile_has_larger_residual(solution, params):
     grid = u.grid
     vals = u.values + 0.1 * h_beta_eval(grid.nodes, 4.0)
     pert = RadialFunction(grid=grid, values=vals, tail_exponent=u.tail_exponent)
-    shifted = Solution(u=pert, params=params, residual_sup=0.0,
-                       pohozaev_defect=0.0, iterations=0,
-                       norm_r=solution.norm_r, mass_F=solution.mass_F)
-    sup_pert = float(np.max(np.abs(residual(shifted).values)))
-    assert sup_pert > 100.0 * solution.residual_sup
+    shifted = Solution(u=pert, params=params, iterations=0)
+    assert shifted.residual_sup > 100.0 * solution.residual_sup
 
 
 def test_rescaled_problem_is_covariant(solution):
@@ -413,16 +423,14 @@ def test_solution_rejects_sign_changing_profile(solution, params):
     vals[3] = -vals[3]
     bad = RadialFunction(grid=grid, values=vals, tail_exponent=solution.u.tail_exponent)
     with pytest.raises(ValueError):
-        Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
-                 iterations=0, norm_r=1.0, mass_F=1.0)
+        Solution(u=bad, params=params, iterations=0)
 
 
 def test_solution_rejects_the_zero_profile(params):
     grid = RadialGrid.log_spaced(num=64)
     zero = RadialFunction(grid=grid, values=np.zeros(grid.size), tail_exponent=4.0)
     with pytest.raises(ValueError, match="strictly positive"):
-        Solution(u=zero, params=params, residual_sup=0.0, pohozaev_defect=0.0,
-                 iterations=0, norm_r=0.0, mass_F=0.0)
+        Solution(u=zero, params=params, iterations=0)
 
 
 def test_solution_rejects_increasing_profile(solution, params):
@@ -430,8 +438,7 @@ def test_solution_rejects_increasing_profile(solution, params):
     vals = solution.u.values[::-1].copy()
     bad = RadialFunction(grid=grid, values=vals, tail_exponent=4.0)
     with pytest.raises(ValueError):
-        Solution(u=bad, params=params, residual_sup=0.0, pohozaev_defect=0.0,
-                 iterations=0, norm_r=1.0, mass_F=1.0)
+        Solution(u=bad, params=params, iterations=0)
 
 
 def test_iteration_cap_raises(params):
