@@ -63,6 +63,7 @@ from fracradial.solver import (
     ProblemParams,
     Solution,
     SolverOpts,
+    _residual_gate,
     solve_ground_state,
 )
 from fracradial.specfun import (
@@ -395,7 +396,9 @@ def load_solution(path: str) -> Solution:
     grid is RadialGrid(r_min, r_max, size, n) of the record's grid fields,
     and the profile is the RadialFunction of its values and tail exponent,
     closed as the solve closed it.  Of the diagnostics only iterations is
-    read; the Solution derives the others from the profile and the problem.
+    read; the Solution derives the others from the profile and the problem,
+    and must pass the solve's residual gate (1e-6 of sup u), which every
+    record a solve wrote passes bitwise.
 
     Raises:
         ConfigError: an unreadable or malformed file, a record of another
@@ -404,8 +407,10 @@ def load_solution(path: str) -> Solution:
             invalid record: a missing field, grid fields that RadialGrid
             refuses, a grid.n other than problem.n, a profile that is not
             positive and non-increasing, a tail exponent whose power of
-            r_max is not a finite float, or a diagnostics.iterations that
-            is not an integer.
+            r_max is not a finite float, a diagnostics.iterations that
+            is not an integer, a problem without a decay prediction (see
+            _check_decay_exponent), or a profile that fails the residual
+            gate.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -444,9 +449,15 @@ def load_solution(path: str) -> Solution:
         if isinstance(iterations, bool) or not isinstance(iterations, int):
             raise ValueError(
                 f"diagnostics.iterations is not an integer: {iterations!r}")
-        return Solution(u=u, params=params, iterations=iterations)
+        sol = Solution(u=u, params=params, iterations=iterations)
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc
+    _check_decay_exponent(params)
+    failure = _residual_gate(sol)
+    if failure:
+        raise ConfigError(f"invalid solution record {path!r}: the profile "
+                          f"fails the solve's gate: {failure}")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +473,10 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
         for r in radii:
             if r < 0.0:
                 raise ValueError(f"radii must be >= 0, got {r!r}")
+            # r^2 is the closed form's argument and the profile's
+            if not math.isfinite(r * r):
+                raise ValueError(f"radii must have a finite square, at most "
+                                 f"{math.sqrt(sys.float_info.max)!r}, got {r!r}")
     with _config_errors():
         profile = ProfileParams(N, s, beta)
         law = frac_lap_h_asymptotic(profile)
@@ -656,7 +671,6 @@ def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
 def _cmd_verify_decay(cfg: dict, args) -> int:
     if args.solution is not None:
         sol = load_solution(args.solution)
-        _check_decay_exponent(sol.params)
         _check_analysis(cfg, sol.params, sol.u.grid)
     else:
         params = _build_problem(cfg)

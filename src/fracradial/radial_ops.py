@@ -75,7 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from fracradial.specfun import _defining_series, h_beta_eval, hyp2f1, riesz_constant
+from fracradial.specfun import (
+    _defining_series, _riesz_normalization, h_beta_eval, hyp2f1)
 
 __all__ = [
     "RadialGrid",
@@ -983,9 +984,8 @@ def _riesz_rows(ctx: _RowContext, which, alpha: float, omega: float) -> np.ndarr
 
 def _fraclap_C(N: int, s: float) -> float:
     """Normalization of the pointwise fractional Laplacian,
-    C_{N,s} = 4^s Gamma(N/2+s) / (pi^{N/2} |Gamma(-s)|)."""
-    return 4.0 ** s * math.gamma(N / 2.0 + s) \
-        / (math.pi ** (N / 2.0) * abs(math.gamma(-s)))
+    C_{N,s} = 4^s Gamma(N/2+s) / (pi^{N/2} |Gamma(-s)|) = -C_{N,-2s}."""
+    return -_riesz_normalization(N, -2.0 * s)
 
 
 # Rows built by the row builders at each end of a grid, and node columns
@@ -1266,7 +1266,7 @@ def _riesz_operator(grid: RadialGrid, alpha: float,
         raise ValueError(
             f"riesz_convolve_radial: tail exponent {tail_omega} of g must exceed "
             f"alpha = {alpha}, otherwise the convolution diverges")
-    return riesz_constant(N, alpha), _raw(grid, "riesz", alpha, tail_omega)
+    return _riesz_normalization(N, alpha), _raw(grid, "riesz", alpha, tail_omega)
 
 
 def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:

@@ -3,7 +3,9 @@
 Real Gamma and digamma, the Gauss hypergeometric function 2F1 on the half
 line x <= 0, the bump profile h_beta(x) = (1+|x|^2)^(-beta/2), its exact
 fractional Laplacian, and the far-field asymptotic law of that fractional
-Laplacian in all five decay regimes (with signed constants).
+Laplacian in all five decay regimes (with signed constants): the leading
+term of the closed form's connection formula.  _gamma_quotient forms every
+Gamma quotient here.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.  hyp2f1, frac_lap_h_exact and h_beta_eval take a scalar
@@ -81,8 +83,8 @@ _CONNECTION_SEAM = -5.0
 _PFAFF_FLOOR = -100.0
 _CANCEL_LIMIT = 1e3
 
-# Within this distance of an integer the connection coefficients Gamma(b-a)
-# and Gamma(a-b) of _hyp_connection cancel, so _hyp_large_x interpolates the
+# Within this distance of an integer the connection terms, with coefficients
+# Gamma(b-a) and Gamma(a-b), cancel, so _hyp_large_x interpolates the
 # function in b through points this far apart instead.
 _NEAR_INT = 1e-3
 
@@ -110,11 +112,13 @@ def gamma_real(x: float) -> float:
     return math.gamma(x)
 
 
-def _rgamma(x: float) -> float:
-    """Reciprocal Gamma, zero at the poles (entire function)."""
-    if x <= 0.0 and _is_integer(x):
+def _gamma_quotient(num, den, scale: float = 1.0) -> float:
+    """scale * prod Gamma(num) / prod Gamma(den), zero at a pole of den
+    (1/Gamma is entire).  A pole in num raises ValueError."""
+    if any(x <= 0.0 and _is_integer(x) for x in den):
         return 0.0
-    return 1.0 / math.gamma(x)
+    return (math.prod(map(gamma_real, num), start=scale)
+            / math.prod(map(math.gamma, den)))
 
 
 def digamma(x: float) -> float:
@@ -156,12 +160,11 @@ def digamma(x: float) -> float:
 # Gauss hypergeometric function on x <= 0
 # ----------------------------------------------------------------------------
 
-def _digamma_run(start: float, x0: float, n: np.ndarray) -> np.ndarray:
-    """psi(x0 + n) as a column, for the consecutive term indices n of a
-    block, from start = psi(x0) by psi(x + 1) = psi(x) + 1/x added in order
-    from n = 0."""
+def _digamma_run(x0: float, n: np.ndarray) -> np.ndarray:
+    """psi(x0 + n) - psi(x0) as a column, for the consecutive term indices n
+    of a block, by psi(x + 1) = psi(x) + 1/x added in order from n = 0."""
     steps = 1.0 / (x0 + np.arange(n[-1]))
-    return np.cumsum(np.concatenate(([start], steps)))[int(n[0]):, None]
+    return np.cumsum(np.concatenate(([0.0], steps)))[int(n[0]):, None]
 
 
 def _sum_series(z: np.ndarray, ratio, bracket=None, first: float = 1.0,
@@ -268,70 +271,85 @@ def _hyp_large_x(a: float, b: float, c: float,
     return total, size
 
 
-def _hyp_connection(a: float, b: float, c: float,
-                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2F1(a, b, c; x) for large negative x via connection formulas, and
-    the sum of the magnitudes of the terms that make it up.
+def _connection_coefficients(a: float, b: float,
+                             c: float) -> tuple[float, float, float]:
+    """Leading coefficients (first, second, psi) of 2F1(a, b, c; x) as
+    x -> -inf, from the w -> 1 connection formulas of its Pfaff form
+    (1-x)^(-a) 2F1(a, c-b, c; w), w = x/(x-1), u = 1 - w = 1/(1-x):
 
-    The Pfaff map w = x/(x-1) sends x -> -inf to w -> 1^-, where the
-    standard w -> 1 connection formulas apply to 2F1(a, c-b, c; w) with
-    expansion variable u = 1 - w = 1/(1-x).  Two shapes occur on the
-    validated parameter domain: b - a not an integer (two plain series),
-    and a - b = m >= 0 an integer (a finite part of m terms plus a
-    logarithmic series; 15.3.10 is the m = 0 case of 15.3.12).
+        2F1 ~ first (1-x)^(-a) + second (1-x)^(-b)       (b - a not an integer),
+        2F1 ~ first (1-x)^(-a) (log u + psi) / m! + second (1-x)^(-b)
+
+    for a - b = m >= 0 an integer, where second leads the finite part of m
+    terms (0 for m = 0) and psi is the logarithmic series' n = 0 offset.
 
     References
     ----------
     .. [AS] Abramowitz & Stegun, Handbook of Mathematical Functions,
             15.3.6, 15.3.10, 15.3.12 (applied after 15.3.4).
     """
-    u = 1.0 / (1.0 - x)
-    pref = (1.0 - x) ** (-a)
-    # Parameters of the Pfaff-transformed function F(A, B, C; w).
     A, B, C = a, c - b, c
     d = b - a  # equals C - A - B
-
     if not _is_integer(d):
-        coef1 = gamma_real(C) * math.gamma(d) * _rgamma(C - A) * _rgamma(C - B)
-        coef2 = gamma_real(C) * math.gamma(-d) * _rgamma(A) * _rgamma(B)
-        s1 = _defining_series(A, B, 1.0 - d, u) if coef1 != 0.0 else 0.0
-        s2 = _defining_series(C - A, C - B, 1.0 + d, u) if coef2 != 0.0 else 0.0
-        t1, t2 = coef1 * s1, u ** d * coef2 * s2
-        return pref * (t1 + t2), pref * (abs(t1) + abs(t2))
+        return (_gamma_quotient((C, d), (C - A, C - B)),
+                _gamma_quotient((C, -d), (A, B)), 0.0)
+    m = round(-d)
+    second = _gamma_quotient((m, C), (A, B)) if m else 0.0
+    first = _gamma_quotient((C,), (A - m, B - m), -((-1.0) ** m))
+    # A or B at a pole puts A - m or B - m at one, and first is then 0
+    psi = (digamma(A) + digamma(B) + _EULER_GAMMA - digamma(m + 1.0)
+           if first != 0.0 else 0.0)
+    return first, second, psi
+
+
+def _hyp_connection(a: float, b: float, c: float,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2F1(a, b, c; x) for large negative x via connection formulas, and
+    the sum of the magnitudes of the terms that make it up: the series in
+    u = 1/(1-x) that _connection_coefficients' terms lead, each scaled by
+    its own power (1-x)^(-a) or (1-x)^(-b).  Far out, (1-x)^(-a) underflows
+    where (1-x)^(a-b) overflows, so their product would be no number.
+    """
+    u = 1.0 / (1.0 - x)
+    A, B, C = a, c - b, c
+    first, second, psi = _connection_coefficients(a, b, c)
+    d = b - a
+    if not _is_integer(d):
+        s1 = _defining_series(A, B, 1.0 - d, u) if first != 0.0 else 0.0
+        s2 = _defining_series(C - A, C - B, 1.0 + d, u) if second != 0.0 else 0.0
+        t1 = (1.0 - x) ** (-a) * (first * s1)
+        t2 = (1.0 - x) ** (-b) * (second * s2)
+        return t1 + t2, np.abs(t1) + np.abs(t2)
 
     m = round(-d)
-    log_u = np.log(u)
-    # a - b = m >= 0: AS 15.3.12 for F(A, B, A+B-m; w), 15.3.10 at m = 0.
-    # Finite part, empty for m = 0: Gamma(m) Gamma(C) / (Gamma(A) Gamma(B)) *
-    #   sum_{n<m} (A-m)_n (B-m)_n / (n! (1-m)_n) u^{n-m}
-    finite_coef = math.gamma(m) * gamma_real(C) * _rgamma(A) * _rgamma(B) if m else 0.0
     finite = finite_size = 0.0
     poch = 1.0
     for n in range(m):
-        term = poch * u ** (n - m)
+        term = poch * u ** n
         finite += term
         finite_size += abs(term)
         if n + 1 < m:
             poch *= (A - m + n) * (B - m + n) / ((n + 1.0) * (n + 1.0 - m))
-    # Logarithmic part: -(-1)^m Gamma(C) / (Gamma(A-m) Gamma(B-m)) *
-    #   sum_n (A)_n (B)_n / (n! (n+m)!) u^n [log u - psi(n+1) - psi(n+m+1)
-    #                                        + psi(A+n) + psi(B+n)]
-    log_coef = -((-1.0) ** m) * gamma_real(C) * _rgamma(A - m) * _rgamma(B - m)
     log_part = log_size = 0.0
-    if log_coef != 0.0:
-        psi_m0, psi_a0, psi_b0 = digamma(m + 1.0), digamma(A), digamma(B)
+    if first != 0.0:
+        log_u = np.log(u)
 
         def bracket(n, cols):
-            return (log_u[cols] - _digamma_run(-_EULER_GAMMA, 1.0, n)
-                    - _digamma_run(psi_m0, m + 1.0, n)
-                    + _digamma_run(psi_a0, A, n) + _digamma_run(psi_b0, B, n))
+            return (log_u[cols] + psi - _digamma_run(1.0, n)
+                    - _digamma_run(m + 1.0, n)
+                    + _digamma_run(A, n) + _digamma_run(B, n))
 
+        # the finite part in the logarithmic series' units, infinite where
+        # the logarithmic part is below its rounding
+        with np.errstate(over="ignore"):
+            floor = np.abs(finite) * (1.0 - x) ** m if m else None
         log_part, log_size = _sum_series(
             u, lambda n: (A + n) * (B + n) / ((n + 1.0) * (n + m + 1.0)), bracket,
-            first=1.0 / math.gamma(m + 1.0), floor=np.abs(finite) if m else None,
+            first=1.0 / math.gamma(m + 1.0), floor=floor,
             sized=True, what="logarithmic 2F1 series")
-    return (pref * (finite_coef * finite + log_coef * log_part),
-            pref * (abs(finite_coef) * finite_size + abs(log_coef) * log_size))
+    lead_a, lead_b = (1.0 - x) ** (-a), (1.0 - x) ** (m - a)
+    return (lead_b * (second * finite) + lead_a * (first * log_part),
+            lead_b * (abs(second) * finite_size) + lead_a * (abs(first) * log_size))
 
 
 def hyp2f1(a: float, b: float, c: float, x):
@@ -432,6 +450,14 @@ def hyp2f1(a: float, b: float, c: float, x):
 # Riesz normalization and the bump profiles
 # ----------------------------------------------------------------------------
 
+def _riesz_normalization(N: int, alpha: float) -> float:
+    """C_{N,alpha} = Gamma((N-alpha)/2) / (2^alpha pi^(N/2) Gamma(alpha/2))
+    for any alpha < N.  At alpha = -2s, s in (0, 1), it is -C_{N,s}, minus
+    the normalization of the pointwise fractional Laplacian."""
+    return _gamma_quotient(((N - alpha) / 2.0,), (alpha / 2.0,),
+                           2.0 ** -alpha * math.pi ** (-N / 2.0))
+
+
 def riesz_constant(N: int, alpha: float) -> float:
     """Normalization C_{N,alpha} of the Riesz kernel C_{N,alpha} |x|^(alpha-N).
 
@@ -442,9 +468,7 @@ def riesz_constant(N: int, alpha: float) -> float:
         raise ValueError(f"riesz_constant: N must be a positive integer, got {N!r}")
     if not (0.0 < alpha < N):
         raise ValueError(f"riesz_constant: alpha must lie in (0, N), got {alpha!r}")
-    return math.gamma((N - alpha) / 2.0) / (
-        2.0 ** alpha * math.pi ** (N / 2.0) * math.gamma(alpha / 2.0)
-    )
+    return _riesz_normalization(N, alpha)
 
 
 def h_beta_eval(r, beta: float):
@@ -496,12 +520,8 @@ def frac_lap_h_prefactor(p: ProfileParams) -> float:
     strictly positive for every valid parameter set.
     """
     N, s, beta = p.N, p.s, p.beta
-    return (
-        2.0 ** (2.0 * s)
-        * math.gamma(N / 2.0 + s)
-        * math.gamma(beta / 2.0 + s)
-        / (math.gamma(N / 2.0) * math.gamma(beta / 2.0))
-    )
+    return _gamma_quotient((N / 2.0 + s, beta / 2.0 + s), (N / 2.0, beta / 2.0),
+                           2.0 ** (2.0 * s))
 
 
 def frac_lap_h_exact(r, p: ProfileParams):
@@ -571,63 +591,34 @@ def frac_lap_h_asymptotic(p: ProfileParams) -> AsymptoticLaw:
     * beta = N - 2s              exact identity against h_{N+2s}, positive
     * beta in (0, N - 2s)        decay r^(-(beta+2s)), positive constant
 
+    The law is the leading term of the closed form as r -> inf, with
+    1 - x = 1 + r^2 ~ r^2: the prefactor times the first coefficient of
+    _connection_coefficients above N, the second below N, and -2 times the
+    logarithmic one at N (log u ~ -2 log r).  At N - 2s the 2F1 is
+    (1-x)^(-N/2-s) itself, and the constant is the prefactor.
+
     Values of beta within 1e-9 of a boundary are snapped onto it, since the
     constants have removable ambiguity exactly there.
     """
     N, s, beta = p.N, float(p.s), float(p.beta)
     two_s = 2.0 * s
-    half_N = N / 2.0
-
     if abs(beta - N) <= _REGIME_SNAP:
-        constant = (
-            2.0 ** (two_s + 1.0)
-            * math.gamma(half_N + s)
-            / (math.gamma(half_N) * math.gamma(-s))
-        )
-        offset = (-2.0 * _EULER_GAMMA - digamma(half_N + s) - digamma(-s)) / 2.0
-        return AsymptoticLaw(
-            regime="equal_N",
-            exponent=N + two_s,
-            constant=constant,
-            has_log_factor=True,
-            log_offset=offset,
-        )
-
-    if abs(beta - (N - two_s)) <= _REGIME_SNAP:
-        constant = 2.0 ** two_s * math.gamma(half_N + s) / math.gamma(half_N - s)
-        return AsymptoticLaw(
-            regime="equal_N_minus_2s",
-            exponent=N + two_s,
-            constant=constant,
-            has_log_factor=False,
-        )
-
-    if beta > N:
-        constant = (
-            2.0 ** two_s
-            * math.gamma(half_N + s)
-            * math.gamma((beta - N) / 2.0)
-            / (math.gamma(beta / 2.0) * math.gamma(-s))
-        )
-        return AsymptoticLaw(
-            regime="above_N",
-            exponent=N + two_s,
-            constant=constant,
-            has_log_factor=False,
-        )
-
-    # beta < N, away from the exact-identity point: one Gamma-ratio formula
-    # covers both remaining regimes; only the sign flips across N - 2s.
-    constant = (
-        2.0 ** two_s
-        * math.gamma(beta / 2.0 + s)
-        * math.gamma((N - beta) / 2.0)
-        / (math.gamma(beta / 2.0) * math.gamma((N - beta) / 2.0 - s))
-    )
-    regime = "between" if beta > N - two_s else "below_N_minus_2s"
-    return AsymptoticLaw(
-        regime=regime,
-        exponent=beta + two_s,
-        constant=constant,
-        has_log_factor=False,
-    )
+        beta, regime = float(N), "equal_N"
+    elif abs(beta - (N - two_s)) <= _REGIME_SNAP:
+        beta, regime = N - two_s, "equal_N_minus_2s"
+    else:
+        regime = ("above_N" if beta > N else
+                  "between" if beta > N - two_s else "below_N_minus_2s")
+    prefactor = frac_lap_h_prefactor(ProfileParams(N, s, beta))
+    if regime == "equal_N_minus_2s":
+        return AsymptoticLaw(regime, N + two_s, prefactor, has_log_factor=False)
+    first, second, psi = _connection_coefficients(N / 2.0 + s, beta / 2.0 + s,
+                                                  N / 2.0)
+    if regime == "equal_N":
+        return AsymptoticLaw(regime, N + two_s, -2.0 * prefactor * first,
+                             has_log_factor=True, log_offset=-psi / 2.0)
+    if regime == "above_N":
+        return AsymptoticLaw(regime, N + two_s, prefactor * first,
+                             has_log_factor=False)
+    return AsymptoticLaw(regime, beta + two_s, prefactor * second,
+                         has_log_factor=False)

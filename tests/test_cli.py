@@ -93,6 +93,26 @@ def test_table_negative_radius_exits_2(tmp_path, capsys):
     assert not (tmp_path / "specfun_table.csv").exists()
 
 
+# r^2, the closed form's argument and the profile's, overflowed above about
+# 1.34e154: 1e200 exited 3 with an overflow in h_beta_eval
+def test_table_radius_whose_square_overflows_exits_2(tmp_path, capsys):
+    code = main(["specfun-table", "--out", str(tmp_path), "--beta", "0.5",
+                 "--radii=1,1e200"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("config error: --radii: radii must have a finite square, at "
+                   "most 1.3407807929942596e+154, got 1e+200\n")
+    assert not (tmp_path / "specfun_table.csv").exists()
+
+
+# below N the closed form read 0.0 at 1e100 (ratio 0.0), and exited 3 at 1e150
+def test_table_far_rows_meet_the_law(tmp_path):
+    assert main(["specfun-table", "--out", str(tmp_path), "--beta", "0.5",
+                 "--radii", "1e50,1e100,1e150,1.34e154"]) == 0
+    for row in read_json(tmp_path / "specfun_table.json")["rows"]:
+        assert abs(row["ratio"] - 1.0) <= 1e-12, row
+
+
 def test_table_radius_zero_is_valid(tmp_path):
     assert main(["specfun-table", "--out", str(tmp_path), "--radii", "0"]) == 0
     assert len(read_csv(tmp_path / "specfun_table.csv")) == 2
@@ -302,6 +322,25 @@ def test_zero_profile_record_is_an_invalid_record(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid solution record ")
     assert err.count("\n") == 1
+
+
+# A profile edited to x1.01 stays positive and non-increasing; it loaded,
+# and verify-decay ran every check on it (exit 0).
+def test_record_whose_profile_fails_the_residual_gate_exits_2(
+        workdir, tmp_path, capsys):
+    rec = read_json(workdir / "solve" / "solution.json")
+    prof = rec["profile"]
+    prof["values"] = [1.01 * v for v in prof["values"]]
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert "fails the solve's gate: residual " in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

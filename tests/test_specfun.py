@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from fracradial import specfun
+from fracradial import radial_ops, specfun
 from fracradial.specfun import (
     AsymptoticLaw,
     NonConvergenceError,
@@ -543,6 +543,62 @@ def test_asymptotic_law_evaluate_vectorized():
                         has_log_factor=False)
     r = np.array([10.0, 100.0])
     assert_allclose(law.evaluate(r), -2.0 * r ** -4.0, rtol=1e-15)
+
+
+def _hand_law(N, s, beta):
+    """The law's constant and log offset from its Gamma-ratio formulas,
+    written out regime by regime."""
+    g, h = math.gamma, N / 2.0
+    if beta == N:
+        offset = (-2.0 * 0.5772156649015329 - digamma(h + s) - digamma(-s)) / 2.0
+        return 2.0 ** (2.0 * s + 1.0) * g(h + s) / (g(h) * g(-s)), offset
+    if beta == N - 2.0 * s:
+        return 4.0 ** s * g(h + s) / g(h - s), 0.0
+    if beta > N:
+        return 4.0 ** s * g(h + s) * g((beta - N) / 2.0) / (g(beta / 2.0) * g(-s)), 0.0
+    return 4.0 ** s * g(beta / 2.0 + s) * g((N - beta) / 2.0) / (
+        g(beta / 2.0) * g((N - beta) / 2.0 - s)), 0.0
+
+
+# beta in every regime: N + 2s and midway to N (above), N, N - s (between),
+# N - 2s, (N - 2s)/2 and N - 2 (below; a - b = 1 is the logarithmic shape).
+# The constants are read off the closed form's 2F1 parameters, so within
+# 0.05 of a boundary, where the hand formulas' exact beta - N and
+# (N - beta)/2 - s cancel less, the two differ by more than rounding.
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_law_constants_match_their_gamma_formulas(N, s):
+    betas = {N + 2.0 * s, N + s, float(N), N - s, N - 2.0 * s,
+             (N - 2.0 * s) / 2.0, N - 2.0}
+    regimes = set()
+    for beta in sorted(b for b in betas if b > 0.0):
+        law = frac_lap_h_asymptotic(ProfileParams(N, s, beta))
+        regimes.add(law.regime)
+        constant, offset = _hand_law(N, s, beta)
+        assert_allclose(law.constant, constant, rtol=1e-13)
+        assert_allclose(law.log_offset, offset, rtol=1e-13)
+    assert regimes == set(specfun.REGIMES)
+    fraclap_C = 4.0 ** s * math.gamma(N / 2.0 + s) / (
+        math.pi ** (N / 2.0) * abs(math.gamma(-s)))
+    assert abs(radial_ops._fraclap_C(N, s) - fraclap_C) <= 4 * math.ulp(fraclap_C)
+
+
+# Far out, (1 - x)^(-a) underflowed against an overflowing (1 - x)^(a - b):
+# (3, 1/2, 1/2) read 0.0 at r = 1e100 and NaN at 1e150, (2, 1/4, 1) 0.0 at
+# 1e150.  One beta per regime below N, and a - b = 1 for (3, 1/2, 1); where
+# the law is below the normal doubles the closed form is too.
+@pytest.mark.parametrize("N,s,beta", [
+    (2, 0.25, 1.0), (2, 0.5, 1.5), (2, 0.25, 1.5),
+    (3, 0.5, 0.5), (3, 0.5, 1.0), (3, 0.5, 2.5), (3, 0.5, 2.0)])
+def test_closed_form_meets_its_law_far_out_below_N(N, s, beta):
+    p = ProfileParams(N, s, beta)
+    law = frac_lap_h_asymptotic(p)
+    for r in (1e50, 1e100, 1e150):
+        want, got = law.evaluate(r), frac_lap_h_exact(r, p)
+        if abs(want) < np.finfo(float).tiny:
+            assert abs(got) < 1e-300
+        else:
+            assert abs(got / want - 1.0) <= 1e-12, (r, got, want)
 
 
 # ----------------------------------------------------------------------------
