@@ -12,8 +12,8 @@ therefore acts on the M node values: the origin model's weights go to the
 first two node columns, the tail's to the last.  On top of that
 representation this module provides
 
-* the principal-value fractional Laplacian (pointwise and as an assembled
-  matrix),
+* the principal-value fractional Laplacian, as an assembled matrix whose
+  values at the nodes are read between them as any radial function is,
 * the Riesz-potential convolution I_alpha * g,
 * the resolvent ((-Delta)^s + mu)^(-1), as the inverse of the assembled
   matrix plus mu (`lu_factor`, `lu_solve`).
@@ -36,11 +36,11 @@ and only the pieces that break the shift are computed per row, vectorised:
 the end columns, the origin and far-tail closures and the fractional
 Laplacian's diagonal mass.  The first and last `_END_ROWS` rows come from
 one batched row builder per kernel, which computes every piece of a row
-for a whole block of radii at once: `_fraclap_rows`, which
-`frac_laplacian_radial` also calls at any radii, and `_riesz_rows`.  They
-differ only near the diagonal, in the PV Taylor window (`_pv_windows`) and
-the graded diagonal cells (`_riesz_diagonal`), and share the grid cells,
-origin region and far tail outside it (`_add_outside`).
+for a whole block of nodes at once: `_fraclap_rows` and `_riesz_rows`.
+Every row is built at a node.  The builders differ only near the
+diagonal, in the PV Taylor window (`_pv_windows`) and the graded diagonal
+cells (`_riesz_diagonal`), and share the grid cells, origin region and
+far tail outside it (`_add_outside`).
 
 Everything reused across calls sits in one LRU memo, `_MEMO`, bounded by
 the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples, a grid
@@ -49,9 +49,6 @@ per-grid row context (the cell quadrature points and their cubic
 stencils), ("table", N, p) for the angular kernel table of a dimension
 N != 3, (kind, grid token, exponent, tail exponent) for an assembled
 operator, kind being "fraclap" (exponent s) or "riesz" (exponent alpha).
-The pointwise rows of `frac_laplacian_radial` are built on each call and
-not kept: the checks at the grid nodes read the assembled operators
-instead.
 An operator entry is an `_Operator`, one form for both kernels.  It keeps
 the structure in O(M) floats: the generating row, the row scales
 r_i^(-2s) or r_i^alpha, dense corrections for what breaks the shift (the
@@ -537,10 +534,10 @@ def _logs(x: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in x.tolist()])
 
 
-def _stencil_offsets(tt: np.ndarray,
+def _stencil_offsets(tt: np.ndarray, i: np.ndarray,
                      t0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seven log-space stencil points bracketing each log radius t0 (R,),
-    centred on the nearest node.
+    """Seven log-space stencil points centred on each node i (R,), whose
+    log radius is t0 (R,).
 
     Returns the offsets delta = t - t0, the log radii t and the node
     indices j of the points, each (R, 7).  A point with j < 0 is virtual,
@@ -549,9 +546,7 @@ def _stencil_offsets(tt: np.ndarray,
     cell's log spacing.
     """
     M = tt.size
-    j0 = np.minimum(np.searchsorted(tt, t0), M - 1)
-    nearer = (j0 > 0) & (np.abs(tt[j0 - 1] - t0) < np.abs(tt[j0] - t0))
-    j = (j0 - nearer)[:, None] + np.arange(-3, 4)
+    j = i[:, None] + np.arange(-3, 4)
     t = np.where(j < 0, tt[0] + j * (tt[1] - tt[0]),
                  np.where(j >= M, tt[-1] + (j - (M - 1)) * (tt[-1] - tt[-2]),
                           tt[np.minimum(np.maximum(j, 0), M - 1)]))
@@ -723,9 +718,9 @@ def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
         * r_inf ** (exponent - tail_omega) / (tail_omega - exponent)
 
 
-def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
-    """The Taylor windows of fractional-Laplacian rows at radii r (R,), of
-    _WINDOW_CELLS local cells each side, and the parts of the cells their
+def _pv_windows(ctx: _RowContext, i: np.ndarray, s: float, omega: float):
+    """The Taylor windows of fractional-Laplacian rows at the nodes i (R,),
+    of _WINDOW_CELLS local cells each side, and the parts of the cells their
     edges cut (at most one at each edge).
 
     Returns what they add to the rows' (R, M) coefficients over the node
@@ -737,8 +732,9 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
     tt = ctx.tt
     nodes = grid.nodes
     M = nodes.size
-    R = r.size
+    R = i.size
     r1, rM = nodes[0], nodes[-1]
+    r = nodes[i]
     p = -(N + 2.0 * s)
     t0 = _logs(r)
     j = np.minimum(np.maximum(np.searchsorted(tt, t0) - 1, 0), M - 2)
@@ -746,7 +742,7 @@ def _pv_windows(ctx: _RowContext, r: np.ndarray, s: float, omega: float):
     lo_w, hi_w = r - w, r + w
 
     m1, m2, m3, m4 = (m[:, None] for m in _pv_moments(N, p, r, w, s))
-    offsets, t, j = _stencil_offsets(tt, t0)
+    offsets, t, j = _stencil_offsets(tt, i, t0)
     ut, utt, uttt, utttt = _derivative_stencils(offsets).transpose(1, 0, 2)
     rr = r[:, None]
     # radial derivatives via log-derivatives: u_r = u_t / r,
@@ -799,8 +795,9 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
                  coeffs: np.ndarray, tails: np.ndarray, mass: np.ndarray) -> None:
     """Add sign times the kernel integrals of the rows at radii r (R,) outside
     the intervals (lo, hi) (R,) around them: the grid cells clear of each
-    interval, [0, r_1] under the origin model, graded toward r at distances
-    d0 2^k (see _graded_edges), and the tail model beyond r_M.  They go into
+    interval, [0, r_1] below it under the origin model, graded toward r at
+    distances d0 2^k (see _graded_edges), and the tail model beyond r_M.
+    Each interval holds its radius, a node, so it ends above r_1.  They go into
     the rows' (R, M) coefficients over the node values, (R,) tail weights
     and (R,) kernel mass in place, in that order: a fractional-Laplacian
     row cancels far below its entries, so its summation order is kept.
@@ -831,19 +828,11 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     np.add.at(coeffs.reshape(-1), slots.ravel(),
               sign * per_node.transpose(0, 2, 1).ravel())
 
-    # [0, r_1] outside the interval: from the origin up to the interval or
-    # r_1, and from an interval that ends below r_1 up to r_1
+    # [0, r_1] below the interval: from the origin up to the interval or r_1
     c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0, np.minimum(lo, r1)))
     coeffs[:, 0] += sign * c1
     coeffs[:, 1] += sign * c2
     mass += m0
-    gap = hi < r1
-    if gap.any():
-        c1, c2, m0 = _origin_sums(grid, p, r[gap], np.stack(
-            (hi[gap], np.full(np.count_nonzero(gap), r1)), axis=1))
-        coeffs[gap, 0] += sign * c1
-        coeffs[gap, 1] += sign * c2
-        mass[gap] += m0
 
     # beyond the interval and r_M
     tail, m0 = _tail_sums(N, p, r, np.maximum(hi, rM), rM, omega)
@@ -851,8 +840,9 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     mass += m0
 
 
-def _fraclap_rows(ctx: _RowContext, radii, s: float, omega: float) -> np.ndarray:
-    """Unscaled fractional-Laplacian rows at the radii (R,), built together.
+def _fraclap_rows(ctx: _RowContext, which, s: float, omega: float) -> np.ndarray:
+    """Unscaled fractional-Laplacian rows at the node indices `which` (R,),
+    built together.
 
     The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
@@ -860,37 +850,23 @@ def _fraclap_rows(ctx: _RowContext, radii, s: float, omega: float) -> np.ndarray
     the weights of a tail of exponent omega added to the last column last.
     The factor C_{N,s} is NOT applied here.
 
-    Every piece is computed for all radii at once, and each row equals the
+    Every piece is computed for all nodes at once, and each row equals the
     one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
-    temporaries, so callers pass large sets of radii _ROW_BLOCK at a time.
+    temporaries, so callers pass large sets of nodes _ROW_BLOCK at a time.
     """
     grid = ctx.grid
     N = grid.N
-    nodes = grid.nodes
-    M = nodes.size
-    r1, rM = nodes[0], nodes[-1]
-    r = np.asarray(radii, dtype=float)
-    rows = np.arange(r.size)
-    coeffs, tails, mass, w = _pv_windows(ctx, r, s, omega)
+    i = np.asarray(which, dtype=int)
+    r = grid.nodes[i]
+    rM = grid.nodes[-1]
+    coeffs, tails, mass, w = _pv_windows(ctx, i, s, omega)
     _add_outside(ctx, -(N + 2.0 * s), r, r - w, r + w, np.maximum(w, 0.1 * r), -1.0,
                  omega, coeffs, tails, mass)
     mass += _mass_remainder(N, s, rM)
     tails += _tail_remainder(N, "fraclap", s, rM, omega)
-
-    # ---- the kernel mass multiplies u(r): at its node, through the origin
-    # model below r_1, or through the cubic stencil
-    j = np.minimum(np.maximum(np.searchsorted(nodes, r) - 1, 0), M - 2)
-    on_lo = np.abs(nodes[j] - r) <= 1e-12 * r
-    on_hi = ~on_lo & (np.abs(nodes[j + 1] - r) <= 1e-12 * r)
-    on = on_lo | on_hi
-    coeffs[rows[on], (j + on_hi)[on]] += mass[on]
-    below = ~on & (r < r1)
-    w1, w2 = _origin_model(grid, (r[below] / r1) ** 2)
-    coeffs[below, 0] += mass[below] * w1
-    coeffs[below, 1] += mass[below] * w2
-    off = ~(on | below)
-    _add_cubic(coeffs, ctx.tt, _logs(r[off]), mass[off], rows[off])
-    coeffs[:, M - 1] += tails
+    # the kernel mass multiplies u(r), the value at the row's node
+    coeffs[np.arange(i.size), i] += mass
+    coeffs[:, -1] += tails
     return coeffs
 
 
@@ -993,7 +969,7 @@ def _fraclap_C(N: int, s: float) -> float:
 # between keep their Taylor window, partial cells and graded diagonal cells
 # (offsets -4..4) clear of those columns and of both ends.  The closures
 # of those rows are integrated _ROW_BLOCK rows at a time, and the row
-# builders take _ROW_BLOCK radii a call, which keeps each of their
+# builders take _ROW_BLOCK nodes a call, which keeps each of their
 # (block, 4, M-1) temporaries near a megabyte.
 _END_ROWS = 8
 _END_COLUMNS = 4
@@ -1006,15 +982,12 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
     coefficients over the node values, from one _fraclap_rows or
     _riesz_rows call per _ROW_BLOCK nodes."""
     ctx = _context(grid)
+    build = _fraclap_rows if kind == "fraclap" else _riesz_rows
     which = np.asarray(which, dtype=int)
     rows = np.empty((which.size, grid.size))
     for b in range(0, which.size, _ROW_BLOCK):
         block = which[b:b + _ROW_BLOCK]
-        if kind == "fraclap":
-            rows[b:b + block.size] = _fraclap_rows(ctx, grid.nodes[block], exponent,
-                                                   tail_omega)
-        else:
-            rows[b:b + block.size] = _riesz_rows(ctx, block, exponent, tail_omega)
+        rows[b:b + block.size] = build(ctx, block, exponent, tail_omega)
     return rows
 
 
@@ -1104,7 +1077,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     # near-diagonal pieces of the middle row, and the cells they cover
     g = M // 2
     if fraclap:
-        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, nodes[g:g + 1], exponent,
+        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, np.array([g]), exponent,
                                                      tail_omega)
         a, b = nodes[g] - w, nodes[g] + w
         d0 = max(w / nodes[g], 0.1)
@@ -1198,16 +1171,10 @@ def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
 
 
 def frac_laplacian_radial(u: RadialFunction, s: float, at):
-    """Pointwise principal-value fractional Laplacian of u at one radius or
-    at several.
-
-    The radial integral is Taylor-subtracted in a window of a few grid cells
-    around each radius (so the PV cancellation is explicit), integrated cell
-    by cell elsewhere with u reconstructed by cubic-in-log Lagrange
-    interpolation of the node values, and closed with u's closures on
-    [0, r_1) and (r_max, inf).  The rows are built in batched
-    passes of _ROW_BLOCK radii, on each call: at the grid nodes the
-    memoised operator of frac_laplacian_on_grid serves instead.
+    """(-Delta)^s u at one radius or at several, read off the assembled
+    operator: the node values of frac_laplacian_on_grid, read between the
+    nodes as any radial function is (`RadialFunction.evaluate`).  At a node
+    it is the operator's value, to the bit.
 
     Args:
         u: the radial function.
@@ -1230,15 +1197,14 @@ def frac_laplacian_radial(u: RadialFunction, s: float, at):
         raise ValueError(
             f"frac_laplacian_radial: radii must be a scalar or a nonempty 1-d "
             f"array, got shape {radii.shape}")
-    if not np.all((radii > 0.0) & (radii <= grid.r_max)):
+    bad = ~((radii > 0.0) & (radii <= grid.r_max))
+    if bad.any():
         raise ValueError(
-            f"frac_laplacian_radial: radius must lie in (0, r_max], got {at!r}")
-    rs = np.atleast_1d(radii)
-    out = np.empty(rs.size)
-    for b in range(0, rs.size, _ROW_BLOCK):
-        coeffs = _fraclap_rows(_context(grid), rs[b:b + _ROW_BLOCK], s, u.tail_exponent)
-        out[b:b + _ROW_BLOCK] = _fraclap_C(grid.N, s) * _rowdot(coeffs, u.values)
-    return float(out[0]) if radii.ndim == 0 else out
+            f"frac_laplacian_radial: radius must lie in (0, r_max], got "
+            f"{float(radii[bad][0])!r}")
+    # the tail exponent is never read: every radius is at most r_max
+    return RadialFunction(grid, frac_laplacian_on_grid(u, s),
+                          u.tail_exponent).evaluate(radii)
 
 
 def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:

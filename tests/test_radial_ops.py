@@ -179,26 +179,6 @@ def test_kernel_table_is_built_a_block_of_intervals_at_a_time(monkeypatch):
         assert np.array_equal(getattr(table, c), getattr(one_shot, c))
 
 
-def test_pointwise_rows_are_built_a_block_of_radii_at_a_time():
-    # 600 radii at M = 1200 peaked at 121.8 MB built in one pass; a block
-    # of _ROW_BLOCK = 64 radii at a time peaks at 18.9 MB (measured)
-    import tracemalloc
-
-    grid = RadialGrid.log_spaced(num=1200, N=3)
-    u = h_beta_function(grid, 3.5)
-    radii = np.geomspace(0.01, 500.0, 600)
-    frac_laplacian_radial(u, 0.5, radii[:1])    # the grid's row context
-    tracemalloc.start()
-    try:
-        got = frac_laplacian_radial(u, 0.5, radii)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30e6
-    alone = [frac_laplacian_radial(u, 0.5, r) for r in radii[::37]]
-    assert np.array_equal(got[::37], alone)
-
-
 def test_closed_form_kernel_matches_dimension_three():
     rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
     for p in (-6.0, -4.5, -3.0, -2.0, -1.0):
@@ -425,8 +405,10 @@ def test_fraclap_pointwise_dimension_two():
 # round differently and the PV window's odd moment kept the difference while
 # the kernel was read at the rounded radii: at s = 1/2 these radii were
 # 5.7e-6 to 1.4e-4 off, against <= 1.5e-7 elsewhere, and at s = 3/4 their
-# relative errors were 6.7 to 97.  Read at the offsets xi themselves, they are <= 1.6e-7
-# off at s = 1/2 and <= 5.4e-7 at s = 3/4 (default grid).
+# relative errors were 6.7 to 97.  Read at the offsets xi themselves, they were
+# <= 1.6e-7 off at s = 1/2 and <= 5.4e-7 at s = 3/4 (default grid).  Read off
+# the assembled operator between its nodes, they are <= 5.8e-7 and <= 9.5e-7
+# off, the largest at rho = 2, next to a sign change of (-Delta)^s h_beta.
 @pytest.mark.parametrize("N,s,beta", [(3, 0.5, 3.0), (2, 0.5, 2.5), (3, 0.75, 3.0)])
 def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
     g = RadialGrid.log_spaced(N=N)
@@ -436,6 +418,31 @@ def test_fraclap_pointwise_at_powers_of_two(N, s, beta):
     assert_allclose(got, want, rtol=1e-6)
 
 
+# The pointwise value is the assembled operator's, read between the nodes
+# as any radial function is; at a node it is the operator's value itself.
+@pytest.mark.parametrize("M", [150, 601])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("N", [2, 3])
+def test_fraclap_pointwise_at_the_nodes_is_the_operator(N, s, M):
+    g = RadialGrid.log_spaced(num=M, N=N)
+    u = h_beta_function(g, N + 0.5)
+    assert np.array_equal(frac_laplacian_radial(u, s, g.nodes),
+                          frac_laplacian_on_grid(u, s))
+
+
+# Below r_1 the value is read through the origin model of the node values:
+# measured errors at most 5.9e-9 at r_1 / 2 and 2.0e-7 at 0.9 r_1 (default
+# grid).
+@pytest.mark.parametrize("N,s,beta", [(3, 0.5, 3.5), (3, 0.75, 3.0), (2, 0.5, 2.5)])
+@pytest.mark.parametrize("x,rtol", [(0.5, 2e-8), (0.9, 5e-7)])
+def test_fraclap_pointwise_below_the_first_node(N, s, beta, x, rtol):
+    g = RadialGrid.log_spaced(N=N)
+    r_at = x * g.nodes[0]
+    got = frac_laplacian_radial(h_beta_function(g, beta), s, at=r_at)
+    want = frac_lap_h_exact(r_at, ProfileParams(N, s, beta))
+    assert_allclose(got, want, rtol=rtol)
+
+
 def batch_grid(N, coarse):
     """A grid of 150 nodes, or the coarsest one on the same range: 32 nodes,
     whose PV windows are capped at half the radius (1.5 cells are 0.67 in
@@ -443,7 +450,7 @@ def batch_grid(N, coarse):
     return RadialGrid.log_spaced(num=32 if coarse else 150, N=N)
 
 
-# The rows at all radii are built together; no piece lets one row's
+# The rows at all nodes are built together; no piece lets one row's
 # rounding depend on the rows beside it (the far-tail panels are summed in
 # groups of equal panel count, the dot products one row at a time), so a
 # row built in a batch is the row built alone, to the bit.
@@ -452,7 +459,9 @@ def batch_grid(N, coarse):
 def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     grid = batch_grid(N, coarse)
     nodes = grid.nodes
-    k = [i * grid.size // 150 for i in (40, 70, 75)]
+    M = grid.size
+    k = [i * M // 150 for i in (40, 70, 75)]
+    which = np.array([0, 1, k[0], k[1], k[2], M - 2, M - 1])
     radii = np.array([
         0.5 * nodes[0], 0.99 * nodes[0],              # below r_1
         math.sqrt(nodes[k[0]] * nodes[k[0] + 1]), 1.0, 2.0, 5.0, 10.0,  # between nodes
@@ -461,10 +470,10 @@ def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     ])
     ctx = radial_ops._context(grid)
     for omega in (N + 1.0, 2.5):
-        rows = radial_ops._fraclap_rows(ctx, radii, 0.5, omega)
-        assert rows.shape == (radii.size, grid.size)
-        for k in range(radii.size):
-            alone = radial_ops._fraclap_rows(ctx, radii[k:k + 1], 0.5, omega)
+        rows = radial_ops._fraclap_rows(ctx, which, 0.5, omega)
+        assert rows.shape == (which.size, M)
+        for k in range(which.size):
+            alone = radial_ops._fraclap_rows(ctx, which[k:k + 1], 0.5, omega)
             assert np.array_equal(alone[0], rows[k])
         # pointwise values over an array of radii, one per radius
         u = h_beta_function(grid, omega)
@@ -481,13 +490,14 @@ def test_fraclap_rejects_bad_arguments(grid):
             frac_laplacian_radial(u, s, at=1.0)
         with pytest.raises(ValueError):
             frac_laplacian_on_grid(u, s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got 0\.0$"):
         frac_laplacian_radial(u, 0.5, at=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got 2000\.0$"):
         frac_laplacian_radial(u, 0.5, at=2.0 * grid.r_max)
-    with pytest.raises(ValueError):
-        frac_laplacian_radial(u, 0.5, at=np.array([1.0, 2.0 * grid.r_max]))
-    with pytest.raises(ValueError):
+    # the message names the first bad radius, not the whole array
+    with pytest.raises(ValueError, match=r"got 2000\.0$"):
+        frac_laplacian_radial(u, 0.5, at=np.array([1.0, 2.0 * grid.r_max, -1.0]))
+    with pytest.raises(ValueError, match=r"got nan$"):
         frac_laplacian_radial(u, 0.5, at=np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
         frac_laplacian_radial(u, 0.5, at=np.ones((2, 2)))
