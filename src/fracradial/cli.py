@@ -111,10 +111,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_optional_float(text: str) -> float | None:
     return None if text.strip() == "" else _parse_float(text)
 
@@ -154,7 +150,7 @@ def _parse_formats(text: str) -> tuple[str, ...]:
 # section -> key -> (parser, default).
 _CONFIG_SCHEMA = {
     "problem": {
-        "n": (_parse_int, "3"),
+        "n": (int, "3"),
         "s": (_parse_float, "0.5"),
         "alpha": (_parse_float, "2.0"),
         "mu": (_parse_float, "1.0"),
@@ -164,11 +160,11 @@ _CONFIG_SCHEMA = {
     "grid": {
         "r_min": (_parse_float, "1e-3"),
         "r_max": (_parse_float, "1e3"),
-        "nodes": (_parse_int, "1200"),
+        "nodes": (int, "1200"),
     },
     "solver": {
         "tolerance": (_parse_float, "1e-10"),
-        "max_iter": (_parse_int, "5000"),
+        "max_iter": (int, "5000"),
     },
     "analysis": {
         "fit_window": (_parse_float_pair, "50,100"),
@@ -408,9 +404,9 @@ def load_solution(path: str) -> Solution:
             refuses, a grid.n other than problem.n, a profile that is not
             positive and non-increasing, a tail exponent whose power of
             r_max is not a finite float, a diagnostics.iterations that
-            is not an integer, a problem without a decay prediction (see
-            _check_decay_exponent), or a profile that fails the residual
-            gate.
+            is not a positive integer, a problem without a decay
+            prediction (see _check_decay_exponent), or a profile that
+            fails the residual gate.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -445,10 +441,12 @@ def load_solution(path: str) -> Solution:
             raise ValueError(f"r_max ** profile.tail_exponent = {grid.r_max!r} ** "
                              f"{u.tail_exponent!r} is not a finite float")
         iterations = rec["diagnostics"]["iterations"]
-        # json.load reads true and false as bools, which are ints too
-        if isinstance(iterations, bool) or not isinstance(iterations, int):
+        # json.load reads true and false as bools, which are ints too; a
+        # solve takes at least one step
+        if isinstance(iterations, bool) or not isinstance(iterations, int) \
+                or iterations < 1:
             raise ValueError(
-                f"diagnostics.iterations is not an integer: {iterations!r}")
+                f"diagnostics.iterations is not a positive integer: {iterations!r}")
         sol = Solution(u=u, params=params, iterations=iterations)
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc

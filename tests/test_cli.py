@@ -373,8 +373,10 @@ def test_record_whose_grid_n_is_not_problem_n_is_an_invalid_record(
     assert not out.exists()
 
 
-# Each of these loaded, and verify-decay on it exited 0.
-@pytest.mark.parametrize("key,value", [("iterations", 1.5), ("iterations", True)])
+# Each of these loaded, and verify-decay on it exited 0.  A solve takes at
+# least one step, so 0 and -5 are refused too.
+@pytest.mark.parametrize("key,value", [("iterations", 1.5), ("iterations", True),
+                                       ("iterations", 0), ("iterations", -5)])
 def test_record_with_a_non_integer_or_boolean_diagnostic_exits_2(
         workdir, tmp_path, capsys, key, value):
     rec = read_json(workdir / "solve" / "solution.json")
@@ -782,6 +784,27 @@ def test_loaded_solution_derives_the_stored_diagnostics(workdir, n2_record, whic
     sol = load_solution(str(path))
     for key in ("residual_sup", "pohozaev_defect", "norm_r", "mass_F"):
         assert getattr(sol, key) == stored[key]
+
+
+def test_stored_record_verification_applies_the_riesz_operator_once(
+        workdir, tmp_path, monkeypatch):
+    """verify-decay on a stored record reads I_alpha * F(u) and int F(u) off
+    the Solution: the Riesz-tail check reuses the residual gate's one Riesz
+    application, and its mass is the record's mass_F to the bit."""
+    calls = []
+    riesz_operator = radial_ops._riesz_operator
+
+    def counted(*args):
+        calls.append(args)
+        return riesz_operator(*args)
+
+    monkeypatch.setattr(radial_ops, "_riesz_operator", counted)
+    path = workdir / "solve" / "solution.json"
+    assert main(["verify-decay", "--solution", str(path),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    mass = read_json(tmp_path / "verify_report.json")["riesz_tail"]["mass"]
+    assert mass == read_json(path)["diagnostics"]["mass_F"]
 
 
 def test_reports_round_trip_bitwise(workdir):

@@ -737,8 +737,9 @@ def operator_args(kind, N):
 def assert_structured_matches_loop(kind, N, exponent, omega):
     M = 150
     grid = RadialGrid.log_spaced(num=M, N=N)
-    rows = radial_ops._structured_rows(grid, kind, exponent, omega).rows()
-    ref = radial_ops._rows_at(grid, kind, exponent, omega, range(grid.size))
+    op = radial_ops._structured_rows(grid, kind, exponent, omega)
+    rows = op.rows()
+    ref = op.constant * radial_ops._rows_at(grid, kind, exponent, omega, range(grid.size))
     # every column, the last one with the tail weights folded in
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert err.max() <= 1e-10
