@@ -249,17 +249,7 @@ def _problem_dict(params: ProblemParams) -> dict:
 
 def _build_problem(cfg: dict) -> ProblemParams:
     with _config_errors():
-        params = _problem_params(cfg["problem"])
-    _check_decay_exponent(params)
-    return params
-
-
-def _check_decay_exponent(params: ProblemParams) -> None:
-    """Reject an r that ProblemParams admits but predict_decay does not
-    (a superlinear homogeneous r), which every solution record and decay
-    report needs, before anything is solved."""
-    with _config_errors("problem.r: "):
-        predict_decay(params)
+        return _problem_params(cfg["problem"])
 
 
 def _build_grid(cfg: dict, N: int) -> RadialGrid:
@@ -400,13 +390,14 @@ def load_solution(path: str) -> Solution:
         ConfigError: an unreadable or malformed file, a record of another
             schema version (a version-1 record, which stored the nodes and
             weights, is refused with the advice to re-run solve), or an
-            invalid record: a missing field, grid fields that RadialGrid
+            invalid record: a missing field, a true or false where a
+            number of the problem, the grid or the profile belongs, a
+            problem that ProblemParams refuses, grid fields that RadialGrid
             refuses, a grid.n other than problem.n, a profile that is not
             positive and non-increasing, a tail exponent whose power of
             r_max is not a finite float, a diagnostics.iterations that
-            is not a positive integer, a problem without a decay
-            prediction (see _check_decay_exponent), or a profile that
-            fails the residual gate.
+            is not a positive integer, or a profile that fails the
+            residual gate.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -427,6 +418,17 @@ def load_solution(path: str) -> Solution:
             f"{rec.get('schema_version')!r}, not {SOLUTION_SCHEMA_VERSION}: "
             "re-run solve to write one")
     try:
+        # json.load reads true and false as bools, which are ints too
+        numbers = [(f"{part}.{key}", rec[part][key]) for part, keys in (
+            ("problem", ("n", "s", "alpha", "mu", "r")),
+            ("grid", ("n", "r_min", "r_max")), ("profile", ("tail_exponent",)),
+            ("diagnostics", ("iterations",))) for key in keys]
+        numbers += [(f"profile.values[{i}]", v)
+                    for i, v in enumerate(rec["profile"]["values"])
+                    if v is True or v is False]
+        for name, value in numbers:
+            if isinstance(value, bool):
+                raise ValueError(f"{name} is {json.dumps(value)}, not a number")
         params = _problem_params(rec["problem"])
         gr = rec["grid"]
         grid = RadialGrid(r_min=gr["r_min"], r_max=gr["r_max"],
@@ -441,16 +443,13 @@ def load_solution(path: str) -> Solution:
             raise ValueError(f"r_max ** profile.tail_exponent = {grid.r_max!r} ** "
                              f"{u.tail_exponent!r} is not a finite float")
         iterations = rec["diagnostics"]["iterations"]
-        # json.load reads true and false as bools, which are ints too; a
-        # solve takes at least one step
-        if isinstance(iterations, bool) or not isinstance(iterations, int) \
-                or iterations < 1:
+        # a solve takes at least one step
+        if not isinstance(iterations, int) or iterations < 1:
             raise ValueError(
                 f"diagnostics.iterations is not a positive integer: {iterations!r}")
         sol = Solution(u=u, params=params, iterations=iterations)
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc
-    _check_decay_exponent(params)
     failure = _residual_gate(sol)
     if failure:
         raise ConfigError(f"invalid solution record {path!r}: the profile "

@@ -131,34 +131,18 @@ class RieszTailReport:
     mass: float
 
 
-def _dims(params) -> tuple[int, float, float]:
-    return int(params.N), float(params.s), float(params.alpha)
-
-
-def _sublinear_exponent(params) -> float:
-    r = float(params.nonlinearity.r)
-    N, _, alpha = _dims(params)
-    lo = (N + alpha) / N
-    if not (lo - _SNAP <= r < 2.0):
-        raise ValueError(
-            f"decay prediction needs r in [(N+alpha)/N, 2) = [{lo}, 2), got {r!r}")
-    return r
-
-
 def predict_decay(params) -> DecayPrediction:
     """Predicted decay exponent and regime.
 
     The exponent is params.predicted_tail_exponent(), the one the solver
-    closes its tails with; this adds the range check, r* and the regime.
+    closes its tails with; this adds r* and the regime.  ProblemParams
+    admits only the sublinear r in [(N+alpha)/N, 2), so every problem has one.
 
     Args:
         params: problem parameters (ProblemParams).
-
-    Raises:
-        ValueError: r outside the sublinear admissible range [(N+alpha)/N, 2).
     """
-    N, s, alpha = _dims(params)
-    r = _sublinear_exponent(params)
+    N, s, alpha = params.N, params.s, params.alpha
+    r = params.nonlinearity.r
     r_star = (N + alpha + 4.0 * s) / (N + 2.0 * s)
     beta = params.predicted_tail_exponent()
     if abs(r - r_star) <= _SNAP * r_star:
@@ -216,7 +200,7 @@ def check_analysis(params=None, grid=None, *, fit_window=None, theta=None,
     if fit_window is not None:
         check_fit_window(fit_window, grid.nodes)
     if theta is not None:
-        N, _, alpha = _dims(params)
+        N, alpha = params.N, params.alpha
         if not (N < theta <= N + alpha):
             raise ValueError(f"theta {theta!r} lies outside (N, N+alpha] "
                              f"= ({N}, {N + alpha!r}]")
@@ -234,7 +218,7 @@ def _upper_denominator(params, kappa: float) -> float:
     kappa = float(kappa)
     if not (kappa > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
-    mu, r = float(params.mu), _sublinear_exponent(params)
+    mu, r = params.mu, params.nonlinearity.r
     c_bar = float(params.nonlinearity.C_bar)
     denom = mu - (r - 1.0) * (c_bar / kappa) ** (1.0 / (r - 1.0))
     if denom <= 0.0:
@@ -298,17 +282,16 @@ def sharp_constant(sol) -> float:
         ValueError: r >= r*.
     """
     params = sol.params
-    N, _, alpha = _dims(params)
     pred = predict_decay(params)
-    r = float(params.nonlinearity.r)
+    r = params.nonlinearity.r
     if pred.regime != "choquard_dominated":
         raise ValueError(
             f"sharp_constant: r = {r!r} is not below the threshold r* = {pred.r_star!r}; "
             "this formula gives the limit constant only below r*, above it the "
             "fractional Laplacian sets the decay")
-    C = riesz_constant(N, alpha)
+    C = riesz_constant(params.N, params.alpha)
     slope = params.nonlinearity.limit_slope()
-    return (C * slope * sol.mass_F / float(params.mu)) ** (1.0 / (2.0 - r))
+    return (C * slope * sol.mass_F / params.mu) ** (1.0 / (2.0 - r))
 
 
 def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
@@ -340,11 +323,9 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
             nonpositive (the kappa rule of check_analysis).
     """
     params = sol.params
-    N, _, alpha = _dims(params)
-    r = _sublinear_exponent(params)
     spec = params.nonlinearity
-    mu = float(params.mu)
-    C = riesz_constant(N, alpha)
+    mu, r = params.mu, spec.r
+    C = riesz_constant(params.N, params.alpha)
     mass = float(sol.mass_F)
     c_bar, c_under = float(spec.C_bar), float(spec.C_under)
 
@@ -416,7 +397,7 @@ def verify_riesz_tail(sol, theta: float) -> RieszTailReport:
     """
     params = sol.params
     check_analysis(params, theta=theta)
-    N, _, alpha = _dims(params)
+    N, alpha = params.N, params.alpha
     grid = sol.u.grid
     lo, hi = grid.r_max / 50.0, grid.r_max / 10.0
     conv = sol.evaluation[2]

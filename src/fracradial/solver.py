@@ -190,7 +190,9 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Parameters of the doubly nonlocal problem on R^N."""
+    """Parameters of the doubly nonlocal problem on R^N.  The exponent r
+    lies in the sublinear range [(N+alpha)/N, 2) of the paper's decay law;
+    a homogeneous r is at most the critical (N+alpha)/(N-2s) as well."""
 
     N: int
     s: float
@@ -210,24 +212,21 @@ class ProblemParams:
             raise ValueError(f"ProblemParams: mu must be positive, got {self.mu!r}")
         r = self.nonlinearity.r
         lo = (self.N + self.alpha) / self.N
-        if self.nonlinearity.is_homogeneous:
-            hi = (self.N + self.alpha) / (self.N - 2.0 * self.s)
-            if not (lo - 1e-12 <= r <= hi + 1e-12):
-                raise ValueError(
-                    f"ProblemParams: homogeneous exponent r = {r!r} outside the "
-                    f"admissible range [{lo}, {hi}]")
-        elif not (lo - 1e-12 <= r < 2.0):
+        if not (lo - 1e-12 <= r < 2.0):
             raise ValueError(
-                f"ProblemParams: envelope exponent r = {r!r} outside the "
-                f"sublinear range [{lo}, 2)")
+                f"ProblemParams: exponent r = {r!r} outside the sublinear "
+                f"range [{lo}, 2)")
+        hi = (self.N + self.alpha) / (self.N - 2.0 * self.s)
+        if self.nonlinearity.is_homogeneous and r > hi + 1e-12:
+            raise ValueError(
+                f"ProblemParams: homogeneous exponent r = {r!r} above the "
+                f"critical exponent (N+alpha)/(N-2s) = {hi}")
 
     def predicted_tail_exponent(self) -> float:
-        """Decay exponent min{(N-alpha)/(2-r), N+2s} used for tail closures."""
+        """Decay exponent min{(N-alpha)/(2-r), N+2s}, used for tail closures
+        and defined for every admitted r < 2."""
         r = self.nonlinearity.r
-        lap = self.N + 2.0 * self.s
-        if r >= 2.0:
-            return lap
-        return min((self.N - self.alpha) / (2.0 - r), lap)
+        return min((self.N - self.alpha) / (2.0 - r), self.N + 2.0 * self.s)
 
 
 @dataclass(frozen=True)

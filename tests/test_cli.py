@@ -392,6 +392,34 @@ def test_record_with_a_non_integer_or_boolean_diagnostic_exits_2(
     assert not out.exists()
 
 
+# json.load reads true and false as bools, which are ints too.  A record with
+# "mu": true verified with exit 0, its report echoing the true; one with
+# "r_min": true was refused as a profile that fails the solve's gate.
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", [
+    "problem.n", "problem.s", "problem.alpha", "problem.mu", "problem.r",
+    "grid.n", "grid.r_min", "grid.r_max", "profile.tail_exponent",
+    "profile.values[0]", "profile.values[399]"])
+def test_record_with_a_boolean_number_exits_2(workdir, tmp_path, capsys,
+                                               field, value):
+    rec = read_json(workdir / "solve" / "solution.json")
+    part, key = field.split(".")
+    if key.startswith("values["):
+        rec[part]["values"][int(key[len("values["):-1])] = value
+    else:
+        rec[part][key] = value
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"{field} is {json.dumps(value)}, not a number" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # A record's diagnostics other than iterations report the solve that wrote it,
 # and are not read back.  A mass_F edited to twice its value once failed the
 # tail_constant check (exit 1); a zero, negative or non-finite one had to
@@ -711,8 +739,8 @@ def test_unusable_analysis_setting_exits_2_before_solving(
                          ids=["solve", "verify", "verify-stored"])
 def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
                                               monkeypatch, argv):
-    # ProblemParams admits a homogeneous r up to (N+alpha)/(N-2s) = 2.5,
-    # but every record and report needs the decay prediction, for r < 2
+    # ProblemParams admits only the sublinear r in [(N+alpha)/N, 2), where
+    # the decay prediction every record and report carries is defined
     def no_solve(*args):
         raise AssertionError("solve_ground_state ran")
 
@@ -725,8 +753,9 @@ def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
         argv.insert(2, str(tmp_path / "r22.json"))
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: problem.r: decay prediction needs r in ")
-    assert "2), got 2.2" in err and err.count("\n") == 1
+    assert err.startswith("config error: ")
+    assert "ProblemParams: exponent r = 2.2 outside the sublinear range [" in err
+    assert err.endswith(", 2)\n") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

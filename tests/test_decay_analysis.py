@@ -90,10 +90,10 @@ def test_predict_caps_at_operator_exponent(r):
 
 @pytest.mark.parametrize("bad_r", [1.5, 2.0, 2.3])
 def test_predict_rejects_exponent_outside_window(bad_r):
-    params = SimpleNamespace(N=3, s=0.5, alpha=2.0, mu=1.0,
-                             nonlinearity=SimpleNamespace(r=bad_r))
-    with pytest.raises(ValueError):
-        predict_decay(params)
+    # the sublinear range [(N+alpha)/N, 2) belongs to ProblemParams: a
+    # problem outside it is refused before it has a decay prediction
+    with pytest.raises(ValueError, match="outside the sublinear range"):
+        make_params(bad_r)
 
 
 # ---------------------------------------------------------------------------
