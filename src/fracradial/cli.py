@@ -397,7 +397,7 @@ def load_solution(path: str) -> Solution:
             positive and non-increasing, a tail exponent whose power of
             r_max is not a finite float, a diagnostics.iterations that
             is not a positive integer, or a profile that fails the
-            residual gate.
+            residual gate or overflows while the gate evaluates it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -448,9 +448,12 @@ def load_solution(path: str) -> Solution:
             raise ValueError(
                 f"diagnostics.iterations is not a positive integer: {iterations!r}")
         sol = Solution(u=u, params=params, iterations=iterations)
+        # evaluated here, so that a profile overflowing the operators is an
+        # invalid record too; its own failure is raised outside the block,
+        # which would prefix a ConfigError's message a second time
+        failure = _residual_gate(sol)
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid solution record {path!r}: {exc}") from exc
-    failure = _residual_gate(sol)
     if failure:
         raise ConfigError(f"invalid solution record {path!r}: the profile "
                           f"fails the solve's gate: {failure}")
@@ -571,21 +574,25 @@ def _cmd_solve(cfg: dict, args) -> int:
 _CHECK_HEADER = ["name", "passed", "measured", "reference", "tolerance"]
 
 
-def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], dict]:
-    """All decay checks for one solution; returns (checks, report numbers),
-    each check a row of _CHECK_HEADER values."""
+def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dict]:
+    """All decay checks for one solution; returns (checks, rules, report
+    numbers), each check a row of _CHECK_HEADER values and each rule the
+    comparison that decided it, with its reference and tolerance filled in."""
     params = sol.params
     ana = cfg["analysis"]
     pred = predict_decay(params)
     checks: list[list] = []
+    rules: list[str] = []
 
-    def add(name, passed, measured, reference, tolerance):
-        checks.append([name, bool(passed), float(measured), float(reference),
-                       float(tolerance)])
+    def add(name, passed, measured, reference, tolerance, rule):
+        row = [name, bool(passed), float(measured), float(reference), float(tolerance)]
+        checks.append(row)
+        rules.append(rule.format(reference=row[3], tolerance=row[4]))
 
     fit = fit_tail(sol.u, ana["fit_window"])
     add("fit_exponent", abs(fit.fitted_exponent - pred.beta) <= 0.1 * pred.beta,
-        fit.fitted_exponent, pred.beta, 0.1)
+        fit.fitted_exponent, pred.beta, 0.1,
+        "|measured - {reference!r}| <= {tolerance!r} * {reference!r}")
 
     constants: dict = {"sharp": None}
     if pred.regime == "choquard_dominated":
@@ -596,27 +603,31 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], dict]:
         sel = (grid.nodes >= lo) & (grid.nodes <= hi)
         product = sol.u.values[sel] * grid.nodes[sel] ** pred.beta
         dev = float(np.max(np.abs(product - c_sharp))) / c_sharp
-        add("tail_constant", dev <= 0.2, dev, 0.0, 0.2)
+        add("tail_constant", dev <= 0.2, dev, 0.0, 0.2, "measured <= {tolerance!r}")
 
     bounds = bound_constants(sol, kappa=ana["kappa"])
     constants.update(C_upper=bounds.C_upper, C_lower=bounds.C_lower,
                      kappa=bounds.kappa, kappa_star=bounds.kappa_star)
     add("bounds_ordered", bounds.C_lower <= bounds.C_upper * (1.0 + 1e-12),
-        bounds.C_lower / bounds.C_upper, 1.0, 1e-12)
+        bounds.C_lower / bounds.C_upper, 1.0, 1e-12,
+        "measured <= {reference!r} + {tolerance!r}")
     if bounds.kappa_star is not None:
         at_star = bound_constants(sol)
         gap = abs(at_star.C_upper - at_star.C_lower) / at_star.C_lower
         invariant = all(
             bound_constants(sol, kappa=m * at_star.kappa_star).C_lower
             == at_star.C_lower for m in (2.0, 3.0, 10.0))
-        add("kappa_ledger", gap <= 1e-10 and invariant, gap, 0.0, 1e-10)
+        add("kappa_ledger", gap <= 1e-10 and invariant, gap, 0.0, 1e-10,
+            "measured <= {tolerance!r} and C_lower is the same at kappa* "
+            "and 2, 3, 10 kappa*")
 
     theta = ana["theta"]
     if theta is None:
         theta = params.N + params.alpha
     riesz = verify_riesz_tail(sol, theta=theta)
     ratio_end = float(riesz.normalized_ratio[-1])
-    add("riesz_tail", abs(ratio_end - 1.0) <= 0.05, ratio_end, 1.0, 0.05)
+    add("riesz_tail", abs(ratio_end - 1.0) <= 0.05, ratio_end, 1.0, 0.05,
+        "|measured - {reference!r}| <= {tolerance!r}")
 
     thetas = ana["chain_rule_theta"]
     if not thetas:
@@ -628,7 +639,8 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], dict]:
         ratio = rep.margin / rep.scale
         k = int(np.argmin(ratio))
         worst = float(ratio[k])
-        add(f"chain_rule_theta_{th:g}", rep.passed, worst, 0.0, rep.tolerance)
+        add(f"chain_rule_theta_{th:g}", rep.passed, worst, 0.0, rep.tolerance,
+            "measured >= -{tolerance!r}")
         chain_reports.append({"theta": th, "min_margin_over_scale": worst,
                               "worst_radius": float(rep.radii[k]),
                               "passed": rep.passed})
@@ -647,7 +659,7 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], dict]:
                        "sup_deviation": riesz.sup_deviation},
         "chain_rule": chain_reports,
     }
-    return checks, numbers
+    return checks, rules, numbers
 
 
 def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
@@ -674,7 +686,7 @@ def _cmd_verify_decay(cfg: dict, args) -> int:
         grid = _build_grid(cfg, params.N)
         _check_analysis(cfg, params, grid)
         sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
-    checks, numbers = _verify_checks(sol, cfg)
+    checks, rules, numbers = _verify_checks(sol, cfg)
     passed = all(ok for _, ok, *_ in checks)
     _write(cfg, _report(cfg, "verify_report", "fracradial.verify_report",
                         {"problem": _problem_dict(sol.params), **numbers},
@@ -682,9 +694,9 @@ def _cmd_verify_decay(cfg: dict, args) -> int:
 
     pred = numbers["prediction"]
     print(f"predicted decay: beta = {pred['beta']!r} ({pred['regime']})")
-    for name, ok, measured, reference, tolerance in checks:
+    for (name, ok, measured, *_), rule in zip(checks, rules):
         print(f"{'PASS' if ok else 'FAIL'} {name}: measured {measured!r} "
-              f"(reference {reference!r}, tolerance {tolerance!r})")
+              f"(passes if {rule})")
     return 0 if passed else 1
 
 

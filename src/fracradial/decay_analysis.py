@@ -342,13 +342,6 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
                           kappa_star=k_star)
 
 
-def _power_of(u: RadialFunction, theta: float) -> RadialFunction:
-    if np.any(u.values <= 0.0):
-        raise ValueError("verify_chain_rule: u must be strictly positive")
-    return RadialFunction(grid=u.grid, values=u.values ** theta,
-                          tail_exponent=u.tail_exponent * theta)
-
-
 def verify_chain_rule(u: RadialFunction, theta, s: float):
     """Check the concave chain rule for the fractional Laplacian at every
     grid node.
@@ -365,11 +358,14 @@ def verify_chain_rule(u: RadialFunction, theta, s: float):
     """
     thetas = [theta] if np.ndim(theta) == 0 else list(theta)
     check_analysis(chain_rule_theta=thetas)
-    pows = [_power_of(u, th) for th in thetas]
+    if np.any(u.values <= 0.0):
+        raise ValueError("verify_chain_rule: u must be strictly positive")
     lap_u = frac_laplacian_on_grid(u, s)
     reports = []
-    for th, u_pow in zip(thetas, pows):
-        lhs = frac_laplacian_on_grid(u_pow, s)
+    for th in thetas:
+        lhs = frac_laplacian_on_grid(RadialFunction(
+            grid=u.grid, values=u.values ** th,
+            tail_exponent=u.tail_exponent * th), s)
         rhs = th * u.values ** (th - 1.0) * lap_u
         scale = np.abs(lhs) + np.abs(rhs) + np.finfo(float).tiny
         margin = lhs - rhs

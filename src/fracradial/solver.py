@@ -87,20 +87,20 @@ def _call_on_array(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 class NonlinearitySpec:
     """Nonlinearity pair (f, F) with its sublinear envelope data.
 
-    kind "homogeneous" carries an exact power pair; the default convention
-    "sqrt_r" uses f(t) = sqrt(r) t^{r-1}, F(t) = t^r / sqrt(r), for which
-    (I_alpha*F(u)) f(u) = (I_alpha*u^r) u^{r-1}; the alternative "power"
-    uses F(t) = t^r, f(t) = r t^{r-1} (same product times r).  The two
-    solve equations differing by a constant absorbable into mu-rescaling.
+    A homogeneous spec is an exact power pair, named by its convention: the
+    default "sqrt_r" uses f(t) = sqrt(r) t^{r-1}, F(t) = t^r / sqrt(r), for
+    which (I_alpha*F(u)) f(u) = (I_alpha*u^r) u^{r-1}; the alternative
+    "power" uses F(t) = t^r, f(t) = r t^{r-1} (same product times r).  The
+    two solve equations differing by a constant absorbable into
+    mu-rescaling.
 
-    kind "general" carries arbitrary callables plus the envelope constants
-    C_under t^{r-1} <= f(t) <= C_bar t^{r-1} declared to hold for
-    0 <= t <= delta.  The solver never differentiates f; F must be its
-    antiderivative and f must lie inside the envelopes (both validated
-    numerically on a lattice in (0, min(delta,1)]).
+    A general spec, with convention None, carries arbitrary callables plus
+    the envelope constants C_under t^{r-1} <= f(t) <= C_bar t^{r-1} declared
+    to hold for 0 <= t <= delta.  The solver never differentiates f; F must
+    be its antiderivative and f must lie inside the envelopes (both
+    validated numerically on a lattice in (0, min(delta,1)]).
     """
 
-    kind: str
     r: float
     f: Callable[[float], float]
     F: Callable[[float], float]
@@ -110,8 +110,9 @@ class NonlinearitySpec:
     convention: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("homogeneous", "general"):
-            raise ValueError(f"NonlinearitySpec: unknown kind {self.kind!r}")
+        if self.convention not in (None, "sqrt_r", "power"):
+            raise ValueError(
+                f"NonlinearitySpec: unknown convention {self.convention!r}")
         if not (self.r > 1.0 and math.isfinite(self.r)):
             raise ValueError(f"NonlinearitySpec: r must exceed 1, got {self.r!r}")
         if not (0.0 < self.C_under <= self.C_bar):
@@ -148,29 +149,25 @@ class NonlinearitySpec:
 
     @classmethod
     def homogeneous(cls, r: float, convention: str = "sqrt_r") -> "NonlinearitySpec":
-        if convention not in ("sqrt_r", "power"):
-            raise ValueError(
-                f"NonlinearitySpec.homogeneous: unknown convention {convention!r}")
         slope = math.sqrt(r) if convention == "sqrt_r" else float(r)
         f = lambda t: slope * np.power(t, r - 1.0)          # noqa: E731
         F = lambda t: (slope / r) * np.power(t, r)          # noqa: E731
-        return cls(kind="homogeneous", r=r, f=f, F=F, C_bar=slope,
+        return cls(r=r, f=f, F=F, C_bar=slope,
                    C_under=slope, delta=math.inf, convention=convention)
 
     @classmethod
     def general(cls, f: Callable[[float], float], F: Callable[[float], float],
                 r: float, C_bar: float, C_under: float,
                 delta: float) -> "NonlinearitySpec":
-        return cls(kind="general", r=r, f=f, F=F, C_bar=C_bar,
-                   C_under=C_under, delta=delta)
+        return cls(r=r, f=f, F=F, C_bar=C_bar, C_under=C_under, delta=delta)
 
     @property
     def is_homogeneous(self) -> bool:
-        return self.kind == "homogeneous"
+        return self.convention is not None
 
     def limit_slope(self) -> float:
-        """lim f(t)/t^{r-1} as t -> 0+: C_bar for homogeneous kinds,
-        numerically for general kinds."""
+        """lim f(t)/t^{r-1} as t -> 0+: C_bar for a homogeneous spec,
+        numerically for a general one."""
         if self.is_homogeneous:
             return self.C_bar
         t0 = 1e-6 * min(self.delta, 1.0)
@@ -191,8 +188,10 @@ class NonlinearitySpec:
 @dataclass(frozen=True)
 class ProblemParams:
     """Parameters of the doubly nonlocal problem on R^N.  The exponent r
-    lies in the sublinear range [(N+alpha)/N, 2) of the paper's decay law;
-    a homogeneous r is at most the critical (N+alpha)/(N-2s) as well."""
+    lies in the sublinear range [(N+alpha)/N, 2) of the paper's decay law.
+    A homogeneous r also lies above the lower endpoint (N+alpha)/N, where
+    the Pohozaev and Nehari identities together leave no solution, and at
+    most at the critical (N+alpha)/(N-2s); a general f keeps the endpoint."""
 
     N: int
     s: float
@@ -216,6 +215,11 @@ class ProblemParams:
             raise ValueError(
                 f"ProblemParams: exponent r = {r!r} outside the sublinear "
                 f"range [{lo}, 2)")
+        if self.nonlinearity.is_homogeneous and r <= lo + 1e-12:
+            raise ValueError(
+                f"ProblemParams: homogeneous exponent r = {r!r} at the lower "
+                f"endpoint (N+alpha)/N = {lo}, where the Pohozaev-Nehari "
+                "identity leaves no solution")
         hi = (self.N + self.alpha) / (self.N - 2.0 * self.s)
         if self.nonlinearity.is_homogeneous and r > hi + 1e-12:
             raise ValueError(
@@ -357,10 +361,7 @@ def solve_ground_state(params: ProblemParams,
     if grid.N != params.N:
         raise ValueError(
             f"solve_ground_state: grid dimension {grid.N} != problem dimension {params.N}")
-    spec = params.nonlinearity
-    r = spec.r
-    mu = params.mu
-    deg = 2.0 * r - 1.0  # homogeneity degree of the right-hand side map
+    deg = 2.0 * params.nonlinearity.r - 1.0  # homogeneity degree of the right-hand side map
 
     v = h_beta_eval(grid.nodes, params.N + 2.0 * params.s)
     a = float(np.max(v))
@@ -368,12 +369,10 @@ def solve_ground_state(params: ProblemParams,
 
     beta = params.predicted_tail_exponent()
     A = fraclap_matrix(grid, params.s, tail_omega=beta)
-    A[np.diag_indices_from(A)] += mu
+    A[np.diag_indices_from(A)] += params.mu
     inv = lu_factor(A)
     inv32 = inv.astype(np.float32)
     rhs = _RhsMap(grid, params, beta)
-    v_new = np.empty_like(v)
-    step = np.empty_like(v)
     trace: list[tuple[int, float, float]] = []
     for it in range(1, opts.max_iterations + 1):
         b = rhs(a * v)
@@ -384,13 +383,10 @@ def solve_ground_state(params: ProblemParams,
             # the change in b, scaled to unit sup norm so that float32 can
             # neither overflow nor underflow; a NaN or inf passes through
             d = b - b0
-            sigma = float(np.abs(d).max())
-            if sigma == 0.0:
-                sigma = 1.0
-            d /= sigma
-            w = lu_solve(inv32, d.astype(np.float32)).astype(np.float64)
-            w *= sigma
-            w += w0
+            sigma = float(np.abs(d).max()) or 1.0
+            # float64 before the product, as a float times float32 is float32
+            w = w0 + sigma * lu_solve(
+                inv32, (d / sigma).astype(np.float32)).astype(np.float64)
         lo, kappa_w = float(w.min()), float(w.max())  # a NaN reaches both
         if not (math.isfinite(lo) and math.isfinite(kappa_w)):
             raise NonConvergenceError(
@@ -412,17 +408,12 @@ def solve_ground_state(params: ProblemParams,
             raise NonConvergenceError(
                 f"solve_ground_state: amplitude diverged ({a_new!r}) at "
                 f"iteration {it}")
-        # v_new = (1 - _DAMPING) v + _DAMPING (w / kappa_w), normalized
-        np.divide(w, kappa_w, out=step)
-        step *= _DAMPING
-        np.multiply(v, 1.0 - _DAMPING, out=v_new)
-        v_new += step
+        v_new = v * (1.0 - _DAMPING) + _DAMPING * (w / kappa_w)
         v_new /= v_new.max()
-        np.subtract(v_new, v, out=step)
-        change = float(np.abs(step, out=step).max())
+        change = float(np.abs(v_new - v).max())
         amp_change = abs(a_new - a) / a_new
         trace.append((it, change, a_new))
-        v, v_new, a = v_new, v, a_new
+        v, a = v_new, a_new
         if change <= opts.tolerance and amp_change <= opts.tolerance:
             break
     else:
@@ -534,13 +525,6 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
     return _energy_identities(sol.u, sol.params, *sol.evaluation)
 
 
-def _dilated_profile(u: RadialFunction, t: float) -> RadialFunction:
-    """u(x/t) on u's own grid: `u.evaluate` at the nodes over t, so between
-    nodes u is read through the operators' cubic-in-log stencil."""
-    return RadialFunction(grid=u.grid, values=u.evaluate(u.grid.nodes / t),
-                          tail_exponent=u.tail_exponent)
-
-
 def dilation_derivative(sol: Solution) -> float:
     """Central difference of t -> I(u(./t)) at t = 1, with step 0.01.
 
@@ -553,10 +537,11 @@ def dilation_derivative(sol: Solution) -> float:
     not an algebraic identity.
     """
     step = 0.01
-    params = sol.params
+    params, u0 = sol.params, sol.u
 
     def energy(t: float) -> float:
-        u = _dilated_profile(sol.u, t)
+        u = RadialFunction(grid=u0.grid, values=u0.evaluate(u0.grid.nodes / t),
+                           tail_exponent=u0.tail_exponent)
         return _energy_identities(u, params, *_evaluate(u, params))[0]
 
     return (energy(1.0 + step) - energy(1.0 - step)) / (2.0 * step)

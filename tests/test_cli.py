@@ -343,6 +343,25 @@ def test_record_whose_profile_fails_the_residual_gate_exits_2(
     assert not out.exists()
 
 
+# Scaled by 1e200 the profile overflowed F(u) inside the residual gate, and
+# verify-decay exited 3 as a numerical failure.
+def test_record_whose_profile_overflows_the_operators_exits_2(
+        workdir, tmp_path, capsys):
+    rec = read_json(workdir / "solve" / "solution.json")
+    prof = rec["profile"]
+    prof["values"] = [1e200 * v for v in prof["values"]]
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert "overflow" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def n2_record(tmp_path_factory):
     """A stored N = 2 record (alpha = 1, r = 1.6) on a 200-node grid."""
@@ -897,6 +916,22 @@ def test_verify_report_checks(workdir):
     assert any(n.startswith("chain_rule_theta_") for n in names)
     fit = rec["fit"]["fitted_exponent"]
     assert abs(fit - 10.0 / 3.0) <= 0.1 * 10.0 / 3.0   # measured 3.3975
+
+
+# The lines read "(reference 0.0, tolerance 1e-06)" for a chain-rule check
+# that passes when measured >= -1e-6, and "(reference ..., tolerance 0.1)"
+# for a fit whose tolerance is relative to beta.
+def test_verify_prints_each_check_with_its_pass_rule(workdir, tmp_path, capsys):
+    assert main(["verify-decay", "--solution", str(workdir / "solve" / "solution.json"),
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rec = read_json(tmp_path / "verify_report.json")
+    fit, beta = rec["fit"]["fitted_exponent"], rec["prediction"]["beta"]
+    assert f"PASS fit_exponent: measured {fit!r} (passes if |measured - {beta!r}| " \
+        f"<= 0.1 * {beta!r})" in lines
+    worst = rec["chain_rule"][0]["min_margin_over_scale"]
+    assert f"PASS chain_rule_theta_0.3: measured {worst!r} (passes if measured " \
+        ">= -1e-06)" in lines
 
 
 def test_chain_rule_numbers_of_a_stored_r19_record(tmp_path):

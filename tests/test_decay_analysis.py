@@ -78,7 +78,15 @@ def test_predict_boundary_exponent():
 
 
 def test_predict_lower_critical_exponent():
-    pred = predict_decay(make_params(5.0 / 3.0))
+    # a homogeneous f has no solution at r = 5/3 (ProblemParams refuses
+    # it), a general f with that envelope exponent has one
+    r = 5.0 / 3.0
+    c = math.sqrt(r)
+    spec = NonlinearitySpec.general(f=lambda t: c * t ** (r - 1.0),
+                                    F=lambda t: c / r * t ** r,
+                                    r=r, C_bar=c, C_under=c, delta=1.0)
+    pred = predict_decay(ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
+                                       nonlinearity=spec))
     assert_allclose(pred.beta, 3.0, rtol=1e-12)
     assert pred.regime == "choquard_dominated"
 

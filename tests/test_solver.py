@@ -159,9 +159,11 @@ def test_homogeneous_exponent_window(r):
 
 def test_homogeneous_exponent_window_endpoints():
     # at (3, 1/2, 2) the window is the sublinear [5/3, 2): the critical
-    # exponent (N+alpha)/(N-2s) = 5/2 lies above 2
-    ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
-                  nonlinearity=NonlinearitySpec.homogeneous(5.0 / 3.0))
+    # exponent (N+alpha)/(N-2s) = 5/2 lies above 2.  A homogeneous f has no
+    # solution at the lower endpoint 5/3 itself
+    with pytest.raises(ValueError, match="at the lower endpoint .*Pohozaev-Nehari"):
+        ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
+                      nonlinearity=NonlinearitySpec.homogeneous(5.0 / 3.0))
     for r in (2.0, 2.2, 2.5):
         with pytest.raises(ValueError, match="outside the sublinear range"):
             ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
