@@ -16,7 +16,8 @@ representation this module provides
   values at the nodes are read between them as any radial function is,
 * the Riesz-potential convolution I_alpha * g,
 * the resolvent ((-Delta)^s + mu)^(-1), as the inverse of the assembled
-  matrix plus mu (`lu_factor`, `lu_solve`).
+  matrix plus mu, which `lu_factor` writes over that matrix by block
+  Gauss-Jordan elimination and `lu_solve` applies.
 
 The N-dimensional integrals are reduced to one dimension through the
 angular kernel k_p(r, rho) = int_{S^{N-1}} |r e1 - rho w|^p dsigma(w),
@@ -102,6 +103,8 @@ _RIESZ_GRADE_LEVELS = 30
 # Tails are integrated numerically out to this multiple of r_max, with an
 # analytic power-law remainder beyond.
 _TAIL_SPAN = 1.0e6
+# Rows and columns per block of lu_factor's Gauss-Jordan elimination.
+_GJ_BLOCK = 128
 
 _gauss = functools.cache(leggauss)
 
@@ -683,7 +686,7 @@ def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
     panels = np.argmax(edges == r_inf, axis=1)
     tails = np.empty(r.size)
     mass = np.empty(r.size)
-    for n in np.unique(panels):
+    for n in sorted(set(panels.tolist())):  # np.unique would import numpy.ma
         sel = panels == n
         tails[sel], mass[sel] = _log_panel_sums(N, p, r[sel], edges[sel, :n + 1],
                                                 r_max, omega)
@@ -1147,16 +1150,17 @@ def _raw(grid: RadialGrid, kind: str, exponent: float,
                  lambda: _structured_rows(grid, kind, exponent, tail_omega))
 
 
-def _backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """Backward error max|A x - b| / (max|A| max|x| + max|b|) of a solve.
+def _backward_error(Ax: np.ndarray, a_max: float, x: np.ndarray,
+                    b: np.ndarray) -> float:
+    """Backward error max|A x - b| / (max|A| max|x| + max|b|) of a solve,
+    from the product A x and max|A|, so that A itself need not exist.
 
     Raises:
         RuntimeError: the error is above 1e-10 or not finite, which means
             the matrix is numerically singular.
     """
-    a_max = max(float(A.max()), -float(A.min()))  # max|A| without an M x M copy
     denom = float(a_max * np.max(np.abs(x)) + np.max(np.abs(b)))
-    err = float(np.max(np.abs(A @ x - b))) / max(denom, 1e-300)
+    err = float(np.max(np.abs(Ax - b))) / max(denom, 1e-300)
     if not np.isfinite(err) or err > 1e-10:
         raise RuntimeError(
             f"linear solve backward error {err:.3e} exceeds 1e-10 (operator "
@@ -1248,27 +1252,51 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
 
 
 def lu_factor(A: np.ndarray) -> np.ndarray:
-    """The inverse of the square resolvent matrix A, one np.linalg.inv
-    call, which lu_solve applies.  A is not modified.
+    """Overwrite the square resolvent matrix A with its inverse, which
+    lu_solve applies, and return A.
+
+    Block Gauss-Jordan elimination in blocks of _GJ_BLOCK rows and columns:
+    per block K, with C the old columns K, P = inv(C[K]), the rows K become
+    P A[K], every other block I of rows loses C[I] A[K] and takes
+    -C[I] P as its columns K, and A[K, K] becomes P.  That is the flop
+    count of an LU-based inversion, with temporaries of about
+    3 _GJ_BLOCK M floats beside A where np.linalg.inv's solve against the
+    identity takes several M x M.  A grid of at most _GJ_BLOCK nodes is
+    one np.linalg.inv call.
+
+    Blocks are not pivoted against each other (np.linalg.inv pivots within
+    one), so every leading diagonal block of the eliminated matrix must be
+    nonsingular, as it is for a resolvent matrix (-Delta)^s + mu.
 
     Raises:
-        RuntimeError: A is not finite, or it is singular (LAPACK met an
-            exactly zero pivot).
+        RuntimeError: A is not finite, or a diagonal block is singular
+            (LAPACK met an exactly zero pivot); A is then partly
+            overwritten.
     """
     if not (math.isfinite(A.max()) and math.isfinite(A.min())):  # no M x M mask
         raise RuntimeError("lu_factor: resolvent matrix has non-finite entries")
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("lu_factor: singular resolvent matrix") from exc
+    blocks = [slice(k, k + _GJ_BLOCK) for k in range(0, A.shape[0], _GJ_BLOCK)]
+    for K in blocks:
+        C = A[:, K].copy()
+        try:
+            P = np.linalg.inv(C[K])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("lu_factor: singular resolvent matrix") from exc
+        A[K] = P @ A[K]
+        for I in blocks:
+            if I != K:
+                A[I] -= C[I] @ A[K]
+                A[I, K] = -C[I] @ P
+        A[K, K] = P
+    return A
 
 
 def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution inv @ b of A x = b, from inv = lu_factor(A): one
-    matrix-vector product, so a non-finite b gives a non-finite x for the
-    caller to reject.  b is not modified.  The product keeps the dtype of
-    its operands: the solver also passes a float32 copy of inv with a
-    float32 b, for its corrections between float64 anchors."""
+    """The solution inv @ b of A x = b, from inv = lu_factor(A), the array
+    that held A: one matrix-vector product, so a non-finite b gives a
+    non-finite x for the caller to reject.  b is not modified.  The product
+    keeps the dtype of its operands: the solver also passes a float32 copy
+    of inv with a float32 b, for its corrections between float64 anchors."""
     return inv @ b
 
 

@@ -343,7 +343,10 @@ def solve_ground_state(params: ProblemParams,
     max|b - b0|, which the contracting Picard map damps and the next
     anchor resets, so a solve stops on the same iteration as in float64.
     Every iterate must stay strictly positive.  The first (anchor)
-    resolvent solve is checked to 1e-10 backward error.
+    resolvent solve is checked to 1e-10 backward error, its product with
+    the matrix taken through the memoised operator
+    (frac_laplacian_on_grid plus mu), as lu_factor overwrites the matrix
+    with its inverse.
 
     Raises:
         NonConvergenceError: a non-finite iterate (for instance from an f or
@@ -370,7 +373,8 @@ def solve_ground_state(params: ProblemParams,
     beta = params.predicted_tail_exponent()
     A = fraclap_matrix(grid, params.s, tail_omega=beta)
     A[np.diag_indices_from(A)] += params.mu
-    inv = lu_factor(A)
+    a_max = max(float(A.max()), -float(A.min()))  # max|A| without an M x M copy
+    inv = lu_factor(A)  # A now holds the inverse
     inv32 = inv.astype(np.float32)
     rhs = _RhsMap(grid, params, beta)
     trace: list[tuple[int, float, float]] = []
@@ -392,7 +396,10 @@ def solve_ground_state(params: ProblemParams,
             raise NonConvergenceError(
                 f"solve_ground_state: non-finite iterate at iteration {it}")
         if it == 1:
-            _backward_error(A, w, b)
+            Aw = frac_laplacian_on_grid(
+                RadialFunction(grid=grid, values=w, tail_exponent=beta),
+                params.s) + params.mu * w
+            _backward_error(Aw, a_max, w, b)
         if kappa_w <= 1e-12:
             raise ZeroCollapseError(
                 f"solve_ground_state: iterate sup norm {kappa_w!r} collapsed "

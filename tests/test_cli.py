@@ -680,6 +680,22 @@ def test_commands_run_without_scipy(tmp_path):
     assert out.splitlines()[-1] == "[0, 0, 0]"
 
 
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (10-20 ms) on its first call; each command
+    # runs in a fresh process, so that each builds its operators itself
+    record = tmp_path / "s" / "solution.json"
+    commands = [
+        ["solve", "--set", "grid.nodes=400", "--out", str(record.parent)],
+        ["verify-decay", "--solution", str(record), "--out", str(tmp_path / "v")],
+        ["oracle", "--case", "2,0.5,2.5", "--case", "3,0.5,2.0",
+         "--set", "grid.nodes=400", "--out", str(tmp_path / "o")],
+    ]
+    for args in commands:
+        out = _run_fresh("import sys\nfrom fracradial.cli import main\n"
+                         f"print(main({args!r}), 'numpy.ma' in sys.modules)")
+        assert out.splitlines()[-1] == "0 False", args
+
+
 @pytest.mark.parametrize("overrides", [
     ["grid.r_max=20"],                   # default window top 100 > r_max/10
     ["analysis.fit_window=100,50"],      # reversed

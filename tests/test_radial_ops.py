@@ -205,10 +205,49 @@ def test_lu_solve_matches_scipy_to_round_off(grid):
     A = fraclap_matrix(grid, 0.5, 4.0)
     A[np.diag_indices_from(A)] += 1.0
     b = h_beta_eval(grid.nodes, 4.0)
-    x = radial_ops.lu_solve(radial_ops.lu_factor(A), b)
+    x = radial_ops.lu_solve(radial_ops.lu_factor(A.copy()), b)
     want = lu_solve(lu_factor(A), b)
     assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
-    radial_ops._backward_error(A, x, b)  # raises above 1e-10
+    radial_ops._backward_error(A @ x, np.max(np.abs(A)), x, b)  # raises above 1e-10
+
+
+def _resolvent_matrix(N, s, mu, M):
+    A = fraclap_matrix(RadialGrid.log_spaced(num=M, N=N), s, N + 2.0 * s)
+    A[np.diag_indices_from(A)] += mu
+    return A
+
+
+@pytest.mark.parametrize("N,s,mu,M", [
+    (3, 0.5, 1.0, 64),       # one block: one np.linalg.inv call
+    (3, 0.5, 1.0, 128),
+    (2, 0.95, 0.01, 400),
+    (5, 0.1, 100.0, 600),
+    (3, 0.5, 1.0, 1201),     # a partial last block
+])
+def test_lu_factor_inverts_in_place(N, s, mu, M):
+    A = _resolvent_matrix(N, s, mu, M)
+    want = np.linalg.inv(A)
+    inv = lu_factor(A)
+    assert inv is A
+    assert np.max(np.abs(inv - want)) <= 1e-12 * np.max(np.abs(want))
+    if M <= radial_ops._GJ_BLOCK:
+        assert np.array_equal(inv, want)
+
+
+def test_lu_factor_allocates_a_few_blocks_of_columns():
+    import tracemalloc
+
+    M = 600
+    A = _resolvent_matrix(3, 0.5, 1.0, M)
+    tracemalloc.start()
+    try:
+        lu_factor(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 0.47 M^2 doubles; np.linalg.inv allocates 1.0 M^2 that
+    # tracemalloc sees
+    assert peak <= 3 * radial_ops._GJ_BLOCK * M * 8
 
 
 @pytest.mark.parametrize("A,match", [
