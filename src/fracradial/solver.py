@@ -149,6 +149,12 @@ class NonlinearitySpec:
 
     @classmethod
     def homogeneous(cls, r: float, convention: str = "sqrt_r") -> "NonlinearitySpec":
+        """The power pair of exponent r in convention "sqrt_r" or "power";
+        None, which names a general spec, is refused."""
+        if convention not in ("sqrt_r", "power"):
+            raise ValueError(
+                "NonlinearitySpec.homogeneous: convention must be 'sqrt_r' or "
+                f"'power', got {convention!r}")
         slope = math.sqrt(r) if convention == "sqrt_r" else float(r)
         f = lambda t: slope * np.power(t, r - 1.0)          # noqa: E731
         F = lambda t: (slope / r) * np.power(t, r)          # noqa: E731
@@ -187,8 +193,9 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Parameters of the doubly nonlocal problem on R^N.  The exponent r
-    lies in the sublinear range [(N+alpha)/N, 2) of the paper's decay law.
+    """Parameters of the doubly nonlocal problem on R^N, with 0 < s < 1,
+    0 < alpha < N and 0 < mu < inf.  The exponent r lies in the sublinear
+    range [(N+alpha)/N, 2) of the paper's decay law.
     A homogeneous r also lies above the lower endpoint (N+alpha)/N, where
     the Pohozaev and Nehari identities together leave no solution, and at
     most at the critical (N+alpha)/(N-2s); a general f keeps the endpoint."""
@@ -207,8 +214,9 @@ class ProblemParams:
             raise ValueError(f"ProblemParams: s must lie in (0, 1), got {self.s!r}")
         if not (0.0 < self.alpha < self.N):
             raise ValueError(f"ProblemParams: alpha must lie in (0, N), got {self.alpha!r}")
-        if not (self.mu > 0.0):
-            raise ValueError(f"ProblemParams: mu must be positive, got {self.mu!r}")
+        if not (0.0 < self.mu < math.inf):
+            raise ValueError(
+                f"ProblemParams: mu must be positive and finite, got {self.mu!r}")
         r = self.nonlinearity.r
         lo = (self.N + self.alpha) / self.N
         if not (lo - 1e-12 <= r < 2.0):
@@ -235,15 +243,18 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Knobs of the fixed-point iteration."""
+    """Knobs of the fixed-point iteration: the grid (None for the default
+    log-spaced one), the step limit and the stopping tolerance
+    0 < tolerance < inf on the profile and amplitude changes."""
 
     grid: RadialGrid | None = None
     max_iterations: int = 5000
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not (self.tolerance > 0.0):
-            raise ValueError("SolverOpts: tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError(f"SolverOpts: tolerance must be positive and "
+                             f"finite, got {self.tolerance!r}")
         n = self.max_iterations
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ValueError(
@@ -298,32 +309,6 @@ class Solution:
         return volume_integral(self.params.nonlinearity.F_of(self.u))
 
 
-class _RhsMap:
-    """The right-hand side (I_alpha * F(u)) f(u) at the nodes, as a map of
-    node values, for profiles u closed with one tail exponent omega.
-
-    It binds what does not change with u: the Riesz operator for the tail
-    exponent r*omega of F(u).  A call then runs the arithmetic of
-    riesz_convolve_radial(spec.F_of(u), alpha).values * spec.f_values(u)
-    in the same order, so it gives the same bits, without building the
-    three RadialFunctions.  A non-finite F(u) or f(u) gives a non-finite
-    result instead of a ValueError.
-
-    Raises:
-        ValueError: r*omega <= alpha (see _riesz_operator).
-    """
-
-    def __init__(self, grid: RadialGrid, params: ProblemParams, omega: float):
-        self._spec = params.nonlinearity
-        om_F = self._spec.r * omega
-        self._op = _riesz_operator(grid, params.alpha, om_F)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """b at the nodes for u = values."""
-        spec = self._spec
-        return self._op.apply(spec.F_values(values)) * spec.f_values(values)
-
-
 def solve_ground_state(params: ProblemParams,
                        opts: SolverOpts | None = None) -> Solution:
     """Solve the doubly nonlocal equation by normalized resolvent iteration.
@@ -332,9 +317,10 @@ def solve_ground_state(params: ProblemParams,
     ((-Delta)^s + mu)^{-1} to the current right-hand side, renormalizes the
     profile to unit sup norm with damping _DAMPING, and updates the
     amplitude from the multiplier of the normalized map.
-    The operator matrix and the right-hand side map are closed once, with
-    the tail exponent params.predicted_tail_exponent().  A step runs on
-    node arrays: one call of the _RhsMap, then one lu_solve.  Iteration 1
+    The operator matrix and the Riesz operator of F(u) are closed once,
+    with the tail exponent params.predicted_tail_exponent().  A step runs
+    on node arrays: one apply of that memoised operator and one product
+    with f(u), then one lu_solve.  Iteration 1
     and every _ANCHOR_EVERY-th after it solve in float64 and keep
     (b0, w0) as the anchor; the steps in between take
     w = w0 + sigma * inv32 @ ((b - b0) / sigma), with a float32 copy inv32
@@ -364,7 +350,8 @@ def solve_ground_state(params: ProblemParams,
     if grid.N != params.N:
         raise ValueError(
             f"solve_ground_state: grid dimension {grid.N} != problem dimension {params.N}")
-    deg = 2.0 * params.nonlinearity.r - 1.0  # homogeneity degree of the right-hand side map
+    spec = params.nonlinearity
+    deg = 2.0 * spec.r - 1.0  # homogeneity degree of the right-hand side map
 
     v = h_beta_eval(grid.nodes, params.N + 2.0 * params.s)
     a = float(np.max(v))
@@ -376,10 +363,12 @@ def solve_ground_state(params: ProblemParams,
     a_max = max(float(A.max()), -float(A.min()))  # max|A| without an M x M copy
     inv = lu_factor(A)  # A now holds the inverse
     inv32 = inv.astype(np.float32)
-    rhs = _RhsMap(grid, params, beta)
+    riesz = _riesz_operator(grid, params.alpha, spec.r * beta)
     trace: list[tuple[int, float, float]] = []
     for it in range(1, opts.max_iterations + 1):
-        b = rhs(a * v)
+        # (I_alpha * F(u)) f(u) at the nodes; a NaN from f or F reaches w
+        u = a * v
+        b = riesz.apply(spec.F_values(u)) * spec.f_values(u)
         if (it - 1) % _ANCHOR_EVERY == 0:
             w = w0 = lu_solve(inv, b)
             b0 = b
@@ -460,8 +449,8 @@ def residual(sol: Solution) -> RadialFunction:
     with all three terms from the grid operators (sol's one evaluation)."""
     u, params = sol.u, sol.params
     lap, _, conv = sol.evaluation
-    # conv.values * f(u) is bitwise the _RhsMap's product: both apply the
-    # one memoised Riesz operator, its constant included
+    # conv.values * f(u) is bitwise the loop's product: both apply the one
+    # memoised Riesz operator, its constant included
     values = lap + params.mu * u.values - conv.values * params.nonlinearity.f_values(u.values)
     return RadialFunction(grid=u.grid, values=values, tail_exponent=u.tail_exponent)
 

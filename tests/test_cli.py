@@ -439,6 +439,36 @@ def test_record_with_a_boolean_number_exits_2(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def power_record(tmp_path_factory):
+    """A stored record of the "power" convention on a 400-node grid."""
+    out = tmp_path_factory.mktemp("power")
+    assert main(["solve", "--set", "problem.convention=power",
+                 "--set", "grid.nodes=400", "--out", str(out)]) == 0
+    return out / "solution.json"
+
+
+# A "power" record keeps f = r t^(r-1) with its convention edited to null, as
+# a general nonlinearity, so its profile passed the gate: verify-decay ran
+# every check and exited 2 only at the report, with a cause naming neither
+# the record nor the field.  One whose mu was Infinity (json writes and
+# reads it) was refused as a profile that is not finite.
+@pytest.mark.parametrize("key,value", [("convention", None), ("mu", float("inf"))])
+def test_record_with_a_null_convention_or_infinite_mu_exits_2(
+        power_record, tmp_path, capsys, key, value):
+    rec = read_json(power_record)
+    rec["problem"][key] = value
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"{key} must be" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 # A record's diagnostics other than iterations report the solve that wrote it,
 # and are not read back.  A mass_F edited to twice its value once failed the
 # tail_constant check (exit 1); a zero, negative or non-finite one had to

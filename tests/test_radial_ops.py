@@ -686,6 +686,13 @@ def test_riesz_rejects_divergent_input(grid):
         riesz_convolve_radial(h_beta_function(grid, 2.0), 2.0)  # tail too fat
     with pytest.raises(ValueError):
         riesz_convolve_radial(h_beta_function(grid, 5.0), 3.0)  # alpha = N
+    # F(u) = u^1.7 of a profile decaying like rho^(-1.1) decays like
+    # rho^(-1.7 * 1.1), slower than I_2 can integrate
+    u = h_beta_function(grid, 1.1)
+    fu = RadialFunction(grid=grid, values=u.values ** 1.7,
+                        tail_exponent=1.7 * u.tail_exponent)
+    with pytest.raises(ValueError, match="must exceed alpha"):
+        riesz_convolve_radial(fu, 2.0)
 
 
 # ----------------------------------------------------------------------------

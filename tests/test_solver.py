@@ -8,6 +8,7 @@ to the assertions that use them.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ def test_homogeneous_power_convention():
 def test_homogeneous_rejects_unknown_convention():
     with pytest.raises(ValueError):
         NonlinearitySpec.homogeneous(1.7, convention="unit")
+    # None names a general spec, whose f would be r t^(r-1)
+    with pytest.raises(ValueError, match="convention must be 'sqrt_r' or 'power'"):
+        NonlinearitySpec.homogeneous(1.7, convention=None)
 
 
 def test_general_limit_slope_recovers_prefactor():
@@ -140,6 +144,7 @@ def test_general_envelope_validation(c_bar, c_under, delta):
     dict(alpha=3.0),      # must stay below N
     dict(mu=0.0),
     dict(mu=-1.0),
+    dict(mu=math.inf),
 ])
 def test_problem_params_validation(kwargs):
     base = dict(N=3, s=0.5, alpha=2.0, mu=1.0,
@@ -209,6 +214,7 @@ def test_predicted_tail_exponent(r, expected):
     dict(max_iterations=3.0),
     dict(max_iterations=True),
     dict(max_iterations="3"),
+    dict(tolerance=math.inf),
 ])
 def test_solver_opts_validation(kwargs):
     with pytest.raises(ValueError):
@@ -494,8 +500,8 @@ def test_vanishing_nonlinearity_collapses(params, monkeypatch):
     with pytest.raises(ValueError, match="leaves its declared envelope"):
         NonlinearitySpec.general(f=lambda t: 0.0 * t, F=lambda t: 0.0 * t,
                                  r=1.7, C_bar=1.0, C_under=0.5, delta=1.0)
-    monkeypatch.setattr(solver_mod._RhsMap, "__call__",
-                        lambda self, values: np.zeros_like(values))
+    monkeypatch.setattr(solver_mod, "_riesz_operator",
+                        lambda *args: SimpleNamespace(apply=np.zeros_like))
     with pytest.raises(ZeroCollapseError):
         solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=64)))
 
@@ -536,23 +542,38 @@ def general_spec():
 @pytest.mark.parametrize("coarse", [False, True])
 @pytest.mark.parametrize("kind", ["homogeneous", "general"])
 def test_rhs_map_matches_the_convolution_path_bitwise(N, alpha, omega,
-                                                      coarse, kind):
+                                                      coarse, kind, monkeypatch):
+    # the loop binds the memoised Riesz operator that the diagnostics' I_alpha
+    # * F(u) applies, so the loop's right-hand side at the returned profile
+    # is bitwise the residual's
     spec = NonlinearitySpec.homogeneous(1.7) if kind == "homogeneous" \
         else general_spec()
     p = ProblemParams(N=N, s=0.5, alpha=alpha, mu=1.0, nonlinearity=spec)
     grid = RadialGrid.log_spaced(num=32 if coarse else 150, N=N)
-    u = RadialFunction(grid=grid, values=0.8 * h_beta_eval(grid.nodes, omega),
-                       tail_exponent=omega)
-    want = riesz_convolve_radial(spec.F_of(u), alpha).values \
-        * spec.f_values(u.values)
-    rhs = solver_mod._RhsMap(grid, p, omega)
-    assert np.array_equal(rhs(u.values), want)
+    bound = []
+
+    def recording(*args):
+        bound.append(radial_ops._riesz_operator(*args))
+        return bound[-1]
+
+    monkeypatch.setattr(solver_mod, "_riesz_operator", recording)
+    sol = solve_ground_state(p, SolverOpts(grid=grid))
+    assert_allclose(sol.u.tail_exponent, omega, rtol=1e-15)
+    (op,) = bound
+    assert op is radial_ops._riesz_operator(grid, alpha,
+                                            spec.F_of(sol.u).tail_exponent)
+    u = sol.u.values
+    assert np.array_equal(op.apply(spec.F_values(u)) * spec.f_values(u),
+                          sol.evaluation[2].values * spec.f_values(u))
 
 
-def test_rhs_map_rejects_a_divergent_convolution(params):
-    # F(u) decays like rho^(-1.7 * 1.1), slower than I_2 can integrate
+def test_rhs_map_rejects_a_divergent_convolution(params, monkeypatch):
+    # closed with tail exponent 1.1, F(u) decays like rho^(-1.7 * 1.1),
+    # slower than I_2 can integrate: the loop's Riesz operator is refused
+    monkeypatch.setattr(ProblemParams, "predicted_tail_exponent",
+                        lambda self: 1.1)
     with pytest.raises(ValueError, match="must exceed alpha"):
-        solver_mod._RhsMap(RadialGrid.log_spaced(num=64), params, 1.1)
+        solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=64)))
 
 
 # ---------------------------------------------------------------------------
