@@ -191,7 +191,7 @@ def check_analysis(params=None, grid=None, *, fit_window=None, theta=None,
         fit_window: fit_tail's window, checked by check_fit_window.
         theta: verify_riesz_tail's envelope exponent, in (N, N+alpha].
         chain_rule_theta: verify_chain_rule's exponents, each in (0, 1).
-        kappa: bound_constants' rescaling: positive, and large enough that
+        kappa: bound_constants' rescaling: positive, finite, and large enough that
             mu > (r-1) (C_bar/kappa)^(1/(r-1)).
 
     Raises:
@@ -213,11 +213,11 @@ def check_analysis(params=None, grid=None, *, fit_window=None, theta=None,
 
 def _upper_denominator(params, kappa: float) -> float:
     """mu - (r-1) (C_bar/kappa)^(1/(r-1)), the denominator of the upper
-    bound constant; ValueError unless kappa and the denominator are
-    positive."""
+    bound constant; ValueError unless kappa is positive and finite and the
+    denominator positive."""
     kappa = float(kappa)
-    if not (kappa > 0.0):
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
+    if not (0.0 < kappa < math.inf):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     mu, r = params.mu, params.nonlinearity.r
     c_bar = float(params.nonlinearity.C_bar)
     denom = mu - (r - 1.0) * (c_bar / kappa) ** (1.0 / (r - 1.0))

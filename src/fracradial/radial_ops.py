@@ -19,49 +19,50 @@ representation this module provides
   matrix plus mu, which `lu_factor` writes over that matrix by block
   Gauss-Jordan elimination and `lu_solve` applies.
 
+Both operators are Riesz operators, of kernel C_{N,a} |x|^(a-N), named
+by their order a: I_alpha is a = alpha, and (-Delta)^s is a = -2s, as the
+principal value of the integral of u(y) - u(x), since C_{N,s} = -C_{N,-2s}.
 The N-dimensional integrals are reduced to one dimension through the
 angular kernel k_p(r, rho) = int_{S^{N-1}} |r e1 - rho w|^p dsigma(w),
-which has an elementary closed form for N = 3; for other N it is the
-closed form via 2F1, tabulated once per (N, p).  All quadrature decisions
-(panel grading around the kernel singularity, Taylor subtraction inside a
-local window, analytic far-tail remainders) live here and are shared by
-every operator.
+p = a - N, which has an elementary closed form for N = 3; for other N it
+is the closed form via 2F1, tabulated once per (N, p).  All quadrature
+decisions (panel grading around the kernel singularity, Taylor subtraction
+inside a local window, analytic far-tail remainders) live here and are
+shared by every operator.
 
 Every grid is geometric (log radii in arithmetic progression, as
-`RadialGrid` builds them from its end radii and node count), so both
-kernels are homogeneous on it: a row divided by r^(-2s) (fractional
-Laplacian) or r^alpha (Riesz) is the next row shifted by one node.  The
-assembled operators are therefore built one way.  The interior is the
-shifts of one generating row (Mellin-convolution structure, as in FFTLog),
-and only the pieces that break the shift are computed per row, vectorised:
-the end columns, the origin and far-tail closures and the fractional
-Laplacian's diagonal mass.  The first and last `_END_ROWS` rows come from
-one batched row builder per kernel, which computes every piece of a row
-for a whole block of nodes at once: `_fraclap_rows` and `_riesz_rows`.
-Every row is built at a node.  The builders differ only near the
-diagonal, in the PV Taylor window (`_pv_windows`) and the graded diagonal
-cells (`_riesz_diagonal`), and share the grid cells, origin region and
-far tail outside it (`_add_outside`).
+`RadialGrid` builds them from its end radii and node count), so the
+kernel is homogeneous on it: a row divided by r^a is the next row shifted
+by one node.  The assembled operators are therefore built one way.  The
+interior is the shifts of one generating row (Mellin-convolution
+structure, as in FFTLog), and only the pieces that break the shift are
+computed per row, vectorised: the end columns, the origin and far-tail
+closures and the fractional Laplacian's diagonal mass.  The first and last
+`_END_ROWS` rows come from one batched row builder per sign of a:
+`_fraclap_rows` (a < 0) and `_riesz_rows` (a > 0).  They differ only near
+the diagonal, in the PV Taylor window (`_pv_windows`) and the graded
+diagonal cells (`_riesz_diagonal`), and share the kernel weights outside
+it (`_add_outside`); a fractional-Laplacian row subtracts one kernel mass
+on its diagonal besides.
 
 Everything reused across calls sits in one LRU memo, `_MEMO`, bounded by
 the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples, a grid
 entering by its token (N, M, r_min, r_max): ("ctx", grid token) for the
 per-grid row context (the cell quadrature points and their cubic
 stencils), ("table", N, p) for the angular kernel table of a dimension
-N != 3, (kind, grid token, exponent, tail exponent) for an assembled
-operator, kind being "fraclap" (exponent s) or "riesz" (exponent alpha).
-An operator entry is an `_Operator`, one form for both kernels.  It keeps
-the structure in O(M) floats: the generating row, the row scales
-r_i^(-2s) or r_i^alpha, dense corrections for what breaks the shift (the
-end rows; the `_END_COLUMNS` node columns at each end of the other rows;
-the fractional Laplacian's diagonal mass), and the operator's constant,
-C_{N,s} or C_{N,alpha}.  Applying it is one correlation of the generating
-row with the middle node values plus a few small products, times the
-constant; `fraclap_matrix` expands the rows, the constant applied, for the
-resolvent's inverse on each call.  A hit moves its entry to
-the end and an insertion beyond the bound evicts the least recently used
-ones, so operators that are in use stay assembled.  Callers pass nothing:
-the grid and the exponents alone decide what is reused.
+N != 3, and (grid token, a, tail exponent) for an assembled operator.
+An operator entry is an `_Operator`, one form for both signs of a.  It
+keeps the structure in O(M) floats: the generating row, the row scales
+r_i^a, dense corrections for what breaks the shift (the end rows; the
+`_END_COLUMNS` node columns at each end of the other rows; the
+fractional Laplacian's diagonal mass), and the operator's constant,
+C_{N,a}.  Applying it is one correlation of the generating row with the
+middle node values plus a few small products, times the constant;
+`fraclap_matrix` expands the rows, the constant applied, for the
+resolvent's inverse on each call.  A hit moves its entry to the end and
+an insertion beyond the bound evicts the least recently used ones, so
+operators that are in use stay assembled.  Callers pass nothing: the grid
+and the exponents alone decide what is reused.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def _kernel_at_gap(gap, p: float, N: int):
 
     The argument is formed from the gap itself, since 1 + gap keeps only
     about eps/gap of it.  The larger of -p/2 and (N-1)/2 goes first, so
-    a - b >= 0 as hyp2f1 requires.  Every operator kernel has p < 0:
-    -(N+2s) for the fractional Laplacian, alpha - N for the Riesz potential.
+    a - b >= 0 as hyp2f1 requires.  Every operator kernel has p = a - N < 0,
+    a being the order: -2s for the fractional Laplacian, alpha for I_alpha.
 
     gap is a scalar, which gives a float, or an ndarray, which gives an
     array from one hyp2f1 call; each value equals the scalar call's.
@@ -575,9 +576,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _pv_moments(N: int, p: float, r: np.ndarray, w: np.ndarray, s: float):
-    """Singular window moments of the PV kernel around radii r (R,) with
-    window half-widths w (R,).
+def _pv_moments(N: int, order: float, r: np.ndarray, w: np.ndarray):
+    """Singular window moments of the PV kernel of order a = -2s (p = a - N)
+    around radii r (R,) with window half-widths w (R,).
 
     Mk = PV int_{|xi|<w} xi^k g(r+xi) dxi for k = 1..4, where
     g(rho) = k_p(r, rho) rho^{N-1}, each returned as an (R,) array.  Odd
@@ -607,9 +608,10 @@ def _pv_moments(N: int, p: float, r: np.ndarray, w: np.ndarray, s: float):
     # first two moments and 3-2s for the last two
     xi = np.concatenate(((0.5 * (a + b) + 0.5 * (b - a) * x4).reshape(R, -1), x0), axis=1)
     wq = (0.5 * (b - a) * w4).reshape(R, -1)
-    w_lo = np.concatenate((wq, x0 / (2.0 - 2.0 * s)), axis=1)
-    w_hi = np.concatenate((wq, x0 / (4.0 - 2.0 * s)), axis=1)
+    w_lo = np.concatenate((wq, x0 / (2.0 + order)), axis=1)
+    w_hi = np.concatenate((wq, x0 / (4.0 + order)), axis=1)
     rr = r[:, None]
+    p = order - N
     gp = _kernel_eval(N, p, rr, rr + xi, xi) * (rr + xi) ** (N - 1)
     gm = _kernel_eval(N, p, rr, rr - xi, xi) * (rr - xi) ** (N - 1)
     odd = gp - gm
@@ -693,30 +695,24 @@ def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
     return tails, mass
 
 
-def _tail_remainder(N: int, kind: str, exponent: float, r_max: float,
-                    tail_omega: float) -> float:
-    """Analytic tail weight of a row beyond _TAIL_SPAN r_max, where the
-    kernel is taken as |S^{N-1}| rho^(exponent - N) ("riesz") or
-    |S^{N-1}| rho^(-N-2 exponent) ("fraclap", whose tail enters with -1).
-    At tail_omega = 0 the "fraclap" weight is minus the kernel mass there."""
-    omega_sph = sphere_surface_area(N)
+def _tail_remainder(N: int, order: float, r_max: float, tail_omega: float) -> float:
+    """Analytic tail weight beyond r_inf = _TAIL_SPAN r_max of a row of the
+    kernel of order a, taken there as |S^{N-1}| rho^(a - N): the integral
+    of |S^{N-1}| rho^(a-1) (rho/r_max)^(-tail_omega) over (r_inf, inf), for
+    tail_omega > a.  At tail_omega = 0 and a < 0 it is the kernel mass."""
     r_inf = _TAIL_SPAN * r_max
-    if kind == "fraclap":
-        two_s = 2.0 * exponent
-        return -omega_sph * (r_inf / r_max) ** (-tail_omega) \
-            * r_inf ** (-two_s) / (two_s + tail_omega)
-    return omega_sph * r_max ** tail_omega \
-        * r_inf ** (exponent - tail_omega) / (tail_omega - exponent)
+    return sphere_surface_area(N) * r_max ** tail_omega \
+        * r_inf ** (order - tail_omega) / (tail_omega - order)
 
 
-def _pv_windows(ctx: _RowContext, i: np.ndarray, s: float, omega: float):
-    """The Taylor windows of fractional-Laplacian rows at the nodes i (R,),
-    of _WINDOW_CELLS local cells each side, and the parts of the cells their
-    edges cut (at most one at each edge).
+def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
+    """The Taylor windows of fractional-Laplacian rows (kernel order
+    a = -2s) at the nodes i (R,), of _WINDOW_CELLS local cells each side,
+    and the parts of the cells their edges cut (at most one at each edge).
 
     Returns what they add to the rows' (R, M) coefficients over the node
-    values and their (R,) tail weights, the kernel mass of the cut parts
-    (R,) and the window half-widths w (R,).
+    values (the window's of u(r+xi) - u(r)) and their (R,) tail weights,
+    the kernel mass of the cut parts (R,) and the window half-widths w (R,).
     """
     grid = ctx.grid
     N = grid.N
@@ -726,23 +722,23 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, s: float, omega: float):
     R = i.size
     r1, rM = nodes[0], nodes[-1]
     r = nodes[i]
-    p = -(N + 2.0 * s)
+    p = order - N
     t0 = _logs(r)
     j = np.minimum(np.maximum(np.searchsorted(tt, t0) - 1, 0), M - 2)
     w = np.minimum(_WINDOW_CELLS * (tt[j + 1] - tt[j]), 0.5) * r
     lo_w, hi_w = r - w, r + w
 
-    m1, m2, m3, m4 = (m[:, None] for m in _pv_moments(N, p, r, w, s))
+    m1, m2, m3, m4 = (m[:, None] for m in _pv_moments(N, order, r, w))
     offsets, t, j = _stencil_offsets(tt, i, t0)
     ut, utt, uttt, utttt = _derivative_stencils(offsets).transpose(1, 0, 2)
     rr = r[:, None]
     # radial derivatives via log-derivatives: u_r = u_t / r,
     # u_rr = (u_tt - u_t)/r^2, u_rrr = (u_ttt - 3u_tt + 2u_t)/r^3,
     # u_rrrr = (u_tttt - 6u_ttt + 11u_tt - 6u_t)/r^4
-    lam = (-(m1 / rr) * ut
-           - (0.5 * m2 / rr ** 2) * (utt - ut)
-           - (m3 / (6.0 * rr ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
-           - (m4 / (24.0 * rr ** 4)) * (utttt - 6.0 * uttt
+    lam = ((m1 / rr) * ut
+           + (0.5 * m2 / rr ** 2) * (utt - ut)
+           + (m3 / (6.0 * rr ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
+           + (m4 / (24.0 * rr ** 4)) * (utttt - 6.0 * uttt
                                         + 11.0 * utt - 6.0 * ut))
     # a stencil point adds lam to its node, or below r_1 to u_1 and u_2
     # through the origin model, or beyond r_M to the tail weights; each node
@@ -777,14 +773,14 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, s: float, omega: float):
     contrib = half * w4 * rho ** N * _kernel_eval(N, p, rp, rho, np.abs(rp - rho))
     mass = np.zeros(R)
     np.add.at(mass, prow, np.sum(contrib, axis=1))
-    _add_cubic(coeffs, tt, tq.ravel(), -contrib.ravel(), np.repeat(prow, 4))
+    _add_cubic(coeffs, tt, tq.ravel(), contrib.ravel(), np.repeat(prow, 4))
     return coeffs, tails, mass, w
 
 
 def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, d0: np.ndarray, sign: float, omega: float,
+                 hi: np.ndarray, d0: np.ndarray, omega: float,
                  coeffs: np.ndarray, tails: np.ndarray, mass: np.ndarray) -> None:
-    """Add sign times the kernel integrals of the rows at radii r (R,) outside
+    """Add the kernel integrals of the rows at radii r (R,) outside
     the intervals (lo, hi) (R,) around them: the grid cells clear of each
     interval, [0, r_1] below it under the origin model, graded toward r at
     distances d0 2^k (see _graded_edges), and the tail model beyond r_M.
@@ -816,30 +812,29 @@ def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
     # each column takes its cells in order; coeffs is C-contiguous, so its
     # flat view takes the sums
     slots = M * np.arange(r.size)[:, None, None] + ctx.cell_base[:, None] + np.arange(4)
-    np.add.at(coeffs.reshape(-1), slots.ravel(),
-              sign * per_node.transpose(0, 2, 1).ravel())
+    np.add.at(coeffs.reshape(-1), slots.ravel(), per_node.transpose(0, 2, 1).ravel())
 
     # [0, r_1] below the interval: from the origin up to the interval or r_1
     c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0, np.minimum(lo, r1)))
-    coeffs[:, 0] += sign * c1
-    coeffs[:, 1] += sign * c2
+    coeffs[:, 0] += c1
+    coeffs[:, 1] += c2
     mass += m0
 
     # beyond the interval and r_M
     tail, m0 = _tail_sums(N, p, r, np.maximum(hi, rM), rM, omega)
-    tails += sign * tail
+    tails += tail
     mass += m0
 
 
-def _fraclap_rows(ctx: _RowContext, which, s: float, omega: float) -> np.ndarray:
+def _fraclap_rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     """Unscaled fractional-Laplacian rows at the node indices `which` (R,),
     built together.
 
-    The PV integral int (u(r) - u(rho)) k_p(r,rho) rho^{N-1} drho with
-    p = -(N+2s), Taylor-subtracted in a window of _WINDOW_CELLS local cells
-    around each r.  Returns the (R, M) coefficients over the node values,
-    the weights of a tail of exponent omega added to the last column last.
-    The factor C_{N,s} is NOT applied here: the _Operator holds it.
+    The PV integral int (u(rho) - u(r)) k_p(r,rho) rho^{N-1} drho with
+    p = a - N, a = -2s, Taylor-subtracted in a window of _WINDOW_CELLS
+    local cells around each r.  Returns the (R, M) coefficients over the
+    node values, the weights of a tail of exponent omega added to the
+    last column last.  C_{N,a} is NOT applied here: the _Operator holds it.
 
     Every piece is computed for all nodes at once, and each row equals the
     one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
@@ -850,14 +845,13 @@ def _fraclap_rows(ctx: _RowContext, which, s: float, omega: float) -> np.ndarray
     i = np.asarray(which, dtype=int)
     r = grid.nodes[i]
     rM = grid.nodes[-1]
-    coeffs, tails, mass, w = _pv_windows(ctx, i, s, omega)
-    _add_outside(ctx, -(N + 2.0 * s), r, r - w, r + w, np.maximum(w, 0.1 * r), -1.0,
-                 omega, coeffs, tails, mass)
-    mass -= _tail_remainder(N, "fraclap", s, rM, 0.0)
-    tails += _tail_remainder(N, "fraclap", s, rM, omega)
-    # the kernel mass multiplies u(r), the value at the row's node
-    coeffs[np.arange(i.size), i] += mass
-    coeffs[:, -1] += tails
+    coeffs, tails, mass, w = _pv_windows(ctx, i, order, omega)
+    _add_outside(ctx, order - N, r, r - w, r + w, np.maximum(w, 0.1 * r), omega,
+                 coeffs, tails, mass)
+    mass += _tail_remainder(N, order, rM, 0.0)
+    # the kernel mass multiplies -u(r), u at the row's node
+    coeffs[np.arange(i.size), i] -= mass
+    coeffs[:, -1] += tails + _tail_remainder(N, order, rM, omega)
     return coeffs
 
 
@@ -934,26 +928,20 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     return coeffs, tails, lo, hi
 
 
-def _riesz_rows(ctx: _RowContext, which, alpha: float, omega: float) -> np.ndarray:
+def _riesz_rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     """Unscaled Riesz rows at the node indices `which` (R,), built together
     and laid out as _fraclap_rows lays out its own: int g(rho) k_p(r,rho)
-    rho^{N-1} drho with p = alpha - N, graded near the diagonal by
-    _riesz_diagonal.  The factor C_{N,alpha} is NOT applied here: the
-    _Operator holds it."""
+    rho^{N-1} drho of the kernel of order a = alpha, p = a - N, graded
+    near the diagonal by _riesz_diagonal.  The factor C_{N,alpha} is NOT
+    applied here: the _Operator holds it."""
     grid = ctx.grid
     i = np.asarray(which, dtype=int)
     r = grid.nodes[i]
-    p = alpha - grid.N
+    p = order - grid.N
     coeffs, tails, lo, hi = _riesz_diagonal(ctx, i, p, omega)
-    _add_outside(ctx, p, r, lo, hi, 0.1 * r, 1.0, omega, coeffs, tails, np.zeros(i.size))
-    coeffs[:, -1] += tails + _tail_remainder(grid.N, "riesz", alpha, grid.r_max, omega)
+    _add_outside(ctx, p, r, lo, hi, 0.1 * r, omega, coeffs, tails, np.zeros(i.size))
+    coeffs[:, -1] += tails + _tail_remainder(grid.N, order, grid.r_max, omega)
     return coeffs
-
-
-def _fraclap_C(N: int, s: float) -> float:
-    """Normalization of the pointwise fractional Laplacian,
-    C_{N,s} = 4^s Gamma(N/2+s) / (pi^{N/2} |Gamma(-s)|) = -C_{N,-2s}."""
-    return -_riesz_normalization(N, -2.0 * s)
 
 
 # Rows built by the row builders at each end of a grid, and node columns
@@ -968,18 +956,17 @@ _END_COLUMNS = 4
 _ROW_BLOCK = 64
 
 
-def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
-             which) -> np.ndarray:
-    """Unscaled rows at the nodes `which`: their (len(which), M)
-    coefficients over the node values, from one _fraclap_rows or
-    _riesz_rows call per _ROW_BLOCK nodes."""
+def _rows_at(grid: RadialGrid, order: float, tail_omega: float, which) -> np.ndarray:
+    """Unscaled rows of the kernel of order a at the nodes `which`: their
+    (len(which), M) coefficients over the node values, from one
+    _fraclap_rows (a < 0) or _riesz_rows (a > 0) call per _ROW_BLOCK nodes."""
     ctx = _context(grid)
-    build = _fraclap_rows if kind == "fraclap" else _riesz_rows
+    build = _fraclap_rows if order < 0.0 else _riesz_rows
     which = np.asarray(which, dtype=int)
     rows = np.empty((which.size, grid.size))
     for b in range(0, which.size, _ROW_BLOCK):
         block = which[b:b + _ROW_BLOCK]
-        rows[b:b + block.size] = build(ctx, block, exponent, tail_omega)
+        rows[b:b + block.size] = build(ctx, block, order, tail_omega)
     return rows
 
 
@@ -987,14 +974,14 @@ def _rows_at(grid: RadialGrid, kind: str, exponent: float, tail_omega: float,
 class _Operator:
     """The rows of one operator at every node, stored by structure.
 
-    Row i times `constant`, C_{N,s} or C_{N,alpha}, maps the node values u
-    to the operator value at node i.  The interior rows i = lo..hi-1 are,
-    at the node columns E..M-1-E (E = _END_COLUMNS), shifts of one
-    generating row:
+    Row i times `constant`, C_{N,a} for the kernel order a, maps the node
+    values u to the operator value at node i.  The interior rows
+    i = lo..hi-1 are, at the node columns E..M-1-E (E = _END_COLUMNS),
+    shifts of one generating row:
     row lo+k there is scale[k] gen[K-1-k : K-1-k+M-2E], K = hi - lo.
     `edges` (K, 2E) holds their first and last E node columns, and `mass`
-    (K,), when there is one, what their diagonal adds to the shift: the
-    fractional Laplacian's kernel mass.  The Riesz diagonal shifts like
+    (K,), when there is one, what their diagonal adds to the shift: minus
+    the fractional Laplacian's kernel mass.  The Riesz diagonal shifts like
     the rest of its rows, so that operator has none.  `ends` holds every
     other row densely: rows 0..lo-1, then hi..M-1.
     """
@@ -1041,22 +1028,21 @@ class _Operator:
         return rows
 
 
-def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
-                     tail_omega: float) -> _Operator:
+def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Operator:
     """The rows of _rows_at at every node of the grid, built from one
     generating row and stored by structure (see _Operator).
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
-    l^p k_p(r, rho), so away from the ends row i divided by its scale
-    r_i^(N+p) (r_i^(-2s) or r_i^alpha) is row i+1 divided by its scale and
+    l^p k_p(r, rho) with p = a - N, so away from the ends row i divided by
+    its scale r_i^(N+p) = r_i^a is row i+1 divided by its scale and
     shifted by one node.  Interior rows are therefore shifts of a
     generating row: the near-diagonal pieces of the middle row plus the
     full cells at every offset, integrated once at r = 1.  What is not
     shift-invariant is computed per row, vectorised: the end columns (the
     end cells' clipped stencils), the origin region (the first two
     columns), the far tail (the last column), and for the fractional
-    Laplacian the kernel mass on the diagonal.  The end rows come from the
-    row builders themselves.
+    Laplacian (a = -2s < 0) minus the kernel mass on the diagonal.  The
+    end rows come from the row builders themselves.
     """
     ctx = _context(grid)
     N = grid.N
@@ -1065,16 +1051,14 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     r1, rM = nodes[0], nodes[-1]
     tt = ctx.tt
     h = (tt[-1] - tt[0]) / (M - 1)
-    fraclap = kind == "fraclap"
-    p = -(N + 2.0 * exponent) if fraclap else exponent - N
-    sign = -1.0 if fraclap else 1.0
-    C = _fraclap_C(N, exponent) if fraclap else _riesz_normalization(N, exponent)
+    fraclap = order < 0.0
+    p = order - N
     scale = nodes ** (N + p)
 
     # near-diagonal pieces of the middle row, and the cells they cover
     g = M // 2
     if fraclap:
-        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, np.array([g]), exponent,
+        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, np.array([g]), order,
                                                      tail_omega)
         a, b = nodes[g] - w, nodes[g] + w
         d0 = max(w / nodes[g], 0.1)
@@ -1088,7 +1072,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     rho = np.exp((np.arange(-(M + 1), M + 1)[:, None] + 0.5 + 0.5 * x4) * h)
     cells = 0.5 * h * w4 * rho ** N * _kernel_eval(N, p, 1.0, rho, np.abs(1.0 - rho))
     cells[np.flatnonzero(excluded) - g + M + 1] = 0.0
-    per_node = sign * cells @ _lagrange4(np.arange(-1.0, 3.0), 0.5 + 0.5 * x4)
+    per_node = cells @ _lagrange4(np.arange(-1.0, 3.0), 0.5 + 0.5 * x4)
 
     # generating row gen[d + M - 1], d = j - i: cell e puts node e - 1 + m
     L = 2 * M - 1
@@ -1105,7 +1089,7 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
     edges = np.zeros((hi - lo, 2 * E))
     for c in (*range(E + 1), *range(M - E - 2, M - 1)):
         base = ctx.cell_base[c]
-        part = sign * scale[lo:hi, None] * (cells[c - inner + M + 1] @ ctx.cell_cubw[c])
+        part = scale[lo:hi, None] * (cells[c - inner + M + 1] @ ctx.cell_cubw[c])
         for m in range(4):
             j = base + m
             if j < E:
@@ -1120,34 +1104,34 @@ def _structured_rows(grid: RadialGrid, kind: str, exponent: float,
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
         c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0 * r, r1))
         tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
-        edges[b - lo:b - lo + r.size, 0] += sign * c1
-        edges[b - lo:b - lo + r.size, 1] += sign * c2
-        tails[b - lo:b - lo + r.size] = sign * tail
+        edges[b - lo:b - lo + r.size, 0] += c1
+        edges[b - lo:b - lo + r.size, 1] += c2
+        tails[b - lo:b - lo + r.size] = tail
         if fraclap:  # the Riesz diagonal shifts like the rest of the row
-            mass[b - lo:b - lo + r.size] = m0 + m1
+            mass[b - lo:b - lo + r.size] = -(m0 + m1)
     # the tail continues u_M: its weights go to the last node column
-    edges[:, -1] += tails + _tail_remainder(N, kind, exponent, rM, tail_omega)
+    edges[:, -1] += tails + _tail_remainder(N, order, rM, tail_omega)
     if fraclap:
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
-        mass += scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
+        mass -= scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
                                 + near_mass / scale[g]) \
-            - _tail_remainder(N, kind, exponent, rM, 0.0)
+            + _tail_remainder(N, order, rM, 0.0)
 
-    ends = _rows_at(grid, kind, exponent, tail_omega, (*range(lo), *range(hi, M)))
+    ends = _rows_at(grid, order, tail_omega, (*range(lo), *range(hi, M)))
     # the generating row where the interior rows reach the middle columns
     return _Operator(ends=ends, lo=lo, hi=hi,
                      gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),
-                     scale=scale[lo:hi], edges=edges, constant=C, mass=mass)
+                     scale=scale[lo:hi], edges=edges,
+                     constant=_riesz_normalization(N, order), mass=mass)
 
 
-def _raw(grid: RadialGrid, kind: str, exponent: float,
-         tail_omega: float) -> _Operator:
-    """One operator at every node, assembled from one generating row and
-    memoised as an _Operator with its constant.  kind is "fraclap"
-    (exponent s) or "riesz" (exponent alpha)."""
-    return _memo((kind, grid._token, round(exponent, 15), round(tail_omega, 12)),
-                 lambda: _structured_rows(grid, kind, exponent, tail_omega))
+def _raw(grid: RadialGrid, order: float, tail_omega: float) -> _Operator:
+    """The operator of kernel order a (`order`: alpha for I_alpha, -2s for
+    (-Delta)^s) at every node, assembled from one generating row and
+    memoised as an _Operator with its constant C_{N,a}."""
+    return _memo((grid._token, round(order, 15), round(tail_omega, 12)),
+                 lambda: _structured_rows(grid, order, tail_omega))
 
 
 def _backward_error(Ax: np.ndarray, a_max: float, x: np.ndarray,
@@ -1209,7 +1193,7 @@ def frac_laplacian_on_grid(u: RadialFunction, s: float) -> np.ndarray:
     """(-Delta)^s u sampled at every grid node (one assembled-operator pass)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"frac_laplacian_on_grid: s must lie in (0, 1), got {s!r}")
-    return _raw(u.grid, "fraclap", s, u.tail_exponent).apply(u.values)
+    return _raw(u.grid, -2.0 * s, u.tail_exponent).apply(u.values)
 
 
 def _riesz_operator(grid: RadialGrid, alpha: float, tail_omega: float) -> _Operator:
@@ -1227,7 +1211,7 @@ def _riesz_operator(grid: RadialGrid, alpha: float, tail_omega: float) -> _Opera
         raise ValueError(
             f"riesz_convolve_radial: tail exponent {tail_omega} of g must exceed "
             f"alpha = {alpha}, otherwise the convolution diverges")
-    return _raw(grid, "riesz", alpha, tail_omega)
+    return _raw(grid, alpha, tail_omega)
 
 
 def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
@@ -1303,9 +1287,9 @@ def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
     """Assembled M x M matrix of (-Delta)^s under the standard closures.
 
-    The rows of the memoised operator (_Operator.rows), its constant
-    C_{N,s} applied: they act on the node values and return the operator's
-    values at the nodes.
+    The rows of the memoised operator of kernel order -2s (_Operator.rows),
+    its constant C_{N,-2s} applied: they act on the node values and return
+    the operator's values at the nodes.
     The matrix is expanded on each call, a fresh array the caller may
     modify.
 
@@ -1316,7 +1300,7 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
         raise ValueError(f"fraclap_matrix: s must lie in (0, 1), got {s!r}")
     if not (0.0 < tail_omega < math.inf):
         raise ValueError(f"fraclap_matrix: tail_omega must be finite and > 0, got {tail_omega!r}")
-    return _raw(grid, "fraclap", s, tail_omega).rows()
+    return _raw(grid, -2.0 * s, tail_omega).rows()
 
 
 # ----------------------------------------------------------------------------
@@ -1331,12 +1315,14 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
         power: exponent applied pointwise.
 
     Raises:
-        ValueError: divergent tail (power * omega <= N), or fractional power
-            of a function with negative samples.
+        ValueError: non-finite power, divergent tail (power * omega <= N),
+            or fractional power of a function with negative samples.
     """
     grid = u.grid
     N = grid.N
     q = float(power)
+    if not math.isfinite(q):
+        raise ValueError(f"volume_integral: power must be finite, got {power!r}")
     frac = abs(q - round(q)) > 1e-12
     u0 = u.value_at_origin
     if frac and (np.any(u.values < 0.0) or u0 < 0.0):

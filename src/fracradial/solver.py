@@ -95,10 +95,10 @@ class NonlinearitySpec:
     mu-rescaling.
 
     A general spec, with convention None, carries arbitrary callables plus
-    the envelope constants C_under t^{r-1} <= f(t) <= C_bar t^{r-1} declared
-    to hold for 0 <= t <= delta.  The solver never differentiates f; F must
-    be its antiderivative and f must lie inside the envelopes (both
-    validated numerically on a lattice in (0, min(delta,1)]).
+    the finite envelope constants C_under t^{r-1} <= f(t) <= C_bar t^{r-1}
+    declared to hold for 0 <= t <= delta.  The solver never differentiates
+    f; F must be its antiderivative and f must lie inside the envelopes
+    (both validated numerically on a lattice in (0, min(delta,1)]).
     """
 
     r: float
@@ -115,10 +115,10 @@ class NonlinearitySpec:
                 f"NonlinearitySpec: unknown convention {self.convention!r}")
         if not (self.r > 1.0 and math.isfinite(self.r)):
             raise ValueError(f"NonlinearitySpec: r must exceed 1, got {self.r!r}")
-        if not (0.0 < self.C_under <= self.C_bar):
+        if not (0.0 < self.C_under <= self.C_bar < math.inf):
             raise ValueError(
-                f"NonlinearitySpec: need 0 < C_under <= C_bar, got "
-                f"{self.C_under!r}, {self.C_bar!r}")
+                f"NonlinearitySpec: need 0 < C_under <= C_bar < inf, got "
+                f"C_under = {self.C_under!r}, C_bar = {self.C_bar!r}")
         if not (self.delta > 0.0):
             raise ValueError(f"NonlinearitySpec: delta must be positive, got {self.delta!r}")
         if not abs(float(self.F(0.0))) <= 1e-12:  # NaN fails too

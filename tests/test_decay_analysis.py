@@ -226,6 +226,11 @@ def test_too_small_kappa_breaks_hypothesis(solution):
         bound_constants(solution, kappa=bc.kappa_star / 8.0)
     with pytest.raises(ValueError):
         bound_constants(solution, kappa=-1.0)
+    # an infinite kappa gave C_upper = inf
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        bound_constants(solution, kappa=math.inf)
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        decay_analysis.check_analysis(solution.params, kappa=math.inf)
 
 
 def test_distinct_envelopes_have_no_equalizer():
@@ -323,9 +328,9 @@ def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch):
     built = []
     structured_rows = radial_ops._structured_rows
 
-    def counted(grid, kind, *args):
-        built.append(kind)
-        return structured_rows(grid, kind, *args)
+    def counted(grid, order, *args):
+        built.append(order)
+        return structured_rows(grid, order, *args)
 
     monkeypatch.setattr(radial_ops, "_structured_rows", counted)
     opts = SolverOpts(grid=RadialGrid.log_spaced(num=200))
@@ -333,7 +338,7 @@ def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch):
     sol = solve_ground_state(make_params(1.7), opts)
     built.clear()
     first = verify_chain_rule(sol.u, thetas, 0.5)
-    assert built == ["fraclap", "fraclap"]
+    assert built == [-1.0, -1.0]          # the fractional Laplacian, s = 1/2
     built.clear()
     second = verify_chain_rule(sol.u, thetas, 0.5)
     assert built == []

@@ -509,10 +509,10 @@ def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     ])
     ctx = radial_ops._context(grid)
     for omega in (N + 1.0, 2.5):
-        rows = radial_ops._fraclap_rows(ctx, which, 0.5, omega)
+        rows = radial_ops._fraclap_rows(ctx, which, -1.0, omega)
         assert rows.shape == (which.size, M)
         for k in range(which.size):
-            alone = radial_ops._fraclap_rows(ctx, which[k:k + 1], 0.5, omega)
+            alone = radial_ops._fraclap_rows(ctx, which[k:k + 1], -1.0, omega)
             assert np.array_equal(alone[0], rows[k])
         # pointwise values over an array of radii, one per radius
         u = h_beta_function(grid, omega)
@@ -771,27 +771,54 @@ def test_memo_is_bounded_lru(monkeypatch):
     assert list(radial_ops._MEMO) == [("test", "big")]
 
 
+# The closed form of a row's weight beyond r_inf = _TAIL_SPAN r_max against
+# int_{r_inf}^inf |S^{N-1}| rho^(a-1) (rho/r_max)^(-omega) drho, in
+# t = log(rho / r_inf): 20 Gauss-Legendre points on each of 60 panels of
+# width 1 / (omega - a), where the integrand falls by e per panel.  The
+# orders are I_alpha's a = alpha < omega and (-Delta)^s's a = -2s, the
+# latter also at omega = 0, where the weight is the kernel mass beyond r_inf.
+@pytest.mark.parametrize("order,omega", [
+    (1.0, 2.5), (1.5, 4.0),          # I_alpha of a tail rho^(-omega)
+    (-1.0, 4.0), (-1.5, 2.5),        # (-Delta)^s, s = 1/2 and 3/4
+    (-1.0, 0.0), (-0.5, 0.0),        # the kernel mass, s = 1/2 and 1/4
+])
+@pytest.mark.parametrize("N", [2, 3])
+def test_tail_remainder_matches_quadrature(N, order, omega):
+    r_max = 1e3
+    r_inf = radial_ops._TAIL_SPAN * r_max
+    x, w = np.polynomial.legendre.leggauss(20)
+    width = 1.0 / (omega - order)
+    t = (np.arange(60)[:, None] + 0.5 * (1.0 + x)).ravel() * width
+    rho = r_inf * np.exp(t)
+    # drho = rho dt
+    integrand = sphere_surface_area(N) * rho ** (order - 1.0) \
+        * (rho / r_max) ** -omega * rho
+    want = np.sum(np.tile(0.5 * width * w, 60) * integrand)
+    assert_allclose(radial_ops._tail_remainder(N, order, r_max, omega), want,
+                    rtol=1e-13)
+
+
 # ----------------------------------------------------------------------------
 # structured assembly on geometric grids
 # ----------------------------------------------------------------------------
 
 def operator_args(kind, N):
-    """(exponent, tail exponent) of the test operators: s = 1/2, alpha = N-1."""
-    return (0.5, N + 1.0) if kind == "fraclap" else (N - 1.0, N + 0.7)
+    """(kernel order, tail exponent) of the test operators: the order -2s of
+    s = 1/2, and alpha = N-1."""
+    return (-1.0, N + 1.0) if kind == "fraclap" else (N - 1.0, N + 0.7)
 
 
-def assert_structured_matches_loop(kind, N, exponent, omega):
+def assert_structured_matches_loop(N, order, omega):
     M = 150
     grid = RadialGrid.log_spaced(num=M, N=N)
-    op = radial_ops._structured_rows(grid, kind, exponent, omega)
+    op = radial_ops._structured_rows(grid, order, omega)
     rows = op.rows()
-    ref = op.constant * radial_ops._rows_at(grid, kind, exponent, omega, range(grid.size))
+    ref = op.constant * radial_ops._rows_at(grid, order, omega, range(grid.size))
     # every column, the last one with the tail weights folded in
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert err.max() <= 1e-10
     # the loop's scaled rows over offsets -6..6, interior rows
-    scaled = ref / grid.nodes[:, None] ** (
-        -2.0 * exponent if kind == "fraclap" else exponent)
+    scaled = ref / grid.nodes[:, None] ** order
     inner = np.arange(12, M - 12)
     band = scaled[inner[:, None], inner[:, None] + np.arange(-6, 7)]
     assert np.max(np.ptp(band, axis=0)) <= 1e-12 * np.max(np.abs(band))
@@ -810,7 +837,7 @@ def assert_structured_matches_loop(kind, N, exponent, omega):
 @pytest.mark.parametrize("N", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["fraclap", "riesz"])
 def test_structured_assembly_matches_row_loop(kind, N):
-    assert_structured_matches_loop(kind, N, *operator_args(kind, N))
+    assert_structured_matches_loop(N, *operator_args(kind, N))
 
 
 # The same check where the kernel's 2F1 has a - b off the integers:
@@ -825,7 +852,9 @@ def test_structured_assembly_matches_row_loop(kind, N):
     ("riesz", 4, 0.5, 4.7),
 ])
 def test_structured_assembly_matches_row_loop_generic_kernel(kind, N, exponent, omega):
-    assert_structured_matches_loop(kind, N, exponent, omega)
+    # exponent is s or alpha; the fractional Laplacian's order is -2s
+    assert_structured_matches_loop(
+        N, -2.0 * exponent if kind == "fraclap" else exponent, omega)
 
 
 def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
@@ -846,7 +875,7 @@ def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
     monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
     grid = RadialGrid.log_spaced(num=200)
     for kind in ("fraclap", "riesz"):
-        radial_ops._raw(grid, kind, *operator_args(kind, 3))
+        radial_ops._raw(grid, *operator_args(kind, 3))
     ends = 2 * radial_ops._END_ROWS
     assert calls == {"fraclap": ends, "riesz": ends}
 
@@ -861,9 +890,9 @@ def test_compact_riesz_apply_matches_dense_rows(N):
     grid = RadialGrid.log_spaced(num=M, N=N)
     alpha, omega = operator_args("riesz", N)
     g = h_beta_function(grid, omega)
-    op = radial_ops._raw(grid, "riesz", alpha, omega)
+    op = radial_ops._raw(grid, alpha, omega)
     assert op.hi > op.lo                   # the interior is held compactly
-    ref = radial_ops._rows_at(grid, "riesz", alpha, omega, range(M))
+    ref = radial_ops._rows_at(grid, alpha, omega, range(M))
     want = riesz_constant(N, alpha) * (ref @ g.values)
     v = riesz_convolve_radial(g, alpha)
     assert np.max(np.abs(v.values / want - 1.0)) <= 1e-13
@@ -872,7 +901,7 @@ def test_compact_riesz_apply_matches_dense_rows(N):
 def test_memoised_riesz_operator_holds_O_of_M_floats():
     M = 600
     grid = RadialGrid.log_spaced(num=M)
-    op = radial_ops._raw(grid, "riesz", *operator_args("riesz", 3))
+    op = radial_ops._raw(grid, *operator_args("riesz", 3))
     floats = sum(a.size for a in vars(op).values() if isinstance(a, np.ndarray))
     assert floats <= 40 * M
 
@@ -883,7 +912,7 @@ def test_memoised_riesz_operator_holds_O_of_M_floats():
 def test_memoised_fraclap_operator_holds_O_of_M_floats(N):
     M = 600
     grid = RadialGrid.log_spaced(num=M, N=N)
-    op = radial_ops._raw(grid, "fraclap", 0.5, 4.0)
+    op = radial_ops._raw(grid, -1.0, 4.0)
     assert op.hi > op.lo
     floats = sum(a.size for a in vars(op).values() if isinstance(a, np.ndarray))
     assert floats <= 64 * M
@@ -899,7 +928,7 @@ def test_memoised_fraclap_operator_holds_O_of_M_floats(N):
 def test_structured_fraclap_apply_matches_its_rows(N, s, M):
     grid = RadialGrid.log_spaced(num=M, N=N)
     u = h_beta_function(grid, N + 0.5)
-    op = radial_ops._raw(grid, "fraclap", s, u.tail_exponent)
+    op = radial_ops._raw(grid, -2.0 * s, u.tail_exponent)
     assert op.hi > op.lo and np.any(op.mass != 0.0)
     want = op.rows() @ u.values
     assert np.max(np.abs(op.apply(u.values) - want)) <= 5e-8 * np.max(np.abs(want))
@@ -908,7 +937,7 @@ def test_structured_fraclap_apply_matches_its_rows(N, s, M):
 def test_structured_riesz_operator_holds_no_mass():
     grid = RadialGrid.log_spaced(num=600, N=3)
     u = h_beta_function(grid, 3.5)
-    op = radial_ops._raw(grid, "riesz", 2.0, u.tail_exponent)
+    op = radial_ops._raw(grid, 2.0, u.tail_exponent)
     assert op.hi > op.lo and op.mass is None
     want = op.rows() @ u.values
     assert np.max(np.abs(op.apply(u.values) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -933,3 +962,7 @@ def test_volume_integral_rejects_divergent_or_invalid(grid):
     signed = RadialFunction(grid=grid, values=vals, tail_exponent=4.0)
     with pytest.raises(ValueError):
         volume_integral(signed, power=1.5)
+    # an infinite power raised OverflowError from round()
+    for power in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="power must be finite"):
+            volume_integral(h_beta_function(grid, 4.0), power)

@@ -123,6 +123,7 @@ def test_general_rejects_mismatched_antiderivative():
     (1.0, 2.0, 1.0),    # lower envelope above upper
     (1.0, 0.0, 1.0),    # lower envelope must be positive
     (1.0, 1.0, 0.0),    # empty near-zero range
+    (math.inf, 1.0, 1.0),  # an infinite upper envelope bounds nothing
 ])
 def test_general_envelope_validation(c_bar, c_under, delta):
     with pytest.raises(ValueError):
