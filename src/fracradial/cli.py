@@ -574,6 +574,11 @@ def _cmd_solve(cfg: dict, args) -> int:
 _CHECK_HEADER = ["name", "passed", "measured", "reference", "tolerance"]
 
 
+def _chain_rule_name(theta: float) -> str:
+    """The name of the chain-rule check at the exponent theta."""
+    return f"chain_rule_theta_{theta:g}"
+
+
 def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dict]:
     """All decay checks for one solution; returns (checks, rules, report
     numbers), each check a row of _CHECK_HEADER values and each rule the
@@ -632,14 +637,16 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dic
     thetas = ana["chain_rule_theta"]
     if not thetas:
         r = params.nonlinearity.r
-        thetas = (0.3,) if abs(2.0 - r - 0.3) < 1e-12 else (0.3, 2.0 - r)
+        # 2 - r is dropped where its check would carry the name of 0.3's
+        same = _chain_rule_name(2.0 - r) == _chain_rule_name(0.3)
+        thetas = (0.3,) if same else (0.3, 2.0 - r)
     chain_reports = []
     reps = verify_chain_rule(sol.u, tuple(thetas), params.s)
     for th, rep in zip(thetas, reps):
         ratio = rep.margin / rep.scale
         k = int(np.argmin(ratio))
         worst = float(ratio[k])
-        add(f"chain_rule_theta_{th:g}", rep.passed, worst, 0.0, rep.tolerance,
+        add(_chain_rule_name(th), rep.passed, worst, 0.0, rep.tolerance,
             "measured >= -{tolerance!r}")
         chain_reports.append({"theta": th, "min_margin_over_scale": worst,
                               "worst_radius": float(rep.radii[k]),
@@ -664,8 +671,9 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dic
 
 def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
     """Reject analysis settings that the decay checks would refuse for
-    params on grid (decay_analysis.check_analysis), so that no solve runs
-    for settings that cannot be used."""
+    params on grid (decay_analysis.check_analysis), and chain-rule exponents
+    whose checks would carry one name, so that no solve runs for settings
+    that cannot be used."""
     ana = cfg["analysis"]
     for key, setting in (
             ("analysis.fit_window", {"fit_window": ana["fit_window"]}),
@@ -675,6 +683,13 @@ def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
             ("analysis.kappa", {"kappa": ana["kappa"]})):
         with _config_errors(f"{key}: "):
             check_analysis(params, grid, **setting)
+    thetas = ana["chain_rule_theta"]
+    names = [_chain_rule_name(th) for th in thetas]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(
+                f"analysis.chain_rule_theta: {thetas[names.index(name)]!r} and "
+                f"{thetas[k]!r} give checks of one name, {name}")
 
 
 def _cmd_verify_decay(cfg: dict, args) -> int:

@@ -38,19 +38,20 @@ interior is the shifts of one generating row (Mellin-convolution
 structure, as in FFTLog), and only the pieces that break the shift are
 computed per row, vectorised: the end columns, the origin and far-tail
 closures and the fractional Laplacian's diagonal mass.  The first and last
-`_END_ROWS` rows come from one batched row builder per sign of a:
-`_fraclap_rows` (a < 0) and `_riesz_rows` (a > 0).  They differ only near
-the diagonal, in the PV Taylor window (`_pv_windows`) and the graded
-diagonal cells (`_riesz_diagonal`), and share the kernel weights outside
-it (`_add_outside`); a fractional-Laplacian row subtracts one kernel mass
-on its diagonal besides.
+`_END_ROWS` rows come from one batched row builder for both signs of a,
+`_rows`.  The operators differ only near the diagonal, where each takes
+its own rule: the PV Taylor window (`_pv_windows`, a < 0) or the graded
+diagonal cells (`_riesz_diagonal`, a > 0).  Outside, both take the grid
+cells and the closures (`_closures`), and a fractional-Laplacian row
+subtracts one kernel mass on its diagonal besides.  The generating row
+takes its near piece through the same rule, and its interior rows their
+closures through `_closures`.
 
 Everything reused across calls sits in one LRU memo, `_MEMO`, bounded by
-the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples, a grid
-entering by its token (N, M, r_min, r_max): ("ctx", grid token) for the
-per-grid row context (the cell quadrature points and their cubic
-stencils), ("table", N, p) for the angular kernel table of a dimension
-N != 3, and (grid token, a, tail exponent) for an assembled operator.
+the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples:
+("table", N, p) for the angular kernel table of a dimension N != 3, and
+(grid token, a, tail exponent) for an assembled operator, a grid
+entering by its token (N, M, r_min, r_max).
 An operator entry is an `_Operator`, one form for both signs of a.  It
 keeps the structure in O(M) floats: the generating row, the row scales
 r_i^a, dense corrections for what breaks the shift (the end rows; the
@@ -497,7 +498,9 @@ def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
 
 
 class _RowContext:
-    """Per-grid precomputed quadrature data shared by all operator rows.
+    """The cell quadrature of one grid, built once per operator assembly
+    and shared by its rows: 4 Gauss points a cell, with their weights for
+    rho^{N-1} drho and their cubic stencils.
 
     Function values at cell quadrature points are reconstructed by 4-point
     (cubic) Lagrange interpolation in log radius; piecewise-linear hats are
@@ -518,10 +521,6 @@ class _RowContext:
         self.cell_w = w4[None, :] * half[:, None] * rho ** (grid.N)
         # (M-1,) and (M-1, 4, 4)
         self.cell_base, self.cell_cubw = _cell_stencils(tt, tq)
-
-
-def _context(grid: RadialGrid) -> _RowContext:
-    return _memo(("ctx", grid._token), lambda: _RowContext(grid))
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
@@ -705,6 +704,23 @@ def _tail_remainder(N: int, order: float, r_max: float, tail_omega: float) -> fl
         * r_inf ** (order - tail_omega) / (tail_omega - order)
 
 
+def _closures(grid: RadialGrid, p: float, r: np.ndarray, lo: np.ndarray,
+              d0: np.ndarray, hi: np.ndarray, omega: float):
+    """Kernel integrals of the rows at radii r (n,) over the closures outside
+    the intervals (lo, hi) (n,) around them: [0, r_1] below lo under the
+    origin model, graded toward r at distances d0 r 2^k (see _graded_edges),
+    and beyond hi and r_M under the tail model of exponent omega.
+
+    Returns the weights c1, c2 of u_1 and u_2, the kernel mass below, the
+    tail weights and the kernel mass beyond, each (n,); the two masses stay
+    apart, so a row adds them in its own order."""
+    rM = grid.nodes[-1]
+    c1, c2, below = _origin_sums(grid, p, r,
+                                 _graded_edges(r, d0 * r, np.minimum(lo, grid.nodes[0])))
+    tail, beyond = _tail_sums(grid.N, p, r, np.maximum(hi, rM), rM, omega)
+    return c1, c2, below, tail, beyond
+
+
 def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     """The Taylor windows of fractional-Laplacian rows (kernel order
     a = -2s) at the nodes i (R,), of _WINDOW_CELLS local cells each side,
@@ -712,7 +728,8 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
 
     Returns what they add to the rows' (R, M) coefficients over the node
     values (the window's of u(r+xi) - u(r)) and their (R,) tail weights,
-    the kernel mass of the cut parts (R,) and the window half-widths w (R,).
+    the kernel mass of the cut parts (R,), the windows (r - w, r + w) and
+    the grading distance max(w / r, 0.1) of the origin panels, each (R,).
     """
     grid = ctx.grid
     N = grid.N
@@ -774,85 +791,7 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     mass = np.zeros(R)
     np.add.at(mass, prow, np.sum(contrib, axis=1))
     _add_cubic(coeffs, tt, tq.ravel(), contrib.ravel(), np.repeat(prow, 4))
-    return coeffs, tails, mass, w
-
-
-def _add_outside(ctx: _RowContext, p: float, r: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, d0: np.ndarray, omega: float,
-                 coeffs: np.ndarray, tails: np.ndarray, mass: np.ndarray) -> None:
-    """Add the kernel integrals of the rows at radii r (R,) outside
-    the intervals (lo, hi) (R,) around them: the grid cells clear of each
-    interval, [0, r_1] below it under the origin model, graded toward r at
-    distances d0 2^k (see _graded_edges), and the tail model beyond r_M.
-    Each interval holds its radius, a node, so it ends above r_1.  They go into
-    the rows' (R, M) coefficients over the node values, (R,) tail weights
-    and (R,) kernel mass in place, in that order: a fractional-Laplacian
-    row cancels far below its entries, so its summation order is kept.
-    Each row's sums equal the ones it gets alone."""
-    grid = ctx.grid
-    N = grid.N
-    nodes = grid.nodes
-    M = nodes.size
-    r1, rM = nodes[0], nodes[-1]
-
-    # the cells clear of each interval, from one masked kernel evaluation
-    # laid out (R, 4, M-1), Gauss point by cell, so the products below run
-    # along the cells; a masked cell takes the offset r, which keeps its
-    # discarded kernel values finite where a quadrature point meets r
-    full = ((nodes[1:] <= lo[:, None]) | (nodes[:-1] >= hi[:, None]))[:, None, :]
-    rr = r[:, None, None]
-    rho = ctx.cell_rho.T
-    dist = np.where(full, np.abs(rr - rho), rr)
-    contrib = np.where(full, ctx.cell_w.T * _kernel_eval(N, p, rr, rho, dist), 0.0)
-    mass += np.sum(contrib, axis=(1, 2))
-    cubw = np.ascontiguousarray(ctx.cell_cubw.transpose(1, 2, 0))   # (q, m, cell)
-    per_node = contrib[:, 0, None] * cubw[0]
-    for q in range(1, 4):
-        per_node += contrib[:, q, None] * cubw[q]
-    # each column takes its cells in order; coeffs is C-contiguous, so its
-    # flat view takes the sums
-    slots = M * np.arange(r.size)[:, None, None] + ctx.cell_base[:, None] + np.arange(4)
-    np.add.at(coeffs.reshape(-1), slots.ravel(), per_node.transpose(0, 2, 1).ravel())
-
-    # [0, r_1] below the interval: from the origin up to the interval or r_1
-    c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0, np.minimum(lo, r1)))
-    coeffs[:, 0] += c1
-    coeffs[:, 1] += c2
-    mass += m0
-
-    # beyond the interval and r_M
-    tail, m0 = _tail_sums(N, p, r, np.maximum(hi, rM), rM, omega)
-    tails += tail
-    mass += m0
-
-
-def _fraclap_rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
-    """Unscaled fractional-Laplacian rows at the node indices `which` (R,),
-    built together.
-
-    The PV integral int (u(rho) - u(r)) k_p(r,rho) rho^{N-1} drho with
-    p = a - N, a = -2s, Taylor-subtracted in a window of _WINDOW_CELLS
-    local cells around each r.  Returns the (R, M) coefficients over the
-    node values, the weights of a tail of exponent omega added to the
-    last column last.  C_{N,a} is NOT applied here: the _Operator holds it.
-
-    Every piece is computed for all nodes at once, and each row equals the
-    one built alone (R = 1) bitwise.  The full cells take (R, 4, M-1)
-    temporaries, so callers pass large sets of nodes _ROW_BLOCK at a time.
-    """
-    grid = ctx.grid
-    N = grid.N
-    i = np.asarray(which, dtype=int)
-    r = grid.nodes[i]
-    rM = grid.nodes[-1]
-    coeffs, tails, mass, w = _pv_windows(ctx, i, order, omega)
-    _add_outside(ctx, order - N, r, r - w, r + w, np.maximum(w, 0.1 * r), omega,
-                 coeffs, tails, mass)
-    mass += _tail_remainder(N, order, rM, 0.0)
-    # the kernel mass multiplies -u(r), u at the row's node
-    coeffs[np.arange(i.size), i] -= mass
-    coeffs[:, -1] += tails + _tail_remainder(N, order, rM, omega)
-    return coeffs
+    return coeffs, tails, mass, lo_w, hi_w, np.maximum(w / r, 0.1)
 
 
 def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -865,9 +804,11 @@ def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray
     return f0 * x0 / (gam + 1.0)
 
 
-def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
-    """The near-diagonal coefficients and tail weights of the Riesz rows at
-    the nodes i (R,), and the intervals (lo, hi) (R,) they cover.
+def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
+    """The near-diagonal pieces of the Riesz rows (kernel order a = alpha)
+    at the nodes i (R,), in the shape _pv_windows returns: the (R, M)
+    coefficients, the (R,) tail weights, a zero kernel mass, the intervals
+    (lo, hi) covered and the grading distance 0.1 of the origin panels.
 
     The cells touching r = r_i are graded toward r in _RIESZ_GRADE_LEVELS
     levels of 4 Gauss points with a power-law stub for the last, and so are
@@ -880,6 +821,7 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
     N = ctx.grid.N
     nodes = ctx.grid.nodes
     M = nodes.size
+    p = order - N
     r = nodes[i]
     lo = np.where(i > 0, nodes[np.maximum(i - 1, 0)], 0.0)
     hi = np.where(i < M - 1, nodes[np.minimum(i + 1, M - 1)], 1.5 * r)
@@ -925,49 +867,72 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, p: float, omega: float):
         graded, _ = _log_panel_sums(N, p, r[last], rl * (1.0 + 0.5 * levels[::-1]),
                                     nodes[-1], omega)
         tails[last] = _diagonal_stub(f[:, 0], f[:, 1], x0[:, 0]) + graded
-    return coeffs, tails, lo, hi
+    return coeffs, tails, np.zeros(i.size), lo, hi, np.full(i.size, 0.1)
 
 
-def _riesz_rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
-    """Unscaled Riesz rows at the node indices `which` (R,), built together
-    and laid out as _fraclap_rows lays out its own: int g(rho) k_p(r,rho)
-    rho^{N-1} drho of the kernel of order a = alpha, p = a - N, graded
-    near the diagonal by _riesz_diagonal.  The factor C_{N,alpha} is NOT
-    applied here: the _Operator holds it."""
+def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
+    """Unscaled rows of the kernel of order a at the node indices `which`
+    (R,), built together: their (R, M) coefficients over the node values,
+    the weights of a tail of exponent omega added to the last column last.
+    C_{N,a} is NOT applied here: the _Operator holds it.
+
+    Row i integrates k_p(r_i, rho) rho^{N-1} drho, p = a - N, against u for
+    I_alpha (a = alpha) and against u(rho) - u(r_i), a principal value,
+    for (-Delta)^s (a = -2s).  Near r_i each takes its own rule
+    (_pv_windows or _riesz_diagonal), and outside it the grid cells and
+    the closures (_closures).  A fractional-Laplacian row subtracts its
+    kernel mass on the diagonal, summed in a fixed order: the row cancels
+    far below its entries.  Each row equals the one built alone (R = 1)
+    bitwise; the cells take (R, 4, M-1) temporaries.
+    """
     grid = ctx.grid
+    N = grid.N
+    nodes = grid.nodes
+    M = nodes.size
     i = np.asarray(which, dtype=int)
-    r = grid.nodes[i]
-    p = order - grid.N
-    coeffs, tails, lo, hi = _riesz_diagonal(ctx, i, p, omega)
-    _add_outside(ctx, p, r, lo, hi, 0.1 * r, omega, coeffs, tails, np.zeros(i.size))
-    coeffs[:, -1] += tails + _tail_remainder(grid.N, order, grid.r_max, omega)
+    r = nodes[i]
+    p = order - N
+    near = _pv_windows if order < 0.0 else _riesz_diagonal
+    coeffs, tails, mass, lo, hi, d0 = near(ctx, i, order, omega)
+
+    # the cells clear of each interval, from one masked kernel evaluation
+    # laid out (R, 4, M-1), Gauss point by cell, so the products below run
+    # along the cells; a masked cell takes the offset r, which keeps its
+    # discarded kernel values finite where a quadrature point meets r
+    full = ((nodes[1:] <= lo[:, None]) | (nodes[:-1] >= hi[:, None]))[:, None, :]
+    rr = r[:, None, None]
+    rho = ctx.cell_rho.T
+    dist = np.where(full, np.abs(rr - rho), rr)
+    contrib = np.where(full, ctx.cell_w.T * _kernel_eval(N, p, rr, rho, dist), 0.0)
+    mass += np.sum(contrib, axis=(1, 2))
+    cubw = np.ascontiguousarray(ctx.cell_cubw.transpose(1, 2, 0))   # (q, m, cell)
+    per_node = contrib[:, 0, None] * cubw[0]
+    for q in range(1, 4):
+        per_node += contrib[:, q, None] * cubw[q]
+    # each column takes its cells in order; coeffs is C-contiguous, so its
+    # flat view takes the sums
+    slots = M * np.arange(r.size)[:, None, None] + ctx.cell_base[:, None] + np.arange(4)
+    np.add.at(coeffs.reshape(-1), slots.ravel(), per_node.transpose(0, 2, 1).ravel())
+
+    c1, c2, below, tail, beyond = _closures(grid, p, r, lo, d0, hi, omega)
+    coeffs[:, 0] += c1
+    coeffs[:, 1] += c2
+    if order < 0.0:
+        # the kernel mass multiplies -u(r), u at the row's node
+        coeffs[np.arange(i.size), i] -= \
+            mass + below + beyond + _tail_remainder(N, order, nodes[-1], 0.0)
+    coeffs[:, -1] += tails + tail + _tail_remainder(N, order, nodes[-1], omega)
     return coeffs
 
 
-# Rows built by the row builders at each end of a grid, and node columns
-# at each end that the clipped stencils of the end cells reach.  Rows in
-# between keep their Taylor window, partial cells and graded diagonal cells
-# (offsets -4..4) clear of those columns and of both ends.  The closures
-# of those rows are integrated _ROW_BLOCK rows at a time, and the row
-# builders take _ROW_BLOCK nodes a call, which keeps each of their
-# (block, 4, M-1) temporaries near a megabyte.
+# Rows built by _rows at each end of a grid, and node columns at each end
+# that the clipped stencils of the end cells reach.  Rows in between keep
+# their Taylor window, partial cells and graded diagonal cells (offsets
+# -4..4) clear of those columns and of both ends.  _structured_rows
+# integrates the closures of those rows _ROW_BLOCK rows at a time.
 _END_ROWS = 8
 _END_COLUMNS = 4
 _ROW_BLOCK = 64
-
-
-def _rows_at(grid: RadialGrid, order: float, tail_omega: float, which) -> np.ndarray:
-    """Unscaled rows of the kernel of order a at the nodes `which`: their
-    (len(which), M) coefficients over the node values, from one
-    _fraclap_rows (a < 0) or _riesz_rows (a > 0) call per _ROW_BLOCK nodes."""
-    ctx = _context(grid)
-    build = _fraclap_rows if order < 0.0 else _riesz_rows
-    which = np.asarray(which, dtype=int)
-    rows = np.empty((which.size, grid.size))
-    for b in range(0, which.size, _ROW_BLOCK):
-        block = which[b:b + _ROW_BLOCK]
-        rows[b:b + block.size] = build(ctx, block, order, tail_omega)
-    return rows
 
 
 @dataclass
@@ -1029,7 +994,7 @@ class _Operator:
 
 
 def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Operator:
-    """The rows of _rows_at at every node of the grid, built from one
+    """The rows of _rows at every node of the grid, built from one
     generating row and stored by structure (see _Operator).
 
     With r_i = r_1 e^{i h}, the kernel is homogeneous, k_p(l r, l rho) =
@@ -1042,29 +1007,25 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
     end cells' clipped stencils), the origin region (the first two
     columns), the far tail (the last column), and for the fractional
     Laplacian (a = -2s < 0) minus the kernel mass on the diagonal.  The
-    end rows come from the row builders themselves.
+    end rows come from _rows itself.
     """
-    ctx = _context(grid)
+    ctx = _RowContext(grid)
     N = grid.N
     nodes = grid.nodes
     M = nodes.size
-    r1, rM = nodes[0], nodes[-1]
+    rM = nodes[-1]
     tt = ctx.tt
     h = (tt[-1] - tt[0]) / (M - 1)
     fraclap = order < 0.0
     p = order - N
     scale = nodes ** (N + p)
 
-    # near-diagonal pieces of the middle row, and the cells they cover
+    # near-diagonal pieces of the middle row, the cells they cover and the
+    # grading distance of the origin panels
     g = M // 2
-    if fraclap:
-        (near,), _, (near_mass,), (w,) = _pv_windows(ctx, np.array([g]), order,
-                                                     tail_omega)
-        a, b = nodes[g] - w, nodes[g] + w
-        d0 = max(w / nodes[g], 0.1)
-    else:
-        (near,), _, (a,), (b,) = _riesz_diagonal(ctx, np.array([g]), p, tail_omega)
-        d0 = 0.1
+    (near,), _, (near_mass,), (a,), (b,), (d0,) = \
+        (_pv_windows if fraclap else _riesz_diagonal)(ctx, np.array([g]), order,
+                                                      tail_omega)
     excluded = (nodes[1:] > a) & (nodes[:-1] < b)
 
     # full cells at offsets e = c - i in [-(M+1), M], integrated at r = 1
@@ -1102,8 +1063,8 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
     tails = np.empty(hi - lo)
     for b in range(lo, hi, _ROW_BLOCK):
         r = nodes[b:min(b + _ROW_BLOCK, hi)]
-        c1, c2, m0 = _origin_sums(grid, p, r, _graded_edges(r, d0 * r, r1))
-        tail, m1 = _tail_sums(N, p, r, np.full(r.size, rM), rM, tail_omega)
+        # an empty interval at r: the closures start at r_1 and r_M
+        c1, c2, m0, tail, m1 = _closures(grid, p, r, r, d0, r, tail_omega)
         edges[b - lo:b - lo + r.size, 0] += c1
         edges[b - lo:b - lo + r.size, 1] += c2
         tails[b - lo:b - lo + r.size] = tail
@@ -1118,7 +1079,7 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
                                 + near_mass / scale[g]) \
             + _tail_remainder(N, order, rM, 0.0)
 
-    ends = _rows_at(grid, order, tail_omega, (*range(lo), *range(hi, M)))
+    ends = _rows(ctx, np.r_[:lo, hi:M], order, tail_omega)
     # the generating row where the interior rows reach the middle columns
     return _Operator(ends=ends, lo=lo, hi=hi,
                      gen=gen[E + M - hi:2 * M - 1 - E - lo].copy(),

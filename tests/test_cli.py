@@ -799,6 +799,42 @@ def test_unusable_analysis_setting_exits_2_before_solving(
     assert solves == []
 
 
+# Each chain-rule check is named by its exponent printed with :g, six
+# significant digits: exponents that print alike would give two rows of
+# one name that the CSV cannot tell apart.
+@pytest.mark.parametrize("thetas,named", [
+    ("0.3,0.3000001", "0.3 and 0.3000001"),
+    ("0.2,0.5,0.2", "0.2 and 0.2"),
+], ids=["printed-alike", "repeated"])
+def test_chain_rule_exponents_of_one_check_name_exit_2_before_solving(
+        tmp_path, capsys, monkeypatch, thetas, named):
+    solves = []
+    monkeypatch.setattr(cli, "solve_ground_state",
+                        lambda *args: solves.append(args))
+    assert main(["verify-decay", "--set", f"analysis.chain_rule_theta={thetas}",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: analysis.chain_rule_theta: ")
+    assert named in err and err.count("\n") == 1
+    assert solves == []
+
+
+# The default exponents are 0.3 and 2 - r; at r = 1.7000001, 2 - r prints
+# as 0.3 too, so only 0.3 is checked, as at r = 1.7.
+def test_default_chain_rule_exponents_give_distinct_check_names(tmp_path):
+    rec = tmp_path / "rec"
+    assert main(["solve", "--set", "grid.nodes=400",
+                 "--set", "problem.r=1.7000001", "--out", str(rec)]) == 0
+    assert main(["verify-decay", "--solution", str(rec / "solution.json"),
+                 "--out", str(tmp_path / "verify")]) == 0
+    report = read_json(tmp_path / "verify" / "verify_report.json")
+    names = [c["name"] for c in report["checks"]]
+    assert len(set(names)) == len(names)
+    chain = [n for n in names if n.startswith("chain_rule_")]
+    assert chain == ["chain_rule_theta_0.3"]
+    assert [c["theta"] for c in report["chain_rule"]] == [0.3]
+
+
 @pytest.mark.parametrize("argv", [["solve"], ["verify-decay"],
                                   ["verify-decay", "--solution"]],
                          ids=["solve", "verify", "verify-stored"])
@@ -1052,21 +1088,14 @@ def test_reloaded_grid_is_assembled_by_structure(workdir):
     assert op.hi > op.lo
 
 
-def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
+def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch,
+                                                   rows_built):
     """Two stored records (M = 400, r = 1.7 and 1.9) and the four oracle
     cases (M = 600), then verify-decay of each record twice, in one
     process: the chain-rule operators of u^theta join the memo without
     evicting another operator, and a second verification builds no rows
     and writes the same bytes."""
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    built = []
-    fraclap_rows = radial_ops._fraclap_rows
-
-    def counted(ctx, radii, *args):
-        built.append(np.size(radii))
-        return fraclap_rows(ctx, radii, *args)
-
-    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted)
     records = {}
     for r in ("1.7", "1.9"):
         out = tmp_path / f"solve{r}"
@@ -1079,12 +1108,12 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
     for r, record in records.items():
         reports = []
         for k in range(2):
-            built.clear()
+            rows_built.update(fraclap=0, riesz=0)
             out = tmp_path / f"verify{r}-{k}"
             assert main(["verify-decay", "--solution", str(record),
                          "--out", str(out)]) == 0
             reports.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert built == []
+        assert rows_built == {"fraclap": 0, "riesz": 0}
         assert reports[0] == reports[1]
     assert all(key in radial_ops._MEMO for key in operators)
     # both operators are kept by their generating rows: 1.5 MB measured,
@@ -1092,42 +1121,44 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch):
     assert memo_bytes() <= 3e6
 
 
+def test_memo_holds_operators_and_kernel_tables_only(tmp_path, monkeypatch):
+    """A solve, its verify-decay and an N = 2 oracle case in one process
+    leave only assembled operators and angular kernel tables in the memo:
+    the cell quadrature of a grid belongs to one assembly."""
+    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    assert main(["solve", "--set", "grid.nodes=400",
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert main(["verify-decay", "--solution",
+                 str(tmp_path / "solve" / "solution.json"),
+                 "--out", str(tmp_path / "verify")]) == 0
+    assert main(["oracle", "--case", "2,0.5,2.5", "--set", "grid.nodes=600",
+                 "--out", str(tmp_path / "oracle")]) == 0
+    kinds = {type(value) for value in radial_ops._MEMO.values()}
+    assert kinds == {radial_ops._Operator, radial_ops._KernelTable}
+
+
 def test_read_side_with_more_operators_builds_none_on_a_second_pass(
-        workdir, tmp_path, monkeypatch):
+        workdir, tmp_path, monkeypatch, rows_built):
     """verify-decay of the r = 1.7 and 1.9 records (M = 400) with four
     chain-rule exponents, interleaved with the four oracle cases (M = 600),
     reads 20 memo entries (2.3 MB).  A memo of 16 entries rebuilt 16
     operators on every pass of this traffic; the byte bound keeps them all,
     so a second pass builds none."""
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    # rows built: the radii passed to _fraclap_rows, the nodes to _riesz_rows
-    calls = {"fraclap": 0, "riesz": 0}
-    fraclap_rows, riesz_rows = radial_ops._fraclap_rows, radial_ops._riesz_rows
-
-    def counted_fraclap(ctx, radii, *args):
-        calls["fraclap"] += np.size(radii)
-        return fraclap_rows(ctx, radii, *args)
-
-    def counted_riesz(ctx, which, *args):
-        calls["riesz"] += np.size(which)
-        return riesz_rows(ctx, which, *args)
-
-    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
-    monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
     assert main(["solve", "--set", "problem.r=1.9", "--set", "grid.nodes=400",
                  "--out", str(tmp_path / "solve1.9")]) == 0
     records = [workdir / "solve" / "solution.json",
                tmp_path / "solve1.9" / "solution.json"]
     cases = ["3,0.5,2.0", "3,0.5,3.5", "2,0.5,2.5", "3,0.25,3.0"]
     for _ in range(2):
-        calls.update(fraclap=0, riesz=0)
+        rows_built.update(fraclap=0, riesz=0)
         for record, case in zip(records * 2, cases):
             assert main(["verify-decay", "--solution", str(record), "--set",
                          "analysis.chain_rule_theta=0.3,0.2,0.1,0.05",
                          "--out", str(tmp_path / "verify")]) == 0
             assert main(["oracle", "--case", case, "--set", "grid.nodes=600",
                          "--out", str(tmp_path / "oracle")]) == 0
-    assert calls == {"fraclap": 0, "riesz": 0}
+    assert rows_built == {"fraclap": 0, "riesz": 0}
 
 
 def memo_bytes():

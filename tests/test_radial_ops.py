@@ -507,12 +507,12 @@ def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
         nodes[0], nodes[k[1]], nodes[k[2]],           # on nodes
         0.999 * nodes[-1], nodes[-1],                 # at the last node
     ])
-    ctx = radial_ops._context(grid)
+    ctx = radial_ops._RowContext(grid)
     for omega in (N + 1.0, 2.5):
-        rows = radial_ops._fraclap_rows(ctx, which, -1.0, omega)
+        rows = radial_ops._rows(ctx, which, -1.0, omega)
         assert rows.shape == (which.size, M)
         for k in range(which.size):
-            alone = radial_ops._fraclap_rows(ctx, which[k:k + 1], -1.0, omega)
+            alone = radial_ops._rows(ctx, which[k:k + 1], -1.0, omega)
             assert np.array_equal(alone[0], rows[k])
         # pointwise values over an array of radii, one per radius
         u = h_beta_function(grid, omega)
@@ -672,12 +672,12 @@ def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     grid = batch_grid(N, coarse)
     M = grid.size
     which = np.array([0, 1, 7, 70 * M // 150, M - 2, M - 1])
-    ctx = radial_ops._context(grid)
+    ctx = radial_ops._RowContext(grid)
     for alpha, omega in ((0.5, N + 0.7), (N - 1.0, 2.5)):
-        rows = radial_ops._riesz_rows(ctx, which, alpha, omega)
+        rows = radial_ops._rows(ctx, which, alpha, omega)
         assert rows.shape == (which.size, M)
         for k in range(which.size):
-            alone = radial_ops._riesz_rows(ctx, which[k:k + 1], alpha, omega)
+            alone = radial_ops._rows(ctx, which[k:k + 1], alpha, omega)
             assert np.array_equal(alone[0], rows[k])
 
 
@@ -813,7 +813,8 @@ def assert_structured_matches_loop(N, order, omega):
     grid = RadialGrid.log_spaced(num=M, N=N)
     op = radial_ops._structured_rows(grid, order, omega)
     rows = op.rows()
-    ref = op.constant * radial_ops._rows_at(grid, order, omega, range(grid.size))
+    ref = op.constant * radial_ops._rows(radial_ops._RowContext(grid), range(M),
+                                         order, omega)
     # every column, the last one with the tail weights folded in
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert err.max() <= 1e-10
@@ -857,27 +858,14 @@ def test_structured_assembly_matches_row_loop_generic_kernel(kind, N, exponent, 
         N, -2.0 * exponent if kind == "fraclap" else exponent, omega)
 
 
-def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch):
+def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch,
+                                                             rows_built):
     monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    # rows built: the radii passed to _fraclap_rows, the nodes to _riesz_rows
-    calls = {"fraclap": 0, "riesz": 0}
-    fraclap_rows, riesz_rows = radial_ops._fraclap_rows, radial_ops._riesz_rows
-
-    def counted_fraclap(ctx, radii, *args):
-        calls["fraclap"] += np.size(radii)
-        return fraclap_rows(ctx, radii, *args)
-
-    def counted_riesz(ctx, which, *args):
-        calls["riesz"] += np.size(which)
-        return riesz_rows(ctx, which, *args)
-
-    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
-    monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
     grid = RadialGrid.log_spaced(num=200)
     for kind in ("fraclap", "riesz"):
         radial_ops._raw(grid, *operator_args(kind, 3))
     ends = 2 * radial_ops._END_ROWS
-    assert calls == {"fraclap": ends, "riesz": ends}
+    assert rows_built == {"fraclap": ends, "riesz": ends}
 
 
 # The compact Riesz apply sums the products of the dense matvec in another
@@ -892,7 +880,7 @@ def test_compact_riesz_apply_matches_dense_rows(N):
     g = h_beta_function(grid, omega)
     op = radial_ops._raw(grid, alpha, omega)
     assert op.hi > op.lo                   # the interior is held compactly
-    ref = radial_ops._rows_at(grid, alpha, omega, range(M))
+    ref = radial_ops._rows(radial_ops._RowContext(grid), range(M), alpha, omega)
     want = riesz_constant(N, alpha) * (ref @ g.values)
     v = riesz_convolve_radial(g, alpha)
     assert np.max(np.abs(v.values / want - 1.0)) <= 1e-13

@@ -581,30 +581,16 @@ def test_rhs_map_rejects_a_divergent_convolution(params, monkeypatch):
 # operator reuse and resolvent safety
 
 
-def test_second_solve_reuses_operators(params, monkeypatch):
-    # rows built: the radii passed to _fraclap_rows, the nodes to _riesz_rows
-    calls = {"fraclap": 0, "riesz": 0}
-    fraclap_rows, riesz_rows = radial_ops._fraclap_rows, radial_ops._riesz_rows
-
-    def counted_fraclap(ctx, radii, *args):
-        calls["fraclap"] += np.size(radii)
-        return fraclap_rows(ctx, radii, *args)
-
-    def counted_riesz(ctx, which, *args):
-        calls["riesz"] += np.size(which)
-        return riesz_rows(ctx, which, *args)
-
-    monkeypatch.setattr(radial_ops, "_fraclap_rows", counted_fraclap)
-    monkeypatch.setattr(radial_ops, "_riesz_rows", counted_riesz)
+def test_second_solve_reuses_operators(params, rows_built):
     # a grid of its own, so the first solve is cold whatever ran before
     grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
     first = solve_ground_state(params, SolverOpts(grid=grid))
     # cold: the row builders ran, on a geometric grid for the end rows only
     ends = 2 * radial_ops._END_ROWS
-    assert calls == {"fraclap": ends, "riesz": ends}
-    calls.update(fraclap=0, riesz=0)
+    assert rows_built == {"fraclap": ends, "riesz": ends}
+    rows_built.update(fraclap=0, riesz=0)
     second = solve_ground_state(params, SolverOpts(grid=grid))
-    assert calls == {"fraclap": 0, "riesz": 0}
+    assert rows_built == {"fraclap": 0, "riesz": 0}
     assert np.array_equal(first.u.values, second.u.values)
 
 
