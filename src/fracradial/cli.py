@@ -390,7 +390,8 @@ def load_solution(path: str) -> Solution:
         ConfigError: an unreadable or malformed file, a record of another
             schema version (a version-1 record, which stored the nodes and
             weights, is refused with the advice to re-run solve), or an
-            invalid record: a missing field, a true or false where a
+            invalid record: a missing field, any JSON value but a number
+            (a string, true, false, null, an array or an object) where a
             number of the problem, the grid or the profile belongs, a
             problem that ProblemParams refuses, grid fields that RadialGrid
             refuses, a grid.n other than problem.n, a profile that is not
@@ -418,16 +419,18 @@ def load_solution(path: str) -> Solution:
             f"{rec.get('schema_version')!r}, not {SOLUTION_SCHEMA_VERSION}: "
             "re-run solve to write one")
     try:
-        # json.load reads true and false as bools, which are ints too
+        # a JSON number loads as an int or a float; true and false load as
+        # bools, which are ints too (but of type bool), and float() would
+        # parse a string
         numbers = [(f"{part}.{key}", rec[part][key]) for part, keys in (
             ("problem", ("n", "s", "alpha", "mu", "r")),
             ("grid", ("n", "r_min", "r_max")), ("profile", ("tail_exponent",)),
             ("diagnostics", ("iterations",))) for key in keys]
         numbers += [(f"profile.values[{i}]", v)
                     for i, v in enumerate(rec["profile"]["values"])
-                    if v is True or v is False]
+                    if type(v) not in (int, float)]
         for name, value in numbers:
-            if isinstance(value, bool):
+            if type(value) not in (int, float):
                 raise ValueError(f"{name} is {json.dumps(value)}, not a number")
         params = _problem_params(rec["problem"])
         gr = rec["grid"]

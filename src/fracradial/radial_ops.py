@@ -1,16 +1,17 @@
 """Discrete operators for radial functions on R^N.
 
 A radial function (`RadialFunction`) is its values u_1, ..., u_M at the
-nodes of a logarithmic grid and a tail exponent omega > 0.  Two closures
-extend it to all of R^N, so integrals over R^N close analytically on both
-ends, and each continues the nearest samples by construction: the
-quadratic origin model u(0) + (u_1 - u(0)) (rho/r_1)^2 below r_1, whose
-u(0) = g1 u_1 + g2 u_2 is the quadratic in rho through the first two
-nodes (`_origin_closure`), and the power tail
-u(rho) = u_M (rho/r_max)^(-omega) beyond r_max.  Every operator row
-therefore acts on the M node values: the origin model's weights go to the
-first two node columns, the tail's to the last.  On top of that
-representation this module provides
+nodes of a logarithmic grid and a tail exponent omega > 0.  One rule,
+`_value_weights`, gives its value at any radius as weights on four node
+columns: the quadratic origin model u(0) + (u_1 - u(0)) (rho/r_1)^2 below
+r_1, whose u(0) = g1 u_1 + g2 u_2 is the quadratic in rho through the
+first two nodes (`_origin_closure`), the cubic in log radius through the
+four nearest nodes (`_cubic_basis`) on [r_1, r_max], and the power tail
+u_M (rho/r_max)^(-omega) beyond.  Both closures continue the nearest
+samples by construction and close integrals over R^N analytically.
+`RadialFunction.evaluate` applies the rule to the values, and `_spread`
+adds an operator row's weights sitting at radii to its node columns
+through it.  On top of that representation this module provides
 
 * the principal-value fractional Laplacian, as an assembled matrix whose
   values at the nodes are read between them as any radial function is,
@@ -41,9 +42,11 @@ closures and the fractional Laplacian's diagonal mass.  The first and last
 `_END_ROWS` rows come from one batched row builder for both signs of a,
 `_rows`.  The operators differ only near the diagonal, where each takes
 its own rule: the PV Taylor window (`_pv_windows`, a < 0) or the graded
-diagonal cells (`_riesz_diagonal`, a > 0).  Outside, both take the grid
-cells and the closures (`_closures`), and a fractional-Laplacian row
-subtracts one kernel mass on its diagonal besides.  The generating row
+diagonal cells (`_riesz_diagonal`, a > 0), whose points, virtual stencil
+points below r_1 and beyond r_max included, all go through `_spread`.
+Outside, both take the grid cells and the closure integrals over whole
+regions (`_closures`), and a fractional-Laplacian row subtracts one
+kernel mass on its diagonal besides.  The generating row
 takes its near piece through the same rule, and its interior rows their
 closures through `_closures`.
 
@@ -413,34 +416,26 @@ class RadialFunction:
 
     @property
     def value_at_origin(self) -> float:
-        """u(0) = g1 u_1 + g2 u_2, the origin closure of the first two
-        samples."""
-        g1, g2 = _origin_closure(self.grid)
-        return float(g1 * self.values[0] + g2 * self.values[1])
+        """u(0) = g1 u_1 + g2 u_2, the origin model at 0."""
+        w1, w2 = _origin_model(self.grid, 0.0)
+        return float(w1 * self.values[0] + w2 * self.values[1])
 
     def evaluate(self, rho) -> np.ndarray | float:
-        """Model value at any radius: the quadratic origin model below r_1,
-        the cubic-in-log stencil of the operators (`_cubic_basis`, applied
-        to the values) on [r_1, r_max], and the power tail beyond r_max."""
+        """Model value at any radius rho >= 0, an array of them giving an
+        array of that shape: the value rule's weights (`_value_weights`)
+        times the node values.
+
+        Raises:
+            ValueError: a radius is negative or NaN.
+        """
         rho = np.asarray(rho, dtype=float)
-        scalar = rho.ndim == 0
-        rho = np.atleast_1d(rho)
-        out = np.empty_like(rho)
-        r1 = self.grid.nodes[0]
-        inner = rho < r1
-        outer = rho > self.grid.r_max
-        mid = ~(inner | outer)
-        if inner.any():
-            x = rho[inner] / r1
-            u0 = self.value_at_origin
-            out[inner] = u0 + (self.values[0] - u0) * x * x
-        if mid.any():
-            base, W = _cubic_basis(self.grid.log_nodes, np.log(rho[mid]))
-            out[mid] = np.sum(W * self.values[base[:, None] + np.arange(4)], axis=1)
-        if outer.any():
-            out[outer] = self.values[-1] \
-                * (rho[outer] / self.grid.r_max) ** -self.tail_exponent
-        return float(out[0]) if scalar else out
+        bad = ~(rho >= 0.0)
+        if bad.any():
+            raise ValueError(f"RadialFunction.evaluate: radius must be nonnegative, "
+                             f"got {float(rho[bad][0])!r}")
+        cols, W = _value_weights(self.grid, rho.ravel(), self.tail_exponent)
+        out = np.sum(W * self.values[cols], axis=1)
+        return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
 
 
 def h_beta_function(grid: RadialGrid, beta: float) -> RadialFunction:
@@ -486,15 +481,47 @@ def _cell_stencils(tt: np.ndarray, tq: np.ndarray,
     return base, _lagrange4(tt[base[:, None] + np.arange(4)], tq)
 
 
-def _add_cubic(coeffs: np.ndarray, tt: np.ndarray, tq: np.ndarray,
-               weights: np.ndarray, rows: np.ndarray) -> None:
-    """Spread weights sitting at log radii tq onto the node columns of the rows
-    of a C-contiguous 2-d coeffs through the cubic-in-log stencil, the
-    weight at tq[k] to row rows[k]."""
-    base, W = _cubic_basis(tt, tq)
+def _value_weights(grid: RadialGrid, rho: np.ndarray, omega: float,
+                   t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The value rule of the module docstring: the node columns (n, 4) and
+    weights (n, 4) of a radial function's value at each radius rho (n,),
+    for a tail of exponent omega.  A slot that a closure leaves unused
+    holds weight 0 on column 0.
+
+    t, when given, is log rho as the caller formed it, and it places each
+    point: a node's own log radius reads that node's value exactly.
+    """
+    tt = grid.log_nodes
+    if t is None:
+        below, above = rho < grid.nodes[0], rho > grid.nodes[-1]
+    else:
+        below, above = t < tt[0], t > tt[-1]
+    mid = ~(below | above)
+    cols = np.zeros((rho.size, 4), dtype=np.intp)
+    W = np.zeros((rho.size, 4))
+    # only the pieces that have points: an empty stencil costs as a short one
+    if mid.any():
+        base, W[mid] = _cubic_basis(tt, np.log(rho[mid]) if t is None else t[mid])
+        cols[mid] = base[:, None] + np.arange(4)
+    if below.any():
+        cols[below, 1] = 1
+        W[below, 0], W[below, 1] = _origin_model(grid, (rho[below] / grid.nodes[0]) ** 2)
+    if above.any():
+        cols[above, 0] = tt.size - 1
+        W[above, 0] = (rho[above] / grid.nodes[-1]) ** -omega
+    return cols, W
+
+
+def _spread(coeffs: np.ndarray, rows: np.ndarray, grid: RadialGrid, rho: np.ndarray,
+            weights: np.ndarray, omega: float, t: np.ndarray | None = None) -> None:
+    """Add weights sitting at radii rho (n,) to the rows of a C-contiguous
+    (R, M) coeffs through the value rule (`_value_weights`, which takes
+    omega and t): the weight at rho[k] to row rows[k].  Each column takes
+    its terms in the order of k."""
+    cols, W = _value_weights(grid, rho, omega, t)
     # one flat index: np.add.at is several times faster on 1-d indices
-    slots = base[:, None] + np.arange(4)[None, :] + coeffs.shape[1] * rows[:, None]
-    np.add.at(coeffs.reshape(-1), slots, weights[:, None] * W)
+    np.add.at(coeffs.reshape(-1), cols + coeffs.shape[1] * rows[:, None],
+              weights[:, None] * W)
 
 
 class _RowContext:
@@ -532,22 +559,20 @@ def _logs(x: np.ndarray) -> np.ndarray:
 
 
 def _stencil_offsets(tt: np.ndarray, i: np.ndarray,
-                     t0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Seven log-space stencil points centred on each node i (R,), whose
     log radius is t0 (R,).
 
-    Returns the offsets delta = t - t0, the log radii t and the node
-    indices j of the points, each (R, 7).  A point with j < 0 is virtual,
-    below r_1, and handled by the origin model; one with j >= M lies beyond
-    r_M and is handled by the tail model.  Virtual points continue the end
-    cell's log spacing.
+    Returns the offsets delta = t - t0 and the log radii t of the points,
+    each (R, 7).  A point i + k beyond either end of the grid is virtual:
+    it continues the end cell's log spacing, below r_1 or beyond r_M.
     """
     M = tt.size
     j = i[:, None] + np.arange(-3, 4)
     t = np.where(j < 0, tt[0] + j * (tt[1] - tt[0]),
                  np.where(j >= M, tt[-1] + (j - (M - 1)) * (tt[-1] - tt[-2]),
                           tt[np.minimum(np.maximum(j, 0), M - 1)]))
-    return t - t0[:, None], t, j
+    return t - t0[:, None], t
 
 
 def _derivative_stencils(offsets: np.ndarray) -> np.ndarray:
@@ -727,9 +752,10 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     and the parts of the cells their edges cut (at most one at each edge).
 
     Returns what they add to the rows' (R, M) coefficients over the node
-    values (the window's of u(r+xi) - u(r)) and their (R,) tail weights,
-    the kernel mass of the cut parts (R,), the windows (r - w, r + w) and
-    the grading distance max(w / r, 0.1) of the origin panels, each (R,).
+    values (the window's of u(r+xi) - u(r), a virtual stencil point through
+    the closures), the kernel mass of the cut parts (R,), the windows
+    (r - w, r + w) and the grading distance max(w / r, 0.1) of the origin
+    panels, each (R,).
     """
     grid = ctx.grid
     N = grid.N
@@ -737,7 +763,6 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     nodes = grid.nodes
     M = nodes.size
     R = i.size
-    r1, rM = nodes[0], nodes[-1]
     r = nodes[i]
     p = order - N
     t0 = _logs(r)
@@ -746,7 +771,7 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     lo_w, hi_w = r - w, r + w
 
     m1, m2, m3, m4 = (m[:, None] for m in _pv_moments(N, order, r, w))
-    offsets, t, j = _stencil_offsets(tt, i, t0)
+    offsets, t = _stencil_offsets(tt, i, t0)
     ut, utt, uttt, utttt = _derivative_stencils(offsets).transpose(1, 0, 2)
     rr = r[:, None]
     # radial derivatives via log-derivatives: u_r = u_t / r,
@@ -757,21 +782,11 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
            + (m3 / (6.0 * rr ** 3)) * (uttt - 3.0 * utt + 2.0 * ut)
            + (m4 / (24.0 * rr ** 4)) * (utttt - 6.0 * uttt
                                         + 11.0 * utt - 6.0 * ut))
-    # a stencil point adds lam to its node, or below r_1 to u_1 and u_2
-    # through the origin model, or beyond r_M to the tail weights; each node
-    # takes its terms in stencil order (a point beyond r_M adds 0 to u_1)
-    below, above = j < 0, j >= M
-    node = ~(below | above)
-    rho = np.exp(t)
-    w1, w2 = _origin_model(grid, (rho / r1) ** 2)
-    slots = np.stack((np.where(node, j, 0), np.ones_like(j)), axis=2)
-    terms = np.stack((np.where(node, lam, np.where(below, lam * w1, 0.0)),
-                      np.where(below, lam * w2, 0.0)), axis=2)
+    # a stencil point adds lam through the value rule: to its node, or
+    # below r_1 to u_1 and u_2, or beyond r_M to u_M
     coeffs = np.zeros((R, M))
-    np.add.at(coeffs.reshape(-1), (M * np.arange(R)[:, None, None] + slots).ravel(),
-              terms.ravel())
-    far = np.where(above, lam, 0.0) * (np.where(above, rho, rM) / rM) ** -omega
-    tails = np.cumsum(far, axis=1)[:, -1]
+    _spread(coeffs, np.repeat(np.arange(R), 7), grid, np.exp(t).ravel(), lam.ravel(),
+            omega, t.ravel())
 
     # the parts of the cells cut by the window edges that lie outside it:
     # the cell holding an edge strictly inside it
@@ -790,8 +805,9 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     contrib = half * w4 * rho ** N * _kernel_eval(N, p, rp, rho, np.abs(rp - rho))
     mass = np.zeros(R)
     np.add.at(mass, prow, np.sum(contrib, axis=1))
-    _add_cubic(coeffs, tt, tq.ravel(), contrib.ravel(), np.repeat(prow, 4))
-    return coeffs, tails, mass, lo_w, hi_w, np.maximum(w / r, 0.1)
+    _spread(coeffs, np.repeat(prow, 4), grid, rho.ravel(), contrib.ravel(), omega,
+            tq.ravel())
+    return coeffs, mass, lo_w, hi_w, np.maximum(w / r, 0.1)
 
 
 def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -807,16 +823,18 @@ def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray
 def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     """The near-diagonal pieces of the Riesz rows (kernel order a = alpha)
     at the nodes i (R,), in the shape _pv_windows returns: the (R, M)
-    coefficients, the (R,) tail weights, a zero kernel mass, the intervals
-    (lo, hi) covered and the grading distance 0.1 of the origin panels.
+    coefficients, a zero kernel mass, the intervals (lo, hi) covered and
+    the grading distance 0.1 of the origin panels.
 
     The cells touching r = r_i are graded toward r in _RIESZ_GRADE_LEVELS
-    levels of 4 Gauss points with a power-law stub for the last, and so are
-    the origin model on [0, r_1] at the first node and the tail model on
-    [r, 1.5 r] at the last node, whose singularities sit where those
-    regions end and start.  The points are offsets xi from r, and
-    the kernel is evaluated at xi itself (see _kernel_eval): the rounded
-    radius r +- xi keeps only about eps r / xi of xi.
+    levels of 4 Gauss points with a power-law stub for the last, and so is
+    the origin model on [0, r_1] at the first node, whose singularity sits
+    where that region ends; every graded point and stub goes to the
+    columns through the value rule (`_spread`).  The last node's tail
+    model on [r, 1.5 r] takes 8-point panels graded in log radius toward r
+    and a stub, added to the last column.  The points are offsets xi from
+    r, and the kernel is evaluated at xi itself (see _kernel_eval): the
+    rounded radius r +- xi keeps only about eps r / xi of xi.
     """
     N = ctx.grid.N
     nodes = ctx.grid.nodes
@@ -843,20 +861,13 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, order: float, omega: float)
     g = rho ** (N - 1) * _kernel_eval(N, p, rs, rho, xi)
     stub = _diagonal_stub(g[:, -2], g[:, -1], x0[:, 0])
     wg = (half * w4).reshape(side.size, -1) * g[:, :-2]
-    # a row takes its graded points side by side, then its stubs at its
-    # node, then the first node's row its origin points through the model
-    origin = np.concatenate((i == 0, np.zeros(above.size, dtype=bool)))
-    cubic = ~origin
+    # a row takes its graded points side by side, then its stubs at its node
     coeffs = np.zeros((i.size, M))
-    _add_cubic(coeffs, ctx.tt,
-               np.concatenate((np.log(rho[cubic, :-2]).ravel(), ctx.tt[i[side]])),
-               np.concatenate((wg[cubic].ravel(), stub)),
-               np.concatenate((np.repeat(side[cubic], xi.shape[1] - 2), side)))
-    w1, w2 = _origin_model(ctx.grid, (rho[origin, :-2] / nodes[0]) ** 2)
-    coeffs[side[origin], 0] += _rowdot(wg[origin], w1)
-    coeffs[side[origin], 1] += _rowdot(wg[origin], w2)
+    _spread(coeffs, np.concatenate((np.repeat(side, xi.shape[1] - 2), side)), ctx.grid,
+            np.concatenate((rho[:, :-2].ravel(), r[side])),
+            np.concatenate((wg.ravel(), stub)), omega,
+            np.concatenate((np.log(rho[:, :-2]).ravel(), ctx.tt[i[side]])))
 
-    tails = np.zeros(i.size)
     last = np.flatnonzero(i == M - 1)
     if last.size:
         rl = r[last, None]
@@ -866,14 +877,15 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, order: float, omega: float)
         f = g * ((rl + xi) / nodes[-1]) ** -omega
         graded, _ = _log_panel_sums(N, p, r[last], rl * (1.0 + 0.5 * levels[::-1]),
                                     nodes[-1], omega)
-        tails[last] = _diagonal_stub(f[:, 0], f[:, 1], x0[:, 0]) + graded
-    return coeffs, tails, np.zeros(i.size), lo, hi, np.full(i.size, 0.1)
+        coeffs[last, -1] += _diagonal_stub(f[:, 0], f[:, 1], x0[:, 0]) + graded
+    return coeffs, np.zeros(i.size), lo, hi, np.full(i.size, 0.1)
 
 
 def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     """Unscaled rows of the kernel of order a at the node indices `which`
     (R,), built together: their (R, M) coefficients over the node values,
-    the weights of a tail of exponent omega added to the last column last.
+    the far weights of a tail of exponent omega added to the last column
+    last.
     C_{N,a} is NOT applied here: the _Operator holds it.
 
     Row i integrates k_p(r_i, rho) rho^{N-1} drho, p = a - N, against u for
@@ -893,7 +905,7 @@ def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     r = nodes[i]
     p = order - N
     near = _pv_windows if order < 0.0 else _riesz_diagonal
-    coeffs, tails, mass, lo, hi, d0 = near(ctx, i, order, omega)
+    coeffs, mass, lo, hi, d0 = near(ctx, i, order, omega)
 
     # the cells clear of each interval, from one masked kernel evaluation
     # laid out (R, 4, M-1), Gauss point by cell, so the products below run
@@ -921,7 +933,7 @@ def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
         # the kernel mass multiplies -u(r), u at the row's node
         coeffs[np.arange(i.size), i] -= \
             mass + below + beyond + _tail_remainder(N, order, nodes[-1], 0.0)
-    coeffs[:, -1] += tails + tail + _tail_remainder(N, order, nodes[-1], omega)
+    coeffs[:, -1] += tail + _tail_remainder(N, order, nodes[-1], omega)
     return coeffs
 
 
@@ -1023,7 +1035,7 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
     # near-diagonal pieces of the middle row, the cells they cover and the
     # grading distance of the origin panels
     g = M // 2
-    (near,), _, (near_mass,), (a,), (b,), (d0,) = \
+    (near,), (near_mass,), (a,), (b,), (d0,) = \
         (_pv_windows if fraclap else _riesz_diagonal)(ctx, np.array([g]), order,
                                                       tail_omega)
     excluded = (nodes[1:] > a) & (nodes[:-1] < b)
@@ -1293,9 +1305,7 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
         raise ValueError(
             f"volume_integral: tail decay power*omega = {q * om} must exceed N = {N}")
     node_part = float(np.sum(grid.weights * u.values ** q))
-    r1 = grid.nodes[0]
-    x, xw = _gauss_on(0.0, r1, 16)
-    model = u0 + (u.values[0] - u0) * (x / r1) ** 2
-    origin_part = float(np.sum(xw * model ** q * x ** (N - 1)))
+    x, xw = _gauss_on(0.0, grid.nodes[0], 16)
+    origin_part = float(np.sum(xw * u.evaluate(x) ** q * x ** (N - 1)))
     tail_part = u.values[-1] ** q * grid.r_max ** N / (q * om - N)
     return sphere_surface_area(N) * (node_part + origin_part + tail_part)

@@ -34,8 +34,7 @@ from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
     _backward_error,
-    _gauss,
-    _origin_closure,
+    _gauss_on,
     _riesz_operator,
     frac_laplacian_on_grid,
     fraclap_matrix,
@@ -462,8 +461,9 @@ def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray
     through the three integrals int u (-Delta)^s u, int u^2 and
     int (I_alpha*F(u)) F(u).
 
-    The quadratic form uses the node weights plus a quadratic origin model;
-    the omitted far-tail correction of the sign-indefinite u*(-Delta)^s u
+    The quadratic form uses the node weights plus both functions' values
+    below r_1 (`RadialFunction.evaluate`, the origin model there); the
+    omitted far-tail correction of the sign-indefinite u*(-Delta)^s u
     integrand sits at least six orders below the node part for profiles
     decaying on this grid.  The Choquard integrand is a RadialFunction with
     tail exponent omega_F + N - alpha, integrated by volume_integral.
@@ -471,12 +471,11 @@ def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray
     grid = u.grid
     N, s, mu = params.N, params.s, params.mu
     area = sphere_surface_area(N)
-    g1, g2 = _origin_closure(grid)
 
     quad_nodes = float(np.sum(grid.weights * u.values * lap))
-    lap0 = g1 * lap[0] + g2 * lap[1]
-    quad_origin = _origin_ball_integral(grid, u.value_at_origin, u.values[0],
-                                        lap0, lap[0])
+    x, wx = _gauss_on(0.0, grid.nodes[0], 8)
+    lap_u = RadialFunction(grid=grid, values=lap, tail_exponent=u.tail_exponent)
+    quad_origin = float(np.sum(wx * u.evaluate(x) * lap_u.evaluate(x) * x ** (N - 1)))
     a_quad = area * (quad_nodes + quad_origin)
 
     b_sq = volume_integral(u, 2.0)
@@ -493,21 +492,6 @@ def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray
     scale = abs(t1) + abs(t2) + abs(t3)
     defect = abs(p_val) / scale
     return i_val, p_val, defect
-
-
-def _origin_ball_integral(grid: RadialGrid, v0: float, v1: float,
-                          w0: float, w1: float) -> float:
-    """int_0^{r_1} m_v(rho) m_w(rho) rho^{N-1} drho with quadratic models
-    m(rho) = m(0) + (m(r_1) - m(0)) (rho/r_1)^2."""
-    r1 = grid.nodes[0]
-    N = grid.N
-    x, wts = _gauss(8)
-    rho = 0.5 * r1 * (x + 1.0)
-    wq = 0.5 * r1 * wts
-    q = (rho / r1) ** 2
-    mv = v0 + (v1 - v0) * q
-    mw = w0 + (w1 - w0) * q
-    return float(np.sum(wq * mv * mw * rho ** (N - 1)))
 
 
 def pohozaev_check(sol: Solution) -> tuple[float, float, float]:

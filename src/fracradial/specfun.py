@@ -99,16 +99,24 @@ def _is_integer(v: float) -> bool:
     return abs(v - round(v)) <= _INT_SNAP * max(1.0, abs(v))
 
 
+def _check_argument(name: str, x: float) -> None:
+    """A ValueError naming the function `name` if x is NaN, -inf or a pole
+    of Gamma (0, -1, -2, ...)."""
+    if not x > -math.inf:
+        raise ValueError(f"{name}: argument must be a number above -inf, got {x!r}")
+    if x <= 0.0 and _is_integer(x):
+        raise ValueError(f"{name}: pole at x = {x!r} (zero or negative integer)")
+
+
 def gamma_real(x: float) -> float:
     """Gamma function on the real line away from the poles.
 
     Wraps the C library tgamma (relative error comfortably below 1e-12 for
     |x| <= 50, reflection for negative arguments included) and turns the
-    poles at 0, -1, -2, ... into a ValueError instead of a platform-dependent
-    error value.
+    poles at 0, -1, -2, ..., NaN and -inf into a ValueError instead of a
+    platform-dependent error value.
     """
-    if x <= 0.0 and _is_integer(x):
-        raise ValueError(f"gamma_real: pole at x = {x!r} (zero or negative integer)")
+    _check_argument("gamma_real", x)
     return math.gamma(x)
 
 
@@ -133,10 +141,9 @@ def digamma(x: float) -> float:
     Raises
     ------
     ValueError
-        At a pole.
+        At a pole, NaN or -inf.
     """
-    if x <= 0.0 and _is_integer(x):
-        raise ValueError(f"digamma: pole at x = {x!r} (zero or negative integer)")
+    _check_argument("digamma", x)
     if x < 0.0:
         # cot has period 1 and t = x - round(x) is exact; for |t| >= 1/4,
         # cot(pi t) = tan(pi (+-1/2 - t)) keeps tan's argument within pi/4

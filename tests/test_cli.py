@@ -413,8 +413,9 @@ def test_record_with_a_non_integer_or_boolean_diagnostic_exits_2(
 
 # json.load reads true and false as bools, which are ints too.  A record with
 # "mu": true verified with exit 0, its report echoing the true; one with
-# "r_min": true was refused as a profile that fails the solve's gate.
-@pytest.mark.parametrize("value", [True, False])
+# "r_min": true was refused as a profile that fails the solve's gate.  A
+# string, which float() parses, or a null is refused by the same cause.
+@pytest.mark.parametrize("value", [True, False, "1.5", None])
 @pytest.mark.parametrize("field", [
     "problem.n", "problem.s", "problem.alpha", "problem.mu", "problem.r",
     "grid.n", "grid.r_min", "grid.r_max", "profile.tail_exponent",
@@ -435,6 +436,27 @@ def test_record_with_a_boolean_number_exits_2(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid solution record ")
     assert f"{field} is {json.dumps(value)}, not a number" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# float() parses a JSON string, so a record whose profile values and tail
+# exponent were strings loaded, and verify-decay on it wrote the unedited
+# record's report with exit 0.
+def test_record_with_string_profile_numbers_exits_2(workdir, tmp_path, capsys):
+    rec = read_json(workdir / "solve" / "solution.json")
+    prof = rec["profile"]
+    prof["values"] = [repr(v) for v in prof["values"]]
+    prof["tail_exponent"] = repr(prof["tail_exponent"])
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"profile.tail_exponent is {json.dumps(prof['tail_exponent'])}, " \
+        "not a number" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -345,6 +345,33 @@ def test_radial_function_validation(grid):
         RadialFunction(grid=grid, values=vals[:-1], tail_exponent=2.0)
 
 
+# evaluate(-0.5) read the origin model at rho/r_1 = -500 (0.625 for h_3 at
+# M = 200, where h_3(0.5) = 0.716), and NaN and -inf came back as such.
+@pytest.mark.parametrize("rho", [-0.5, math.nan, -math.inf, [1.0, -1e-300]],
+                         ids=["-0.5", "nan", "-inf", "array"])
+def test_evaluate_refuses_a_negative_or_nan_radius(rho):
+    u = h_beta_function(RadialGrid.log_spaced(num=200), 3.0)
+    bad = float(np.ravel(rho)[-1])
+    with pytest.raises(ValueError, match=f"nonnegative, got {bad!r}$"):
+        u.evaluate(rho)
+
+
+def test_value_weights_state_each_closure(grid):
+    """The value rule: the origin model below r_1, exactly the node value
+    at a node's own log radius, and the power tail beyond r_M."""
+    M = grid.size
+    cols, W = radial_ops._value_weights(grid, grid.nodes, 4.0, grid.log_nodes)
+    unit = np.zeros((M, M))
+    np.add.at(unit, (np.repeat(np.arange(M), 4), cols.ravel()), W.ravel())
+    assert np.array_equal(unit, np.eye(M))
+    g1, g2 = radial_ops._origin_closure(grid)
+    cols, W = radial_ops._value_weights(grid, grid.r_min * np.array([0.0, 0.5]), 4.0)
+    assert np.array_equal(cols[:, :2], [[0, 1], [0, 1]]) and not W[:, 2:].any()
+    assert_allclose(W[:, :2], [[g1, g2], [0.75 * g1 + 0.25, 0.75 * g2]], rtol=1e-15)
+    cols, W = radial_ops._value_weights(grid, np.array([2.0 * grid.r_max]), 4.0)
+    assert cols[0, 0] == M - 1 and W[0, 0] == 2.0 ** -4.0 and not W[0, 1:].any()
+
+
 def test_evaluate_in_all_three_regions(grid):
     u = h_beta_function(grid, 4.0)
     assert u.evaluate(0.0) == pytest.approx(u.value_at_origin)
@@ -796,6 +823,39 @@ def test_tail_remainder_matches_quadrature(N, order, omega):
     want = np.sum(np.tile(0.5 * width * w, 60) * integrand)
     assert_allclose(radial_ops._tail_remainder(N, order, r_max, omega), want,
                     rtol=1e-13)
+
+
+# The last Riesz row's weight of the tail model on [r_M, 1.5 r_M], its
+# 8-point panels graded in log radius toward r_M and its stub, against
+# int_0^{r_M/2} k_p(r_M, r_M + xi) (r_M + xi)^(N-1) ((r_M + xi)/r_M)^(-omega)
+# dxi: 20 Gauss-Legendre points on each of 120 panels graded by halves
+# toward xi = 0, with the kernel in closed form (`_kernel_at_gap`).  The
+# integrand is O(xi^(alpha-1)) there, and what lies below the panels is
+# 2^(-120 alpha) of the whole.  alpha = 2 is outside (0, N) at N = 2, where
+# 1.5 takes its place.  Measured at most 5.8e-10 relative, at N = 3 and
+# alpha = 1/2; 4 Gauss points on uniformly graded panels read 3.9e-7 there.
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("N", [2, 3])
+def test_last_riesz_row_tail_piece_matches_quadrature(N, alpha, monkeypatch):
+    if alpha >= N:
+        alpha = 1.5
+    M, omega = 600, N + 0.7
+    grid = RadialGrid.log_spaced(num=M, N=N)
+    ctx = radial_ops._RowContext(grid)
+    # only the tail piece, which goes to the last column straight
+    monkeypatch.setattr(radial_ops, "_spread", lambda *args: None)
+    coeffs = radial_ops._riesz_diagonal(ctx, np.array([M - 1]), alpha, omega)[0]
+    assert np.count_nonzero(coeffs) == 1
+    rM, p = grid.r_max, alpha - N
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = 0.5 * rM * 0.5 ** np.arange(120.0, -1.0, -1.0)
+    a, b = edges[:-1, None], edges[1:, None]
+    xi = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+    rho = rM + xi
+    f = rM ** p * radial_ops._kernel_at_gap(xi / rM, p, N) * rho ** (N - 1) \
+        * (rho / rM) ** -omega
+    want = np.sum((0.5 * (b - a) * w).ravel() * f)
+    assert_allclose(coeffs[0, -1], want, rtol=1e-8)
 
 
 # ----------------------------------------------------------------------------

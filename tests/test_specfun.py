@@ -93,6 +93,14 @@ def test_digamma_rejects_poles(x):
         digamma(x)
 
 
+@pytest.mark.parametrize("fn", [gamma_real, digamma], ids=["gamma_real", "digamma"])
+@pytest.mark.parametrize("x", [math.nan, -math.inf], ids=["nan", "-inf"])
+def test_gamma_real_and_digamma_refuse_nan_and_minus_inf(fn, x):
+    """NaN came back as nan, and -inf raised OverflowError from round()."""
+    with pytest.raises(ValueError, match="above -inf"):
+        fn(x)
+
+
 # 2F1 reference table, mpmath mp.dps = 40.  The rows cover every evaluation
 # branch: direct series, Pfaff series, the three large-|x| connection cases
 # (generic, a = b, a - b a positive integer), and the terminating b - c
