@@ -392,7 +392,8 @@ def load_solution(path: str) -> Solution:
             weights, is refused with the advice to re-run solve), or an
             invalid record: a missing field, any JSON value but a number
             (a string, true, false, null, an array or an object) where a
-            number of the problem, the grid or the profile belongs, a
+            number of the problem, the grid or the profile belongs, any
+            JSON value but an array as the profile's values, a
             problem that ProblemParams refuses, grid fields that RadialGrid
             refuses, a grid.n other than problem.n, a profile that is not
             positive and non-increasing, a tail exponent whose power of
@@ -426,8 +427,11 @@ def load_solution(path: str) -> Solution:
             ("problem", ("n", "s", "alpha", "mu", "r")),
             ("grid", ("n", "r_min", "r_max")), ("profile", ("tail_exponent",)),
             ("diagnostics", ("iterations",))) for key in keys]
-        numbers += [(f"profile.values[{i}]", v)
-                    for i, v in enumerate(rec["profile"]["values"])
+        values = rec["profile"]["values"]
+        if type(values) is not list:
+            raise ValueError(f"profile.values is {json.dumps(values)}, "
+                             "not an array of numbers")
+        numbers += [(f"profile.values[{i}]", v) for i, v in enumerate(values)
                     if type(v) not in (int, float)]
         for name, value in numbers:
             if type(value) not in (int, float):

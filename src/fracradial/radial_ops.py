@@ -50,12 +50,12 @@ kernel mass on its diagonal besides.  The generating row
 takes its near piece through the same rule, and its interior rows their
 closures through `_closures`.
 
-Everything reused across calls sits in one LRU memo, `_MEMO`, bounded by
-the bytes of its arrays, `_MEMO_BYTES`.  Its keys are tuples:
-("table", N, p) for the angular kernel table of a dimension N != 3, and
-(grid token, a, tail exponent) for an assembled operator, a grid
-entering by its token (N, M, r_min, r_max).
-An operator entry is an `_Operator`, one form for both signs of a.  It
+Everything reused across calls is kept by `functools.lru_cache`, the
+`_CACHED` most recent calls of each of two functions: `_kernel_table(N, p)`,
+the angular kernel table of a dimension N != 3, and `_raw(grid, a, tail
+exponent)`, an assembled operator.  The key is the exact arguments, a grid
+entering by its four fields.
+An operator is an `_Operator`, one form for both signs of a.  It
 keeps the structure in O(M) floats: the generating row, the row scales
 r_i^a, dense corrections for what breaks the shift (the end rows; the
 `_END_COLUMNS` node columns at each end of the other rows; the
@@ -63,10 +63,8 @@ fractional Laplacian's diagonal mass), and the operator's constant,
 C_{N,a}.  Applying it is one correlation of the generating row with the
 middle node values plus a few small products, times the constant;
 `fraclap_matrix` expands the rows, the constant applied, for the
-resolvent's inverse on each call.  A hit moves its entry to the end and
-an insertion beyond the bound evicts the least recently used ones, so
-operators that are in use stay assembled.  Callers pass nothing: the grid
-and the exponents alone decide what is reused.
+resolvent's inverse on each call.  Callers pass nothing: the grid and the
+exponents alone decide what is reused.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,31 +118,11 @@ def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (a + b) + half * x, half * w
 
 
-_MEMO: OrderedDict = OrderedDict()
-# Bytes of array data the memo holds at most.  The read side (two M = 400
-# records with three chain-rule exponents, and the four oracle cases at
-# M = 600) keeps about 2 MB, and an operator holds O(M) floats.
-_MEMO_BYTES = 32_000_000
-
-
-def _nbytes(value) -> int:
-    """Bytes of the arrays a memoised value holds as attributes."""
-    return sum(a.nbytes for a in vars(value).values() if isinstance(a, np.ndarray))
-
-
-def _memo(key: tuple, build):
-    """The memoised value for key, built by build() on a miss (LRU, bounded
-    by _MEMO_BYTES; the newest entry is kept even when it alone exceeds it)."""
-    value = _MEMO.get(key)
-    if value is None:
-        value = build()
-        _MEMO[key] = value
-        held = sum(map(_nbytes, _MEMO.values()))
-        while held > _MEMO_BYTES and len(_MEMO) > 1:
-            held -= _nbytes(_MEMO.popitem(last=False)[1])
-    else:
-        _MEMO.move_to_end(key)
-    return value
+# Calls that _raw and _kernel_table each keep.  The heaviest read side (two
+# M = 400 records with four chain-rule exponents, and the four oracle cases
+# at M = 600) reads 16 operators and one kernel table, and an operator
+# keeps O(M) floats: 267 kB at M = 1200.
+_CACHED = 64
 
 
 def sphere_surface_area(N: int) -> float:
@@ -287,8 +264,9 @@ class _KernelTable:
                                 0.5 * self.N, z)
 
 
+@functools.lru_cache(maxsize=_CACHED)
 def _kernel_table(N: int, p: float) -> _KernelTable:
-    return _memo(("table", N, round(p, 12)), lambda: _KernelTable(N, p))
+    return _KernelTable(N, p)
 
 
 def _kernel_eval(N: int, p: float, r: float, rho: np.ndarray,
@@ -319,9 +297,9 @@ class RadialGrid:
     """Geometric radial grid: `size` nodes from r_min to r_max in geometric
     progression, with quadrature weights for r^{N-1} dr.
 
-    The four fields define the grid; the nodes, weights and log nodes are
-    derived from them, and the memo keys on them.  The weights integrate
-    piecewise-linear-in-log-r data exactly against the measure r^{N-1} dr
+    The four fields define the grid, and key its operators in the cache;
+    the nodes, weights and log nodes are derived from them.  The weights
+    integrate piecewise-linear-in-log-r data exactly against r^{N-1} dr
     over [r_1, r_M]; contributions from [0, r_1) and (r_M, inf) are handled
     by the closures of RadialFunction, not by the weights.
     A grid has at least 4 `_END_ROWS` nodes, so that the assembled
@@ -365,10 +343,6 @@ class RadialGrid:
                             ("size", M), ("N", N), ("nodes", nodes),
                             ("weights", weights), ("log_nodes", np.log(nodes))):
             object.__setattr__(self, name, value)
-
-    @property
-    def _token(self) -> tuple:
-        return (self.N, self.size, self.r_min, self.r_max)
 
     @classmethod
     def log_spaced(cls, r_min: float = 1e-3, r_max: float = 1e3,
@@ -1099,12 +1073,12 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
                      constant=_riesz_normalization(N, order), mass=mass)
 
 
+@functools.lru_cache(maxsize=_CACHED)
 def _raw(grid: RadialGrid, order: float, tail_omega: float) -> _Operator:
     """The operator of kernel order a (`order`: alpha for I_alpha, -2s for
     (-Delta)^s) at every node, assembled from one generating row and
-    memoised as an _Operator with its constant C_{N,a}."""
-    return _memo((grid._token, round(order, 15), round(tail_omega, 12)),
-                 lambda: _structured_rows(grid, order, tail_omega))
+    cached as an _Operator with its constant C_{N,a}."""
+    return _structured_rows(grid, order, tail_omega)
 
 
 def _backward_error(Ax: np.ndarray, a_max: float, x: np.ndarray,

@@ -403,7 +403,8 @@ def hyp2f1(a: float, b: float, c: float, x):
     Raises
     ------
     ValueError
-        If parameters lie outside the validated domain, or any x > 0.
+        If parameters lie outside the validated domain, or any x is
+        positive or not finite.
     NonConvergenceError
         If an internal series fails its tolerance budget.
     """
@@ -412,10 +413,11 @@ def hyp2f1(a: float, b: float, c: float, x):
             raise ValueError(f"hyp2f1: parameter {name} must be positive, got {v!r}")
     shape = np.shape(x)
     x = np.array(x, dtype=float).ravel()
-    bad = ~((x <= 0.0) & np.isfinite(x))
-    if bad.any():
-        raise ValueError(
-            f"hyp2f1: argument must satisfy x <= 0, got {float(x[bad][0])!r}")
+    for bad, rule in ((~np.isfinite(x), "be finite"),
+                      (x > 0.0, "satisfy x <= 0")):
+        if bad.any():
+            raise ValueError(
+                f"hyp2f1: argument must {rule}, got {float(x[bad][0])!r}")
     out = np.ones_like(x)  # the value at x = 0
     live = x != 0.0
 
@@ -540,15 +542,23 @@ def frac_lap_h_exact(r, p: ProfileParams):
     origin, so nothing special happens to the formula.
 
     r is a scalar, which gives a float, or an ndarray of radii, which gives
-    an array from one hyp2f1 call; each value equals the scalar call's.
+    an array from one hyp2f1 call; each value equals the scalar call's.  A
+    negative or NaN radius, or one whose square overflows, raises ValueError.
     """
     r = np.asarray(r, dtype=float)
     bad = ~(r >= 0.0)
     if bad.any():
         raise ValueError(
             f"frac_lap_h_exact: radius must be >= 0, got {float(r[bad][0])!r}")
+    with np.errstate(over="ignore"):
+        x = -(r * r)
+    bad = np.isinf(x)
+    if bad.any():
+        raise ValueError(
+            f"frac_lap_h_exact: radius must have a finite square, at most "
+            f"{math.sqrt(np.finfo(float).max)!r}, got {float(r[bad][0])!r}")
     N, s, beta = p.N, p.s, p.beta
-    value = hyp2f1(N / 2.0 + s, beta / 2.0 + s, N / 2.0, -(r * r))
+    value = hyp2f1(N / 2.0 + s, beta / 2.0 + s, N / 2.0, x)
     return frac_lap_h_prefactor(p) * value
 
 

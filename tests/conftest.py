@@ -20,3 +20,12 @@ def rows_built(monkeypatch):
 
     monkeypatch.setattr(radial_ops, "_rows", counted)
     return calls
+
+
+@pytest.fixture
+def cold_caches():
+    """Empties radial_ops' two caches, the assembled operators of `_raw` and
+    the kernel tables of `_kernel_table`, so that the test builds what it
+    reads."""
+    radial_ops._raw.cache_clear()
+    radial_ops._kernel_table.cache_clear()

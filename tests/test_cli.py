@@ -12,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +456,26 @@ def test_record_with_string_profile_numbers_exits_2(workdir, tmp_path, capsys):
     assert err.startswith("config error: invalid solution record ")
     assert f"profile.tail_exponent is {json.dumps(prof['tail_exponent'])}, " \
         "not a number" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# A string's characters or an object's keys were read as the values, and
+# the cause named profile.values[0]; a number or null named no field.
+@pytest.mark.parametrize("values", ["1.0", {"a": 1.0}, 3.0, None])
+def test_record_whose_profile_values_are_not_an_array_exits_2(
+        workdir, tmp_path, capsys, values):
+    rec = read_json(workdir / "solve" / "solution.json")
+    rec["profile"]["values"] = values
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solution record ")
+    assert f"profile.values is {json.dumps(values)}, not an array of " \
+        "numbers" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -1101,23 +1120,22 @@ def test_origin_value_is_the_closure_of_the_first_two_samples(workdir):
 
 def test_reloaded_grid_is_assembled_by_structure(workdir):
     """A grid rebuilt from solution.json is the solve's grid: equal fields,
-    so the same memo token and the same structured operators."""
+    so the same cache key and the same structured operators."""
     sol = load_solution(str(workdir / "solve" / "solution.json"))
     grid = radial_ops.RadialGrid.log_spaced(num=400)
-    assert sol.u.grid == grid and sol.u.grid._token == grid._token
+    assert sol.u.grid == grid and hash(sol.u.grid) == hash(grid)
     op = radial_ops._raw(sol.u.grid, -1.0, sol.u.tail_exponent)
     assert op is radial_ops._raw(grid, -1.0, sol.u.tail_exponent)
     assert op.hi > op.lo
 
 
-def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch,
+def test_read_side_keeps_its_operators_in_the_memo(tmp_path, cache_reads,
                                                    rows_built):
     """Two stored records (M = 400, r = 1.7 and 1.9) and the four oracle
     cases (M = 600), then verify-decay of each record twice, in one
-    process: the chain-rule operators of u^theta join the memo without
+    process: the chain-rule operators of u^theta join the cache without
     evicting another operator, and a second verification builds no rows
     and writes the same bytes."""
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
     records = {}
     for r in ("1.7", "1.9"):
         out = tmp_path / f"solve{r}"
@@ -1126,7 +1144,7 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch,
         records[r] = out / "solution.json"
     assert main(["oracle", "--set", "grid.nodes=600",
                  "--out", str(tmp_path / "oracle")]) == 0
-    operators = [key for key in radial_ops._MEMO if key[0] != "table"]
+    operators = {key: op for key, op in cache_reads.items() if key[0] == "_raw"}
     for r, record in records.items():
         reports = []
         for k in range(2):
@@ -1137,17 +1155,17 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, monkeypatch,
             reports.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert rows_built == {"fraclap": 0, "riesz": 0}
         assert reports[0] == reports[1]
-    assert all(key in radial_ops._MEMO for key in operators)
+    assert all(radial_ops._raw(*args) is op
+               for (_, args), op in operators.items())
     # both operators are kept by their generating rows: 1.5 MB measured,
     # where one dense fractional Laplacian at M = 600 alone takes 2.9 MB
-    assert memo_bytes() <= 3e6
+    assert memo_bytes(cache_reads) <= 3e6
 
 
-def test_memo_holds_operators_and_kernel_tables_only(tmp_path, monkeypatch):
+def test_memo_holds_operators_and_kernel_tables_only(tmp_path, cache_reads):
     """A solve, its verify-decay and an N = 2 oracle case in one process
-    leave only assembled operators and angular kernel tables in the memo:
-    the cell quadrature of a grid belongs to one assembly."""
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    read only assembled operators and angular kernel tables from the
+    caches: the cell quadrature of a grid belongs to one assembly."""
     assert main(["solve", "--set", "grid.nodes=400",
                  "--out", str(tmp_path / "solve")]) == 0
     assert main(["verify-decay", "--solution",
@@ -1155,18 +1173,17 @@ def test_memo_holds_operators_and_kernel_tables_only(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "verify")]) == 0
     assert main(["oracle", "--case", "2,0.5,2.5", "--set", "grid.nodes=600",
                  "--out", str(tmp_path / "oracle")]) == 0
-    kinds = {type(value) for value in radial_ops._MEMO.values()}
+    kinds = {type(value) for value in cache_reads.values()}
     assert kinds == {radial_ops._Operator, radial_ops._KernelTable}
 
 
 def test_read_side_with_more_operators_builds_none_on_a_second_pass(
-        workdir, tmp_path, monkeypatch, rows_built):
+        workdir, tmp_path, cold_caches, rows_built):
     """verify-decay of the r = 1.7 and 1.9 records (M = 400) with four
     chain-rule exponents, interleaved with the four oracle cases (M = 600),
-    reads 20 memo entries (2.3 MB).  A memo of 16 entries rebuilt 16
-    operators on every pass of this traffic; the byte bound keeps them all,
-    so a second pass builds none."""
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
+    reads 16 operators and one kernel table (1.8 MB).  A cache of 16
+    entries would rebuild them all on every pass of this traffic; _CACHED
+    keeps them, so a second pass builds none."""
     assert main(["solve", "--set", "problem.r=1.9", "--set", "grid.nodes=400",
                  "--out", str(tmp_path / "solve1.9")]) == 0
     records = [workdir / "solve" / "solution.json",
@@ -1181,10 +1198,25 @@ def test_read_side_with_more_operators_builds_none_on_a_second_pass(
             assert main(["oracle", "--case", case, "--set", "grid.nodes=600",
                          "--out", str(tmp_path / "oracle")]) == 0
     assert rows_built == {"fraclap": 0, "riesz": 0}
+    assert radial_ops._raw.cache_info().currsize == 16
+    assert radial_ops._kernel_table.cache_info().currsize == 1
 
 
-def memo_bytes():
-    """Bytes of the arrays the operator memo holds."""
+@pytest.fixture
+def cache_reads(monkeypatch, cold_caches):
+    """What radial_ops reads from its two caches while the test runs: each
+    operator and kernel table, keyed by (cache name, arguments)."""
+    reads = {}
+    for name in ("_raw", "_kernel_table"):
+        def read(*args, name=name, cached=getattr(radial_ops, name)):
+            reads[name, args] = value = cached(*args)
+            return value
+        monkeypatch.setattr(radial_ops, name, read)
+    return reads
+
+
+def memo_bytes(reads):
+    """Bytes of the arrays of the operators and kernel tables read."""
     def arrays(value):
         if isinstance(value, np.ndarray):
             yield value
@@ -1195,4 +1227,4 @@ def memo_bytes():
             for v in vars(value).values():
                 yield from arrays(v)
 
-    return sum(a.nbytes for v in radial_ops._MEMO.values() for a in arrays(v))
+    return sum(a.nbytes for v in reads.values() for a in arrays(v))

@@ -6,7 +6,6 @@ stated next to the formulas they come from.
 """
 
 import math
-from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -318,13 +317,13 @@ def test_chain_rule_covers_every_node(monkeypatch):
             assert getattr(rep, field).shape == (grid.size,)
 
 
-def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch):
-    """Both sides read the memoised operators: a first check of a solution
+def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch,
+                                                         cold_caches):
+    """Both sides read the cached operators: a first check of a solution
     builds one per exponent theta (u's own comes from the solve), a second
     builds none and gives the same numbers bitwise, and another mu keeps
     the tail exponents (beta depends on N, s, alpha and r only) and so the
     operators."""
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
     built = []
     structured_rows = radial_ops._structured_rows
 

@@ -7,8 +7,6 @@ have their own frozen-reference tests.
 """
 
 import math
-from collections import OrderedDict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,12 +310,10 @@ def test_grid_validation():
 
 def test_grid_is_its_four_fields():
     """The grid is (r_min, r_max, size, N): a grid built again from them is
-    equal, hashes alike and shares the memo token, and log_spaced builds
-    the same one."""
+    equal and hashes alike, and log_spaced builds the same one."""
     g = RadialGrid(r_min=1e-3, r_max=1e3, size=400, N=2)
     again = RadialGrid.log_spaced(r_min=g.nodes[0], r_max=g.r_max, num=g.size, N=2)
     assert g == again and hash(g) == hash(again)
-    assert g._token == again._token == (2, 400, 1e-3, 1e3)
     assert np.array_equal(g.nodes, again.nodes)
     assert np.array_equal(g.weights, again.weights)
     assert g.nodes[0] == g.r_min and g.nodes[-1] == g.r_max
@@ -768,34 +764,40 @@ def test_inverse_large_mu_limit(grid):
 
 
 # ----------------------------------------------------------------------------
-# operator memo
+# operator cache
 # ----------------------------------------------------------------------------
 
-def test_memo_is_bounded_lru(monkeypatch):
-    # entries of 800 bytes of arrays under a bound of 16 of them
-    limit = 16
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
-    monkeypatch.setattr(radial_ops, "_MEMO_BYTES", limit * 800)
-    built = []
+def test_memo_is_bounded_lru(cold_caches, rows_built):
+    """The operator cache keeps the _CACHED most recent operators: one more
+    evicts the least recently used, which a later call builds again."""
+    grid = RadialGrid.log_spaced(num=32)
+    omegas = [3.0 + 0.01 * k for k in range(radial_ops._CACHED + 1)]
+    for omega in omegas:
+        radial_ops._raw(grid, 2.0, omega)
+    assert radial_ops._raw.cache_info().currsize == radial_ops._CACHED
+    rows_built.update(fraclap=0, riesz=0)
+    radial_ops._raw(grid, 2.0, omegas[-1])
+    assert rows_built == {"fraclap": 0, "riesz": 0}
+    radial_ops._raw(grid, 2.0, omegas[0])
+    assert rows_built == {"fraclap": 0, "riesz": 2 * radial_ops._END_ROWS}
 
-    def put(key, size=100):
-        def build():
-            built.append(key)
-            return SimpleNamespace(a=np.zeros(size))
-        return radial_ops._memo(key, build)
 
-    for i in range(limit):
-        put(("test", i))
-    put(("test", 0))                      # a hit refreshes the oldest entry
-    assert len(built) == limit
-    for i in range(limit, limit + 5):
-        put(("test", i))
-    assert len(radial_ops._MEMO) == limit
-    assert ("test", 0) in radial_ops._MEMO
-    assert ("test", 1) not in radial_ops._MEMO
-    # an entry alone above the bound evicts every other and is kept
-    put(("test", "big"), size=2 * limit * 100)
-    assert list(radial_ops._MEMO) == [("test", "big")]
+def test_operator_cache_key_is_the_exact_arguments(cold_caches):
+    """A grid keys an operator by its four fields, and the exponents by
+    their exact values: grids built apart from equal fields share one, and
+    a grid that differs in one field, or an order or tail exponent one ulp
+    away, gets its own."""
+    fields = dict(r_min=1e-3, r_max=1e3, size=32, N=3)
+    op = radial_ops._raw(RadialGrid(**fields), -1.0, 4.0)
+    assert radial_ops._raw(RadialGrid.log_spaced(num=32), -1.0, 4.0) is op
+    for name, value in (("r_min", 2e-3), ("r_max", 2e3), ("size", 33),
+                        ("N", 4)):
+        grid = RadialGrid(**{**fields, name: value})
+        assert radial_ops._raw(grid, -1.0, 4.0) is not op
+    grid = RadialGrid(**fields)
+    assert radial_ops._raw(grid, math.nextafter(-1.0, 0.0), 4.0) is not op
+    assert radial_ops._raw(grid, -1.0, math.nextafter(4.0, 5.0)) is not op
+    assert radial_ops._raw(grid, -1.0, 4.0) is op
 
 
 # The closed form of a row's weight beyond r_inf = _TAIL_SPAN r_max against
@@ -918,9 +920,8 @@ def test_structured_assembly_matches_row_loop_generic_kernel(kind, N, exponent, 
         N, -2.0 * exponent if kind == "fraclap" else exponent, omega)
 
 
-def test_geometric_build_calls_row_builders_only_at_the_ends(monkeypatch,
+def test_geometric_build_calls_row_builders_only_at_the_ends(cold_caches,
                                                              rows_built):
-    monkeypatch.setattr(radial_ops, "_MEMO", OrderedDict())
     grid = RadialGrid.log_spaced(num=200)
     for kind in ("fraclap", "riesz"):
         radial_ops._raw(grid, *operator_args(kind, 3))

@@ -5,6 +5,8 @@ full double precision.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +350,30 @@ def test_hyp2f1_rejects_an_array_with_one_positive_argument():
     xs[7] = np.nan
     with pytest.raises(ValueError):
         hyp2f1(2.0, 2.25, 1.5, xs)
+
+
+# A non-finite argument was refused as one that fails x <= 0, which -inf
+# satisfies.
+@pytest.mark.parametrize("x", [-math.inf, math.nan, math.inf])
+def test_hyp2f1_refuses_a_non_finite_argument(x):
+    with pytest.raises(ValueError, match=f"argument must be finite, got {x!r}"):
+        hyp2f1(1.5, 1.0, 1.5, x)
+    xs = ARRAY_XS.copy()
+    xs[3] = x
+    with pytest.raises(ValueError, match=f"argument must be finite, got {x!r}"):
+        hyp2f1(2.0, 2.25, 1.5, xs)
+
+
+# A radius whose square overflows passed -inf to hyp2f1, after numpy's
+# overflow warning.
+@pytest.mark.parametrize("r", [1e200, math.inf, np.array([1.0, 2e154])])
+def test_frac_lap_h_exact_refuses_a_radius_whose_square_overflows(r):
+    big = float(np.max(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"must have a finite square, at "
+                           r"most 1\.34\d*e\+154, got " + re.escape(repr(big))):
+            frac_lap_h_exact(r, ProfileParams(3, 0.5, 2.0))
 
 
 def test_frac_lap_h_exact_array():
