@@ -28,8 +28,8 @@ angular kernel k_p(r, rho) = int_{S^{N-1}} |r e1 - rho w|^p dsigma(w),
 p = a - N, which has an elementary closed form for N = 3; for other N it
 is the closed form via 2F1, tabulated once per (N, p).  All quadrature
 decisions (panel grading around the kernel singularity, Taylor subtraction
-inside a local window, analytic far-tail remainders) live here and are
-shared by every operator.
+inside a local window, the far tail in closed form from the kernel's
+multipole series) live here and are shared by every operator.
 
 Every grid is geometric (log radii in arithmetic progression, as
 `RadialGrid` builds them from its end radii and node count), so the
@@ -45,10 +45,11 @@ its own rule: the PV Taylor window (`_pv_windows`, a < 0) or the graded
 diagonal cells (`_riesz_diagonal`, a > 0), whose points, virtual stencil
 points below r_1 and beyond r_max included, all go through `_spread`.
 Outside, both take the grid cells and the closure integrals over whole
-regions (`_closures`), and a fractional-Laplacian row subtracts one
-kernel mass on its diagonal besides.  The generating row
-takes its near piece through the same rule, and its interior rows their
-closures through `_closures`.
+regions (`_closures`): the origin model's on [0, r_1], by panels graded
+toward the row's radius, and the power tail's beyond r_M, in closed form.
+A fractional-Laplacian row subtracts one kernel mass on its diagonal
+besides.  The generating row takes its near piece through the same rule,
+and the interior rows their closures from one `_closures` call.
 
 Everything reused across calls is kept by `functools.lru_cache`, the
 `_CACHED` most recent calls of each of two functions: `_kernel_table(N, p)`,
@@ -78,7 +79,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from fracradial.specfun import (
-    _defining_series, _riesz_normalization, h_beta_eval, hyp2f1)
+    _defining_series, _riesz_normalization, _sum_series, h_beta_eval, hyp2f1)
 
 __all__ = [
     "RadialGrid",
@@ -102,9 +103,6 @@ _WINDOW_CELLS = 1.5
 _GRADE_RATIO = 0.5
 _PV_GRADE_LEVELS = 34
 _RIESZ_GRADE_LEVELS = 30
-# Tails are integrated numerically out to this multiple of r_max, with an
-# analytic power-law remainder beyond.
-_TAIL_SPAN = 1.0e6
 # Rows and columns per block of lu_factor's Gauss-Jordan elimination.
 _GJ_BLOCK = 128
 
@@ -651,72 +649,45 @@ def _origin_sums(grid: RadialGrid, p: float, r: np.ndarray,
             np.sum(contrib * w2, axis=(1, 2)), np.sum(contrib, axis=(1, 2)))
 
 
-def _log_panel_sums(N: int, p: float, r: np.ndarray, edges: np.ndarray,
-                    r_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel integrals over panels beyond r_max, 8 Gauss points a panel in
-    log radius, vectorised over radii r (n,) with panel edges (n, E): the
-    weights (n,) of the value at r_max of a tail model with exponent omega,
-    and the kernel mass (n,)."""
-    x, wq = _gauss(8)
-    la, lb = np.log(edges[:, :-1, None]), np.log(edges[:, 1:, None])
-    rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x)
-    rr = r[:, None, None]
-    contrib = 0.5 * (lb - la) * wq * rho ** N \
-        * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
-    return (np.sum(contrib * (rho / r_max) ** (-omega), axis=(1, 2)),
-            np.sum(contrib, axis=(1, 2)))
-
-
-def _tail_sums(N: int, p: float, r: np.ndarray, start: np.ndarray,
-               r_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """_log_panel_sums over panels from start (n,) out to _TAIL_SPAN r_max,
-    widening geometrically.
-
-    Rows that take the same number of panels are summed together, so no row
-    is padded with empty panels and each row's sums equal the ones it gets
-    alone: padding would regroup the pairwise sums.
-    """
-    r_inf = _TAIL_SPAN * r_max
-    edges = [start]
-    d = np.maximum(start - r, 0.5 * start)
-    while (edges[-1] < r_inf).any():
-        edges.append(np.maximum(edges[-1] + d, 1.5 * edges[-1]))
-        d = 2.0 * d
-    edges = np.minimum(np.stack(edges, axis=1), r_inf)
-    panels = np.argmax(edges == r_inf, axis=1)
-    tails = np.empty(r.size)
-    mass = np.empty(r.size)
-    for n in sorted(set(panels.tolist())):  # np.unique would import numpy.ma
-        sel = panels == n
-        tails[sel], mass[sel] = _log_panel_sums(N, p, r[sel], edges[sel, :n + 1],
-                                                r_max, omega)
-    return tails, mass
-
-
-def _tail_remainder(N: int, order: float, r_max: float, tail_omega: float) -> float:
-    """Analytic tail weight beyond r_inf = _TAIL_SPAN r_max of a row of the
-    kernel of order a, taken there as |S^{N-1}| rho^(a - N): the integral
-    of |S^{N-1}| rho^(a-1) (rho/r_max)^(-tail_omega) over (r_inf, inf), for
-    tail_omega > a.  At tail_omega = 0 and a < 0 it is the kernel mass."""
-    r_inf = _TAIL_SPAN * r_max
-    return sphere_surface_area(N) * r_max ** tail_omega \
-        * r_inf ** (order - tail_omega) / (tail_omega - order)
-
-
-def _closures(grid: RadialGrid, p: float, r: np.ndarray, lo: np.ndarray,
+def _closures(grid: RadialGrid, order: float, r: np.ndarray, lo: np.ndarray,
               d0: np.ndarray, hi: np.ndarray, omega: float):
-    """Kernel integrals of the rows at radii r (n,) over the closures outside
-    the intervals (lo, hi) (n,) around them: [0, r_1] below lo under the
-    origin model, graded toward r at distances d0 r 2^k (see _graded_edges),
-    and beyond hi and r_M under the tail model of exponent omega.
+    """Kernel integrals of the rows of order a at radii r (n,) over the
+    closures outside the intervals (lo, hi) (n,) around them: [0, r_1]
+    below lo under the origin model, graded toward r at distances
+    d0 r 2^k (see _graded_edges), and beyond T = max(hi, r_M) under the
+    tail model of exponent omega, in closed form.  There the kernel's
+    multipole series (see _KernelTable), integrated term by term, gives
+
+        int_T^inf k_p(r, rho) rho^(N-1) (rho/r_M)^(-omega) drho
+            = |S^{N-1}| T^a (T/r_M)^(-omega) sum_k c_k z^k / (omega - a + 2k)
+
+    with p = a - N, z = (r/T)^2 and c_k = (-p/2)_k ((2-N-p)/2)_k /
+    ((N/2)_k k!); at omega = 0 it is the kernel mass beyond T, finite for
+    a < 0.
 
     Returns the weights c1, c2 of u_1 and u_2, the kernel mass below, the
-    tail weights and the kernel mass beyond, each (n,); the two masses stay
-    apart, so a row adds them in its own order."""
+    tail weights and, for a < 0, the kernel mass beyond (else None), each
+    (n,); the two masses stay apart, so a row adds them in its own order."""
+    N = grid.N
     rM = grid.nodes[-1]
+    p = order - N
     c1, c2, below = _origin_sums(grid, p, r,
                                  _graded_edges(r, d0 * r, np.minimum(lo, grid.nodes[0])))
-    tail, beyond = _tail_sums(grid.N, p, r, np.maximum(hi, rM), rM, omega)
+    T = np.maximum(hi, rM)
+    z = (r / T) ** 2
+    A, B, C = -0.5 * p, 0.5 * (2.0 - N - p), 0.5 * N
+
+    def series(d: float) -> np.ndarray:
+        # sum_k c_k z^k / (d + 2k), whose terms c_k z^k / (2 (d/2 + k))
+        # start at 1/d
+        e = 0.5 * d
+        return _sum_series(z, lambda n: (A + n) * (B + n) * (e + n)
+                           / ((C + n) * (1.0 + n) * (e + 1.0 + n)),
+                           first=1.0 / d, what=f"tail series (N={N}, a={order})")[0]
+
+    outer = sphere_surface_area(N) * T ** order
+    tail = outer * (T / rM) ** -omega * series(omega - order)
+    beyond = outer * series(-order) if order < 0.0 else None
     return c1, c2, below, tail, beyond
 
 
@@ -849,8 +820,15 @@ def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, order: float, omega: float)
         xi = np.concatenate((x0, 2.0 * x0), axis=1)
         g = (rl + xi) ** (N - 1) * _kernel_eval(N, p, rl, rl + xi, xi)
         f = g * ((rl + xi) / nodes[-1]) ** -omega
-        graded, _ = _log_panel_sums(N, p, r[last], rl * (1.0 + 0.5 * levels[::-1]),
-                                    nodes[-1], omega)
+        # 8-point panels in log radius, from the stub out to 1.5 r
+        x8, w8 = _gauss(8)
+        t = np.log(rl * (1.0 + 0.5 * levels[::-1]))
+        la, lb = t[:, :-1, None], t[:, 1:, None]
+        rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x8)
+        rr = rl[:, :, None]
+        contrib = 0.5 * (lb - la) * w8 * rho ** N \
+            * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
+        graded = np.sum(contrib * (rho / nodes[-1]) ** -omega, axis=(1, 2))
         coeffs[last, -1] += _diagonal_stub(f[:, 0], f[:, 1], x0[:, 0]) + graded
     return coeffs, np.zeros(i.size), lo, hi, np.full(i.size, 0.1)
 
@@ -866,10 +844,11 @@ def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     I_alpha (a = alpha) and against u(rho) - u(r_i), a principal value,
     for (-Delta)^s (a = -2s).  Near r_i each takes its own rule
     (_pv_windows or _riesz_diagonal), and outside it the grid cells and
-    the closures (_closures).  A fractional-Laplacian row subtracts its
-    kernel mass on the diagonal, summed in a fixed order: the row cancels
-    far below its entries.  Each row equals the one built alone (R = 1)
-    bitwise; the cells take (R, 4, M-1) temporaries.
+    the closures (_closures: the origin region by graded panels, the far
+    tail beyond max(hi, r_M) by its series).  A fractional-Laplacian row
+    subtracts its kernel mass on the diagonal, summed in a fixed order:
+    the row cancels far below its entries.  Each row equals the one built
+    alone (R = 1) bitwise; the cells take (R, 4, M-1) temporaries.
     """
     grid = ctx.grid
     N = grid.N
@@ -900,25 +879,22 @@ def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     slots = M * np.arange(r.size)[:, None, None] + ctx.cell_base[:, None] + np.arange(4)
     np.add.at(coeffs.reshape(-1), slots.ravel(), per_node.transpose(0, 2, 1).ravel())
 
-    c1, c2, below, tail, beyond = _closures(grid, p, r, lo, d0, hi, omega)
+    c1, c2, below, tail, beyond = _closures(grid, order, r, lo, d0, hi, omega)
     coeffs[:, 0] += c1
     coeffs[:, 1] += c2
     if order < 0.0:
         # the kernel mass multiplies -u(r), u at the row's node
-        coeffs[np.arange(i.size), i] -= \
-            mass + below + beyond + _tail_remainder(N, order, nodes[-1], 0.0)
-    coeffs[:, -1] += tail + _tail_remainder(N, order, nodes[-1], omega)
+        coeffs[np.arange(i.size), i] -= mass + below + beyond
+    coeffs[:, -1] += tail
     return coeffs
 
 
 # Rows built by _rows at each end of a grid, and node columns at each end
 # that the clipped stencils of the end cells reach.  Rows in between keep
 # their Taylor window, partial cells and graded diagonal cells (offsets
-# -4..4) clear of those columns and of both ends.  _structured_rows
-# integrates the closures of those rows _ROW_BLOCK rows at a time.
+# -4..4) clear of those columns and of both ends.
 _END_ROWS = 8
 _END_COLUMNS = 4
-_ROW_BLOCK = 64
 
 
 @dataclass
@@ -990,16 +966,16 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
     generating row: the near-diagonal pieces of the middle row plus the
     full cells at every offset, integrated once at r = 1.  What is not
     shift-invariant is computed per row, vectorised: the end columns (the
-    end cells' clipped stencils), the origin region (the first two
-    columns), the far tail (the last column), and for the fractional
-    Laplacian (a = -2s < 0) minus the kernel mass on the diagonal.  The
-    end rows come from _rows itself.
+    end cells' clipped stencils), and, from one _closures call for all
+    interior rows, the origin region (the first two columns), the far
+    tail beyond r_M (the last column) and, for the fractional Laplacian
+    (a = -2s < 0), minus the kernel mass on the diagonal.  The end rows
+    come from _rows itself.
     """
     ctx = _RowContext(grid)
     N = grid.N
     nodes = grid.nodes
     M = nodes.size
-    rM = nodes[-1]
     tt = ctx.tt
     h = (tt[-1] - tt[0]) / (M - 1)
     fraclap = order < 0.0
@@ -1044,26 +1020,20 @@ def _structured_rows(grid: RadialGrid, order: float, tail_omega: float) -> _Oper
             elif j >= M - E:
                 edges[:, j - M + 2 * E] += part[:, m]
 
-    # origin region and far tail, a block of rows at a time
-    mass = np.zeros(hi - lo) if fraclap else None
-    tails = np.empty(hi - lo)
-    for b in range(lo, hi, _ROW_BLOCK):
-        r = nodes[b:min(b + _ROW_BLOCK, hi)]
-        # an empty interval at r: the closures start at r_1 and r_M
-        c1, c2, m0, tail, m1 = _closures(grid, p, r, r, d0, r, tail_omega)
-        edges[b - lo:b - lo + r.size, 0] += c1
-        edges[b - lo:b - lo + r.size, 1] += c2
-        tails[b - lo:b - lo + r.size] = tail
-        if fraclap:  # the Riesz diagonal shifts like the rest of the row
-            mass[b - lo:b - lo + r.size] = -(m0 + m1)
-    # the tail continues u_M: its weights go to the last node column
-    edges[:, -1] += tails + _tail_remainder(N, order, rM, tail_omega)
-    if fraclap:
+    # origin region and far tail; an empty interval at r: the closures
+    # start at r_1 and r_M.  The tail continues u_M: its weights go to the
+    # last node column
+    r = nodes[lo:hi]
+    c1, c2, m0, tail, m1 = _closures(grid, order, r, r, d0, r, tail_omega)
+    edges[:, 0] += c1
+    edges[:, 1] += c2
+    edges[:, -1] += tail
+    mass = None
+    if fraclap:  # the Riesz diagonal shifts like the rest of the row
         # the full cells c = 0 .. M-2 of row i sit at offsets -i .. M-2-i
         cum = np.concatenate(([0.0], np.cumsum(cells.sum(axis=1))))
-        mass -= scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
-                                + near_mass / scale[g]) \
-            + _tail_remainder(N, order, rM, 0.0)
+        mass = -(m0 + m1) - scale[lo:hi] * (cum[2 * M - inner] - cum[M + 1 - inner]
+                                            + near_mass / scale[g])
 
     ends = _rows(ctx, np.r_[:lo, hi:M], order, tail_omega)
     # the generating row where the interior rows reach the middle columns

@@ -684,9 +684,8 @@ def test_singular_resolvent_exits_3_with_one_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("overrides, where", [
-    (("grid.r_max=1e60", "grid.nodes=400"), "_tail_remainder: overflow"),
     (("grid.r_min=1e-300", "grid.nodes=100"), "_kernel3_arrays: overflow"),
-], ids=["r_max_1e60", "r_min_1e-300"])
+], ids=["r_min_1e-300"])
 def test_float_overflow_exits_3_with_one_line(tmp_path, capsys, overrides, where):
     # a float overflow is a numerical failure under any warning filter
     argv = ["solve", "--out", str(tmp_path)]

@@ -167,7 +167,7 @@ def test_fit_rejects_nonpositive_samples(grid):
 
 def test_sharp_constant_pinned(solution):
     # frozen from a converged default-grid run
-    assert_allclose(sharp_constant(solution), 663.2591006103447, rtol=1e-9)
+    assert_allclose(sharp_constant(solution), 663.2590977536591, rtol=1e-9)
 
 
 def test_sharp_constant_explicit_form(solution):

@@ -442,6 +442,23 @@ def test_oracle_error_converges_under_refinement(N, s, beta, min_order):
     assert math.log2(errors[0] / errors[-1]) / 3.0 >= min_order
 
 
+# The far end under refinement: the scaled error |L - L_exact| / (h_beta
+# (1 + rho^2)^(-s)) over the whole grid, L being (-Delta)^s h_beta at the
+# nodes.  With each row's far tail closed by its multipole series it
+# measured 2.8e-6 and 3.2e-6 for (3, 1/2, 2), 3.6e-6 and 3.8e-6 for
+# (2, 1/2, 2.5), at M = 1200 and 2400, largest at the last node.  With
+# 8-point panels out to 10^6 r_M it read 3.6e-3 and 2.6e-2, 4.5e-3 and
+# 3.2e-2, largest at the node before the last.
+@pytest.mark.parametrize("M", [1200, 2400])
+@pytest.mark.parametrize("N,s,beta", [(3, 0.5, 2.0), (2, 0.5, 2.5)])
+def test_oracle_scaled_error_over_the_whole_grid(N, s, beta, M):
+    g = RadialGrid.log_spaced(num=M, N=N)
+    got = frac_laplacian_on_grid(h_beta_function(g, beta), s)
+    want = frac_lap_h_exact(g.nodes, ProfileParams(N, s, beta))
+    scale = h_beta_eval(g.nodes, beta) * (1.0 + g.nodes ** 2) ** -s
+    assert np.max(np.abs(got - want) / scale) <= 1e-5
+
+
 @pytest.mark.parametrize("r_at", [0.137, 1.61803, 23.7])
 def test_fraclap_pointwise_off_node(grid, r_at):
     u = h_beta_function(grid, 3.5)
@@ -687,6 +704,16 @@ def test_first_riesz_rows_match_closed_form(N, alpha, beta, bounds):
         assert np.max(np.abs(v.values[:3] / want - 1.0)) <= bound, M
 
 
+# The last three nodes, whose rows' far tails start at r_M (1.5 r_M for the
+# last): 2.4e-8 to 2.5e-8 at M = 1200 at (3, 1/2, 3.7).  With 8-point panels
+# out to 10^6 r_M the two before the last read 6.1e-7 and 5.0e-6.
+def test_last_riesz_rows_match_closed_form():
+    g = RadialGrid.log_spaced(num=1200, N=3)
+    v = riesz_convolve_radial(h_beta_function(g, 3.7), 0.5)
+    want = riesz_h_exact(3, 0.5, 3.7, g.nodes[-3:])
+    assert np.max(np.abs(v.values[-3:] / want - 1.0)) <= 1e-7
+
+
 # As for the fractional Laplacian: the first and last nodes, whose rows lack
 # a diagonal cell and grade into the tail, next to interior ones.
 @pytest.mark.parametrize("coarse", [False, True])
@@ -800,31 +827,56 @@ def test_operator_cache_key_is_the_exact_arguments(cold_caches):
     assert radial_ops._raw(grid, -1.0, 4.0) is op
 
 
-# The closed form of a row's weight beyond r_inf = _TAIL_SPAN r_max against
-# int_{r_inf}^inf |S^{N-1}| rho^(a-1) (rho/r_max)^(-omega) drho, in
-# t = log(rho / r_inf): 20 Gauss-Legendre points on each of 60 panels of
-# width 1 / (omega - a), where the integrand falls by e per panel.  The
-# orders are I_alpha's a = alpha < omega and (-Delta)^s's a = -2s, the
-# latter also at omega = 0, where the weight is the kernel mass beyond r_inf.
-@pytest.mark.parametrize("order,omega", [
-    (1.0, 2.5), (1.5, 4.0),          # I_alpha of a tail rho^(-omega)
-    (-1.0, 4.0), (-1.5, 2.5),        # (-Delta)^s, s = 1/2 and 3/4
-    (-1.0, 0.0), (-0.5, 0.0),        # the kernel mass, s = 1/2 and 1/4
-])
-@pytest.mark.parametrize("N", [2, 3])
-def test_tail_remainder_matches_quadrature(N, order, omega):
-    r_max = 1e3
-    r_inf = radial_ops._TAIL_SPAN * r_max
-    x, w = np.polynomial.legendre.leggauss(20)
-    width = 1.0 / (omega - order)
-    t = (np.arange(60)[:, None] + 0.5 * (1.0 + x)).ravel() * width
-    rho = r_inf * np.exp(t)
-    # drho = rho dt
-    integrand = sphere_surface_area(N) * rho ** (order - 1.0) \
-        * (rho / r_max) ** -omega * rho
-    want = np.sum(np.tile(0.5 * width * w, 60) * integrand)
-    assert_allclose(radial_ops._tail_remainder(N, order, r_max, omega), want,
-                    rtol=1e-13)
+# The far-tail closure of _closures (the kernel's multipole series,
+# integrated term by term) against scipy's quad of
+# int_T^inf k_p(r, rho) rho^(N-1) (rho/r_M)^(-omega) drho, T = max(hi, r_M),
+# split at T, 1.01 T, 1.1 T, 2 T and 10 T, with the kernel's multipole form
+# |S^{N-1}| rho^p 2F1(-p/2, (2-N-p)/2; N/2; (r/rho)^2) from
+# scipy.special.hyp2f1 (within 1e-14 of mpmath at rho >= 1.01 r).  hi is
+# r (1 + 1.5 h), the edge of a fractional-Laplacian row's window, so the
+# last row's series runs at z = (r/T)^2 = 0.966.  The orders are I_alpha's
+# a = alpha < omega and (-Delta)^s's a = -2s, whose kernel mass beyond T
+# (the integral at omega = 0) is checked too.  Measured at most 8.2e-15.
+@pytest.mark.parametrize("N,order,omega", [
+    (N, order, omega) for N in (2, 3, 4)
+    for order, omega in ((1.0, 2.5), (1.5, 4.0), (2.5, 4.0), (-1.0, 4.0),
+                         (-1.5, 2.5), (-1.0, 0.0), (-0.5, 0.0))
+    if order < N])
+def test_closures_match_quadrature(N, order, omega):
+    from scipy.integrate import quad
+    from scipy.special import hyp2f1 as scipy_hyp2f1
+
+    grid = RadialGrid.log_spaced(num=1200, N=N)
+    M, rM, p = grid.size, grid.r_max, order - N
+    h = grid.log_nodes[1] - grid.log_nodes[0]
+    r = grid.nodes[np.r_[0, M // 2, M - 8:M]]
+    hi = r * (1.0 + 1.5 * h)
+    _, _, _, tail, beyond = radial_ops._closures(grid, order, r, r, np.full(r.size, 0.1),
+                                                 hi, omega)
+    assert (beyond is None) == (order > 0.0)
+
+    def reference(radius, om):
+        T = max(radius * (1.0 + 1.5 * h), rM)
+        cuts = [T, 1.01 * T, 1.1 * T, 2.0 * T, 10.0 * T]
+
+        def f(rho):
+            return sphere_surface_area(N) * rho ** p \
+                * scipy_hyp2f1(-0.5 * p, 0.5 * (2.0 - N - p), 0.5 * N,
+                               (radius / rho) ** 2) \
+                * rho ** (N - 1) * (rho / rM) ** -om
+
+        near = sum(quad(f, a, b, epsabs=0.0, epsrel=5e-14, limit=200)[0]
+                   for a, b in zip(cuts, cuts[1:]))
+        # beyond 10 T in x = (10 T / rho)^(1/2), where the integrand, which
+        # falls as rho^(a-1-omega), is x^(2 (omega-a) - 1) times a smooth
+        # factor
+        X = cuts[-1]
+        return near + quad(lambda x: 2.0 * X * x ** -3 * f(X * x ** -2), 0.0, 1.0,
+                           epsabs=0.0, epsrel=5e-14, limit=200)[0]
+
+    assert_allclose(tail, [reference(x, omega) for x in r], rtol=1e-13)
+    if order < 0.0:
+        assert_allclose(beyond, [reference(x, 0.0) for x in r], rtol=1e-13)
 
 
 # The last Riesz row's weight of the tail model on [r_M, 1.5 r_M], its
