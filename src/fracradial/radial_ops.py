@@ -42,8 +42,9 @@ closures and the fractional Laplacian's diagonal mass.  The first and last
 `_END_ROWS` rows come from one batched row builder for both signs of a,
 `_rows`.  The operators differ only near the diagonal, where each takes
 its own rule: the PV Taylor window (`_pv_windows`, a < 0) or the graded
-diagonal cells (`_riesz_diagonal`, a > 0), whose points, virtual stencil
-points below r_1 and beyond r_max included, all go through `_spread`.
+diagonal cells (`_riesz_diagonal`, a > 0), whose points, virtual ones
+below r_1 and beyond r_max included (PV stencil points, the Riesz cell
+above the last node), all go through `_spread`.
 Outside, both take the grid cells and the closure integrals over whole
 regions (`_closures`): the origin model's on [0, r_1], by panels graded
 toward the row's radius, and the power tail's beyond r_M, in closed form.
@@ -755,82 +756,58 @@ def _pv_windows(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     return coeffs, mass, lo_w, hi_w, np.maximum(w / r, 0.1)
 
 
-def _diagonal_stub(f0: np.ndarray, f1: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Integrals over the last x0 before the diagonal of integrands taken
-    as power laws through their values f0 at distance x0 and f1 at 2 x0;
-    a RuntimeError if one of them is not integrable."""
-    gam = np.log(f1 / f0) / math.log(2.0)
-    if np.any(gam <= -1.0):
-        raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
-    return f0 * x0 / (gam + 1.0)
-
-
 def _riesz_diagonal(ctx: _RowContext, i: np.ndarray, order: float, omega: float):
     """The near-diagonal pieces of the Riesz rows (kernel order a = alpha)
     at the nodes i (R,), in the shape _pv_windows returns: the (R, M)
     coefficients, a zero kernel mass, the intervals (lo, hi) covered and
     the grading distance 0.1 of the origin panels.
 
-    The cells touching r = r_i are graded toward r in _RIESZ_GRADE_LEVELS
-    levels of 4 Gauss points with a power-law stub for the last, and so is
-    the origin model on [0, r_1] at the first node, whose singularity sits
-    where that region ends; every graded point and stub goes to the
-    columns through the value rule (`_spread`).  The last node's tail
-    model on [r, 1.5 r] takes 8-point panels graded in log radius toward r
-    and a stub, added to the last column.  The points are offsets xi from
-    r, and the kernel is evaluated at xi itself (see _kernel_eval): the
-    rounded radius r +- xi keeps only about eps r / xi of xi.
+    The two cells touching r = r_i are graded toward r in
+    _RIESZ_GRADE_LEVELS levels of 4 Gauss points with a power-law stub for
+    the last: below the first node the origin region [0, r_1], whose
+    singularity sits where it ends, and above the last the virtual cell
+    [r_M, r_M e^h] of the tail model, h the end cell's log spacing, as the
+    PV stencil continues it (`_stencil_offsets`).  Every graded point and
+    stub goes to the columns through the value rule (`_spread`).  The
+    points are offsets xi from r, and the kernel is evaluated at xi itself
+    (see _kernel_eval): r +- xi keeps only about eps r / xi of xi.
     """
     N = ctx.grid.N
     nodes = ctx.grid.nodes
-    M = nodes.size
+    tt = ctx.tt
+    M, R = nodes.size, i.size
     p = order - N
     r = nodes[i]
     lo = np.where(i > 0, nodes[np.maximum(i - 1, 0)], 0.0)
-    hi = np.where(i < M - 1, nodes[np.minimum(i + 1, M - 1)], 1.5 * r)
+    hi = np.where(i < M - 1, nodes[np.minimum(i + 1, M - 1)],
+                  math.exp(tt[-1] + (tt[-1] - tt[-2])))
     levels = _GRADE_RATIO ** np.arange(_RIESZ_GRADE_LEVELS + 1)
     x4, w4 = _gauss(4)
 
     # the cells below the radii, then the cells above
-    below, above = np.arange(i.size), np.flatnonzero(i < M - 1)
-    side = np.concatenate((below, above))
-    span = np.concatenate((r - lo, hi[above] - r[above]))
-    edges = span[:, None] * levels
+    side = np.tile(np.arange(R), 2)
+    edges = np.concatenate((r - lo, hi - r))[:, None] * levels
     xb, xa, x0 = edges[:, :-1, None], edges[:, 1:, None], edges[:, -1:]
     half = 0.5 * (xb - xa)
     # the graded points, then the stub's two points x0 and 2 x0
-    xi = np.concatenate(((0.5 * (xa + xb) + half * x4).reshape(side.size, -1),
+    xi = np.concatenate(((0.5 * (xa + xb) + half * x4).reshape(2 * R, -1),
                          x0, 2.0 * x0), axis=1)
     rs = r[side, None]
-    rho = rs + np.repeat([-1.0, 1.0], (below.size, above.size))[:, None] * xi
+    rho = rs + np.repeat([-1.0, 1.0], R)[:, None] * xi
     g = rho ** (N - 1) * _kernel_eval(N, p, rs, rho, xi)
-    stub = _diagonal_stub(g[:, -2], g[:, -1], x0[:, 0])
-    wg = (half * w4).reshape(side.size, -1) * g[:, :-2]
+    # below x0, the power law through the integrand at x0 and 2 x0
+    gam = np.log(g[:, -1] / g[:, -2]) / math.log(2.0)
+    if np.any(gam <= -1.0):
+        raise RuntimeError("riesz quadrature: non-integrable diagonal stub")
+    stub = g[:, -2] * x0[:, 0] / (gam + 1.0)
+    wg = (half * w4).reshape(2 * R, -1) * g[:, :-2]
     # a row takes its graded points side by side, then its stubs at its node
-    coeffs = np.zeros((i.size, M))
+    coeffs = np.zeros((R, M))
     _spread(coeffs, np.concatenate((np.repeat(side, xi.shape[1] - 2), side)), ctx.grid,
             np.concatenate((rho[:, :-2].ravel(), r[side])),
             np.concatenate((wg.ravel(), stub)), omega,
-            np.concatenate((np.log(rho[:, :-2]).ravel(), ctx.tt[i[side]])))
-
-    last = np.flatnonzero(i == M - 1)
-    if last.size:
-        rl = r[last, None]
-        x0 = 0.5 * rl * levels[-1]
-        xi = np.concatenate((x0, 2.0 * x0), axis=1)
-        g = (rl + xi) ** (N - 1) * _kernel_eval(N, p, rl, rl + xi, xi)
-        f = g * ((rl + xi) / nodes[-1]) ** -omega
-        # 8-point panels in log radius, from the stub out to 1.5 r
-        x8, w8 = _gauss(8)
-        t = np.log(rl * (1.0 + 0.5 * levels[::-1]))
-        la, lb = t[:, :-1, None], t[:, 1:, None]
-        rho = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * x8)
-        rr = rl[:, :, None]
-        contrib = 0.5 * (lb - la) * w8 * rho ** N \
-            * _kernel_eval(N, p, rr, rho, np.abs(rr - rho))
-        graded = np.sum(contrib * (rho / nodes[-1]) ** -omega, axis=(1, 2))
-        coeffs[last, -1] += _diagonal_stub(f[:, 0], f[:, 1], x0[:, 0]) + graded
-    return coeffs, np.zeros(i.size), lo, hi, np.full(i.size, 0.1)
+            np.concatenate((np.log(rho[:, :-2]).ravel(), tt[i[side]])))
+    return coeffs, np.zeros(R), lo, hi, np.full(R, 0.1)
 
 
 def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
@@ -845,7 +822,8 @@ def _rows(ctx: _RowContext, which, order: float, omega: float) -> np.ndarray:
     for (-Delta)^s (a = -2s).  Near r_i each takes its own rule
     (_pv_windows or _riesz_diagonal), and outside it the grid cells and
     the closures (_closures: the origin region by graded panels, the far
-    tail beyond max(hi, r_M) by its series).  A fractional-Laplacian row
+    tail beyond max(hi, r_M) by its series; the last Riesz row's hi is
+    r_M e^h, past its virtual diagonal cell).  A fractional-Laplacian row
     subtracts its kernel mass on the diagonal, summed in a fixed order:
     the row cancels far below its entries.  Each row equals the one built
     alone (R = 1) bitwise; the cells take (R, 4, M-1) temporaries.

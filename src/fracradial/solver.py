@@ -338,8 +338,9 @@ def solve_ground_state(params: ProblemParams,
             F that is not finite at the iterate's values), iteration limit
             reached, diverging amplitude, or final residual above 1e-6
             relative to the sup norm.
-        ZeroCollapseError: iterates' sup norm fell below 1e-12.
-        RuntimeError: an iterate lost positivity, or the resolvent matrix is
+        ZeroCollapseError: an iterate's largest entry fell to [0, 1e-12].
+        RuntimeError: an iterate lost positivity (an entry <= 0, all of
+            them when none is positive), or the resolvent matrix is
             singular or fails the backward-error check (discretization
             trouble).
     """
@@ -388,7 +389,7 @@ def solve_ground_state(params: ProblemParams,
                 RadialFunction(grid=grid, values=w, tail_exponent=beta),
                 params.s) + params.mu * w
             _backward_error(Aw, a_max, w, b)
-        if kappa_w <= 1e-12:
+        if 0.0 <= kappa_w <= 1e-12:
             raise ZeroCollapseError(
                 f"solve_ground_state: iterate sup norm {kappa_w!r} collapsed "
                 f"at iteration {it}")

@@ -659,6 +659,24 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
     assert "lost positivity" in err and "Traceback" not in err
 
 
+def test_iterate_with_no_positive_entry_exits_3_as_lost_positivity(tmp_path, capsys):
+    code = main(["solve", "--out", str(tmp_path), "--set", "grid.r_min=1e-20",
+                 "--set", "grid.nodes=32"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "iterate lost positivity at iteration 1" in err
+
+
+def test_residual_gate_exits_3_with_one_line(tmp_path, capsys):
+    code = main(["solve", "--out", str(tmp_path), "--set", "solver.tolerance=1e-3",
+                 "--set", "grid.nodes=200"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("numerical failure: solve_ground_state: converged iteration "
+                   "left residual 6.487e-05 > 1e-6 * sup u = 3.967e-08\n")
+
+
 def test_value_error_after_parsing_exits_3_with_one_line(tmp_path, capsys,
                                                         monkeypatch):
     def failing(*args):

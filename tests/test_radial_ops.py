@@ -179,7 +179,8 @@ def test_kernel_table_is_built_a_block_of_intervals_at_a_time(monkeypatch):
 
 def test_closed_form_kernel_matches_dimension_three():
     rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
-    for p in (-6.0, -4.5, -3.0, -2.0, -1.0):
+    # -2 +- 1e-9 take the first-order correction of the logarithmic limit
+    for p in (-6.0, -4.5, -3.0, -2.0 - 1e-9, -2.0, -2.0 + 1e-9, -1.0):
         got = radial_ops._kernel_at_gap(rho - 1.0, p, 3)
         assert_allclose(got, radial_ops._kernel3_arrays(1.0, rho, p, rho - 1.0),
                         rtol=1e-13)
@@ -704,9 +705,10 @@ def test_first_riesz_rows_match_closed_form(N, alpha, beta, bounds):
         assert np.max(np.abs(v.values[:3] / want - 1.0)) <= bound, M
 
 
-# The last three nodes, whose rows' far tails start at r_M (1.5 r_M for the
-# last): 2.4e-8 to 2.5e-8 at M = 1200 at (3, 1/2, 3.7).  With 8-point panels
-# out to 10^6 r_M the two before the last read 6.1e-7 and 5.0e-6.
+# The last three nodes, whose rows' far tails start at r_M (r_M e^h for the
+# last, past its graded virtual cell): 2.5e-8 at M = 1200 at (3, 1/2, 3.7).
+# With 8-point panels out to 10^6 r_M the two before the last read 6.1e-7
+# and 5.0e-6.
 def test_last_riesz_rows_match_closed_form():
     g = RadialGrid.log_spaced(num=1200, N=3)
     v = riesz_convolve_radial(h_beta_function(g, 3.7), 0.5)
@@ -879,37 +881,58 @@ def test_closures_match_quadrature(N, order, omega):
         assert_allclose(beyond, [reference(x, 0.0) for x in r], rtol=1e-13)
 
 
-# The last Riesz row's weight of the tail model on [r_M, 1.5 r_M], its
-# 8-point panels graded in log radius toward r_M and its stub, against
-# int_0^{r_M/2} k_p(r_M, r_M + xi) (r_M + xi)^(N-1) ((r_M + xi)/r_M)^(-omega)
-# dxi: 20 Gauss-Legendre points on each of 120 panels graded by halves
-# toward xi = 0, with the kernel in closed form (`_kernel_at_gap`).  The
-# integrand is O(xi^(alpha-1)) there, and what lies below the panels is
-# 2^(-120 alpha) of the whole.  alpha = 2 is outside (0, N) at N = 2, where
-# 1.5 takes its place.  Measured at most 5.8e-10 relative, at N = 3 and
-# alpha = 1/2; 4 Gauss points on uniformly graded panels read 3.9e-7 there.
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("N", [2, 3])
-def test_last_riesz_row_tail_piece_matches_quadrature(N, alpha, monkeypatch):
-    if alpha >= N:
-        alpha = 1.5
+# The last Riesz row's weight of the tail model beyond r_M: what
+# _riesz_diagonal sends through _spread to radii beyond r_M (the graded
+# points of the virtual cell [r_M, r_M e^h]) times (rho/r_M)^(-omega), that
+# cell's stub, and _closures' tail weight from the returned hi on, against
+# scipy's quad of int_{r_M}^inf k_p(r_M, rho) rho^(N-1) (rho/r_M)^(-omega)
+# drho.  The integrand is O((rho - r_M)^(alpha-1)) at r_M, so the integral
+# is split at offsets r_M 2^(-k) graded by halves toward r_M, where 2^(-120
+# alpha) of it is left out, and beyond 2 r_M it is taken in
+# x = (2 r_M / rho)^(1/2).  The kernel is `_kernel_at_gap` at the offset
+# (scipy's hyp2f1 returns inf there at alpha = 1).  alpha = 2 is outside
+# (0, N) at N = 2, where 1.5 takes its place.  The virtual cell takes the
+# graded rule of every other diagonal cell; measured 7.2e-8, 2.9e-9 and
+# 2e-16 at N = 3, and 5.4e-8, 1.4e-9 and 1.5e-11 at N = 2.
+LAST_ROW_TAIL_BOUNDS = {(3, 0.5): 1.5e-7, (3, 1.0): 6e-9, (3, 2.0): 4e-16,
+                        (2, 0.5): 1.1e-7, (2, 1.0): 3e-9, (2, 1.5): 3e-11}
+
+
+@pytest.mark.parametrize("N,alpha", list(LAST_ROW_TAIL_BOUNDS))
+def test_last_riesz_row_tail_weight_matches_quadrature(N, alpha, monkeypatch):
+    from scipy.integrate import quad
+
     M, omega = 600, N + 0.7
     grid = RadialGrid.log_spaced(num=M, N=N)
-    ctx = radial_ops._RowContext(grid)
-    # only the tail piece, which goes to the last column straight
-    monkeypatch.setattr(radial_ops, "_spread", lambda *args: None)
-    coeffs = radial_ops._riesz_diagonal(ctx, np.array([M - 1]), alpha, omega)[0]
-    assert np.count_nonzero(coeffs) == 1
     rM, p = grid.r_max, alpha - N
-    x, w = np.polynomial.legendre.leggauss(20)
-    edges = 0.5 * rM * 0.5 ** np.arange(120.0, -1.0, -1.0)
-    a, b = edges[:-1, None], edges[1:, None]
-    xi = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
-    rho = rM + xi
-    f = rM ** p * radial_ops._kernel_at_gap(xi / rM, p, N) * rho ** (N - 1) \
-        * (rho / rM) ** -omega
-    want = np.sum((0.5 * (b - a) * w).ravel() * f)
-    assert_allclose(coeffs[0, -1], want, rtol=1e-8)
+    spread = radial_ops._spread
+    sent = []
+
+    def record(coeffs, rows, grid, rho, weights, omega, t=None):
+        sent.append((rho, weights))
+        spread(coeffs, rows, grid, rho, weights, omega, t)
+
+    monkeypatch.setattr(radial_ops, "_spread", record)
+    ctx = radial_ops._RowContext(grid)
+    _, _, lo, hi, d0 = radial_ops._riesz_diagonal(ctx, np.array([M - 1]), alpha, omega)
+    (rho, weights), = sent
+    beyond = rho > rM
+    assert hi[0] > rM and np.all(rho[beyond] < hi[0])
+    # the stubs come last, the cell above's after the cell below's
+    got = np.sum(weights[beyond] * (rho[beyond] / rM) ** -omega) + weights[-1] \
+        + radial_ops._closures(grid, alpha, np.array([rM]), lo, d0, hi, omega)[3][0]
+
+    def f(xi):
+        rho = rM + xi
+        return rM ** p * radial_ops._kernel_at_gap(xi / rM, p, N) * rho ** (N - 1) \
+            * (rho / rM) ** -omega
+
+    cuts = rM * 0.5 ** np.arange(120.0, -1.0, -1.0)
+    near = sum(quad(f, a, b, epsabs=0.0, epsrel=5e-14)[0]
+               for a, b in zip(cuts, cuts[1:]))
+    far = quad(lambda x: 4.0 * rM * x ** -3 * f(2.0 * rM * x ** -2 - rM), 0.0, 1.0,
+               epsabs=0.0, epsrel=5e-14, limit=200)[0]
+    assert abs(got / (near + far) - 1.0) <= LAST_ROW_TAIL_BOUNDS[N, alpha]
 
 
 # ----------------------------------------------------------------------------

@@ -507,6 +507,25 @@ def test_vanishing_nonlinearity_collapses(params, monkeypatch):
         solve_ground_state(params, SolverOpts(grid=RadialGrid.log_spaced(num=64)))
 
 
+def test_iterate_with_no_positive_entry_lost_positivity(params):
+    # 32 nodes from 1e-20 to 1e3 are too coarse: the first iterate is
+    # negative at every node (max -1.9e-8), which is a loss of positivity,
+    # not a collapse with a negative sup norm
+    grid = RadialGrid.log_spaced(r_min=1e-20, num=32)
+    with pytest.raises(RuntimeError, match="lost positivity at iteration 1") as info:
+        solve_ground_state(params, SolverOpts(grid=grid))
+    assert not isinstance(info.value, ZeroCollapseError)
+
+
+def test_loose_tolerance_fails_the_residual_gate(params):
+    # a stop at 1e-3 leaves residual 6.487e-05, above 1e-6 sup u = 3.967e-08
+    grid = RadialGrid.log_spaced(num=200)
+    with pytest.raises(NonConvergenceError,
+                       match=r"converged iteration left residual 6\.487e-05 > "
+                             r"1e-6 \* sup u = 3\.967e-08"):
+        solve_ground_state(params, SolverOpts(grid=grid, tolerance=1e-3))
+
+
 def test_non_finite_right_hand_side_is_a_nonconvergence():
     # f and F are declared on [0, 0.4] and turn NaN above 0.5; the first
     # iterate reaches about 1, so the NaN goes through the resolvent
@@ -535,6 +554,23 @@ def general_spec():
         f=lambda t: np.power(t, 0.7) + t,
         F=lambda t: np.power(t, 1.7) / 1.7 + 0.5 * t * t,
         r=1.7, C_bar=2.0, C_under=1.0, delta=1.0)
+
+
+def test_scalar_only_nonlinearity_is_applied_per_element(params):
+    # math.pow takes no array, so f and F are applied one node at a time:
+    # the values keep the input's shape, and the solve is the np.power one's
+    spec = NonlinearitySpec.general(
+        f=lambda t: SQRT_17 * math.pow(t, 0.7),
+        F=lambda t: SQRT_17 / 1.7 * math.pow(t, 1.7),
+        r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=math.inf)
+    x = np.array([[0.5, 1.0], [2.0, 3.0]])
+    assert_allclose(spec.f_values(x), SQRT_17 * x ** 0.7, rtol=1e-15)
+    assert_allclose(spec.F_values(x), SQRT_17 / 1.7 * x ** 1.7, rtol=1e-15)
+    opts = SolverOpts(grid=RadialGrid.log_spaced(num=200))
+    got = solve_ground_state(dataclasses.replace(params, nonlinearity=spec), opts)
+    want = solve_ground_state(params, opts)
+    assert got.iterations == want.iterations == 977
+    assert np.max(np.abs(got.u.values - want.u.values)) <= 1e-12 * np.max(want.u.values)
 
 
 # on 150 nodes, and on the coarsest grid of the same range (32 nodes, the
