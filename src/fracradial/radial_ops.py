@@ -8,7 +8,8 @@ r_1, whose u(0) = g1 u_1 + g2 u_2 is the quadratic in rho through the
 first two nodes (`_origin_closure`), the cubic in log radius through the
 four nearest nodes (`_cubic_basis`) on [r_1, r_max], and the power tail
 u_M (rho/r_max)^(-omega) beyond.  Both closures continue the nearest
-samples by construction and close integrals over R^N analytically.
+samples by construction, and `volume_integral` continues its trapezoid
+sum in log radius through their samples.
 `RadialFunction.evaluate` applies the rule to the values, and `_spread`
 adds an operator row's weights sitting at radii to its node columns
 through it.  On top of that representation this module provides
@@ -108,13 +109,6 @@ _RIESZ_GRADE_LEVELS = 30
 _GJ_BLOCK = 128
 
 _gauss = functools.cache(leggauss)
-
-
-def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the interval [a, b]."""
-    x, w = _gauss(n)
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * x, half * w
 
 
 # Calls that _raw and _kernel_table each keep.  The heaviest read side (two
@@ -298,9 +292,9 @@ class RadialGrid:
 
     The four fields define the grid, and key its operators in the cache;
     the nodes, weights and log nodes are derived from them.  The weights
-    integrate piecewise-linear-in-log-r data exactly against r^{N-1} dr
-    over [r_1, r_M]; contributions from [0, r_1) and (r_M, inf) are handled
-    by the closures of RadialFunction, not by the weights.
+    are the trapezoid rule in t = log r, h r_j^N for the log spacing h,
+    with full weight at both ends: `volume_integral` continues the sum
+    below r_1 and beyond r_M with the closures' samples.
     A grid has at least 4 `_END_ROWS` nodes, so that the assembled
     operators have interior rows clear of both ends.
     """
@@ -329,18 +323,12 @@ class RadialGrid:
         nodes = np.geomspace(r_min, r_max, M)
         nodes[0] = r_min
         nodes[-1] = r_max
-        # hat-function integrals of e^{N t} dt per cell
-        a = nodes[:-1] ** float(N)
-        b = nodes[1:] ** float(N)
-        dt = np.diff(np.log(nodes))
-        rising = b / N - (b - a) / (N * N * dt)
-        falling = (b - a) / N - rising
-        weights = np.zeros(M)
-        weights[:-1] += falling
-        weights[1:] += rising
+        log_nodes = np.log(nodes)
+        # the trapezoid rule in t = log rho, full weight at both ends
+        weights = (log_nodes[-1] - log_nodes[0]) / (M - 1) * nodes ** float(N)
         for name, value in (("r_min", float(r_min)), ("r_max", float(r_max)),
                             ("size", M), ("N", N), ("nodes", nodes),
-                            ("weights", weights), ("log_nodes", np.log(nodes))):
+                            ("weights", weights), ("log_nodes", log_nodes)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -1203,7 +1191,11 @@ def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
-    """Integral of u(x)^power over R^N, using all three model regions.
+    """Integral of u(x)^power over R^N by the trapezoid rule in t = log rho
+    with the grid's log spacing h: the node weights, continued below r_1
+    by the origin model's samples at r_1 e^{-kh}, k >= 1, until rho^N falls
+    below about 1e-8 r_1^N, and beyond r_M by the power tail's, whose sum
+    is geometric.
 
     Args:
         u: radial function; must be nonnegative when power is fractional.
@@ -1226,8 +1218,11 @@ def volume_integral(u: RadialFunction, power: float = 1.0) -> float:
     if q * om <= N:
         raise ValueError(
             f"volume_integral: tail decay power*omega = {q * om} must exceed N = {N}")
+    h = (grid.log_nodes[-1] - grid.log_nodes[0]) / (grid.size - 1)
     node_part = float(np.sum(grid.weights * u.values ** q))
-    x, xw = _gauss_on(0.0, grid.nodes[0], 16)
-    origin_part = float(np.sum(xw * u.evaluate(x) ** q * x ** (N - 1)))
-    tail_part = u.values[-1] ** q * grid.r_max ** N / (q * om - N)
+    kh = h * np.arange(1, math.ceil(18.0 / (N * h)) + 1)
+    w1, w2 = _origin_model(grid, np.exp(-2.0 * kh))
+    origin = (w1 * u.values[0] + w2 * u.values[1]) ** q
+    origin_part = h * grid.nodes[0] ** N * float(np.sum(np.exp(-N * kh) * origin))
+    tail_part = h * u.values[-1] ** q * grid.r_max ** N / math.expm1((q * om - N) * h)
     return sphere_surface_area(N) * (node_part + origin_part + tail_part)

@@ -34,14 +34,12 @@ from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
     _backward_error,
-    _gauss_on,
     _riesz_operator,
     frac_laplacian_on_grid,
     fraclap_matrix,
     lu_factor,
     lu_solve,
     riesz_convolve_radial,
-    sphere_surface_area,
     volume_integral,
 )
 from fracradial.specfun import NonConvergenceError, h_beta_eval
@@ -462,22 +460,17 @@ def _energy_identities(u: RadialFunction, params: ProblemParams, lap: np.ndarray
     through the three integrals int u (-Delta)^s u, int u^2 and
     int (I_alpha*F(u)) F(u).
 
-    The quadratic form uses the node weights plus both functions' values
-    below r_1 (`RadialFunction.evaluate`, the origin model there); the
-    omitted far-tail correction of the sign-indefinite u*(-Delta)^s u
-    integrand sits at least six orders below the node part for profiles
-    decaying on this grid.  The Choquard integrand is a RadialFunction with
-    tail exponent omega_F + N - alpha, integrated by volume_integral.
+    Each is a volume_integral.  The quadratic form's integrand u (-Delta)^s u
+    closes with tail exponent omega + min(omega, N) + 2s, since
+    (-Delta)^s u decays by riesz_convolve_radial's image rule
+    min(omega, N) - a at order a = -2s; the Choquard integrand closes
+    with omega_F + N - alpha.
     """
     grid = u.grid
     N, s, mu = params.N, params.s, params.mu
-    area = sphere_surface_area(N)
-
-    quad_nodes = float(np.sum(grid.weights * u.values * lap))
-    x, wx = _gauss_on(0.0, grid.nodes[0], 8)
-    lap_u = RadialFunction(grid=grid, values=lap, tail_exponent=u.tail_exponent)
-    quad_origin = float(np.sum(wx * u.evaluate(x) * lap_u.evaluate(x) * x ** (N - 1)))
-    a_quad = area * (quad_nodes + quad_origin)
+    om = u.tail_exponent
+    a_quad = volume_integral(RadialFunction(
+        grid=grid, values=u.values * lap, tail_exponent=om + min(om, N) + 2.0 * s))
 
     b_sq = volume_integral(u, 2.0)
 

@@ -264,24 +264,23 @@ def test_lu_factor_rejects_singular_and_non_finite_matrices(A, match):
 # grid and function representation
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", [2, 3, 5])
-def test_grid_weights_integrate_constants_exactly(N):
-    g = RadialGrid.log_spaced(num=64, N=N)
-    want = (g.r_max ** N - g.nodes[0] ** N) / N
-    assert_allclose(np.sum(g.weights), want, rtol=1e-13)
-
-
-def test_grid_weights_integrate_log_linear_data_exactly():
-    """The weights are hat integrals in t = log r, so data linear in t is
-    integrated exactly: int t e^{Nt} dt = e^{Nt} (t/N - 1/N^2)."""
-    g = RadialGrid.log_spaced(num=97, N=3)
-    t = g.log_nodes
-
-    def antider(tt):
-        return math.exp(3.0 * tt) * (tt / 3.0 - 1.0 / 9.0)
-
-    assert_allclose(np.sum(g.weights * t), antider(t[-1]) - antider(t[0]),
-                    rtol=1e-12)
+@pytest.mark.parametrize("N, beta", [(3, 10.0 / 3.0), (2, 2.5)], ids=["N3", "N2"])
+@pytest.mark.parametrize("r_max, size, powers, rtol", [
+    (1e6, 217, (1.0, 1.7, 2.0), 1e-13),   # measured <= 2.0e-14
+    # at r_max = 1e3 h_beta is not yet a pure power, and q = 1 sits at the
+    # tail closure's floor (1.6e-7 and 3.2e-8)
+    (1e3, 1200, (1.7, 2.0), 1e-12),       # measured <= 1.9e-13
+], ids=["1e6-217", "default"])
+def test_volume_integral_of_h_beta_matches_closed_form(N, beta, r_max, size,
+                                                       powers, rtol):
+    """int_{R^N} h_beta^q = |S^{N-1}| B(N/2, (q beta - N)/2) / 2, by the
+    trapezoid rule in log radius continued into both closures."""
+    u = h_beta_function(RadialGrid(r_min=1e-3, r_max=r_max, size=size, N=N), beta)
+    for q in powers:
+        a, b = 0.5 * N, 0.5 * (q * beta - N)
+        beta_fn = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        assert_allclose(volume_integral(u, q),
+                        0.5 * sphere_surface_area(N) * beta_fn, rtol=rtol)
 
 
 def test_grid_validation():

@@ -259,9 +259,9 @@ def test_solution_profile_is_positive_and_monotone(solution):
 
 def test_solution_matches_frozen_run(solution):
     # values from a converged run of this solver on the default grid:
-    # sup u = 0.037811335031885655, ||u||_r = 13.948841354250574
+    # sup u = 0.037811335031885655, ||u||_r = 13.948024433706832
     assert_allclose(np.max(solution.u.values), 0.037811335031885655, rtol=1e-9)
-    assert_allclose(solution.norm_r, 13.948841354250574, rtol=1e-9)
+    assert_allclose(solution.norm_r, 13.948024433706832, rtol=1e-9)
 
 
 def test_solution_tail_uses_predicted_exponent(solution, params):
