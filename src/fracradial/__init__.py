@@ -15,7 +15,6 @@ from fracradial.decay_analysis import (
     DecayPrediction,
     RieszTailReport,
     bound_constants,
-    check_analysis,
     check_fit_window,
     fit_tail,
     predict_decay,
@@ -78,7 +77,6 @@ __all__ = [
     "ZeroCollapseError",
     "bound_constants",
     "dilation_derivative",
-    "check_analysis",
     "check_fit_window",
     "fit_tail",
     "frac_lap_h_asymptotic",

@@ -45,7 +45,7 @@ import numpy as np
 
 from fracradial.decay_analysis import (
     bound_constants,
-    check_analysis,
+    check_fit_window,
     fit_tail,
     predict_decay,
     sharp_constant,
@@ -111,10 +111,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text.strip() == "" else _parse_float(text)
-
-
 def _parse_convention(text: str) -> str:
     if text not in ("sqrt_r", "power"):
         raise ValueError(f"must be 'sqrt_r' or 'power', got {text!r}")
@@ -168,9 +164,6 @@ _CONFIG_SCHEMA = {
     },
     "analysis": {
         "fit_window": (_parse_float_pair, "50,100"),
-        "theta": (_parse_optional_float, ""),
-        "chain_rule_theta": (_parse_float_list, ""),
-        "kappa": (_parse_optional_float, ""),
     },
     "output": {
         "directory": (str, "."),
@@ -581,17 +574,15 @@ def _cmd_solve(cfg: dict, args) -> int:
 _CHECK_HEADER = ["name", "passed", "measured", "reference", "tolerance"]
 
 
-def _chain_rule_name(theta: float) -> str:
-    """The name of the chain-rule check at the exponent theta."""
-    return f"chain_rule_theta_{theta:g}"
-
-
 def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dict]:
     """All decay checks for one solution; returns (checks, rules, report
     numbers), each check a row of _CHECK_HEADER values and each rule the
-    comparison that decided it, with its reference and tolerance filled in."""
+    comparison that decided it, with its reference and tolerance filled in.
+    The fit window is the one setting; the Riesz-tail envelope takes
+    theta = N + alpha, the strictest, and the chain rule the exponents 0.3
+    and 2 - r."""
     params = sol.params
-    ana = cfg["analysis"]
+    window = cfg["analysis"]["fit_window"]
     pred = predict_decay(params)
     checks: list[list] = []
     rules: list[str] = []
@@ -601,7 +592,7 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dic
         checks.append(row)
         rules.append(rule.format(reference=row[3], tolerance=row[4]))
 
-    fit = fit_tail(sol.u, ana["fit_window"])
+    fit = fit_tail(sol.u, window)
     add("fit_exponent", abs(fit.fitted_exponent - pred.beta) <= 0.1 * pred.beta,
         fit.fitted_exponent, pred.beta, 0.1,
         "|measured - {reference!r}| <= {tolerance!r} * {reference!r}")
@@ -611,49 +602,31 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dic
         c_sharp = sharp_constant(sol)
         constants["sharp"] = c_sharp
         grid = sol.u.grid
-        lo, hi = ana["fit_window"]
+        lo, hi = window
         sel = (grid.nodes >= lo) & (grid.nodes <= hi)
         product = sol.u.values[sel] * grid.nodes[sel] ** pred.beta
         dev = float(np.max(np.abs(product - c_sharp))) / c_sharp
         add("tail_constant", dev <= 0.2, dev, 0.0, 0.2, "measured <= {tolerance!r}")
 
-    bounds = bound_constants(sol, kappa=ana["kappa"])
+    bounds = bound_constants(sol)
     constants.update(C_upper=bounds.C_upper, C_lower=bounds.C_lower,
                      kappa=bounds.kappa, kappa_star=bounds.kappa_star)
-    add("bounds_ordered", bounds.C_lower <= bounds.C_upper * (1.0 + 1e-12),
-        bounds.C_lower / bounds.C_upper, 1.0, 1e-12,
-        "measured <= {reference!r} + {tolerance!r}")
-    if bounds.kappa_star is not None:
-        at_star = bound_constants(sol)
-        gap = abs(at_star.C_upper - at_star.C_lower) / at_star.C_lower
-        invariant = all(
-            bound_constants(sol, kappa=m * at_star.kappa_star).C_lower
-            == at_star.C_lower for m in (2.0, 3.0, 10.0))
-        add("kappa_ledger", gap <= 1e-10 and invariant, gap, 0.0, 1e-10,
-            "measured <= {tolerance!r} and C_lower is the same at kappa* "
-            "and 2, 3, 10 kappa*")
 
-    theta = ana["theta"]
-    if theta is None:
-        theta = params.N + params.alpha
-    riesz = verify_riesz_tail(sol, theta=theta)
+    riesz = verify_riesz_tail(sol, theta=params.N + params.alpha)
     ratio_end = float(riesz.normalized_ratio[-1])
     add("riesz_tail", abs(ratio_end - 1.0) <= 0.05, ratio_end, 1.0, 0.05,
         "|measured - {reference!r}| <= {tolerance!r}")
 
-    thetas = ana["chain_rule_theta"]
-    if not thetas:
-        r = params.nonlinearity.r
-        # 2 - r is dropped where its check would carry the name of 0.3's
-        same = _chain_rule_name(2.0 - r) == _chain_rule_name(0.3)
-        thetas = (0.3,) if same else (0.3, 2.0 - r)
+    r = params.nonlinearity.r
+    # 2 - r is dropped where its check would carry the name of 0.3's
+    thetas = (0.3,) if f"{2.0 - r:g}" == "0.3" else (0.3, 2.0 - r)
     chain_reports = []
-    reps = verify_chain_rule(sol.u, tuple(thetas), params.s)
+    reps = verify_chain_rule(sol.u, thetas, params.s)
     for th, rep in zip(thetas, reps):
         ratio = rep.margin / rep.scale
         k = int(np.argmin(ratio))
         worst = float(ratio[k])
-        add(_chain_rule_name(th), rep.passed, worst, 0.0, rep.tolerance,
+        add(f"chain_rule_theta_{th:g}", rep.passed, worst, 0.0, rep.tolerance,
             "measured >= -{tolerance!r}")
         chain_reports.append({"theta": th, "min_margin_over_scale": worst,
                               "worst_radius": float(rep.radii[k]),
@@ -676,37 +649,21 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dic
     return checks, rules, numbers
 
 
-def _check_analysis(cfg: dict, params: ProblemParams, grid: RadialGrid) -> None:
-    """Reject analysis settings that the decay checks would refuse for
-    params on grid (decay_analysis.check_analysis), and chain-rule exponents
-    whose checks would carry one name, so that no solve runs for settings
-    that cannot be used."""
-    ana = cfg["analysis"]
-    for key, setting in (
-            ("analysis.fit_window", {"fit_window": ana["fit_window"]}),
-            ("analysis.theta", {"theta": ana["theta"]}),
-            ("analysis.chain_rule_theta",
-             {"chain_rule_theta": ana["chain_rule_theta"]}),
-            ("analysis.kappa", {"kappa": ana["kappa"]})):
-        with _config_errors(f"{key}: "):
-            check_analysis(params, grid, **setting)
-    thetas = ana["chain_rule_theta"]
-    names = [_chain_rule_name(th) for th in thetas]
-    for k, name in enumerate(names):
-        if name in names[:k]:
-            raise ConfigError(
-                f"analysis.chain_rule_theta: {thetas[names.index(name)]!r} and "
-                f"{thetas[k]!r} give checks of one name, {name}")
+def _check_analysis(cfg: dict, grid: RadialGrid) -> None:
+    """Reject a fit window that fit_tail would refuse on grid
+    (decay_analysis.check_fit_window), so that no solve runs for it."""
+    with _config_errors("analysis.fit_window: "):
+        check_fit_window(cfg["analysis"]["fit_window"], grid.nodes)
 
 
 def _cmd_verify_decay(cfg: dict, args) -> int:
     if args.solution is not None:
         sol = load_solution(args.solution)
-        _check_analysis(cfg, sol.params, sol.u.grid)
+        _check_analysis(cfg, sol.u.grid)
     else:
         params = _build_problem(cfg)
         grid = _build_grid(cfg, params.N)
-        _check_analysis(cfg, params, grid)
+        _check_analysis(cfg, grid)
         sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
     checks, rules, numbers = _verify_checks(sol, cfg)
     passed = all(ok for _, ok, *_ in checks)

@@ -38,7 +38,6 @@ __all__ = [
     "RieszTailReport",
     "predict_decay",
     "check_fit_window",
-    "check_analysis",
     "fit_tail",
     "sharp_constant",
     "bound_constants",
@@ -178,39 +177,6 @@ def check_fit_window(window: tuple[float, float],
     return lo, hi
 
 
-def check_analysis(params=None, grid=None, *, fit_window=None, theta=None,
-                   chain_rule_theta=(), kappa=None) -> None:
-    """Check settings of the decay checks before any of them runs, so that a
-    caller can reject them before solving.  A setting left at its default is
-    not checked; fit_window needs the grid, theta and kappa the problem
-    params.
-
-    Args:
-        params: the problem (ProblemParams).
-        grid: the grid the solution lives on.
-        fit_window: fit_tail's window, checked by check_fit_window.
-        theta: verify_riesz_tail's envelope exponent, in (N, N+alpha].
-        chain_rule_theta: verify_chain_rule's exponents, each in (0, 1).
-        kappa: bound_constants' rescaling: positive, finite, and large enough that
-            mu > (r-1) (C_bar/kappa)^(1/(r-1)).
-
-    Raises:
-        ValueError: the first setting out of range.
-    """
-    if fit_window is not None:
-        check_fit_window(fit_window, grid.nodes)
-    if theta is not None:
-        N, alpha = params.N, params.alpha
-        if not (N < theta <= N + alpha):
-            raise ValueError(f"theta {theta!r} lies outside (N, N+alpha] "
-                             f"= ({N}, {N + alpha!r}]")
-    for th in chain_rule_theta:
-        if not (0.0 < th < 1.0):
-            raise ValueError(f"chain-rule theta {th!r} lies outside (0, 1)")
-    if kappa is not None:
-        _upper_denominator(params, kappa)
-
-
 def _upper_denominator(params, kappa: float) -> float:
     """mu - (r-1) (C_bar/kappa)^(1/(r-1)), the denominator of the upper
     bound constant; ValueError unless kappa is positive and finite and the
@@ -319,8 +285,8 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     Raises:
         ValueError: no kappa given, distinct envelopes, and the raw
             denominator hypothesis mu > (r-1) C_bar^{1/(r-1)} fails; or a
-            supplied kappa is not positive or makes the denominator
-            nonpositive (the kappa rule of check_analysis).
+            supplied kappa is not positive and finite or makes the
+            denominator nonpositive.
     """
     params = sol.params
     spec = params.nonlinearity
@@ -357,7 +323,9 @@ def verify_chain_rule(u: RadialFunction, theta, s: float):
     back, one per theta, each equal to the one-exponent call's.
     """
     thetas = [theta] if np.ndim(theta) == 0 else list(theta)
-    check_analysis(chain_rule_theta=thetas)
+    for th in thetas:
+        if not (0.0 < th < 1.0):
+            raise ValueError(f"chain-rule theta {th!r} lies outside (0, 1)")
     if np.any(u.values <= 0.0):
         raise ValueError("verify_chain_rule: u must be strictly positive")
     lap_u = frac_laplacian_on_grid(u, s)
@@ -392,8 +360,10 @@ def verify_riesz_tail(sol, theta: float) -> RieszTailReport:
         theta: envelope exponent in (N, N+alpha].
     """
     params = sol.params
-    check_analysis(params, theta=theta)
     N, alpha = params.N, params.alpha
+    if not (N < theta <= N + alpha):
+        raise ValueError(f"theta {theta!r} lies outside (N, N+alpha] "
+                         f"= ({N}, {N + alpha!r}]")
     grid = sol.u.grid
     lo, hi = grid.r_max / 50.0, grid.r_max / 10.0
     conv = sol.evaluation[2]

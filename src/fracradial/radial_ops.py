@@ -111,10 +111,10 @@ _GJ_BLOCK = 128
 _gauss = functools.cache(leggauss)
 
 
-# Calls that _raw and _kernel_table each keep.  The heaviest read side (two
-# M = 400 records with four chain-rule exponents, and the four oracle cases
-# at M = 600) reads 16 operators and one kernel table, and an operator
-# keeps O(M) floats: 267 kB at M = 1200.
+# Calls that _raw and _kernel_table each keep.  The benchmark's read side
+# (verify-decay of two M = 400 records, and the four oracle cases at
+# M = 600) reads 11 operators and one kernel table, and an operator keeps
+# O(M) floats: 267 kB at M = 1200.
 _CACHED = 64
 
 

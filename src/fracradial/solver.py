@@ -500,7 +500,8 @@ def pohozaev_check(sol: Solution) -> tuple[float, float, float]:
 
 
 def dilation_derivative(sol: Solution) -> float:
-    """Central difference of t -> I(u(./t)) at t = 1, with step 0.01.
+    """Richardson extrapolation, (4 D(0.005) - D(0.01)) / 3, of the central
+    difference D(h) of t -> I(u(./t)) at t = 1.
 
     This is the defining property of the scaling functional: the derivative
     equals P(u).  The dilated profiles are resampled on the original grid
@@ -508,9 +509,9 @@ def dilation_derivative(sol: Solution) -> float:
     between nodes, the origin model and the power tail outside them) and
     pushed through the same energy quadratures as pohozaev_check, so the
     agreement of this number with P_val is a two-route consistency check,
-    not an algebraic identity.
+    not an algebraic identity.  The extrapolation cancels D's h^2 error,
+    which at h = 0.01 alone is about 1e-4 of the identity's term scale.
     """
-    step = 0.01
     params, u0 = sol.params, sol.u
 
     def energy(t: float) -> float:
@@ -518,4 +519,7 @@ def dilation_derivative(sol: Solution) -> float:
                            tail_exponent=u0.tail_exponent)
         return _energy_identities(u, params, *_evaluate(u, params))[0]
 
-    return (energy(1.0 + step) - energy(1.0 - step)) / (2.0 * step)
+    def central(step: float) -> float:
+        return (energy(1.0 + step) - energy(1.0 - step)) / (2.0 * step)
+
+    return (4.0 * central(0.005) - central(0.01)) / 3.0

@@ -816,29 +816,35 @@ def test_unusable_fit_window_for_a_stored_record_exits_2(workdir, tmp_path,
         "config error: analysis.fit_window: window top 200.0")
 
 
+# The analysis section once took theta, chain_rule_theta and kappa, and
+# refused each of these values by its range.  The three are constants now,
+# so a config or an override that still sets one names an unknown key:
+# exit 2 with a one-line cause, before any solve.
 @pytest.mark.parametrize("override,key", [
     ("analysis.chain_rule_theta=1.5", "analysis.chain_rule_theta"),
     ("analysis.chain_rule_theta=0", "analysis.chain_rule_theta"),
-    ("analysis.theta=2.0", "analysis.theta"),        # outside (N, N+alpha]
+    ("analysis.theta=2.0", "analysis.theta"),
     ("analysis.kappa=-1", "analysis.kappa"),
-    # mu <= (r-1) (C_bar/kappa)^(1/(r-1)) for the default mu and r
     ("analysis.kappa=0.01", "analysis.kappa"),
 ])
 def test_unusable_analysis_setting_for_a_stored_record_exits_2(
         workdir, tmp_path, capsys, override, key):
+    name, value = override.removeprefix("analysis.").split("=")
+    config = tmp_path / "old.ini"
+    config.write_text(f"[analysis]\n{name} = {value}\n")
     code = main(["verify-decay", "--solution",
                  str(workdir / "solve" / "solution.json"),
-                 "--set", override, "--out", str(tmp_path)])
+                 "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key}: ")
-    assert err.count("\n") == 1
+    assert err == f"config error: unknown config key {key}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides,key", [
     (["analysis.chain_rule_theta=0.3,1.5"], "analysis.chain_rule_theta"),
     (["analysis.chain_rule_theta=0"], "analysis.chain_rule_theta"),
-    (["analysis.theta=5.5"], "analysis.theta"),       # N + alpha = 5
+    (["analysis.theta=5.5"], "analysis.theta"),
     (["analysis.kappa=-1"], "analysis.kappa"),
     (["analysis.kappa=0.01"], "analysis.kappa"),
 ])
@@ -852,28 +858,9 @@ def test_unusable_analysis_setting_exits_2_before_solving(
         argv += ["--set", item]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key}: ")
+    assert err.startswith(f"config error: override '{key}=")
+    assert err.endswith("is not of the form section.key=value with a known field\n")
     assert err.count("\n") == 1
-    assert solves == []
-
-
-# Each chain-rule check is named by its exponent printed with :g, six
-# significant digits: exponents that print alike would give two rows of
-# one name that the CSV cannot tell apart.
-@pytest.mark.parametrize("thetas,named", [
-    ("0.3,0.3000001", "0.3 and 0.3000001"),
-    ("0.2,0.5,0.2", "0.2 and 0.2"),
-], ids=["printed-alike", "repeated"])
-def test_chain_rule_exponents_of_one_check_name_exit_2_before_solving(
-        tmp_path, capsys, monkeypatch, thetas, named):
-    solves = []
-    monkeypatch.setattr(cli, "solve_ground_state",
-                        lambda *args: solves.append(args))
-    assert main(["verify-decay", "--set", f"analysis.chain_rule_theta={thetas}",
-                 "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: analysis.chain_rule_theta: ")
-    assert named in err and err.count("\n") == 1
     assert solves == []
 
 
@@ -1050,12 +1037,52 @@ def test_verify_report_checks(workdir):
     assert rec["passed"] is True
     assert rec["prediction"]["regime"] == "choquard_dominated"
     assert abs(rec["prediction"]["beta"] - 10.0 / 3.0) <= 1e-12
-    names = {c["name"] for c in rec["checks"]}
-    assert {"fit_exponent", "tail_constant", "bounds_ordered",
-            "kappa_ledger", "riesz_tail"} <= names
-    assert any(n.startswith("chain_rule_theta_") for n in names)
+    # r = 1.7: 2 - r prints as 0.3, so one chain-rule exponent is checked
+    assert [c["name"] for c in rec["checks"]] == [
+        "fit_exponent", "tail_constant", "riesz_tail", "chain_rule_theta_0.3"]
+    assert list(rec["constants"]) == ["sharp", "C_upper", "C_lower", "kappa",
+                                      "kappa_star"]
     fit = rec["fit"]["fitted_exponent"]
     assert abs(fit - 10.0 / 3.0) <= 0.1 * 10.0 / 3.0   # measured 3.3975
+
+
+def test_every_printed_check_can_fail(workdir):
+    """Each check verify-decay prints reads the profile: edits of the
+    M = 400, r = 1.7 record make every one fail but the chain rule, which
+    holds for every positive u (t -> t^0.3 is concave), so no profile can
+    fail it; on these edits it keeps margin/scale >= 0.187."""
+    sol = load_solution(str(workdir / "solve" / "solution.json"))
+    cfg = cli.load_config(None, [])
+    u = sol.u
+    rho = u.grid.nodes
+    edits = {
+        # measured: fit_exponent 4.397, tail_constant 3.18
+        "steeper beyond 10": u.values * np.where(rho > 10.0, 10.0 / rho, 1.0),
+        # measured: tail_constant 0.788
+        "raised beyond 10": np.minimum.accumulate(
+            u.values * np.where(rho > 10.0, 1.5, 1.0)),
+        # measured: riesz_tail 0.927
+        "0.04 h_2": 0.04 * radial_ops.h_beta_function(u.grid, 2.0).values,
+    }
+    failing = {
+        "steeper beyond 10": ["fit_exponent", "tail_constant"],
+        "raised beyond 10": ["tail_constant"],
+        "0.04 h_2": ["fit_exponent", "tail_constant", "riesz_tail"],
+    }
+    checks = cli._verify_checks(sol, cfg)[0]
+    names = [c[0] for c in checks]
+    assert all(c[1] for c in checks)
+    for edit, values in edits.items():
+        edited = solver_mod.Solution(
+            u=radial_ops.RadialFunction(grid=u.grid, values=values,
+                                        tail_exponent=u.tail_exponent),
+            params=sol.params, iterations=sol.iterations)
+        checks = cli._verify_checks(edited, cfg)[0]
+        assert [c[0] for c in checks] == names
+        assert [c[0] for c in checks if not c[1]] == failing[edit], edit
+        chain = checks[-1]
+        assert chain[0] == "chain_rule_theta_0.3" and chain[2] >= 0.187, edit
+    assert {n for fails in failing.values() for n in fails} == set(names[:-1])
 
 
 # The lines read "(reference 0.0, tolerance 1e-06)" for a chain-rule check
@@ -1196,11 +1223,10 @@ def test_memo_holds_operators_and_kernel_tables_only(tmp_path, cache_reads):
 
 def test_read_side_with_more_operators_builds_none_on_a_second_pass(
         workdir, tmp_path, cold_caches, rows_built):
-    """verify-decay of the r = 1.7 and 1.9 records (M = 400) with four
-    chain-rule exponents, interleaved with the four oracle cases (M = 600),
-    reads 16 operators and one kernel table (1.8 MB).  A cache of 16
-    entries would rebuild them all on every pass of this traffic; _CACHED
-    keeps them, so a second pass builds none."""
+    """verify-decay of the r = 1.7 and 1.9 records (M = 400), interleaved
+    with the four oracle cases (M = 600), reads 11 operators and one kernel
+    table.  _CACHED keeps them all, so a second pass of this traffic builds
+    none."""
     assert main(["solve", "--set", "problem.r=1.9", "--set", "grid.nodes=400",
                  "--out", str(tmp_path / "solve1.9")]) == 0
     records = [workdir / "solve" / "solution.json",
@@ -1209,13 +1235,12 @@ def test_read_side_with_more_operators_builds_none_on_a_second_pass(
     for _ in range(2):
         rows_built.update(fraclap=0, riesz=0)
         for record, case in zip(records * 2, cases):
-            assert main(["verify-decay", "--solution", str(record), "--set",
-                         "analysis.chain_rule_theta=0.3,0.2,0.1,0.05",
+            assert main(["verify-decay", "--solution", str(record),
                          "--out", str(tmp_path / "verify")]) == 0
             assert main(["oracle", "--case", case, "--set", "grid.nodes=600",
                          "--out", str(tmp_path / "oracle")]) == 0
     assert rows_built == {"fraclap": 0, "riesz": 0}
-    assert radial_ops._raw.cache_info().currsize == 16
+    assert radial_ops._raw.cache_info().currsize == 11
     assert radial_ops._kernel_table.cache_info().currsize == 1
 
 

@@ -238,8 +238,6 @@ def test_too_small_kappa_breaks_hypothesis(solution):
     # an infinite kappa gave C_upper = inf
     with pytest.raises(ValueError, match="kappa must be positive and finite"):
         bound_constants(solution, kappa=math.inf)
-    with pytest.raises(ValueError, match="kappa must be positive and finite"):
-        decay_analysis.check_analysis(solution.params, kappa=math.inf)
 
 
 def test_distinct_envelopes_have_no_equalizer():

@@ -259,8 +259,8 @@ def test_solution_profile_is_positive_and_monotone(solution):
 
 def test_solution_matches_frozen_run(solution):
     # values from a converged run of this solver on the default grid:
-    # sup u = 0.037811335031885655, ||u||_r = 13.948024433706832
-    assert_allclose(np.max(solution.u.values), 0.037811335031885655, rtol=1e-9)
+    # sup u = 0.037811335045685755, ||u||_r = 13.948024433706832
+    assert_allclose(np.max(solution.u.values), 0.037811335045685755, rtol=1e-9)
     assert_allclose(solution.norm_r, 13.948024433706832, rtol=1e-9)
 
 
@@ -453,7 +453,8 @@ def test_dilation_derivative_matches_identity(solution):
     fd = dilation_derivative(solution)
     _, p_val, defect = pohozaev_check(solution)
     term_scale = abs(p_val) / defect
-    assert abs(fd - p_val) <= 0.05 * term_scale   # measured 8.4e-5 of scale
+    # measured 4.4e-10 of scale; the Pohozaev defect itself is 6.5e-10
+    assert abs(fd - p_val) <= 4.4e-8 * term_scale
 
 
 # ---------------------------------------------------------------------------
