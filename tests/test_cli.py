@@ -34,23 +34,6 @@ def read_json(path):
         return json.load(fh)
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    """A config on a 400-node grid plus one solve and both verify runs."""
-    root = tmp_path_factory.mktemp("cli")
-    config = root / "run.ini"
-    config.write_text(
-        "[grid]\nnodes = 400\n\n"
-        f"[output]\ndirectory = {root / 'solve'}\n")
-    assert main(["solve", "--config", str(config)]) == 0
-    assert main(["verify-decay", "--config", str(config),
-                 "--out", str(root / "fresh")]) == 0
-    assert main(["verify-decay", "--config", str(config),
-                 "--solution", str(root / "solve" / "solution.json"),
-                 "--out", str(root / "reloaded")]) == 0
-    return root
-
-
 # ---------------------------------------------------------------------------
 # specfun-table
 
@@ -1152,121 +1135,12 @@ def test_reloaded_record_rebuilds_its_closures_bitwise(tmp_path, monkeypatch, r)
 
 
 def test_origin_value_is_the_closure_of_the_first_two_samples(workdir):
-    """u(0) is g1 u_1 + g2 u_2 for every RadialFunction, bitwise: a
-    profile, I_alpha * g, F(u) and a reloaded record's profile."""
+    """u(0) is g1 u_1 + g2 u_2 for every RadialFunction, bitwise, g_j being
+    u(0) of e_j: a profile, I_alpha * g, F(u) and a reloaded record's profile."""
     sol = load_solution(str(workdir / "solve" / "solution.json"))
-    g1, g2 = radial_ops._origin_closure(sol.u.grid)
+    g1, g2 = (radial_ops.RadialFunction(grid=sol.u.grid, values=e, tail_exponent=1.0)
+              .value_at_origin for e in np.eye(sol.u.grid.size)[:2])
     fu = sol.params.nonlinearity.F_of(sol.u)
     for u in (radial_ops.h_beta_function(sol.u.grid, 3.5), fu,
               radial_ops.riesz_convolve_radial(fu, sol.params.alpha), sol.u):
         assert u.value_at_origin == g1 * u.values[0] + g2 * u.values[1]
-
-
-def test_reloaded_grid_is_assembled_by_structure(workdir):
-    """A grid rebuilt from solution.json is the solve's grid: equal fields,
-    so the same cache key and the same structured operators."""
-    sol = load_solution(str(workdir / "solve" / "solution.json"))
-    grid = radial_ops.RadialGrid.log_spaced(num=400)
-    assert sol.u.grid == grid and hash(sol.u.grid) == hash(grid)
-    op = radial_ops._raw(sol.u.grid, -1.0, sol.u.tail_exponent)
-    assert op is radial_ops._raw(grid, -1.0, sol.u.tail_exponent)
-    assert op.hi > op.lo
-
-
-def test_read_side_keeps_its_operators_in_the_memo(tmp_path, cache_reads,
-                                                   rows_built):
-    """Two stored records (M = 400, r = 1.7 and 1.9) and the four oracle
-    cases (M = 600), then verify-decay of each record twice, in one
-    process: the chain-rule operators of u^theta join the cache without
-    evicting another operator, and a second verification builds no rows
-    and writes the same bytes."""
-    records = {}
-    for r in ("1.7", "1.9"):
-        out = tmp_path / f"solve{r}"
-        assert main(["solve", "--set", f"problem.r={r}", "--set",
-                     "grid.nodes=400", "--out", str(out)]) == 0
-        records[r] = out / "solution.json"
-    assert main(["oracle", "--set", "grid.nodes=600",
-                 "--out", str(tmp_path / "oracle")]) == 0
-    operators = {key: op for key, op in cache_reads.items() if key[0] == "_raw"}
-    for r, record in records.items():
-        reports = []
-        for k in range(2):
-            rows_built.update(fraclap=0, riesz=0)
-            out = tmp_path / f"verify{r}-{k}"
-            assert main(["verify-decay", "--solution", str(record),
-                         "--out", str(out)]) == 0
-            reports.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert rows_built == {"fraclap": 0, "riesz": 0}
-        assert reports[0] == reports[1]
-    assert all(radial_ops._raw(*args) is op
-               for (_, args), op in operators.items())
-    # both operators are kept by their generating rows: 1.5 MB measured,
-    # where one dense fractional Laplacian at M = 600 alone takes 2.9 MB
-    assert memo_bytes(cache_reads) <= 3e6
-
-
-def test_memo_holds_operators_and_kernel_tables_only(tmp_path, cache_reads):
-    """A solve, its verify-decay and an N = 2 oracle case in one process
-    read only assembled operators and angular kernel tables from the
-    caches: the cell quadrature of a grid belongs to one assembly."""
-    assert main(["solve", "--set", "grid.nodes=400",
-                 "--out", str(tmp_path / "solve")]) == 0
-    assert main(["verify-decay", "--solution",
-                 str(tmp_path / "solve" / "solution.json"),
-                 "--out", str(tmp_path / "verify")]) == 0
-    assert main(["oracle", "--case", "2,0.5,2.5", "--set", "grid.nodes=600",
-                 "--out", str(tmp_path / "oracle")]) == 0
-    kinds = {type(value) for value in cache_reads.values()}
-    assert kinds == {radial_ops._Operator, radial_ops._KernelTable}
-
-
-def test_read_side_with_more_operators_builds_none_on_a_second_pass(
-        workdir, tmp_path, cold_caches, rows_built):
-    """verify-decay of the r = 1.7 and 1.9 records (M = 400), interleaved
-    with the four oracle cases (M = 600), reads 11 operators and one kernel
-    table.  _CACHED keeps them all, so a second pass of this traffic builds
-    none."""
-    assert main(["solve", "--set", "problem.r=1.9", "--set", "grid.nodes=400",
-                 "--out", str(tmp_path / "solve1.9")]) == 0
-    records = [workdir / "solve" / "solution.json",
-               tmp_path / "solve1.9" / "solution.json"]
-    cases = ["3,0.5,2.0", "3,0.5,3.5", "2,0.5,2.5", "3,0.25,3.0"]
-    for _ in range(2):
-        rows_built.update(fraclap=0, riesz=0)
-        for record, case in zip(records * 2, cases):
-            assert main(["verify-decay", "--solution", str(record),
-                         "--out", str(tmp_path / "verify")]) == 0
-            assert main(["oracle", "--case", case, "--set", "grid.nodes=600",
-                         "--out", str(tmp_path / "oracle")]) == 0
-    assert rows_built == {"fraclap": 0, "riesz": 0}
-    assert radial_ops._raw.cache_info().currsize == 11
-    assert radial_ops._kernel_table.cache_info().currsize == 1
-
-
-@pytest.fixture
-def cache_reads(monkeypatch, cold_caches):
-    """What radial_ops reads from its two caches while the test runs: each
-    operator and kernel table, keyed by (cache name, arguments)."""
-    reads = {}
-    for name in ("_raw", "_kernel_table"):
-        def read(*args, name=name, cached=getattr(radial_ops, name)):
-            reads[name, args] = value = cached(*args)
-            return value
-        monkeypatch.setattr(radial_ops, name, read)
-    return reads
-
-
-def memo_bytes(reads):
-    """Bytes of the arrays of the operators and kernel tables read."""
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, tuple):
-            for v in value:
-                yield from arrays(v)
-        elif hasattr(value, "__dict__"):
-            for v in vars(value).values():
-                yield from arrays(v)
-
-    return sum(a.nbytes for v in reads.values() for a in arrays(v))

@@ -325,38 +325,6 @@ def test_chain_rule_covers_every_node(monkeypatch):
             assert getattr(rep, field).shape == (grid.size,)
 
 
-def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch,
-                                                         cold_caches):
-    """Both sides read the cached operators: a first check of a solution
-    builds one per exponent theta (u's own comes from the solve), a second
-    builds none and gives the same numbers bitwise, and another mu keeps
-    the tail exponents (beta depends on N, s, alpha and r only) and so the
-    operators."""
-    built = []
-    structured_rows = radial_ops._structured_rows
-
-    def counted(grid, order, *args):
-        built.append(order)
-        return structured_rows(grid, order, *args)
-
-    monkeypatch.setattr(radial_ops, "_structured_rows", counted)
-    opts = SolverOpts(grid=RadialGrid.log_spaced(num=200))
-    thetas = (0.3, 0.7)
-    sol = solve_ground_state(make_params(1.7), opts)
-    built.clear()
-    first = verify_chain_rule(sol.u, thetas, 0.5)
-    assert built == [-1.0, -1.0]          # the fractional Laplacian, s = 1/2
-    built.clear()
-    second = verify_chain_rule(sol.u, thetas, 0.5)
-    assert built == []
-    for a, b in zip(first, second):
-        for field in ("lhs", "rhs", "margin"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-    other_mu = solve_ground_state(make_params(1.7, mu=0.7), opts)
-    verify_chain_rule(other_mu.u, thetas, 0.5)
-    assert built == []
-
-
 @pytest.mark.parametrize("theta", [-0.3, 0.0, 1.0, 1.2])
 def test_chain_rule_theta_validation(grid, theta):
     h4 = h_beta_function(grid, 4.0)

@@ -40,12 +40,6 @@ SQRT_17 = math.sqrt(1.7)
 
 
 @pytest.fixture(scope="module")
-def params():
-    return ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0,
-                         nonlinearity=NonlinearitySpec.homogeneous(1.7))
-
-
-@pytest.fixture(scope="module")
 def solution(params):
     return solve_ground_state(params)
 
@@ -616,19 +610,6 @@ def test_rhs_map_rejects_a_divergent_convolution(params, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # operator reuse and resolvent safety
-
-
-def test_second_solve_reuses_operators(params, rows_built):
-    # a grid of its own, so the first solve is cold whatever ran before
-    grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
-    first = solve_ground_state(params, SolverOpts(grid=grid))
-    # cold: the row builders ran, on a geometric grid for the end rows only
-    ends = 2 * radial_ops._END_ROWS
-    assert rows_built == {"fraclap": ends, "riesz": ends}
-    rows_built.update(fraclap=0, riesz=0)
-    second = solve_ground_state(params, SolverOpts(grid=grid))
-    assert rows_built == {"fraclap": 0, "riesz": 0}
-    assert np.array_equal(first.u.values, second.u.values)
 
 
 def test_misdeclared_envelope_is_rejected():
