@@ -240,23 +240,11 @@ def _problem_dict(params: ProblemParams) -> dict:
             "mu": params.mu, "r": spec.r, "convention": spec.convention}
 
 
-def _build_problem(cfg: dict) -> ProblemParams:
-    with _config_errors():
-        return _problem_params(cfg["problem"])
-
-
 def _build_grid(cfg: dict, N: int) -> RadialGrid:
     g = cfg["grid"]
     with _config_errors():
         return RadialGrid.log_spaced(r_min=g["r_min"], r_max=g["r_max"],
                                      num=g["nodes"], N=N)
-
-
-def _build_solver_opts(cfg: dict, grid: RadialGrid) -> SolverOpts:
-    s = cfg["solver"]
-    with _config_errors():
-        return SolverOpts(grid=grid, tolerance=s["tolerance"],
-                          max_iterations=s["max_iter"])
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +538,13 @@ def _cmd_oracle(cfg: dict, args) -> int:
 
 
 def _cmd_solve(cfg: dict, args) -> int:
-    params = _build_problem(cfg)
-    grid = _build_grid(cfg, params.N)
-    sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
+    s = cfg["solver"]
+    with _config_errors():
+        params = _problem_params(cfg["problem"])
+        grid = _build_grid(cfg, params.N)
+        opts = SolverOpts(grid=grid, tolerance=s["tolerance"],
+                          max_iterations=s["max_iter"])
+    sol = solve_ground_state(params, opts)
     record = _solution_record(sol, cfg)
     d = record["diagnostics"]
     beta = d["predicted_beta"]
@@ -649,22 +641,14 @@ def _verify_checks(sol: Solution, cfg: dict) -> tuple[list[list], list[str], dic
     return checks, rules, numbers
 
 
-def _check_analysis(cfg: dict, grid: RadialGrid) -> None:
-    """Reject a fit window that fit_tail would refuse on grid
-    (decay_analysis.check_fit_window), so that no solve runs for it."""
-    with _config_errors("analysis.fit_window: "):
-        check_fit_window(cfg["analysis"]["fit_window"], grid.nodes)
-
-
 def _cmd_verify_decay(cfg: dict, args) -> int:
-    if args.solution is not None:
-        sol = load_solution(args.solution)
-        _check_analysis(cfg, sol.u.grid)
-    else:
-        params = _build_problem(cfg)
-        grid = _build_grid(cfg, params.N)
-        _check_analysis(cfg, grid)
-        sol = solve_ground_state(params, _build_solver_opts(cfg, grid))
+    if args.solution is None:
+        raise ConfigError("verify-decay needs --solution PATH, a record "
+                          "written by solve")
+    sol = load_solution(args.solution)
+    # a window that fit_tail would refuse on the record's grid, before any check
+    with _config_errors("analysis.fit_window: "):
+        check_fit_window(cfg["analysis"]["fit_window"], sol.u.grid.nodes)
     checks, rules, numbers = _verify_checks(sol, cfg)
     passed = all(ok for _, ok, *_ in checks)
     _write(cfg, _report(cfg, "verify_report", "fracradial.verify_report",
@@ -693,8 +677,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="INI configuration document")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (overrides output.directory)")
-    common.add_argument("--format", choices=("csv", "json"),
-                        help="restrict outputs to one format")
     common.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override any config field; repeatable")
@@ -723,11 +705,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="solve the configured problem and write the solution "
                         "record plus a plot-ready profile table")
 
-    p = sub.add_parser("verify-decay", parents=[common],
-                       help="run the decay checks on a fresh solve or a "
-                            "stored solution record")
-    p.add_argument("--solution", metavar="PATH",
-                   help="verify this solution record instead of solving")
+    sub.add_parser("verify-decay", parents=[common],
+                   help="run the decay checks on a solution record that "
+                        "solve wrote").add_argument(
+        "--solution", metavar="PATH", help="the solution record to verify")
     return parser
 
 
@@ -744,8 +725,6 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, list(args.set))
             if args.out is not None:
                 cfg["output"]["directory"] = args.out
-            if args.format is not None:
-                cfg["output"]["formats"] = (args.format,)
             _check_output_directory(Path(cfg["output"]["directory"]))
             return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

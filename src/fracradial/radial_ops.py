@@ -16,10 +16,8 @@ through it.  On top of that representation this module provides
 
 * the principal-value fractional Laplacian, as an assembled matrix whose
   values at the nodes are read between them as any radial function is,
-* the Riesz-potential convolution I_alpha * g,
-* the resolvent ((-Delta)^s + mu)^(-1), as the inverse of the assembled
-  matrix plus mu, which `lu_factor` writes over that matrix by block
-  Gauss-Jordan elimination and `lu_solve` applies.
+* the Riesz-potential convolution I_alpha * g, and
+* the volume integral of a power of a radial function.
 
 Both operators are Riesz operators, of kernel C_{N,a} |x|^(a-N), named
 by their order a: I_alpha is a = alpha, and (-Delta)^s is a = -2s, as the
@@ -92,8 +90,6 @@ __all__ = [
     "frac_laplacian_on_grid",
     "fraclap_matrix",
     "riesz_convolve_radial",
-    "lu_factor",
-    "lu_solve",
     "volume_integral",
 ]
 
@@ -105,8 +101,6 @@ _WINDOW_CELLS = 1.5
 _GRADE_RATIO = 0.5
 _PV_GRADE_LEVELS = 34
 _RIESZ_GRADE_LEVELS = 30
-# Rows and columns per block of lu_factor's Gauss-Jordan elimination.
-_GJ_BLOCK = 128
 
 _gauss = functools.cache(leggauss)
 
@@ -1017,24 +1011,6 @@ def _raw(grid: RadialGrid, order: float, tail_omega: float) -> _Operator:
     return _structured_rows(grid, order, tail_omega)
 
 
-def _backward_error(Ax: np.ndarray, a_max: float, x: np.ndarray,
-                    b: np.ndarray) -> float:
-    """Backward error max|A x - b| / (max|A| max|x| + max|b|) of a solve,
-    from the product A x and max|A|, so that A itself need not exist.
-
-    Raises:
-        RuntimeError: the error is above 1e-10 or not finite, which means
-            the matrix is numerically singular.
-    """
-    denom = float(a_max * np.max(np.abs(x)) + np.max(np.abs(b)))
-    err = float(np.max(np.abs(Ax - b))) / max(denom, 1e-300)
-    if not np.isfinite(err) or err > 1e-10:
-        raise RuntimeError(
-            f"linear solve backward error {err:.3e} exceeds 1e-10 (operator "
-            "matrix is numerically singular)")
-    return err
-
-
 def frac_laplacian_radial(u: RadialFunction, s: float, at):
     """(-Delta)^s u at one radius or at several, read off the assembled
     operator: the node values of frac_laplacian_on_grid, read between the
@@ -1116,55 +1092,6 @@ def riesz_convolve_radial(g: RadialFunction, alpha: float) -> RadialFunction:
     values = _riesz_operator(grid, alpha, om_g).apply(g.values)
     return RadialFunction(grid=grid, values=values,
                           tail_exponent=min(om_g, float(grid.N)) - alpha)
-
-
-def lu_factor(A: np.ndarray) -> np.ndarray:
-    """Overwrite the square resolvent matrix A with its inverse, which
-    lu_solve applies, and return A.
-
-    Block Gauss-Jordan elimination in blocks of _GJ_BLOCK rows and columns:
-    per block K, with C the old columns K, P = inv(C[K]), the rows K become
-    P A[K], every other block I of rows loses C[I] A[K] and takes
-    -C[I] P as its columns K, and A[K, K] becomes P.  That is the flop
-    count of an LU-based inversion, with temporaries of about
-    3 _GJ_BLOCK M floats beside A where np.linalg.inv's solve against the
-    identity takes several M x M.  A grid of at most _GJ_BLOCK nodes is
-    one np.linalg.inv call.
-
-    Blocks are not pivoted against each other (np.linalg.inv pivots within
-    one), so every leading diagonal block of the eliminated matrix must be
-    nonsingular, as it is for a resolvent matrix (-Delta)^s + mu.
-
-    Raises:
-        RuntimeError: A is not finite, or a diagonal block is singular
-            (LAPACK met an exactly zero pivot); A is then partly
-            overwritten.
-    """
-    if not (math.isfinite(A.max()) and math.isfinite(A.min())):  # no M x M mask
-        raise RuntimeError("lu_factor: resolvent matrix has non-finite entries")
-    blocks = [slice(k, k + _GJ_BLOCK) for k in range(0, A.shape[0], _GJ_BLOCK)]
-    for K in blocks:
-        C = A[:, K].copy()
-        try:
-            P = np.linalg.inv(C[K])
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("lu_factor: singular resolvent matrix") from exc
-        A[K] = P @ A[K]
-        for I in blocks:
-            if I != K:
-                A[I] -= C[I] @ A[K]
-                A[I, K] = -C[I] @ P
-        A[K, K] = P
-    return A
-
-
-def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution inv @ b of A x = b, from inv = lu_factor(A), the array
-    that held A: one matrix-vector product, so a non-finite b gives a
-    non-finite x for the caller to reject.  b is not modified.  The product
-    keeps the dtype of its operands: the solver also passes a float32 copy
-    of inv with a float32 b, for its corrections between float64 anchors."""
-    return inv @ b
 
 
 def fraclap_matrix(grid: RadialGrid, s: float, tail_omega: float) -> np.ndarray:

@@ -12,6 +12,9 @@ profiles and recovers the amplitude from the fixed point's multiplier,
 A = kappa^{-1/(2r-2)}.  The operator matrix closes the far field with the
 predicted decay exponent min{(N-alpha)/(2-r), N+2s}, which holds for every
 nonlinearity inside its declared envelope (NonlinearitySpec checks it).
+The resolvent ((-Delta)^s + mu)^(-1) is the inverse of that matrix plus
+mu, which lu_factor writes over the matrix by block Gauss-Jordan
+elimination and lu_solve applies.
 
 A Solution derives its diagnostics from its profile and problem through the
 same discrete operators, so a reloaded profile reports the solve's numbers.
@@ -33,12 +36,9 @@ import numpy as np
 from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
-    _backward_error,
     _riesz_operator,
     frac_laplacian_on_grid,
     fraclap_matrix,
-    lu_factor,
-    lu_solve,
     riesz_convolve_radial,
     volume_integral,
 )
@@ -63,6 +63,9 @@ _DAMPING = 0.5
 # Iterations between float64 resolvent solves; the steps in between apply
 # a float32 copy of the inverse to the change in the right-hand side.
 _ANCHOR_EVERY = 16
+
+# Rows and columns per block of lu_factor's Gauss-Jordan elimination.
+_GJ_BLOCK = 128
 
 
 class ZeroCollapseError(RuntimeError):
@@ -304,6 +307,73 @@ class Solution:
     @functools.cached_property
     def mass_F(self) -> float:
         return volume_integral(self.params.nonlinearity.F_of(self.u))
+
+
+def lu_factor(A: np.ndarray) -> np.ndarray:
+    """Overwrite the square resolvent matrix A with its inverse, which
+    lu_solve applies, and return A.
+
+    Block Gauss-Jordan elimination in blocks of _GJ_BLOCK rows and columns:
+    per block K, with C the old columns K, P = inv(C[K]), the rows K become
+    P A[K], every other block I of rows loses C[I] A[K] and takes
+    -C[I] P as its columns K, and A[K, K] becomes P.  That is the flop
+    count of an LU-based inversion, with temporaries of about
+    3 _GJ_BLOCK M floats beside A where np.linalg.inv's solve against the
+    identity takes several M x M.  A grid of at most _GJ_BLOCK nodes is
+    one np.linalg.inv call.
+
+    Blocks are not pivoted against each other (np.linalg.inv pivots within
+    one), so every leading diagonal block of the eliminated matrix must be
+    nonsingular, as it is for a resolvent matrix (-Delta)^s + mu.
+
+    Raises:
+        RuntimeError: A is not finite, or a diagonal block is singular
+            (LAPACK met an exactly zero pivot); A is then partly
+            overwritten.
+    """
+    if not (math.isfinite(A.max()) and math.isfinite(A.min())):  # no M x M mask
+        raise RuntimeError("lu_factor: resolvent matrix has non-finite entries")
+    blocks = [slice(k, k + _GJ_BLOCK) for k in range(0, A.shape[0], _GJ_BLOCK)]
+    for K in blocks:
+        C = A[:, K].copy()
+        try:
+            P = np.linalg.inv(C[K])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("lu_factor: singular resolvent matrix") from exc
+        A[K] = P @ A[K]
+        for I in blocks:
+            if I != K:
+                A[I] -= C[I] @ A[K]
+                A[I, K] = -C[I] @ P
+        A[K, K] = P
+    return A
+
+
+def lu_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution inv @ b of A x = b, from inv = lu_factor(A), the array
+    that held A: one matrix-vector product, so a non-finite b gives a
+    non-finite x for the caller to reject.  b is not modified.  The product
+    keeps the dtype of its operands: the solver also passes a float32 copy
+    of inv with a float32 b, for its corrections between float64 anchors."""
+    return inv @ b
+
+
+def _backward_error(Ax: np.ndarray, a_max: float, x: np.ndarray,
+                    b: np.ndarray) -> float:
+    """Backward error max|A x - b| / (max|A| max|x| + max|b|) of a solve,
+    from the product A x and max|A|, so that A itself need not exist.
+
+    Raises:
+        RuntimeError: the error is above 1e-10 or not finite, which means
+            the matrix is numerically singular.
+    """
+    denom = float(a_max * np.max(np.abs(x)) + np.max(np.abs(b)))
+    err = float(np.max(np.abs(Ax - b))) / max(denom, 1e-300)
+    if not np.isfinite(err) or err > 1e-10:
+        raise RuntimeError(
+            f"linear solve backward error {err:.3e} exceeds 1e-10 (operator "
+            "matrix is numerically singular)")
+    return err
 
 
 def solve_ground_state(params: ProblemParams,

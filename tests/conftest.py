@@ -2,6 +2,8 @@
 
 import pytest
 
+import fracradial.cli as cli
+import fracradial.solver as solver_mod
 from fracradial import NonlinearitySpec, ProblemParams
 from fracradial.cli import main
 
@@ -13,17 +15,31 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def workdir(tmp_path_factory):
-    """A config on a 400-node grid plus one solve and both verify runs."""
+def solved(tmp_path_factory):
+    """A config on a 400-node grid and one solve of it: the run directory and
+    the Solution that the solve wrote, as it was in memory."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "run.ini"
     config.write_text(
         "[grid]\nnodes = 400\n\n"
         f"[output]\ndirectory = {root / 'solve'}\n")
-    assert main(["solve", "--config", str(config)]) == 0
-    assert main(["verify-decay", "--config", str(config),
-                 "--out", str(root / "fresh")]) == 0
-    assert main(["verify-decay", "--config", str(config),
+    solutions = []
+
+    def keep(*args):
+        solutions.append(solver_mod.solve_ground_state(*args))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "solve_ground_state", keep)
+        assert main(["solve", "--config", str(config)]) == 0
+    return root, solutions[0]
+
+
+@pytest.fixture(scope="session")
+def workdir(solved):
+    """The run directory of `solved`, with verify-decay of its record."""
+    root = solved[0]
+    assert main(["verify-decay", "--config", str(root / "run.ini"),
                  "--solution", str(root / "solve" / "solution.json"),
                  "--out", str(root / "reloaded")]) == 0
     return root

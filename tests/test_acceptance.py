@@ -30,7 +30,6 @@ from fracradial import (
     riesz_convolve_radial,
     solve_ground_state,
     verify_chain_rule,
-    verify_riesz_tail,
     volume_integral,
 )
 from fracradial.specfun import ProfileParams, frac_lap_h_asymptotic, frac_lap_h_exact

@@ -132,7 +132,8 @@ def test_reports_reject_non_finite_numbers(tmp_path):
 
 
 def test_format_flag_restricts_outputs(tmp_path):
-    code = main(["specfun-table", "--out", str(tmp_path), "--format", "csv"])
+    code = main(["specfun-table", "--out", str(tmp_path),
+                 "--set", "output.formats=csv"])
     assert code == 0
     assert (tmp_path / "specfun_table.csv").exists()
     assert not (tmp_path / "specfun_table.json").exists()
@@ -197,17 +198,19 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert err == f"config error: cannot write {blocker / 'sub'}: Not a directory\n"
 
 
-def test_unusable_output_directory_exits_2_before_computing(tmp_path, capsys,
-                                                            monkeypatch):
+def test_unusable_output_directory_exits_2_before_computing(workdir, tmp_path,
+                                                            capsys, monkeypatch):
     # the oracle printed its PASS line and a solve ran to the end before
     # the output directory was found unusable
-    def no_solve(*args):
-        raise AssertionError("solve_ground_state ran")
+    def no_call(*args):
+        raise AssertionError("a solution was solved or loaded")
 
-    monkeypatch.setattr(cli, "solve_ground_state", no_solve)
+    monkeypatch.setattr(cli, "solve_ground_state", no_call)
+    monkeypatch.setattr(cli, "load_solution", no_call)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    for argv in (["solve"], ["verify-decay"],
+    record = str(workdir / "solve" / "solution.json")
+    for argv in (["solve"], ["verify-decay", "--solution", record],
                  ["oracle", "--case", "3,0.5,2.0", "--set", "grid.nodes=200"]):
         code = main(argv + ["--out", str(blocker / "sub")])
         captured = capsys.readouterr()
@@ -767,25 +770,29 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
         assert out.splitlines()[-1] == "0 False", args
 
 
+# One case per rule of check_fit_window, on the stored 400-node record
+# (r_max = 1000).
 @pytest.mark.parametrize("overrides", [
-    ["grid.r_max=20"],                   # default window top 100 > r_max/10
     ["analysis.fit_window=100,50"],      # reversed
     ["analysis.fit_window=0,50"],        # not positive
-    ["grid.nodes=300"],                  # 15 nodes in the default window
+    ["analysis.fit_window=50,101"],      # top 101 > r_max/10
+    ["analysis.fit_window=50,55"],       # fewer than 20 nodes in the window
 ])
-def test_unusable_fit_window_exits_2_before_solving(tmp_path, capsys,
+def test_unusable_fit_window_exits_2_before_solving(workdir, tmp_path, capsys,
                                                     monkeypatch, overrides):
-    solves = []
-    monkeypatch.setattr(cli, "solve_ground_state",
-                        lambda *args: solves.append(args))
-    argv = ["verify-decay", "--out", str(tmp_path)]
+    checked = []
+    monkeypatch.setattr(cli, "_verify_checks",
+                        lambda *args: checked.append(args))
+    argv = ["verify-decay", "--solution", str(workdir / "solve" / "solution.json"),
+            "--out", str(tmp_path / "out")]
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: analysis.fit_window: ")
     assert err.count("\n") == 1
-    assert solves == []
+    assert checked == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_unusable_fit_window_for_a_stored_record_exits_2(workdir, tmp_path,
@@ -832,11 +839,11 @@ def test_unusable_analysis_setting_for_a_stored_record_exits_2(
     (["analysis.kappa=0.01"], "analysis.kappa"),
 ])
 def test_unusable_analysis_setting_exits_2_before_solving(
-        tmp_path, capsys, monkeypatch, overrides, key):
-    solves = []
-    monkeypatch.setattr(cli, "solve_ground_state",
-                        lambda *args: solves.append(args))
-    argv = ["verify-decay", "--out", str(tmp_path)]
+        workdir, tmp_path, capsys, monkeypatch, overrides, key):
+    loads = []
+    monkeypatch.setattr(cli, "load_solution", lambda *args: loads.append(args))
+    argv = ["verify-decay", "--solution", str(workdir / "solve" / "solution.json"),
+            "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == 2
@@ -844,7 +851,7 @@ def test_unusable_analysis_setting_exits_2_before_solving(
     assert err.startswith(f"config error: override '{key}=")
     assert err.endswith("is not of the form section.key=value with a known field\n")
     assert err.count("\n") == 1
-    assert solves == []
+    assert loads == []
 
 
 # The default exponents are 0.3 and 2 - r; at r = 1.7000001, 2 - r prints
@@ -863,9 +870,8 @@ def test_default_chain_rule_exponents_give_distinct_check_names(tmp_path):
     assert [c["theta"] for c in report["chain_rule"]] == [0.3]
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["verify-decay"],
-                                  ["verify-decay", "--solution"]],
-                         ids=["solve", "verify", "verify-stored"])
+@pytest.mark.parametrize("argv", [["solve"], ["verify-decay", "--solution"]],
+                         ids=["solve", "verify-stored"])
 def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
                                               monkeypatch, argv):
     # ProblemParams admits only the sublinear r in [(N+alpha)/N, 2), where
@@ -885,6 +891,22 @@ def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
     assert err.startswith("config error: ")
     assert "ProblemParams: exponent r = 2.2 outside the sublinear range [" in err
     assert err.endswith(", 2)\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_decay_without_a_record_exits_2(tmp_path, capsys, monkeypatch):
+    # verify-decay once solved the configured problem when no record was
+    # given; it verifies a record that solve wrote, and nothing else
+    def no_call(*args):
+        raise AssertionError("a solution was loaded or solved")
+
+    monkeypatch.setattr(cli, "load_solution", no_call)
+    monkeypatch.setattr(cli, "solve_ground_state", no_call)
+    assert main(["verify-decay", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: verify-decay needs --solution PATH, "
+                            "a record written by solve\n")
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -965,14 +987,23 @@ def test_stored_record_verification_applies_the_riesz_operator_once(
     assert mass == read_json(path)["diagnostics"]["mass_F"]
 
 
-def test_reports_round_trip_bitwise(workdir):
-    """Reloading the solution file reproduces the fresh report exactly."""
-    fresh = (workdir / "fresh" / "verify_report.json").read_bytes()
-    reloaded = (workdir / "reloaded" / "verify_report.json").read_bytes()
-    assert fresh == reloaded
-    fresh_csv = (workdir / "fresh" / "verify_report.csv").read_bytes()
-    reloaded_csv = (workdir / "reloaded" / "verify_report.csv").read_bytes()
-    assert fresh_csv == reloaded_csv
+def test_reports_round_trip_bitwise(solved):
+    """The solve's Solution, as it was in memory, and its reloaded record
+    give the same checks and the same report texts, bitwise."""
+    root, fresh = solved
+    cfg = cli.load_config(str(root / "run.ini"), [])
+    reloaded = load_solution(str(root / "solve" / "solution.json"))
+    fresh_checks, reloaded_checks = (cli._verify_checks(sol, cfg)
+                                     for sol in (fresh, reloaded))
+    assert fresh_checks == reloaded_checks
+    texts = [cli._report(cfg, "verify_report", "fracradial.verify_report",
+                         {"problem": cli._problem_dict(sol.params), **numbers},
+                         cli._CHECK_HEADER, checks, rows_key="checks",
+                         passed=all(row[1] for row in checks))
+             for sol, (checks, _, numbers) in ((fresh, fresh_checks),
+                                               (reloaded, reloaded_checks))]
+    assert texts[0] == texts[1]
+    assert list(texts[0]) == ["verify_report.csv", "verify_report.json"]
 
 
 def test_repeated_solve_is_byte_identical(workdir, tmp_path):
@@ -990,7 +1021,7 @@ def test_repeated_solve_is_byte_identical(workdir, tmp_path):
     ("solve/solution.json", "solution",
      ["problem", "solver", "grid", "profile", "diagnostics"]),
     ("solve/profile.json", "profile_table", ["scaling_exponent", "rows"]),
-    ("fresh/verify_report.json", "verify_report",
+    ("reloaded/verify_report.json", "verify_report",
      ["problem", "prediction", "fit", "constants", "riesz_tail", "chain_rule",
       "checks", "passed"]),
 ])
@@ -1016,7 +1047,7 @@ def test_table_report_envelopes(tmp_path):
 
 
 def test_verify_report_checks(workdir):
-    rec = read_json(workdir / "fresh" / "verify_report.json")
+    rec = read_json(workdir / "reloaded" / "verify_report.json")
     assert rec["passed"] is True
     assert rec["prediction"]["regime"] == "choquard_dominated"
     assert abs(rec["prediction"]["beta"] - 10.0 / 3.0) <= 1e-12

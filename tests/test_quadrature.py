@@ -253,6 +253,58 @@ def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, coarse):
             assert np.array_equal(alone[0], rows[k])
 
 
+# The far-tail closure of _closures (the kernel's multipole series,
+# integrated term by term) against scipy's quad of
+# int_T^inf k_p(r, rho) rho^(N-1) (rho/r_M)^(-omega) drho, T = max(hi, r_M),
+# split at T, 1.01 T, 1.1 T, 2 T and 10 T, with the kernel's multipole form
+# |S^{N-1}| rho^p 2F1(-p/2, (2-N-p)/2; N/2; (r/rho)^2) from
+# scipy.special.hyp2f1 (within 1e-14 of mpmath at rho >= 1.01 r).  hi is
+# r (1 + 1.5 h), the edge of a fractional-Laplacian row's window, so the
+# last row's series runs at z = (r/T)^2 = 0.966.  The orders are I_alpha's
+# a = alpha < omega and (-Delta)^s's a = -2s, whose kernel mass beyond T
+# (the integral at omega = 0) is checked too.  Measured at most 8.2e-15.
+@pytest.mark.parametrize("N,order,omega", [
+    (N, order, omega) for N in (2, 3, 4)
+    for order, omega in ((1.0, 2.5), (1.5, 4.0), (2.5, 4.0), (-1.0, 4.0),
+                         (-1.5, 2.5), (-1.0, 0.0), (-0.5, 0.0))
+    if order < N])
+def test_closures_match_quadrature(N, order, omega):
+    from scipy.integrate import quad
+    from scipy.special import hyp2f1 as scipy_hyp2f1
+
+    grid = RadialGrid.log_spaced(num=1200, N=N)
+    M, rM, p = grid.size, grid.r_max, order - N
+    h = grid.log_nodes[1] - grid.log_nodes[0]
+    r = grid.nodes[np.r_[0, M // 2, M - 8:M]]
+    hi = r * (1.0 + 1.5 * h)
+    _, _, _, tail, beyond = radial_ops._closures(grid, order, r, r, np.full(r.size, 0.1),
+                                                 hi, omega)
+    assert (beyond is None) == (order > 0.0)
+
+    def reference(radius, om):
+        T = max(radius * (1.0 + 1.5 * h), rM)
+        cuts = [T, 1.01 * T, 1.1 * T, 2.0 * T, 10.0 * T]
+
+        def f(rho):
+            return sphere_surface_area(N) * rho ** p \
+                * scipy_hyp2f1(-0.5 * p, 0.5 * (2.0 - N - p), 0.5 * N,
+                               (radius / rho) ** 2) \
+                * rho ** (N - 1) * (rho / rM) ** -om
+
+        near = sum(quad(f, a, b, epsabs=0.0, epsrel=5e-14, limit=200)[0]
+                   for a, b in zip(cuts, cuts[1:]))
+        # beyond 10 T in x = (10 T / rho)^(1/2), where the integrand, which
+        # falls as rho^(a-1-omega), is x^(2 (omega-a) - 1) times a smooth
+        # factor
+        X = cuts[-1]
+        return near + quad(lambda x: 2.0 * X * x ** -3 * f(X * x ** -2), 0.0, 1.0,
+                           epsabs=0.0, epsrel=5e-14, limit=200)[0]
+
+    assert_allclose(tail, [reference(x, omega) for x in r], rtol=1e-13)
+    if order < 0.0:
+        assert_allclose(beyond, [reference(x, 0.0) for x in r], rtol=1e-13)
+
+
 # The last Riesz row's weight of the tail model beyond r_M: what
 # _riesz_diagonal sends through _spread to radii beyond r_M (the graded
 # points of the virtual cell [r_M, r_M e^h]) times (rho/r_M)^(-omega), that

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import fracradial.radial_ops as radial_ops
 from fracradial.radial_ops import (
     RadialFunction,
     RadialGrid,
@@ -21,8 +20,6 @@ from fracradial.radial_ops import (
     frac_laplacian_radial,
     fraclap_matrix,
     h_beta_function,
-    lu_factor,
-    lu_solve,
     riesz_convolve_radial,
     sphere_surface_area,
     volume_integral,
@@ -34,6 +31,7 @@ from fracradial.specfun import (
     hyp2f1,
     riesz_constant,
 )
+from fracradial.solver import lu_factor, lu_solve
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +44,7 @@ def interior(grid, lo=0.1, hi=50.0):
 
 
 # ----------------------------------------------------------------------------
-# sphere area and the LU factorisation
+# sphere area
 # ----------------------------------------------------------------------------
 
 def test_sphere_surface_area():
@@ -55,68 +53,6 @@ def test_sphere_surface_area():
     assert_allclose(sphere_surface_area(4), 2.0 * math.pi ** 2, rtol=1e-15)
     with pytest.raises(ValueError):
         sphere_surface_area(0)
-
-
-def test_lu_solve_matches_scipy_to_round_off(grid):
-    from scipy.linalg import lu_factor, lu_solve
-
-    A = fraclap_matrix(grid, 0.5, 4.0)
-    A[np.diag_indices_from(A)] += 1.0
-    b = h_beta_eval(grid.nodes, 4.0)
-    x = radial_ops.lu_solve(radial_ops.lu_factor(A.copy()), b)
-    want = lu_solve(lu_factor(A), b)
-    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
-    radial_ops._backward_error(A @ x, np.max(np.abs(A)), x, b)  # raises above 1e-10
-
-
-def _resolvent_matrix(N, s, mu, M):
-    A = fraclap_matrix(RadialGrid.log_spaced(num=M, N=N), s, N + 2.0 * s)
-    A[np.diag_indices_from(A)] += mu
-    return A
-
-
-@pytest.mark.parametrize("N,s,mu,M", [
-    (3, 0.5, 1.0, 64),       # one block: one np.linalg.inv call
-    (3, 0.5, 1.0, 128),
-    (2, 0.95, 0.01, 400),
-    (5, 0.1, 100.0, 600),
-    (3, 0.5, 1.0, 1201),     # a partial last block
-])
-def test_lu_factor_inverts_in_place(N, s, mu, M):
-    A = _resolvent_matrix(N, s, mu, M)
-    want = np.linalg.inv(A)
-    inv = lu_factor(A)
-    assert inv is A
-    assert np.max(np.abs(inv - want)) <= 1e-12 * np.max(np.abs(want))
-    if M <= radial_ops._GJ_BLOCK:
-        assert np.array_equal(inv, want)
-
-
-def test_lu_factor_allocates_a_few_blocks_of_columns():
-    import tracemalloc
-
-    M = 600
-    A = _resolvent_matrix(3, 0.5, 1.0, M)
-    tracemalloc.start()
-    try:
-        lu_factor(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # measured 0.47 M^2 doubles; np.linalg.inv allocates 1.0 M^2 that
-    # tracemalloc sees
-    assert peak <= 3 * radial_ops._GJ_BLOCK * M * 8
-
-
-@pytest.mark.parametrize("A,match", [
-    ([[1.0, 2.0], [2.0, 4.0]], "singular resolvent matrix"),  # pivot 2 is 0
-    ([[0.0, 0.0], [0.0, 1.0]], "singular resolvent matrix"),  # pivot 1 is 0
-    ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
-    ([[1.0, 0.0], [-np.inf, 1.0]], "non-finite"),
-])
-def test_lu_factor_rejects_singular_and_non_finite_matrices(A, match):
-    with pytest.raises(RuntimeError, match=match):
-        radial_ops.lu_factor(np.array(A))
 
 
 # ----------------------------------------------------------------------------
@@ -632,62 +568,6 @@ def test_volume_integral_rejects_divergent_or_invalid(grid):
             volume_integral(h_beta_function(grid, 4.0), power)
 
 
-# The one test outside test_quadrature.py that still reads a quadrature
-# internal; it moves there in a later step (ROADMAP direction 27), and the
-# guard below names it as the one exception.
-#
-# The far-tail closure of _closures (the kernel's multipole series,
-# integrated term by term) against scipy's quad of
-# int_T^inf k_p(r, rho) rho^(N-1) (rho/r_M)^(-omega) drho, T = max(hi, r_M),
-# split at T, 1.01 T, 1.1 T, 2 T and 10 T, with the kernel's multipole form
-# |S^{N-1}| rho^p 2F1(-p/2, (2-N-p)/2; N/2; (r/rho)^2) from
-# scipy.special.hyp2f1 (within 1e-14 of mpmath at rho >= 1.01 r).  hi is
-# r (1 + 1.5 h), the edge of a fractional-Laplacian row's window, so the
-# last row's series runs at z = (r/T)^2 = 0.966.  The orders are I_alpha's
-# a = alpha < omega and (-Delta)^s's a = -2s, whose kernel mass beyond T
-# (the integral at omega = 0) is checked too.  Measured at most 8.2e-15.
-@pytest.mark.parametrize("N,order,omega", [
-    (N, order, omega) for N in (2, 3, 4)
-    for order, omega in ((1.0, 2.5), (1.5, 4.0), (2.5, 4.0), (-1.0, 4.0),
-                         (-1.5, 2.5), (-1.0, 0.0), (-0.5, 0.0))
-    if order < N])
-def test_closures_match_quadrature(N, order, omega):
-    from scipy.integrate import quad
-    from scipy.special import hyp2f1 as scipy_hyp2f1
-
-    grid = RadialGrid.log_spaced(num=1200, N=N)
-    M, rM, p = grid.size, grid.r_max, order - N
-    h = grid.log_nodes[1] - grid.log_nodes[0]
-    r = grid.nodes[np.r_[0, M // 2, M - 8:M]]
-    hi = r * (1.0 + 1.5 * h)
-    _, _, _, tail, beyond = radial_ops._closures(grid, order, r, r, np.full(r.size, 0.1),
-                                                 hi, omega)
-    assert (beyond is None) == (order > 0.0)
-
-    def reference(radius, om):
-        T = max(radius * (1.0 + 1.5 * h), rM)
-        cuts = [T, 1.01 * T, 1.1 * T, 2.0 * T, 10.0 * T]
-
-        def f(rho):
-            return sphere_surface_area(N) * rho ** p \
-                * scipy_hyp2f1(-0.5 * p, 0.5 * (2.0 - N - p), 0.5 * N,
-                               (radius / rho) ** 2) \
-                * rho ** (N - 1) * (rho / rM) ** -om
-
-        near = sum(quad(f, a, b, epsabs=0.0, epsrel=5e-14, limit=200)[0]
-                   for a, b in zip(cuts, cuts[1:]))
-        # beyond 10 T in x = (10 T / rho)^(1/2), where the integrand, which
-        # falls as rho^(a-1-omega), is x^(2 (omega-a) - 1) times a smooth
-        # factor
-        X = cuts[-1]
-        return near + quad(lambda x: 2.0 * X * x ** -3 * f(X * x ** -2), 0.0, 1.0,
-                           epsabs=0.0, epsrel=5e-14, limit=200)[0]
-
-    assert_allclose(tail, [reference(x, omega) for x in r], rtol=1e-13)
-    if order < 0.0:
-        assert_allclose(beyond, [reference(x, 0.0) for x in r], rtol=1e-13)
-
-
 # ----------------------------------------------------------------------------
 # the quarantine
 # ----------------------------------------------------------------------------
@@ -703,9 +583,8 @@ def _walk(node, where="<module>"):
 
 def test_no_test_outside_the_quarantine_names_quadrature_internals():
     """No file but test_quadrature.py names a private radial_ops name other than
-    those that outlive the quadrature, or imports from test_quadrature.py;
-    test_closures_match_quadrature is the one test still pending the move."""
-    kept = {"_riesz_operator", "_backward_error", "_GJ_BLOCK"}
+    those that outlive the quadrature, or imports from test_quadrature.py."""
+    kept = {"_riesz_operator"}
     found = set()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         aliases = {"fracradial.radial_ops"}
@@ -723,6 +602,5 @@ def test_no_test_outside_the_quarantine_names_quadrature_internals():
                 if "test_quadrature" in name.split(".") or module == "fracradial.radial_ops" \
                         and last[:1] == "_" and last[:2] != "__" and last not in kept:
                     found.add(f"{path.name}::{where}")
-    pending = {"test_radial_ops.py::test_closures_match_quadrature"}
-    found = {f for f in found if not f.startswith("test_quadrature.py::")} - pending
+    found = {f for f in found if not f.startswith("test_quadrature.py::")}
     assert not found, f"{len(found)} functions: {sorted(found)}"

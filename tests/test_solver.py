@@ -27,7 +27,6 @@ from fracradial import (
     ZeroCollapseError,
     dilation_derivative,
     h_beta_eval,
-    h_beta_function,
     pohozaev_check,
     residual,
     riesz_convolve_radial,
@@ -35,6 +34,8 @@ from fracradial import (
     sphere_surface_area,
     volume_integral,
 )
+from fracradial.radial_ops import fraclap_matrix
+from fracradial.solver import lu_factor
 
 SQRT_17 = math.sqrt(1.7)
 
@@ -359,7 +360,7 @@ def test_inverse_operator_reproduces_solution(solution, params):
     # the solver's resolvent path, closed with min(om, N + 2s)
     A = radial_ops.fraclap_matrix(grid, params.s, min(om, params.N + 2.0 * params.s))
     A[np.diag_indices_from(A)] += params.mu
-    w = radial_ops.lu_solve(radial_ops.lu_factor(A), b)
+    w = solver_mod.lu_solve(solver_mod.lu_factor(A), b)
     dev = np.max(np.abs(w - u.values) / u.values)
     assert dev <= 1e-2   # measured 5.6e-10
 
@@ -700,3 +701,74 @@ def test_solver_checks_resolvent_backward_error(params, monkeypatch):
     grid = RadialGrid.log_spaced(num=64)
     with pytest.raises(RuntimeError, match="backward error"):
         solve_ground_state(params, SolverOpts(grid=grid))
+
+
+# ---------------------------------------------------------------------------
+# the in-place resolvent inverse
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return RadialGrid.log_spaced()
+
+
+def test_lu_solve_matches_scipy_to_round_off(grid):
+    from scipy.linalg import lu_factor, lu_solve
+
+    A = fraclap_matrix(grid, 0.5, 4.0)
+    A[np.diag_indices_from(A)] += 1.0
+    b = h_beta_eval(grid.nodes, 4.0)
+    x = solver_mod.lu_solve(solver_mod.lu_factor(A.copy()), b)
+    want = lu_solve(lu_factor(A), b)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+    solver_mod._backward_error(A @ x, np.max(np.abs(A)), x, b)  # raises above 1e-10
+
+
+def _resolvent_matrix(N, s, mu, M):
+    A = fraclap_matrix(RadialGrid.log_spaced(num=M, N=N), s, N + 2.0 * s)
+    A[np.diag_indices_from(A)] += mu
+    return A
+
+
+@pytest.mark.parametrize("N,s,mu,M", [
+    (3, 0.5, 1.0, 64),       # one block: one np.linalg.inv call
+    (3, 0.5, 1.0, 128),
+    (2, 0.95, 0.01, 400),
+    (5, 0.1, 100.0, 600),
+    (3, 0.5, 1.0, 1201),     # a partial last block
+])
+def test_lu_factor_inverts_in_place(N, s, mu, M):
+    A = _resolvent_matrix(N, s, mu, M)
+    want = np.linalg.inv(A)
+    inv = lu_factor(A)
+    assert inv is A
+    assert np.max(np.abs(inv - want)) <= 1e-12 * np.max(np.abs(want))
+    if M <= solver_mod._GJ_BLOCK:
+        assert np.array_equal(inv, want)
+
+
+def test_lu_factor_allocates_a_few_blocks_of_columns():
+    import tracemalloc
+
+    M = 600
+    A = _resolvent_matrix(3, 0.5, 1.0, M)
+    tracemalloc.start()
+    try:
+        lu_factor(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 0.47 M^2 doubles; np.linalg.inv allocates 1.0 M^2 that
+    # tracemalloc sees
+    assert peak <= 3 * solver_mod._GJ_BLOCK * M * 8
+
+
+@pytest.mark.parametrize("A,match", [
+    ([[1.0, 2.0], [2.0, 4.0]], "singular resolvent matrix"),  # pivot 2 is 0
+    ([[0.0, 0.0], [0.0, 1.0]], "singular resolvent matrix"),  # pivot 1 is 0
+    ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
+    ([[1.0, 0.0], [-np.inf, 1.0]], "non-finite"),
+])
+def test_lu_factor_rejects_singular_and_non_finite_matrices(A, match):
+    with pytest.raises(RuntimeError, match=match):
+        solver_mod.lu_factor(np.array(A))
