@@ -458,20 +458,16 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
     beta = args.beta
     with _config_errors("--radii: "):
         radii = _parse_float_list(args.radii)
-        for r in radii:
-            if r < 0.0:
-                raise ValueError(f"radii must be >= 0, got {r!r}")
-            # r^2 is the closed form's argument and the profile's
-            if not math.isfinite(r * r):
-                raise ValueError(f"radii must have a finite square, at most "
-                                 f"{math.sqrt(sys.float_info.max)!r}, got {r!r}")
     with _config_errors():
         profile = ProfileParams(N, s, beta)
         law = frac_lap_h_asymptotic(profile)
 
     r = np.array(radii, dtype=float)
+    # the closed form refuses a negative radius and one whose square
+    # overflows, before h_beta_eval would overflow on it
+    with _config_errors("--radii: "):
+        exact = frac_lap_h_exact(r, profile)
     h = h_beta_eval(r, beta)
-    exact = frac_lap_h_exact(r, profile)
     # outside the exact regime the far-field law diverges at r = 0; a law
     # value or a ratio that is not a finite number is written as null
     with np.errstate(divide="ignore", invalid="ignore"):

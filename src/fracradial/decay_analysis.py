@@ -107,7 +107,6 @@ class ChainRuleReport:
     grid nodes `radii`."""
 
     theta: float
-    s: float
     radii: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -175,23 +174,6 @@ def check_fit_window(window: tuple[float, float],
     if count < 20:
         raise ValueError(f"window contains {count} nodes, need at least 20")
     return lo, hi
-
-
-def _upper_denominator(params, kappa: float) -> float:
-    """mu - (r-1) (C_bar/kappa)^(1/(r-1)), the denominator of the upper
-    bound constant; ValueError unless kappa is positive and finite and the
-    denominator positive."""
-    kappa = float(kappa)
-    if not (0.0 < kappa < math.inf):
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    mu, r = params.mu, params.nonlinearity.r
-    c_bar = float(params.nonlinearity.C_bar)
-    denom = mu - (r - 1.0) * (c_bar / kappa) ** (1.0 / (r - 1.0))
-    if denom <= 0.0:
-        raise ValueError(
-            f"hypothesis mu > (r-1) (C_bar/kappa)^(1/(r-1)) fails "
-            f"(mu = {mu!r}, kappa = {kappa!r}); a larger kappa is needed")
-    return denom
 
 
 def fit_tail(u: RadialFunction, window: tuple[float, float]) -> DecayFit:
@@ -299,7 +281,13 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
     if kappa is None:
         kappa = k_star if k_star is not None else 1.0
     kappa = float(kappa)
-    denom = _upper_denominator(params, kappa)
+    if not (0.0 < kappa < math.inf):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    denom = mu - (r - 1.0) * (c_bar / kappa) ** (1.0 / (r - 1.0))
+    if denom <= 0.0:
+        raise ValueError(
+            f"hypothesis mu > (r-1) (C_bar/kappa)^(1/(r-1)) fails "
+            f"(mu = {mu!r}, kappa = {kappa!r}); a larger kappa is needed")
     c_upper = (2.0 - r) * (C * kappa * mass) ** (1.0 / (2.0 - r)) / denom
     # (C_under/kappa) * (kappa * mass) written with kappa cancelled, so the
     # float result cannot pick up a kappa-dependent rounding error.
@@ -308,9 +296,10 @@ def bound_constants(sol, kappa: float | None = None) -> BoundConstants:
                           kappa_star=k_star)
 
 
-def verify_chain_rule(u: RadialFunction, theta, s: float):
+def verify_chain_rule(u: RadialFunction, thetas, s: float) -> list[ChainRuleReport]:
     """Check the concave chain rule for the fractional Laplacian at every
-    grid node.
+    grid node, for each exponent of the sequence thetas; one report per
+    exponent comes back, in order.
 
     For 0 < theta < 1 the power t -> t^theta is concave on (0, inf), so
     (-Delta)^s u^theta >= theta u^{theta-1} (-Delta)^s u holds wherever u is
@@ -318,11 +307,7 @@ def verify_chain_rule(u: RadialFunction, theta, s: float):
     (frac_laplacian_on_grid of u and of u^theta), and the margin lhs - rhs
     is compared against -1e-6 * scale with scale = |lhs| + |rhs| + machine
     floor.
-
-    theta may also be a sequence of exponents; a list of reports then comes
-    back, one per theta, each equal to the one-exponent call's.
     """
-    thetas = [theta] if np.ndim(theta) == 0 else list(theta)
     for th in thetas:
         if not (0.0 < th < 1.0):
             raise ValueError(f"chain-rule theta {th!r} lies outside (0, 1)")
@@ -338,11 +323,11 @@ def verify_chain_rule(u: RadialFunction, theta, s: float):
         scale = np.abs(lhs) + np.abs(rhs) + np.finfo(float).tiny
         margin = lhs - rhs
         passed = bool(np.all(margin >= -_CHAIN_RULE_TOLERANCE * scale))
-        reports.append(ChainRuleReport(theta=th, s=s, radii=u.grid.nodes, lhs=lhs,
+        reports.append(ChainRuleReport(theta=th, radii=u.grid.nodes, lhs=lhs,
                                        rhs=rhs, margin=margin, scale=scale,
                                        tolerance=_CHAIN_RULE_TOLERANCE,
                                        passed=passed))
-    return reports[0] if np.ndim(theta) == 0 else reports
+    return reports
 
 
 def verify_riesz_tail(sol, theta: float) -> RieszTailReport:

@@ -94,11 +94,11 @@ class NonlinearitySpec:
     two solve equations differing by a constant absorbable into
     mu-rescaling.
 
-    A general spec, with convention None, carries arbitrary callables plus
-    the finite envelope constants C_under t^{r-1} <= f(t) <= C_bar t^{r-1}
-    declared to hold for 0 <= t <= delta.  The solver never differentiates
-    f; F must be its antiderivative and f must lie inside the envelopes
-    (both validated numerically on a lattice in (0, min(delta,1)]).
+    A general spec, the constructor called with no convention, carries any
+    callables plus the finite envelopes C_under t^{r-1} <= f(t) <= C_bar
+    t^{r-1} declared to hold for 0 <= t <= delta.  The solver never
+    differentiates f; F must be its antiderivative and f must lie inside
+    the envelopes (both validated numerically on a lattice in (0, min(delta,1)]).
     """
 
     r: float
@@ -160,12 +160,6 @@ class NonlinearitySpec:
         F = lambda t: (slope / r) * np.power(t, r)          # noqa: E731
         return cls(r=r, f=f, F=F, C_bar=slope,
                    C_under=slope, delta=math.inf, convention=convention)
-
-    @classmethod
-    def general(cls, f: Callable[[float], float], F: Callable[[float], float],
-                r: float, C_bar: float, C_under: float,
-                delta: float) -> "NonlinearitySpec":
-        return cls(r=r, f=f, F=F, C_bar=C_bar, C_under=C_under, delta=delta)
 
     @property
     def is_homogeneous(self) -> bool:

@@ -18,7 +18,7 @@ values a scalar call would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -568,7 +568,8 @@ class AsymptoticLaw:
 
     The model value at radius r is
 
-        constant * (log r + log_offset) * r^(-exponent)   if has_log_factor,
+        constant * (log r + log_offset) * r^(-exponent)   in the log regime
+                                                          (beta = N),
         constant * h_exponent(r)                          in the exact regime
                                                           (beta = N - 2s),
         constant * r^(-exponent)                          otherwise.
@@ -581,8 +582,11 @@ class AsymptoticLaw:
     regime: str
     exponent: float
     constant: float
-    has_log_factor: bool
     log_offset: float = 0.0
+
+    @property
+    def has_log_factor(self) -> bool:
+        return self.regime == "equal_N"
 
     def evaluate(self, r):
         """Model value at radius r (scalar or ndarray), valid for r > 1."""
@@ -628,14 +632,12 @@ def frac_lap_h_asymptotic(p: ProfileParams) -> AsymptoticLaw:
                   "between" if beta > N - two_s else "below_N_minus_2s")
     prefactor = frac_lap_h_prefactor(ProfileParams(N, s, beta))
     if regime == "equal_N_minus_2s":
-        return AsymptoticLaw(regime, N + two_s, prefactor, has_log_factor=False)
+        return AsymptoticLaw(regime, N + two_s, prefactor)
     first, second, psi = _connection_coefficients(N / 2.0 + s, beta / 2.0 + s,
                                                   N / 2.0)
     if regime == "equal_N":
         return AsymptoticLaw(regime, N + two_s, -2.0 * prefactor * first,
-                             has_log_factor=True, log_offset=-psi / 2.0)
+                             log_offset=-psi / 2.0)
     if regime == "above_N":
-        return AsymptoticLaw(regime, N + two_s, prefactor * first,
-                             has_log_factor=False)
-    return AsymptoticLaw(regime, beta + two_s, prefactor * second,
-                         has_log_factor=False)
+        return AsymptoticLaw(regime, N + two_s, prefactor * first)
+    return AsymptoticLaw(regime, beta + two_s, prefactor * second)

@@ -71,7 +71,8 @@ def test_table_negative_radius_exits_2(tmp_path, capsys):
     code = main(["specfun-table", "--out", str(tmp_path), "--radii=1,-1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "config error: --radii: radii must be >= 0, got -1.0\n"
+    assert err == ("config error: --radii: frac_lap_h_exact: radius must be >= 0, "
+                   "got -1.0\n")
     assert not (tmp_path / "specfun_table.csv").exists()
 
 
@@ -82,8 +83,8 @@ def test_table_radius_whose_square_overflows_exits_2(tmp_path, capsys):
                  "--radii=1,1e200"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == ("config error: --radii: radii must have a finite square, at "
-                   "most 1.3407807929942596e+154, got 1e+200\n")
+    assert err == ("config error: --radii: frac_lap_h_exact: radius must have a "
+                   "finite square, at most 1.3407807929942596e+154, got 1e+200\n")
     assert not (tmp_path / "specfun_table.csv").exists()
 
 
@@ -771,39 +772,28 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
 
 
 # One case per rule of check_fit_window, on the stored 400-node record
-# (r_max = 1000).
-@pytest.mark.parametrize("overrides", [
-    ["analysis.fit_window=100,50"],      # reversed
-    ["analysis.fit_window=0,50"],        # not positive
-    ["analysis.fit_window=50,101"],      # top 101 > r_max/10
-    ["analysis.fit_window=50,55"],       # fewer than 20 nodes in the window
-])
-def test_unusable_fit_window_exits_2_before_solving(workdir, tmp_path, capsys,
-                                                    monkeypatch, overrides):
+# (r_max = 1000), each with the start of its cause.
+@pytest.mark.parametrize("window,cause", [
+    ("100,50", "malformed window"),      # reversed
+    ("0,50", "malformed window"),        # not positive
+    ("50,101", "window top 101.0"),      # top 101 > r_max/10
+    ("50,55", "window contains"),        # fewer than 20 nodes in the window
+    ("50,200", "window top 200.0"),      # top 200 > r_max/10
+], ids=["reversed", "not_positive", "top_101", "few_nodes", "top_200"])
+def test_unusable_fit_window_exits_2(workdir, tmp_path, capsys, monkeypatch,
+                                     window, cause):
     checked = []
     monkeypatch.setattr(cli, "_verify_checks",
                         lambda *args: checked.append(args))
-    argv = ["verify-decay", "--solution", str(workdir / "solve" / "solution.json"),
-            "--out", str(tmp_path / "out")]
-    for item in overrides:
-        argv += ["--set", item]
-    assert main(argv) == 2
+    assert main(["verify-decay", "--solution",
+                 str(workdir / "solve" / "solution.json"),
+                 "--set", f"analysis.fit_window={window}",
+                 "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: analysis.fit_window: ")
+    assert err.startswith(f"config error: analysis.fit_window: {cause}")
     assert err.count("\n") == 1
     assert checked == []
     assert not (tmp_path / "out").exists()
-
-
-def test_unusable_fit_window_for_a_stored_record_exits_2(workdir, tmp_path,
-                                                         capsys):
-    # the record's grid ends at r_max = 1000, so a window top of 200 is out
-    code = main(["verify-decay", "--solution",
-                 str(workdir / "solve" / "solution.json"),
-                 "--set", "analysis.fit_window=50,200", "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: analysis.fit_window: window top 200.0")
 
 
 # The analysis section once took theta, chain_rule_theta and kappa, and

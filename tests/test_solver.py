@@ -74,7 +74,7 @@ def test_homogeneous_rejects_unknown_convention():
 
 
 def test_general_limit_slope_recovers_prefactor():
-    spec = NonlinearitySpec.general(
+    spec = NonlinearitySpec(
         f=lambda t: SQRT_17 * np.power(t, 0.7),
         F=lambda t: SQRT_17 / 1.7 * np.power(t, 1.7),
         r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
@@ -84,13 +84,13 @@ def test_general_limit_slope_recovers_prefactor():
 
 def test_general_rejects_nonvanishing_F_at_zero():
     with pytest.raises(ValueError):
-        NonlinearitySpec.general(f=lambda t: t, F=lambda t: t + 0.01,
-                                 r=1.7, C_bar=1.0, C_under=1.0, delta=1.0)
+        NonlinearitySpec(f=lambda t: t, F=lambda t: t + 0.01,
+                         r=1.7, C_bar=1.0, C_under=1.0, delta=1.0)
 
 
 def test_general_rejects_nan_F_at_zero():
     with pytest.raises(ValueError, match="must vanish"):
-        NonlinearitySpec.general(
+        NonlinearitySpec(
             f=lambda t: SQRT_17 * np.power(t, 0.7),
             F=lambda t: math.nan if t == 0.0 else SQRT_17 / 1.7 * np.power(t, 1.7),
             r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
@@ -99,7 +99,7 @@ def test_general_rejects_nan_F_at_zero():
 def test_general_rejects_nan_F_on_the_check_lattice():
     # F(0) = 0, and F is NaN at every point the antiderivative check reads
     with pytest.raises(ValueError, match="not the antiderivative"):
-        NonlinearitySpec.general(
+        NonlinearitySpec(
             f=lambda t: SQRT_17 * np.power(t, 0.7),
             F=lambda t: 0.0 if t == 0.0 else math.nan,
             r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
@@ -108,7 +108,7 @@ def test_general_rejects_nan_F_on_the_check_lattice():
 def test_general_rejects_mismatched_antiderivative():
     # F is 1 percent off being the antiderivative of f
     with pytest.raises(ValueError):
-        NonlinearitySpec.general(
+        NonlinearitySpec(
             f=lambda t: SQRT_17 * np.power(t, 0.7),
             F=lambda t: 1.01 * SQRT_17 / 1.7 * np.power(t, 1.7),
             r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
@@ -122,10 +122,10 @@ def test_general_rejects_mismatched_antiderivative():
 ])
 def test_general_envelope_validation(c_bar, c_under, delta):
     with pytest.raises(ValueError):
-        NonlinearitySpec.general(f=lambda t: t ** 0.7 * 1.7,
-                                 F=lambda t: t ** 1.7,
-                                 r=1.7, C_bar=c_bar, C_under=c_under,
-                                 delta=delta)
+        NonlinearitySpec(f=lambda t: t ** 0.7 * 1.7,
+                         F=lambda t: t ** 1.7,
+                         r=1.7, C_bar=c_bar, C_under=c_under,
+                         delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +177,16 @@ def test_homogeneous_exponent_window_endpoints():
     with pytest.raises(ValueError, match="above the critical exponent"):
         ProblemParams(N=3, s=0.25, alpha=0.5, mu=1.0,
                       nonlinearity=NonlinearitySpec.homogeneous(1.45))
-    spec = NonlinearitySpec.general(f=lambda t: 1.45 * t ** 0.45,
-                                    F=lambda t: t ** 1.45,
-                                    r=1.45, C_bar=1.45, C_under=1.45, delta=1.0)
+    spec = NonlinearitySpec(f=lambda t: 1.45 * t ** 0.45,
+                            F=lambda t: t ** 1.45,
+                            r=1.45, C_bar=1.45, C_under=1.45, delta=1.0)
     ProblemParams(N=3, s=0.25, alpha=0.5, mu=1.0, nonlinearity=spec)
 
 
 def test_general_kind_requires_sublinear_exponent():
-    spec = NonlinearitySpec.general(f=lambda t: 2.0 * t,
-                                    F=lambda t: t ** 2,
-                                    r=2.0, C_bar=2.0, C_under=2.0, delta=1.0)
+    spec = NonlinearitySpec(f=lambda t: 2.0 * t,
+                            F=lambda t: t ** 2,
+                            r=2.0, C_bar=2.0, C_under=2.0, delta=1.0)
     with pytest.raises(ValueError):
         ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
 
@@ -336,7 +336,7 @@ def test_rescaled_family_is_covariant(N, s, alpha, r, bound):
 
 
 def test_general_kind_reproduces_homogeneous_solve(solution):
-    spec = NonlinearitySpec.general(
+    spec = NonlinearitySpec(
         f=lambda t: SQRT_17 * np.power(t, 0.7),
         F=lambda t: SQRT_17 / 1.7 * np.power(t, 1.7),
         r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
@@ -495,8 +495,8 @@ def test_vanishing_nonlinearity_collapses(params, monkeypatch):
     # f = 0 leaves the declared envelope, so it is rejected up front; a
     # right-hand side that vanishes anyway collapses the iterates
     with pytest.raises(ValueError, match="leaves its declared envelope"):
-        NonlinearitySpec.general(f=lambda t: 0.0 * t, F=lambda t: 0.0 * t,
-                                 r=1.7, C_bar=1.0, C_under=0.5, delta=1.0)
+        NonlinearitySpec(f=lambda t: 0.0 * t, F=lambda t: 0.0 * t,
+                         r=1.7, C_bar=1.0, C_under=0.5, delta=1.0)
     monkeypatch.setattr(solver_mod, "_riesz_operator",
                         lambda *args: SimpleNamespace(apply=np.zeros_like))
     with pytest.raises(ZeroCollapseError):
@@ -531,8 +531,8 @@ def test_non_finite_right_hand_side_is_a_nonconvergence():
     def F(t):
         return np.where(t > 0.5, np.nan, SQRT_17 / 1.7 * np.power(t, 1.7))
 
-    spec = NonlinearitySpec.general(f=f, F=F, r=1.7, C_bar=SQRT_17,
-                                    C_under=SQRT_17, delta=0.4)
+    spec = NonlinearitySpec(f=f, F=F, r=1.7, C_bar=SQRT_17,
+                            C_under=SQRT_17, delta=0.4)
     p = ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=spec)
     grid = RadialGrid.log_spaced(num=200)
     with pytest.raises(NonConvergenceError, match="non-finite iterate"):
@@ -546,7 +546,7 @@ def test_non_finite_right_hand_side_is_a_nonconvergence():
 def general_spec():
     """f(t) = t^0.7 + t, with F its antiderivative; f / t^0.7 lies in [1, 2]
     on [0, 1]."""
-    return NonlinearitySpec.general(
+    return NonlinearitySpec(
         f=lambda t: np.power(t, 0.7) + t,
         F=lambda t: np.power(t, 1.7) / 1.7 + 0.5 * t * t,
         r=1.7, C_bar=2.0, C_under=1.0, delta=1.0)
@@ -555,7 +555,7 @@ def general_spec():
 def test_scalar_only_nonlinearity_is_applied_per_element(params):
     # math.pow takes no array, so f and F are applied one node at a time:
     # the values keep the input's shape, and the solve is the np.power one's
-    spec = NonlinearitySpec.general(
+    spec = NonlinearitySpec(
         f=lambda t: SQRT_17 * math.pow(t, 0.7),
         F=lambda t: SQRT_17 / 1.7 * math.pow(t, 1.7),
         r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=math.inf)
@@ -618,7 +618,7 @@ def test_misdeclared_envelope_is_rejected():
     # for t < 1, so the r = 1.7 closure exponent 10/3 would not hold
     slope = math.sqrt(1.9)
     with pytest.raises(ValueError, match="leaves its declared envelope"):
-        NonlinearitySpec.general(
+        NonlinearitySpec(
             f=lambda t: slope * np.power(t, 0.9),
             F=lambda t: slope / 1.9 * np.power(t, 1.9),
             r=1.7, C_bar=slope, C_under=slope, delta=1.0)

@@ -573,8 +573,7 @@ def test_asymptotic_matches_closed_form_far_field():
 
 
 def test_asymptotic_law_evaluate_vectorized():
-    law = AsymptoticLaw(regime="above_N", exponent=4.0, constant=-2.0,
-                        has_log_factor=False)
+    law = AsymptoticLaw(regime="above_N", exponent=4.0, constant=-2.0)
     r = np.array([10.0, 100.0])
     assert_allclose(law.evaluate(r), -2.0 * r ** -4.0, rtol=1e-15)
 
