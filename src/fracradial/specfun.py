@@ -388,13 +388,13 @@ def hyp2f1(a: float, b: float, c: float, x):
     Relative accuracy target is 1e-10 across x in [-4e26, 0], also for
     b - a just off an integer on either side (see _hyp_large_x), as long as
     the value stays a normal double.  The far end is the angular kernel's
-    argument -4 (1 + gap) / gap^2 at gap 1e-13 (radial_ops).  The target is
+    argument -4 (1 + gap) / gap^2 at gap 1e-13 (quadrature).  The target is
     checked on the parameters the package passes, for N in 2..6:
 
     * (N/2 + s, beta/2 + s, N/2) with s in (0, 1) and beta in (0, N + 2s]
       (frac_lap_h_exact);
     * (max(-p/2, (N-1)/2), min(-p/2, (N-1)/2), N - 1) with p in (-N - 2, 0)
-      (the angular kernel of both operators, radial_ops._kernel_at_gap).
+      (the angular kernel of both operators, quadrature._kernel_at_gap).
 
     Outside that box the defining series just above x = -1/2 can lose more
     for large a, b and small c: at (a, b, c) = (4.99, 5.87, 1.24) it is

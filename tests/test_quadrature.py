@@ -1,6 +1,6 @@
 """The quadrature's own tests: its pieces' accuracy, its assembly's structure
-and its operator cache.  They read private names of radial_ops and go with the
-quadrature; every other test file reads the operators through public names."""
+and its operator cache.  They read private names of fracradial.quadrature and
+go with it; every other test file reads the operators through public names."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracradial.quadrature as quadrature
 import fracradial.radial_ops as radial_ops
 from fracradial import (NonlinearitySpec, ProblemParams, RadialGrid, SolverOpts,
                         frac_laplacian_radial, h_beta_function, riesz_constant,
@@ -23,27 +24,27 @@ def make_params(r, mu=1.0):
 
 @pytest.fixture
 def rows_built(monkeypatch):
-    """Counts of the operator rows that radial_ops._rows builds while the
+    """Counts of the operator rows that quadrature._rows builds while the
     test runs, by the sign of the kernel order: "fraclap" for a = -2s < 0,
     "riesz" for a = alpha > 0.  The test may reset the counts in place."""
     calls = {"fraclap": 0, "riesz": 0}
-    rows = radial_ops._rows
+    rows = quadrature._rows
 
     def counted(ctx, which, order, omega):
         calls["fraclap" if order < 0.0 else "riesz"] += np.size(which)
         return rows(ctx, which, order, omega)
 
-    monkeypatch.setattr(radial_ops, "_rows", counted)
+    monkeypatch.setattr(quadrature, "_rows", counted)
     return calls
 
 
 @pytest.fixture
 def cold_caches():
-    """Empties radial_ops' two caches, the assembled operators of `_raw` and
+    """Empties the quadrature's two caches, the assembled operators of `_raw` and
     the kernel tables of `_kernel_table`, so that the test builds what it
     reads."""
-    radial_ops._raw.cache_clear()
-    radial_ops._kernel_table.cache_clear()
+    quadrature._raw.cache_clear()
+    quadrature._kernel_table.cache_clear()
 
 
 # ----------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def cold_caches():
 def kernel(N, p, r, rho):
     """The angular kernel k_p(r, rho) as the operators read it, at the offset
     |rho - r| (_kernel_eval: the closed form for N = 3, the table else)."""
-    return float(radial_ops._kernel_eval(N, p, r, np.array(rho), abs(rho - r)))
+    return float(quadrature._kernel_eval(N, p, r, np.array(rho), abs(rho - r)))
 
 
 # mpmath mp.dps = 30, direct quadrature of int_{S^{N-1}} |r e1 - rho w|^p.
@@ -107,7 +108,7 @@ KERNEL_TABLE_CASES = [
 
 @pytest.mark.parametrize("N,p,expected", KERNEL_TABLE_CASES)
 def test_kernel_table_at_deep_gaps(N, p, expected):
-    got = radial_ops._kernel_table(N, p).eval_gap(np.array([1e-13, 1e-11, 1e-9]))
+    got = quadrature._kernel_table(N, p).eval_gap(np.array([1e-13, 1e-11, 1e-9]))
     assert_allclose(got, expected, rtol=1e-10)
 
 
@@ -118,12 +119,12 @@ def test_kernel_table_at_deep_gaps(N, p, expected):
 # off at gap 49 for (N, p) = (2, -3).
 @pytest.mark.parametrize("N,p", [(2, -3.0), (4, -3.0), (5, -2.5)])
 def test_kernel_table_far_branch_and_seam(N, p):
-    table = radial_ops._kernel_table(N, p)
+    table = quadrature._kernel_table(N, p)
     seam = np.array([49.0 * (1.0 - 1e-12), 49.0])
-    got, want = table.eval_gap(seam), radial_ops._kernel_at_gap(seam, p, N)
+    got, want = table.eval_gap(seam), quadrature._kernel_at_gap(seam, p, N)
     assert abs(got[0] / got[1] - want[0] / want[1]) <= 2e-11
     far = np.array([49.0, 50.0, 100.0, 199.0, 1e3, 1e5, 1e8])
-    assert_allclose(table.eval_gap(far), radial_ops._kernel_at_gap(far, p, N),
+    assert_allclose(table.eval_gap(far), quadrature._kernel_at_gap(far, p, N),
                     rtol=2e-11)
 
 
@@ -133,7 +134,7 @@ def test_kernel_table_temporaries_do_not_grow_with_the_points():
     # points; an unsliced evaluation held about 40 B per point, 4 MB here)
     import tracemalloc
 
-    table = radial_ops._kernel_table(2, -2.0)
+    table = quadrature._kernel_table(2, -2.0)
     gap = np.geomspace(1e-13, 40.0, 100_000)
     gap[::50] = 80.0    # a few points on the multipole branch
     want = np.concatenate([table.eval_gap(gap[lo:lo + 997])
@@ -157,16 +158,16 @@ def test_kernel_table_is_built_a_block_of_intervals_at_a_time(monkeypatch):
     # (measured, N = 2, p = -3), where the 4800 closed-form values set it
     import tracemalloc
 
-    radial_ops._KernelTable(2, -3.0)    # Gauss rules and the like
+    quadrature._KernelTable(2, -3.0)    # Gauss rules and the like
     tracemalloc.start()
     try:
-        table = radial_ops._KernelTable(2, -3.0)
+        table = quadrature._KernelTable(2, -3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.6e6
-    monkeypatch.setattr(radial_ops._KernelTable, "_BUILD_BLOCK", 4800)
-    one_shot = radial_ops._KernelTable(2, -3.0)
+    monkeypatch.setattr(quadrature._KernelTable, "_BUILD_BLOCK", 4800)
+    one_shot = quadrature._KernelTable(2, -3.0)
     for c in ("_c0", "_c1", "_c2", "_c3"):
         assert np.array_equal(getattr(table, c), getattr(one_shot, c))
 
@@ -175,8 +176,8 @@ def test_closed_form_kernel_matches_dimension_three():
     rho = 1.0 + np.geomspace(1e-12, 40.0, 60)
     # -2 +- 1e-9 take the first-order correction of the logarithmic limit
     for p in (-6.0, -4.5, -3.0, -2.0 - 1e-9, -2.0, -2.0 + 1e-9, -1.0):
-        got = radial_ops._kernel_at_gap(rho - 1.0, p, 3)
-        assert_allclose(got, radial_ops._kernel3_arrays(1.0, rho, p, rho - 1.0),
+        got = quadrature._kernel_at_gap(rho - 1.0, p, 3)
+        assert_allclose(got, quadrature._kernel3_arrays(1.0, rho, p, rho - 1.0),
                         rtol=1e-13)
 
 
@@ -188,8 +189,8 @@ def test_closed_form_kernel_matches_dimension_three():
 def test_kernel_table_matches_closed_form(N, p):
     rng = np.random.default_rng(11)
     gap = np.exp(rng.uniform(math.log(1e-13), math.log(48.9), 20_000))
-    got = radial_ops._kernel_table(N, p).eval_gap(gap)
-    assert_allclose(got, radial_ops._kernel_at_gap(gap, p, N), rtol=3e-11)
+    got = quadrature._kernel_table(N, p).eval_gap(gap)
+    assert_allclose(got, quadrature._kernel_at_gap(gap, p, N), rtol=3e-11)
 
 
 # ----------------------------------------------------------------------------
@@ -221,12 +222,12 @@ def test_fraclap_rows_in_a_batch_equal_rows_built_alone(N, coarse):
         nodes[0], nodes[k[1]], nodes[k[2]],           # on nodes
         0.999 * nodes[-1], nodes[-1],                 # at the last node
     ])
-    ctx = radial_ops._RowContext(grid)
+    ctx = quadrature._RowContext(grid)
     for omega in (N + 1.0, 2.5):
-        rows = radial_ops._rows(ctx, which, -1.0, omega)
+        rows = quadrature._rows(ctx, which, -1.0, omega)
         assert rows.shape == (which.size, M)
         for k in range(which.size):
-            alone = radial_ops._rows(ctx, which[k:k + 1], -1.0, omega)
+            alone = quadrature._rows(ctx, which[k:k + 1], -1.0, omega)
             assert np.array_equal(alone[0], rows[k])
         # pointwise values over an array of radii, one per radius
         u = h_beta_function(grid, omega)
@@ -244,12 +245,12 @@ def test_riesz_rows_in_a_batch_equal_rows_built_alone(N, coarse):
     grid = batch_grid(N, coarse)
     M = grid.size
     which = np.array([0, 1, 7, 70 * M // 150, M - 2, M - 1])
-    ctx = radial_ops._RowContext(grid)
+    ctx = quadrature._RowContext(grid)
     for alpha, omega in ((0.5, N + 0.7), (N - 1.0, 2.5)):
-        rows = radial_ops._rows(ctx, which, alpha, omega)
+        rows = quadrature._rows(ctx, which, alpha, omega)
         assert rows.shape == (which.size, M)
         for k in range(which.size):
-            alone = radial_ops._rows(ctx, which[k:k + 1], alpha, omega)
+            alone = quadrature._rows(ctx, which[k:k + 1], alpha, omega)
             assert np.array_equal(alone[0], rows[k])
 
 
@@ -277,7 +278,7 @@ def test_closures_match_quadrature(N, order, omega):
     h = grid.log_nodes[1] - grid.log_nodes[0]
     r = grid.nodes[np.r_[0, M // 2, M - 8:M]]
     hi = r * (1.0 + 1.5 * h)
-    _, _, _, tail, beyond = radial_ops._closures(grid, order, r, r, np.full(r.size, 0.1),
+    _, _, _, tail, beyond = quadrature._closures(grid, order, r, r, np.full(r.size, 0.1),
                                                  hi, omega)
     assert (beyond is None) == (order > 0.0)
 
@@ -329,26 +330,26 @@ def test_last_riesz_row_tail_weight_matches_quadrature(N, alpha, monkeypatch):
     M, omega = 600, N + 0.7
     grid = RadialGrid.log_spaced(num=M, N=N)
     rM, p = grid.r_max, alpha - N
-    spread = radial_ops._spread
+    spread = quadrature._spread
     sent = []
 
     def record(coeffs, rows, grid, rho, weights, omega, t=None):
         sent.append((rho, weights))
         spread(coeffs, rows, grid, rho, weights, omega, t)
 
-    monkeypatch.setattr(radial_ops, "_spread", record)
-    ctx = radial_ops._RowContext(grid)
-    _, _, lo, hi, d0 = radial_ops._riesz_diagonal(ctx, np.array([M - 1]), alpha, omega)
+    monkeypatch.setattr(quadrature, "_spread", record)
+    ctx = quadrature._RowContext(grid)
+    _, _, lo, hi, d0 = quadrature._riesz_diagonal(ctx, np.array([M - 1]), alpha, omega)
     (rho, weights), = sent
     beyond = rho > rM
     assert hi[0] > rM and np.all(rho[beyond] < hi[0])
     # the stubs come last, the cell above's after the cell below's
     got = np.sum(weights[beyond] * (rho[beyond] / rM) ** -omega) + weights[-1] \
-        + radial_ops._closures(grid, alpha, np.array([rM]), lo, d0, hi, omega)[3][0]
+        + quadrature._closures(grid, alpha, np.array([rM]), lo, d0, hi, omega)[3][0]
 
     def f(xi):
         rho = rM + xi
-        return rM ** p * radial_ops._kernel_at_gap(xi / rM, p, N) * rho ** (N - 1) \
+        return rM ** p * quadrature._kernel_at_gap(xi / rM, p, N) * rho ** (N - 1) \
             * (rho / rM) ** -omega
 
     cuts = rM * 0.5 ** np.arange(120.0, -1.0, -1.0)
@@ -368,9 +369,9 @@ def operator_args(kind, N):
 def assert_structured_matches_loop(N, order, omega):
     M = 150
     grid = RadialGrid.log_spaced(num=M, N=N)
-    op = radial_ops._structured_rows(grid, order, omega)
+    op = quadrature._structured_rows(grid, order, omega)
     rows = op.rows()
-    ref = op.constant * radial_ops._rows(radial_ops._RowContext(grid), range(M),
+    ref = op.constant * quadrature._rows(quadrature._RowContext(grid), range(M),
                                          order, omega)
     # every column, the last one with the tail weights folded in
     err = np.max(np.abs(rows - ref), axis=1) / np.max(np.abs(ref), axis=1)
@@ -419,8 +420,8 @@ def test_geometric_build_calls_row_builders_only_at_the_ends(cold_caches,
                                                              rows_built):
     grid = RadialGrid.log_spaced(num=200)
     for kind in ("fraclap", "riesz"):
-        radial_ops._raw(grid, *operator_args(kind, 3))
-    ends = 2 * radial_ops._END_ROWS
+        quadrature._raw(grid, *operator_args(kind, 3))
+    ends = 2 * quadrature._END_ROWS
     assert rows_built == {"fraclap": ends, "riesz": ends}
 
 
@@ -434,9 +435,9 @@ def test_compact_riesz_apply_matches_dense_rows(N):
     grid = RadialGrid.log_spaced(num=M, N=N)
     alpha, omega = operator_args("riesz", N)
     g = h_beta_function(grid, omega)
-    op = radial_ops._raw(grid, alpha, omega)
+    op = quadrature._raw(grid, alpha, omega)
     assert op.hi > op.lo                   # the interior is held compactly
-    ref = radial_ops._rows(radial_ops._RowContext(grid), range(M), alpha, omega)
+    ref = quadrature._rows(quadrature._RowContext(grid), range(M), alpha, omega)
     want = riesz_constant(N, alpha) * (ref @ g.values)
     v = riesz_convolve_radial(g, alpha)
     assert np.max(np.abs(v.values / want - 1.0)) <= 1e-13
@@ -445,7 +446,7 @@ def test_compact_riesz_apply_matches_dense_rows(N):
 def test_memoised_riesz_operator_holds_O_of_M_floats():
     M = 600
     grid = RadialGrid.log_spaced(num=M)
-    op = radial_ops._raw(grid, *operator_args("riesz", 3))
+    op = quadrature._raw(grid, *operator_args("riesz", 3))
     floats = sum(a.size for a in vars(op).values() if isinstance(a, np.ndarray))
     assert floats <= 40 * M
 
@@ -456,7 +457,7 @@ def test_memoised_riesz_operator_holds_O_of_M_floats():
 def test_memoised_fraclap_operator_holds_O_of_M_floats(N):
     M = 600
     grid = RadialGrid.log_spaced(num=M, N=N)
-    op = radial_ops._raw(grid, -1.0, 4.0)
+    op = quadrature._raw(grid, -1.0, 4.0)
     assert op.hi > op.lo
     floats = sum(a.size for a in vars(op).values() if isinstance(a, np.ndarray))
     assert floats <= 64 * M
@@ -471,14 +472,14 @@ def test_memoised_fraclap_operator_holds_O_of_M_floats(N):
 def test_structured_fraclap_operator_holds_a_mass(N, s, M):
     grid = RadialGrid.log_spaced(num=M, N=N)
     u = h_beta_function(grid, N + 0.5)
-    op = radial_ops._raw(grid, -2.0 * s, u.tail_exponent)
+    op = quadrature._raw(grid, -2.0 * s, u.tail_exponent)
     assert op.hi > op.lo and np.any(op.mass != 0.0)
 
 
 def test_structured_riesz_operator_holds_no_mass():
     grid = RadialGrid.log_spaced(num=600, N=3)
     u = h_beta_function(grid, 3.5)
-    op = radial_ops._raw(grid, 2.0, u.tail_exponent)
+    op = quadrature._raw(grid, 2.0, u.tail_exponent)
     assert op.hi > op.lo and op.mass is None
     want = op.rows() @ u.values
     assert np.max(np.abs(op.apply(u.values) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -488,15 +489,15 @@ def test_memo_is_bounded_lru(cold_caches, rows_built):
     """The operator cache keeps the _CACHED most recent operators: one more
     evicts the least recently used, which a later call builds again."""
     grid = RadialGrid.log_spaced(num=32)
-    omegas = [3.0 + 0.01 * k for k in range(radial_ops._CACHED + 1)]
+    omegas = [3.0 + 0.01 * k for k in range(quadrature._CACHED + 1)]
     for omega in omegas:
-        radial_ops._raw(grid, 2.0, omega)
-    assert radial_ops._raw.cache_info().currsize == radial_ops._CACHED
+        quadrature._raw(grid, 2.0, omega)
+    assert quadrature._raw.cache_info().currsize == quadrature._CACHED
     rows_built.update(fraclap=0, riesz=0)
-    radial_ops._raw(grid, 2.0, omegas[-1])
+    quadrature._raw(grid, 2.0, omegas[-1])
     assert rows_built == {"fraclap": 0, "riesz": 0}
-    radial_ops._raw(grid, 2.0, omegas[0])
-    assert rows_built == {"fraclap": 0, "riesz": 2 * radial_ops._END_ROWS}
+    quadrature._raw(grid, 2.0, omegas[0])
+    assert rows_built == {"fraclap": 0, "riesz": 2 * quadrature._END_ROWS}
 
 
 def test_operator_cache_key_is_the_exact_arguments(cold_caches):
@@ -505,16 +506,16 @@ def test_operator_cache_key_is_the_exact_arguments(cold_caches):
     a grid that differs in one field, or an order or tail exponent one ulp
     away, gets its own."""
     fields = dict(r_min=1e-3, r_max=1e3, size=32, N=3)
-    op = radial_ops._raw(RadialGrid(**fields), -1.0, 4.0)
-    assert radial_ops._raw(RadialGrid.log_spaced(num=32), -1.0, 4.0) is op
+    op = quadrature._raw(RadialGrid(**fields), -1.0, 4.0)
+    assert quadrature._raw(RadialGrid.log_spaced(num=32), -1.0, 4.0) is op
     for name, value in (("r_min", 2e-3), ("r_max", 2e3), ("size", 33),
                         ("N", 4)):
         grid = RadialGrid(**{**fields, name: value})
-        assert radial_ops._raw(grid, -1.0, 4.0) is not op
+        assert quadrature._raw(grid, -1.0, 4.0) is not op
     grid = RadialGrid(**fields)
-    assert radial_ops._raw(grid, math.nextafter(-1.0, 0.0), 4.0) is not op
-    assert radial_ops._raw(grid, -1.0, math.nextafter(4.0, 5.0)) is not op
-    assert radial_ops._raw(grid, -1.0, 4.0) is op
+    assert quadrature._raw(grid, math.nextafter(-1.0, 0.0), 4.0) is not op
+    assert quadrature._raw(grid, -1.0, math.nextafter(4.0, 5.0)) is not op
+    assert quadrature._raw(grid, -1.0, 4.0) is op
 
 
 def test_second_solve_reuses_operators(params, rows_built):
@@ -522,7 +523,7 @@ def test_second_solve_reuses_operators(params, rows_built):
     grid = RadialGrid.log_spaced(r_min=2e-3, num=200)
     first = solve_ground_state(params, SolverOpts(grid=grid))
     # cold: the row builders ran, on a geometric grid for the end rows only
-    ends = 2 * radial_ops._END_ROWS
+    ends = 2 * quadrature._END_ROWS
     assert rows_built == {"fraclap": ends, "riesz": ends}
     rows_built.update(fraclap=0, riesz=0)
     second = solve_ground_state(params, SolverOpts(grid=grid))
@@ -538,13 +539,13 @@ def test_chain_rule_builds_no_operator_on_a_second_check(monkeypatch,
     the tail exponents (beta depends on N, s, alpha and r only) and so the
     operators."""
     built = []
-    structured_rows = radial_ops._structured_rows
+    structured_rows = quadrature._structured_rows
 
     def counted(grid, order, *args):
         built.append(order)
         return structured_rows(grid, order, *args)
 
-    monkeypatch.setattr(radial_ops, "_structured_rows", counted)
+    monkeypatch.setattr(quadrature, "_structured_rows", counted)
     opts = SolverOpts(grid=RadialGrid.log_spaced(num=200))
     thetas = (0.3, 0.7)
     sol = solve_ground_state(make_params(1.7), opts)
@@ -566,10 +567,10 @@ def test_reloaded_grid_is_assembled_by_structure(workdir):
     """A grid rebuilt from solution.json is the solve's grid: equal fields,
     so the same cache key and the same structured operators."""
     sol = load_solution(str(workdir / "solve" / "solution.json"))
-    grid = radial_ops.RadialGrid.log_spaced(num=400)
+    grid = RadialGrid.log_spaced(num=400)
     assert sol.u.grid == grid and hash(sol.u.grid) == hash(grid)
-    op = radial_ops._raw(sol.u.grid, -1.0, sol.u.tail_exponent)
-    assert op is radial_ops._raw(grid, -1.0, sol.u.tail_exponent)
+    op = quadrature._raw(sol.u.grid, -1.0, sol.u.tail_exponent)
+    assert op is quadrature._raw(grid, -1.0, sol.u.tail_exponent)
     assert op.hi > op.lo
 
 
@@ -599,7 +600,7 @@ def test_read_side_keeps_its_operators_in_the_memo(tmp_path, cache_reads,
             reports.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert rows_built == {"fraclap": 0, "riesz": 0}
         assert reports[0] == reports[1]
-    assert all(radial_ops._raw(*args) is op
+    assert all(quadrature._raw(*args) is op
                for (_, args), op in operators.items())
     # both operators are kept by their generating rows: 1.5 MB measured,
     # where one dense fractional Laplacian at M = 600 alone takes 2.9 MB
@@ -618,7 +619,7 @@ def test_memo_holds_operators_and_kernel_tables_only(tmp_path, cache_reads):
     assert main(["oracle", "--case", "2,0.5,2.5", "--set", "grid.nodes=600",
                  "--out", str(tmp_path / "oracle")]) == 0
     kinds = {type(value) for value in cache_reads.values()}
-    assert kinds == {radial_ops._Operator, radial_ops._KernelTable}
+    assert kinds == {quadrature._Operator, quadrature._KernelTable}
 
 
 def test_read_side_with_more_operators_builds_none_on_a_second_pass(
@@ -640,20 +641,22 @@ def test_read_side_with_more_operators_builds_none_on_a_second_pass(
             assert main(["oracle", "--case", case, "--set", "grid.nodes=600",
                          "--out", str(tmp_path / "oracle")]) == 0
     assert rows_built == {"fraclap": 0, "riesz": 0}
-    assert radial_ops._raw.cache_info().currsize == 11
-    assert radial_ops._kernel_table.cache_info().currsize == 1
+    assert quadrature._raw.cache_info().currsize == 11
+    assert quadrature._kernel_table.cache_info().currsize == 1
 
 
 @pytest.fixture
 def cache_reads(monkeypatch, cold_caches):
-    """What radial_ops reads from its two caches while the test runs: each
-    operator and kernel table, keyed by (cache name, arguments)."""
+    """What the operators read from their two caches while the test runs:
+    each operator and kernel table, keyed by (cache name, arguments).  A
+    cache is patched where its caller looks it up: `_raw` in radial_ops,
+    `_kernel_table` in the quadrature."""
     reads = {}
-    for name in ("_raw", "_kernel_table"):
-        def read(*args, name=name, cached=getattr(radial_ops, name)):
+    for module, name in ((radial_ops, "_raw"), (quadrature, "_kernel_table")):
+        def read(*args, name=name, cached=getattr(module, name)):
             reads[name, args] = value = cached(*args)
             return value
-        monkeypatch.setattr(radial_ops, name, read)
+        monkeypatch.setattr(module, name, read)
     return reads
 
 

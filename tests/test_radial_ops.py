@@ -80,7 +80,7 @@ def test_volume_integral_of_h_beta_matches_closed_form(N, beta, r_max, size,
 
 def test_grid_validation():
     for r_min, r_max, size, N in [
-            (1e-3, 1e3, 31, 3),          # fewer than 4 _END_ROWS nodes
+            (1e-3, 1e3, 31, 3),          # fewer than the floor, _MIN_NODES = 32
             (1e-3, 1e3, 32.5, 3),        # a fractional node count
             (0.0, 1e3, 32, 3),           # r_min must be positive
             (2.0, 1.0, 32, 3),           # r_min < r_max
@@ -582,24 +582,28 @@ def _walk(node, where="<module>"):
 
 
 def test_no_test_outside_the_quarantine_names_quadrature_internals():
-    """No file but test_quadrature.py names a private radial_ops name other than
-    those that outlive the quadrature, or imports from test_quadrature.py."""
+    """No file but test_quadrature.py names fracradial.quadrature or any of its
+    names, a private name of fracradial.radial, or a private radial_ops name
+    other than those that outlive the quadrature, or imports from
+    test_quadrature.py."""
     kept = {"_riesz_operator"}
+    quadrature, checked = "fracradial.quadrature", {"fracradial.radial", "fracradial.radial_ops"}
     found = set()
     for path in sorted(Path(__file__).parent.glob("*.py")):
-        aliases = {"fracradial.radial_ops"}
+        aliases = {module: module for module in (quadrature, *checked)}
         for where, node in _walk(ast.parse(path.read_text())):
             names = []
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 src = getattr(node, "module", None) or ""
                 full = {a.asname or a.name: f"{src}.{a.name}".lstrip(".") for a in node.names}
-                aliases |= {k for k, v in full.items() if v == "fracradial.radial_ops"}
+                aliases |= {k: v for k, v in full.items() if v in aliases.values()}
                 names = full.values()
             elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases:
-                names = [f"fracradial.radial_ops.{node.attr}"]
+                names = [f"{aliases[ast.unparse(node.value)]}.{node.attr}"]
             for name in names:
                 module, _, last = name.rpartition(".")
-                if "test_quadrature" in name.split(".") or module == "fracradial.radial_ops" \
+                if "test_quadrature" in name.split(".") or quadrature in (name, module) \
+                        or module in checked \
                         and last[:1] == "_" and last[:2] != "__" and last not in kept:
                     found.add(f"{path.name}::{where}")
     found = {f for f in found if not f.startswith("test_quadrature.py::")}
