@@ -188,7 +188,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             for s, ks in _CONFIG_SCHEMA.items())}
 
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # no header can name the empty default section, so [DEFAULT] is an
+        # ordinary section, never merged into the others
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)

@@ -88,12 +88,19 @@ def test_table_radius_whose_square_overflows_exits_2(tmp_path, capsys):
     assert not (tmp_path / "specfun_table.csv").exists()
 
 
-# below N the closed form read 0.0 at 1e100 (ratio 0.0), and exited 3 at 1e150
+# below N the closed form read 0.0 at 1e100 (ratio 0.0), and exited 3 at 1e150.
+# Every regime of N = 3, s = 1/2 (0.5 and 1 lie below N - 2s), at the far
+# radii where its law is a nonzero double: at 1e100 the laws of
+# beta >= N - 2s underflow to 0.
 def test_table_far_rows_meet_the_law(tmp_path):
-    assert main(["specfun-table", "--out", str(tmp_path), "--beta", "0.5",
-                 "--radii", "1e50,1e100,1e150,1.34e154"]) == 0
-    for row in read_json(tmp_path / "specfun_table.json")["rows"]:
-        assert abs(row["ratio"] - 1.0) <= 1e-12, row
+    for beta, radii in (("0.5", "1e50,1e100,1e150,1.34e154"),
+                        ("1", "1e50,1e100,1e150,1.34e154"),
+                        ("2", "1e50"), ("2.5", "1e50"), ("3", "1e50"),
+                        ("3.5", "1e50")):
+        assert main(["specfun-table", "--out", str(tmp_path), "--beta", beta,
+                     "--radii", radii]) == 0
+        for row in read_json(tmp_path / "specfun_table.json")["rows"]:
+            assert abs(row["ratio"] - 1.0) <= 1e-12, (beta, row)
 
 
 def test_table_radius_zero_is_valid(tmp_path):
@@ -194,9 +201,12 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     blocker.write_text("")
     code = main(["oracle", "--case", "3,0.5,2.0", "--set", "grid.nodes=200",
                  "--out", str(blocker / "sub")])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert err == f"config error: cannot write {blocker / 'sub'}: Not a directory\n"
+    assert captured.err == \
+        f"config error: cannot write {blocker / 'sub'}: Not a directory\n"
+    # found before the case is computed, whose PASS line would print first
+    assert captured.out == ""
 
 
 def test_unusable_output_directory_exits_2_before_computing(workdir, tmp_path,
@@ -231,10 +241,20 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["solve", "--config", str(config)]) == 2
 
 
-def test_unknown_config_section_rejected(tmp_path):
+# configparser hides [DEFAULT] from its sections and merges its keys into
+# every other one: alone, its r = 2.5 was ignored and the default r = 1.7
+# solved (exit 0); beside a [grid] section, its nodes = 400 set grid.nodes.
+def test_unknown_config_section_rejected(tmp_path, capsys):
     config = tmp_path / "bad.ini"
-    config.write_text("[solvers]\ntolerance = 1e-8\n")
-    assert main(["solve", "--config", str(config)]) == 2
+    for text, section in (("[solvers]\ntolerance = 1e-8\n", "solvers"),
+                          ("[DEFAULT]\nr = 2.5\n", "DEFAULT"),
+                          ("[DEFAULT]\nnodes = 400\n\n[grid]\n", "DEFAULT")):
+        config.write_text(text)
+        assert main(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2, text
+        assert capsys.readouterr().err == \
+            f"config error: unknown config section [{section}]\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override", [
@@ -860,27 +880,39 @@ def test_default_chain_rule_exponents_give_distinct_check_names(tmp_path):
     assert [c["theta"] for c in report["chain_rule"]] == [0.3]
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["verify-decay", "--solution"]],
-                         ids=["solve", "verify-stored"])
+_SUPERLINEAR = (2.2, "ProblemParams: exponent r = 2.2 outside the sublinear "
+                      "range [1.6666666666666667, 2)")
+_ENDPOINT = (5.0 / 3.0, "ProblemParams: homogeneous exponent r = "
+             "1.6666666666666667 at the lower endpoint (N+alpha)/N = "
+             "1.6666666666666667, where the Pohozaev-Nehari identity leaves "
+             "no solution")
+
+
+@pytest.mark.parametrize("argv,r,cause", [
+    (["solve"], *_SUPERLINEAR),
+    (["verify-decay", "--solution"], *_SUPERLINEAR),
+    (["solve"], *_ENDPOINT),
+    (["verify-decay", "--solution"], *_ENDPOINT),
+], ids=["solve", "verify-stored", "solve-endpoint", "verify-stored-endpoint"])
 def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
-                                              monkeypatch, argv):
+                                              monkeypatch, argv, r, cause):
     # ProblemParams admits only the sublinear r in [(N+alpha)/N, 2), where
-    # the decay prediction every record and report carries is defined
+    # the decay prediction every record and report carries is defined, and
+    # a homogeneous r above the endpoint, where a solution exists
     def no_solve(*args):
         raise AssertionError("solve_ground_state ran")
 
     monkeypatch.setattr(cli, "solve_ground_state", no_solve)
-    argv = argv + ["--set", "problem.r=2.2", "--out", str(tmp_path / "out")]
+    argv = argv + ["--set", f"problem.r={r!r}", "--out", str(tmp_path / "out")]
     if "--solution" in argv:
         rec = read_json(workdir / "solve" / "solution.json")
-        rec["problem"]["r"] = 2.2
-        (tmp_path / "r22.json").write_text(json.dumps(rec))
-        argv.insert(2, str(tmp_path / "r22.json"))
+        rec["problem"]["r"] = r
+        (tmp_path / "edited.json").write_text(json.dumps(rec))
+        argv.insert(2, str(tmp_path / "edited.json"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    assert "ProblemParams: exponent r = 2.2 outside the sublinear range [" in err
-    assert err.endswith(", 2)\n") and err.count("\n") == 1
+    assert err.endswith(cause + "\n") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -956,11 +988,26 @@ def test_loaded_solution_derives_the_stored_diagnostics(workdir, n2_record, whic
         assert getattr(sol, key) == stored[key]
 
 
+@pytest.fixture(scope="module")
+def alpha05_record(tmp_path_factory):
+    """A stored alpha = 1/2 record (r = 1.5) on a 400-node grid: its Riesz
+    kernel is singular at r_1, where the first node's origin region ends."""
+    out = tmp_path_factory.mktemp("alpha05")
+    assert main(["solve", "--set", "problem.alpha=0.5", "--set", "problem.r=1.5",
+                 "--set", "grid.nodes=400", "--out", str(out)]) == 0
+    return out / "solution.json"
+
+
 def test_stored_record_verification_applies_the_riesz_operator_once(
-        workdir, tmp_path, monkeypatch):
+        workdir, n2_record, alpha05_record, tmp_path, monkeypatch):
     """verify-decay on a stored record reads I_alpha * F(u) and int F(u) off
     the Solution: the Riesz-tail check reuses the residual gate's one Riesz
-    application, and its mass is the record's mass_F to the bit."""
+    application, and its mass is the record's mass_F to the bit.  Every
+    record closes its tail with the predicted beta.  The default and the
+    alpha = 1/2 record pass every check; the N = 2 one fails fit_exponent and
+    tail_constant, and only those, in its pre-asymptotic window (20, 100),
+    the default window holding 10 of its 200 nodes.  Each record's chain-rule
+    checks pass and name a grid node as their worst radius."""
     calls = []
     riesz_operator = radial_ops._riesz_operator
 
@@ -969,12 +1016,25 @@ def test_stored_record_verification_applies_the_riesz_operator_once(
         return riesz_operator(*args)
 
     monkeypatch.setattr(radial_ops, "_riesz_operator", counted)
-    path = workdir / "solve" / "solution.json"
-    assert main(["verify-decay", "--solution", str(path),
-                 "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
-    mass = read_json(tmp_path / "verify_report.json")["riesz_tail"]["mass"]
-    assert mass == read_json(path)["diagnostics"]["mass_F"]
+    for i, (path, overrides, failed) in enumerate((
+            (workdir / "solve" / "solution.json", [], set()),
+            (alpha05_record, [], set()),
+            (n2_record, ["--set", "analysis.fit_window=20,100"],
+             {"fit_exponent", "tail_constant"}))):
+        calls.clear()
+        out = tmp_path / str(i)
+        assert main(["verify-decay", "--solution", str(path), *overrides,
+                     "--out", str(out)]) == (1 if failed else 0), path
+        assert len(calls) == 1
+        rec = read_json(path)
+        report = read_json(out / "verify_report.json")
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
+        assert report["riesz_tail"]["mass"] == rec["diagnostics"]["mass_F"]
+        assert rec["profile"]["tail_exponent"] == rec["diagnostics"]["predicted_beta"]
+        nodes = load_solution(str(path)).u.grid.nodes.tolist()
+        assert report["chain_rule"]
+        for chain in report["chain_rule"]:
+            assert chain["passed"] and chain["worst_radius"] in nodes, chain
 
 
 def test_reports_round_trip_bitwise(solved):

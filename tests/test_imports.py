@@ -1,5 +1,6 @@
 """The package's imports: the operator modules import one way, radial <-
-quadrature <- radial_ops, and no file imports a name that it never reads."""
+quadrature <- radial_ops, no file under src imports scipy, and no file
+imports a name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,16 @@ def test_only_radial_ops_imports_the_quadrature():
     assert importers == ["radial_ops.py"]
     assert not imported_modules(PACKAGE / "radial.py") \
         & {"fracradial.quadrature", "fracradial.radial_ops"}
+
+
+def test_no_file_under_src_imports_scipy():
+    """The runtime install is numpy alone.  An import inside a function runs
+    only on its path, an error path say, so every import statement counts."""
+    importers = [f"{path.relative_to(ROOT)}: {name}"
+                 for path in sorted((ROOT / "src").rglob("*.py"))
+                 for name in sorted(imported_modules(path))
+                 if name.partition(".")[0] == "scipy"]
+    assert not importers, "\n".join(importers)
 
 
 def unused_imports(path):
