@@ -1,19 +1,19 @@
 """Command-line front end: reference tables, oracle runs, solves, reports.
 
 Four subcommands share one configuration document (INI syntax with the flat
-sections problem, grid, solver, analysis, output).  Unknown sections or keys
+sections problem, grid, solver, analysis).  Unknown sections or keys
 are rejected rather than ignored, and every value is parsed before any
 computation starts; a typo in a tolerance knob fails the run instead of
 silently changing it.  Numeric output is serialized with repr, the shortest
 decimal string that round-trips the double, so identical runs produce
 byte-identical files and a written solution reloads without loss.
 
-Every command hands its report to one writer (_report, _write): a CSV of its
-header and rows, and a strict-JSON document that opens with schema_version
-and kind, then the command's fields, then the rows as objects.  Every
-requested file is serialized before the first one is opened, so a number
-that is not finite fails the command (exit 3) without leaving a partial
-report.  The problem section and the "problem" object of every record and
+Every command hands its report to one writer (_report, _write), which puts
+in the --out directory a CSV of its header and rows, and a strict-JSON
+document that opens with schema_version and kind, then the command's
+fields, then the rows as objects.  Every file is serialized before the
+first one is opened, so a number that is not finite fails the command
+(exit 3) without leaving a partial report.  The problem section and the "problem" object of every record and
 report map to and from ProblemParams through one pair of helpers.
 
 Exit codes: 0 success, 1 at least one verification check failed,
@@ -111,12 +111,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_convention(text: str) -> str:
-    if text not in ("sqrt_r", "power"):
-        raise ValueError(f"must be 'sqrt_r' or 'power', got {text!r}")
-    return text
-
-
 def _parse_float_pair(text: str) -> tuple[float, float]:
     parts = [p for p in text.split(",") if p.strip() != ""]
     if len(parts) != 2:
@@ -128,21 +122,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in text.split(",") if p.strip() != "")
 
 
-def _parse_formats(text: str) -> tuple[str, ...]:
-    out: list[str] = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "":
-            continue
-        if part not in ("csv", "json"):
-            raise ValueError(f"unknown format {part!r}, choose from csv, json")
-        if part not in out:
-            out.append(part)
-    if not out:
-        raise ValueError("at least one output format is required")
-    return tuple(out)
-
-
 # section -> key -> (parser, default).
 _CONFIG_SCHEMA = {
     "problem": {
@@ -151,7 +130,6 @@ _CONFIG_SCHEMA = {
         "alpha": (_parse_float, "2.0"),
         "mu": (_parse_float, "1.0"),
         "r": (_parse_float, "1.7"),
-        "convention": (_parse_convention, "sqrt_r"),
     },
     "grid": {
         "r_min": (_parse_float, "1e-3"),
@@ -164,10 +142,6 @@ _CONFIG_SCHEMA = {
     },
     "analysis": {
         "fit_window": (_parse_float_pair, "50,100"),
-    },
-    "output": {
-        "directory": (str, "."),
-        "formats": (_parse_formats, "csv,json"),
     },
 }
 
@@ -229,9 +203,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 def _problem_params(p: dict) -> ProblemParams:
     """ProblemParams of a problem dict: the problem section of a config, or
     the "problem" object of a solution record."""
-    spec = NonlinearitySpec.homogeneous(p["r"], convention=p["convention"])
     return ProblemParams(N=p["n"], s=p["s"], alpha=p["alpha"], mu=p["mu"],
-                         nonlinearity=spec)
+                         nonlinearity=NonlinearitySpec.homogeneous(p["r"]))
 
 
 def _problem_dict(params: ProblemParams) -> dict:
@@ -282,32 +255,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _report(cfg: dict, stem: str, kind: str, fields: dict, header: list[str],
+def _report(stem: str, kind: str, fields: dict, header: list[str],
             rows: list[list], rows_key: str = "rows", **closing) -> dict[str, str]:
-    """The text of each requested format of one report, by file name: the
+    """The text of the CSV and the JSON of one report, by file name: the
     CSV holds the header and the rows; the JSON holds the fields, then the
     rows as objects under rows_key, then the closing fields."""
-    texts = {}
-    for fmt in cfg["output"]["formats"]:
-        if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_cell(v) for v in row] for row in rows)
-            texts[f"{stem}.csv"] = buf.getvalue()
-        else:
-            table = [dict(zip(header, row)) for row in rows]
-            texts[f"{stem}.json"] = _json_text(
-                kind, {**fields, rows_key: table, **closing})
-    return texts
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    table = [dict(zip(header, row)) for row in rows]
+    return {f"{stem}.csv": buf.getvalue(),
+            f"{stem}.json": _json_text(kind, {**fields, rows_key: table, **closing})}
 
 
-def _write(cfg: dict, texts: dict[str, str]) -> None:
+def _write(directory: str, texts: dict[str, str]) -> None:
     """Write each serialized file to the output directory and print one
     wrote line per file.  Callers serialize every file first, so a report
     that cannot be serialized leaves none of its files behind.  An output
     path that cannot be created or written is a ConfigError naming it."""
-    out = path = Path(cfg["output"]["directory"])
+    out = path = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
@@ -378,11 +345,12 @@ def load_solution(path: str) -> Solution:
             (a string, true, false, null, an array or an object) where a
             number of the problem, the grid or the profile belongs, any
             JSON value but an array as the profile's values, a
-            problem that ProblemParams refuses, grid fields that RadialGrid
-            refuses, a grid.n other than problem.n, a profile that is not
-            positive and non-increasing, a tail exponent whose power of
-            r_max is not a finite float, a diagnostics.iterations that
-            is not a positive integer, or a profile that fails the
+            problem.convention other than "sqrt_r", the one pair a record
+            holds, a problem that ProblemParams refuses, grid fields that
+            RadialGrid refuses, a grid.n other than problem.n, a profile
+            that is not positive and non-increasing, a tail exponent whose
+            power of r_max is not a finite float, a diagnostics.iterations
+            that is not a positive integer, or a profile that fails the
             residual gate or overflows while the gate evaluates it.
     """
     try:
@@ -420,6 +388,10 @@ def load_solution(path: str) -> Solution:
         for name, value in numbers:
             if type(value) not in (int, float):
                 raise ValueError(f"{name} is {json.dumps(value)}, not a number")
+        convention = rec["problem"]["convention"]
+        if convention != "sqrt_r":
+            raise ValueError("problem.convention must be 'sqrt_r', got "
+                             f"{json.dumps(convention)}")
         params = _problem_params(rec["problem"])
         gr = rec["grid"]
         grid = RadialGrid(r_min=gr["r_min"], r_max=gr["r_max"],
@@ -481,8 +453,8 @@ def _cmd_specfun_table(cfg: dict, args) -> int:
         ratio = float(exact[k]) / far if far else None
         rows.append([radius, float(h[k]), float(exact[k]), far, ratio])
 
-    _write(cfg, _report(
-        cfg, "specfun_table", "fracradial.specfun_table",
+    _write(args.out, _report(
+        "specfun_table", "fracradial.specfun_table",
         {"problem": {"n": N, "s": s, "beta": beta},
          "asymptotic_regime": law.regime},
         ["radius", "h_beta", "fraclap_exact", "fraclap_asymptotic", "ratio"], rows))
@@ -529,8 +501,8 @@ def _cmd_oracle(cfg: dict, args) -> int:
         print(f"{status} oracle ({N}, {s}, {beta}): max rel err {err:.3e} "
               f"(tolerance {_ORACLE_TOLERANCE:.0e})")
 
-    _write(cfg, _report(
-        cfg, "oracle_report", "fracradial.oracle_report",
+    _write(args.out, _report(
+        "oracle_report", "fracradial.oracle_report",
         {"grid": dict(cfg["grid"]), "window": list(_ORACLE_WINDOW)},
         ["n", "s", "beta", "max_rel_err", "tolerance", "passed"], rows))
     return 0 if worst <= _ORACLE_TOLERANCE else 1
@@ -549,11 +521,11 @@ def _cmd_solve(cfg: dict, args) -> int:
     beta = d["predicted_beta"]
     rows = [[r, u, u * r ** beta]
             for r, u in zip(sol.u.grid.nodes.tolist(), sol.u.values.tolist())]
-    _write(cfg, {"solution.json": _json_text("fracradial.solution", record,
-                                             SOLUTION_SCHEMA_VERSION),
-                 **_report(cfg, "profile", "fracradial.profile_table",
-                           {"scaling_exponent": beta},
-                           ["radius", "u", "u_scaled"], rows)})
+    _write(args.out, {"solution.json": _json_text("fracradial.solution", record,
+                                                  SOLUTION_SCHEMA_VERSION),
+                      **_report("profile", "fracradial.profile_table",
+                                {"scaling_exponent": beta},
+                                ["radius", "u", "u_scaled"], rows)})
 
     print(f"converged in {d['iterations']} iterations: sup u = {d['sup']:.6e}, "
           f"residual = {d['residual_sup']:.3e}, defect = {d['pohozaev_defect']:.3e}")
@@ -650,9 +622,10 @@ def _cmd_verify_decay(cfg: dict, args) -> int:
         check_fit_window(cfg["analysis"]["fit_window"], sol.u.grid.nodes)
     checks, rules, numbers = _verify_checks(sol, cfg)
     passed = all(ok for _, ok, *_ in checks)
-    _write(cfg, _report(cfg, "verify_report", "fracradial.verify_report",
-                        {"problem": _problem_dict(sol.params), **numbers},
-                        _CHECK_HEADER, checks, rows_key="checks", passed=passed))
+    _write(args.out, _report("verify_report", "fracradial.verify_report",
+                             {"problem": _problem_dict(sol.params), **numbers},
+                             _CHECK_HEADER, checks, rows_key="checks",
+                             passed=passed))
 
     pred = numbers["prediction"]
     print(f"predicted decay: beta = {pred['beta']!r} ({pred['regime']})")
@@ -674,8 +647,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="INI configuration document")
-    common.add_argument("--out", metavar="DIR",
-                        help="output directory (overrides output.directory)")
+    common.add_argument("--out", metavar="DIR", default=".",
+                        help="output directory (default: the current one)")
     common.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override any config field; repeatable")
@@ -722,9 +695,7 @@ def main(argv=None) -> int:
         # numerical failure (exit 3) under any warning filter
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = load_config(args.config, list(args.set))
-            if args.out is not None:
-                cfg["output"]["directory"] = args.out
-            _check_output_directory(Path(cfg["output"]["directory"]))
+            _check_output_directory(Path(args.out))
             return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -87,12 +87,11 @@ def _call_on_array(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 class NonlinearitySpec:
     """Nonlinearity pair (f, F) with its sublinear envelope data.
 
-    A homogeneous spec is an exact power pair, named by its convention: the
-    default "sqrt_r" uses f(t) = sqrt(r) t^{r-1}, F(t) = t^r / sqrt(r), for
-    which (I_alpha*F(u)) f(u) = (I_alpha*u^r) u^{r-1}; the alternative
-    "power" uses F(t) = t^r, f(t) = r t^{r-1} (same product times r).  The
-    two solve equations differing by a constant absorbable into
-    mu-rescaling.
+    A homogeneous spec, convention "sqrt_r", is the exact power pair
+    f(t) = sqrt(r) t^{r-1}, F(t) = t^r / sqrt(r), for which
+    (I_alpha*F(u)) f(u) = (I_alpha*u^r) u^{r-1}.  The pair F = t^r,
+    f = r t^{r-1} has r times that right-hand side, of degree 2r-1, so its
+    solution is r^{-1/(2r-2)} times this one's.
 
     A general spec, the constructor called with no convention, carries any
     callables plus the finite envelopes C_under t^{r-1} <= f(t) <= C_bar
@@ -110,7 +109,7 @@ class NonlinearitySpec:
     convention: str | None = None
 
     def __post_init__(self):
-        if self.convention not in (None, "sqrt_r", "power"):
+        if self.convention not in (None, "sqrt_r"):
             raise ValueError(
                 f"NonlinearitySpec: unknown convention {self.convention!r}")
         if not (self.r > 1.0 and math.isfinite(self.r)):
@@ -148,18 +147,13 @@ class NonlinearitySpec:
                     f"C_bar t^(r-1) = {hi!r}")
 
     @classmethod
-    def homogeneous(cls, r: float, convention: str = "sqrt_r") -> "NonlinearitySpec":
-        """The power pair of exponent r in convention "sqrt_r" or "power";
-        None, which names a general spec, is refused."""
-        if convention not in ("sqrt_r", "power"):
-            raise ValueError(
-                "NonlinearitySpec.homogeneous: convention must be 'sqrt_r' or "
-                f"'power', got {convention!r}")
-        slope = math.sqrt(r) if convention == "sqrt_r" else float(r)
+    def homogeneous(cls, r: float) -> "NonlinearitySpec":
+        """The power pair f = sqrt(r) t^{r-1} of exponent r."""
+        slope = math.sqrt(r)
         f = lambda t: slope * np.power(t, r - 1.0)          # noqa: E731
         F = lambda t: (slope / r) * np.power(t, r)          # noqa: E731
         return cls(r=r, f=f, F=F, C_bar=slope,
-                   C_under=slope, delta=math.inf, convention=convention)
+                   C_under=slope, delta=math.inf, convention="sqrt_r")
 
     @property
     def is_homogeneous(self) -> bool:

@@ -20,9 +20,7 @@ def solved(tmp_path_factory):
     the Solution that the solve wrote, as it was in memory."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "run.ini"
-    config.write_text(
-        "[grid]\nnodes = 400\n\n"
-        f"[output]\ndirectory = {root / 'solve'}\n")
+    config.write_text("[grid]\nnodes = 400\n")
     solutions = []
 
     def keep(*args):
@@ -31,7 +29,8 @@ def solved(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "solve_ground_state", keep)
-        assert main(["solve", "--config", str(config)]) == 0
+        assert main(["solve", "--config", str(config),
+                     "--out", str(root / "solve")]) == 0
     return root, solutions[0]
 
 

@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 import fracradial.cli as cli
 import fracradial.radial_ops as radial_ops
 import fracradial.solver as solver_mod
+from fracradial import RadialGrid, SolverOpts
 from fracradial.cli import load_solution, main
 
 
@@ -139,14 +140,6 @@ def test_reports_reject_non_finite_numbers(tmp_path):
         cli._json_text("fracradial.test", {"x": [1.0, float("inf")]})
 
 
-def test_format_flag_restricts_outputs(tmp_path):
-    code = main(["specfun-table", "--out", str(tmp_path),
-                 "--set", "output.formats=csv"])
-    assert code == 0
-    assert (tmp_path / "specfun_table.csv").exists()
-    assert not (tmp_path / "specfun_table.json").exists()
-
-
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -235,6 +228,23 @@ def test_unusable_output_directory_exits_2_before_computing(workdir, tmp_path,
 # configuration errors
 
 
+# README's block once set [output] directory = out, where the default is "."
+def test_readme_config_block_is_the_defaults(tmp_path):
+    """README's configuration block, which it says reproduces the defaults,
+    loads to them, and they are the grid's and the solver's own."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n")[1]
+    config = tmp_path / "readme.ini"
+    config.write_text(block.split("```")[0])
+    cfg = cli.load_config(str(config), [])
+    assert cfg == cli.load_config(None, [])
+    grid, opts = RadialGrid.log_spaced(), SolverOpts()
+    assert cfg["grid"] == {"r_min": grid.r_min, "r_max": grid.r_max,
+                           "nodes": grid.size}
+    assert cfg["solver"] == {"tolerance": opts.tolerance,
+                             "max_iter": opts.max_iterations}
+
+
 def test_unknown_config_key_rejected(tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("[solver]\ntolerence = 1e-8\n")
@@ -248,7 +258,9 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     for text, section in (("[solvers]\ntolerance = 1e-8\n", "solvers"),
                           ("[DEFAULT]\nr = 2.5\n", "DEFAULT"),
-                          ("[DEFAULT]\nnodes = 400\n\n[grid]\n", "DEFAULT")):
+                          ("[DEFAULT]\nnodes = 400\n\n[grid]\n", "DEFAULT"),
+                          # --out is the one way to name the output directory
+                          ("[output]\ndirectory = out\n", "output")):
         config.write_text(text)
         assert main(["solve", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 2, text
@@ -261,7 +273,6 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     "solver.typo=1",          # unknown key
     "problem.s=abc",          # unparsable number
     "problem.s=1.5",          # outside (0, 1)
-    "output.formats=xml",     # unsupported format
     "analysis.fit_window=50", # needs two numbers
     "solver.seed=0",          # removed key
 ])
@@ -269,11 +280,22 @@ def test_invalid_overrides_exit_2(tmp_path, override):
     assert main(["solve", "--out", str(tmp_path), "--set", override]) == 2
 
 
-@pytest.mark.parametrize("override", ["solver.damping=0.5",
-                                      "solver.init_profile=3"])
-def test_removed_solver_keys_exit_2(tmp_path, capsys, override):
-    assert main(["solve", "--out", str(tmp_path), "--set", override]) == 2
-    assert override.partition("=")[0] in capsys.readouterr().err
+# problem.convention named a second pair, F = t^r, whose solution is a
+# rescaling of the default pair's; the output directory is --out, and every
+# report is written as CSV and JSON
+@pytest.mark.parametrize("override", [
+    "solver.damping=0.5", "solver.init_profile=3", "problem.convention=power",
+    "output.directory=elsewhere", "output.formats=csv", "output.formats=xml"])
+def test_removed_solver_keys_exit_2(tmp_path, capsys, monkeypatch, override):
+    def no_call(*args):
+        raise AssertionError("a solution was solved")
+
+    monkeypatch.setattr(cli, "solve_ground_state", no_call)
+    out = tmp_path / "out"
+    assert main(["solve", "--out", str(out), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert override.partition("=")[0] in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -487,24 +509,16 @@ def test_record_whose_profile_values_are_not_an_array_exits_2(
     assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def power_record(tmp_path_factory):
-    """A stored record of the "power" convention on a 400-node grid."""
-    out = tmp_path_factory.mktemp("power")
-    assert main(["solve", "--set", "problem.convention=power",
-                 "--set", "grid.nodes=400", "--out", str(out)]) == 0
-    return out / "solution.json"
-
-
-# A "power" record keeps f = r t^(r-1) with its convention edited to null, as
-# a general nonlinearity, so its profile passed the gate: verify-decay ran
-# every check and exited 2 only at the report, with a cause naming neither
-# the record nor the field.  One whose mu was Infinity (json writes and
-# reads it) was refused as a profile that is not finite.
-@pytest.mark.parametrize("key,value", [("convention", None), ("mu", float("inf"))])
+# A record holds the one pair f = sqrt(r) t^(r-1), tagged "sqrt_r".  One
+# whose convention was edited to null, a general nonlinearity, passed the
+# gate: verify-decay ran every check and exited 2 only at the report, with a
+# cause naming neither the record nor the field.  One whose mu was Infinity
+# (json writes and reads it) was refused as a profile that is not finite.
+@pytest.mark.parametrize("key,value", [("convention", None), ("mu", float("inf")),
+                                       ("convention", "power")])
 def test_record_with_a_null_convention_or_infinite_mu_exits_2(
-        power_record, tmp_path, capsys, key, value):
-    rec = read_json(power_record)
+        workdir, tmp_path, capsys, key, value):
+    rec = read_json(workdir / "solve" / "solution.json")
     rec["problem"][key] = value
     bad = tmp_path / "solution.json"
     bad.write_text(json.dumps(rec))
@@ -1046,7 +1060,7 @@ def test_reports_round_trip_bitwise(solved):
     fresh_checks, reloaded_checks = (cli._verify_checks(sol, cfg)
                                      for sol in (fresh, reloaded))
     assert fresh_checks == reloaded_checks
-    texts = [cli._report(cfg, "verify_report", "fracradial.verify_report",
+    texts = [cli._report("verify_report", "fracradial.verify_report",
                          {"problem": cli._problem_dict(sol.params), **numbers},
                          cli._CHECK_HEADER, checks, rows_key="checks",
                          passed=all(row[1] for row in checks))

@@ -36,10 +36,9 @@ from fracradial import (
 SQRT_17 = math.sqrt(1.7)
 
 
-def make_params(r, mu=1.0, convention="sqrt_r"):
+def make_params(r, mu=1.0):
     return ProblemParams(N=3, s=0.5, alpha=2.0, mu=mu,
-                         nonlinearity=NonlinearitySpec.homogeneous(
-                             r, convention=convention))
+                         nonlinearity=NonlinearitySpec.homogeneous(r))
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +180,7 @@ def test_mass_and_sharp_constant_agree_across_grids(solution):
 
 
 def test_sharp_constant_explicit_form(solution):
-    # for the sqrt-r convention the slope factors collapse and the constant
+    # for the sqrt-r pair the slope factors collapse and the constant
     # is (C_{N,alpha} ||u||_r^r / mu)^{1/(2-r)}
     C = riesz_constant(3, 2.0)
     direct = (C * solution.norm_r ** 1.7 / 1.0) ** (1.0 / 0.3)

@@ -59,18 +59,13 @@ def test_homogeneous_sqrt_r_convention():
     assert_allclose(spec.F(2.0), SQRT_17 / 1.7 * 2.0 ** 1.7, rtol=1e-15)
 
 
-def test_homogeneous_power_convention():
-    spec = NonlinearitySpec.homogeneous(1.7, convention="power")
-    assert spec.C_bar == 1.7 and spec.limit_slope() == 1.7
-    assert_allclose(spec.F(1.0), 1.0, rtol=1e-15)
-
-
 def test_homogeneous_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        NonlinearitySpec.homogeneous(1.7, convention="unit")
-    # None names a general spec, whose f would be r t^(r-1)
-    with pytest.raises(ValueError, match="convention must be 'sqrt_r' or 'power'"):
-        NonlinearitySpec.homogeneous(1.7, convention=None)
+    # "sqrt_r" is the one homogeneous pair; F = t^r is a general spec
+    for convention in ("power", "unit"):
+        with pytest.raises(ValueError, match="unknown convention"):
+            NonlinearitySpec(f=lambda t: 1.7 * np.power(t, 0.7),
+                             F=lambda t: np.power(t, 1.7), r=1.7, C_bar=1.7,
+                             C_under=1.7, delta=10.0, convention=convention)
 
 
 def test_general_limit_slope_recovers_prefactor():
@@ -345,6 +340,15 @@ def test_general_kind_reproduces_homogeneous_solve(solution):
     # same arithmetic along both code paths (measured: bitwise identical)
     assert_allclose(s.u.values, solution.u.values, rtol=1e-13)
     assert_allclose(s.mass_F, solution.mass_F, rtol=1e-13)
+    # F = t^r has r times the right-hand side, of degree 2r - 1, so its
+    # solution is r^(-1/(2r-2)) u and takes the same steps
+    power = NonlinearitySpec(
+        f=lambda t: 1.7 * np.power(t, 0.7), F=lambda t: np.power(t, 1.7),
+        r=1.7, C_bar=1.7, C_under=1.7, delta=10.0)
+    s = solve_ground_state(dataclasses.replace(p, nonlinearity=power))
+    assert s.iterations == solution.iterations
+    assert_allclose(s.u.values, 1.7 ** (-1.0 / 1.4) * solution.u.values,
+                    rtol=1e-12)
 
 
 def test_inverse_operator_reproduces_solution(solution, params):
