@@ -13,8 +13,10 @@ in the --out directory a CSV of its header and rows, and a strict-JSON
 document that opens with schema_version and kind, then the command's
 fields, then the rows as objects.  Every file is serialized before the
 first one is opened, so a number that is not finite fails the command
-(exit 3) without leaving a partial report.  The problem section and the "problem" object of every record and
-report map to and from ProblemParams through one pair of helpers.
+(exit 3) without leaving a partial report.  A rerun rewrites an existing
+file in place and cuts a regular one to its new length; nothing is
+fsynced.  The problem section and the "problem" object of every record
+and report map to and from ProblemParams through one pair of helpers.
 
 Exit codes: 0 success, 1 at least one verification check failed,
 2 configuration error, 3 a numerical failure (no convergence, a collapsed or
@@ -38,6 +40,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -269,18 +272,35 @@ def _report(stem: str, kind: str, fields: dict, header: list[str],
             f"{stem}.json": _json_text(kind, {**fields, rows_key: table, **closing})}
 
 
+def _open_in_place(path, flags: int) -> int:
+    """open()'s opener for mode "w" without O_TRUNC: an existing file is
+    kept and written over, a missing one is created (0o666 under the
+    umask).  On ext4 the close of a truncated and rewritten file starts its
+    write to disk, and truncating it again waits for that write; writing
+    over the old bytes does neither (about 60 us against 5 us a file)."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(directory: str, texts: dict[str, str]) -> None:
     """Write each serialized file to the output directory and print one
     wrote line per file.  Callers serialize every file first, so a report
-    that cannot be serialized leaves none of its files behind.  An output
-    path that cannot be created or written is a ConfigError naming it."""
+    that cannot be serialized writes none of its files.  An existing file
+    is rewritten in place and, if it is a regular file, cut to the length
+    of its new text, so a rerun leaves the same bytes as a fresh directory;
+    any other file, such as a link to /dev/null, is only written.  Nothing
+    is fsynced: a write that is interrupted can leave a file that mixes new
+    bytes with old ones.  An output path that cannot be created or written
+    is a ConfigError naming it."""
     out = path = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             path = out / name
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with open(path, "w", encoding="utf-8", newline="",
+                      opener=_open_in_place) as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
             print(f"wrote {path}")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -224,6 +224,55 @@ def test_unusable_output_directory_exits_2_before_computing(workdir, tmp_path,
         assert captured.out == ""
 
 
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "oracle_report.csv").mkdir(parents=True)
+    code = main(["oracle", "--case", "3,0.5,2.0", "--set", "grid.nodes=400",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"config error: cannot write "
+                            f"{out / 'oracle_report.csv'}: Is a directory\n")
+    assert "wrote" not in captured.out
+    assert not (out / "oracle_report.json").exists()
+
+
+def test_output_name_linked_to_the_null_device_is_written(tmp_path, capsys):
+    # the null device cannot be cut to length, so only a regular file is;
+    # the other report of the command is still written
+    argv = ["oracle", "--case", "3,0.5,2.0", "--set", "grid.nodes=400"]
+    linked, fresh = tmp_path / "linked", tmp_path / "fresh"
+    linked.mkdir()
+    (linked / "oracle_report.csv").symlink_to(os.devnull)
+    assert main(argv + ["--out", str(linked)]) == 0
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (linked / "oracle_report.csv").is_symlink()
+    assert ((linked / "oracle_report.json").read_bytes()
+            == (fresh / "oracle_report.json").read_bytes())
+
+
+def test_rerun_over_longer_files_leaves_no_stale_bytes(workdir, tmp_path):
+    # a report is written over the bytes of the file it replaces and cut
+    # at its end; without the cut, the filler past that end would stay
+    record = str(workdir / "solve" / "solution.json")
+    for stem, argv in (
+            ("oracle_report", ["oracle", "--case", "3,0.5,2.0"]),
+            ("verify_report", ["verify-decay", "--config",
+                               str(workdir / "run.ini"), "--solution", record])):
+        rerun, fresh = tmp_path / stem / "rerun", tmp_path / stem / "fresh"
+        rerun.mkdir(parents=True)
+        names = [f"{stem}.csv", f"{stem}.json"]
+        for name in names:
+            (rerun / name).write_bytes(b"#" * 10240)
+        for out in (rerun, fresh):
+            assert main(argv + ["--out", str(out)]) == 0
+        for name in names:
+            text = (fresh / name).read_bytes()
+            assert 0 < len(text) < 10240
+            assert (rerun / name).read_bytes() == text, name
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 
