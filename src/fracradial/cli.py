@@ -213,8 +213,6 @@ def _problem_params(p: dict) -> ProblemParams:
 def _problem_dict(params: ProblemParams) -> dict:
     """The problem dict of params, as records and reports hold it."""
     spec = params.nonlinearity
-    if not spec.is_homogeneous:
-        raise ConfigError("only homogeneous nonlinearities are serializable")
     return {"n": params.N, "s": params.s, "alpha": params.alpha,
             "mu": params.mu, "r": spec.r, "convention": spec.convention}
 

@@ -66,12 +66,6 @@ class DecayPrediction:
     regime: str
     r_star: float
 
-    def __post_init__(self):
-        if self.regime not in ("choquard_dominated", "laplacian_dominated", "boundary"):
-            raise ValueError(f"DecayPrediction: unknown regime {self.regime!r}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError("DecayPrediction: beta must be positive and finite")
-
 
 @dataclass(frozen=True)
 class DecayFit:

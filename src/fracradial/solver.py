@@ -96,8 +96,9 @@ class NonlinearitySpec:
     A general spec, the constructor called with no convention, carries any
     callables plus the finite envelopes C_under t^{r-1} <= f(t) <= C_bar
     t^{r-1} declared to hold for 0 <= t <= delta.  The solver never
-    differentiates f; F must be its antiderivative and f must lie inside
-    the envelopes (both validated numerically on a lattice in (0, min(delta,1)]).
+    differentiates f.  F(0) = 0, F' = f and the envelopes are checked on a
+    lattice in (0, min(delta,1)] for a general spec; the sqrt_r pair holds
+    them by construction.
     """
 
     r: float
@@ -120,6 +121,8 @@ class NonlinearitySpec:
                 f"C_under = {self.C_under!r}, C_bar = {self.C_bar!r}")
         if not (self.delta > 0.0):
             raise ValueError(f"NonlinearitySpec: delta must be positive, got {self.delta!r}")
+        if self.is_homogeneous:
+            return  # the sqrt_r pair holds the lattice checks by construction
         if not abs(float(self.F(0.0))) <= 1e-12:  # NaN fails too
             raise ValueError("NonlinearitySpec: F(0) must vanish")
         self._check_antiderivative()
@@ -127,7 +130,7 @@ class NonlinearitySpec:
     def _check_antiderivative(self):
         scale = min(self.delta, 1.0)
         lattice = np.geomspace(0.05, 1.0, 12) * scale
-        for t in lattice:
+        for t in lattice.tolist():  # floats, which messages print plainly
             h = 1e-4 * t
             fd = (float(self.F(t + h)) - float(self.F(t - h))) / (2.0 * h)
             ft = float(self.f(t))

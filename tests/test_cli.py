@@ -318,15 +318,28 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", [
-    "solver.typo=1",          # unknown key
-    "problem.s=abc",          # unparsable number
-    "problem.s=1.5",          # outside (0, 1)
-    "analysis.fit_window=50", # needs two numbers
-    "solver.seed=0",          # removed key
-])
-def test_invalid_overrides_exit_2(tmp_path, override):
+_OVERRIDES = {
+    "solver.typo=1":          # unknown key
+        "override 'solver.typo=1' is not of the form section.key=value "
+        "with a known field",
+    "problem.s=abc":          # unparsable number
+        "problem.s: could not convert string to float: 'abc'",
+    "problem.s=1.5":          # outside (0, 1)
+        "ProblemParams: s must lie in (0, 1), got 1.5",
+    "analysis.fit_window=50": # needs two numbers
+        "analysis.fit_window: need two comma-separated numbers, got '50'",
+    "solver.seed=0":          # removed key
+        "override 'solver.seed=0' is not of the form section.key=value "
+        "with a known field",
+    "problem.mu=inf": "problem.mu: must be finite",
+    "grid.r_max=nan": "grid.r_max: must be finite",
+}
+
+
+@pytest.mark.parametrize("override", list(_OVERRIDES))
+def test_invalid_overrides_exit_2(tmp_path, capsys, override):
     assert main(["solve", "--out", str(tmp_path), "--set", override]) == 2
+    assert capsys.readouterr().err == f"config error: {_OVERRIDES[override]}\n"
 
 
 # problem.convention named a second pair, F = t^r, whose solution is a
@@ -349,6 +362,31 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, monkeypatch, override):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "none.ini")]) == 2
+
+
+def test_missing_solution_record_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "none.json")
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read solution {path!r}: [Errno 2] No such "
+        f"file or directory: {path!r}\n")
+    assert not out.exists()
+
+
+# json writes a NaN as the bare token NaN and reads it back as a float
+def test_record_with_a_nan_profile_value_exits_2(workdir, tmp_path, capsys):
+    rec = read_json(workdir / "solve" / "solution.json")
+    rec["profile"]["values"][5] = float("nan")
+    bad = tmp_path / "solution.json"
+    bad.write_text(json.dumps(rec))
+    out = tmp_path / "out"
+    assert main(["verify-decay", "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: invalid solution record {str(bad)!r}: "
+        "RadialFunction: values must be finite\n")
+    assert not out.exists()
 
 
 def test_malformed_solution_record_rejected(tmp_path):
@@ -951,12 +989,22 @@ _ENDPOINT = (5.0 / 3.0, "ProblemParams: homogeneous exponent r = "
              "no solution")
 
 
+# NonlinearitySpec's antiderivative check once refused the exact pair at
+# every r above 4, with a cause naming a finite difference, not the range
+_FAR = [(r, f"ProblemParams: exponent r = {r!r} outside the sublinear range "
+            "[1.6666666666666667, 2)") for r in (4.5, 10.0)]
+
+
 @pytest.mark.parametrize("argv,r,cause", [
     (["solve"], *_SUPERLINEAR),
     (["verify-decay", "--solution"], *_SUPERLINEAR),
     (["solve"], *_ENDPOINT),
     (["verify-decay", "--solution"], *_ENDPOINT),
-], ids=["solve", "verify-stored", "solve-endpoint", "verify-stored-endpoint"])
+    (["solve"], *_FAR[0]),
+    (["verify-decay", "--solution"], *_FAR[0]),
+    (["verify-decay", "--solution"], *_FAR[1]),
+], ids=["solve", "verify-stored", "solve-endpoint", "verify-stored-endpoint",
+        "solve-4.5", "verify-stored-4.5", "verify-stored-10"])
 def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
                                               monkeypatch, argv, r, cause):
     # ProblemParams admits only the sublinear r in [(N+alpha)/N, 2), where

@@ -20,12 +20,14 @@ from fracradial import (
     NonConvergenceError,
     NonlinearitySpec,
     ProblemParams,
+    ProfileParams,
     RadialFunction,
     RadialGrid,
     Solution,
     SolverOpts,
     ZeroCollapseError,
     dilation_derivative,
+    frac_lap_h_exact,
     h_beta_eval,
     pohozaev_check,
     residual,
@@ -68,6 +70,28 @@ def test_homogeneous_rejects_unknown_convention():
                              C_under=1.7, delta=10.0, convention=convention)
 
 
+# The F(0) and lattice checks are a general spec's: the sqrt_r pair, whose F
+# and f are closed forms, skips them.  The lattice's finite difference errs
+# by about 1e-8 (r-1)(r-2)/6 of f, so at r = 4.5, 10 and 50 it refused the
+# exact pair as "not the antiderivative" before ProblemParams could name the
+# sublinear range that those r leave.
+@pytest.mark.parametrize("r", [1.05, 4.5, 10.0, 50.0])
+def test_homogeneous_builds_without_the_lattice_checks(monkeypatch, r):
+    def no_check(self):
+        raise AssertionError("the lattice checks ran")
+
+    monkeypatch.setattr(NonlinearitySpec, "_check_antiderivative", no_check)
+    spec = NonlinearitySpec.homogeneous(r)
+    assert spec.is_homogeneous and spec.r == r
+    assert spec.C_bar == spec.C_under == math.sqrt(r)
+
+
+@pytest.mark.parametrize("r", [1.0, math.nan])
+def test_homogeneous_rejects_r_not_above_one(r):
+    with pytest.raises(ValueError, match="r must exceed 1"):
+        NonlinearitySpec.homogeneous(r)
+
+
 def test_general_limit_slope_recovers_prefactor():
     spec = NonlinearitySpec(
         f=lambda t: SQRT_17 * np.power(t, 0.7),
@@ -101,12 +125,14 @@ def test_general_rejects_nan_F_on_the_check_lattice():
 
 
 def test_general_rejects_mismatched_antiderivative():
-    # F is 1 percent off being the antiderivative of f
-    with pytest.raises(ValueError):
+    # F is 1 percent off being the antiderivative of f; the message's
+    # numbers print as plain floats, not np.float64(...)
+    with pytest.raises(ValueError) as info:
         NonlinearitySpec(
             f=lambda t: SQRT_17 * np.power(t, 0.7),
             F=lambda t: 1.01 * SQRT_17 / 1.7 * np.power(t, 1.7),
             r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
+    assert "np.float64" not in str(info.value)
 
 
 @pytest.mark.parametrize("c_bar, c_under, delta", [
@@ -443,6 +469,63 @@ def test_solved_profile_converges_at_fourth_order_on_nested_grids(params):
     assert diffs[1] <= 3e-6
 
 
+def _riesz_h_exact(N, alpha, beta, r):
+    """I_alpha * h_beta at radii r in closed form, (-Delta)^s h_beta's
+    formula at s = -alpha/2, through scipy's hyp2f1, so that the forcing
+    shares no special function with the package it tests."""
+    from scipy.special import hyp2f1
+
+    a, b = 0.5 * (N - alpha), 0.5 * (beta - alpha)
+    pref = 2.0 ** -alpha * math.gamma(a) * math.gamma(b) \
+        / (math.gamma(0.5 * N) * math.gamma(0.5 * beta))
+    return pref * hyp2f1(a, b, 0.5 * N, -(r * r))
+
+
+# The manufactured solution: g is the equation's residual at h_beta, every
+# term a closed form, so u = h_beta solves A u + mu u - (R F(u)) f(u) = g
+# exactly, and the discrete solution's distance from h_beta is the error of
+# the whole discretisation (both operators, both closures).  Measured
+# max|v - h|/sup h and max|v/h - 1| on [1e-3, 1e3]; the bounds are twice
+# these levels, not an order, so that a more accurate operator passes.
+_MANUFACTURED = [
+    (3, 0.5, 2.0, 1.7, 3.5, 301, 4.32e-7, 1.43e-5),
+    (3, 0.5, 2.0, 1.7, 3.5, 601, 6.95e-8, 1.67e-6),
+    (2, 0.5, 1.0, 1.6, 2.5, 301, 6.21e-7, 2.75e-6),
+    (2, 0.5, 1.0, 1.6, 2.5, 601, 9.74e-8, 4.34e-7),
+    (3, 0.25, 2.0, 1.7, 3.0, 301, 3.14e-7, 5.48e-6),
+    (3, 0.25, 2.0, 1.7, 3.0, 601, 2.34e-8, 4.52e-7),
+]
+
+
+@pytest.mark.parametrize("N, s, alpha, r, beta, M, err, rel", _MANUFACTURED,
+                         ids=["-".join(map(str, c[:5])) + f"-M{c[5]}"
+                              for c in _MANUFACTURED])
+def test_manufactured_solution_error(N, s, alpha, r, beta, M, err, rel):
+    mu, slope = 1.0, math.sqrt(r)
+    grid = RadialGrid.log_spaced(r_min=1e-3, r_max=1e3, num=M, N=N)
+    x = grid.nodes
+    h = h_beta_eval(x, beta)
+    A = fraclap_matrix(grid, s, beta) + mu * np.eye(M)
+    R = radial_ops._riesz_operator(grid, alpha, r * beta).rows()
+    g = frac_lap_h_exact(x, ProfileParams(N, s, beta)) + mu * h \
+        - _riesz_h_exact(N, alpha, r * beta, x) * h ** (r - 1.0)
+
+    def phi(v):
+        return A @ v - (R @ (v ** r / slope)) * slope * v ** (r - 1.0) - g
+
+    v, steps = h.copy(), []
+    for _ in range(2):  # Newton from h_beta
+        f = slope * v ** (r - 1.0)
+        df = slope * (r - 1.0) * v ** (r - 2.0)
+        J = A - np.diag(df * (R @ (v ** r / slope))) - f[:, None] * R * f
+        dv = np.linalg.solve(J, -phi(v))
+        v = v + dv
+        steps.append(np.abs(dv).max())
+    assert steps[1] <= 1e-10  # measured at most 4.6e-12: converged
+    assert np.abs(v - h).max() / h.max() <= 2.0 * err
+    assert np.abs(v / h - 1.0).max() <= 2.0 * rel
+
+
 def test_dilation_derivative_matches_identity(solution):
     """The numerical d/dt of the energy at t=1 equals the identity's value.
 
@@ -621,11 +704,12 @@ def test_misdeclared_envelope_is_rejected():
     # f = sqrt(1.9) t^0.9 declared with r = 1.7 falls below C_under t^0.7
     # for t < 1, so the r = 1.7 closure exponent 10/3 would not hold
     slope = math.sqrt(1.9)
-    with pytest.raises(ValueError, match="leaves its declared envelope"):
+    with pytest.raises(ValueError, match="leaves its declared envelope") as info:
         NonlinearitySpec(
             f=lambda t: slope * np.power(t, 0.9),
             F=lambda t: slope / 1.9 * np.power(t, 1.9),
             r=1.7, C_bar=slope, C_under=slope, delta=1.0)
+    assert "np.float64" not in str(info.value)
 
 
 def test_one_operator_closure_per_solve(params, monkeypatch):
