@@ -212,9 +212,8 @@ def _problem_params(p: dict) -> ProblemParams:
 
 def _problem_dict(params: ProblemParams) -> dict:
     """The problem dict of params, as records and reports hold it."""
-    spec = params.nonlinearity
     return {"n": params.N, "s": params.s, "alpha": params.alpha,
-            "mu": params.mu, "r": spec.r, "convention": spec.convention}
+            "mu": params.mu, "r": params.nonlinearity.r, "convention": "sqrt_r"}
 
 
 def _build_grid(cfg: dict, N: int) -> RadialGrid:

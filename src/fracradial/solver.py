@@ -67,6 +67,9 @@ _ANCHOR_EVERY = 16
 # Rows and columns per block of lu_factor's Gauss-Jordan elimination.
 _GJ_BLOCK = 128
 
+# NonlinearitySpec's check points in (0, 1], scaled by min(delta, 1).
+_LATTICE = np.geomspace(0.05, 1.0, 12)
+
 
 class ZeroCollapseError(RuntimeError):
     """Iterates collapsed to zero (bad initialization or parameters)."""
@@ -85,20 +88,18 @@ def _call_on_array(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Nonlinearity pair (f, F) with its sublinear envelope data.
+    """Nonlinearity pair (f, F), any callables, with the finite envelopes
+    C_under t^{r-1} <= f(t) <= C_bar t^{r-1} declared for 0 <= t <= delta.
 
-    A homogeneous spec, convention "sqrt_r", is the exact power pair
-    f(t) = sqrt(r) t^{r-1}, F(t) = t^r / sqrt(r), for which
-    (I_alpha*F(u)) f(u) = (I_alpha*u^r) u^{r-1}.  The pair F = t^r,
-    f = r t^{r-1} has r times that right-hand side, of degree 2r-1, so its
-    solution is r^{-1/(2r-2)} times this one's.
+    A spec is homogeneous when C_under = C_bar and delta = inf, which
+    declare the pure power f = C t^{r-1}, F = C t^r / r.  homogeneous(r) is
+    C = sqrt(r), for which (I_alpha*F(u)) f(u) = (I_alpha*u^r) u^{r-1}; the
+    pair F = t^r, f = r t^{r-1} has r times that right-hand side, of degree
+    2r-1, so its solution is r^{-1/(2r-2)} times this one's.
 
-    A general spec, the constructor called with no convention, carries any
-    callables plus the finite envelopes C_under t^{r-1} <= f(t) <= C_bar
-    t^{r-1} declared to hold for 0 <= t <= delta.  The solver never
-    differentiates f.  F(0) = 0, F' = f and the envelopes are checked on a
-    lattice in (0, min(delta,1)] for a general spec; the sqrt_r pair holds
-    them by construction.
+    The solver never differentiates f.  Every spec checks F(0) = 0, F' = f
+    (as r F = t f where C_under = C_bar, else by a difference quotient) and
+    the envelopes on a lattice in (0, min(delta,1)].
     """
 
     r: float
@@ -107,12 +108,8 @@ class NonlinearitySpec:
     C_bar: float
     C_under: float
     delta: float
-    convention: str | None = None
 
     def __post_init__(self):
-        if self.convention not in (None, "sqrt_r"):
-            raise ValueError(
-                f"NonlinearitySpec: unknown convention {self.convention!r}")
         if not (self.r > 1.0 and math.isfinite(self.r)):
             raise ValueError(f"NonlinearitySpec: r must exceed 1, got {self.r!r}")
         if not (0.0 < self.C_under <= self.C_bar < math.inf):
@@ -121,24 +118,24 @@ class NonlinearitySpec:
                 f"C_under = {self.C_under!r}, C_bar = {self.C_bar!r}")
         if not (self.delta > 0.0):
             raise ValueError(f"NonlinearitySpec: delta must be positive, got {self.delta!r}")
-        if self.is_homogeneous:
-            return  # the sqrt_r pair holds the lattice checks by construction
-        if not abs(float(self.F(0.0))) <= 1e-12:  # NaN fails too
-            raise ValueError("NonlinearitySpec: F(0) must vanish")
         self._check_antiderivative()
 
     def _check_antiderivative(self):
-        scale = min(self.delta, 1.0)
-        lattice = np.geomspace(0.05, 1.0, 12) * scale
-        for t in lattice.tolist():  # floats, which messages print plainly
-            h = 1e-4 * t
-            fd = (float(self.F(t + h)) - float(self.F(t - h))) / (2.0 * h)
-            ft = float(self.f(t))
-            # written so that a NaN on either side fails
-            if not abs(fd - ft) <= 1e-8 * max(1.0, abs(ft)):
-                raise ValueError(
-                    f"NonlinearitySpec: F is not the antiderivative of f at "
-                    f"t = {t!r} (finite difference {fd!r} vs f {ft!r})")
+        ts = _LATTICE * min(self.delta, 1.0)
+        h = 1e-4 * ts
+        exact = self.C_under == self.C_bar
+        # F off the lattice only for the difference quotient: a large r overflows
+        Fs = self.F_values(np.concatenate(
+            [[0.0], ts] if exact else [[0.0], ts, ts + h, ts - h, ts + h / 2, ts - h / 2]))
+        if not abs(Fs[0]) <= 1e-12:  # NaN fails too
+            raise ValueError("NonlinearitySpec: F(0) must vanish")
+        if exact:  # f = C t^(r-1) (checked first), so F' = f is F = C t^r / r
+            deriv = self.r * Fs[1:] / ts
+        else:  # Richardson value (4 D(h/2) - D(h)) / 3 of the central D(h)
+            Fp, Fm, Fp2, Fm2 = Fs[1 + ts.size:].reshape(4, ts.size)
+            deriv = (4.0 * (Fp2 - Fm2) / h - (Fp - Fm) / (2.0 * h)) / 3.0
+        # floats, which messages print plainly
+        for t, fd, ft in zip(ts.tolist(), deriv.tolist(), self.f_values(ts).tolist()):
             # the closure exponent the solver uses is proved for f inside
             # these envelopes; the slack absorbs rounding of t^(r-1)
             lo = self.C_under * t ** (self.r - 1.0)
@@ -148,19 +145,23 @@ class NonlinearitySpec:
                     f"NonlinearitySpec: f leaves its declared envelope at "
                     f"t = {t!r}: f(t) = {ft!r}, C_under t^(r-1) = {lo!r}, "
                     f"C_bar t^(r-1) = {hi!r}")
+            # written so that a NaN on either side fails
+            if not abs(fd - ft) <= 1e-8 * max(1.0, abs(ft)):
+                raise ValueError(
+                    f"NonlinearitySpec: F is not the antiderivative of f at "
+                    f"t = {t!r} (derivative {fd!r} vs f {ft!r})")
 
     @classmethod
     def homogeneous(cls, r: float) -> "NonlinearitySpec":
         """The power pair f = sqrt(r) t^{r-1} of exponent r."""
-        slope = math.sqrt(r)
+        slope = math.sqrt(r) if r >= 0.0 else math.nan  # refused by r's rule
         f = lambda t: slope * np.power(t, r - 1.0)          # noqa: E731
         F = lambda t: (slope / r) * np.power(t, r)          # noqa: E731
-        return cls(r=r, f=f, F=F, C_bar=slope,
-                   C_under=slope, delta=math.inf, convention="sqrt_r")
+        return cls(r=r, f=f, F=F, C_bar=slope, C_under=slope, delta=math.inf)
 
     @property
     def is_homogeneous(self) -> bool:
-        return self.convention is not None
+        return self.C_under == self.C_bar and self.delta == math.inf
 
     def limit_slope(self) -> float:
         """lim f(t)/t^{r-1} as t -> 0+: C_bar for a homogeneous spec,
@@ -187,9 +188,9 @@ class ProblemParams:
     """Parameters of the doubly nonlocal problem on R^N, with 0 < s < 1,
     0 < alpha < N and 0 < mu < inf.  The exponent r lies in the sublinear
     range [(N+alpha)/N, 2) of the paper's decay law.
-    A homogeneous r also lies above the lower endpoint (N+alpha)/N, where
-    the Pohozaev and Nehari identities together leave no solution, and at
-    most at the critical (N+alpha)/(N-2s); a general f keeps the endpoint."""
+    A homogeneous spec, the pure power f = C t^{r-1} of any C > 0, also has
+    r above (N+alpha)/N, where the Pohozaev and Nehari identities leave no
+    solution, and r <= (N+alpha)/(N-2s); any other spec keeps the endpoint."""
 
     N: int
     s: float

@@ -333,6 +333,8 @@ _OVERRIDES = {
         "with a known field",
     "problem.mu=inf": "problem.mu: must be finite",
     "grid.r_max=nan": "grid.r_max: must be finite",
+    # the root of r was taken before the r check, which named no rule
+    "problem.r=-1": "NonlinearitySpec: r must exceed 1, got -1.0",
 }
 
 
@@ -990,9 +992,11 @@ _ENDPOINT = (5.0 / 3.0, "ProblemParams: homogeneous exponent r = "
 
 
 # NonlinearitySpec's antiderivative check once refused the exact pair at
-# every r above 4, with a cause naming a finite difference, not the range
+# every r above 4, with a cause naming a finite difference, not the range;
+# a difference quotient on the pure power would refuse r = 1e5 the same way
+# and overflow at r = 1e308, where it checks r F(t) = t f(t) instead
 _FAR = [(r, f"ProblemParams: exponent r = {r!r} outside the sublinear range "
-            "[1.6666666666666667, 2)") for r in (4.5, 10.0)]
+            "[1.6666666666666667, 2)") for r in (4.5, 10.0, 1e5, 1e308)]
 
 
 @pytest.mark.parametrize("argv,r,cause", [
@@ -1003,8 +1007,11 @@ _FAR = [(r, f"ProblemParams: exponent r = {r!r} outside the sublinear range "
     (["solve"], *_FAR[0]),
     (["verify-decay", "--solution"], *_FAR[0]),
     (["verify-decay", "--solution"], *_FAR[1]),
+    (["solve"], *_FAR[2]),
+    (["solve"], *_FAR[3]),
 ], ids=["solve", "verify-stored", "solve-endpoint", "verify-stored-endpoint",
-        "solve-4.5", "verify-stored-4.5", "verify-stored-10"])
+        "solve-4.5", "verify-stored-4.5", "verify-stored-10", "solve-1e5",
+        "solve-1e308"])
 def test_superlinear_r_exits_2_before_solving(workdir, tmp_path, capsys,
                                               monkeypatch, argv, r, cause):
     # ProblemParams admits only the sublinear r in [(N+alpha)/N, 2), where

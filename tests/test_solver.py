@@ -61,35 +61,65 @@ def test_homogeneous_sqrt_r_convention():
     assert_allclose(spec.F(2.0), SQRT_17 / 1.7 * 2.0 ** 1.7, rtol=1e-15)
 
 
-def test_homogeneous_rejects_unknown_convention():
-    # "sqrt_r" is the one homogeneous pair; F = t^r is a general spec
-    for convention in ("power", "unit"):
-        with pytest.raises(ValueError, match="unknown convention"):
-            NonlinearitySpec(f=lambda t: 1.7 * np.power(t, 0.7),
-                             F=lambda t: np.power(t, 1.7), r=1.7, C_bar=1.7,
-                             C_under=1.7, delta=10.0, convention=convention)
+def test_convention_is_not_an_argument():
+    # homogeneity is read off C_under = C_bar and delta = inf, not a label
+    with pytest.raises(TypeError, match="convention"):
+        NonlinearitySpec(f=lambda t: 1.7 * np.power(t, 0.7),
+                         F=lambda t: np.power(t, 1.7), r=1.7, C_bar=1.7,
+                         C_under=1.7, delta=math.inf, convention="sqrt_r")
 
 
-# The F(0) and lattice checks are a general spec's: the sqrt_r pair, whose F
-# and f are closed forms, skips them.  The lattice's finite difference errs
-# by about 1e-8 (r-1)(r-2)/6 of f, so at r = 4.5, 10 and 50 it refused the
-# exact pair as "not the antiderivative" before ProblemParams could name the
-# sublinear range that those r leave.
-@pytest.mark.parametrize("r", [1.05, 4.5, 10.0, 50.0])
-def test_homogeneous_builds_without_the_lattice_checks(monkeypatch, r):
-    def no_check(self):
-        raise AssertionError("the lattice checks ran")
+# Every spec runs the lattice checks once, homogeneous(r) included.  It
+# checks F' = f as r F(t) = t f(t): the Richardson difference quotient that
+# a general pair runs would refuse r = 1e5 and overflow at r = 1e308, before
+# ProblemParams could name the sublinear range that those r leave.
+@pytest.mark.parametrize("r", [1.05, 4.5, 10.0, 50.0, 1e5, 1e308])
+def test_homogeneous_runs_the_lattice_checks_once(monkeypatch, r):
+    calls = []
+    check = NonlinearitySpec._check_antiderivative
 
-    monkeypatch.setattr(NonlinearitySpec, "_check_antiderivative", no_check)
+    def counted(self):
+        calls.append(self.r)
+        check(self)
+
+    monkeypatch.setattr(NonlinearitySpec, "_check_antiderivative", counted)
     spec = NonlinearitySpec.homogeneous(r)
+    assert calls == [r]
     assert spec.is_homogeneous and spec.r == r
     assert spec.C_bar == spec.C_under == math.sqrt(r)
 
 
-@pytest.mark.parametrize("r", [1.0, math.nan])
+@pytest.mark.parametrize("r", [1.0, math.nan, -1.0])
 def test_homogeneous_rejects_r_not_above_one(r):
+    # a negative r once failed in math.sqrt with "math domain error"
     with pytest.raises(ValueError, match="r must exceed 1"):
         NonlinearitySpec.homogeneous(r)
+
+
+def test_exact_envelope_pair_is_checked_like_any_other():
+    # C_under = C_bar and delta = inf once passed unchecked when labelled:
+    # f = 5 t^0.7 leaves the envelope t^0.7, and F = 1.01 t^1.7 is 1 percent
+    # off the antiderivative of f = 1.7 t^0.7
+    with pytest.raises(ValueError, match="leaves its declared envelope"):
+        NonlinearitySpec(f=lambda t: 5.0 * np.power(t, 0.7),
+                         F=lambda t: 5.0 / 1.7 * np.power(t, 1.7), r=1.7,
+                         C_bar=1.0, C_under=1.0, delta=math.inf)
+    with pytest.raises(ValueError, match="not the antiderivative"):
+        NonlinearitySpec(f=lambda t: 1.7 * np.power(t, 0.7),
+                         F=lambda t: 1.01 * np.power(t, 1.7), r=1.7,
+                         C_bar=1.7, C_under=1.7, delta=math.inf)
+
+
+# the central difference at step 1e-4 t erred by about 1e-8 t^2 f''/(6 f)
+# of f, over its 1e-8 bound at t = 1 for f = t^0.7 + t^5.7; its Richardson
+# value errs at order h^4
+@pytest.mark.parametrize("k", [5.7, 8.7, 20.7])
+def test_strongly_curved_pair_is_accepted(k):
+    spec = NonlinearitySpec(f=lambda t: np.power(t, 0.7) + np.power(t, k),
+                            F=lambda t: np.power(t, 1.7) / 1.7
+                            + np.power(t, k + 1.0) / (k + 1.0),
+                            r=1.7, C_bar=2.0, C_under=1.0, delta=1.0)
+    assert not spec.is_homogeneous
 
 
 def test_general_limit_slope_recovers_prefactor():
@@ -115,24 +145,30 @@ def test_general_rejects_nan_F_at_zero():
             r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
 
 
+# C_under = C_bar checks r F = t f, distinct envelopes the difference quotient
+_ENVELOPES = [(SQRT_17, SQRT_17), (1.2 * SQRT_17, 0.8 * SQRT_17)]
+
+
 def test_general_rejects_nan_F_on_the_check_lattice():
     # F(0) = 0, and F is NaN at every point the antiderivative check reads
-    with pytest.raises(ValueError, match="not the antiderivative"):
-        NonlinearitySpec(
-            f=lambda t: SQRT_17 * np.power(t, 0.7),
-            F=lambda t: 0.0 if t == 0.0 else math.nan,
-            r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
+    for c_bar, c_under in _ENVELOPES:
+        with pytest.raises(ValueError, match="not the antiderivative"):
+            NonlinearitySpec(
+                f=lambda t: SQRT_17 * np.power(t, 0.7),
+                F=lambda t: 0.0 if t == 0.0 else math.nan,
+                r=1.7, C_bar=c_bar, C_under=c_under, delta=10.0)
 
 
 def test_general_rejects_mismatched_antiderivative():
     # F is 1 percent off being the antiderivative of f; the message's
     # numbers print as plain floats, not np.float64(...)
-    with pytest.raises(ValueError) as info:
-        NonlinearitySpec(
-            f=lambda t: SQRT_17 * np.power(t, 0.7),
-            F=lambda t: 1.01 * SQRT_17 / 1.7 * np.power(t, 1.7),
-            r=1.7, C_bar=SQRT_17, C_under=SQRT_17, delta=10.0)
-    assert "np.float64" not in str(info.value)
+    for c_bar, c_under in _ENVELOPES:
+        with pytest.raises(ValueError, match="not the antiderivative") as info:
+            NonlinearitySpec(
+                f=lambda t: SQRT_17 * np.power(t, 0.7),
+                F=lambda t: 1.01 * SQRT_17 / 1.7 * np.power(t, 1.7),
+                r=1.7, C_bar=c_bar, C_under=c_under, delta=10.0)
+        assert "np.float64" not in str(info.value)
 
 
 @pytest.mark.parametrize("c_bar, c_under, delta", [
@@ -202,6 +238,25 @@ def test_homogeneous_exponent_window_endpoints():
                             F=lambda t: t ** 1.45,
                             r=1.45, C_bar=1.45, C_under=1.45, delta=1.0)
     ProblemParams(N=3, s=0.25, alpha=0.5, mu=1.0, nonlinearity=spec)
+
+
+def test_pure_power_rules_hold_for_any_constant():
+    # the Pohozaev-Nehari and critical bounds hold for f = C t^(r-1) with
+    # any C > 0, declared as C_under = C_bar and delta = inf, not only for
+    # homogeneous(r)'s C = sqrt(r); delta = 1 declares the power near 0 only
+    def pure_power(delta):
+        return NonlinearitySpec(f=lambda t: 2.0 * t ** (2.0 / 3.0),
+                                F=lambda t: 1.2 * t ** (5.0 / 3.0), r=5.0 / 3.0,
+                                C_bar=2.0, C_under=2.0, delta=delta)
+
+    with pytest.raises(ValueError, match="lower endpoint .*Pohozaev-Nehari"):
+        ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=pure_power(math.inf))
+    ProblemParams(N=3, s=0.5, alpha=2.0, mu=1.0, nonlinearity=pure_power(1.0))
+    spec = NonlinearitySpec(f=lambda t: 1.45 * t ** 0.45,
+                            F=lambda t: t ** 1.45,
+                            r=1.45, C_bar=1.45, C_under=1.45, delta=math.inf)
+    with pytest.raises(ValueError, match=r"above the critical exponent .* = 1\.4$"):
+        ProblemParams(N=3, s=0.25, alpha=0.5, mu=1.0, nonlinearity=spec)
 
 
 def test_general_kind_requires_sublinear_exponent():
